@@ -27,7 +27,6 @@ from .errors import (
 )
 from .evaluation import (
     RulReport,
-    piecewise_rul,
     rmse,
     run_benchmark,
     run_pipeline,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import dataset, evaluation, persist
@@ -33,21 +34,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# every RunConfig field but the tri-state include_settings, typed by its default
 _CONFIG_FLAGS = {
-    "mode": str,
-    "n_regimes": int,
-    "subspace_dim": int,
-    "delta": float,
-    "alpha": float,
-    "eta": float,
-    "max_epochs": int,
-    "rel_tol": float,
-    "healthy_cycles": int,
-    "tau1": int,
-    "tau2": int,
-    "beta": float,
-    "smoothing": float,
-    "seed": int,
+    f.name: type(f.default) for f in fields(RunConfig) if f.name != "include_settings"
 }
 
 
@@ -81,60 +70,17 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig.from_dict(values)
 
 
-def _write_train_artifacts(pipe: evaluation.TrainedPipeline, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    persist.save_any_model(pipe.model, out / "model.json")
-    (out / "scaler.json").write_text(json.dumps(persist.scaler_to_dict(pipe.scaler)))
-    (out / "normalizer.json").write_text(
-        json.dumps(persist.normalizer_to_dict(pipe.normalizer))
-    )
-    if pipe.regressor is not None:
-        (out / "regressor.json").write_text(
-            json.dumps(persist.regressor_to_dict(pipe.regressor))
-        )
-    persist.save_config(pipe.config, out / "config.json")
-    persist.write_curves_csv(pipe.train_curves, out / "train_curves.csv")
-    trace_lines = ["epoch,mean_dist"] + [
-        f"{i},{v!r}" for i, v in enumerate(pipe.error_trace)
-    ]
-    (out / "error_trace.csv").write_text("\n".join(trace_lines) + "\n")
-
-
-def _load_pipeline(model_dir: Path) -> evaluation.TrainedPipeline:
-    for name in ("config.json", "model.json", "scaler.json", "normalizer.json"):
-        if not (model_dir / name).exists():
-            raise ValidationError(f"missing artifact {model_dir / name}")
-    cfg = persist.load_config(model_dir / "config.json")
-    regressor = None
-    reg_path = model_dir / "regressor.json"
-    if reg_path.exists():
-        regressor = persist.regressor_from_dict(json.loads(reg_path.read_text()))
-    return evaluation.TrainedPipeline(
-        config=cfg,
-        normalizer=persist.normalizer_from_dict(
-            json.loads((model_dir / "normalizer.json").read_text())
-        ),
-        model=persist.load_any_model(model_dir / "model.json"),
-        scaler=persist.scaler_from_dict(
-            json.loads((model_dir / "scaler.json").read_text())
-        ),
-        regressor=regressor,
-        train_curves=persist.read_curves_csv(model_dir / "train_curves.csv"),
-        error_trace=[],
-    )
-
-
 def cmd_train(args) -> int:
     cfg = _build_config(args)
     train_set = dataset.load_cmapss(args.train)
     pipe = evaluation.train_pipeline(train_set, cfg)
-    _write_train_artifacts(pipe, Path(args.out))
+    persist.save_pipeline(pipe, args.out)
     print(f"trained on {len(train_set)} units -> {args.out}")
     return EXIT_OK
 
 
 def cmd_infer(args) -> int:
-    pipe = _load_pipeline(Path(args.model_dir))
+    pipe = persist.load_pipeline(args.model_dir)
     tset = dataset.load_cmapss(args.data)
     curves = evaluation.infer_curves(pipe, tset)
     # units with no valid match (e.g. full-length curves) get an empty row

@@ -22,7 +22,7 @@ from .errors import NoMatchError, PrognosticsError, ValidationError
 from .health import DistanceScaler, HiCurve, HiRegressor
 from .multiscale import MultiModel
 from .rul import MatchConfig, RulEstimate
-from .subspace import SubspaceModel, TrainConfig
+from .subspace import TrainConfig
 
 GAMMA_EARLY = 1.0 / 13.0  # estimate below truth (early maintenance)
 GAMMA_LATE = 1.0 / 10.0  # estimate above truth (late maintenance)
@@ -47,16 +47,6 @@ def score(errors) -> float:
     return float(np.sum(np.exp(gamma * np.abs(errors)) - 1.0))
 
 
-def piecewise_rul(failure_time: float, onset: float, t: float) -> float:
-    """Capped linear RUL target: constant before degradation onset, then
-    decaying to zero at failure."""
-    if not 0 <= onset < failure_time:
-        raise ValidationError("need 0 <= onset < failure_time")
-    if not 0 <= t <= failure_time:
-        raise ValidationError("t outside [0, failure_time]")
-    return float(min(failure_time - t, failure_time - onset))
-
-
 # ---------------------------------------------------------------------------
 # pipeline
 
@@ -64,7 +54,7 @@ def piecewise_rul(failure_time: float, onset: float, t: float) -> float:
 class TrainedPipeline:
     config: RunConfig
     normalizer: Normalizer
-    model: SubspaceModel | MultiModel
+    model: MultiModel
     scaler: DistanceScaler
     regressor: HiRegressor | None
     train_curves: list[HiCurve]
@@ -75,14 +65,6 @@ def _feature_rows(traj: dataset.Trajectory, track_settings: bool) -> np.ndarray:
     return traj.features if track_settings else traj.sensors
 
 
-def _regime_row_labels(
-    tset: TrajectorySet, centroids: np.ndarray | None
-) -> list[np.ndarray] | None:
-    if centroids is None:
-        return None
-    return [multiscale.nearest_centroid(centroids, t.settings) for t in tset]
-
-
 def train_pipeline(train_set: TrajectorySet, cfg: RunConfig) -> TrainedPipeline:
     """Fit the full training stage: regimes, normalizer, tracker, scaler and
     (in sst-lr mode) the health-index regressor."""
@@ -90,13 +72,10 @@ def train_pipeline(train_set: TrajectorySet, cfg: RunConfig) -> TrainedPipeline:
         alpha=cfg.alpha, eta=cfg.eta, max_epochs=cfg.max_epochs, rel_tol=cfg.rel_tol
     )
 
-    centroids = None
-    if cfg.n_regimes > 1:
-        all_settings = np.vstack([t.settings for t in train_set])
-        _, centroids = multiscale.cluster_regimes(
-            all_settings, cfg.n_regimes, seed=cfg.seed
-        )
-    labels = _regime_row_labels(train_set, centroids)
+    _, centroids = multiscale.cluster_regimes(
+        np.vstack([t.settings for t in train_set]), cfg.n_regimes, seed=cfg.seed
+    )
+    labels = [multiscale.nearest_centroid(centroids, t.settings) for t in train_set]
 
     norm = dataset.fit_normalizer(train_set, regimes=labels)
     normed = dataset.apply_normalizer(norm, train_set, regimes=labels)
@@ -104,28 +83,18 @@ def train_pipeline(train_set: TrajectorySet, cfg: RunConfig) -> TrainedPipeline:
     unit_rows = [_feature_rows(t, cfg.track_settings) for t in normed]
     healthy = np.vstack([r[: cfg.healthy_cycles] for r in unit_rows])
 
-    if cfg.n_regimes == 1:
-        model = subspace.init_subspace(healthy, cfg.subspace_dim, cfg.delta)
-        model, trace = subspace.train_until_converged(model, healthy, train_cfg)
-    else:
-        healthy_labels = np.concatenate(
-            [lab[: cfg.healthy_cycles] for lab in labels]
-        )
-        members = []
-        for k in range(cfg.n_regimes):
-            rows_k = healthy[healthy_labels == k]
-            if len(rows_k) <= cfg.subspace_dim:
-                raise ValidationError(
-                    f"regime {k}: {len(rows_k)} healthy rows cannot initialize "
-                    f"a {cfg.subspace_dim}-dimensional subspace"
-                )
-            members.append(
-                subspace.init_subspace(rows_k, cfg.subspace_dim, cfg.delta)
+    healthy_labels = np.concatenate([lab[: cfg.healthy_cycles] for lab in labels])
+    members = []
+    for k in range(cfg.n_regimes):
+        rows_k = healthy[healthy_labels == k]
+        if len(rows_k) <= cfg.subspace_dim:
+            raise ValidationError(
+                f"regime {k}: {len(rows_k)} healthy rows cannot initialize "
+                f"a {cfg.subspace_dim}-dimensional subspace"
             )
-        model = MultiModel(models=members, centroids=centroids)
-        model, trace = multiscale.train_multi_until_converged(
-            model, healthy, train_cfg
-        )
+        members.append(subspace.init_subspace(rows_k, cfg.subspace_dim, cfg.delta))
+    model = MultiModel(models=members, centroids=centroids)
+    model, trace = multiscale.train_multi_until_converged(model, healthy, train_cfg)
 
     raw_series = []
     projections = []
@@ -147,7 +116,7 @@ def train_pipeline(train_set: TrajectorySet, cfg: RunConfig) -> TrainedPipeline:
         regressor = health.fit_hi_regression(
             np.vstack(projections),
             np.concatenate([c.sigma for c in curves]),
-            labels=np.concatenate(row_regimes) if cfg.n_regimes > 1 else None,
+            labels=np.concatenate(row_regimes),
         )
 
     return TrainedPipeline(
@@ -168,8 +137,7 @@ def infer_curves(pipe: TrainedPipeline, tset: TrajectorySet) -> list[HiCurve]:
     from the subspace projections instead.
     """
     cfg = pipe.config
-    centroids = pipe.model.centroids if isinstance(pipe.model, MultiModel) else None
-    labels = _regime_row_labels(tset, centroids)
+    labels = [multiscale.nearest_centroid(pipe.model.centroids, t.settings) for t in tset]
     normed = dataset.apply_normalizer(pipe.normalizer, tset, regimes=labels)
 
     curves = []
@@ -179,9 +147,7 @@ def infer_curves(pipe: TrainedPipeline, tset: TrajectorySet) -> list[HiCurve]:
         if cfg.mode == "sst-lr":
             if pipe.regressor is None:
                 raise ValidationError("sst-lr mode requires a fitted regressor")
-            sigma = health.predict_hi(
-                pipe.regressor, proj, labels=reg if cfg.n_regimes > 1 else None
-            )
+            sigma = health.predict_hi(pipe.regressor, proj, labels=reg)
             scaled = health.scale(pipe.scaler, health.smooth(dists, cfg.smoothing))
             curves.append(
                 HiCurve(

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .multiscale import MultiModel, assign_rows
-from .subspace import SubspaceModel, mahalanobis_rows
 
 RIDGE_JITTER = 1e-10
 
@@ -73,33 +72,22 @@ class HiRegressor:
         return self.weights.shape[1] - 1
 
 
-def distance_series(model: SubspaceModel | MultiModel, rows: np.ndarray) -> np.ndarray:
-    """One distance per cycle; the multi-model variant records the assigned minimum."""
-    if isinstance(model, MultiModel):
-        return assign_rows(model, rows)[1]
-    return mahalanobis_rows(model, rows)
-
-
 def analyze_rows(
-    model: SubspaceModel | MultiModel, rows: np.ndarray
+    model: MultiModel, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(raw distances, subspace projections, regime labels) for each row.
+    """(assigned distances, subspace projections, regime labels) for each row.
 
-    Projections are taken in the assigned model's basis; labels are all zero
-    for a single model.
+    Each row is scored against its minimum-distance model, and projected onto
+    that model's basis.
     """
     rows = np.asarray(rows, dtype=float)
-    if isinstance(model, MultiModel):
-        labels, dists = assign_rows(model, rows)
-        proj = np.empty((len(rows), model.models[0].subspace_dim))
-        for k, m in enumerate(model.models):
-            sel = labels == k
-            if np.any(sel):
-                proj[sel] = (rows[sel] - m.center) @ m.basis
-        return dists, proj, labels
-    dists = mahalanobis_rows(model, rows)
-    proj = (rows - model.center) @ model.basis
-    return dists, proj, np.zeros(len(rows), dtype=int)
+    labels, dists = assign_rows(model, rows)
+    proj = np.empty((len(rows), model.models[0].subspace_dim))
+    for k, m in enumerate(model.models):
+        sel = labels == k
+        if np.any(sel):
+            proj[sel] = (rows[sel] - m.center) @ m.basis
+    return dists, proj, labels
 
 
 def smooth(series: np.ndarray, factor: float) -> np.ndarray:

@@ -2,28 +2,18 @@
 
 The operational-setting space is partitioned into K clusters; each cluster
 owns a subspace model. A sample is scored against every model and routed to
-the minimum-distance one, which is also the only model updated.
+the minimum-distance one, which is also the only model updated. A
+single-regime fleet is the K=1 case; this module holds the only trainer.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .subspace import (
-    MODEL_FORMAT_VERSION,
-    SubspaceModel,
-    TrainConfig,
-    mahalanobis,
-    mahalanobis_rows,
-    model_from_dict,
-    model_to_dict,
-    update,
-)
+from .subspace import SubspaceModel, TrainConfig, mahalanobis, mahalanobis_rows, update
 
 
 @dataclass(frozen=True)
@@ -54,11 +44,14 @@ def cluster_regimes(
     """Seeded k-means (k-means++ init) over operational-setting vectors.
 
     Returns (labels, centroids). Empty clusters are re-seeded from the point
-    farthest from its assigned centroid.
+    farthest from its assigned centroid. K=1 is answered in closed form: the
+    settings mean is Lloyd's fixed point, and no random generator is needed.
     """
     points = np.asarray(settings, dtype=float)
-    if points.ndim != 2:
-        raise ValidationError("settings must be a 2-d array")
+    if points.ndim != 2 or len(points) == 0:
+        raise ValidationError("settings must be a non-empty 2-d array")
+    if n_clusters == 1:
+        return np.zeros(len(points), dtype=int), points.mean(axis=0, keepdims=True)
     distinct = np.unique(points, axis=0)
     if len(distinct) < n_clusters:
         raise ValidationError(
@@ -138,8 +131,14 @@ def update_winner(mm: MultiModel, x: np.ndarray, cfg: TrainConfig) -> MultiModel
 def train_multi_until_converged(
     mm: MultiModel, healthy: np.ndarray, cfg: TrainConfig
 ) -> tuple[MultiModel, list[float]]:
-    """Epoch training with min-distance routing; same stopping rule as the
-    single-model trainer, on the mean assigned distance."""
+    """Run full epochs over the healthy rows until the mean assigned distance
+    settles.
+
+    Each row updates only its minimum-distance model. Stops when the relative
+    change of the epoch-mean distance drops below cfg.rel_tol or after
+    cfg.max_epochs. The returned trace starts with the pre-training mean
+    distance, then one entry per epoch.
+    """
     healthy = np.asarray(healthy, dtype=float)
     if healthy.ndim != 2 or len(healthy) == 0:
         raise ValidationError("healthy rows must be a non-empty 2-d array")
@@ -157,41 +156,3 @@ def train_multi_until_converged(
         elif abs(mean_dist - prev) / prev < cfg.rel_tol:
             break
     return mm, trace
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def multimodel_to_dict(mm: MultiModel) -> dict:
-    return {
-        "version": MODEL_FORMAT_VERSION,
-        "K": mm.n_regimes,
-        "centroids": mm.centroids.tolist(),
-        "models": [model_to_dict(m) for m in mm.models],
-    }
-
-
-def multimodel_from_dict(doc: dict) -> MultiModel:
-    if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise ValidationError(
-            f"unsupported model format version {doc.get('version')!r}"
-        )
-    try:
-        mm = MultiModel(
-            models=[model_from_dict(m) for m in doc["models"]],
-            centroids=np.array(doc["centroids"], dtype=float),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed multi-model document: {exc}")
-    if doc.get("K") != mm.n_regimes:
-        raise ValidationError("model count does not match K")
-    mm.validate()
-    return mm
-
-
-def save_multimodel(mm: MultiModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(multimodel_to_dict(mm)))
-
-
-def load_multimodel(path: str | Path) -> MultiModel:
-    return multimodel_from_dict(json.loads(Path(path).read_text()))

@@ -1,7 +1,10 @@
 """On-disk formats for trained pipeline artifacts.
 
 Everything is JSON or CSV. Floats are written with repr so reading a file
-back reproduces the exact values that were written.
+back reproduces the exact values that were written. This is the only module
+that reads or writes a model directory. Its `model.json` holds the K-model
+document, also for a single-regime (K=1) fleet; an older single-model
+document still loads, as K=1 with a zero centroid.
 """
 
 from __future__ import annotations
@@ -12,16 +15,79 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .dataset import Normalizer
+from .dataset import N_SETTINGS, Normalizer
 from .errors import ValidationError
+from .evaluation import TrainedPipeline
 from .health import DistanceScaler, HiCurve, HiRegressor
-from .multiscale import MultiModel, multimodel_from_dict, multimodel_to_dict
-from .subspace import SubspaceModel, model_from_dict, model_to_dict
+from .multiscale import MultiModel
+from .subspace import SubspaceModel
 
+MODEL_FORMAT_VERSION = 1
 CURVE_CSV_HEADER = "unit_id,cycle,raw_dist,scaled_dist,sigma"
 ESTIMATE_CSV_HEADER = (
     "unit_id,estimated_rul,true_rul,error,n_candidates,sum_similarity"
 )
+
+
+def _check_version(doc: dict) -> None:
+    if doc.get("version") != MODEL_FORMAT_VERSION:
+        raise ValidationError(
+            f"unsupported model format version {doc.get('version')!r}"
+        )
+
+
+def subspace_to_dict(model: SubspaceModel) -> dict:
+    return {
+        "version": MODEL_FORMAT_VERSION,
+        "D": model.dim,
+        "d": model.subspace_dim,
+        "delta": model.delta,
+        "c": model.center.tolist(),
+        "lambdas": model.spreads.tolist(),
+        "U1": [model.basis[:, j].tolist() for j in range(model.subspace_dim)],
+    }
+
+
+def subspace_from_dict(doc: dict) -> SubspaceModel:
+    _check_version(doc)
+    model = SubspaceModel(
+        # keep the same memory layout as a freshly trained basis so matrix
+        # products round identically
+        basis=np.ascontiguousarray(np.array(doc["U1"], dtype=float).T),
+        center=np.array(doc["c"], dtype=float),
+        spreads=np.array(doc["lambdas"], dtype=float),
+        delta=float(doc["delta"]),
+    )
+    if model.dim != doc.get("D") or model.subspace_dim != doc.get("d"):
+        raise ValidationError("model document dimensions are inconsistent")
+    model.validate()
+    return model
+
+
+def model_to_dict(mm: MultiModel) -> dict:
+    return {
+        "version": MODEL_FORMAT_VERSION,
+        "K": mm.n_regimes,
+        "centroids": mm.centroids.tolist(),
+        "models": [subspace_to_dict(m) for m in mm.models],
+    }
+
+
+def model_from_dict(doc: dict) -> MultiModel:
+    _check_version(doc)
+    if "models" not in doc:
+        # single-model document written before K=1 became a K-model
+        return MultiModel(
+            models=[subspace_from_dict(doc)], centroids=np.zeros((1, N_SETTINGS))
+        )
+    mm = MultiModel(
+        models=[subspace_from_dict(m) for m in doc["models"]],
+        centroids=np.array(doc["centroids"], dtype=float),
+    )
+    if doc.get("K") != mm.n_regimes:
+        raise ValidationError("model count does not match K")
+    mm.validate()
+    return mm
 
 
 def normalizer_to_dict(norm: Normalizer) -> dict:
@@ -33,14 +99,11 @@ def normalizer_to_dict(norm: Normalizer) -> dict:
 
 
 def normalizer_from_dict(doc: dict) -> Normalizer:
-    try:
-        return Normalizer(
-            mean=np.array(doc["mean"], dtype=float),
-            std=np.array(doc["std"], dtype=float),
-            mask=np.array(doc["mask"], dtype=bool),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed normalizer document: {exc}")
+    return Normalizer(
+        mean=np.array(doc["mean"], dtype=float),
+        std=np.array(doc["std"], dtype=float),
+        mask=np.array(doc["mask"], dtype=bool),
+    )
 
 
 def scaler_to_dict(scaler: DistanceScaler) -> dict:
@@ -48,10 +111,7 @@ def scaler_to_dict(scaler: DistanceScaler) -> dict:
 
 
 def scaler_from_dict(doc: dict) -> DistanceScaler:
-    try:
-        return DistanceScaler(floor=float(doc["floor"]), ceiling=float(doc["ceiling"]))
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed scaler document: {exc}")
+    return DistanceScaler(floor=float(doc["floor"]), ceiling=float(doc["ceiling"]))
 
 
 def regressor_to_dict(reg: HiRegressor) -> dict:
@@ -59,26 +119,7 @@ def regressor_to_dict(reg: HiRegressor) -> dict:
 
 
 def regressor_from_dict(doc: dict) -> HiRegressor:
-    try:
-        return HiRegressor(weights=np.array(doc["weights"], dtype=float))
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed regressor document: {exc}")
-
-
-def save_any_model(model: SubspaceModel | MultiModel, path: str | Path) -> None:
-    doc = (
-        multimodel_to_dict(model)
-        if isinstance(model, MultiModel)
-        else model_to_dict(model)
-    )
-    Path(path).write_text(json.dumps(doc))
-
-
-def load_any_model(path: str | Path) -> SubspaceModel | MultiModel:
-    doc = json.loads(Path(path).read_text())
-    if "models" in doc:
-        return multimodel_from_dict(doc)
-    return model_from_dict(doc)
+    return HiRegressor(weights=np.array(doc["weights"], dtype=float))
 
 
 def write_curves_csv(curves: list[HiCurve], path: str | Path) -> None:
@@ -97,13 +138,16 @@ def read_curves_csv(path: str | Path) -> list[HiCurve]:
     if not lines or lines[0] != CURVE_CSV_HEADER:
         raise ValidationError(f"{path}: not a health-index curve CSV")
     by_unit: dict[int, list[tuple[float, float, float]]] = {}
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        unit, _, raw, scaled, sigma = line.split(",")
-        by_unit.setdefault(int(unit), []).append(
-            (float(raw), float(scaled), float(sigma))
-        )
+        try:
+            unit, _, raw, scaled, sigma = line.split(",")
+            by_unit.setdefault(int(unit), []).append(
+                (float(raw), float(scaled), float(sigma))
+            )
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     curves = []
     for unit in sorted(by_unit):
         rows = by_unit[unit]
@@ -136,9 +180,51 @@ def write_estimates_csv(estimates, truths, path: str | Path, unit_ids=None) -> N
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def save_config(cfg: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
+def save_pipeline(pipe: TrainedPipeline, out: str | Path) -> None:
+    """Write every artifact of a trained pipeline into the directory out."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "model.json").write_text(json.dumps(model_to_dict(pipe.model)))
+    (out / "scaler.json").write_text(json.dumps(scaler_to_dict(pipe.scaler)))
+    (out / "normalizer.json").write_text(json.dumps(normalizer_to_dict(pipe.normalizer)))
+    if pipe.regressor is not None:
+        (out / "regressor.json").write_text(json.dumps(regressor_to_dict(pipe.regressor)))
+    (out / "config.json").write_text(
+        json.dumps(pipe.config.to_dict(), indent=2, sort_keys=True)
+    )
+    write_curves_csv(pipe.train_curves, out / "train_curves.csv")
+    trace_lines = ["epoch,mean_dist"] + [
+        f"{i},{v!r}" for i, v in enumerate(pipe.error_trace)
+    ]
+    (out / "error_trace.csv").write_text("\n".join(trace_lines) + "\n")
 
 
-def load_config(path: str | Path) -> RunConfig:
-    return RunConfig.from_dict(json.loads(Path(path).read_text()))
+def _read_json(path: Path, from_dict):
+    """Parse one JSON artifact; malformed content of any kind becomes a
+    ValidationError that names the file."""
+    try:
+        return from_dict(json.loads(path.read_text()))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    except (ValueError, TypeError, KeyError, IndexError, AttributeError) as exc:
+        raise ValidationError(f"{path}: malformed artifact: {exc!r}") from exc
+
+
+def load_pipeline(model_dir: str | Path) -> TrainedPipeline:
+    """Read the artifacts save_pipeline wrote; the error trace is not kept."""
+    model_dir = Path(model_dir)
+    for name in ("config.json", "model.json", "scaler.json", "normalizer.json"):
+        if not (model_dir / name).exists():
+            raise ValidationError(f"missing artifact {model_dir / name}")
+    reg_path = model_dir / "regressor.json"
+    return TrainedPipeline(
+        config=_read_json(model_dir / "config.json", RunConfig.from_dict),
+        normalizer=_read_json(model_dir / "normalizer.json", normalizer_from_dict),
+        model=_read_json(model_dir / "model.json", model_from_dict),
+        scaler=_read_json(model_dir / "scaler.json", scaler_from_dict),
+        regressor=(
+            _read_json(reg_path, regressor_from_dict) if reg_path.exists() else None
+        ),
+        train_curves=read_curves_csv(model_dir / "train_curves.csv"),
+        error_trace=[],
+    )

@@ -15,16 +15,13 @@ identical and costs O(D*d) per sample.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 
 SPREAD_FLOOR = 1e-8
-MODEL_FORMAT_VERSION = 1
 ORTHONORMAL_TOL = 1e-8
 
 
@@ -149,12 +146,6 @@ def _check_vector(model: SubspaceModel, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def project(model: SubspaceModel, x: np.ndarray) -> np.ndarray:
-    """Coordinates of x - center in the subspace basis."""
-    x = _check_vector(model, x)
-    return model.basis.T @ (x - model.center)
-
-
 def mahalanobis(model: SubspaceModel, x: np.ndarray) -> float:
     """Approximate Mahalanobis distance of x from the tracked subspace."""
     x = _check_vector(model, x)
@@ -204,77 +195,3 @@ def update(model: SubspaceModel, x: np.ndarray, cfg: TrainConfig) -> SubspaceMod
 
     spreads = np.maximum(a * model.spreads + (1.0 - a) * coords**2, SPREAD_FLOOR)
     return replace(model, basis=basis, center=center, spreads=spreads)
-
-
-def train_until_converged(
-    model: SubspaceModel, healthy: np.ndarray, cfg: TrainConfig
-) -> tuple[SubspaceModel, list[float]]:
-    """Run full epochs over the healthy rows until the mean distance settles.
-
-    Stops when the relative change of the epoch-mean distance drops below
-    cfg.rel_tol or after cfg.max_epochs. The returned trace starts with the
-    pre-training mean distance, then one entry per epoch.
-    """
-    healthy = np.asarray(healthy, dtype=float)
-    if healthy.ndim != 2 or len(healthy) == 0:
-        raise ValidationError("healthy rows must be a non-empty 2-d array")
-
-    trace = [float(np.mean(mahalanobis_rows(model, healthy)))]
-    for _ in range(cfg.max_epochs):
-        for row in healthy:
-            model = update(model, row, cfg)
-        mean_dist = float(np.mean(mahalanobis_rows(model, healthy)))
-        prev = trace[-1]
-        trace.append(mean_dist)
-        if prev == 0.0:
-            if mean_dist == 0.0:
-                break
-        elif abs(mean_dist - prev) / prev < cfg.rel_tol:
-            break
-    return model, trace
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def model_to_dict(model: SubspaceModel) -> dict:
-    return {
-        "version": MODEL_FORMAT_VERSION,
-        "D": model.dim,
-        "d": model.subspace_dim,
-        "delta": model.delta,
-        "c": model.center.tolist(),
-        "lambdas": model.spreads.tolist(),
-        "U1": [model.basis[:, j].tolist() for j in range(model.subspace_dim)],
-    }
-
-
-def model_from_dict(doc: dict) -> SubspaceModel:
-    if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise ValidationError(
-            f"unsupported model format version {doc.get('version')!r}"
-        )
-    try:
-        # keep the same memory layout as a freshly trained basis so matrix
-        # products round identically
-        basis = np.ascontiguousarray(np.array(doc["U1"], dtype=float).T)
-        model = SubspaceModel(
-            basis=basis,
-            center=np.array(doc["c"], dtype=float),
-            spreads=np.array(doc["lambdas"], dtype=float),
-            delta=float(doc["delta"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed model document: {exc}")
-    if model.dim != doc.get("D") or model.subspace_dim != doc.get("d"):
-        raise ValidationError("model document dimensions are inconsistent")
-    model.validate()
-    return model
-
-
-def save_model(model: SubspaceModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model)))
-
-
-def load_model(path: str | Path) -> SubspaceModel:
-    return model_from_dict(json.loads(Path(path).read_text()))

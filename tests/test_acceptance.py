@@ -17,17 +17,12 @@ from subtrack.config import RunConfig
 from subtrack.dataset import SynthConfig, generate_synthetic
 from subtrack.evaluation import rmse, run_benchmark, run_pipeline, score
 from subtrack.health import HiCurve, smooth
+from subtrack.multiscale import train_multi_until_converged
 from subtrack.rul import MatchConfig, estimate_rul
-from subtrack.subspace import (
-    SubspaceModel,
-    TrainConfig,
-    init_subspace,
-    mahalanobis,
-    train_until_converged,
-)
+from subtrack.subspace import SubspaceModel, TrainConfig, init_subspace, mahalanobis
 
 from test_rul import curve, oracle_estimate
-from test_subspace import explicit_complement_distance, random_model
+from test_subspace import explicit_complement_distance, random_model, solo
 
 
 def report(name, ok, detail=""):
@@ -99,7 +94,8 @@ def test_criterion_3_static_manifold_tracking():
 
         model = init_subspace(rows[:100], 3)
         cfg = TrainConfig(alpha=0.87, eta=0.01, max_epochs=100, rel_tol=1e-4)
-        model, trace = train_until_converged(model, rows, cfg)
+        mm, trace = train_multi_until_converged(solo(model), rows, cfg)
+        model = mm.models[0]
         epochs_used.append(len(trace) - 1)
 
         sv = np.linalg.svd(model.basis.T @ basis, compute_uv=False)

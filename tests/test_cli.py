@@ -1,8 +1,17 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from subtrack.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+import subtrack
+from subtrack import persist
+from subtrack.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _build_config, build_parser, main
+from subtrack.config import RunConfig
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +94,23 @@ class TestTrain:
         assert saved["max_epochs"] == 5  # from file
         assert saved["seed"] == 3  # flag wins
 
+    def test_single_regime_leaves_numpy_random_unimported(self, synth_dir, tmp_path):
+        # K=1 regimes come in closed form; importing numpy.random costs ~6 MB RSS
+        code = (
+            "import sys; from subtrack.cli import main; "
+            f"rc = main(['train', '--train', {str(synth_dir / 'train_synth.txt')!r}, "
+            f"'--out', {str(tmp_path / 'model')!r}, '--max-epochs', '2']); "
+            "assert rc == 0; assert 'numpy.random' not in sys.modules, 'imported'"
+        )
+        src = str(Path(subtrack.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 @pytest.fixture(scope="module")
 def model_dir(synth_dir, tmp_path_factory):
@@ -125,35 +151,90 @@ class TestInfer:
         mean_sigma = sum(sum(v) / len(v) for v in sigmas.values()) / len(sigmas)
         assert mean_sigma >= 0.9
 
-    def test_corrupt_model_json_rejected(self, synth_dir, model_dir, tmp_path):
-        import shutil
+    def infer_rc(self, synth_dir, model, out):
+        return main(
+            ["infer", "--model-dir", str(model),
+             "--data", str(synth_dir / "test_synth.txt"),
+             "--rul", str(synth_dir / "RUL_synth.txt"),
+             "--out", str(out)]
+        )
 
+    def test_corrupt_model_json_rejected(self, synth_dir, model_dir, tmp_path):
         broken = tmp_path / "broken"
         shutil.copytree(model_dir, broken)
         doc = json.loads((broken / "model.json").read_text())
-        doc["lambdas"][0] = -3.0
+        doc["models"][0]["lambdas"][0] = -3.0
         (broken / "model.json").write_text(json.dumps(doc))
-        rc = main(
-            ["infer", "--model-dir", str(broken),
-             "--data", str(synth_dir / "test_synth.txt"),
-             "--out", str(tmp_path / "out")]
-        )
-        assert rc == EXIT_DATA
+        assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
+        # the same fault in a legacy single-model document
+        (broken / "model.json").write_text(json.dumps(doc["models"][0]))
+        assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
 
     def test_version_mismatch_rejected(self, synth_dir, model_dir, tmp_path):
-        import shutil
-
         broken = tmp_path / "versioned"
         shutil.copytree(model_dir, broken)
         doc = json.loads((broken / "model.json").read_text())
         doc["version"] = 42
         (broken / "model.json").write_text(json.dumps(doc))
-        rc = main(
-            ["infer", "--model-dir", str(broken),
-             "--data", str(synth_dir / "test_synth.txt"),
-             "--out", str(tmp_path / "out")]
-        )
-        assert rc == EXIT_DATA
+        assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
+
+    @staticmethod
+    def _truncate_model(d):
+        text = (d / "model.json").read_text()
+        (d / "model.json").write_text(text[: len(text) // 2])
+        return "model.json"
+
+    @staticmethod
+    def _shorten_basis_column(d):
+        doc = json.loads((d / "model.json").read_text())
+        doc["models"][0]["U1"][1].pop()
+        (d / "model.json").write_text(json.dumps(doc))
+        return "model.json"
+
+    @staticmethod
+    def _bad_curve_token(d):
+        lines = (d / "train_curves.csv").read_text().splitlines()
+        unit, cycle, raw, scaled, _ = lines[5].split(",")
+        lines[5] = ",".join([unit, cycle, raw, scaled, "x"])
+        (d / "train_curves.csv").write_text("\n".join(lines) + "\n")
+        return "train_curves.csv"
+
+    @pytest.mark.parametrize(
+        "corrupt", ["_truncate_model", "_shorten_basis_column", "_bad_curve_token"]
+    )
+    def test_corrupt_artifact_exits_2_naming_file(
+        self, synth_dir, model_dir, tmp_path, capsys, corrupt
+    ):
+        broken = tmp_path / "broken"
+        shutil.copytree(model_dir, broken)
+        name = getattr(self, corrupt)(broken)
+        assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
+        assert name in capsys.readouterr().err
+
+    def test_v1_single_model_document_infers_identically(
+        self, synth_dir, model_dir, tmp_path
+    ):
+        member = json.loads((model_dir / "model.json").read_text())["models"][0]
+        legacy = tmp_path / "legacy"
+        shutil.copytree(model_dir, legacy)
+        # the documented keys of a v1 single-model model.json
+        (legacy / "model.json").write_text(json.dumps({
+            "version": 1,
+            "D": member["D"],
+            "d": member["d"],
+            "delta": member["delta"],
+            "c": member["c"],
+            "lambdas": member["lambdas"],
+            "U1": member["U1"],
+        }))
+        assert persist.load_pipeline(legacy).model.n_regimes == 1
+
+        assert self.infer_rc(synth_dir, model_dir, tmp_path / "new") == EXIT_OK
+        assert self.infer_rc(synth_dir, legacy, tmp_path / "old") == EXIT_OK
+        for name in ("hi_curves.csv", "rul_estimates.csv"):
+            assert (tmp_path / "old" / name).read_bytes() == (
+                tmp_path / "new" / name
+            ).read_bytes()
 
 
 class TestBenchmark:
@@ -210,3 +291,22 @@ class TestUsage:
 
     def test_unknown_flag(self):
         assert main(["train", "--bogus"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    def test_every_config_field_has_a_flag(self, command):
+        # a valid config where every field differs from its default
+        wanted = RunConfig(
+            mode="sst-lr", n_regimes=2, subspace_dim=2, delta=0.02, alpha=0.5,
+            eta=0.02, max_epochs=7, rel_tol=1e-3, healthy_cycles=15, tau1=2,
+            tau2=30, beta=0.05, smoothing=0.5, seed=4, include_settings=True,
+        )
+        argv = [command, "--train", "t", "--out", "o"]
+        if command == "benchmark":
+            argv += ["--test", "t", "--rul", "r"]
+        for f in fields(RunConfig):
+            value = getattr(wanted, f.name)
+            assert value != f.default, f.name
+            if f.name == "include_settings":
+                value = "yes"
+            argv += ["--" + f.name.replace("_", "-"), str(value)]
+        assert _build_config(build_parser().parse_args(argv)) == wanted

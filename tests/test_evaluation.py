@@ -9,7 +9,6 @@ from subtrack.dataset import SynthConfig, generate_synthetic
 from subtrack.errors import ValidationError
 from subtrack.evaluation import (
     build_report,
-    piecewise_rul,
     rmse,
     run_pipeline,
     score,
@@ -54,30 +53,6 @@ class TestScore:
     def test_empty(self):
         with pytest.raises(ValidationError):
             score([])
-
-
-class TestPiecewiseRul:
-    def test_before_onset_capped(self):
-        assert piecewise_rul(200, 150, 100) == 50.0
-
-    def test_at_failure(self):
-        assert piecewise_rul(200, 150, 200) == 0.0
-
-    def test_zero_onset_pure_linear(self):
-        for t in (0, 50, 199):
-            assert piecewise_rul(200, 0, t) == 200 - t
-
-    def test_non_increasing_and_continuous(self):
-        vals = [piecewise_rul(200, 120, t) for t in range(0, 201)]
-        diffs = np.diff(vals)
-        assert np.all(diffs <= 0)
-        assert np.max(np.abs(diffs)) <= 1.0
-
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            piecewise_rul(200, 150, 250)
-        with pytest.raises(ValidationError):
-            piecewise_rul(200, 300, 50)
 
 
 SMALL_SYNTH = SynthConfig(

@@ -9,7 +9,6 @@ from subtrack.health import (
     HiRegressor,
     analyze_rows,
     build_curve,
-    distance_series,
     fit_hi_regression,
     fit_scaler,
     predict_hi,
@@ -20,19 +19,19 @@ from subtrack.health import (
 from subtrack.multiscale import MultiModel
 from subtrack.subspace import mahalanobis_rows
 
-from test_subspace import random_model
+from test_subspace import random_model, solo
 
 
 class TestDistanceSeries:
     def test_center_copies_give_zeros(self):
         model = random_model(np.random.default_rng(0), 8, 2)
         rows = np.tile(model.center, (10, 1))
-        np.testing.assert_array_equal(distance_series(model, rows), np.zeros(10))
+        np.testing.assert_array_equal(analyze_rows(solo(model), rows)[0], np.zeros(10))
 
     def test_shape_contract(self):
         rng = np.random.default_rng(1)
         model = random_model(rng, 8, 2)
-        assert distance_series(model, rng.standard_normal((37, 8))).shape == (37,)
+        assert analyze_rows(solo(model), rng.standard_normal((37, 8)))[0].shape == (37,)
 
     def test_drifting_unit_is_increasing(self):
         rng = np.random.default_rng(2)
@@ -43,7 +42,7 @@ class TestDistanceSeries:
         t = np.arange(1, 101)
         rows = model.center + np.outer(0.1 * t, drift_dir) \
             + 0.01 * rng.standard_normal((100, 8))
-        dists = distance_series(model, rows)
+        dists = analyze_rows(solo(model), rows)[0]
         rho, _ = spearmanr(t, dists)
         assert rho >= 0.9
 
@@ -54,7 +53,7 @@ class TestDistanceSeries:
             models=models, centroids=np.arange(9, dtype=float).reshape(3, 3)
         )
         rows = rng.standard_normal((20, 8))
-        dists = distance_series(mm, rows)
+        dists = analyze_rows(mm, rows)[0]
         all_dists = np.array([mahalanobis_rows(m, rows) for m in models])
         np.testing.assert_allclose(dists, all_dists.min(axis=0))
 
@@ -64,7 +63,7 @@ class TestAnalyzeRows:
         rng = np.random.default_rng(4)
         model = random_model(rng, 8, 3)
         rows = rng.standard_normal((15, 8))
-        dists, proj, labels = analyze_rows(model, rows)
+        dists, proj, labels = analyze_rows(solo(model), rows)
         np.testing.assert_allclose(proj, (rows - model.center) @ model.basis)
         np.testing.assert_allclose(dists, mahalanobis_rows(model, rows))
         assert np.all(labels == 0)

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+from subtrack import persist
 from subtrack.errors import ValidationError
 from subtrack.multiscale import (
     MultiModel,
     assign,
     assign_rows,
     cluster_regimes,
-    multimodel_from_dict,
-    multimodel_to_dict,
     nearest_centroid,
     train_multi_until_converged,
     update_winner,
@@ -17,11 +16,11 @@ from subtrack.subspace import (
     TrainConfig,
     init_subspace,
     mahalanobis,
-    train_until_converged,
+    mahalanobis_rows,
     update,
 )
 
-from test_subspace import random_model
+from test_subspace import random_model, solo
 
 
 def make_multimodel(rng, n_models, dim=8, sub_dim=2, spread_centers=10.0):
@@ -176,6 +175,24 @@ class TestUpdateWinner:
         assert len(trace) - 1 < 100
 
 
+def reference_training(model, rows, cfg):
+    """The documented single-subspace rule: full epochs of subspace.update
+    until the relative change of the epoch-mean distance drops below rel_tol
+    (or stays at 0), at most max_epochs."""
+    trace = [float(np.mean(mahalanobis_rows(model, rows)))]
+    for _ in range(cfg.max_epochs):
+        for row in rows:
+            model = update(model, row, cfg)
+        prev, mean_dist = trace[-1], float(np.mean(mahalanobis_rows(model, rows)))
+        trace.append(mean_dist)
+        if prev == 0.0:
+            if mean_dist == 0.0:
+                break
+        elif abs(mean_dist - prev) / prev < cfg.rel_tol:
+            break
+    return model, trace
+
+
 class TestKEqualsOneEquivalence:
     def test_bit_identical_to_single_model_pipeline(self):
         rng = np.random.default_rng(10)
@@ -185,14 +202,13 @@ class TestKEqualsOneEquivalence:
         init = init_subspace(data[:20], 2)
         cfg = TrainConfig(rel_tol=1e-4, max_epochs=30)
 
-        solo, solo_trace = train_until_converged(init, data, cfg)
-        mm = MultiModel(models=[init], centroids=np.zeros((1, 3)))
-        multi, multi_trace = train_multi_until_converged(mm, data, cfg)
+        ref, ref_trace = reference_training(init, data, cfg)
+        multi, multi_trace = train_multi_until_converged(solo(init), data, cfg)
 
-        assert solo_trace == multi_trace
-        np.testing.assert_array_equal(solo.basis, multi.models[0].basis)
-        np.testing.assert_array_equal(solo.center, multi.models[0].center)
-        np.testing.assert_array_equal(solo.spreads, multi.models[0].spreads)
+        assert ref_trace == multi_trace
+        np.testing.assert_array_equal(ref.basis, multi.models[0].basis)
+        np.testing.assert_array_equal(ref.center, multi.models[0].center)
+        np.testing.assert_array_equal(ref.spreads, multi.models[0].spreads)
 
 
 class TestNearestCentroid:
@@ -208,7 +224,7 @@ class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(11)
         mm = make_multimodel(rng, 3)
-        back = multimodel_from_dict(multimodel_to_dict(mm))
+        back = persist.model_from_dict(persist.model_to_dict(mm))
         assert back.n_regimes == 3
         np.testing.assert_array_equal(back.centroids, mm.centroids)
         for a, b in zip(back.models, mm.models):
@@ -216,7 +232,15 @@ class TestSerialization:
 
     def test_rejects_k_mismatch(self):
         rng = np.random.default_rng(12)
-        doc = multimodel_to_dict(make_multimodel(rng, 2))
+        doc = persist.model_to_dict(make_multimodel(rng, 2))
         doc["K"] = 3
         with pytest.raises(ValidationError):
-            multimodel_from_dict(doc)
+            persist.model_from_dict(doc)
+
+    def test_single_model_document_loads_as_k1(self):
+        model = random_model(np.random.default_rng(13), 7, 3)
+        back = persist.model_from_dict(persist.subspace_to_dict(model))
+        assert back.n_regimes == 1
+        np.testing.assert_array_equal(back.centroids, np.zeros((1, 3)))
+        np.testing.assert_array_equal(back.models[0].basis, model.basis)
+        np.testing.assert_array_equal(back.models[0].spreads, model.spreads)

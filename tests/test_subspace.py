@@ -1,22 +1,21 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from subtrack import persist
 from subtrack.errors import NumericalError, ValidationError
+from subtrack.health import analyze_rows
+from subtrack.multiscale import MultiModel, train_multi_until_converged
 from subtrack.subspace import (
     SubspaceModel,
     TrainConfig,
     init_subspace,
-    load_model,
     mahalanobis,
     mahalanobis_rows,
-    model_from_dict,
-    model_to_dict,
     orthonormalize,
-    project,
-    save_model,
-    train_until_converged,
     update,
 )
 
@@ -29,6 +28,16 @@ def random_model(rng, dim, sub_dim, delta=0.01):
         spreads=rng.uniform(0.5, 3.0, sub_dim),
         delta=delta,
     )
+
+
+def solo(model):
+    """The model as the single-regime (K=1) K-model the pipeline uses."""
+    return MultiModel(models=[model], centroids=np.zeros((1, 3)))
+
+
+def project(model, x):
+    """Coordinates of x - center in the basis, as analyze_rows reports them."""
+    return analyze_rows(solo(model), np.atleast_2d(x))[1][0]
 
 
 def explicit_complement_distance(model, x):
@@ -206,8 +215,8 @@ class TestTrainUntilConverged:
         rng = np.random.default_rng(13)
         data = self.static_data(rng)
         model = init_subspace(data[:20], 2)
-        _, trace = train_until_converged(
-            model, data, TrainConfig(rel_tol=np.inf, max_epochs=50)
+        _, trace = train_multi_until_converged(
+            solo(model), data, TrainConfig(rel_tol=np.inf, max_epochs=50)
         )
         assert len(trace) == 2  # baseline + exactly one epoch
 
@@ -215,39 +224,39 @@ class TestTrainUntilConverged:
         rng = np.random.default_rng(14)
         data = self.static_data(rng)
         model = init_subspace(data[:20], 2)
-        _, trace = train_until_converged(
-            model, data, TrainConfig(rel_tol=1e-4, max_epochs=100)
+        _, trace = train_multi_until_converged(
+            solo(model), data, TrainConfig(rel_tol=1e-4, max_epochs=100)
         )
         assert len(trace) - 1 < 100
 
     def test_empty_data(self):
         model = random_model(np.random.default_rng(15), 6, 2)
         with pytest.raises(ValidationError):
-            train_until_converged(model, np.zeros((0, 6)), TrainConfig())
+            train_multi_until_converged(solo(model), np.zeros((0, 6)), TrainConfig())
 
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         model = random_model(np.random.default_rng(16), 7, 3)
         path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
+        path.write_text(json.dumps(persist.subspace_to_dict(model)))
+        loaded = persist.subspace_from_dict(json.loads(path.read_text()))
         np.testing.assert_array_equal(loaded.basis, model.basis)
         np.testing.assert_array_equal(loaded.center, model.center)
         np.testing.assert_array_equal(loaded.spreads, model.spreads)
         assert loaded.delta == model.delta
 
     def test_rejects_bad_version(self):
-        doc = model_to_dict(random_model(np.random.default_rng(17), 6, 2))
+        doc = persist.subspace_to_dict(random_model(np.random.default_rng(17), 6, 2))
         doc["version"] = 99
         with pytest.raises(ValidationError):
-            model_from_dict(doc)
+            persist.subspace_from_dict(doc)
 
     def test_rejects_broken_invariant(self):
-        doc = model_to_dict(random_model(np.random.default_rng(18), 6, 2))
+        doc = persist.subspace_to_dict(random_model(np.random.default_rng(18), 6, 2))
         doc["lambdas"][0] = -1.0
         with pytest.raises(ValidationError, match="positive"):
-            model_from_dict(doc)
+            persist.subspace_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
