@@ -59,7 +59,13 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 def _build_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if args.config is not None:
-        values.update(json.loads(Path(args.config).read_text()))
+        try:
+            doc = json.loads(Path(args.config).read_text())
+        except ValueError as exc:
+            raise ValidationError(f"{args.config}: malformed JSON config: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ValidationError(f"{args.config}: config must be a JSON object")
+        values.update(doc)
     for name in _CONFIG_FLAGS:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
@@ -104,7 +110,6 @@ def cmd_benchmark(args) -> int:
     report, pipe, test_curves = evaluation.run_benchmark(
         args.train, args.test, args.rul, cfg
     )
-    estimates = evaluation.estimate_fleet(pipe, test_curves)
     truths = [row["truth"] for row in report.rows]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -112,7 +117,7 @@ def cmd_benchmark(args) -> int:
     (out / "report.txt").write_text(report.to_text() + "\n")
     persist.write_curves_csv(pipe.train_curves, out / "hi_curves_train.csv")
     persist.write_curves_csv(test_curves, out / "hi_curves.csv")
-    persist.write_estimates_csv(estimates, truths, out / "rul_estimates.csv")
+    persist.write_estimates_csv(report.estimates, truths, out / "rul_estimates.csv")
     print(report.to_text())
     return EXIT_OK
 

@@ -9,6 +9,7 @@ Ground-truth files carry one integer RUL per test unit, in unit order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -86,8 +87,9 @@ class TrajectorySet:
 def load_cmapss(path: str | Path) -> TrajectorySet:
     """Parse a 26-column CMAPSS-format text file into a TrajectorySet.
 
-    Raises DataFormatError with the offending line number on malformed rows,
-    ValidationError when a unit's cycle indices are not 1, 2, 3, ...
+    Raises DataFormatError with the offending line number on malformed rows
+    and on non-finite values (nan, inf), ValidationError when a unit's cycle
+    indices are not 1, 2, 3, ...
     """
     path = Path(path)
     rows_by_unit: dict[int, list[tuple[int, np.ndarray]]] = {}
@@ -102,10 +104,10 @@ def load_cmapss(path: str | Path) -> TrajectorySet:
                 )
             try:
                 values = np.array([float(p) for p in parts])
-            except ValueError as exc:
+                unit = int(values[0])
+                cycle = int(values[1])
+            except (ValueError, OverflowError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: non-numeric field ({exc})")
-            unit = int(values[0])
-            cycle = int(values[1])
             rows_by_unit.setdefault(unit, []).append((cycle, values[2:]))
 
     if not rows_by_unit:
@@ -123,6 +125,10 @@ def load_cmapss(path: str | Path) -> TrajectorySet:
                 f"{path}: unit {unit} has non-contiguous cycle indices"
             )
         data = np.array([v for _, v in rows])
+        if not np.isfinite(data).all():
+            with open(path) as fh:
+                lineno = first_non_finite_line(fh)
+            raise DataFormatError(f"{path}:{lineno}: non-finite value (nan or inf)")
         trajectories.append(
             Trajectory(
                 unit_id=unit,
@@ -131,6 +137,16 @@ def load_cmapss(path: str | Path) -> TrajectorySet:
             )
         )
     return TrajectorySet(trajectories, kind=kind)
+
+
+def first_non_finite_line(lines, sep: str | None = None, start: int = 1) -> int:
+    """Number of the first non-blank line with a token that parses to nan or
+    inf. Callers rescan with it only after a parsed array failed the
+    finiteness check, so every token parses and such a line exists."""
+    for lineno, line in enumerate(lines, start=start):
+        if line.strip() and not all(math.isfinite(float(p)) for p in line.split(sep)):
+            return lineno
+    raise ValueError("no non-finite value found")
 
 
 def save_cmapss(tset: TrajectorySet, path: str | Path) -> None:

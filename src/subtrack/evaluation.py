@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -202,6 +202,9 @@ class RulReport:
     score: float
     config: dict
     wall_time: float
+    # the estimates behind the rows, kept so writers need no second match
+    # pass; neither to_json nor to_text includes them
+    estimates: list[RulEstimate] = field(default_factory=list, repr=False)
 
     def to_json(self) -> str:
         # wall_time is deliberately left out so identical runs serialize
@@ -263,6 +266,7 @@ def build_report(
         score=score(errors),
         config=cfg.to_dict(),
         wall_time=wall_time,
+        estimates=list(estimates),
     )
 
 

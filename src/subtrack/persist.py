@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .dataset import N_SETTINGS, Normalizer
+from .dataset import N_SETTINGS, Normalizer, first_non_finite_line
 from .errors import ValidationError
 from .evaluation import TrainedPipeline
 from .health import DistanceScaler, HiCurve, HiRegressor
@@ -151,13 +151,12 @@ def read_curves_csv(path: str | Path) -> list[HiCurve]:
     curves = []
     for unit in sorted(by_unit):
         rows = by_unit[unit]
+        raw, scaled, sigma = (np.array([r[k] for r in rows]) for k in range(3))
+        if not all(np.isfinite(a).all() for a in (raw, scaled, sigma)):
+            lineno = first_non_finite_line(lines[1:], ",", start=2)
+            raise ValidationError(f"{path}:{lineno}: non-finite value (nan or inf)")
         curves.append(
-            HiCurve(
-                unit_id=unit,
-                sigma=np.array([r[2] for r in rows]),
-                raw_dist=np.array([r[0] for r in rows]),
-                scaled_dist=np.array([r[1] for r in rows]),
-            )
+            HiCurve(unit_id=unit, sigma=sigma, raw_dist=raw, scaled_dist=scaled)
         )
     return curves
 

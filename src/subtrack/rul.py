@@ -1,9 +1,29 @@
 """Similarity-based RUL estimation by health-index curve matching.
 
-A truncated test curve is slid along every full training curve over a range
-of lags. Each (train unit, lag) pair yields a candidate RUL of
-train_length - test_length - lag, weighted by exp(-curve_distance / beta);
-the estimate is the similarity-weighted average of all candidates.
+A truncated test curve of length n is slid along every full training curve
+of length L over the lags tau in [tau1, tau2]. Each (train unit, lag) pair
+with full overlap (n + tau <= L) is a candidate: its RUL is L - n - tau and
+its weight is exp(-d2 / beta), where d2 is the mean squared pointwise
+difference of the overlap. The estimate is the similarity-weighted mean of
+all candidate RULs.
+
+estimate_rul scores one test curve against the whole library with arrays.
+The library, sorted by unit id, is zero-padded into one (n_train, width)
+array. Each lag fills one column of an (n_train, n_lags) distance array with
+a row-wise np.mean over the (n_train, n) window at that lag. That is the same
+pairwise reduction np.mean does on one window, so every d2 equals the scalar
+curve_distance bit for bit. Only one lag's windows exist at a time: a copy of
+all windows at once would cost n_train * n_lags * n floats, twice.
+
+Similarities use math.exp over a list, not np.exp: the SIMD np.exp (AVX-512
+builds) differs from math.exp by one ulp on a few percent of inputs, and the
+estimate would then depend on the machine. Sums use math.fsum, which is
+exact, so the result does not depend on library order.
+
+An estimate's candidates are one record array in (unit, lag) order with the
+fields train_unit, tau, rul, similarity and clamped. clamped (a negative
+candidate RUL set to 0) is never True: full overlap already implies
+L - n - tau >= 0. The field is kept because trace tooling counts it.
 """
 
 from __future__ import annotations
@@ -13,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoMatchError, ValidationError
+from .errors import NoMatchError, NumericalError, ValidationError
 from .health import HiCurve
 
 
@@ -30,20 +50,22 @@ class MatchConfig:
             raise ValidationError("beta must be positive")
 
 
-@dataclass(frozen=True)
-class Candidate:
-    train_unit: int
-    tau: int
-    rul: float
-    similarity: float
-    clamped: bool  # raw candidate was negative, clamped to 0
+CANDIDATE_DTYPE = np.dtype(
+    [
+        ("train_unit", np.int64),
+        ("tau", np.int64),
+        ("rul", np.float64),
+        ("similarity", np.float64),
+        ("clamped", np.bool_),
+    ]
+)
 
 
 @dataclass(frozen=True)
 class RulEstimate:
     unit_id: int
     estimate: float
-    candidates: list[Candidate]
+    candidates: np.recarray  # CANDIDATE_DTYPE, one row per (unit, lag)
     sum_similarity: float
     similarity_underflow: bool = False
 
@@ -85,42 +107,54 @@ def estimate_rul(
     """Similarity-weighted combination of candidate RULs over all library
     curves and lags in [tau1, tau2].
 
-    Candidates are accumulated in (train unit, lag) order with compensated
-    summation, so the result is invariant to library ordering.
+    Raises NoMatchError when no pair has full overlap and NumericalError when
+    a candidate distance is not finite (NaN or inf in either curve), which
+    would otherwise pass for similarity underflow.
     """
     if not library:
         raise NoMatchError(f"unit {test.unit_id}: empty training library")
 
-    candidates: list[Candidate] = []
-    for train_curve in sorted(library, key=lambda c: c.unit_id):
-        for tau in range(cfg.tau1, cfg.tau2 + 1):
-            d2 = curve_distance(test.sigma, train_curve.sigma, tau)
-            if d2 is None:
-                continue
-            s = similarity(d2, cfg.beta)
-            rul, clamped = candidate_rul(len(train_curve), len(test), tau)
-            candidates.append(
-                Candidate(
-                    train_unit=train_curve.unit_id,
-                    tau=tau,
-                    rul=rul,
-                    similarity=s,
-                    clamped=clamped,
-                )
-            )
+    library = sorted(library, key=lambda c: c.unit_id)
+    sig = np.asarray(test.sigma, dtype=float)
+    n = len(sig)
+    lengths = np.array([len(c) for c in library])
+    taus = np.arange(cfg.tau1, cfg.tau2 + 1)
 
-    if not candidates:
+    padded = np.zeros((len(library), max(lengths.max(), n + cfg.tau2)))
+    for row, c in zip(padded, library):
+        row[: len(c)] = c.sigma
+    d2 = np.empty((len(library), len(taus)))
+    for j, tau in enumerate(taus.tolist()):
+        d2[:, j] = np.mean((sig - padded[:, tau : tau + n]) ** 2, axis=1)
+
+    valid = n + taus <= lengths[:, None]
+    if not valid.any():
         raise NoMatchError(
             f"unit {test.unit_id}: no training curve long enough for any lag"
         )
+    d2 = d2[valid]
+    if not np.isfinite(d2).all():
+        raise NumericalError(
+            f"unit {test.unit_id}: non-finite curve distance "
+            "(NaN or inf in a health-index curve)"
+        )
 
-    sum_s = math.fsum(c.similarity for c in candidates)
+    candidates = np.recarray(len(d2), dtype=CANDIDATE_DTYPE)
+    units = np.array([c.unit_id for c in library])
+    candidates.train_unit = np.broadcast_to(units[:, None], valid.shape)[valid]
+    candidates.tau = np.broadcast_to(taus, valid.shape)[valid]
+    candidates.rul = (lengths[:, None] - n - taus)[valid]
+    sims = list(map(math.exp, (-d2 / cfg.beta).tolist()))
+    candidates.similarity = sims
+    candidates.clamped = False  # full overlap keeps every rul >= 0
+
+    sum_s = math.fsum(sims)
     if sum_s > 0.0:
-        estimate = math.fsum(c.similarity * c.rul for c in candidates) / sum_s
+        estimate = math.fsum((candidates.similarity * candidates.rul).tolist()) / sum_s
         underflow = False
     else:
         # every similarity underflowed; fall back to the unweighted mean
-        estimate = math.fsum(c.rul for c in candidates) / len(candidates)
+        estimate = math.fsum(candidates.rul.tolist()) / len(candidates)
         underflow = True
 
     return RulEstimate(

@@ -9,9 +9,29 @@ from pathlib import Path
 import pytest
 
 import subtrack
-from subtrack import persist
+from subtrack import persist, rul
 from subtrack.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _build_config, build_parser, main
 from subtrack.config import RunConfig
+
+
+def run_fresh_interpreter(code):
+    """Run code in a new interpreter that imports subtrack from this tree."""
+    src = str(Path(subtrack.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+
+
+def poison_line(path, lineno, sep=None):
+    """Replace the last field of a 1-based line with nan."""
+    lines = path.read_text().splitlines()
+    fields_ = lines[lineno - 1].split(sep)
+    fields_[-1] = "nan"
+    lines[lineno - 1] = (sep or " ").join(fields_)
+    path.write_text("\n".join(lines) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -102,14 +122,35 @@ class TestTrain:
             f"'--out', {str(tmp_path / 'model')!r}, '--max-epochs', '2']); "
             "assert rc == 0; assert 'numpy.random' not in sys.modules, 'imported'"
         )
-        src = str(Path(subtrack.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
+        proc = run_fresh_interpreter(code)
         assert proc.returncode == 0, proc.stderr
+
+    def test_non_finite_train_value_exits_2_naming_line(
+        self, synth_dir, tmp_path, capsys
+    ):
+        data = tmp_path / "train.txt"
+        shutil.copy(synth_dir / "train_synth.txt", data)
+        poison_line(data, 6)
+        rc = main(["train", "--train", str(data), "--out", str(tmp_path / "m")])
+        assert rc == EXIT_DATA
+        assert f"{data}:6: non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize(
+        "text", ['{"seed": 1', "[1, 2]"], ids=["malformed", "not-an-object"]
+    )
+    def test_bad_config_file_exits_2_naming_file(
+        self, synth_dir, tmp_path, capsys, text
+    ):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        rc = main(
+            ["train", "--train", str(synth_dir / "train_synth.txt"),
+             "--out", str(tmp_path / "model"), "--config", str(cfg_file)]
+        )
+        assert rc == EXIT_DATA
+        assert str(cfg_file) in capsys.readouterr().err
+        assert not (tmp_path / "model").exists()
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +252,30 @@ class TestInfer:
         assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
         assert name in capsys.readouterr().err
 
+    def test_non_finite_test_value_exits_2_naming_line(
+        self, synth_dir, model_dir, tmp_path, capsys
+    ):
+        # a nan in a test unit used to pass for similarity underflow and
+        # give that unit an unweighted mean with exit 0
+        data = tmp_path / "test.txt"
+        shutil.copy(synth_dir / "test_synth.txt", data)
+        poison_line(data, 6)
+        rc = main(
+            ["infer", "--model-dir", str(model_dir), "--data", str(data),
+             "--out", str(tmp_path / "out")]
+        )
+        assert rc == EXIT_DATA
+        assert f"{data}:6: non-finite" in capsys.readouterr().err
+
+    def test_non_finite_train_curve_exits_2_naming_line(
+        self, synth_dir, model_dir, tmp_path, capsys
+    ):
+        broken = tmp_path / "broken"
+        shutil.copytree(model_dir, broken)
+        poison_line(broken / "train_curves.csv", 6, sep=",")
+        assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
+        assert "train_curves.csv:6: non-finite" in capsys.readouterr().err
+
     def test_v1_single_model_document_infers_identically(
         self, synth_dir, model_dir, tmp_path
     ):
@@ -259,6 +324,18 @@ class TestBenchmark:
         assert self.run_bench(synth_dir, b) == EXIT_OK
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
+    def test_matches_each_unit_once(self, synth_dir, tmp_path, monkeypatch):
+        matched = []
+        estimate_rul = rul.estimate_rul
+
+        def counting(test, library, cfg):
+            matched.append(test.unit_id)
+            return estimate_rul(test, library, cfg)
+
+        monkeypatch.setattr(rul, "estimate_rul", counting)
+        assert self.run_bench(synth_dir, tmp_path) == EXIT_OK
+        assert sorted(matched) == list(range(1, 11))
+
     def test_composes_with_train_then_infer(self, synth_dir, tmp_path):
         bench = tmp_path / "bench"
         assert self.run_bench(synth_dir, bench) == EXIT_OK
@@ -283,6 +360,28 @@ class TestBenchmark:
         assert (infer / "rul_estimates.csv").read_bytes() == (
             bench / "rul_estimates.csv"
         ).read_bytes()
+
+
+def test_benchmark_and_infer_leave_scipy_unimported(synth_dir, model_dir, tmp_path):
+    # importing scipy.signal alone raises peak RSS by ~75 MB, more than a
+    # whole single-unit infer uses
+    data = [str(synth_dir / n) for n in ("train_synth.txt", "test_synth.txt",
+                                          "RUL_synth.txt")]
+    runs = {
+        "benchmark": ["benchmark", "--train", data[0], "--test", data[1],
+                      "--rul", data[2], "--out", str(tmp_path / "bench")]
+        + BENCH_FLAGS,
+        "infer": ["infer", "--model-dir", str(model_dir), "--data", data[1],
+                  "--rul", data[2], "--out", str(tmp_path / "infer")],
+    }
+    for name, argv in runs.items():
+        code = (
+            "import sys; from subtrack.cli import main; "
+            f"assert main({argv!r}) == 0; "
+            "assert 'scipy' not in sys.modules, 'imported'"
+        )
+        proc = run_fresh_interpreter(code)
+        assert proc.returncode == 0, (name, proc.stderr)
 
 
 class TestUsage:

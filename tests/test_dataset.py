@@ -51,6 +51,20 @@ class TestLoadCmapss:
         with pytest.raises(DataFormatError, match=":1:"):
             load_cmapss(f)
 
+    @pytest.mark.parametrize(
+        "column,token,message",
+        [(0, "nan", "non-numeric"), (1, "inf", "non-numeric"),
+         (4, "inf", "non-finite"), (25, "nan", "non-finite"),
+         (25, "-inf", "non-finite")],
+    )
+    def test_non_finite_value_reports_line(self, tmp_path, column, token, message):
+        f = tmp_path / "bad.txt"
+        row = make_row(2, 2)
+        row[column] = token
+        write_rows(f, [make_row(1, 1), make_row(2, 1), row, make_row(2, 3)])
+        with pytest.raises(DataFormatError, match=f":3: {message}"):
+            load_cmapss(f)
+
     def test_non_contiguous_cycles_names_unit(self, tmp_path):
         f = tmp_path / "bad.txt"
         write_rows(f, [make_row(7, 1), make_row(7, 3)])

@@ -119,18 +119,21 @@ class TestPipeline:
 
 class TestReport:
     def test_row_and_metric_consistency(self):
-        from subtrack.rul import Candidate, RulEstimate
+        from subtrack.rul import CANDIDATE_DTYPE, RulEstimate
 
         ests = [
             RulEstimate(
                 unit_id=u,
                 estimate=float(10 * u),
-                candidates=[Candidate(1, 1, float(10 * u), 1.0, False)],
+                candidates=np.rec.array(
+                    [(1, 1, float(10 * u), 1.0, False)], dtype=CANDIDATE_DTYPE
+                ),
                 sum_similarity=1.0,
             )
             for u in (1, 2)
         ]
         report = build_report(ests, [12, 18], SMALL_CFG, wall_time=0.5)
+        assert [e.unit_id for e in report.estimates] == [1, 2]
         assert report.rows[0]["error"] == pytest.approx(-2.0)
         assert report.rows[1]["error"] == pytest.approx(2.0)
         assert report.rmse == pytest.approx(2.0)

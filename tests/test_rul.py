@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from subtrack.errors import NoMatchError, ValidationError
+from subtrack.errors import NoMatchError, NumericalError, ValidationError
 from subtrack.health import HiCurve
 from subtrack.rul import (
     MatchConfig,
@@ -43,6 +43,27 @@ def oracle_estimate(test_sigma, library, cfg):
             num += s * r
             den += s
     return num / den
+
+
+def reference_estimate(test, library, cfg):
+    """The per-candidate scalar loop estimate_rul replaces: the module's
+    scalar helpers in (unit, lag) order, summed with math.fsum.
+
+    Returns (estimate, sum_similarity, underflow, candidate rows), each row
+    (train_unit, tau, rul, similarity, clamped).
+    """
+    rows = []
+    for train in sorted(library, key=lambda c: c.unit_id):
+        for tau in range(cfg.tau1, cfg.tau2 + 1):
+            d2 = curve_distance(test.sigma, train.sigma, tau)
+            if d2 is None:
+                continue
+            rul, clamped = candidate_rul(len(train), len(test), tau)
+            rows.append((train.unit_id, tau, rul, similarity(d2, cfg.beta), clamped))
+    sum_s = math.fsum(r[3] for r in rows)
+    if sum_s > 0.0:
+        return math.fsum(r[3] * r[2] for r in rows) / sum_s, sum_s, False, rows
+    return math.fsum(r[2] for r in rows) / len(rows), sum_s, True, rows
 
 
 class TestCurveDistance:
@@ -175,6 +196,29 @@ class TestEstimateRul:
         with pytest.raises(NoMatchError):
             estimate_rul(test, lib, MatchConfig(tau1=1, tau2=5, beta=0.1))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_curve_raises_numerical_error(self, bad):
+        cfg = MatchConfig(tau1=1, tau2=5, beta=0.1)
+        poisoned = np.full(10, 0.5)
+        poisoned[3] = bad
+        with pytest.raises(NumericalError, match="unit 1"):
+            estimate_rul(curve(1, poisoned), [curve(2, np.full(30, 0.5))], cfg)
+        # the same value inside a library window
+        lib_sigma = np.full(30, 0.5)
+        lib_sigma[4] = bad
+        with pytest.raises(NumericalError, match="unit 1"):
+            estimate_rul(curve(1, np.full(10, 0.5)), [curve(2, lib_sigma)], cfg)
+
+    def test_candidates_are_one_record_array(self):
+        test = curve(1, np.full(10, 0.5))
+        lib = [curve(3, np.full(13, 0.5)), curve(2, np.full(12, 0.5))]
+        est = estimate_rul(test, lib, MatchConfig(tau1=1, tau2=3, beta=0.1))
+        assert isinstance(est.candidates, np.recarray)
+        assert est.candidates.train_unit.tolist() == [2, 2, 3, 3, 3]
+        assert est.candidates.tau.tolist() == [1, 2, 1, 2, 3]
+        assert est.candidates.rul.tolist() == [1.0, 0.0, 2.0, 1.0, 0.0]
+        assert not any(c.clamped for c in est.candidates)
+
     def test_similarity_underflow_falls_back_to_mean(self):
         test = curve(1, np.ones(10))
         lib = [curve(2, np.zeros(30)), curve(3, np.zeros(40))]
@@ -216,3 +260,38 @@ def test_estimate_always_convex_combination(seed):
     est = estimate_rul(test, lib, cfg)
     ruls = [c.rul for c in est.candidates]
     assert min(ruls) - 1e-12 <= est.estimate <= max(ruls) + 1e-12
+
+
+@st.composite
+def match_problems(draw):
+    """A test curve, a library and a lag range. Library lengths run from
+    shorter than the test curve, through equal, to longer than every lag
+    needs, so units with no valid lag mix with matching ones."""
+    tau1 = draw(st.integers(0, 3))
+    tau2 = tau1 + draw(st.integers(0, 8))
+    n = draw(st.integers(1, 25))
+    lengths = draw(
+        st.lists(st.integers(max(1, n - 5), n + tau2 + 6), min_size=1, max_size=6)
+    )
+    # at least one unit has a full-overlap candidate
+    lengths.append(draw(st.integers(n + tau1, n + tau2 + 6)))
+    unit_ids = draw(st.permutations(range(1, len(lengths) + 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    beta = draw(st.sampled_from([1e-4, 0.0235, 0.5, 10.0]))
+    test = curve(0, rng.uniform(0, 1, n))
+    library = [curve(u, rng.uniform(0, 1, L)) for u, L in zip(unit_ids, lengths)]
+    return test, library, MatchConfig(tau1=tau1, tau2=tau2, beta=beta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=match_problems())
+def test_estimate_bit_identical_to_scalar_reference(problem):
+    test, library, cfg = problem
+    estimate, sum_s, underflow, rows = reference_estimate(test, library, cfg)
+    est = estimate_rul(test, library, cfg)
+    assert est.estimate == estimate
+    assert est.sum_similarity == sum_s
+    assert est.similarity_underflow == underflow
+    cands = est.candidates
+    for k, name in enumerate(("train_unit", "tau", "rul", "similarity", "clamped")):
+        assert cands[name].tolist() == [r[k] for r in rows], name
