@@ -76,10 +76,29 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig.from_dict(values)
 
 
+def _report_degraded(unit_ids, estimates) -> None:
+    """One stderr line per degraded condition; the output files stay as
+    they are."""
+    for condition, units in (
+        ("no valid match, empty row",
+         [u for u, est in zip(unit_ids, estimates) if est is None]),
+        ("every similarity underflowed, unweighted mean RUL",
+         [est.unit_id for est in estimates
+          if est is not None and est.similarity_underflow]),
+    ):
+        if units:
+            print(
+                f"warning: {condition} for {len(units)} units: "
+                + ", ".join(map(str, units)),
+                file=sys.stderr,
+            )
+
+
 def cmd_train(args) -> int:
     cfg = _build_config(args)
     train_set = dataset.load_cmapss(args.train)
-    pipe = evaluation.train_pipeline(train_set, cfg)
+    with evaluation.stage("train"):
+        pipe = evaluation.train_pipeline(train_set, cfg)
     persist.save_pipeline(pipe, args.out)
     print(f"trained on {len(train_set)} units -> {args.out}")
     return EXIT_OK
@@ -101,6 +120,7 @@ def cmd_infer(args) -> int:
     persist.write_estimates_csv(
         estimates, truths, out / "rul_estimates.csv", unit_ids=tset.unit_ids
     )
+    _report_degraded(tset.unit_ids, estimates)
     print(f"inferred {len(curves)} units -> {args.out}")
     return EXIT_OK
 
@@ -118,6 +138,7 @@ def cmd_benchmark(args) -> int:
     persist.write_curves_csv(pipe.train_curves, out / "hi_curves_train.csv")
     persist.write_curves_csv(test_curves, out / "hi_curves.csv")
     persist.write_estimates_csv(report.estimates, truths, out / "rul_estimates.csv")
+    _report_degraded([est.unit_id for est in report.estimates], report.estimates)
     print(report.to_text())
     return EXIT_OK
 

@@ -10,6 +10,7 @@ Ground-truth files carry one integer RUL per test unit, in unit order.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -90,8 +91,53 @@ def load_cmapss(path: str | Path) -> TrajectorySet:
     Raises DataFormatError with the offending line number on malformed rows
     and on non-finite values (nan, inf), ValidationError when a unit's cycle
     indices are not 1, 2, 3, ...
+
+    The file is parsed with one numpy call. When that parse or a check on
+    its result fails, the line parser reads the file again and decides: it
+    raises the error, or returns what the file holds (a unit id written as
+    1_0, say, which numpy does not parse).
     """
     path = Path(path)
+    name = path.name.lower()
+    kind = "train" if "train" in name else ("test" if "test" in name else "train")
+    trajectories = _parse_cmapss_bulk(path)
+    if trajectories is None:
+        trajectories = _parse_cmapss_lines(path)
+    return TrajectorySet(trajectories, kind=kind)
+
+
+def _parse_cmapss_bulk(path: Path) -> list[Trajectory] | None:
+    """The trajectories from one numpy parse, or None when the line parser
+    must decide. Accepts only files the line parser accepts, with the same
+    values: float tokens are correctly rounded in both."""
+    with open(path) as fh:
+        table = read_table(fh, ndmin=2)
+    if table is None or table.shape[1] != N_COLUMNS:
+        return None
+    ids = table[:, :2]
+    if not (np.abs(ids) < 2.0**62).all():  # also rejects nan
+        return None
+    ids = ids.astype(np.int64)  # truncates toward zero, as int() does
+    blocks = unit_blocks(ids[:, 0], ids[:, 1])
+    if blocks is None:
+        return None
+    order, bounds = blocks
+    data = table[order, 2:]  # a new C-ordered array, as the line parser builds
+    if not np.isfinite(data).all():
+        return None
+    return [
+        Trajectory(
+            unit_id=unit,
+            settings=data[a:b, :N_SETTINGS],
+            sensors=data[a:b, N_SETTINGS:],
+        )
+        for unit, a, b in bounds
+    ]
+
+
+def _parse_cmapss_lines(path: Path) -> list[Trajectory]:
+    """Line-by-line parse; the reference for what load_cmapss accepts and
+    for every message it raises."""
     rows_by_unit: dict[int, list[tuple[int, np.ndarray]]] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -114,9 +160,6 @@ def load_cmapss(path: str | Path) -> TrajectorySet:
         raise DataFormatError(f"{path}: no data rows")
 
     trajectories = []
-    kind = "train" if "train" in path.name.lower() else (
-        "test" if "test" in path.name.lower() else "train"
-    )
     for unit in sorted(rows_by_unit):
         rows = sorted(rows_by_unit[unit], key=lambda r: r[0])
         cycles = [c for c, _ in rows]
@@ -136,7 +179,36 @@ def load_cmapss(path: str | Path) -> TrajectorySet:
                 sensors=data[:, N_SETTINGS:],
             )
         )
-    return TrajectorySet(trajectories, kind=kind)
+    return trajectories
+
+
+def read_table(fh, **kwargs) -> np.ndarray | None:
+    """np.loadtxt over the rest of an open text file, with no comment
+    character; None when numpy rejects the text or warns (it warns on a file
+    with no data rows). Callers then fall back to their line parser."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(fh, comments=None, **kwargs)
+    except (ValueError, Warning):
+        return None
+
+
+def unit_blocks(
+    units: np.ndarray, cycles: np.ndarray
+) -> tuple[np.ndarray, list[tuple[int, int, int]]] | None:
+    """Group rows by unit: the row order that sorts by unit, then by cycle
+    (a stable sort, like sorting each unit's rows by cycle), and the
+    (unit, start, stop) of each unit's rows in that order, units ascending.
+    None when some unit's cycles are not exactly 1, 2, ..., L."""
+    order = np.lexsort((cycles, units))
+    units, cycles = units[order], cycles[order]
+    starts = np.flatnonzero(np.r_[True, units[1:] != units[:-1]])
+    stops = np.r_[starts[1:], len(units)]
+    expected = np.arange(len(units)) - np.repeat(starts, stops - starts) + 1
+    if not np.array_equal(cycles, expected):
+        return None
+    return order, list(zip(units[starts].tolist(), starts.tolist(), stops.tolist()))
 
 
 def first_non_finite_line(lines, sep: str | None = None, start: int = 1) -> int:

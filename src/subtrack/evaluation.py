@@ -18,7 +18,7 @@ import numpy as np
 from . import dataset, health, multiscale, rul, subspace
 from .config import RunConfig
 from .dataset import Normalizer, TrajectorySet
-from .errors import NoMatchError, PrognosticsError, ValidationError
+from .errors import NoMatchError, NumericalError, PrognosticsError, ValidationError
 from .health import DistanceScaler, HiCurve, HiRegressor
 from .multiscale import MultiModel
 from .rul import MatchConfig, RulEstimate
@@ -176,10 +176,12 @@ def estimate_fleet(
     """
     cfg = pipe.config
     match_cfg = MatchConfig(tau1=cfg.tau1, tau2=cfg.tau2, beta=cfg.beta)
-    library = [
-        replace(c, sigma=health.smooth(c.sigma, cfg.smoothing))
-        for c in pipe.train_curves
-    ]
+    curves = pipe.train_curves
+    padded = np.zeros((len(curves), max((len(c) for c in curves), default=0)))
+    for row, c in zip(padded, curves):
+        row[: len(c)] = c.sigma
+    smoothed = health.smooth(padded, cfg.smoothing)
+    library = [replace(c, sigma=row[: len(c)]) for c, row in zip(curves, smoothed)]
     estimates = []
     for curve in test_curves:
         smoothed = replace(curve, sigma=health.smooth(curve.sigma, cfg.smoothing))
@@ -271,12 +273,16 @@ def build_report(
 
 
 @contextmanager
-def _stage(name: str):
-    """Tag pipeline errors with the stage they came from."""
+def stage(name: str):
+    """Tag pipeline errors with the stage they came from. A numpy
+    LinAlgError (a singular or non-converging decomposition) becomes a
+    NumericalError, so it exits 3 instead of ending in a traceback."""
     try:
         yield
     except PrognosticsError as exc:
         raise type(exc)(f"[{name}] {exc}") from exc
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"[{name}] {exc}") from exc
 
 
 def run_pipeline(
@@ -287,13 +293,13 @@ def run_pipeline(
 ) -> tuple[RulReport, TrainedPipeline, list[HiCurve]]:
     """Full in-memory benchmark: train, infer, match, evaluate."""
     start = time.perf_counter()
-    with _stage("train"):
+    with stage("train"):
         pipe = train_pipeline(train_set, cfg)
-    with _stage("infer"):
+    with stage("infer"):
         test_curves = infer_curves(pipe, test_set)
-    with _stage("match"):
+    with stage("match"):
         estimates = estimate_fleet(pipe, test_curves)
-    with _stage("evaluate"):
+    with stage("evaluate"):
         report = build_report(estimates, truths, cfg, time.perf_counter() - start)
     return report, pipe, test_curves
 
@@ -302,7 +308,7 @@ def run_benchmark(
     train_path, test_path, rul_path, cfg: RunConfig
 ) -> tuple[RulReport, TrainedPipeline, list[HiCurve]]:
     """File-based benchmark entry point for CMAPSS-format datasets."""
-    with _stage("load"):
+    with stage("load"):
         train_set = dataset.load_cmapss(train_path)
         test_set = dataset.load_cmapss(test_path)
         truths = dataset.load_rul_targets(rul_path, len(test_set))

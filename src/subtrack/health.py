@@ -91,16 +91,19 @@ def analyze_rows(
 
 
 def smooth(series: np.ndarray, factor: float) -> np.ndarray:
-    """Exponential moving average; factor=1 is the identity."""
+    """Exponential moving average along the last axis; factor=1 is the
+    identity. The filter is causal, so the rows of a zero-padded 2-d stack
+    smooth as each curve alone would, bit for bit."""
     if not 0.0 < factor <= 1.0:
         raise ValidationError("smoothing factor must be in (0, 1]")
     series = np.asarray(series, dtype=float)
     out = np.empty_like(series)
-    if len(series) == 0:
+    x, y = np.moveaxis(series, -1, 0), np.moveaxis(out, -1, 0)  # time first
+    if len(x) == 0:
         return out
-    out[0] = series[0]
-    for i in range(1, len(series)):
-        out[i] = factor * series[i] + (1.0 - factor) * out[i - 1]
+    y[0] = x[0]
+    for i in range(1, len(x)):
+        y[i] = factor * x[i] + (1.0 - factor) * y[i - 1]
     return out
 
 

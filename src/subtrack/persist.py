@@ -15,7 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .dataset import N_SETTINGS, Normalizer, first_non_finite_line
+from .dataset import (
+    N_SETTINGS,
+    Normalizer,
+    first_non_finite_line,
+    read_table,
+    unit_blocks,
+)
 from .errors import ValidationError
 from .evaluation import TrainedPipeline
 from .health import DistanceScaler, HiCurve, HiRegressor
@@ -24,6 +30,10 @@ from .subspace import SubspaceModel
 
 MODEL_FORMAT_VERSION = 1
 CURVE_CSV_HEADER = "unit_id,cycle,raw_dist,scaled_dist,sigma"
+CURVE_ROW_DTYPE = np.dtype(
+    [("unit", np.int64), ("cycle", np.int64),
+     ("raw", np.float64), ("scaled", np.float64), ("sigma", np.float64)]
+)
 ESTIMATE_CSV_HEADER = (
     "unit_id,estimated_rul,true_rul,error,n_candidates,sum_similarity"
 )
@@ -134,26 +144,72 @@ def write_curves_csv(curves: list[HiCurve], path: str | Path) -> None:
 
 
 def read_curves_csv(path: str | Path) -> list[HiCurve]:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != CURVE_CSV_HEADER:
-        raise ValidationError(f"{path}: not a health-index curve CSV")
-    by_unit: dict[int, list[tuple[float, float, float]]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        try:
-            unit, _, raw, scaled, sigma = line.split(",")
-            by_unit.setdefault(int(unit), []).append(
-                (float(raw), float(scaled), float(sigma))
-            )
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    """Curves in unit order, each unit's rows in cycle order.
+
+    Raises ValidationError naming the file and line on a malformed row or a
+    non-finite value, and naming the unit when its cycles are not 1..L. As in
+    dataset.load_cmapss, one numpy call parses the file, and the line parser
+    decides whenever that parse or a check on its result fails.
+    """
+    curves = _read_curves_bulk(path)
+    return curves if curves is not None else _read_curves_lines(path)
+
+
+def _read_curves_bulk(path: str | Path) -> list[HiCurve] | None:
+    """The curves from one numpy parse, or None when the line parser must
+    decide. The id columns parse as integers, so numpy takes no id that
+    int() rejects, such as 1.0."""
+    with open(path) as fh:
+        if fh.readline().rstrip("\n") != CURVE_CSV_HEADER:
+            return None
+        table = read_table(fh, delimiter=",", dtype=CURVE_ROW_DTYPE, ndmin=1)
+    if table is None:
+        return None
+    blocks = unit_blocks(table["unit"], table["cycle"])
+    if blocks is None:
+        return None
+    order, bounds = blocks
+    raw, scaled, sigma = (table[name][order] for name in ("raw", "scaled", "sigma"))
+    if not all(np.isfinite(a).all() for a in (raw, scaled, sigma)):
+        return None
+    return [
+        HiCurve(
+            unit_id=unit, sigma=sigma[a:b], raw_dist=raw[a:b], scaled_dist=scaled[a:b]
+        )
+        for unit, a, b in bounds
+    ]
+
+
+def _read_curves_lines(path: str | Path) -> list[HiCurve]:
+    """Line-by-line parse; the reference for what read_curves_csv accepts
+    and for every message it raises."""
+    by_unit: dict[int, list[tuple[int, float, float, float]]] = {}
+    with open(path) as fh:
+        if fh.readline().rstrip("\n") != CURVE_CSV_HEADER:
+            raise ValidationError(f"{path}: not a health-index curve CSV")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            try:
+                unit, cycle, raw, scaled, sigma = line.split(",")
+                by_unit.setdefault(int(unit), []).append(
+                    (int(cycle), float(raw), float(scaled), float(sigma))
+                )
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     curves = []
     for unit in sorted(by_unit):
-        rows = by_unit[unit]
-        raw, scaled, sigma = (np.array([r[k] for r in rows]) for k in range(3))
+        rows = sorted(by_unit[unit], key=lambda r: r[0])
+        if [r[0] for r in rows] != list(range(1, len(rows) + 1)):
+            raise ValidationError(
+                f"{path}: unit {unit} has non-contiguous cycle indices"
+            )
+        raw, scaled, sigma = (np.array([r[k] for r in rows]) for k in (1, 2, 3))
         if not all(np.isfinite(a).all() for a in (raw, scaled, sigma)):
-            lineno = first_non_finite_line(lines[1:], ",", start=2)
+            with open(path) as fh:
+                next(fh)
+                lineno = first_non_finite_line(fh, ",", start=2)
             raise ValidationError(f"{path}:{lineno}: non-finite value (nan or inf)")
         curves.append(
             HiCurve(unit_id=unit, sigma=sigma, raw_dist=raw, scaled_dist=scaled)

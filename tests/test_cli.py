@@ -6,11 +6,20 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import subtrack
 from subtrack import persist, rul
-from subtrack.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _build_config, build_parser, main
+from subtrack.cli import (
+    EXIT_DATA,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    _build_config,
+    build_parser,
+    main,
+)
 from subtrack.config import RunConfig
 
 
@@ -32,6 +41,19 @@ def poison_line(path, lineno, sep=None):
     fields_[-1] = "nan"
     lines[lineno - 1] = (sep or " ").join(fields_)
     path.write_text("\n".join(lines) + "\n")
+
+
+def warned_units(err, condition):
+    """Unit ids on the one stderr warning line about condition."""
+    lines = [line for line in err.splitlines() if condition in line]
+    assert len(lines) == 1, err
+    return [int(u) for u in lines[0].rsplit(":", 1)[1].split(",")]
+
+
+def estimate_rows(out):
+    """rul_estimates.csv rows as dicts."""
+    header, *rows = (out / "rul_estimates.csv").read_text().splitlines()
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +157,23 @@ class TestTrain:
         assert rc == EXIT_DATA
         assert f"{data}:6: non-finite" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
+
+    def test_linalg_error_exits_3_tagged_with_stage(
+        self, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        rc = main(
+            ["train", "--train", str(synth_dir / "train_synth.txt"),
+             "--out", str(tmp_path / "model")] + BENCH_FLAGS
+        )
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical error: [train] Eigenvalues did not converge" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "model").exists()
 
     @pytest.mark.parametrize(
         "text", ['{"seed": 1', "[1, 2]"], ids=["malformed", "not-an-object"]
@@ -276,6 +315,69 @@ class TestInfer:
         assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
         assert "train_curves.csv:6: non-finite" in capsys.readouterr().err
 
+    def test_shuffled_curve_rows_infer_identically(
+        self, synth_dir, model_dir, tmp_path
+    ):
+        # rows used to load in file order, so a swap moved the estimates
+        shuffled = tmp_path / "shuffled"
+        shutil.copytree(model_dir, shuffled)
+        lines = (shuffled / "train_curves.csv").read_text().splitlines()
+        assert lines[1].startswith("1,1,") and lines[50].startswith("1,50,")
+        lines[1], lines[50] = lines[50], lines[1]
+        (shuffled / "train_curves.csv").write_text("\n".join(lines) + "\n")
+        assert self.infer_rc(synth_dir, model_dir, tmp_path / "a") == EXIT_OK
+        assert self.infer_rc(synth_dir, shuffled, tmp_path / "b") == EXIT_OK
+        assert (tmp_path / "a" / "rul_estimates.csv").read_bytes() == (
+            tmp_path / "b" / "rul_estimates.csv"
+        ).read_bytes()
+
+    def test_curve_cycle_gap_exits_2_naming_unit(
+        self, synth_dir, model_dir, tmp_path, capsys
+    ):
+        broken = tmp_path / "broken"
+        shutil.copytree(model_dir, broken)
+        lines = (broken / "train_curves.csv").read_text().splitlines()
+        assert lines[2].startswith("1,2,")
+        del lines[2]
+        (broken / "train_curves.csv").write_text("\n".join(lines) + "\n")
+        assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "train_curves.csv: unit 1 has non-contiguous cycle indices" in err
+
+    def test_unmatched_units_listed_on_stderr(
+        self, synth_dir, model_dir, tmp_path, capsys
+    ):
+        # full-length train curves: the longest has no other curve to match
+        rc = main(
+            ["infer", "--model-dir", str(model_dir),
+             "--data", str(synth_dir / "train_synth.txt"),
+             "--out", str(tmp_path)]
+        )
+        assert rc == EXIT_OK
+        empty = [int(r["unit_id"]) for r in estimate_rows(tmp_path)
+                 if not r["estimated_rul"]]
+        assert empty
+        err = capsys.readouterr().err
+        assert warned_units(err, "no valid match") == empty
+        assert "underflow" not in err
+
+    def test_underflow_units_listed_on_stderr(
+        self, synth_dir, tmp_path, capsys
+    ):
+        model = tmp_path / "model"
+        rc = main(
+            ["train", "--train", str(synth_dir / "train_synth.txt"),
+             "--out", str(model), "--beta", "1e-9"] + BENCH_FLAGS
+        )
+        assert rc == EXIT_OK
+        assert self.infer_rc(synth_dir, model, tmp_path / "out") == EXIT_OK
+        underflowed = [int(r["unit_id"]) for r in estimate_rows(tmp_path / "out")
+                       if float(r["sum_similarity"]) == 0.0]
+        assert underflowed
+        err = capsys.readouterr().err
+        assert warned_units(err, "every similarity underflowed") == underflowed
+        assert "no valid match" not in err
+
     def test_v1_single_model_document_infers_identically(
         self, synth_dir, model_dir, tmp_path
     ):
@@ -335,6 +437,17 @@ class TestBenchmark:
         monkeypatch.setattr(rul, "estimate_rul", counting)
         assert self.run_bench(synth_dir, tmp_path) == EXIT_OK
         assert sorted(matched) == list(range(1, 11))
+
+    def test_underflow_units_listed_on_stderr(self, synth_dir, tmp_path, capsys):
+        assert self.run_bench(synth_dir, tmp_path / "a") == EXIT_OK
+        assert "warning" not in capsys.readouterr().err
+        rc = self.run_bench(synth_dir, tmp_path / "b", ["--beta", "1e-9"])
+        assert rc == EXIT_OK
+        underflowed = [int(r["unit_id"]) for r in estimate_rows(tmp_path / "b")
+                       if float(r["sum_similarity"]) == 0.0]
+        assert underflowed
+        err = capsys.readouterr().err
+        assert warned_units(err, "every similarity underflowed") == underflowed
 
     def test_composes_with_train_then_infer(self, synth_dir, tmp_path):
         bench = tmp_path / "bench"

@@ -126,6 +126,33 @@ class TestSmooth:
             smooth(np.zeros(3), 0.0)
 
 
+def reference_smooth(series, factor):
+    """The per-element EMA recurrence in Python floats."""
+    out = []
+    for v in series:
+        out.append(v if not out else factor * v + (1.0 - factor) * out[-1])
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    curves=st.lists(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30), min_size=1, max_size=6
+    ),
+    factor=st.floats(0.01, 1.0),
+)
+def test_smooth_zero_padded_stack_bit_equal_to_reference(curves, factor):
+    # estimate_fleet smooths the whole library as one zero-padded stack
+    padded = np.zeros((len(curves), max(map(len, curves))))
+    for row, c in zip(padded, curves):
+        row[: len(c)] = c
+    stacked = smooth(padded, factor)
+    for row, c in zip(stacked, curves):
+        want = np.array(reference_smooth(c, factor))
+        assert row[: len(c)].tobytes() == want.tobytes()
+        assert smooth(np.array(c), factor).tobytes() == want.tobytes()
+
+
 class TestHiRegression:
     def test_exact_affine_recovery(self):
         rng = np.random.default_rng(5)
