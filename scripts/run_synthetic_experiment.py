@@ -34,7 +34,7 @@ def main():
 
     print(f"{'mode':<8} {'rmse':>8} {'score':>10}")
     for mode in ("sst", "sst-lr"):
-        cfg = RunConfig(mode=mode, seed=args.seed, max_epochs=30)
+        cfg = RunConfig(mode=mode, seed=args.seed)
         report, _, _ = run_pipeline(train, test, truths, cfg)
         print(f"{mode:<8} {report.rmse:>8.2f} {report.score:>10.2f}")
     print(f"{'naive':<8} {baseline:>8.2f} {'-':>10}")

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands:
-  train      fit tracker + scaler (+ regressor) on a training file
+  train      fit batch-PCA subspaces + scaler (+ regressor) on a training file
   infer      health-index curves and RUL estimates from saved artifacts
   benchmark  end-to-end run with metrics report
   synth      generate a synthetic fleet in CMAPSS format
@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="subtrack", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="fit tracker and scaler on training data")
+    p = sub.add_parser("train", help="fit subspaces and scaler on training data")
     p.add_argument("--train", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
     _add_config_flags(p)

@@ -6,6 +6,9 @@ from dataclasses import asdict, dataclass, fields
 
 from .errors import ValidationError
 
+# knobs of the retired epoch trainer, still held by older config files
+RETIRED_FIELDS = frozenset({"alpha", "eta", "max_epochs", "rel_tol"})
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -13,10 +16,6 @@ class RunConfig:
     n_regimes: int = 1
     subspace_dim: int = 3
     delta: float = 0.01
-    alpha: float = 0.87
-    eta: float = 0.01
-    max_epochs: int = 100
-    rel_tol: float = 1e-4
     healthy_cycles: int = 20
     tau1: int = 1
     tau2: int = 40
@@ -47,8 +46,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
+        doc = {k: v for k, v in doc.items() if k not in RETIRED_FIELDS}
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown config fields: {sorted(unknown)}")
         return cls(**doc)

@@ -22,7 +22,6 @@ from .errors import NoMatchError, NumericalError, PrognosticsError, ValidationEr
 from .health import DistanceScaler, HiCurve, HiRegressor
 from .multiscale import MultiModel
 from .rul import MatchConfig, RulEstimate
-from .subspace import TrainConfig
 
 GAMMA_EARLY = 1.0 / 13.0  # estimate below truth (early maintenance)
 GAMMA_LATE = 1.0 / 10.0  # estimate above truth (late maintenance)
@@ -66,12 +65,9 @@ def _feature_rows(traj: dataset.Trajectory, track_settings: bool) -> np.ndarray:
 
 
 def train_pipeline(train_set: TrajectorySet, cfg: RunConfig) -> TrainedPipeline:
-    """Fit the full training stage: regimes, normalizer, tracker, scaler and
-    (in sst-lr mode) the health-index regressor."""
-    train_cfg = TrainConfig(
-        alpha=cfg.alpha, eta=cfg.eta, max_epochs=cfg.max_epochs, rel_tol=cfg.rel_tol
-    )
-
+    """Fit the training stage: regimes, normalizer, one batch-PCA subspace
+    per regime (no epochs; the error trace is the mean healthy distance),
+    scaler and (in sst-lr mode) the health-index regressor."""
     _, centroids = multiscale.cluster_regimes(
         np.vstack([t.settings for t in train_set]), cfg.n_regimes, seed=cfg.seed
     )
@@ -94,7 +90,7 @@ def train_pipeline(train_set: TrajectorySet, cfg: RunConfig) -> TrainedPipeline:
             )
         members.append(subspace.init_subspace(rows_k, cfg.subspace_dim, cfg.delta))
     model = MultiModel(models=members, centroids=centroids)
-    model, trace = multiscale.train_multi_until_converged(model, healthy, train_cfg)
+    trace = [float(np.mean(multiscale.assign_rows(model, healthy)[1]))]
 
     raw_series = []
     projections = []
@@ -105,10 +101,11 @@ def train_pipeline(train_set: TrajectorySet, cfg: RunConfig) -> TrainedPipeline:
         projections.append(proj)
         row_regimes.append(reg)
 
-    scaler = health.fit_scaler(raw_series, cfg.healthy_cycles, cfg.smoothing)
+    smoothed = health.smooth_each(raw_series, cfg.smoothing)
+    scaler = health.fit_scaler(raw_series, cfg.healthy_cycles, cfg.smoothing, smoothed)
     curves = [
-        health.build_curve(t.unit_id, raw, scaler, cfg.smoothing)
-        for t, raw in zip(train_set, raw_series)
+        health.build_curve(t.unit_id, raw, scaler, cfg.smoothing, smoothed=s)
+        for t, raw, s in zip(train_set, raw_series, smoothed)
     ]
 
     regressor = None
@@ -144,23 +141,13 @@ def infer_curves(pipe: TrainedPipeline, tset: TrajectorySet) -> list[HiCurve]:
     for traj in normed:
         rows = _feature_rows(traj, cfg.track_settings)
         dists, proj, reg = health.analyze_rows(pipe.model, rows)
+        curve = health.build_curve(traj.unit_id, dists, pipe.scaler, cfg.smoothing)
         if cfg.mode == "sst-lr":
             if pipe.regressor is None:
                 raise ValidationError("sst-lr mode requires a fitted regressor")
             sigma = health.predict_hi(pipe.regressor, proj, labels=reg)
-            scaled = health.scale(pipe.scaler, health.smooth(dists, cfg.smoothing))
-            curves.append(
-                HiCurve(
-                    unit_id=traj.unit_id,
-                    sigma=sigma,
-                    raw_dist=dists,
-                    scaled_dist=scaled,
-                )
-            )
-        else:
-            curves.append(
-                health.build_curve(traj.unit_id, dists, pipe.scaler, cfg.smoothing)
-            )
+            curve = replace(curve, sigma=sigma)
+        curves.append(curve)
     return curves
 
 
@@ -177,11 +164,8 @@ def estimate_fleet(
     cfg = pipe.config
     match_cfg = MatchConfig(tau1=cfg.tau1, tau2=cfg.tau2, beta=cfg.beta)
     curves = pipe.train_curves
-    padded = np.zeros((len(curves), max((len(c) for c in curves), default=0)))
-    for row, c in zip(padded, curves):
-        row[: len(c)] = c.sigma
-    smoothed = health.smooth(padded, cfg.smoothing)
-    library = [replace(c, sigma=row[: len(c)]) for c, row in zip(curves, smoothed)]
+    sigmas = health.smooth_each([c.sigma for c in curves], cfg.smoothing)
+    library = [replace(c, sigma=s) for c, s in zip(curves, sigmas)]
     estimates = []
     for curve in test_curves:
         smoothed = replace(curve, sigma=health.smooth(curve.sigma, cfg.smoothing))

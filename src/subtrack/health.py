@@ -107,20 +107,32 @@ def smooth(series: np.ndarray, factor: float) -> np.ndarray:
     return out
 
 
+def smooth_each(series: list[np.ndarray], factor: float) -> list[np.ndarray]:
+    """`smooth` applied to each 1-d series, in one call on their zero-padded stack."""
+    padded = np.zeros((len(series), max((len(s) for s in series), default=0)))
+    for row, s in zip(padded, series):
+        row[: len(s)] = s
+    return [row[: len(s)] for row, s in zip(smooth(padded, factor), series)]
+
+
 def fit_scaler(
     train_raw: list[np.ndarray],
     healthy_cycles: int,
     smooth_factor: float = 0.3,
+    smoothed: list[np.ndarray] | None = None,
 ) -> DistanceScaler:
     """Fleet-level reference distances from run-to-failure raw series.
 
     Floor: median over units of the mean distance in the healthy window.
-    Ceiling: median over units of the smoothed distance at the final cycle.
+    Ceiling: median over units of the smoothed distance (smoothed, if
+    given, holds each series smoothed by smooth_factor) at the final cycle.
     """
     if not train_raw:
         raise ValidationError("no training series")
+    if smoothed is None:
+        smoothed = [smooth(s, smooth_factor) for s in train_raw]
     floors = [float(np.mean(s[:healthy_cycles])) for s in train_raw]
-    ceilings = [float(smooth(s, smooth_factor)[-1]) for s in train_raw]
+    ceilings = [float(s[-1]) for s in smoothed]
     floor = float(np.median(floors))
     ceiling = float(np.median(ceilings))
     if ceiling <= floor:
@@ -150,9 +162,11 @@ def build_curve(
     raw: np.ndarray,
     scaler: DistanceScaler,
     smooth_factor: float = 0.3,
+    smoothed: np.ndarray | None = None,
 ) -> HiCurve:
     """Full raw-distance -> health-index pipeline for one unit."""
-    smoothed = smooth(raw, smooth_factor)
+    if smoothed is None:
+        smoothed = smooth(raw, smooth_factor)
     scaled = scale(scaler, smoothed)
     return HiCurve(
         unit_id=unit_id,

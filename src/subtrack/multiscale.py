@@ -1,9 +1,10 @@
 """K-model tracking over operating regimes.
 
 The operational-setting space is partitioned into K clusters; each cluster
-owns a subspace model. A sample is scored against every model and routed to
-the minimum-distance one, which is also the only model updated. A
-single-regime fleet is the K=1 case; this module holds the only trainer.
+owns a subspace model. A sample is routed to the minimum-distance model. A
+single-regime fleet is the K=1 case. Training fits each model by batch PCA;
+the online tracker (`update_winner`, which updates only the routed model,
+and `train_multi_until_converged`) is a library API gated by criterion 3.
 """
 
 from __future__ import annotations

@@ -61,8 +61,8 @@ def subspace_to_dict(model: SubspaceModel) -> dict:
 def subspace_from_dict(doc: dict) -> SubspaceModel:
     _check_version(doc)
     model = SubspaceModel(
-        # keep the same memory layout as a freshly trained basis so matrix
-        # products round identically
+        # the C layout of init_subspace's basis, so matrix products round
+        # as they did before saving
         basis=np.ascontiguousarray(np.array(doc["U1"], dtype=float).T),
         center=np.array(doc["c"], dtype=float),
         spreads=np.array(doc["lambdas"], dtype=float),

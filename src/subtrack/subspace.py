@@ -1,4 +1,4 @@
-"""Single-subspace tracker.
+"""Single-subspace model and its online tracker.
 
 The model is an affine subspace {basis, center, spreads, delta}: orthonormal
 basis columns span the healthy subspace, center is the input-space mean,
@@ -62,7 +62,8 @@ class SubspaceModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Epoch-training hyperparameters.
+    """Hyperparameters of the online tracker, a library API that acceptance
+    criterion 3 gates; training fits init_subspace alone.
 
     alpha is the forgetting factor of the exponential-moving-average updates
     of center and spreads; eta the basis gradient step size.
@@ -130,7 +131,8 @@ def init_subspace(window: np.ndarray, subspace_dim: int, delta: float = 0.01) ->
     cov = centered.T @ centered / (n - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:subspace_dim]
-    basis = _fix_column_signs(eigvecs[:, order])
+    # C order like a basis read back by persist, so both round the same
+    basis = np.ascontiguousarray(_fix_column_signs(eigvecs[:, order]))
     spreads = np.maximum(eigvals[order], SPREAD_FLOOR)
     model = SubspaceModel(basis=basis, center=center, spreads=spreads, delta=delta)
     model.validate()

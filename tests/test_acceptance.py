@@ -118,7 +118,7 @@ def test_criterion_4_degradation_monotonicity():
         seed=104, min_cycles=120, max_cycles=200,
     )
     train, _, _, _ = generate_synthetic(synth)
-    cfg = RunConfig(mode="sst", healthy_cycles=20, max_epochs=30, seed=104)
+    cfg = RunConfig(mode="sst", healthy_cycles=20, seed=104)
     from subtrack.evaluation import train_pipeline
 
     pipe = train_pipeline(train, cfg)
@@ -148,7 +148,7 @@ def test_criterion_5_synthetic_rul_beats_naive_baseline():
         )
         train, test, truths, _ = generate_synthetic(synth)
         cfg = RunConfig(
-            mode="sst", healthy_cycles=20, max_epochs=20, tau2=40,
+            mode="sst", healthy_cycles=20, tau2=40,
             seed=500 + seed,
         )
         rep, _, _ = run_pipeline(train, test, truths, cfg)
@@ -266,7 +266,7 @@ def test_criterion_9_benchmark_determinism(tmp_path):
         "--train", str(synth_dir / "train_synth.txt"),
         "--test", str(synth_dir / "test_synth.txt"),
         "--rul", str(synth_dir / "RUL_synth.txt"),
-        "--max-epochs", "10", "--tau2", "20", "--seed", "9",
+        "--tau2", "20", "--seed", "9",
     ]
     assert main(args + ["--out", str(tmp_path / "a")]) == EXIT_OK
     assert main(args + ["--out", str(tmp_path / "b")]) == EXIT_OK

@@ -20,7 +20,8 @@ from subtrack.cli import (
     build_parser,
     main,
 )
-from subtrack.config import RunConfig
+from subtrack.config import RETIRED_FIELDS, RunConfig
+from subtrack.errors import ValidationError
 
 
 def run_fresh_interpreter(code):
@@ -70,7 +71,7 @@ def synth_dir(tmp_path_factory):
     return out
 
 
-BENCH_FLAGS = ["--max-epochs", "10", "--tau2", "20", "--seed", "3"]
+BENCH_FLAGS = ["--tau2", "20", "--seed", "3"]
 
 
 class TestSynth:
@@ -125,7 +126,7 @@ class TestTrain:
 
     def test_config_file_with_flag_override(self, synth_dir, tmp_path):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"max_epochs": 5, "seed": 9}))
+        cfg_file.write_text(json.dumps({"tau2": 25, "seed": 9}))
         out = tmp_path / "model"
         rc = main(
             ["train", "--train", str(synth_dir / "train_synth.txt"),
@@ -133,7 +134,7 @@ class TestTrain:
         )
         assert rc == EXIT_OK
         saved = json.loads((out / "config.json").read_text())
-        assert saved["max_epochs"] == 5  # from file
+        assert saved["tau2"] == 25  # from file
         assert saved["seed"] == 3  # flag wins
 
     def test_single_regime_leaves_numpy_random_unimported(self, synth_dir, tmp_path):
@@ -141,7 +142,7 @@ class TestTrain:
         code = (
             "import sys; from subtrack.cli import main; "
             f"rc = main(['train', '--train', {str(synth_dir / 'train_synth.txt')!r}, "
-            f"'--out', {str(tmp_path / 'model')!r}, '--max-epochs', '2']); "
+            f"'--out', {str(tmp_path / 'model')!r}]); "
             "assert rc == 0; assert 'numpy.random' not in sys.modules, 'imported'"
         )
         proc = run_fresh_interpreter(code)
@@ -157,6 +158,33 @@ class TestTrain:
         assert rc == EXIT_DATA
         assert f"{data}:6: non-finite" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
+
+    def test_config_file_with_trainer_keys_accepted(self, synth_dir, tmp_path):
+        # the epoch trainer's keys, as config files written for it hold them
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(
+            {"alpha": 0.5, "eta": 0.0, "max_epochs": 5, "rel_tol": 1e-3, "seed": 9}
+        ))
+        out = tmp_path / "model"
+        rc = main(
+            ["train", "--train", str(synth_dir / "train_synth.txt"),
+             "--out", str(out), "--config", str(cfg_file)]
+        )
+        assert rc == EXIT_OK
+        saved = json.loads((out / "config.json").read_text())
+        assert saved["seed"] == 9
+        assert not set(saved) & set(RETIRED_FIELDS)
+
+    def test_config_file_with_unknown_key_exits_2(self, synth_dir, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"max_epoch": 5, "seed": 9}))
+        rc = main(
+            ["train", "--train", str(synth_dir / "train_synth.txt"),
+             "--out", str(tmp_path / "model"), "--config", str(cfg_file)]
+        )
+        assert rc == EXIT_DATA
+        assert "unknown config fields: ['max_epoch']" in capsys.readouterr().err
+        assert not (tmp_path / "model").exists()
 
     def test_linalg_error_exits_3_tagged_with_stage(
         self, synth_dir, tmp_path, capsys, monkeypatch
@@ -403,6 +431,38 @@ class TestInfer:
                 tmp_path / "new" / name
             ).read_bytes()
 
+    def test_config_with_trainer_keys_infers_identically(
+        self, synth_dir, model_dir, tmp_path
+    ):
+        # config.json as train wrote it while it ran the epoch trainer
+        legacy = tmp_path / "legacy"
+        shutil.copytree(model_dir, legacy)
+        doc = json.loads((legacy / "config.json").read_text())
+        assert not set(doc) & set(RETIRED_FIELDS)
+        doc.update(alpha=0.87, eta=0.01, max_epochs=100, rel_tol=1e-4)
+        (legacy / "config.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+        assert persist.load_pipeline(legacy).config == (
+            persist.load_pipeline(model_dir).config
+        )
+
+        assert self.infer_rc(synth_dir, model_dir, tmp_path / "new") == EXIT_OK
+        assert self.infer_rc(synth_dir, legacy, tmp_path / "old") == EXIT_OK
+        for name in ("hi_curves.csv", "rul_estimates.csv"):
+            assert (tmp_path / "old" / name).read_bytes() == (
+                tmp_path / "new" / name
+            ).read_bytes()
+
+    def test_config_with_unknown_key_exits_2_naming_file(
+        self, synth_dir, model_dir, tmp_path, capsys
+    ):
+        broken = tmp_path / "broken"
+        shutil.copytree(model_dir, broken)
+        doc = json.loads((broken / "config.json").read_text())
+        doc["max_epoch"] = 100
+        (broken / "config.json").write_text(json.dumps(doc))
+        assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
+        assert "config.json: unknown config fields" in capsys.readouterr().err
+
 
 class TestBenchmark:
     def run_bench(self, synth_dir, out, extra=()):
@@ -504,13 +564,28 @@ class TestUsage:
     def test_unknown_flag(self):
         assert main(["train", "--bogus"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flag", ["--alpha", "--eta", "--max-epochs", "--rel-tol"]
+    )
+    def test_trainer_flags_are_gone(self, tmp_path, flag):
+        rc = main(["train", "--train", str(tmp_path / "t.txt"),
+                   "--out", str(tmp_path / "model"), flag, "5"])
+        assert rc == EXIT_USAGE
+        assert not (tmp_path / "model").exists()
+
+    def test_from_dict_drops_only_the_trainer_fields(self):
+        doc = {"seed": 4, "alpha": 0.5, "eta": 0.1, "max_epochs": 7, "rel_tol": 1e-3}
+        assert RunConfig.from_dict(doc) == RunConfig(seed=4)
+        with pytest.raises(ValidationError, match="unknown config fields"):
+            RunConfig.from_dict({"seed": 4, "epochs": 7})
+
     @pytest.mark.parametrize("command", ["train", "benchmark"])
     def test_every_config_field_has_a_flag(self, command):
         # a valid config where every field differs from its default
         wanted = RunConfig(
-            mode="sst-lr", n_regimes=2, subspace_dim=2, delta=0.02, alpha=0.5,
-            eta=0.02, max_epochs=7, rel_tol=1e-3, healthy_cycles=15, tau1=2,
-            tau2=30, beta=0.05, smoothing=0.5, seed=4, include_settings=True,
+            mode="sst-lr", n_regimes=2, subspace_dim=2, delta=0.02,
+            healthy_cycles=15, tau1=2, tau2=30, beta=0.05, smoothing=0.5, seed=4,
+            include_settings=True,
         )
         argv = [command, "--train", "t", "--out", "o"]
         if command == "benchmark":

@@ -1,20 +1,24 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subtrack import health
 from subtrack.config import RunConfig
-from subtrack.dataset import SynthConfig, generate_synthetic
+from subtrack.dataset import SynthConfig, apply_normalizer, generate_synthetic
 from subtrack.errors import ValidationError
 from subtrack.evaluation import (
     build_report,
+    infer_curves,
     rmse,
     run_pipeline,
     score,
     train_pipeline,
 )
-from subtrack.multiscale import MultiModel
+from subtrack.multiscale import MultiModel, assign_rows, nearest_centroid
+from subtrack.subspace import init_subspace
 
 
 class TestRmse:
@@ -61,7 +65,7 @@ SMALL_SYNTH = SynthConfig(
 )
 
 SMALL_CFG = RunConfig(
-    mode="sst", healthy_cycles=20, max_epochs=20, tau2=20, seed=5
+    mode="sst", healthy_cycles=20, tau2=20, seed=5
 )
 
 
@@ -76,11 +80,21 @@ class TestPipeline:
     def test_sst_lr_mode_produces_regressor(self):
         train, test, truths, _ = generate_synthetic(SMALL_SYNTH)
         cfg = RunConfig(
-            mode="sst-lr", healthy_cycles=20, max_epochs=20, tau2=20, seed=5
+            mode="sst-lr", healthy_cycles=20, tau2=20, seed=5
         )
         report, pipe, _ = run_pipeline(train, test, truths, cfg)
         assert pipe.regressor is not None
         assert report.rmse >= 0
+
+    def test_sst_lr_curves_keep_the_sst_distances(self):
+        # sst-lr replaces only sigma; the distances stay those of sst
+        train, test, _, _ = generate_synthetic(SMALL_SYNTH)
+        pipe = train_pipeline(train, replace(SMALL_CFG, mode="sst-lr"))
+        sst = infer_curves(replace(pipe, config=SMALL_CFG), test)
+        for got, want in zip(infer_curves(pipe, test), sst):
+            assert got.raw_dist.tobytes() == want.raw_dist.tobytes()
+            assert got.scaled_dist.tobytes() == want.scaled_dist.tobytes()
+            assert not np.array_equal(got.sigma, want.sigma)
 
     def test_multiregime_pipeline_runs(self):
         synth = SynthConfig(
@@ -89,7 +103,7 @@ class TestPipeline:
         )
         train, test, truths, _ = generate_synthetic(synth)
         cfg = RunConfig(
-            n_regimes=2, healthy_cycles=20, max_epochs=10, tau2=20, seed=6
+            n_regimes=2, healthy_cycles=20, tau2=20, seed=6
         )
         report, pipe, _ = run_pipeline(train, test, truths, cfg)
         assert isinstance(pipe.model, MultiModel)
@@ -115,6 +129,65 @@ class TestPipeline:
         pipe = train_pipeline(train, SMALL_CFG)
         finals = np.array([c.sigma[-1] for c in pipe.train_curves])
         assert np.mean(finals <= 0.3) >= 0.9
+
+
+class TestBatchTraining:
+    @staticmethod
+    def healthy_rows(train, pipe):
+        """The normalized healthy rows and their regime labels, derived from
+        the fitted centroids and normalizer as train_pipeline derives them."""
+        cfg = pipe.config
+        labels = [nearest_centroid(pipe.model.centroids, t.settings) for t in train]
+        normed = apply_normalizer(pipe.normalizer, train, regimes=labels)
+        rows = [t.features if cfg.track_settings else t.sensors for t in normed]
+        return (
+            np.vstack([r[: cfg.healthy_cycles] for r in rows]),
+            np.concatenate([lab[: cfg.healthy_cycles] for lab in labels]),
+        )
+
+    @pytest.mark.parametrize("n_regimes", [1, 2])
+    def test_models_are_the_batch_init_of_each_regime(self, n_regimes):
+        synth = SynthConfig(
+            n_units=10, n_regimes=n_regimes, noise_std=0.01, drift_rate=0.03,
+            seed=6, min_cycles=80, max_cycles=120,
+        )
+        train, _, _, _ = generate_synthetic(synth)
+        cfg = RunConfig(n_regimes=n_regimes, healthy_cycles=20, tau2=20, seed=6)
+        pipe = train_pipeline(train, cfg)
+        healthy, labels = self.healthy_rows(train, pipe)
+        assert pipe.model.n_regimes == n_regimes
+        for k, got in enumerate(pipe.model.models):
+            want = init_subspace(healthy[labels == k], cfg.subspace_dim, cfg.delta)
+            for name in ("basis", "center", "spreads"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert got.delta == want.delta
+        assert pipe.error_trace == [float(np.mean(assign_rows(pipe.model, healthy)[1]))]
+
+    def test_smooths_each_training_series_at_most_once(self, monkeypatch):
+        train, _, _, _ = generate_synthetic(SMALL_SYNTH)
+        calls = []
+        smooth = health.smooth
+
+        def counting(series, factor):
+            calls.append(np.shape(series))
+            return smooth(series, factor)
+
+        monkeypatch.setattr(health, "smooth", counting)
+        train_pipeline(train, SMALL_CFG)
+        assert 0 < len(calls) <= len(train)
+
+    @pytest.mark.parametrize("mode", ["sst", "sst-lr"])
+    def test_curves_and_scaler_equal_smoothing_each_series_alone(self, mode):
+        train, _, _, _ = generate_synthetic(SMALL_SYNTH)
+        cfg = RunConfig(mode=mode, healthy_cycles=20, tau2=20, seed=5)
+        pipe = train_pipeline(train, cfg)
+        raw = [c.raw_dist for c in pipe.train_curves]
+        scaler = health.fit_scaler(raw, cfg.healthy_cycles, cfg.smoothing)
+        assert pipe.scaler == scaler
+        for got in pipe.train_curves:
+            want = health.build_curve(got.unit_id, got.raw_dist, scaler, cfg.smoothing)
+            for name in ("sigma", "raw_dist", "scaled_dist"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestReport:

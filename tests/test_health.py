@@ -14,6 +14,7 @@ from subtrack.health import (
     predict_hi,
     scale,
     smooth,
+    smooth_each,
     to_health_index,
 )
 from subtrack.multiscale import MultiModel
@@ -151,6 +152,20 @@ def test_smooth_zero_padded_stack_bit_equal_to_reference(curves, factor):
         want = np.array(reference_smooth(c, factor))
         assert row[: len(c)].tobytes() == want.tobytes()
         assert smooth(np.array(c), factor).tobytes() == want.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    curves=st.lists(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30), min_size=0, max_size=6
+    ),
+    factor=st.floats(0.01, 1.0),
+)
+def test_smooth_each_bit_equal_to_smoothing_each_alone(curves, factor):
+    got = smooth_each([np.array(c) for c in curves], factor)
+    assert len(got) == len(curves)
+    for row, c in zip(got, curves):
+        assert row.tobytes() == smooth(np.array(c), factor).tobytes()
 
 
 class TestHiRegression:

@@ -246,6 +246,19 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.spreads, model.spreads)
         assert loaded.delta == model.delta
 
+    def test_init_model_distances_survive_round_trip(self):
+        # eigh returns Fortran-ordered vectors; a basis kept in that layout
+        # gave distances a few ulps off the C-ordered basis persist reads back
+        rng = np.random.default_rng(19)
+        window = rng.standard_normal((200, 24)) @ rng.standard_normal((24, 24))
+        model = init_subspace(window, 3)
+        doc = json.loads(json.dumps(persist.model_to_dict(solo(model))))
+        loaded = persist.model_from_dict(doc).models[0]
+        rows = rng.standard_normal((5000, 24))
+        assert mahalanobis_rows(loaded, rows).tobytes() == (
+            mahalanobis_rows(model, rows).tobytes()
+        )
+
     def test_rejects_bad_version(self):
         doc = persist.subspace_to_dict(random_model(np.random.default_rng(17), 6, 2))
         doc["version"] = 99
