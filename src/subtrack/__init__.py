@@ -33,8 +33,8 @@ from .evaluation import (
     score,
 )
 from .health import DistanceScaler, HiCurve, HiRegressor
-from .multiscale import MultiModel, cluster_regimes
+from .multiscale import MultiModel, cluster_regimes, track
 from .rul import MatchConfig, RulEstimate, estimate_rul
-from .subspace import SubspaceModel, TrainConfig, init_subspace, mahalanobis
+from .subspace import SubspaceModel, init_subspace, mahalanobis_rows
 
 __version__ = "0.1.0"

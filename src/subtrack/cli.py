@@ -146,12 +146,12 @@ def cmd_benchmark(args) -> int:
 def cmd_synth(args) -> int:
     cfg = dataset.SynthConfig(
         n_units=args.units,
-        n_regimes=args.n_regimes or 1,
-        subspace_dim=args.subspace_dim or 3,
+        n_regimes=args.n_regimes,
+        subspace_dim=args.subspace_dim,
         noise_std=args.noise_std,
         drift_onset_fraction=args.drift_onset,
         drift_rate=args.drift_rate,
-        seed=args.seed or 0,
+        seed=args.seed,
         min_cycles=args.min_cycles,
         max_cycles=args.max_cycles,
     )

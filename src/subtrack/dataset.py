@@ -233,7 +233,7 @@ def save_cmapss(tset: TrajectorySet, path: str | Path) -> None:
 
 
 def load_rul_targets(path: str | Path, n_units: int) -> list[int]:
-    """Read one integer RUL per line; must match the test fleet size exactly."""
+    """Read one whole RUL >= 0 per line; must match the test fleet size exactly."""
     path = Path(path)
     targets = []
     with open(path) as fh:
@@ -242,9 +242,12 @@ def load_rul_targets(path: str | Path, n_units: int) -> list[int]:
             if not token:
                 continue
             try:
-                targets.append(int(float(token)))
+                value = float(token)
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: non-numeric RUL value")
+            if not (math.isfinite(value) and value >= 0 and value.is_integer()):
+                raise DataFormatError(f"{path}:{lineno}: RUL must be a whole number >= 0")
+            targets.append(int(value))
     if len(targets) != n_units:
         raise ValidationError(
             f"{path}: {len(targets)} RUL lines for {n_units} test units"
@@ -374,6 +377,8 @@ class SynthConfig:
     min_test_cycles: int = 30
 
     def validate(self) -> None:
+        if self.subspace_dim < 1:
+            raise ValidationError("subspace_dim must be >= 1")
         if self.subspace_dim >= self.n_features - N_SETTINGS:
             raise ValidationError("subspace_dim must be < number of sensor features")
         if self.n_regimes < 1:

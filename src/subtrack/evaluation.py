@@ -102,9 +102,9 @@ def train_pipeline(train_set: TrajectorySet, cfg: RunConfig) -> TrainedPipeline:
         row_regimes.append(reg)
 
     smoothed = health.smooth_each(raw_series, cfg.smoothing)
-    scaler = health.fit_scaler(raw_series, cfg.healthy_cycles, cfg.smoothing, smoothed)
+    scaler = health.fit_scaler(raw_series, smoothed, cfg.healthy_cycles)
     curves = [
-        health.build_curve(t.unit_id, raw, scaler, cfg.smoothing, smoothed=s)
+        health.build_curve(t.unit_id, raw, s, scaler)
         for t, raw, s in zip(train_set, raw_series, smoothed)
     ]
 
@@ -141,7 +141,8 @@ def infer_curves(pipe: TrainedPipeline, tset: TrajectorySet) -> list[HiCurve]:
     for traj in normed:
         rows = _feature_rows(traj, cfg.track_settings)
         dists, proj, reg = health.analyze_rows(pipe.model, rows)
-        curve = health.build_curve(traj.unit_id, dists, pipe.scaler, cfg.smoothing)
+        smoothed = health.smooth(dists, cfg.smoothing)
+        curve = health.build_curve(traj.unit_id, dists, smoothed, pipe.scaler)
         if cfg.mode == "sst-lr":
             if pipe.regressor is None:
                 raise ValidationError("sst-lr mode requires a fitted regressor")

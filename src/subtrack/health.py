@@ -116,21 +116,16 @@ def smooth_each(series: list[np.ndarray], factor: float) -> list[np.ndarray]:
 
 
 def fit_scaler(
-    train_raw: list[np.ndarray],
-    healthy_cycles: int,
-    smooth_factor: float = 0.3,
-    smoothed: list[np.ndarray] | None = None,
+    train_raw: list[np.ndarray], smoothed: list[np.ndarray], healthy_cycles: int
 ) -> DistanceScaler:
-    """Fleet-level reference distances from run-to-failure raw series.
+    """Fleet-level reference distances from run-to-failure raw series and
+    the same series smoothed.
 
-    Floor: median over units of the mean distance in the healthy window.
-    Ceiling: median over units of the smoothed distance (smoothed, if
-    given, holds each series smoothed by smooth_factor) at the final cycle.
+    Floor: median over units of the mean raw distance in the healthy window.
+    Ceiling: median over units of the smoothed distance at the final cycle.
     """
     if not train_raw:
         raise ValidationError("no training series")
-    if smoothed is None:
-        smoothed = [smooth(s, smooth_factor) for s in train_raw]
     floors = [float(np.mean(s[:healthy_cycles])) for s in train_raw]
     ceilings = [float(s[-1]) for s in smoothed]
     floor = float(np.median(floors))
@@ -158,15 +153,9 @@ def to_health_index(scaled: np.ndarray) -> np.ndarray:
 
 
 def build_curve(
-    unit_id: int,
-    raw: np.ndarray,
-    scaler: DistanceScaler,
-    smooth_factor: float = 0.3,
-    smoothed: np.ndarray | None = None,
+    unit_id: int, raw: np.ndarray, smoothed: np.ndarray, scaler: DistanceScaler
 ) -> HiCurve:
-    """Full raw-distance -> health-index pipeline for one unit."""
-    if smoothed is None:
-        smoothed = smooth(raw, smooth_factor)
+    """Health-index curve of one unit from its raw and smoothed distances."""
     scaled = scale(scaler, smoothed)
     return HiCurve(
         unit_id=unit_id,

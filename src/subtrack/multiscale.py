@@ -3,8 +3,8 @@
 The operational-setting space is partitioned into K clusters; each cluster
 owns a subspace model. A sample is routed to the minimum-distance model. A
 single-regime fleet is the K=1 case. Training fits each model by batch PCA;
-the online tracker (`update_winner`, which updates only the routed model,
-and `train_multi_until_converged`) is a library API gated by criterion 3.
+`track` streams rows through the same fit, each row updating only the model
+it is routed to.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .subspace import SubspaceModel, TrainConfig, mahalanobis, mahalanobis_rows, update
+from .subspace import SubspaceModel, mahalanobis_rows, update
 
 
 @dataclass(frozen=True)
@@ -107,53 +107,24 @@ def nearest_centroid(centroids: np.ndarray, settings: np.ndarray) -> np.ndarray:
     return np.argmin(dists, axis=0)
 
 
-def assign(mm: MultiModel, x: np.ndarray) -> tuple[int, float]:
-    """Index of the minimum-distance model and that distance; ties -> lowest index."""
-    dists = [mahalanobis(m, x) for m in mm.models]
-    k = int(np.argmin(dists))
-    return k, dists[k]
-
-
 def assign_rows(mm: MultiModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized assign over a (n, D) matrix: (labels, min distances)."""
+    """Index of the minimum-distance model for each row of a (n, D) matrix and
+    that distance; ties -> lowest index."""
     dists = np.array([mahalanobis_rows(m, rows) for m in mm.models])
     labels = np.argmin(dists, axis=0)
     return labels, dists[labels, np.arange(rows.shape[0])]
 
 
-def update_winner(mm: MultiModel, x: np.ndarray, cfg: TrainConfig) -> MultiModel:
-    """Update only the minimum-distance model; all others stay untouched."""
-    k, _ = assign(mm, x)
-    models = list(mm.models)
-    models[k] = update(models[k], x, cfg)
-    return MultiModel(models=models, centroids=mm.centroids)
-
-
-def train_multi_until_converged(
-    mm: MultiModel, healthy: np.ndarray, cfg: TrainConfig
-) -> tuple[MultiModel, list[float]]:
-    """Run full epochs over the healthy rows until the mean assigned distance
-    settles.
-
-    Each row updates only its minimum-distance model. Stops when the relative
-    change of the epoch-mean distance drops below cfg.rel_tol or after
-    cfg.max_epochs. The returned trace starts with the pre-training mean
-    distance, then one entry per epoch.
-    """
-    healthy = np.asarray(healthy, dtype=float)
-    if healthy.ndim != 2 or len(healthy) == 0:
-        raise ValidationError("healthy rows must be a non-empty 2-d array")
-
-    trace = [float(np.mean(assign_rows(mm, healthy)[1]))]
-    for _ in range(cfg.max_epochs):
-        for row in healthy:
-            mm = update_winner(mm, row, cfg)
-        mean_dist = float(np.mean(assign_rows(mm, healthy)[1]))
-        prev = trace[-1]
-        trace.append(mean_dist)
-        if prev == 0.0:
-            if mean_dist == 0.0:
-                break
-        elif abs(mean_dist - prev) / prev < cfg.rel_tol:
-            break
-    return mm, trace
+def track(mm: MultiModel, rows: np.ndarray) -> MultiModel:
+    """One pass over a (n, D) stream: each row updates only its
+    minimum-distance model (ties -> lowest index), routed against the models
+    as they stand when it arrives. The other models stay untouched."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != mm.models[0].dim:
+        raise ValidationError(f"expected rows of dimension {mm.models[0].dim}")
+    for row in rows:
+        k = assign_rows(mm, row[None])[0][0]
+        models = list(mm.models)
+        models[k] = update(models[k], row)
+        mm = MultiModel(models=models, centroids=mm.centroids)
+    return mm

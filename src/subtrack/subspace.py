@@ -1,4 +1,4 @@
-"""Single-subspace model and its online tracker.
+"""Single-subspace model, its batch PCA fit and the streaming form of that fit.
 
 The model is an affine subspace {basis, center, spreads, delta}: orthonormal
 basis columns span the healthy subspace, center is the input-space mean,
@@ -11,11 +11,15 @@ approximate Mahalanobis distance
 where r is the projection residual (x - c) minus its in-subspace part. The
 complement basis is never materialized; the residual form is algebraically
 identical and costs O(D*d) per sample.
+
+`init_subspace` fits the top eigenpairs of a window's covariance; `update`,
+the online tracker, refits them after one exponentially weighted step of the
+same statistics (incremental PCA, Ross et al., IJCV 2008), O(D*d^2) per row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +27,7 @@ from .errors import NumericalError, ValidationError
 
 SPREAD_FLOOR = 1e-8
 ORTHONORMAL_TOL = 1e-8
+FORGETTING = 0.87  # weight of the old statistics per update: a memory of ~8 rows
 
 
 @dataclass(frozen=True)
@@ -60,50 +65,12 @@ class SubspaceModel:
                 raise ValidationError("non-finite model parameter")
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Hyperparameters of the online tracker, a library API that acceptance
-    criterion 3 gates; training fits init_subspace alone.
-
-    alpha is the forgetting factor of the exponential-moving-average updates
-    of center and spreads; eta the basis gradient step size.
-    """
-
-    alpha: float = 0.87
-    eta: float = 0.01
-    max_epochs: int = 100
-    rel_tol: float = 1e-4
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError("alpha must be in (0, 1)")
-        if self.eta < 0:
-            raise ValidationError("eta must be >= 0")
-        if self.max_epochs < 1:
-            raise ValidationError("max_epochs must be >= 1")
-        if not self.rel_tol > 0:
-            raise ValidationError("rel_tol must be positive")
-
-
 def _fix_column_signs(q: np.ndarray) -> np.ndarray:
     """Flip columns so the largest-magnitude entry of each is positive."""
     idx = np.argmax(np.abs(q), axis=0)
     signs = np.sign(q[idx, np.arange(q.shape[1])])
     signs[signs == 0] = 1.0
     return q * signs
-
-
-def orthonormalize(m: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with the deterministic sign convention."""
-    q = np.array(m, dtype=float, copy=True)
-    for j in range(q.shape[1]):
-        for i in range(j):
-            q[:, j] -= (q[:, i] @ q[:, j]) * q[:, i]
-        nrm = np.linalg.norm(q[:, j])
-        if nrm < 1e-12:
-            raise NumericalError(f"degenerate basis: column {j} collapsed")
-        q[:, j] /= nrm
-    return _fix_column_signs(q)
 
 
 def init_subspace(window: np.ndarray, subspace_dim: int, delta: float = 0.01) -> SubspaceModel:
@@ -130,6 +97,11 @@ def init_subspace(window: np.ndarray, subspace_dim: int, delta: float = 0.01) ->
     centered = window - center
     cov = centered.T @ centered / (n - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
+    return _eigen_fit(eigvals, eigvecs, center, subspace_dim, delta)
+
+
+def _eigen_fit(eigvals, eigvecs, center, subspace_dim: int, delta: float) -> SubspaceModel:
+    """The model of the top subspace_dim eigenpairs of a covariance."""
     order = np.argsort(eigvals)[::-1][:subspace_dim]
     # C order like a basis read back by persist, so both round the same
     basis = np.ascontiguousarray(_fix_column_signs(eigvecs[:, order]))
@@ -139,28 +111,9 @@ def init_subspace(window: np.ndarray, subspace_dim: int, delta: float = 0.01) ->
     return model
 
 
-def _check_vector(model: SubspaceModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.dim,):
-        raise ValidationError(
-            f"expected vector of dimension {model.dim}, got shape {x.shape}"
-        )
-    return x
-
-
-def mahalanobis(model: SubspaceModel, x: np.ndarray) -> float:
-    """Approximate Mahalanobis distance of x from the tracked subspace."""
-    x = _check_vector(model, x)
-    diff = x - model.center
-    coords = model.basis.T @ diff
-    residual = diff - model.basis @ coords
-    return float(
-        model.delta * np.sum(coords**2 / model.spreads) + residual @ residual
-    )
-
-
 def mahalanobis_rows(model: SubspaceModel, rows: np.ndarray) -> np.ndarray:
-    """Vectorized distance over a (n, D) matrix of rows."""
+    """Approximate Mahalanobis distance of each row of a (n, D) matrix from
+    the subspace."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != model.dim:
         raise ValidationError(f"expected rows of dimension {model.dim}")
@@ -172,28 +125,26 @@ def mahalanobis_rows(model: SubspaceModel, rows: np.ndarray) -> np.ndarray:
     )
 
 
-def update(model: SubspaceModel, x: np.ndarray, cfg: TrainConfig) -> SubspaceModel:
-    """One stochastic update step; returns a new model.
+def update(model: SubspaceModel, x: np.ndarray) -> SubspaceModel:
+    """One exponentially weighted step of the fit; returns a new model.
 
-    Center and spreads follow exponential moving averages with forgetting
-    factor alpha; the basis takes a rank-one residual-outer-product step and
-    is re-orthonormalized.
+    With a = FORGETTING: c' = c + (1-a)(x-c) and
+    C' = a U diag(spreads) U^T + a(1-a)(x-c)(x-c)^T, whose top eigenpairs come
+    from the thin SVD of the (D, d+1) factor [U sqrt(a spreads), sqrt(a(1-a)) (x-c)].
     """
-    x = _check_vector(model, x)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (model.dim,):
+        raise ValidationError(
+            f"expected vector of dimension {model.dim}, got shape {x.shape}"
+        )
     if not np.all(np.isfinite(x)):
         raise NumericalError("non-finite input sample")
 
-    a = cfg.alpha
-    center = a * model.center + (1.0 - a) * x
-    diff = x - center
-    coords = model.basis.T @ diff
-    residual = diff - model.basis @ coords
-
-    step = cfg.eta * np.linalg.norm(residual) * np.linalg.norm(coords)
-    if step == 0.0:
-        basis = model.basis
-    else:
-        basis = orthonormalize(model.basis + cfg.eta * np.outer(residual, coords))
-
-    spreads = np.maximum(a * model.spreads + (1.0 - a) * coords**2, SPREAD_FLOOR)
-    return replace(model, basis=basis, center=center, spreads=spreads)
+    a = FORGETTING
+    diff = x - model.center
+    factor = np.column_stack(
+        [model.basis * np.sqrt(a * model.spreads), np.sqrt(a * (1.0 - a)) * diff]
+    )
+    u, s, _ = np.linalg.svd(factor, full_matrices=False)
+    center = model.center + (1.0 - a) * diff
+    return _eigen_fit(s**2, u, center, model.subspace_dim, model.delta)

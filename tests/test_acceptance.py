@@ -17,10 +17,11 @@ from subtrack.config import RunConfig
 from subtrack.dataset import SynthConfig, generate_synthetic
 from subtrack.evaluation import rmse, run_benchmark, run_pipeline, score
 from subtrack.health import HiCurve, smooth
-from subtrack.multiscale import train_multi_until_converged
+from subtrack.multiscale import track
 from subtrack.rul import MatchConfig, estimate_rul
-from subtrack.subspace import SubspaceModel, TrainConfig, init_subspace, mahalanobis
+from subtrack.subspace import init_subspace, mahalanobis_rows
 
+from test_multiscale import subspace_angle
 from test_rul import curve, oracle_estimate
 from test_subspace import explicit_complement_distance, random_model, solo
 
@@ -40,7 +41,7 @@ def test_criterion_1_distance_oracle_equivalence():
         sub_dim = int(rng.integers(1, min(dim, 6)))
         model = random_model(rng, dim, sub_dim)
         x = rng.standard_normal(dim) * 3
-        got = mahalanobis(model, x)
+        got = mahalanobis_rows(model, x[None])[0]
         expected = explicit_complement_distance(model, x)
         worst = max(worst, abs(got - expected))
     elapsed = time.perf_counter() - start
@@ -82,7 +83,7 @@ def test_criterion_3_static_manifold_tracking():
     start = time.perf_counter()
     n_seeds = 20
     failures = 0
-    epochs_used = []
+    angles = []
     for seed in range(n_seeds):
         rng = np.random.default_rng(3000 + seed)
         basis, _ = np.linalg.qr(rng.standard_normal((24, 3)))
@@ -93,21 +94,18 @@ def test_criterion_3_static_manifold_tracking():
         rows = center + z @ basis.T + 0.01 * rng.standard_normal((1000, 24))
 
         model = init_subspace(rows[:100], 3)
-        cfg = TrainConfig(alpha=0.87, eta=0.01, max_epochs=100, rel_tol=1e-4)
-        mm, trace = train_multi_until_converged(solo(model), rows, cfg)
-        model = mm.models[0]
-        epochs_used.append(len(trace) - 1)
+        model = track(solo(model), rows).models[0]
 
-        sv = np.linalg.svd(model.basis.T @ basis, compute_uv=False)
-        angle = math.acos(min(1.0, sv.min()))
-        if angle > 0.05 or len(trace) - 1 >= 100:
+        angle = subspace_angle(model.basis, basis)
+        angles.append(angle)
+        if angle > 0.05:
             failures += 1
     elapsed = time.perf_counter() - start
     report(
         "3 static-manifold tracking recovers the generating subspace",
         failures <= math.floor(0.05 * n_seeds) and elapsed < 60.0,
         f"{n_seeds - failures}/{n_seeds} seeds ok, "
-        f"max epochs {max(epochs_used)}, {elapsed:.1f}s",
+        f"max angle {max(angles):.4f} rad, {elapsed:.1f}s",
     )
 
 
@@ -279,4 +277,42 @@ def test_criterion_9_benchmark_determinism(tmp_path):
         "9 repeated benchmark runs serialize byte-identically",
         identical and doc["n_units"] == 12,
         f"{len(a)} bytes",
+    )
+
+
+def test_criterion_10_rotating_manifold_tracking():
+    # the healthy subspace turns 0.6 rad over the stream: each basis column
+    # rotates towards its own orthogonal partner column
+    start = time.perf_counter()
+    n_rows, turn = 2000, 0.6
+    worst_angle, worst_ratio = 0.0, 0.0
+    ok = True
+    for seed in range(10):
+        rng = np.random.default_rng(3100 + seed)
+        q, _ = np.linalg.qr(rng.standard_normal((24, 6)))
+        theta = turn * np.arange(n_rows) / (n_rows - 1)
+        bases = (
+            np.cos(theta)[:, None, None] * q[:, :3] + np.sin(theta)[:, None, None] * q[:, 3:]
+        )  # (n_rows, 24, 3)
+        center = rng.standard_normal(24)
+        z = rng.standard_normal((n_rows, 3)) * np.sqrt(rng.uniform(0.5, 2.0, 3))
+        rows = center + np.einsum("nij,nj->ni", bases, z) \
+            + 0.01 * rng.standard_normal((n_rows, 24))
+
+        frozen = init_subspace(rows[:100], 3)
+        tracked = track(solo(frozen), rows[100:]).models[0]
+
+        angle = subspace_angle(tracked.basis, bases[-1])
+        tail = rows[-200:]
+        ratio = float(
+            np.mean(mahalanobis_rows(tracked, tail)) / np.mean(mahalanobis_rows(frozen, tail))
+        )
+        worst_angle, worst_ratio = max(worst_angle, angle), max(worst_ratio, ratio)
+        ok = ok and angle <= 0.05 and ratio < 1.0
+    elapsed = time.perf_counter() - start
+    report(
+        "10 tracking follows a rotating manifold that a frozen init loses",
+        ok,
+        f"max final angle {worst_angle:.4f} rad, max tail distance ratio "
+        f"tracked/frozen {worst_ratio:.3f}, {elapsed:.1f}s",
     )

@@ -94,6 +94,13 @@ class TestSynth:
             synth_dir / "train_synth.txt"
         ).read_bytes()
 
+    @pytest.mark.parametrize("flag", ["--n-regimes", "--subspace-dim"])
+    def test_zero_count_exits_2(self, tmp_path, capsys, flag):
+        rc = main(["synth", "--out", str(tmp_path / "out"), "--units", "3", flag, "0"])
+        assert rc == EXIT_DATA
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrain:
     def test_writes_model_and_scaler(self, synth_dir, tmp_path):
@@ -479,6 +486,20 @@ class TestBenchmark:
         report = json.loads((tmp_path / "report.json").read_text())
         assert set(report) >= {"rmse", "score", "rows", "config", "n_units"}
         assert report["n_units"] == 10
+
+    @pytest.mark.parametrize("token", ["inf", "-7"])
+    def test_invalid_rul_value_exits_2_naming_line(
+        self, synth_dir, tmp_path, capsys, token
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        lines = (data / "RUL_synth.txt").read_text().splitlines()
+        lines[2] = token
+        (data / "RUL_synth.txt").write_text("\n".join(lines) + "\n")
+        assert self.run_bench(data, tmp_path / "out") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "RUL_synth.txt:3: RUL must be a whole number" in err
+        assert "Traceback" not in err
 
     def test_byte_identical_reports(self, synth_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -107,6 +107,18 @@ class TestLoadRulTargets:
         with pytest.raises(ValidationError):
             load_rul_targets(f, 3)
 
+    def test_whole_float_token_accepted(self, tmp_path):
+        f = tmp_path / "rul.txt"
+        f.write_text("10\n20.0\n0\n")
+        assert load_rul_targets(f, 3) == [10, 20, 0]
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "-7", "10.5", "1e400"])
+    def test_invalid_value_reports_line(self, tmp_path, token):
+        f = tmp_path / "rul.txt"
+        f.write_text(f"10\n{token}\n30\n")
+        with pytest.raises(DataFormatError, match=r"rul\.txt:2: RUL must be a whole"):
+            load_rul_targets(f, 3)
+
 
 def traj_from_features(unit_id, feats):
     feats = np.asarray(feats, dtype=float)

@@ -182,10 +182,11 @@ class TestBatchTraining:
         cfg = RunConfig(mode=mode, healthy_cycles=20, tau2=20, seed=5)
         pipe = train_pipeline(train, cfg)
         raw = [c.raw_dist for c in pipe.train_curves]
-        scaler = health.fit_scaler(raw, cfg.healthy_cycles, cfg.smoothing)
+        smoothed = [health.smooth(r, cfg.smoothing) for r in raw]
+        scaler = health.fit_scaler(raw, smoothed, cfg.healthy_cycles)
         assert pipe.scaler == scaler
-        for got in pipe.train_curves:
-            want = health.build_curve(got.unit_id, got.raw_dist, scaler, cfg.smoothing)
+        for got, s in zip(pipe.train_curves, smoothed):
+            want = health.build_curve(got.unit_id, got.raw_dist, s, scaler)
             for name in ("sigma", "raw_dist", "scaled_dist"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 

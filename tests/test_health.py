@@ -74,20 +74,20 @@ class TestScaler:
     def test_fit_on_constructed_fleet(self):
         # every unit: healthy mean 1.0, converging to smoothed final 9.0
         series = [np.concatenate([np.full(20, 1.0), np.full(200, 9.0)])] * 5
-        scaler = fit_scaler(series, healthy_cycles=20, smooth_factor=0.5)
+        scaler = fit_scaler(series, [smooth(s, 0.5) for s in series], healthy_cycles=20)
         assert scaler.floor == pytest.approx(1.0)
         assert scaler.ceiling == pytest.approx(9.0)
 
     def test_single_unit_fleet(self):
         series = [np.concatenate([np.full(10, 2.0), np.full(100, 6.0)])]
-        scaler = fit_scaler(series, healthy_cycles=10, smooth_factor=1.0)
+        scaler = fit_scaler(series, series, healthy_cycles=10)
         assert scaler.floor == pytest.approx(2.0)
         assert scaler.ceiling == pytest.approx(6.0)
 
     def test_degenerate_fleet(self):
         series = [np.full(50, 3.0)]
         with pytest.raises(ValidationError, match="degenerate"):
-            fit_scaler(series, healthy_cycles=10)
+            fit_scaler(series, series, healthy_cycles=10)
 
     def test_scale_endpoints_and_clamp(self):
         scaler = DistanceScaler(floor=1.0, ceiling=9.0)
@@ -230,7 +230,7 @@ class TestBuildCurve:
         rng = np.random.default_rng(9)
         raw = np.abs(rng.standard_normal(80)).cumsum() * 0.1
         scaler = DistanceScaler(floor=0.0, ceiling=raw.max())
-        curve = build_curve(1, raw, scaler, 0.3)
+        curve = build_curve(1, raw, smooth(raw, 0.3), scaler)
         assert len(curve.sigma) == len(curve.raw_dist) == len(curve.scaled_dist) == 80
         np.testing.assert_allclose(
             curve.sigma, 1.0 - np.sqrt(curve.scaled_dist), atol=1e-12

@@ -5,20 +5,12 @@ from subtrack import persist
 from subtrack.errors import ValidationError
 from subtrack.multiscale import (
     MultiModel,
-    assign,
     assign_rows,
     cluster_regimes,
     nearest_centroid,
-    train_multi_until_converged,
-    update_winner,
+    track,
 )
-from subtrack.subspace import (
-    TrainConfig,
-    init_subspace,
-    mahalanobis,
-    mahalanobis_rows,
-    update,
-)
+from subtrack.subspace import init_subspace, mahalanobis_rows, update
 
 from test_subspace import random_model, solo
 
@@ -89,72 +81,89 @@ class TestClusterRegimes:
         np.testing.assert_array_equal(a[1], b[1])
 
 
+def subspace_angle(a, b):
+    """Largest principal angle between the column spans of a and b."""
+    sv = np.linalg.svd(a.T @ b, compute_uv=False)
+    return float(np.arccos(min(1.0, sv.min())))
+
+
+def assert_models_equal(a, b):
+    np.testing.assert_array_equal(a.basis, b.basis)
+    np.testing.assert_array_equal(a.center, b.center)
+    np.testing.assert_array_equal(a.spreads, b.spreads)
+
+
 class TestAssign:
     def test_single_model_always_zero(self):
         rng = np.random.default_rng(3)
         mm = make_multimodel(rng, 1)
-        for _ in range(10):
-            k, _ = assign(mm, rng.standard_normal(8))
-            assert k == 0
+        labels, _ = assign_rows(mm, rng.standard_normal((10, 8)))
+        np.testing.assert_array_equal(labels, 0)
 
     def test_center_of_model_j_wins_with_zero_distance(self):
         rng = np.random.default_rng(4)
         mm = make_multimodel(rng, 3)
-        for j in range(3):
-            k, dist = assign(mm, mm.models[j].center)
-            assert k == j
-            assert dist == 0.0
+        centers = np.array([m.center for m in mm.models])
+        labels, dists = assign_rows(mm, centers)
+        np.testing.assert_array_equal(labels, [0, 1, 2])
+        np.testing.assert_array_equal(dists, 0.0)
 
     def test_matches_brute_force_loop(self):
         rng = np.random.default_rng(5)
         mm = make_multimodel(rng, 3, spread_centers=2.0)
-        for _ in range(100):
-            x = rng.standard_normal(8) * 5
-            k, dist = assign(mm, x)
-            dists = [mahalanobis(m, x) for m in mm.models]
-            assert k == int(np.argmin(dists))
-            assert dist == dists[k]
-            assert all(dist <= d for d in dists)
-
-    def test_rows_variant_matches_scalar(self):
-        rng = np.random.default_rng(6)
-        mm = make_multimodel(rng, 3, spread_centers=2.0)
-        rows = rng.standard_normal((30, 8))
+        rows = rng.standard_normal((100, 8)) * 5
         labels, dists = assign_rows(mm, rows)
-        for i, x in enumerate(rows):
-            k, d = assign(mm, x)
-            assert labels[i] == k
-            assert dists[i] == pytest.approx(d, rel=1e-12)
+        each = [[mahalanobis_rows(m, x[None])[0] for m in mm.models] for x in rows]
+        for k, dist, row_dists in zip(labels, dists, each):
+            assert k == int(np.argmin(row_dists))
+            assert dist == pytest.approx(row_dists[k], rel=1e-12)
+            assert dist <= min(row_dists) * (1 + 1e-12)
+
+    def test_ties_go_to_lowest_index(self):
+        model = random_model(np.random.default_rng(14), 8, 2)
+        mm = MultiModel(models=[model] * 3, centroids=np.eye(3))
+        labels, _ = assign_rows(mm, np.random.default_rng(15).standard_normal((20, 8)))
+        np.testing.assert_array_equal(labels, 0)
 
 
 class TestUpdateWinner:
     def test_single_model_reduces_to_plain_update(self):
         rng = np.random.default_rng(7)
         mm = make_multimodel(rng, 1)
-        cfg = TrainConfig()
-        x = rng.standard_normal(8)
-        updated = update_winner(mm, x, cfg)
-        solo = update(mm.models[0], x, cfg)
-        np.testing.assert_array_equal(updated.models[0].basis, solo.basis)
-        np.testing.assert_array_equal(updated.models[0].center, solo.center)
-        np.testing.assert_array_equal(updated.models[0].spreads, solo.spreads)
+        rows = rng.standard_normal((50, 8))
+        model = mm.models[0]
+        for row in rows:
+            model = update(model, row)
+        assert_models_equal(track(mm, rows).models[0], model)
 
     def test_losers_stay_bitwise_identical(self):
         rng = np.random.default_rng(8)
         mm = make_multimodel(rng, 3)
-        x = mm.models[2].center + 0.01 * rng.standard_normal(8)
-        updated = update_winner(mm, x, TrainConfig())
+        rows = mm.models[2].center + 0.01 * rng.standard_normal((5, 8))
+        tracked = track(mm, rows)
         for k in (0, 1):
-            np.testing.assert_array_equal(updated.models[k].basis, mm.models[k].basis)
-            np.testing.assert_array_equal(
-                updated.models[k].center, mm.models[k].center
-            )
-        assert not np.array_equal(updated.models[2].center, mm.models[2].center)
+            assert tracked.models[k] is mm.models[k]
+        assert not np.array_equal(tracked.models[2].center, mm.models[2].center)
+
+    def test_empty_stream_is_a_no_op(self):
+        mm = make_multimodel(np.random.default_rng(16), 2)
+        tracked = track(mm, np.zeros((0, 8)))
+        for a, b in zip(tracked.models, mm.models):
+            assert_models_equal(a, b)
+        np.testing.assert_array_equal(tracked.centroids, mm.centroids)
+
+    def test_one_dimensional_input_raises(self):
+        mm = make_multimodel(np.random.default_rng(17), 2)
+        with pytest.raises(ValidationError):
+            track(mm, np.zeros(8))
 
     def test_two_regime_training_converges(self):
+        # interleaved rows of two regimes: each model converges to the
+        # subspace of its own regime
         rng = np.random.default_rng(9)
         groups = []
         models = []
+        bases = []
         for k in range(2):
             basis, _ = np.linalg.qr(rng.standard_normal((8, 2)))
             center = 20.0 * k + rng.standard_normal(8)
@@ -162,7 +171,7 @@ class TestUpdateWinner:
                 + 0.01 * rng.standard_normal((60, 8))
             groups.append(data)
             models.append(init_subspace(data[:15], 2))
-        # alternate samples from the two regimes
+            bases.append(basis)
         interleaved = np.empty((120, 8))
         interleaved[0::2] = groups[0]
         interleaved[1::2] = groups[1]
@@ -170,45 +179,23 @@ class TestUpdateWinner:
             models=models,
             centroids=np.array([[0.0, 0, 0], [20.0, 20, 20]]),
         )
-        cfg = TrainConfig(rel_tol=1e-4, max_epochs=100)
-        _, trace = train_multi_until_converged(mm, interleaved, cfg)
-        assert len(trace) - 1 < 100
-
-
-def reference_training(model, rows, cfg):
-    """The documented single-subspace rule: full epochs of subspace.update
-    until the relative change of the epoch-mean distance drops below rel_tol
-    (or stays at 0), at most max_epochs."""
-    trace = [float(np.mean(mahalanobis_rows(model, rows)))]
-    for _ in range(cfg.max_epochs):
-        for row in rows:
-            model = update(model, row, cfg)
-        prev, mean_dist = trace[-1], float(np.mean(mahalanobis_rows(model, rows)))
-        trace.append(mean_dist)
-        if prev == 0.0:
-            if mean_dist == 0.0:
-                break
-        elif abs(mean_dist - prev) / prev < cfg.rel_tol:
-            break
-    return model, trace
+        tracked = track(mm, interleaved)
+        for model, basis in zip(tracked.models, bases):
+            assert subspace_angle(model.basis, basis) < 0.05
 
 
 class TestKEqualsOneEquivalence:
     def test_bit_identical_to_single_model_pipeline(self):
+        # K=1 tracking from a batch init is the single-model update loop
         rng = np.random.default_rng(10)
         basis, _ = np.linalg.qr(rng.standard_normal((8, 2)))
         data = rng.standard_normal(8) + rng.standard_normal((80, 2)) @ basis.T \
             + 0.01 * rng.standard_normal((80, 8))
         init = init_subspace(data[:20], 2)
-        cfg = TrainConfig(rel_tol=1e-4, max_epochs=30)
-
-        ref, ref_trace = reference_training(init, data, cfg)
-        multi, multi_trace = train_multi_until_converged(solo(init), data, cfg)
-
-        assert ref_trace == multi_trace
-        np.testing.assert_array_equal(ref.basis, multi.models[0].basis)
-        np.testing.assert_array_equal(ref.center, multi.models[0].center)
-        np.testing.assert_array_equal(ref.spreads, multi.models[0].spreads)
+        ref = init
+        for row in data:
+            ref = update(ref, row)
+        assert_models_equal(track(solo(init), data).models[0], ref)
 
 
 class TestNearestCentroid:

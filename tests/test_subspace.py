@@ -8,14 +8,12 @@ from hypothesis import given, settings, strategies as st
 from subtrack import persist
 from subtrack.errors import NumericalError, ValidationError
 from subtrack.health import analyze_rows
-from subtrack.multiscale import MultiModel, train_multi_until_converged
+from subtrack.multiscale import MultiModel
 from subtrack.subspace import (
+    FORGETTING,
     SubspaceModel,
-    TrainConfig,
     init_subspace,
-    mahalanobis,
     mahalanobis_rows,
-    orthonormalize,
     update,
 )
 
@@ -33,6 +31,11 @@ def random_model(rng, dim, sub_dim, delta=0.01):
 def solo(model):
     """The model as the single-regime (K=1) K-model the pipeline uses."""
     return MultiModel(models=[model], centroids=np.zeros((1, 3)))
+
+
+def distance(model, x):
+    """The distance of the single vector x."""
+    return mahalanobis_rows(model, np.atleast_2d(x))[0]
 
 
 def project(model, x):
@@ -92,7 +95,7 @@ class TestInitSubspace:
 class TestMahalanobis:
     def test_zero_at_center(self):
         model = random_model(np.random.default_rng(1), 6, 2)
-        assert mahalanobis(model, model.center) == 0.0
+        assert distance(model, model.center) == 0.0
 
     def test_hand_computed_2d(self):
         model = SubspaceModel(
@@ -101,29 +104,22 @@ class TestMahalanobis:
             spreads=np.array([1.0]),
             delta=0.01,
         )
-        assert mahalanobis(model, np.array([1.0, 2.0])) == pytest.approx(4.01)
+        assert distance(model, np.array([1.0, 2.0])) == pytest.approx(4.01)
 
     def test_matches_explicit_complement(self):
         rng = np.random.default_rng(7)
         model = random_model(rng, 10, 3)
-        for _ in range(1000):
-            x = rng.standard_normal(10) * 3
-            assert mahalanobis(model, x) == pytest.approx(
-                explicit_complement_distance(model, x), abs=1e-9
-            )
+        rows = rng.standard_normal((1000, 10)) * 3
+        got = mahalanobis_rows(model, rows)
+        for x, d in zip(rows, got):
+            assert d == pytest.approx(explicit_complement_distance(model, x), abs=1e-9)
 
     def test_dimension_mismatch(self):
         model = random_model(np.random.default_rng(2), 6, 2)
         with pytest.raises(ValidationError):
-            mahalanobis(model, np.zeros(5))
-
-    def test_rows_variant_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        model = random_model(rng, 8, 3)
-        rows = rng.standard_normal((20, 8))
-        batch = mahalanobis_rows(model, rows)
-        for i, row in enumerate(rows):
-            assert batch[i] == pytest.approx(mahalanobis(model, row), rel=1e-12)
+            mahalanobis_rows(model, np.zeros((1, 5)))
+        with pytest.raises(ValidationError):
+            mahalanobis_rows(model, np.zeros(6))
 
 
 class TestProject:
@@ -147,46 +143,77 @@ class TestProject:
         assert diff @ diff == pytest.approx(coords @ coords + residual_sq, abs=1e-10)
 
 
+def ew_oracle(model, x):
+    """Center, spreads and projector of the exponentially weighted step,
+    from a dense eigendecomposition of the explicit covariance."""
+    a, d = FORGETTING, model.subspace_dim
+    diff = x - model.center
+    cov = a * (model.basis * model.spreads) @ model.basis.T
+    cov += a * (1.0 - a) * np.outer(diff, diff)
+    vals, vecs = scipy.linalg.eigh(cov)
+    top = np.argsort(vals)[::-1][:d]
+    return (
+        model.center + (1.0 - a) * diff,
+        vals[top],
+        vecs[:, top] @ vecs[:, top].T,
+    )
+
+
 class TestUpdate:
+    def test_matches_ew_covariance_oracle(self):
+        rng = np.random.default_rng(20)
+        worst = 0.0
+        for _ in range(200):
+            dim = int(rng.integers(4, 30))
+            model = random_model(rng, dim, int(rng.integers(1, min(dim, 6))))
+            x = rng.standard_normal(dim) * 2
+            new = update(model, x)
+            center, spreads, projector = ew_oracle(model, x)
+            worst = max(
+                worst,
+                np.max(np.abs(new.center - center)),
+                np.max(np.abs(new.spreads - spreads)),
+                np.max(np.abs(new.basis @ new.basis.T - projector)),
+            )
+        assert worst <= 1e-9
+
     def test_sample_at_center(self):
+        # x = c adds nothing: the covariance only decays by FORGETTING
         rng = np.random.default_rng(8)
         model = random_model(rng, 6, 2)
-        cfg = TrainConfig(alpha=0.9, eta=0.1)
-        new = update(model, model.center, cfg)
-        np.testing.assert_allclose(new.center, model.center, rtol=1e-14)
-        # basis equal up to column sign
-        overlap = np.abs(np.sum(new.basis * model.basis, axis=0))
-        np.testing.assert_allclose(overlap, 1.0, atol=1e-12)
-        assert np.all(new.spreads <= model.spreads)
-        assert np.any(new.spreads < model.spreads)
-
-    def test_zero_step_size_keeps_basis(self):
-        rng = np.random.default_rng(9)
-        model = random_model(rng, 6, 2)
-        cfg = TrainConfig(alpha=0.9, eta=0.0)
-        new = update(model, rng.standard_normal(6), cfg)
-        np.testing.assert_array_equal(new.basis, model.basis)
-        assert not np.array_equal(new.center, model.center)
-        assert not np.array_equal(new.spreads, model.spreads)
+        new = update(model, model.center)
+        np.testing.assert_array_equal(new.center, model.center)
+        np.testing.assert_allclose(
+            np.sort(new.spreads), np.sort(FORGETTING * model.spreads), rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            new.basis @ new.basis.T, model.basis @ model.basis.T, atol=1e-12
+        )
 
     def test_invariants_hold_after_updates(self):
         rng = np.random.default_rng(10)
         model = random_model(rng, 12, 4)
-        cfg = TrainConfig(alpha=0.87, eta=0.05)
         for _ in range(200):
-            model = update(model, rng.standard_normal(12), cfg)
+            model = update(model, rng.standard_normal(12))
             model.validate()
+            assert model.basis.flags.c_contiguous
 
     def test_non_finite_input(self):
         model = random_model(np.random.default_rng(11), 6, 2)
         x = np.zeros(6)
         x[0] = np.nan
         with pytest.raises(NumericalError):
-            update(model, x, TrainConfig())
+            update(model, x)
+
+    def test_wrong_shape_input(self):
+        model = random_model(np.random.default_rng(21), 6, 2)
+        for x in (np.zeros(5), np.zeros((1, 6))):
+            with pytest.raises(ValidationError):
+                update(model, x)
 
     def test_epoch_mean_distance_non_increasing_on_static_data(self):
-        # simulation oracle: tracking static subspace data should not make
-        # the fit worse across early epochs (5% noise violations allowed)
+        # simulation oracle: repeated passes over static subspace data should
+        # not make the fit worse (5% noise violations allowed)
         rng = np.random.default_rng(12)
         basis, _ = np.linalg.qr(rng.standard_normal((10, 3)))
         center = rng.standard_normal(10)
@@ -194,45 +221,13 @@ class TestUpdate:
             basis * np.sqrt([2.0, 1.0, 0.5])
         ).T + 0.01 * rng.standard_normal((80, 10))
         model = init_subspace(data[:20], 3)
-        cfg = TrainConfig(alpha=0.95, eta=0.01, max_epochs=1, rel_tol=1e-12)
         means = [np.mean(mahalanobis_rows(model, data))]
         for _ in range(10):
             for row in data:
-                model = update(model, row, cfg)
+                model = update(model, row)
             means.append(np.mean(mahalanobis_rows(model, data)))
         increases = sum(b > a * 1.05 for a, b in zip(means, means[1:]))
         assert increases <= 1
-
-
-class TestTrainUntilConverged:
-    @staticmethod
-    def static_data(rng, n=100):
-        basis, _ = np.linalg.qr(rng.standard_normal((8, 2)))
-        return rng.standard_normal(8) + rng.standard_normal((n, 2)) @ basis.T \
-            + 0.005 * rng.standard_normal((n, 8))
-
-    def test_infinite_tolerance_runs_one_epoch(self):
-        rng = np.random.default_rng(13)
-        data = self.static_data(rng)
-        model = init_subspace(data[:20], 2)
-        _, trace = train_multi_until_converged(
-            solo(model), data, TrainConfig(rel_tol=np.inf, max_epochs=50)
-        )
-        assert len(trace) == 2  # baseline + exactly one epoch
-
-    def test_converges_on_static_data(self):
-        rng = np.random.default_rng(14)
-        data = self.static_data(rng)
-        model = init_subspace(data[:20], 2)
-        _, trace = train_multi_until_converged(
-            solo(model), data, TrainConfig(rel_tol=1e-4, max_epochs=100)
-        )
-        assert len(trace) - 1 < 100
-
-    def test_empty_data(self):
-        model = random_model(np.random.default_rng(15), 6, 2)
-        with pytest.raises(ValidationError):
-            train_multi_until_converged(solo(model), np.zeros((0, 6)), TrainConfig())
 
 
 class TestSerialization:
@@ -285,7 +280,7 @@ def test_complement_identity_property(dims, seed):
     rng = np.random.default_rng(seed)
     model = random_model(rng, dim, sub_dim)
     x = rng.standard_normal(dim) * 2
-    assert mahalanobis(model, x) == pytest.approx(
+    assert distance(model, x) == pytest.approx(
         explicit_complement_distance(model, x), abs=1e-9
     )
 
@@ -303,9 +298,7 @@ def test_rotation_equivariance(seed):
         spreads=model.spreads,
         delta=model.delta,
     )
-    assert mahalanobis(rotated, q @ x) == pytest.approx(
-        mahalanobis(model, x), abs=1e-10
-    )
+    assert distance(rotated, q @ x) == pytest.approx(distance(model, x), abs=1e-10)
 
 
 @settings(max_examples=50, deadline=None)
@@ -313,13 +306,4 @@ def test_rotation_equivariance(seed):
 def test_distance_non_negative(seed):
     rng = np.random.default_rng(seed)
     model = random_model(rng, 6, 2)
-    assert mahalanobis(model, rng.standard_normal(6) * 10) >= 0.0
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_orthonormalize_produces_orthonormal_columns(seed):
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((8, 3))
-    q = orthonormalize(m)
-    np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-10)
+    assert distance(model, rng.standard_normal(6) * 10) >= 0.0
