@@ -12,7 +12,6 @@ from .dataset import (
     SynthConfig,
     Trajectory,
     TrajectorySet,
-    apply_normalizer,
     fit_normalizer,
     generate_synthetic,
     load_cmapss,

@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, fields
 
 from .errors import ValidationError
+from .rul import MatchConfig
 
 # knobs of the retired epoch trainer, still held by older config files
 RETIRED_FIELDS = frozenset({"alpha", "eta", "max_epochs", "rel_tol"})
+
+_TYPES = {  # annotation -> (accepts the value, what it takes); a bool is no number
+    "str": (lambda v: type(v) is str, "a string"),
+    "int": (lambda v: type(v) is int, "an int"),
+    "float": (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+              "a finite number"),  # nan fails the comparison too
+    "bool | None": (lambda v: v is None or type(v) is bool, "true, false or null"),
+}
 
 
 @dataclass(frozen=True)
@@ -26,14 +36,26 @@ class RunConfig:
     include_settings: bool | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            accepts, what = _TYPES[f.type]
+            value = getattr(self, f.name)
+            if not accepts(value):
+                raise ValidationError(f"{f.name} must be {what}, got {value!r}")
         if self.mode not in ("sst", "sst-lr"):
             raise ValidationError(f"unknown mode {self.mode!r}")
         if self.n_regimes < 1:
             raise ValidationError("n_regimes must be >= 1")
+        if self.subspace_dim < 1:
+            raise ValidationError("subspace_dim must be >= 1")
+        if not self.delta > 0:
+            raise ValidationError("delta must be > 0")
         if self.healthy_cycles < self.subspace_dim + 1:
             raise ValidationError("healthy_cycles must be >= subspace_dim + 1")
         if not 0.0 < self.smoothing <= 1.0:
             raise ValidationError("smoothing must be in (0, 1]")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
+        MatchConfig(tau1=self.tau1, tau2=self.tau2, beta=self.beta)  # checks all three
 
     @property
     def track_settings(self) -> bool:

@@ -51,10 +51,6 @@ class Trajectory:
         return len(self.sensors)
 
     @property
-    def cycles(self) -> np.ndarray:
-        return np.arange(1, len(self) + 1)
-
-    @property
     def features(self) -> np.ndarray:
         """Full feature matrix, settings columns first. Shape (L, D)."""
         return np.hstack([self.settings, self.sensors])
@@ -62,10 +58,9 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class TrajectorySet:
-    """A fleet of trajectories; `kind` is 'train' (run-to-failure) or 'test'."""
+    """A fleet of trajectories with distinct unit ids."""
 
     trajectories: list[Trajectory]
-    kind: str = "train"
 
     def __post_init__(self):
         if not self.trajectories:
@@ -98,12 +93,10 @@ def load_cmapss(path: str | Path) -> TrajectorySet:
     1_0, say, which numpy does not parse).
     """
     path = Path(path)
-    name = path.name.lower()
-    kind = "train" if "train" in name else ("test" if "test" in name else "train")
     trajectories = _parse_cmapss_bulk(path)
     if trajectories is None:
         trajectories = _parse_cmapss_lines(path)
-    return TrajectorySet(trajectories, kind=kind)
+    return TrajectorySet(trajectories)
 
 
 def _parse_cmapss_bulk(path: Path) -> list[Trajectory] | None:
@@ -260,7 +253,8 @@ def load_rul_targets(path: str | Path, n_units: int) -> list[int]:
 
 @dataclass(frozen=True)
 class Normalizer:
-    """Per-feature z-score statistics, optionally one table per regime.
+    """Per-feature z-score statistics, one table per operating regime; every
+    row is transformed with the table of its regime label.
 
     Constant features (std below CONSTANT_STD) are masked: their output is 0,
     keeping the column count and indices aligned with the file format.
@@ -278,38 +272,27 @@ class Normalizer:
     def n_features(self) -> int:
         return self.mean.shape[1]
 
-    def transform_rows(self, rows: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray:
+    def transform_rows(self, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
         if rows.shape[1] != self.n_features:
             raise ValidationError(
                 f"normalizer fitted on {self.n_features} features, got {rows.shape[1]}"
             )
-        if self.n_regimes > 1 and labels is None:
-            raise ValidationError("regime-conditional normalizer requires labels")
-        if labels is None:
-            labels = np.zeros(len(rows), dtype=int)
         out = (rows - self.mean[labels]) / self.std[labels]
         out[self.mask[labels]] = 0.0
         return out
 
 
-def _row_labels(tset: TrajectorySet, regimes) -> list[np.ndarray]:
-    if regimes is None:
-        return [np.zeros(len(t), dtype=int) for t in tset]
-    if len(regimes) != len(tset.trajectories):
-        raise ValidationError("one label array per trajectory required")
-    return [np.asarray(r, dtype=int) for r in regimes]
-
-
-def fit_normalizer(tset: TrajectorySet, regimes: list[np.ndarray] | None = None) -> Normalizer:
-    """Fit z-score statistics over all rows, per regime when labels are given.
+def fit_normalizer(tset: TrajectorySet, regimes: list[np.ndarray]) -> Normalizer:
+    """Fit z-score statistics over all rows, one table per regime.
 
     `regimes` is a list aligned with tset.trajectories; each entry holds one
     integer regime label per cycle.
     """
-    labels = _row_labels(tset, regimes)
+    if len(regimes) != len(tset.trajectories):
+        raise ValidationError("one label array per trajectory required")
     rows = np.vstack([t.features for t in tset])
-    flat = np.concatenate(labels)
-    n_regimes = int(flat.max()) + 1 if regimes is not None else 1
+    flat = np.concatenate([np.asarray(r, dtype=int) for r in regimes])
+    n_regimes = int(flat.max()) + 1
     n_features = rows.shape[1]
 
     mean = np.zeros((n_regimes, n_features))
@@ -327,27 +310,6 @@ def fit_normalizer(tset: TrajectorySet, regimes: list[np.ndarray] | None = None)
         std[r] = np.where(constant, 1.0, sd)
         mask[r] = constant
     return Normalizer(mean=mean, std=std, mask=mask)
-
-
-def apply_normalizer(
-    norm: Normalizer,
-    tset: TrajectorySet,
-    regimes: list[np.ndarray] | None = None,
-) -> TrajectorySet:
-    """Return a new TrajectorySet with the stored affine transform applied."""
-    labels = _row_labels(tset, regimes)
-    out = []
-    for traj, lab in zip(tset, labels):
-        feats = norm.transform_rows(traj.features, lab)
-        n_set = traj.settings.shape[1]
-        out.append(
-            Trajectory(
-                unit_id=traj.unit_id,
-                settings=feats[:, :n_set],
-                sensors=feats[:, n_set:],
-            )
-        )
-    return TrajectorySet(out, kind=tset.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +345,10 @@ class SynthConfig:
             raise ValidationError("subspace_dim must be < number of sensor features")
         if self.n_regimes < 1:
             raise ValidationError("n_regimes must be >= 1")
-        if self.noise_std < 0:
-            raise ValidationError("noise_std must be >= 0")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValidationError("noise_std must be finite and >= 0")
+        if not math.isfinite(self.drift_rate):
+            raise ValidationError("drift_rate must be finite")
         if not 0.0 <= self.drift_onset_fraction <= 1.0:
             raise ValidationError("drift_onset_fraction must be in [0, 1]")
         if self.n_units < 1:
@@ -488,8 +452,8 @@ def generate_synthetic(
         true_ruls.append(length - keep)
 
     return (
-        TrajectorySet(train, kind="train"),
-        TrajectorySet(test, kind="test"),
+        TrajectorySet(train),
+        TrajectorySet(test),
         true_ruls,
         regimes,
     )

@@ -60,25 +60,34 @@ class TrainedPipeline:
     error_trace: list[float]
 
 
-def _feature_rows(traj: dataset.Trajectory, track_settings: bool) -> np.ndarray:
-    return traj.features if track_settings else traj.sensors
+def _normalized_rows(norm, tset, labels, track_settings: bool) -> list[np.ndarray]:
+    """Each unit's features z-scored with its regime labels, without the
+    settings columns unless they are tracked."""
+    rows = [norm.transform_rows(t.features, lab) for t, lab in zip(tset, labels)]
+    if track_settings:
+        return rows
+    return [r[:, t.settings.shape[1] :] for r, t in zip(rows, tset)]
+
+
+def _analyze_fleet(model: MultiModel, unit_rows, smoothing: float) -> tuple[list, ...]:
+    """Per unit: (raw distances, smoothed distances, projections, model
+    labels) from `health.analyze_rows`, the whole fleet smoothed in one call."""
+    raw, proj, reg = zip(*(health.analyze_rows(model, rows) for rows in unit_rows))
+    return list(raw), health.smooth_each(raw, smoothing), list(proj), list(reg)
 
 
 def train_pipeline(train_set: TrajectorySet, cfg: RunConfig) -> TrainedPipeline:
     """Fit the training stage: regimes, normalizer, one batch-PCA subspace
     per regime (no epochs; the error trace is the mean healthy distance),
     scaler and (in sst-lr mode) the health-index regressor."""
-    _, centroids = multiscale.cluster_regimes(
+    centroids = multiscale.cluster_regimes(
         np.vstack([t.settings for t in train_set]), cfg.n_regimes, seed=cfg.seed
     )
     labels = [multiscale.nearest_centroid(centroids, t.settings) for t in train_set]
+    norm = dataset.fit_normalizer(train_set, labels)
+    unit_rows = _normalized_rows(norm, train_set, labels, cfg.track_settings)
 
-    norm = dataset.fit_normalizer(train_set, regimes=labels)
-    normed = dataset.apply_normalizer(norm, train_set, regimes=labels)
-
-    unit_rows = [_feature_rows(t, cfg.track_settings) for t in normed]
     healthy = np.vstack([r[: cfg.healthy_cycles] for r in unit_rows])
-
     healthy_labels = np.concatenate([lab[: cfg.healthy_cycles] for lab in labels])
     members = []
     for k in range(cfg.n_regimes):
@@ -92,29 +101,17 @@ def train_pipeline(train_set: TrajectorySet, cfg: RunConfig) -> TrainedPipeline:
     model = MultiModel(models=members, centroids=centroids)
     trace = [float(np.mean(multiscale.assign_rows(model, healthy)[1]))]
 
-    raw_series = []
-    projections = []
-    row_regimes = []
-    for rows in unit_rows:
-        dists, proj, reg = health.analyze_rows(model, rows)
-        raw_series.append(dists)
-        projections.append(proj)
-        row_regimes.append(reg)
-
-    smoothed = health.smooth_each(raw_series, cfg.smoothing)
-    scaler = health.fit_scaler(raw_series, smoothed, cfg.healthy_cycles)
+    raw, smoothed, proj, reg = _analyze_fleet(model, unit_rows, cfg.smoothing)
+    scaler = health.fit_scaler(raw, smoothed, cfg.healthy_cycles)
     curves = [
-        health.build_curve(t.unit_id, raw, s, scaler)
-        for t, raw, s in zip(train_set, raw_series, smoothed)
+        health.build_curve(t.unit_id, r, s, scaler)
+        for t, r, s in zip(train_set, raw, smoothed)
     ]
 
     regressor = None
     if cfg.mode == "sst-lr":
-        regressor = health.fit_hi_regression(
-            np.vstack(projections),
-            np.concatenate([c.sigma for c in curves]),
-            labels=np.concatenate(row_regimes),
-        )
+        sigma = np.concatenate([c.sigma for c in curves])
+        regressor = health.fit_hi_regression(np.vstack(proj), sigma, np.concatenate(reg))
 
     return TrainedPipeline(
         config=cfg,
@@ -128,26 +125,23 @@ def train_pipeline(train_set: TrajectorySet, cfg: RunConfig) -> TrainedPipeline:
 
 
 def infer_curves(pipe: TrainedPipeline, tset: TrajectorySet) -> list[HiCurve]:
-    """Health-index curves for a fleet under the trained pipeline.
+    """Health-index curves for a fleet under the trained pipeline, through
+    the same row analysis as training.
 
     sst mode scales the assigned distances; sst-lr mode predicts the index
     from the subspace projections instead.
     """
     cfg = pipe.config
+    if cfg.mode == "sst-lr" and pipe.regressor is None:
+        raise ValidationError("sst-lr mode requires a fitted regressor")
     labels = [multiscale.nearest_centroid(pipe.model.centroids, t.settings) for t in tset]
-    normed = dataset.apply_normalizer(pipe.normalizer, tset, regimes=labels)
-
+    unit_rows = _normalized_rows(pipe.normalizer, tset, labels, cfg.track_settings)
+    raw, smoothed, proj, reg = _analyze_fleet(pipe.model, unit_rows, cfg.smoothing)
     curves = []
-    for traj in normed:
-        rows = _feature_rows(traj, cfg.track_settings)
-        dists, proj, reg = health.analyze_rows(pipe.model, rows)
-        smoothed = health.smooth(dists, cfg.smoothing)
-        curve = health.build_curve(traj.unit_id, dists, smoothed, pipe.scaler)
+    for traj, r, s, p, lab in zip(tset, raw, smoothed, proj, reg):
+        curve = health.build_curve(traj.unit_id, r, s, pipe.scaler)
         if cfg.mode == "sst-lr":
-            if pipe.regressor is None:
-                raise ValidationError("sst-lr mode requires a fitted regressor")
-            sigma = health.predict_hi(pipe.regressor, proj, labels=reg)
-            curve = replace(curve, sigma=sigma)
+            curve = replace(curve, sigma=health.predict_hi(pipe.regressor, p, lab))
         curves.append(curve)
     return curves
 
@@ -167,9 +161,10 @@ def estimate_fleet(
     curves = pipe.train_curves
     sigmas = health.smooth_each([c.sigma for c in curves], cfg.smoothing)
     library = [replace(c, sigma=s) for c, s in zip(curves, sigmas)]
+    test_sigmas = health.smooth_each([c.sigma for c in test_curves], cfg.smoothing)
     estimates = []
-    for curve in test_curves:
-        smoothed = replace(curve, sigma=health.smooth(curve.sigma, cfg.smoothing))
+    for curve, sigma in zip(test_curves, test_sigmas):
+        smoothed = replace(curve, sigma=sigma)
         try:
             estimates.append(rul.estimate_rul(smoothed, library, match_cfg))
         except NoMatchError:

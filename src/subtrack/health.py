@@ -7,7 +7,8 @@ healthy/failure reference levels, and mapped to a health index
 
 so 1 means perfect health and 0 failure. A least-squares refinement maps the
 low-dimensional subspace projections to health-index values (the "-LR"
-variant), one regressor per regime when regime labels are supplied.
+variant), one regressor per regime: every row carries the label of the model
+it was scored against.
 """
 
 from __future__ import annotations
@@ -166,12 +167,10 @@ def build_curve(
 
 
 def fit_hi_regression(
-    projections: np.ndarray,
-    targets: np.ndarray,
-    labels: np.ndarray | None = None,
+    projections: np.ndarray, targets: np.ndarray, labels: np.ndarray
 ) -> HiRegressor:
     """Ordinary least squares (normal equations with a tiny ridge jitter)
-    from projections to health-index targets; per regime when labels given."""
+    from projections to health-index targets, one fit per regime label."""
     projections = np.atleast_2d(np.asarray(projections, dtype=float))
     targets = np.asarray(targets, dtype=float)
     if len(projections) != len(targets):
@@ -179,8 +178,6 @@ def fit_hi_regression(
     if np.any(targets < 0) or np.any(targets > 1):
         raise ValidationError("targets must lie in [0, 1]")
     d = projections.shape[1]
-    if labels is None:
-        labels = np.zeros(len(targets), dtype=int)
     labels = np.asarray(labels, dtype=int)
     n_regimes = int(labels.max()) + 1
 
@@ -199,21 +196,15 @@ def fit_hi_regression(
 
 
 def predict_hi(
-    reg: HiRegressor,
-    projections: np.ndarray,
-    labels: np.ndarray | None = None,
+    reg: HiRegressor, projections: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
-    """Affine prediction clamped to [0, 1]."""
+    """Affine prediction with each row's regime weights, clamped to [0, 1]."""
     projections = np.atleast_2d(np.asarray(projections, dtype=float))
     if projections.shape[1] != reg.input_dim:
         raise ValidationError(
             f"regressor expects dimension {reg.input_dim}, "
             f"got {projections.shape[1]}"
         )
-    if reg.n_regimes > 1 and labels is None:
-        raise ValidationError("per-regime regressor requires labels")
-    if labels is None:
-        labels = np.zeros(len(projections), dtype=int)
     labels = np.asarray(labels, dtype=int)
     w = reg.weights[labels]
     pred = np.sum(w[:, :-1] * projections, axis=1) + w[:, -1]

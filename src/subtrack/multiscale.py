@@ -39,20 +39,19 @@ class MultiModel:
                     raise ValidationError("centroids must be pairwise distinct")
 
 
-def cluster_regimes(
-    settings: np.ndarray, n_clusters: int, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+def cluster_regimes(settings: np.ndarray, n_clusters: int, seed: int = 0) -> np.ndarray:
     """Seeded k-means (k-means++ init) over operational-setting vectors.
 
-    Returns (labels, centroids). Empty clusters are re-seeded from the point
-    farthest from its assigned centroid. K=1 is answered in closed form: the
-    settings mean is Lloyd's fixed point, and no random generator is needed.
+    Returns the (K, n_settings) centroids; `nearest_centroid` labels rows with
+    them. Empty clusters are re-seeded from the point farthest from its
+    assigned centroid. K=1 is answered in closed form: the settings mean is
+    Lloyd's fixed point, and no random generator is needed.
     """
     points = np.asarray(settings, dtype=float)
     if points.ndim != 2 or len(points) == 0:
         raise ValidationError("settings must be a non-empty 2-d array")
     if n_clusters == 1:
-        return np.zeros(len(points), dtype=int), points.mean(axis=0, keepdims=True)
+        return points.mean(axis=0, keepdims=True)
     distinct = np.unique(points, axis=0)
     if len(distinct) < n_clusters:
         raise ValidationError(
@@ -94,10 +93,7 @@ def cluster_regimes(
         if np.allclose(new_centroids, centroids, atol=0, rtol=0):
             break
         centroids = new_centroids
-
-    dists = np.array([np.sum((points - c) ** 2, axis=1) for c in centroids])
-    labels = np.argmin(dists, axis=0)
-    return labels, centroids
+    return centroids
 
 
 def nearest_centroid(centroids: np.ndarray, settings: np.ndarray) -> np.ndarray:

@@ -102,6 +102,16 @@ class TestSynth:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--noise-std", "nan"), ("--drift-rate", "inf")]
+    )
+    def test_non_finite_knob_exits_2(self, tmp_path, capsys, flag, value):
+        rc = main(["synth", "--out", str(tmp_path / "out"), "--units", "3", flag, value])
+        assert rc == EXIT_DATA
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestTrain:
     def test_writes_model_and_scaler(self, synth_dir, tmp_path):
         out = tmp_path / "model"
@@ -224,6 +234,55 @@ class TestTrain:
         )
         assert rc == EXIT_DATA
         assert str(cfg_file) in capsys.readouterr().err
+        assert not (tmp_path / "model").exists()
+
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"smoothing": "0.3"}, "smoothing"),
+            ({"healthy_cycles": 20.5}, "healthy_cycles"),
+            ({"include_settings": "yes"}, "include_settings"),
+        ],
+        ids=["string-smoothing", "float-healthy-cycles", "string-include-settings"],
+    )
+    def test_mistyped_config_value_exits_2_naming_field(
+        self, synth_dir, tmp_path, capsys, doc, field
+    ):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(doc))
+        rc = main(
+            ["train", "--train", str(synth_dir / "train_synth.txt"),
+             "--out", str(tmp_path / "model"), "--config", str(cfg_file)]
+        )
+        assert rc == EXIT_DATA
+        assert f"error: {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "model").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--subspace-dim", "0"], "subspace_dim must be >= 1"),
+            (["--n-regimes", "2", "--seed", "-1"], "seed must be >= 0"),
+            (["--tau2", "-5"], "need 0 <= tau1 <= tau2"),
+            (["--beta", "0"], "beta must be positive"),
+            (["--beta", "nan"], "beta must be a finite number, got nan"),
+        ],
+        ids=["subspace-dim-0", "negative-seed", "negative-tau2", "beta-0", "beta-nan"],
+    )
+    def test_out_of_range_flag_exits_2_naming_field(
+        self, tmp_path, capsys, flags, message
+    ):
+        # a two-regime fleet, so a negative seed reaches the k-means generator
+        data = tmp_path / "synth"
+        assert main(["synth", "--out", str(data), "--units", "4", "--n-regimes", "2",
+                     "--min-cycles", "40", "--max-cycles", "50"]) == EXIT_OK
+        rc = main(
+            ["train", "--train", str(data / "train_synth.txt"),
+             "--out", str(tmp_path / "model")] + flags
+        )
+        assert rc == EXIT_DATA
+        assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "model").exists()
 
 
@@ -500,6 +559,15 @@ class TestBenchmark:
         err = capsys.readouterr().err
         assert "RUL_synth.txt:3: RUL must be a whole number" in err
         assert "Traceback" not in err
+
+    def test_inverted_lag_range_exits_2_before_training(
+        self, synth_dir, tmp_path, capsys
+    ):
+        rc = self.run_bench(synth_dir, tmp_path / "out", ["--tau1", "5", "--tau2", "2"])
+        assert rc == EXIT_DATA
+        # no stage tag: the config is rejected before the [train] stage runs
+        assert "error: need 0 <= tau1 <= tau2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_byte_identical_reports(self, synth_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,0 +1,66 @@
+import json
+from dataclasses import fields
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from subtrack.config import RunConfig
+from subtrack.errors import ValidationError
+
+FIELDS = [f.name for f in fields(RunConfig)]
+
+VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-3, 60),
+    st.floats(),  # nan and inf included
+    st.floats(0, 2),
+    st.text(max_size=6),
+    st.sampled_from(["sst", "sst-lr"]),
+    st.lists(st.integers(), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(FIELDS), value=VALUES)
+def test_from_dict_returns_a_config_or_raises_validation_error(field, value):
+    try:
+        cfg = RunConfig.from_dict({field: value})
+    except ValidationError as exc:
+        assert field in str(exc)
+        return
+    assert getattr(cfg, field) == value
+    # an accepted config survives config.json
+    assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"n_regimes": True}, "n_regimes must be an int, got True"),
+        ({"seed": 1.0}, "seed must be an int, got 1.0"),
+        ({"delta": True}, "delta must be a finite number, got True"),
+        ({"beta": float("inf")}, "beta must be a finite number, got inf"),
+        ({"smoothing": "0.3"}, "smoothing must be a finite number, got '0.3'"),
+        ({"delta": 10**400}, f"delta must be a finite number, got {10**400}"),
+        ({"include_settings": 1}, "include_settings must be true, false or null, got 1"),
+        ({"mode": None}, "mode must be a string, got None"),
+        ({"subspace_dim": 0}, "subspace_dim must be >= 1"),
+        ({"delta": 0}, "delta must be > 0"),
+        ({"delta": -0.5}, "delta must be > 0"),
+        ({"tau1": -1}, "need 0 <= tau1 <= tau2"),
+        ({"tau1": 5, "tau2": 2}, "need 0 <= tau1 <= tau2"),
+        ({"beta": 0.0}, "beta must be positive"),
+        ({"seed": -1}, "seed must be >= 0"),
+    ],
+)
+def test_invalid_field_named(doc, message):
+    with pytest.raises(ValidationError) as info:
+        RunConfig.from_dict(doc)
+    assert str(info.value) == message
+
+
+def test_float_fields_take_ints():
+    cfg = RunConfig(delta=1, beta=2, smoothing=1)
+    assert (cfg.delta, cfg.beta, cfg.smoothing) == (1, 2, 1)

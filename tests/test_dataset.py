@@ -8,7 +8,6 @@ from subtrack.dataset import (
     SynthConfig,
     Trajectory,
     TrajectorySet,
-    apply_normalizer,
     fit_normalizer,
     generate_synthetic,
     load_cmapss,
@@ -127,22 +126,33 @@ def traj_from_features(unit_id, feats):
     )
 
 
+def normalize_one(norm, tset):
+    """The features of the one unit in tset, transformed as regime 0."""
+    feats = tset.trajectories[0].features
+    return norm.transform_rows(feats, np.zeros(len(feats), dtype=int))
+
+
+def fit_one_regime(tset):
+    """A normalizer fitted with every row of tset in regime 0."""
+    return fit_normalizer(tset, [np.zeros(len(t), dtype=int) for t in tset])
+
+
 class TestNormalizer:
     def test_constant_feature_masked_to_zero(self):
         rng = np.random.default_rng(1)
         feats = rng.standard_normal((40, 24))
         feats[:, 5] = 3.14
         tset = TrajectorySet([traj_from_features(1, feats)])
-        norm = fit_normalizer(tset)
-        out = apply_normalizer(norm, tset)
-        assert np.all(out.trajectories[0].features[:, 5] == 0.0)
+        norm = fit_one_regime(tset)
+        out = normalize_one(norm, tset)
+        assert np.all(out[:, 5] == 0.0)
 
     def test_two_point_feature(self):
         feats = np.zeros((2, 24))
         feats[1, :] = 2.0
         tset = TrajectorySet([traj_from_features(1, feats)])
-        norm = fit_normalizer(tset)
-        out = apply_normalizer(norm, tset).trajectories[0].features
+        norm = fit_one_regime(tset)
+        out = normalize_one(norm, tset)
         np.testing.assert_allclose(out[0], -1.0)
         np.testing.assert_allclose(out[1], 1.0)
 
@@ -150,8 +160,8 @@ class TestNormalizer:
         rng = np.random.default_rng(2)
         feats = rng.standard_normal((500, 24)) * rng.uniform(0.1, 10, 24) + 5
         tset = TrajectorySet([traj_from_features(1, feats)])
-        norm = fit_normalizer(tset)
-        out = apply_normalizer(norm, tset).trajectories[0].features
+        norm = fit_one_regime(tset)
+        out = normalize_one(norm, tset)
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-9)
 
@@ -159,13 +169,13 @@ class TestNormalizer:
         rng = np.random.default_rng(3)
         feats = rng.standard_normal((10, 24))
         tset = TrajectorySet([traj_from_features(1, feats)])
-        norm = fit_normalizer(tset)
+        norm = fit_one_regime(tset)
         ident = type(norm)(
             mean=np.zeros_like(norm.mean),
             std=np.ones_like(norm.std),
             mask=np.zeros_like(norm.mask),
         )
-        out = apply_normalizer(ident, tset).trajectories[0].features
+        out = normalize_one(ident, tset)
         np.testing.assert_array_equal(out, feats)
 
     def test_per_regime_tables(self):
@@ -175,7 +185,7 @@ class TestNormalizer:
         tset = TrajectorySet([traj_from_features(1, feats)])
         norm = fit_normalizer(tset, regimes=labels)
         assert norm.n_regimes == 6
-        out = apply_normalizer(norm, tset, regimes=labels).trajectories[0].features
+        out = norm.transform_rows(feats, labels[0])
         for r in range(6):
             seg = out[10 * r : 10 * (r + 1)]
             np.testing.assert_allclose(seg.mean(axis=0), 0.0, atol=1e-9)
@@ -183,9 +193,9 @@ class TestNormalizer:
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(5)
         tset = TrajectorySet([traj_from_features(1, rng.standard_normal((10, 24)))])
-        norm = fit_normalizer(tset)
+        norm = fit_one_regime(tset)
         with pytest.raises(ValidationError):
-            norm.transform_rows(rng.standard_normal((10, 23)))
+            norm.transform_rows(rng.standard_normal((10, 23)), np.zeros(10, dtype=int))
 
 
 class TestGenerateSynthetic:
@@ -261,8 +271,8 @@ def test_normalizer_round_trip_property(seed, factor):
     rng = np.random.default_rng(seed)
     feats = rng.standard_normal((50, 24)) * factor
     tset = TrajectorySet([traj_from_features(1, feats)])
-    norm = fit_normalizer(tset)
-    out = apply_normalizer(norm, tset).trajectories[0].features
+    norm = fit_one_regime(tset)
+    out = normalize_one(norm, tset)
     unmasked = ~norm.mask[0]
     np.testing.assert_allclose(out[:, unmasked].mean(axis=0), 0.0, atol=1e-9)
     np.testing.assert_allclose(out[:, unmasked].std(axis=0), 1.0, atol=1e-9)

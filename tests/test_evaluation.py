@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from subtrack import health
 from subtrack.config import RunConfig
-from subtrack.dataset import SynthConfig, apply_normalizer, generate_synthetic
+from subtrack.dataset import N_SETTINGS, SynthConfig, generate_synthetic
 from subtrack.errors import ValidationError
 from subtrack.evaluation import (
     build_report,
@@ -138,8 +138,11 @@ class TestBatchTraining:
         the fitted centroids and normalizer as train_pipeline derives them."""
         cfg = pipe.config
         labels = [nearest_centroid(pipe.model.centroids, t.settings) for t in train]
-        normed = apply_normalizer(pipe.normalizer, train, regimes=labels)
-        rows = [t.features if cfg.track_settings else t.sensors for t in normed]
+        first = 0 if cfg.track_settings else N_SETTINGS
+        rows = [
+            pipe.normalizer.transform_rows(t.features, lab)[:, first:]
+            for t, lab in zip(train, labels)
+        ]
         return (
             np.vstack([r[: cfg.healthy_cycles] for r in rows]),
             np.concatenate([lab[: cfg.healthy_cycles] for lab in labels]),
@@ -162,6 +165,22 @@ class TestBatchTraining:
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
             assert got.delta == want.delta
         assert pipe.error_trace == [float(np.mean(assign_rows(pipe.model, healthy)[1]))]
+
+    @pytest.mark.parametrize("n_regimes", [1, 2])
+    def test_inferring_the_training_fleet_reproduces_its_curves(self, n_regimes):
+        # train and infer share one row analysis, so in sst mode the curves
+        # inferred for the training fleet are the training curves, bit for bit
+        synth = SynthConfig(
+            n_units=10, n_regimes=n_regimes, noise_std=0.01, drift_rate=0.03,
+            seed=6, min_cycles=80, max_cycles=120,
+        )
+        train, _, _, _ = generate_synthetic(synth)
+        pipe = train_pipeline(train, RunConfig(n_regimes=n_regimes, tau2=20, seed=6))
+        inferred = infer_curves(pipe, train)
+        assert [c.unit_id for c in inferred] == [c.unit_id for c in pipe.train_curves]
+        for got, want in zip(inferred, pipe.train_curves):
+            for name in ("sigma", "raw_dist", "scaled_dist"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_smooths_each_training_series_at_most_once(self, monkeypatch):
         train, _, _, _ = generate_synthetic(SMALL_SYNTH)

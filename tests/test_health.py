@@ -168,6 +168,11 @@ def test_smooth_each_bit_equal_to_smoothing_each_alone(curves, factor):
         assert row.tobytes() == smooth(np.array(c), factor).tobytes()
 
 
+def regime0(n):
+    """Regime labels putting all n rows in regime 0."""
+    return np.zeros(n, dtype=int)
+
+
 class TestHiRegression:
     def test_exact_affine_recovery(self):
         rng = np.random.default_rng(5)
@@ -175,14 +180,14 @@ class TestHiRegression:
         w = np.array([0.1, -0.2, 0.05])
         y = np.clip(proj @ w + 0.5, 0, 1)
         keep = (proj @ w + 0.5 >= 0) & (proj @ w + 0.5 <= 1)
-        reg = fit_hi_regression(proj[keep], y[keep])
-        pred = predict_hi(reg, proj[keep])
+        reg = fit_hi_regression(proj[keep], y[keep], regime0(keep.sum()))
+        pred = predict_hi(reg, proj[keep], regime0(keep.sum()))
         assert np.max(np.abs(pred - y[keep])) <= 1e-8
 
     def test_constant_targets(self):
         rng = np.random.default_rng(6)
         proj = rng.standard_normal((30, 2))
-        reg = fit_hi_regression(proj, np.full(30, 0.7))
+        reg = fit_hi_regression(proj, np.full(30, 0.7), regime0(30))
         np.testing.assert_allclose(reg.weights[0, :-1], 0.0, atol=1e-6)
         assert reg.weights[0, -1] == pytest.approx(0.7, abs=1e-8)
 
@@ -190,14 +195,14 @@ class TestHiRegression:
         rng = np.random.default_rng(7)
         proj = rng.standard_normal((100, 3))
         y = np.clip(0.5 + 0.1 * rng.standard_normal(100), 0, 1)
-        reg = fit_hi_regression(proj, y)
+        reg = fit_hi_regression(proj, y, regime0(100))
         a = np.hstack([proj, np.ones((100, 1))])
         oracle = np.linalg.pinv(a) @ y
         np.testing.assert_allclose(reg.weights[0], oracle, atol=1e-8)
 
     def test_too_few_samples(self):
         with pytest.raises(ValidationError):
-            fit_hi_regression(np.zeros((3, 3)), np.zeros(3))
+            fit_hi_regression(np.zeros((3, 3)), np.zeros(3), regime0(3))
 
     def test_per_regime_fit(self):
         rng = np.random.default_rng(8)
@@ -211,18 +216,18 @@ class TestHiRegression:
 
     def test_predict_clamps(self):
         reg = HiRegressor(weights=np.array([[1.0, 0.0]]))
-        assert predict_hi(reg, np.array([[1.3]]))[0] == 1.0
-        assert predict_hi(reg, np.array([[-0.5]]))[0] == 0.0
+        assert predict_hi(reg, np.array([[1.3]]), regime0(1))[0] == 1.0
+        assert predict_hi(reg, np.array([[-0.5]]), regime0(1))[0] == 0.0
 
     def test_zero_weights_constant_intercept(self):
         reg = HiRegressor(weights=np.array([[0.0, 0.0, 0.7]]))
-        out = predict_hi(reg, np.zeros((5, 2)))
+        out = predict_hi(reg, np.zeros((5, 2)), regime0(5))
         np.testing.assert_allclose(out, 0.7)
 
     def test_predict_dimension_mismatch(self):
         reg = HiRegressor(weights=np.array([[0.0, 0.0, 0.7]]))
         with pytest.raises(ValidationError):
-            predict_hi(reg, np.zeros((5, 3)))
+            predict_hi(reg, np.zeros((5, 3)), regime0(5))
 
 
 class TestBuildCurve:
