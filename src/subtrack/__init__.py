@@ -33,7 +33,7 @@ from .evaluation import (
 )
 from .health import DistanceScaler, HiCurve, HiRegressor
 from .multiscale import MultiModel, cluster_regimes, track
-from .rul import MatchConfig, RulEstimate, estimate_rul
+from .rul import Library, MatchConfig, RulEstimate, estimate_rul, prepare_library
 from .subspace import SubspaceModel, init_subspace, mahalanobis_rows
 
 __version__ = "0.1.0"

@@ -151,26 +151,30 @@ def estimate_fleet(
     test_curves: list[HiCurve],
     skip_unmatched: bool = False,
 ) -> list[RulEstimate | None]:
-    """Match each (smoothed) test curve against the smoothed training library.
+    """Match each (smoothed) test curve against the smoothed training library,
+    prepared once for the fleet.
 
     With skip_unmatched, a curve with no valid (unit, lag) candidate yields
-    None instead of raising; benchmark runs keep the hard failure.
+    None instead of raising; benchmark runs keep the hard failure. The
+    estimates keep their candidate count but not the candidate records.
     """
     cfg = pipe.config
     match_cfg = MatchConfig(tau1=cfg.tau1, tau2=cfg.tau2, beta=cfg.beta)
     curves = pipe.train_curves
     sigmas = health.smooth_each([c.sigma for c in curves], cfg.smoothing)
-    library = [replace(c, sigma=s) for c, s in zip(curves, sigmas)]
+    library = rul.prepare_library([replace(c, sigma=s) for c, s in zip(curves, sigmas)])
     test_sigmas = health.smooth_each([c.sigma for c in test_curves], cfg.smoothing)
     estimates = []
     for curve, sigma in zip(test_curves, test_sigmas):
         smoothed = replace(curve, sigma=sigma)
         try:
-            estimates.append(rul.estimate_rul(smoothed, library, match_cfg))
+            est = rul.estimate_rul(smoothed, library, match_cfg)
         except NoMatchError:
             if not skip_unmatched:
                 raise
             estimates.append(None)
+        else:
+            estimates.append(replace(est, candidates=None))
     return estimates
 
 

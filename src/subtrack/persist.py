@@ -230,7 +230,7 @@ def write_estimates_csv(estimates, truths, path: str | Path, unit_ids=None) -> N
         err = repr(float(est.estimate - truths[i])) if truths is not None else ""
         lines.append(
             f"{est.unit_id},{float(est.estimate)!r},{truth},{err},"
-            f"{len(est.candidates)},{float(est.sum_similarity)!r}"
+            f"{est.n_candidates},{float(est.sum_similarity)!r}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -7,18 +7,26 @@ its weight is exp(-d2 / beta), where d2 is the mean squared pointwise
 difference of the overlap. The estimate is the similarity-weighted mean of
 all candidate RULs.
 
-estimate_rul scores one test curve against the whole library with arrays.
-The library, sorted by unit id, is zero-padded into one (n_train, width)
-array. Each lag fills one column of an (n_train, n_lags) distance array with
-a row-wise np.mean over the (n_train, n) window at that lag. That is the same
-pairwise reduction np.mean does on one window, so every d2 equals the scalar
-curve_distance bit for bit. Only one lag's windows exist at a time: a copy of
-all windows at once would cost n_train * n_lags * n floats, twice.
+prepare_library sorts the training curves by unit id once per fleet,
+zero-pads them into one (n_train, max_len) array P and keeps the prefix sums
+of P**2. estimate_rul then scores one test curve s against every (unit, lag)
+pair through the identity
 
-Similarities use math.exp over a list, not np.exp: the SIMD np.exp (AVX-512
-builds) differs from math.exp by one ulp on a few percent of inputs, and the
-estimate would then depend on the machine. Sums use math.fsum, which is
-exact, so the result does not depend on library order.
+    d2 = (|s|^2 - 2 s.w + |w|^2) / n,   w = P[unit, tau : tau + n].
+
+The cross terms s.w of all pairs are one matrix product: the library slab
+P[:, tau1 : tau1 + m], m = n + n_lags - 1, times the (m, n_lags) Toeplitz
+matrix whose column j holds s at rows j .. j + n - 1. The window energies
+|w|^2 are differences of the prefix sums. The identity cancels, so d2 is
+clipped at 0. Lags past max_len - n never have full overlap and are not
+computed, so a huge tau2 costs nothing.
+
+The identity rounds differently from the direct mean of squared
+differences (curve_distance, the scalar reference): estimates, similarities
+and their sums agree with the per-candidate scalar loop to a relative 1e-9;
+the candidate set, their RULs and the underflow flag agree exactly. Results
+are deterministic on a given machine and BLAS build, and do not depend on
+library order, but are not bitwise equal across machines or BLAS builds.
 
 An estimate's candidates are one record array in (unit, lag) order with the
 fields train_unit, tau, rul, similarity and clamped. clamped (a negative
@@ -32,6 +40,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NoMatchError, NumericalError, ValidationError
 from .health import HiCurve
@@ -65,9 +74,51 @@ CANDIDATE_DTYPE = np.dtype(
 class RulEstimate:
     unit_id: int
     estimate: float
-    candidates: np.recarray  # CANDIDATE_DTYPE, one row per (unit, lag)
+    # CANDIDATE_DTYPE, one row per (unit, lag); None where a fleet run
+    # dropped the records and kept only their count
+    candidates: np.recarray | None
     sum_similarity: float
+    n_candidates: int
     similarity_underflow: bool = False
+
+
+@dataclass(frozen=True)
+class Library:
+    """Training curves prepared for matching, built by prepare_library."""
+
+    unit_ids: np.ndarray  # (n_train,) sorted
+    lengths: np.ndarray  # (n_train,)
+    padded: np.ndarray  # (n_train, max_len), zero past each curve's end
+    energy: np.ndarray  # (n_train, max_len + 1), energy[:, t] = sum(padded[:, :t]**2)
+
+
+def prepare_library(curves: list[HiCurve]) -> Library:
+    """The library every test curve of a fleet is matched against.
+
+    Raises NumericalError naming the unit when a curve holds a NaN or inf
+    anywhere, even outside every lag window.
+    """
+    curves = sorted(curves, key=lambda c: c.unit_id)
+    lengths = np.array([len(c) for c in curves], dtype=np.int64)
+    padded = np.zeros((len(curves), lengths.max(initial=0)))
+    for row, c in zip(padded, curves):
+        row[: len(c)] = c.sigma
+    finite = np.isfinite(padded).all(axis=1)
+    if not finite.all():
+        unit = curves[int(np.argmin(finite))].unit_id
+        raise NumericalError(
+            f"training unit {unit}: non-finite value in its health-index curve"
+        )
+    # filled in place: no (n_train, max_len) temporary beside the result
+    energy = np.zeros((len(curves), padded.shape[1] + 1))
+    np.square(padded, out=energy[:, 1:])
+    np.cumsum(energy[:, 1:], axis=1, out=energy[:, 1:])
+    return Library(
+        unit_ids=np.array([c.unit_id for c in curves], dtype=np.int64),
+        lengths=lengths,
+        padded=padded,
+        energy=energy,
+    )
 
 
 def curve_distance(test: np.ndarray, train: np.ndarray, tau: int) -> float | None:
@@ -101,60 +152,64 @@ def candidate_rul(train_len: int, test_len: int, tau: int) -> tuple[float, bool]
     return float(raw), False
 
 
-def estimate_rul(
-    test: HiCurve, library: list[HiCurve], cfg: MatchConfig
-) -> RulEstimate:
+def estimate_rul(test: HiCurve, library: Library, cfg: MatchConfig) -> RulEstimate:
     """Similarity-weighted combination of candidate RULs over all library
     curves and lags in [tau1, tau2].
 
     Raises NoMatchError when no pair has full overlap and NumericalError when
-    a candidate distance is not finite (NaN or inf in either curve), which
-    would otherwise pass for similarity underflow.
+    the test curve is not finite, or a distance overflows, which would
+    otherwise pass for similarity underflow.
     """
-    if not library:
-        raise NoMatchError(f"unit {test.unit_id}: empty training library")
-
-    library = sorted(library, key=lambda c: c.unit_id)
     sig = np.asarray(test.sigma, dtype=float)
     n = len(sig)
-    lengths = np.array([len(c) for c in library])
-    taus = np.arange(cfg.tau1, cfg.tau2 + 1)
-
-    padded = np.zeros((len(library), max(lengths.max(), n + cfg.tau2)))
-    for row, c in zip(padded, library):
-        row[: len(c)] = c.sigma
-    d2 = np.empty((len(library), len(taus)))
-    for j, tau in enumerate(taus.tolist()):
-        d2[:, j] = np.mean((sig - padded[:, tau : tau + n]) ** 2, axis=1)
-
-    valid = n + taus <= lengths[:, None]
-    if not valid.any():
+    if not np.isfinite(sig).all():
+        raise NumericalError(
+            f"unit {test.unit_id}: non-finite value in its health-index curve"
+        )
+    tau1 = cfg.tau1
+    tau2 = min(cfg.tau2, library.padded.shape[1] - n)
+    if tau2 < tau1:  # also an empty library
         raise NoMatchError(
             f"unit {test.unit_id}: no training curve long enough for any lag"
         )
+    taus = np.arange(tau1, tau2 + 1)
+    n_lags = len(taus)
+
+    shifted = np.zeros(n + 2 * (n_lags - 1))
+    shifted[n_lags - 1 : n_lags - 1 + n] = sig
+    toeplitz = sliding_window_view(shifted, n_lags)[:, ::-1]
+    cross = library.padded[:, tau1 : tau1 + n + n_lags - 1] @ toeplitz
+    energy = library.energy
+    d2 = energy[:, tau1 + n : tau2 + n + 1] - energy[:, tau1 : tau2 + 1]
+    d2 -= 2.0 * cross
+    d2 += sig @ sig
+    d2 /= n
+    np.maximum(d2, 0.0, out=d2)
+
+    valid = n + taus <= library.lengths[:, None]
     d2 = d2[valid]
     if not np.isfinite(d2).all():
         raise NumericalError(
-            f"unit {test.unit_id}: non-finite curve distance "
-            "(NaN or inf in a health-index curve)"
+            f"unit {test.unit_id}: non-finite curve distance (overflow)"
         )
 
     candidates = np.recarray(len(d2), dtype=CANDIDATE_DTYPE)
-    units = np.array([c.unit_id for c in library])
-    candidates.train_unit = np.broadcast_to(units[:, None], valid.shape)[valid]
+    units = library.unit_ids[:, None]
+    candidates.train_unit = np.broadcast_to(units, valid.shape)[valid]
     candidates.tau = np.broadcast_to(taus, valid.shape)[valid]
-    candidates.rul = (lengths[:, None] - n - taus)[valid]
-    sims = list(map(math.exp, (-d2 / cfg.beta).tolist()))
+    ruls = (library.lengths[:, None] - n - taus)[valid].astype(float)
+    candidates.rul = ruls
+    sims = np.exp(-d2 / cfg.beta)
     candidates.similarity = sims
     candidates.clamped = False  # full overlap keeps every rul >= 0
 
-    sum_s = math.fsum(sims)
+    sum_s = float(np.sum(sims))
     if sum_s > 0.0:
-        estimate = math.fsum((candidates.similarity * candidates.rul).tolist()) / sum_s
+        estimate = float(np.sum(sims * ruls)) / sum_s
         underflow = False
     else:
         # every similarity underflowed; fall back to the unweighted mean
-        estimate = math.fsum(candidates.rul.tolist()) / len(candidates)
+        estimate = float(np.sum(ruls)) / len(ruls)
         underflow = True
 
     return RulEstimate(
@@ -162,5 +217,6 @@ def estimate_rul(
         estimate=estimate,
         candidates=candidates,
         sum_similarity=sum_s,
+        n_candidates=len(candidates),
         similarity_underflow=underflow,
     )

@@ -18,7 +18,7 @@ from subtrack.dataset import SynthConfig, generate_synthetic
 from subtrack.evaluation import rmse, run_benchmark, run_pipeline, score
 from subtrack.health import HiCurve, smooth
 from subtrack.multiscale import track
-from subtrack.rul import MatchConfig, estimate_rul
+from subtrack.rul import MatchConfig, estimate_rul, prepare_library
 from subtrack.subspace import init_subspace, mahalanobis_rows
 
 from test_multiscale import subspace_angle
@@ -190,7 +190,9 @@ def test_criterion_7_curve_matching_oracle():
             for u in range(1, int(rng.integers(3, 8)))
         ]
         est = estimate_rul(
-            curve(0, test_sigma), [curve(u, s) for u, s in library], cfg
+            curve(0, test_sigma),
+            prepare_library([curve(u, s) for u, s in library]),
+            cfg,
         )
         expected = oracle_estimate(test_sigma, library, cfg)
         worst = max(worst, abs(est.estimate - expected))

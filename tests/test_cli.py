@@ -21,6 +21,7 @@ from subtrack.cli import (
     main,
 )
 from subtrack.config import RETIRED_FIELDS, RunConfig
+from subtrack.dataset import load_cmapss
 from subtrack.errors import ValidationError
 
 
@@ -333,6 +334,21 @@ class TestInfer:
              "--out", str(out)]
         )
 
+    def test_single_unit_infer_writes_its_fleet_row(
+        self, synth_dir, model_dir, tmp_path
+    ):
+        lines = (synth_dir / "test_synth.txt").read_text().splitlines()
+        one = tmp_path / "unit4.txt"
+        one.write_text("".join(f"{line}\n" for line in lines if line.split()[0] == "4"))
+        for data, out in ((synth_dir / "test_synth.txt", "fleet"), (one, "one")):
+            rc = main(["infer", "--model-dir", str(model_dir), "--data", str(data),
+                       "--out", str(tmp_path / out)])
+            assert rc == EXIT_OK
+        fleet = (tmp_path / "fleet" / "rul_estimates.csv").read_text().splitlines()
+        single = (tmp_path / "one" / "rul_estimates.csv").read_text().splitlines()
+        assert len(single) == 2
+        assert single[1] == next(row for row in fleet if row.startswith("4,"))
+
     def test_corrupt_model_json_rejected(self, synth_dir, model_dir, tmp_path):
         broken = tmp_path / "broken"
         shutil.copytree(model_dir, broken)
@@ -568,6 +584,37 @@ class TestBenchmark:
         # no stage tag: the config is rejected before the [train] stage runs
         assert "error: need 0 <= tau1 <= tau2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def run_with_config(self, synth_dir, out, doc):
+        config = out.with_suffix(".json")
+        config.write_text(json.dumps(doc))
+        return main(
+            ["benchmark",
+             "--train", str(synth_dir / "train_synth.txt"),
+             "--test", str(synth_dir / "test_synth.txt"),
+             "--rul", str(synth_dir / "RUL_synth.txt"),
+             "--out", str(out), "--config", str(config), "--seed", "3"]
+        )
+
+    def test_lags_past_the_longest_curve_are_not_computed(
+        self, synth_dir, tmp_path
+    ):
+        # a tau2 of 10**30 used to size the library and end in a numpy
+        # "Maximum allowed size exceeded" traceback
+        max_len = max(len(t) for t in load_cmapss(synth_dir / "train_synth.txt"))
+        for out, tau2 in (("a", 10**30), ("b", max_len)):
+            rc = self.run_with_config(synth_dir, tmp_path / out, {"tau2": tau2})
+            assert rc == EXIT_OK
+        assert (tmp_path / "a" / "rul_estimates.csv").read_bytes() == (
+            tmp_path / "b" / "rul_estimates.csv"
+        ).read_bytes()
+
+    def test_lag_range_past_every_curve_exits_2(self, synth_dir, tmp_path, capsys):
+        doc = {"tau1": 10**30, "tau2": 10**30}
+        assert self.run_with_config(synth_dir, tmp_path / "out", doc) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "no training curve long enough for any lag" in err
+        assert "Traceback" not in err
 
     def test_byte_identical_reports(self, synth_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -11,6 +11,7 @@ from subtrack.dataset import N_SETTINGS, SynthConfig, generate_synthetic
 from subtrack.errors import ValidationError
 from subtrack.evaluation import (
     build_report,
+    estimate_fleet,
     infer_curves,
     rmse,
     run_pipeline,
@@ -115,6 +116,16 @@ class TestPipeline:
         a, _, _ = run_pipeline(train, test, truths, SMALL_CFG)
         b, _, _ = run_pipeline(train, test, truths, SMALL_CFG)
         assert a.to_json() == b.to_json()
+
+    def test_estimate_fleet_repeats_bit_for_bit_without_candidate_records(self):
+        train, test, _, _ = generate_synthetic(SMALL_SYNTH)
+        pipe = train_pipeline(train, SMALL_CFG)
+        curves = infer_curves(pipe, test)
+        a, b = (estimate_fleet(pipe, curves) for _ in range(2))
+        assert [(e.estimate, e.sum_similarity, e.n_candidates) for e in a] == [
+            (e.estimate, e.sum_similarity, e.n_candidates) for e in b
+        ]
+        assert all(e.candidates is None and e.n_candidates > 0 for e in a)
 
     def test_training_sigma_near_one_in_healthy_window(self):
         train, _, _, _ = generate_synthetic(SMALL_SYNTH)
@@ -222,6 +233,7 @@ class TestReport:
                     [(1, 1, float(10 * u), 1.0, False)], dtype=CANDIDATE_DTYPE
                 ),
                 sum_similarity=1.0,
+                n_candidates=1,
             )
             for u in (1, 2)
         ]

@@ -7,10 +7,12 @@ from hypothesis import assume, given, settings, strategies as st
 from subtrack.errors import NoMatchError, NumericalError, ValidationError
 from subtrack.health import HiCurve
 from subtrack.rul import (
+    CANDIDATE_DTYPE,
     MatchConfig,
     candidate_rul,
     curve_distance,
     estimate_rul,
+    prepare_library,
     similarity,
 )
 
@@ -129,7 +131,7 @@ class TestEstimateRul:
         test = curve(1, np.full(10, 0.8))
         train = curve(2, np.full(15, 0.8))
         cfg = MatchConfig(tau1=2, tau2=2, beta=0.1)
-        est = estimate_rul(test, [train], cfg)
+        est = estimate_rul(test, prepare_library([train]), cfg)
         assert est.estimate == pytest.approx(15 - 10 - 2)
         assert len(est.candidates) == 1
 
@@ -138,7 +140,7 @@ class TestEstimateRul:
         # same curve shape, lengths chosen so candidates are 10 and 30
         lib = [curve(2, np.full(21, 0.5)), curve(3, np.full(41, 0.5))]
         cfg = MatchConfig(tau1=1, tau2=1, beta=0.1)
-        est = estimate_rul(test, lib, cfg)
+        est = estimate_rul(test, prepare_library(lib), cfg)
         assert est.estimate == pytest.approx(20.0)
 
     def test_matches_exhaustive_oracle(self):
@@ -149,7 +151,9 @@ class TestEstimateRul:
             (u, rng.uniform(0, 1, int(rng.integers(30, 80)))) for u in range(1, 6)
         ]
         est = estimate_rul(
-            curve(99, test_sigma), [curve(u, s) for u, s in library], cfg
+            curve(99, test_sigma),
+            prepare_library([curve(u, s) for u, s in library]),
+            cfg,
         )
         assert est.estimate == pytest.approx(
             oracle_estimate(test_sigma, library, cfg), abs=1e-10
@@ -160,7 +164,7 @@ class TestEstimateRul:
         cfg = MatchConfig(tau1=0, tau2=10, beta=0.01)
         est = estimate_rul(
             curve(1, rng.uniform(0, 1, 20)),
-            [curve(u, rng.uniform(0, 1, 50)) for u in range(2, 7)],
+            prepare_library([curve(u, rng.uniform(0, 1, 50)) for u in range(2, 7)]),
             cfg,
         )
         ruls = [c.rul for c in est.candidates]
@@ -171,8 +175,8 @@ class TestEstimateRul:
         cfg = MatchConfig(tau1=1, tau2=8, beta=0.05)
         test = curve(1, rng.uniform(0, 1, 15))
         lib = [curve(u, rng.uniform(0, 1, 40)) for u in range(2, 8)]
-        a = estimate_rul(test, lib, cfg)
-        b = estimate_rul(test, list(reversed(lib)), cfg)
+        a = estimate_rul(test, prepare_library(lib), cfg)
+        b = estimate_rul(test, prepare_library(list(reversed(lib))), cfg)
         assert a.estimate == b.estimate
         assert a.sum_similarity == b.sum_similarity
 
@@ -183,18 +187,20 @@ class TestEstimateRul:
         full = np.clip(np.linspace(1, 0, 120) + 0.01 * rng.standard_normal(120), 0, 1)
         prefix = full[:70]
         cfg = MatchConfig(tau1=0, tau2=40, beta=1e-6)
-        est = estimate_rul(curve(1, prefix), [curve(2, full)], cfg)
+        est = estimate_rul(curve(1, prefix), prepare_library([curve(2, full)]), cfg)
         assert abs(est.estimate - 50) <= 1.0
 
     def test_empty_library(self):
         with pytest.raises(NoMatchError):
-            estimate_rul(curve(1, np.ones(5)), [], MatchConfig())
+            estimate_rul(curve(1, np.ones(5)), prepare_library([]), MatchConfig())
 
     def test_no_overlap_anywhere(self):
         test = curve(1, np.ones(50))
         lib = [curve(2, np.ones(30))]
         with pytest.raises(NoMatchError):
-            estimate_rul(test, lib, MatchConfig(tau1=1, tau2=5, beta=0.1))
+            estimate_rul(
+                test, prepare_library(lib), MatchConfig(tau1=1, tau2=5, beta=0.1)
+            )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_curve_raises_numerical_error(self, bad):
@@ -202,17 +208,22 @@ class TestEstimateRul:
         poisoned = np.full(10, 0.5)
         poisoned[3] = bad
         with pytest.raises(NumericalError, match="unit 1"):
-            estimate_rul(curve(1, poisoned), [curve(2, np.full(30, 0.5))], cfg)
-        # the same value inside a library window
-        lib_sigma = np.full(30, 0.5)
-        lib_sigma[4] = bad
-        with pytest.raises(NumericalError, match="unit 1"):
-            estimate_rul(curve(1, np.full(10, 0.5)), [curve(2, lib_sigma)], cfg)
+            estimate_rul(
+                curve(1, poisoned), prepare_library([curve(2, np.full(30, 0.5))]), cfg
+            )
+        # the same value in a library curve, inside a lag window or outside
+        # every one: the library is rejected when built, naming its unit
+        for index in (4, 29):
+            lib_sigma = np.full(30, 0.5)
+            lib_sigma[index] = bad
+            with pytest.raises(NumericalError, match="training unit 2"):
+                prepare_library([curve(3, np.full(30, 0.5)), curve(2, lib_sigma)])
 
     def test_candidates_are_one_record_array(self):
         test = curve(1, np.full(10, 0.5))
         lib = [curve(3, np.full(13, 0.5)), curve(2, np.full(12, 0.5))]
-        est = estimate_rul(test, lib, MatchConfig(tau1=1, tau2=3, beta=0.1))
+        cfg = MatchConfig(tau1=1, tau2=3, beta=0.1)
+        est = estimate_rul(test, prepare_library(lib), cfg)
         assert isinstance(est.candidates, np.recarray)
         assert est.candidates.train_unit.tolist() == [2, 2, 3, 3, 3]
         assert est.candidates.tau.tolist() == [1, 2, 1, 2, 3]
@@ -223,7 +234,7 @@ class TestEstimateRul:
         test = curve(1, np.ones(10))
         lib = [curve(2, np.zeros(30)), curve(3, np.zeros(40))]
         cfg = MatchConfig(tau1=1, tau2=1, beta=1e-300)
-        est = estimate_rul(test, lib, cfg)
+        est = estimate_rul(test, prepare_library(lib), cfg)
         assert est.similarity_underflow
         assert est.estimate == pytest.approx((19 + 29) / 2)
 
@@ -257,7 +268,7 @@ def test_estimate_always_convex_combination(seed):
     lib = [
         curve(u, rng.uniform(0, 1, int(rng.integers(25, 60)))) for u in range(2, 6)
     ]
-    est = estimate_rul(test, lib, cfg)
+    est = estimate_rul(test, prepare_library(lib), cfg)
     ruls = [c.rul for c in est.candidates]
     assert min(ruls) - 1e-12 <= est.estimate <= max(ruls) + 1e-12
 
@@ -285,13 +296,21 @@ def match_problems(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(problem=match_problems())
-def test_estimate_bit_identical_to_scalar_reference(problem):
+def test_estimate_matches_scalar_reference(problem):
+    """The product-form distances round differently from the scalar loop:
+    the candidates and their RULs agree exactly, the similarities and what
+    is summed from them to a relative 1e-9."""
     test, library, cfg = problem
     estimate, sum_s, underflow, rows = reference_estimate(test, library, cfg)
-    est = estimate_rul(test, library, cfg)
-    assert est.estimate == estimate
-    assert est.sum_similarity == sum_s
+    est = estimate_rul(test, prepare_library(library), cfg)
+    assert est.estimate == pytest.approx(estimate, rel=1e-9, abs=0)
+    assert est.sum_similarity == pytest.approx(sum_s, rel=1e-9, abs=0)
     assert est.similarity_underflow == underflow
+    assert est.n_candidates == len(rows)
     cands = est.candidates
-    for k, name in enumerate(("train_unit", "tau", "rul", "similarity", "clamped")):
-        assert cands[name].tolist() == [r[k] for r in rows], name
+    for k, name in enumerate(CANDIDATE_DTYPE.names):
+        want = [r[k] for r in rows]
+        if name == "similarity":
+            assert cands[name].tolist() == pytest.approx(want, rel=1e-9, abs=0)
+        else:
+            assert cands[name].tolist() == want, name
