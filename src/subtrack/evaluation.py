@@ -56,7 +56,10 @@ class TrainedPipeline:
     model: MultiModel
     scaler: DistanceScaler
     regressor: HiRegressor | None
+    # empty in a pipeline read back from a model directory: matching needs
+    # only the library
     train_curves: list[HiCurve]
+    library: rul.Library  # the smoothed training curves, prepared at fit time
     error_trace: list[float]
 
 
@@ -74,6 +77,13 @@ def _analyze_fleet(model: MultiModel, unit_rows, smoothing: float) -> tuple[list
     labels) from `health.analyze_rows`, the whole fleet smoothed in one call."""
     raw, proj, reg = zip(*(health.analyze_rows(model, rows) for rows in unit_rows))
     return list(raw), health.smooth_each(raw, smoothing), list(proj), list(reg)
+
+
+def smoothed_library(curves: list[HiCurve], smoothing: float) -> rul.Library:
+    """The matching library of training curves: each sigma smoothed as the
+    test curves are, the whole library in one call."""
+    sigmas = health.smooth_each([c.sigma for c in curves], smoothing)
+    return rul.prepare_library([replace(c, sigma=s) for c, s in zip(curves, sigmas)])
 
 
 def train_pipeline(train_set: TrajectorySet, cfg: RunConfig) -> TrainedPipeline:
@@ -120,6 +130,7 @@ def train_pipeline(train_set: TrajectorySet, cfg: RunConfig) -> TrainedPipeline:
         scaler=scaler,
         regressor=regressor,
         train_curves=curves,
+        library=smoothed_library(curves, cfg.smoothing),
         error_trace=trace,
     )
 
@@ -151,8 +162,7 @@ def estimate_fleet(
     test_curves: list[HiCurve],
     skip_unmatched: bool = False,
 ) -> list[RulEstimate | None]:
-    """Match each (smoothed) test curve against the smoothed training library,
-    prepared once for the fleet.
+    """Match each (smoothed) test curve against the pipeline's library.
 
     With skip_unmatched, a curve with no valid (unit, lag) candidate yields
     None instead of raising; benchmark runs keep the hard failure. The
@@ -160,15 +170,12 @@ def estimate_fleet(
     """
     cfg = pipe.config
     match_cfg = MatchConfig(tau1=cfg.tau1, tau2=cfg.tau2, beta=cfg.beta)
-    curves = pipe.train_curves
-    sigmas = health.smooth_each([c.sigma for c in curves], cfg.smoothing)
-    library = rul.prepare_library([replace(c, sigma=s) for c, s in zip(curves, sigmas)])
     test_sigmas = health.smooth_each([c.sigma for c in test_curves], cfg.smoothing)
     estimates = []
     for curve, sigma in zip(test_curves, test_sigmas):
         smoothed = replace(curve, sigma=sigma)
         try:
-            est = rul.estimate_rul(smoothed, library, match_cfg)
+            est = rul.estimate_rul(smoothed, pipe.library, match_cfg)
         except NoMatchError:
             if not skip_unmatched:
                 raise

@@ -52,11 +52,6 @@ def cluster_regimes(settings: np.ndarray, n_clusters: int, seed: int = 0) -> np.
         raise ValidationError("settings must be a non-empty 2-d array")
     if n_clusters == 1:
         return points.mean(axis=0, keepdims=True)
-    distinct = np.unique(points, axis=0)
-    if len(distinct) < n_clusters:
-        raise ValidationError(
-            f"{len(distinct)} distinct settings vectors for {n_clusters} clusters"
-        )
 
     rng = np.random.default_rng(seed)
 
@@ -68,7 +63,15 @@ def cluster_regimes(settings: np.ndarray, n_clusters: int, seed: int = 0) -> np.
         )
         total = d2.sum()
         if total == 0:
-            # all remaining mass on already-chosen centers; pick a new distinct point
+            # all remaining mass on already-chosen centers: with fewer distinct
+            # points than clusters seeding always gets here, so they are
+            # counted here and not over every row up front
+            distinct = np.unique(points, axis=0)
+            if len(distinct) < n_clusters:
+                raise ValidationError(
+                    f"{len(distinct)} distinct settings vectors for {n_clusters} clusters"
+                )
+            # distances that underflowed to 0; pick a new distinct point
             for p in distinct:
                 if not any(np.array_equal(p, c) for c in centroids):
                     centroids.append(p)

@@ -1,10 +1,18 @@
 """On-disk formats for trained pipeline artifacts.
 
-Everything is JSON or CSV. Floats are written with repr so reading a file
-back reproduces the exact values that were written. This is the only module
-that reads or writes a model directory. Its `model.json` holds the K-model
-document, also for a single-regime (K=1) fleet; an older single-model
-document still loads, as K=1 with a zero centroid.
+Documents are JSON and curves and estimates CSV, with floats written with
+repr so reading a file back reproduces the exact values that were written.
+The matching library is stored as binary `.npy` arrays (LIBRARY_FILES),
+written with np.save and read with np.load(allow_pickle=False). This is the
+only module that reads or writes a model directory.
+
+Its `model.json` holds the K-model document, also for a single-regime (K=1)
+fleet, and carries the directory's format version. Version 2 directories
+match from the stored library and never open `train_curves.csv`, which
+stays as the human-readable export. A version 1 directory (no library
+files) still loads: its library is rebuilt from `train_curves.csv`, giving
+the same arrays bit for bit. An older single-model document still loads, as
+K=1 with a zero centroid.
 """
 
 from __future__ import annotations
@@ -23,12 +31,20 @@ from .dataset import (
     unit_blocks,
 )
 from .errors import ValidationError
-from .evaluation import TrainedPipeline
+from .evaluation import TrainedPipeline, smoothed_library
 from .health import DistanceScaler, HiCurve, HiRegressor
 from .multiscale import MultiModel
+from .rul import Library
 from .subspace import SubspaceModel
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+SUPPORTED_VERSIONS = (1, 2)
+# Library field -> (file, dtype, ndim); version 2 directories only
+LIBRARY_FILES = {
+    "padded": ("library_sigma.npy", np.dtype("<f8"), 2),
+    "unit_ids": ("library_unit_ids.npy", np.dtype("<i8"), 1),
+    "lengths": ("library_lengths.npy", np.dtype("<i8"), 1),
+}
 CURVE_CSV_HEADER = "unit_id,cycle,raw_dist,scaled_dist,sigma"
 CURVE_ROW_DTYPE = np.dtype(
     [("unit", np.int64), ("cycle", np.int64),
@@ -40,7 +56,7 @@ ESTIMATE_CSV_HEADER = (
 
 
 def _check_version(doc: dict) -> None:
-    if doc.get("version") != MODEL_FORMAT_VERSION:
+    if doc.get("version") not in SUPPORTED_VERSIONS:
         raise ValidationError(
             f"unsupported model format version {doc.get('version')!r}"
         )
@@ -133,14 +149,15 @@ def regressor_from_dict(doc: dict) -> HiRegressor:
 
 
 def write_curves_csv(curves: list[HiCurve], path: str | Path) -> None:
-    lines = [CURVE_CSV_HEADER]
-    for c in curves:
-        for i in range(len(c)):
-            lines.append(
-                f"{c.unit_id},{i + 1},{float(c.raw_dist[i])!r},"
-                f"{float(c.scaled_dist[i])!r},{float(c.sigma[i])!r}"
+    """One curve's rows at a time: the whole text of a fleet is never held."""
+    with open(path, "w") as fh:
+        fh.write(CURVE_CSV_HEADER + "\n")
+        for c in curves:
+            rows = zip(c.raw_dist.tolist(), c.scaled_dist.tolist(), c.sigma.tolist())
+            fh.writelines(
+                f"{c.unit_id},{i},{raw!r},{scaled!r},{sigma!r}\n"
+                for i, (raw, scaled, sigma) in enumerate(rows, start=1)
             )
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_curves_csv(path: str | Path) -> list[HiCurve]:
@@ -248,6 +265,8 @@ def save_pipeline(pipe: TrainedPipeline, out: str | Path) -> None:
         json.dumps(pipe.config.to_dict(), indent=2, sort_keys=True)
     )
     write_curves_csv(pipe.train_curves, out / "train_curves.csv")
+    for field, (name, _, _) in LIBRARY_FILES.items():
+        np.save(out / name, getattr(pipe.library, field), allow_pickle=False)
     trace_lines = ["epoch,mean_dist"] + [
         f"{i},{v!r}" for i, v in enumerate(pipe.error_trace)
     ]
@@ -265,21 +284,96 @@ def _read_json(path: Path, from_dict):
         raise ValidationError(f"{path}: malformed artifact: {exc!r}") from exc
 
 
+def _check_health_range(path: Path, unit_ids, sigma: np.ndarray) -> None:
+    """Reject a (n_units, n_cycles) health index outside [0, 1], nan
+    included, before any arithmetic on it can overflow."""
+    inside = (sigma >= 0.0) & (sigma <= 1.0)
+    if not inside.all():
+        row, col = np.unravel_index(np.argmin(inside), inside.shape)
+        raise ValidationError(
+            f"{path}: unit {unit_ids[row]}, cycle {col + 1}: health index "
+            f"{float(sigma[row, col])!r} outside [0, 1]"
+        )
+
+
+def _load_library_csv(path: Path, smoothing: float) -> Library:
+    """A version 1 directory's library, rebuilt from train_curves.csv."""
+    curves = read_curves_csv(path)
+    for c in curves:
+        _check_health_range(path, [c.unit_id], c.sigma[None])
+    return smoothed_library(curves, smoothing)
+
+
+def read_npy(path: Path, dtype: np.dtype, ndim: int) -> np.ndarray:
+    """One array written by np.save, never unpickled. Raises ValidationError
+    naming the file when it is missing, truncated or not an ndim-d dtype
+    array."""
+    try:
+        array = np.load(path, allow_pickle=False)
+    except FileNotFoundError:
+        raise ValidationError(f"missing artifact {path}") from None
+    except (ValueError, OSError, EOFError) as exc:
+        raise ValidationError(f"{path}: malformed artifact: {exc}") from exc
+    if not isinstance(array, np.ndarray):  # an .npz archive
+        array.close()
+        raise ValidationError(f"{path}: malformed artifact: not a .npy array")
+    if array.dtype != dtype or array.ndim != ndim:
+        raise ValidationError(
+            f"{path}: expected a {ndim}-d {dtype} array, "
+            f"got a {array.ndim}-d {array.dtype} one"
+        )
+    return array
+
+
+def _load_library(model_dir: Path) -> Library:
+    """A version 2 directory's library from its stored arrays."""
+    paths = {field: model_dir / name for field, (name, _, _) in LIBRARY_FILES.items()}
+    arrays = {
+        field: read_npy(paths[field], dtype, ndim)
+        for field, (_, dtype, ndim) in LIBRARY_FILES.items()
+    }
+    padded, unit_ids, lengths = arrays["padded"], arrays["unit_ids"], arrays["lengths"]
+    n_train, width = padded.shape
+    for field in ("unit_ids", "lengths"):
+        if len(arrays[field]) != n_train:
+            raise ValidationError(
+                f"{paths[field]}: {len(arrays[field])} entries for {n_train} curves"
+            )
+    if not (unit_ids[1:] > unit_ids[:-1]).all():
+        raise ValidationError(f"{paths['unit_ids']}: unit ids are not strictly increasing")
+    if not ((lengths >= 1) & (lengths <= width)).all():
+        raise ValidationError(
+            f"{paths['lengths']}: curve lengths must lie in [1, {width}], "
+            "the width of the padded curves"
+        )
+    _check_health_range(paths["padded"], unit_ids, padded)
+    return Library.from_padded(unit_ids, lengths, padded)
+
+
 def load_pipeline(model_dir: str | Path) -> TrainedPipeline:
-    """Read the artifacts save_pipeline wrote; the error trace is not kept."""
+    """Read the artifacts save_pipeline wrote. The error trace and the
+    training curves are not kept; the library stands in for the curves."""
     model_dir = Path(model_dir)
     for name in ("config.json", "model.json", "scaler.json", "normalizer.json"):
         if not (model_dir / name).exists():
             raise ValidationError(f"missing artifact {model_dir / name}")
+    config = _read_json(model_dir / "config.json", RunConfig.from_dict)
+    model, version = _read_json(
+        model_dir / "model.json", lambda doc: (model_from_dict(doc), doc["version"])
+    )
     reg_path = model_dir / "regressor.json"
     return TrainedPipeline(
-        config=_read_json(model_dir / "config.json", RunConfig.from_dict),
+        config=config,
         normalizer=_read_json(model_dir / "normalizer.json", normalizer_from_dict),
-        model=_read_json(model_dir / "model.json", model_from_dict),
+        model=model,
         scaler=_read_json(model_dir / "scaler.json", scaler_from_dict),
         regressor=(
             _read_json(reg_path, regressor_from_dict) if reg_path.exists() else None
         ),
-        train_curves=read_curves_csv(model_dir / "train_curves.csv"),
+        train_curves=[],
+        library=(
+            _load_library(model_dir) if version == MODEL_FORMAT_VERSION
+            else _load_library_csv(model_dir / "train_curves.csv", config.smoothing)
+        ),
         error_trace=[],
     )

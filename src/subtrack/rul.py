@@ -7,10 +7,12 @@ its weight is exp(-d2 / beta), where d2 is the mean squared pointwise
 difference of the overlap. The estimate is the similarity-weighted mean of
 all candidate RULs.
 
-prepare_library sorts the training curves by unit id once per fleet,
-zero-pads them into one (n_train, max_len) array P and keeps the prefix sums
-of P**2. estimate_rul then scores one test curve s against every (unit, lag)
-pair through the identity
+The library is built once per trained model: prepare_library sorts the
+smoothed training curves by unit id, zero-pads them into one
+(n_train, max_len) array P and keeps the prefix sums of P**2. A model
+directory stores P, the unit ids and the lengths, and Library.from_padded
+rebuilds the prefix sums from them. estimate_rul then scores one test curve
+s against every (unit, lag) pair through the identity
 
     d2 = (|s|^2 - 2 s.w + |w|^2) / n,   w = P[unit, tau : tau + n].
 
@@ -84,40 +86,51 @@ class RulEstimate:
 
 @dataclass(frozen=True)
 class Library:
-    """Training curves prepared for matching, built by prepare_library."""
+    """Smoothed training curves prepared for matching, sorted by unit id.
 
-    unit_ids: np.ndarray  # (n_train,) sorted
+    Built once at fit time (prepare_library) or from a model directory's
+    stored arrays; both go through Library.from_padded.
+    """
+
+    unit_ids: np.ndarray  # (n_train,) strictly increasing
     lengths: np.ndarray  # (n_train,)
     padded: np.ndarray  # (n_train, max_len), zero past each curve's end
     energy: np.ndarray  # (n_train, max_len + 1), energy[:, t] = sum(padded[:, :t]**2)
 
+    @classmethod
+    def from_padded(
+        cls, unit_ids: np.ndarray, lengths: np.ndarray, padded: np.ndarray
+    ) -> Library:
+        """The library of curves already sorted by unit id and zero-padded.
+
+        Raises NumericalError naming the unit when a curve holds a NaN or inf
+        anywhere, even outside every lag window.
+        """
+        finite = np.isfinite(padded).all(axis=1)
+        if not finite.all():
+            unit = unit_ids[int(np.argmin(finite))]
+            raise NumericalError(
+                f"training unit {unit}: non-finite value in its health-index curve"
+            )
+        # filled in place: no (n_train, max_len) temporary beside the result
+        energy = np.zeros((len(padded), padded.shape[1] + 1))
+        np.square(padded, out=energy[:, 1:])
+        np.cumsum(energy[:, 1:], axis=1, out=energy[:, 1:])
+        return cls(unit_ids=unit_ids, lengths=lengths, padded=padded, energy=energy)
+
 
 def prepare_library(curves: list[HiCurve]) -> Library:
-    """The library every test curve of a fleet is matched against.
+    """The library of curves in any order, their sigma used as given.
 
-    Raises NumericalError naming the unit when a curve holds a NaN or inf
-    anywhere, even outside every lag window.
+    Raises NumericalError as Library.from_padded does.
     """
     curves = sorted(curves, key=lambda c: c.unit_id)
     lengths = np.array([len(c) for c in curves], dtype=np.int64)
     padded = np.zeros((len(curves), lengths.max(initial=0)))
     for row, c in zip(padded, curves):
         row[: len(c)] = c.sigma
-    finite = np.isfinite(padded).all(axis=1)
-    if not finite.all():
-        unit = curves[int(np.argmin(finite))].unit_id
-        raise NumericalError(
-            f"training unit {unit}: non-finite value in its health-index curve"
-        )
-    # filled in place: no (n_train, max_len) temporary beside the result
-    energy = np.zeros((len(curves), padded.shape[1] + 1))
-    np.square(padded, out=energy[:, 1:])
-    np.cumsum(energy[:, 1:], axis=1, out=energy[:, 1:])
-    return Library(
-        unit_ids=np.array([c.unit_id for c in curves], dtype=np.int64),
-        lengths=lengths,
-        padded=padded,
-        energy=energy,
+    return Library.from_padded(
+        np.array([c.unit_id for c in curves], dtype=np.int64), lengths, padded
     )
 
 

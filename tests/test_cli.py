@@ -52,6 +52,17 @@ def warned_units(err, condition):
     return [int(u) for u in lines[0].rsplit(":", 1)[1].split(",")]
 
 
+def make_v1(model_dir):
+    """Turn a trained directory into the format version 1 wrote: no library
+    arrays, so the matching library is rebuilt from train_curves.csv."""
+    for name, _, _ in persist.LIBRARY_FILES.values():
+        (model_dir / name).unlink()
+    doc = json.loads((model_dir / "model.json").read_text())
+    for d in (doc, *doc["models"]):
+        d["version"] = 1
+    (model_dir / "model.json").write_text(json.dumps(doc))
+
+
 def estimate_rows(out):
     """rul_estimates.csv rows as dicts."""
     header, *rows = (out / "rul_estimates.csv").read_text().splitlines()
@@ -122,7 +133,8 @@ class TestTrain:
         )
         assert rc == EXIT_OK
         for name in ("model.json", "scaler.json", "normalizer.json",
-                     "config.json", "train_curves.csv", "error_trace.csv"):
+                     "config.json", "train_curves.csv", "error_trace.csv",
+                     *(name for name, _, _ in persist.LIBRARY_FILES.values())):
             assert (out / name).exists()
         assert not (out / "regressor.json").exists()
 
@@ -383,6 +395,7 @@ class TestInfer:
 
     @staticmethod
     def _bad_curve_token(d):
+        make_v1(d)
         lines = (d / "train_curves.csv").read_text().splitlines()
         unit, cycle, raw, scaled, _ = lines[5].split(",")
         lines[5] = ",".join([unit, cycle, raw, scaled, "x"])
@@ -421,6 +434,7 @@ class TestInfer:
     ):
         broken = tmp_path / "broken"
         shutil.copytree(model_dir, broken)
+        make_v1(broken)
         poison_line(broken / "train_curves.csv", 6, sep=",")
         assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
         assert "train_curves.csv:6: non-finite" in capsys.readouterr().err
@@ -431,6 +445,7 @@ class TestInfer:
         # rows used to load in file order, so a swap moved the estimates
         shuffled = tmp_path / "shuffled"
         shutil.copytree(model_dir, shuffled)
+        make_v1(shuffled)
         lines = (shuffled / "train_curves.csv").read_text().splitlines()
         assert lines[1].startswith("1,1,") and lines[50].startswith("1,50,")
         lines[1], lines[50] = lines[50], lines[1]
@@ -446,6 +461,7 @@ class TestInfer:
     ):
         broken = tmp_path / "broken"
         shutil.copytree(model_dir, broken)
+        make_v1(broken)
         lines = (broken / "train_curves.csv").read_text().splitlines()
         assert lines[2].startswith("1,2,")
         del lines[2]
@@ -453,6 +469,127 @@ class TestInfer:
         assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
         err = capsys.readouterr().err
         assert "train_curves.csv: unit 1 has non-contiguous cycle indices" in err
+
+    @staticmethod
+    def _truncate_library(d):
+        path = d / "library_sigma.npy"
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        return "library_sigma.npy"
+
+    @staticmethod
+    def _flatten_library(d):
+        np.save(d / "library_sigma.npy", np.load(d / "library_sigma.npy").ravel())
+        return "library_sigma.npy"
+
+    @staticmethod
+    def _float32_library(d):
+        path = d / "library_sigma.npy"
+        np.save(path, np.load(path).astype(np.float32))
+        return "library_sigma.npy"
+
+    @staticmethod
+    def _pickled_unit_ids(d):
+        path = d / "library_unit_ids.npy"
+        np.save(path, np.load(path).astype(object), allow_pickle=True)
+        return "library_unit_ids.npy"
+
+    @staticmethod
+    def _length_past_width(d):
+        path = d / "library_lengths.npy"
+        lengths = np.load(path)
+        lengths[3] = np.load(d / "library_sigma.npy").shape[1] + 1
+        np.save(path, lengths)
+        return "library_lengths.npy"
+
+    @staticmethod
+    def _swapped_unit_ids(d):
+        path = d / "library_unit_ids.npy"
+        ids = np.load(path)
+        ids[[0, 1]] = ids[[1, 0]]
+        np.save(path, ids)
+        return "library_unit_ids.npy"
+
+    @staticmethod
+    def _missing_library(d):
+        (d / "library_sigma.npy").unlink()
+        return "library_sigma.npy"
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        ["_truncate_library", "_flatten_library", "_float32_library",
+         "_pickled_unit_ids", "_length_past_width", "_swapped_unit_ids",
+         "_missing_library"],
+    )
+    def test_corrupt_library_exits_2_naming_file(
+        self, synth_dir, model_dir, tmp_path, capsys, corrupt
+    ):
+        broken = tmp_path / "broken"
+        shutil.copytree(model_dir, broken)
+        name = getattr(self, corrupt)(broken)
+        assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{broken / name}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("value", [1e200, -0.5])
+    def test_out_of_range_curve_value_exits_2_naming_file(
+        self, synth_dir, model_dir, tmp_path, capsys, version, value
+    ):
+        # a finite but huge health index used to overflow in the library's
+        # squares (numpy RuntimeWarnings, then exit 3)
+        broken = tmp_path / "broken"
+        shutil.copytree(model_dir, broken)
+        if version == 1:
+            make_v1(broken)
+            name = "train_curves.csv"
+            lines = (broken / name).read_text().splitlines()
+            unit, cycle, raw, scaled, _ = lines[5].split(",")
+            lines[5] = ",".join([unit, cycle, raw, scaled, repr(value)])
+            (broken / name).write_text("\n".join(lines) + "\n")
+        else:
+            name = "library_sigma.npy"
+            padded = np.load(broken / name)
+            padded[0, 4] = value
+            np.save(broken / name, padded)
+        assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{name}: unit 1, cycle 5: health index {value!r} outside [0, 1]" in err
+
+    @pytest.mark.parametrize("regimes, mode", [(1, "sst"), (2, "sst-lr")])
+    def test_v1_directory_infers_identically(self, tmp_path, regimes, mode):
+        data = tmp_path / "data"
+        assert main(
+            ["synth", "--out", str(data), "--units", "10", "--seed", "3",
+             "--n-regimes", str(regimes), "--min-cycles", "70",
+             "--max-cycles", "100", "--drift-rate", "0.03"]
+        ) == EXIT_OK
+        model = tmp_path / "model"
+        assert main(
+            ["train", "--train", str(data / "train_synth.txt"), "--out", str(model),
+             "--n-regimes", str(regimes), "--mode", mode] + BENCH_FLAGS
+        ) == EXIT_OK
+        legacy = tmp_path / "legacy"
+        shutil.copytree(model, legacy)
+        make_v1(legacy)
+        for d, out in ((model, "new"), (legacy, "old")):
+            assert self.infer_rc(data, d, tmp_path / out) == EXIT_OK
+        for name in ("hi_curves.csv", "rul_estimates.csv"):
+            assert (tmp_path / "old" / name).read_bytes() == (
+                tmp_path / "new" / name
+            ).read_bytes()
+
+    def test_infer_never_reads_train_curves(self, synth_dir, model_dir, tmp_path):
+        stripped = tmp_path / "stripped"
+        shutil.copytree(model_dir, stripped)
+        (stripped / "train_curves.csv").unlink()
+        for d, out in ((model_dir, "a"), (stripped, "b")):
+            assert self.infer_rc(synth_dir, d, tmp_path / out) == EXIT_OK
+        for name in ("hi_curves.csv", "rul_estimates.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (
+                tmp_path / "b" / name
+            ).read_bytes()
 
     def test_unmatched_units_listed_on_stderr(
         self, synth_dir, model_dir, tmp_path, capsys

@@ -74,6 +74,12 @@ class TestClusterRegimes:
         with pytest.raises(ValidationError):
             cluster_regimes(pts, 2, seed=0)
 
+    def test_too_few_distinct_points_counted_over_repeats(self):
+        pts = np.repeat(np.eye(3), 10, axis=0)
+        message = "3 distinct settings vectors for 4 clusters"
+        with pytest.raises(ValidationError, match=message):
+            cluster_regimes(pts, 4, seed=0)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
         pts = rng.standard_normal((100, 3))
