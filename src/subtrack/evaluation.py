@@ -165,8 +165,7 @@ def estimate_fleet(
     """Match each (smoothed) test curve against the pipeline's library.
 
     With skip_unmatched, a curve with no valid (unit, lag) candidate yields
-    None instead of raising; benchmark runs keep the hard failure. The
-    estimates keep their candidate count but not the candidate records.
+    None instead of raising; benchmark runs keep the hard failure.
     """
     cfg = pipe.config
     match_cfg = MatchConfig(tau1=cfg.tau1, tau2=cfg.tau2, beta=cfg.beta)
@@ -175,13 +174,11 @@ def estimate_fleet(
     for curve, sigma in zip(test_curves, test_sigmas):
         smoothed = replace(curve, sigma=sigma)
         try:
-            est = rul.estimate_rul(smoothed, pipe.library, match_cfg)
+            estimates.append(rul.estimate_rul(smoothed, pipe.library, match_cfg))
         except NoMatchError:
             if not skip_unmatched:
                 raise
             estimates.append(None)
-        else:
-            estimates.append(replace(est, candidates=None))
     return estimates
 
 

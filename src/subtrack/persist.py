@@ -7,12 +7,11 @@ written with np.save and read with np.load(allow_pickle=False). This is the
 only module that reads or writes a model directory.
 
 Its `model.json` holds the K-model document, also for a single-regime (K=1)
-fleet, and carries the directory's format version. Version 2 directories
-match from the stored library and never open `train_curves.csv`, which
-stays as the human-readable export. A version 1 directory (no library
-files) still loads: its library is rebuilt from `train_curves.csv`, giving
-the same arrays bit for bit. An older single-model document still loads, as
-K=1 with a zero centroid.
+fleet, and carries the directory's format version, MODEL_FORMAT_VERSION.
+Matching reads the stored library and never opens `train_curves.csv`, which
+is written only as the human-readable export. A directory of any other
+version is refused; one written with version 1 (the library kept only as
+`train_curves.csv`) is refused with a message to retrain.
 """
 
 from __future__ import annotations
@@ -23,43 +22,37 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .dataset import (
-    N_SETTINGS,
-    Normalizer,
-    first_non_finite_line,
-    read_table,
-    unit_blocks,
-)
+from .dataset import Normalizer
 from .errors import ValidationError
-from .evaluation import TrainedPipeline, smoothed_library
+from .evaluation import TrainedPipeline
 from .health import DistanceScaler, HiCurve, HiRegressor
 from .multiscale import MultiModel
 from .rul import Library
 from .subspace import SubspaceModel
 
 MODEL_FORMAT_VERSION = 2
-SUPPORTED_VERSIONS = (1, 2)
-# Library field -> (file, dtype, ndim); version 2 directories only
+# Library field -> (file, dtype, ndim)
 LIBRARY_FILES = {
     "padded": ("library_sigma.npy", np.dtype("<f8"), 2),
     "unit_ids": ("library_unit_ids.npy", np.dtype("<i8"), 1),
     "lengths": ("library_lengths.npy", np.dtype("<i8"), 1),
 }
 CURVE_CSV_HEADER = "unit_id,cycle,raw_dist,scaled_dist,sigma"
-CURVE_ROW_DTYPE = np.dtype(
-    [("unit", np.int64), ("cycle", np.int64),
-     ("raw", np.float64), ("scaled", np.float64), ("sigma", np.float64)]
-)
 ESTIMATE_CSV_HEADER = (
     "unit_id,estimated_rul,true_rul,error,n_candidates,sum_similarity"
 )
 
 
 def _check_version(doc: dict) -> None:
-    if doc.get("version") not in SUPPORTED_VERSIONS:
+    """Accept exactly the int MODEL_FORMAT_VERSION: not True, 2.0 or "2"."""
+    version = doc.get("version")
+    if type(version) is int and version == MODEL_FORMAT_VERSION:
+        return
+    if type(version) is int and version == 1:
         raise ValidationError(
-            f"unsupported model format version {doc.get('version')!r}"
+            "model format version 1 is no longer read; retrain with 'subtrack train'"
         )
+    raise ValidationError(f"unsupported model format version {version!r}")
 
 
 def subspace_to_dict(model: SubspaceModel) -> dict:
@@ -101,11 +94,6 @@ def model_to_dict(mm: MultiModel) -> dict:
 
 def model_from_dict(doc: dict) -> MultiModel:
     _check_version(doc)
-    if "models" not in doc:
-        # single-model document written before K=1 became a K-model
-        return MultiModel(
-            models=[subspace_from_dict(doc)], centroids=np.zeros((1, N_SETTINGS))
-        )
     mm = MultiModel(
         models=[subspace_from_dict(m) for m in doc["models"]],
         centroids=np.array(doc["centroids"], dtype=float),
@@ -158,80 +146,6 @@ def write_curves_csv(curves: list[HiCurve], path: str | Path) -> None:
                 f"{c.unit_id},{i},{raw!r},{scaled!r},{sigma!r}\n"
                 for i, (raw, scaled, sigma) in enumerate(rows, start=1)
             )
-
-
-def read_curves_csv(path: str | Path) -> list[HiCurve]:
-    """Curves in unit order, each unit's rows in cycle order.
-
-    Raises ValidationError naming the file and line on a malformed row or a
-    non-finite value, and naming the unit when its cycles are not 1..L. As in
-    dataset.load_cmapss, one numpy call parses the file, and the line parser
-    decides whenever that parse or a check on its result fails.
-    """
-    curves = _read_curves_bulk(path)
-    return curves if curves is not None else _read_curves_lines(path)
-
-
-def _read_curves_bulk(path: str | Path) -> list[HiCurve] | None:
-    """The curves from one numpy parse, or None when the line parser must
-    decide. The id columns parse as integers, so numpy takes no id that
-    int() rejects, such as 1.0."""
-    with open(path) as fh:
-        if fh.readline().rstrip("\n") != CURVE_CSV_HEADER:
-            return None
-        table = read_table(fh, delimiter=",", dtype=CURVE_ROW_DTYPE, ndmin=1)
-    if table is None:
-        return None
-    blocks = unit_blocks(table["unit"], table["cycle"])
-    if blocks is None:
-        return None
-    order, bounds = blocks
-    raw, scaled, sigma = (table[name][order] for name in ("raw", "scaled", "sigma"))
-    if not all(np.isfinite(a).all() for a in (raw, scaled, sigma)):
-        return None
-    return [
-        HiCurve(
-            unit_id=unit, sigma=sigma[a:b], raw_dist=raw[a:b], scaled_dist=scaled[a:b]
-        )
-        for unit, a, b in bounds
-    ]
-
-
-def _read_curves_lines(path: str | Path) -> list[HiCurve]:
-    """Line-by-line parse; the reference for what read_curves_csv accepts
-    and for every message it raises."""
-    by_unit: dict[int, list[tuple[int, float, float, float]]] = {}
-    with open(path) as fh:
-        if fh.readline().rstrip("\n") != CURVE_CSV_HEADER:
-            raise ValidationError(f"{path}: not a health-index curve CSV")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                unit, cycle, raw, scaled, sigma = line.split(",")
-                by_unit.setdefault(int(unit), []).append(
-                    (int(cycle), float(raw), float(scaled), float(sigma))
-                )
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    curves = []
-    for unit in sorted(by_unit):
-        rows = sorted(by_unit[unit], key=lambda r: r[0])
-        if [r[0] for r in rows] != list(range(1, len(rows) + 1)):
-            raise ValidationError(
-                f"{path}: unit {unit} has non-contiguous cycle indices"
-            )
-        raw, scaled, sigma = (np.array([r[k] for r in rows]) for k in (1, 2, 3))
-        if not all(np.isfinite(a).all() for a in (raw, scaled, sigma)):
-            with open(path) as fh:
-                next(fh)
-                lineno = first_non_finite_line(fh, ",", start=2)
-            raise ValidationError(f"{path}:{lineno}: non-finite value (nan or inf)")
-        curves.append(
-            HiCurve(unit_id=unit, sigma=sigma, raw_dist=raw, scaled_dist=scaled)
-        )
-    return curves
 
 
 def write_estimates_csv(estimates, truths, path: str | Path, unit_ids=None) -> None:
@@ -296,14 +210,6 @@ def _check_health_range(path: Path, unit_ids, sigma: np.ndarray) -> None:
         )
 
 
-def _load_library_csv(path: Path, smoothing: float) -> Library:
-    """A version 1 directory's library, rebuilt from train_curves.csv."""
-    curves = read_curves_csv(path)
-    for c in curves:
-        _check_health_range(path, [c.unit_id], c.sigma[None])
-    return smoothed_library(curves, smoothing)
-
-
 def read_npy(path: Path, dtype: np.dtype, ndim: int) -> np.ndarray:
     """One array written by np.save, never unpickled. Raises ValidationError
     naming the file when it is missing, truncated or not an ndim-d dtype
@@ -326,7 +232,7 @@ def read_npy(path: Path, dtype: np.dtype, ndim: int) -> np.ndarray:
 
 
 def _load_library(model_dir: Path) -> Library:
-    """A version 2 directory's library from its stored arrays."""
+    """The directory's library from its stored arrays."""
     paths = {field: model_dir / name for field, (name, _, _) in LIBRARY_FILES.items()}
     arrays = {
         field: read_npy(paths[field], dtype, ndim)
@@ -358,9 +264,9 @@ def load_pipeline(model_dir: str | Path) -> TrainedPipeline:
         if not (model_dir / name).exists():
             raise ValidationError(f"missing artifact {model_dir / name}")
     config = _read_json(model_dir / "config.json", RunConfig.from_dict)
-    model, version = _read_json(
-        model_dir / "model.json", lambda doc: (model_from_dict(doc), doc["version"])
-    )
+    # read before the library files: an old directory gets the version
+    # message, not a missing .npy
+    model = _read_json(model_dir / "model.json", model_from_dict)
     reg_path = model_dir / "regressor.json"
     return TrainedPipeline(
         config=config,
@@ -371,9 +277,6 @@ def load_pipeline(model_dir: str | Path) -> TrainedPipeline:
             _read_json(reg_path, regressor_from_dict) if reg_path.exists() else None
         ),
         train_curves=[],
-        library=(
-            _load_library(model_dir) if version == MODEL_FORMAT_VERSION
-            else _load_library_csv(model_dir / "train_curves.csv", config.smoothing)
-        ),
+        library=_load_library(model_dir),
         error_trace=[],
     )

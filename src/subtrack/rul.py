@@ -24,21 +24,20 @@ clipped at 0. Lags past max_len - n never have full overlap and are not
 computed, so a huge tau2 costs nothing.
 
 The identity rounds differently from the direct mean of squared
-differences (curve_distance, the scalar reference): estimates, similarities
-and their sums agree with the per-candidate scalar loop to a relative 1e-9;
-the candidate set, their RULs and the underflow flag agree exactly. Results
-are deterministic on a given machine and BLAS build, and do not depend on
-library order, but are not bitwise equal across machines or BLAS builds.
+differences in the per-candidate scalar loop that tests/test_rul.py keeps
+as the reference: estimates, similarities and their sums agree with it to
+a relative 1e-9; the candidate set, their RULs and the underflow flag agree
+exactly. Results are deterministic on a given machine and BLAS build, and
+do not depend on library order, but are not bitwise equal across machines
+or BLAS builds.
 
-An estimate's candidates are one record array in (unit, lag) order with the
-fields train_unit, tau, rul, similarity and clamped. clamped (a negative
-candidate RUL set to 0) is never True: full overlap already implies
-L - n - tau >= 0. The field is kept because trace tooling counts it.
+An estimate keeps the number of candidates, their similarity sum and
+whether every similarity underflowed, not the candidates themselves. Full
+overlap already implies L - n - tau >= 0, so no candidate RUL needs a clamp.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,24 +60,10 @@ class MatchConfig:
             raise ValidationError("beta must be positive")
 
 
-CANDIDATE_DTYPE = np.dtype(
-    [
-        ("train_unit", np.int64),
-        ("tau", np.int64),
-        ("rul", np.float64),
-        ("similarity", np.float64),
-        ("clamped", np.bool_),
-    ]
-)
-
-
 @dataclass(frozen=True)
 class RulEstimate:
     unit_id: int
     estimate: float
-    # CANDIDATE_DTYPE, one row per (unit, lag); None where a fleet run
-    # dropped the records and kept only their count
-    candidates: np.recarray | None
     sum_similarity: float
     n_candidates: int
     similarity_underflow: bool = False
@@ -134,44 +119,15 @@ def prepare_library(curves: list[HiCurve]) -> Library:
     )
 
 
-def curve_distance(test: np.ndarray, train: np.ndarray, tau: int) -> float | None:
-    """Mean squared pointwise difference with the test curve shifted by tau.
+def _candidates(
+    test: HiCurve, library: Library, cfg: MatchConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score the test curve against every (library unit, lag) pair.
 
-    Returns None when the training curve is too short for full overlap;
-    the caller skips that candidate.
-    """
-    test = np.asarray(test, dtype=float)
-    train = np.asarray(train, dtype=float)
-    n = len(test)
-    if n + tau > len(train):
-        return None
-    return float(np.mean((test - train[tau : tau + n]) ** 2))
-
-
-def similarity(d2: float, beta: float) -> float:
-    """exp(-d2 / beta); 1 at a perfect match, decaying with curve distance."""
-    if d2 < 0:
-        raise ValidationError("squared distance must be >= 0")
-    if not beta > 0:
-        raise ValidationError("beta must be positive")
-    return math.exp(-d2 / beta)
-
-
-def candidate_rul(train_len: int, test_len: int, tau: int) -> tuple[float, bool]:
-    """Candidate RUL for one alignment; negative values clamp to 0 (flagged)."""
-    raw = train_len - test_len - tau
-    if raw < 0:
-        return 0.0, True
-    return float(raw), False
-
-
-def estimate_rul(test: HiCurve, library: Library, cfg: MatchConfig) -> RulEstimate:
-    """Similarity-weighted combination of candidate RULs over all library
-    curves and lags in [tau1, tau2].
-
-    Raises NoMatchError when no pair has full overlap and NumericalError when
-    the test curve is not finite, or a distance overflows, which would
-    otherwise pass for similarity underflow.
+    Returns (valid, ruls, sims): valid is the (n_train, n_lags) full-overlap
+    mask over the library's units and the lags tau1, tau1 + 1, ...; ruls and
+    sims hold the RUL and similarity of each valid pair in (unit, lag) order.
+    Raises as estimate_rul does.
     """
     sig = np.asarray(test.sigma, dtype=float)
     n = len(sig)
@@ -205,17 +161,19 @@ def estimate_rul(test: HiCurve, library: Library, cfg: MatchConfig) -> RulEstima
         raise NumericalError(
             f"unit {test.unit_id}: non-finite curve distance (overflow)"
         )
-
-    candidates = np.recarray(len(d2), dtype=CANDIDATE_DTYPE)
-    units = library.unit_ids[:, None]
-    candidates.train_unit = np.broadcast_to(units, valid.shape)[valid]
-    candidates.tau = np.broadcast_to(taus, valid.shape)[valid]
     ruls = (library.lengths[:, None] - n - taus)[valid].astype(float)
-    candidates.rul = ruls
-    sims = np.exp(-d2 / cfg.beta)
-    candidates.similarity = sims
-    candidates.clamped = False  # full overlap keeps every rul >= 0
+    return valid, ruls, np.exp(-d2 / cfg.beta)
 
+
+def estimate_rul(test: HiCurve, library: Library, cfg: MatchConfig) -> RulEstimate:
+    """Similarity-weighted combination of candidate RULs over all library
+    curves and lags in [tau1, tau2].
+
+    Raises NoMatchError when no pair has full overlap and NumericalError when
+    the test curve is not finite, or a distance overflows, which would
+    otherwise pass for similarity underflow.
+    """
+    _, ruls, sims = _candidates(test, library, cfg)
     sum_s = float(np.sum(sims))
     if sum_s > 0.0:
         estimate = float(np.sum(sims * ruls)) / sum_s
@@ -228,8 +186,7 @@ def estimate_rul(test: HiCurve, library: Library, cfg: MatchConfig) -> RulEstima
     return RulEstimate(
         unit_id=test.unit_id,
         estimate=estimate,
-        candidates=candidates,
         sum_similarity=sum_s,
-        n_candidates=len(candidates),
+        n_candidates=len(ruls),
         similarity_underflow=underflow,
     )

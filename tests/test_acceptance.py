@@ -18,7 +18,7 @@ from subtrack.dataset import SynthConfig, generate_synthetic
 from subtrack.evaluation import rmse, run_benchmark, run_pipeline, score
 from subtrack.health import HiCurve, smooth
 from subtrack.multiscale import track
-from subtrack.rul import MatchConfig, estimate_rul, prepare_library
+from subtrack.rul import MatchConfig, _candidates, estimate_rul, prepare_library
 from subtrack.subspace import init_subspace, mahalanobis_rows
 
 from test_multiscale import subspace_angle
@@ -189,15 +189,12 @@ def test_criterion_7_curve_matching_oracle():
             (u, rng.uniform(0, 1, int(rng.integers(40, 90))))
             for u in range(1, int(rng.integers(3, 8)))
         ]
-        est = estimate_rul(
-            curve(0, test_sigma),
-            prepare_library([curve(u, s) for u, s in library]),
-            cfg,
-        )
+        lib = prepare_library([curve(u, s) for u, s in library])
+        est = estimate_rul(curve(0, test_sigma), lib, cfg)
         expected = oracle_estimate(test_sigma, library, cfg)
         worst = max(worst, abs(est.estimate - expected))
-        ruls = [c.rul for c in est.candidates]
-        if not min(ruls) <= est.estimate <= max(ruls):
+        _, ruls, _ = _candidates(curve(0, test_sigma), lib, cfg)
+        if not ruls.min() <= est.estimate <= ruls.max():
             convexity_violations += 1
     report(
         "7 similarity-weighted estimate matches exhaustive oracle (100 fleets)",

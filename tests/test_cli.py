@@ -36,12 +36,12 @@ def run_fresh_interpreter(code):
     )
 
 
-def poison_line(path, lineno, sep=None):
+def poison_line(path, lineno):
     """Replace the last field of a 1-based line with nan."""
     lines = path.read_text().splitlines()
-    fields_ = lines[lineno - 1].split(sep)
+    fields_ = lines[lineno - 1].split()
     fields_[-1] = "nan"
-    lines[lineno - 1] = (sep or " ").join(fields_)
+    lines[lineno - 1] = " ".join(fields_)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -50,17 +50,6 @@ def warned_units(err, condition):
     lines = [line for line in err.splitlines() if condition in line]
     assert len(lines) == 1, err
     return [int(u) for u in lines[0].rsplit(":", 1)[1].split(",")]
-
-
-def make_v1(model_dir):
-    """Turn a trained directory into the format version 1 wrote: no library
-    arrays, so the matching library is rebuilt from train_curves.csv."""
-    for name, _, _ in persist.LIBRARY_FILES.values():
-        (model_dir / name).unlink()
-    doc = json.loads((model_dir / "model.json").read_text())
-    for d in (doc, *doc["models"]):
-        d["version"] = 1
-    (model_dir / "model.json").write_text(json.dumps(doc))
 
 
 def estimate_rows(out):
@@ -84,6 +73,7 @@ def synth_dir(tmp_path_factory):
 
 
 BENCH_FLAGS = ["--tau2", "20", "--seed", "3"]
+RETRAIN = "model format version 1 is no longer read; retrain with 'subtrack train'"
 
 
 class TestSynth:
@@ -368,7 +358,7 @@ class TestInfer:
         doc["models"][0]["lambdas"][0] = -3.0
         (broken / "model.json").write_text(json.dumps(doc))
         assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
-        # the same fault in a legacy single-model document
+        # a member document alone is not a K-model document
         (broken / "model.json").write_text(json.dumps(doc["models"][0]))
         assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
 
@@ -379,6 +369,56 @@ class TestInfer:
         doc["version"] = 42
         (broken / "model.json").write_text(json.dumps(doc))
         assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
+
+    @pytest.mark.parametrize("where", ["top", "member"])
+    @pytest.mark.parametrize(
+        "version, message",
+        [
+            (True, "unsupported model format version True"),
+            (2.0, "unsupported model format version 2.0"),
+            ("2", "unsupported model format version '2'"),
+            (3, "unsupported model format version 3"),
+            (1, RETRAIN),
+        ],
+        ids=["true", "2.0", "str-2", "3", "1"],
+    )
+    def test_unsupported_version_exits_2_naming_model_json(
+        self, synth_dir, model_dir, tmp_path, capsys, version, message, where
+    ):
+        # without library files, as version 1 wrote a directory: the version
+        # is refused before any of them is looked for
+        broken = tmp_path / "broken"
+        shutil.copytree(model_dir, broken)
+        for name, _, _ in persist.LIBRARY_FILES.values():
+            (broken / name).unlink()
+        doc = json.loads((broken / "model.json").read_text())
+        (doc if where == "top" else doc["models"][0])["version"] = version
+        (broken / "model.json").write_text(json.dumps(doc))
+        assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{broken / 'model.json'}: {message}" in err
+        assert "Traceback" not in err
+
+    def test_single_model_document_exits_2_with_retrain_message(
+        self, synth_dir, model_dir, tmp_path, capsys
+    ):
+        member = json.loads((model_dir / "model.json").read_text())["models"][0]
+        legacy = tmp_path / "legacy"
+        shutil.copytree(model_dir, legacy)
+        # the documented keys of a version 1 single-model model.json
+        (legacy / "model.json").write_text(json.dumps({
+            "version": 1,
+            "D": member["D"],
+            "d": member["d"],
+            "delta": member["delta"],
+            "c": member["c"],
+            "lambdas": member["lambdas"],
+            "U1": member["U1"],
+        }))
+        assert self.infer_rc(synth_dir, legacy, tmp_path / "out") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{legacy / 'model.json'}: {RETRAIN}" in err
+        assert "Traceback" not in err
 
     @staticmethod
     def _truncate_model(d):
@@ -393,17 +433,8 @@ class TestInfer:
         (d / "model.json").write_text(json.dumps(doc))
         return "model.json"
 
-    @staticmethod
-    def _bad_curve_token(d):
-        make_v1(d)
-        lines = (d / "train_curves.csv").read_text().splitlines()
-        unit, cycle, raw, scaled, _ = lines[5].split(",")
-        lines[5] = ",".join([unit, cycle, raw, scaled, "x"])
-        (d / "train_curves.csv").write_text("\n".join(lines) + "\n")
-        return "train_curves.csv"
-
     @pytest.mark.parametrize(
-        "corrupt", ["_truncate_model", "_shorten_basis_column", "_bad_curve_token"]
+        "corrupt", ["_truncate_model", "_shorten_basis_column"]
     )
     def test_corrupt_artifact_exits_2_naming_file(
         self, synth_dir, model_dir, tmp_path, capsys, corrupt
@@ -428,47 +459,6 @@ class TestInfer:
         )
         assert rc == EXIT_DATA
         assert f"{data}:6: non-finite" in capsys.readouterr().err
-
-    def test_non_finite_train_curve_exits_2_naming_line(
-        self, synth_dir, model_dir, tmp_path, capsys
-    ):
-        broken = tmp_path / "broken"
-        shutil.copytree(model_dir, broken)
-        make_v1(broken)
-        poison_line(broken / "train_curves.csv", 6, sep=",")
-        assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
-        assert "train_curves.csv:6: non-finite" in capsys.readouterr().err
-
-    def test_shuffled_curve_rows_infer_identically(
-        self, synth_dir, model_dir, tmp_path
-    ):
-        # rows used to load in file order, so a swap moved the estimates
-        shuffled = tmp_path / "shuffled"
-        shutil.copytree(model_dir, shuffled)
-        make_v1(shuffled)
-        lines = (shuffled / "train_curves.csv").read_text().splitlines()
-        assert lines[1].startswith("1,1,") and lines[50].startswith("1,50,")
-        lines[1], lines[50] = lines[50], lines[1]
-        (shuffled / "train_curves.csv").write_text("\n".join(lines) + "\n")
-        assert self.infer_rc(synth_dir, model_dir, tmp_path / "a") == EXIT_OK
-        assert self.infer_rc(synth_dir, shuffled, tmp_path / "b") == EXIT_OK
-        assert (tmp_path / "a" / "rul_estimates.csv").read_bytes() == (
-            tmp_path / "b" / "rul_estimates.csv"
-        ).read_bytes()
-
-    def test_curve_cycle_gap_exits_2_naming_unit(
-        self, synth_dir, model_dir, tmp_path, capsys
-    ):
-        broken = tmp_path / "broken"
-        shutil.copytree(model_dir, broken)
-        make_v1(broken)
-        lines = (broken / "train_curves.csv").read_text().splitlines()
-        assert lines[2].startswith("1,2,")
-        del lines[2]
-        (broken / "train_curves.csv").write_text("\n".join(lines) + "\n")
-        assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
-        err = capsys.readouterr().err
-        assert "train_curves.csv: unit 1 has non-contiguous cycle indices" in err
 
     @staticmethod
     def _truncate_library(d):
@@ -532,53 +522,21 @@ class TestInfer:
         assert f"{broken / name}" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("value", [1e200, -0.5])
     def test_out_of_range_curve_value_exits_2_naming_file(
-        self, synth_dir, model_dir, tmp_path, capsys, version, value
+        self, synth_dir, model_dir, tmp_path, capsys, value
     ):
         # a finite but huge health index used to overflow in the library's
         # squares (numpy RuntimeWarnings, then exit 3)
         broken = tmp_path / "broken"
         shutil.copytree(model_dir, broken)
-        if version == 1:
-            make_v1(broken)
-            name = "train_curves.csv"
-            lines = (broken / name).read_text().splitlines()
-            unit, cycle, raw, scaled, _ = lines[5].split(",")
-            lines[5] = ",".join([unit, cycle, raw, scaled, repr(value)])
-            (broken / name).write_text("\n".join(lines) + "\n")
-        else:
-            name = "library_sigma.npy"
-            padded = np.load(broken / name)
-            padded[0, 4] = value
-            np.save(broken / name, padded)
+        name = "library_sigma.npy"
+        padded = np.load(broken / name)
+        padded[0, 4] = value
+        np.save(broken / name, padded)
         assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
         err = capsys.readouterr().err
         assert f"{name}: unit 1, cycle 5: health index {value!r} outside [0, 1]" in err
-
-    @pytest.mark.parametrize("regimes, mode", [(1, "sst"), (2, "sst-lr")])
-    def test_v1_directory_infers_identically(self, tmp_path, regimes, mode):
-        data = tmp_path / "data"
-        assert main(
-            ["synth", "--out", str(data), "--units", "10", "--seed", "3",
-             "--n-regimes", str(regimes), "--min-cycles", "70",
-             "--max-cycles", "100", "--drift-rate", "0.03"]
-        ) == EXIT_OK
-        model = tmp_path / "model"
-        assert main(
-            ["train", "--train", str(data / "train_synth.txt"), "--out", str(model),
-             "--n-regimes", str(regimes), "--mode", mode] + BENCH_FLAGS
-        ) == EXIT_OK
-        legacy = tmp_path / "legacy"
-        shutil.copytree(model, legacy)
-        make_v1(legacy)
-        for d, out in ((model, "new"), (legacy, "old")):
-            assert self.infer_rc(data, d, tmp_path / out) == EXIT_OK
-        for name in ("hi_curves.csv", "rul_estimates.csv"):
-            assert (tmp_path / "old" / name).read_bytes() == (
-                tmp_path / "new" / name
-            ).read_bytes()
 
     def test_infer_never_reads_train_curves(self, synth_dir, model_dir, tmp_path):
         stripped = tmp_path / "stripped"
@@ -624,31 +582,6 @@ class TestInfer:
         err = capsys.readouterr().err
         assert warned_units(err, "every similarity underflowed") == underflowed
         assert "no valid match" not in err
-
-    def test_v1_single_model_document_infers_identically(
-        self, synth_dir, model_dir, tmp_path
-    ):
-        member = json.loads((model_dir / "model.json").read_text())["models"][0]
-        legacy = tmp_path / "legacy"
-        shutil.copytree(model_dir, legacy)
-        # the documented keys of a v1 single-model model.json
-        (legacy / "model.json").write_text(json.dumps({
-            "version": 1,
-            "D": member["D"],
-            "d": member["d"],
-            "delta": member["delta"],
-            "c": member["c"],
-            "lambdas": member["lambdas"],
-            "U1": member["U1"],
-        }))
-        assert persist.load_pipeline(legacy).model.n_regimes == 1
-
-        assert self.infer_rc(synth_dir, model_dir, tmp_path / "new") == EXIT_OK
-        assert self.infer_rc(synth_dir, legacy, tmp_path / "old") == EXIT_OK
-        for name in ("hi_curves.csv", "rul_estimates.csv"):
-            assert (tmp_path / "old" / name).read_bytes() == (
-                tmp_path / "new" / name
-            ).read_bytes()
 
     def test_config_with_trainer_keys_infers_identically(
         self, synth_dir, model_dir, tmp_path

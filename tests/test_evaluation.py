@@ -125,7 +125,7 @@ class TestPipeline:
         assert [(e.estimate, e.sum_similarity, e.n_candidates) for e in a] == [
             (e.estimate, e.sum_similarity, e.n_candidates) for e in b
         ]
-        assert all(e.candidates is None and e.n_candidates > 0 for e in a)
+        assert all(e.n_candidates > 0 for e in a)
 
     def test_training_sigma_near_one_in_healthy_window(self):
         train, _, _, _ = generate_synthetic(SMALL_SYNTH)
@@ -223,17 +223,11 @@ class TestBatchTraining:
 
 class TestReport:
     def test_row_and_metric_consistency(self):
-        from subtrack.rul import CANDIDATE_DTYPE, RulEstimate
+        from subtrack.rul import RulEstimate
 
         ests = [
             RulEstimate(
-                unit_id=u,
-                estimate=float(10 * u),
-                candidates=np.rec.array(
-                    [(1, 1, float(10 * u), 1.0, False)], dtype=CANDIDATE_DTYPE
-                ),
-                sum_similarity=1.0,
-                n_candidates=1,
+                unit_id=u, estimate=float(10 * u), sum_similarity=1.0, n_candidates=1
             )
             for u in (1, 2)
         ]

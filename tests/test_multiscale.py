@@ -230,11 +230,3 @@ class TestSerialization:
         doc["K"] = 3
         with pytest.raises(ValidationError):
             persist.model_from_dict(doc)
-
-    def test_single_model_document_loads_as_k1(self):
-        model = random_model(np.random.default_rng(13), 7, 3)
-        back = persist.model_from_dict(persist.subspace_to_dict(model))
-        assert back.n_regimes == 1
-        np.testing.assert_array_equal(back.centroids, np.zeros((1, 3)))
-        np.testing.assert_array_equal(back.models[0].basis, model.basis)
-        np.testing.assert_array_equal(back.models[0].spreads, model.spreads)

@@ -6,15 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from subtrack.errors import NoMatchError, NumericalError, ValidationError
 from subtrack.health import HiCurve
-from subtrack.rul import (
-    CANDIDATE_DTYPE,
-    MatchConfig,
-    candidate_rul,
-    curve_distance,
-    estimate_rul,
-    prepare_library,
-    similarity,
-)
+from subtrack.rul import MatchConfig, _candidates, estimate_rul, prepare_library
 
 
 def curve(unit_id, sigma):
@@ -25,6 +17,38 @@ def curve(unit_id, sigma):
         raw_dist=np.zeros_like(sigma),
         scaled_dist=np.zeros_like(sigma),
     )
+
+
+# ---------------------------------------------------------------------------
+# the scalar reference: one candidate at a time
+
+
+def curve_distance(test: np.ndarray, train: np.ndarray, tau: int) -> float | None:
+    """Mean squared pointwise difference with the test curve shifted by tau.
+
+    Returns None when the training curve is too short for full overlap;
+    the caller skips that candidate.
+    """
+    test = np.asarray(test, dtype=float)
+    train = np.asarray(train, dtype=float)
+    n = len(test)
+    if n + tau > len(train):
+        return None
+    return float(np.mean((test - train[tau : tau + n]) ** 2))
+
+
+def similarity(d2: float, beta: float) -> float:
+    """exp(-d2 / beta); 1 at a perfect match, decaying with curve distance."""
+    if d2 < 0:
+        raise ValidationError("squared distance must be >= 0")
+    if not beta > 0:
+        raise ValidationError("beta must be positive")
+    return math.exp(-d2 / beta)
+
+
+def candidate_rul(train_len: int, test_len: int, tau: int) -> float:
+    """Candidate RUL for one alignment, L - n - tau, clamped at 0."""
+    return float(max(0, train_len - test_len - tau))
 
 
 def oracle_estimate(test_sigma, library, cfg):
@@ -48,11 +72,11 @@ def oracle_estimate(test_sigma, library, cfg):
 
 
 def reference_estimate(test, library, cfg):
-    """The per-candidate scalar loop estimate_rul replaces: the module's
-    scalar helpers in (unit, lag) order, summed with math.fsum.
+    """The per-candidate scalar loop estimate_rul replaces: the scalar
+    helpers above in (unit, lag) order, summed with math.fsum.
 
     Returns (estimate, sum_similarity, underflow, candidate rows), each row
-    (train_unit, tau, rul, similarity, clamped).
+    (train_unit, tau, rul, similarity).
     """
     rows = []
     for train in sorted(library, key=lambda c: c.unit_id):
@@ -60,8 +84,8 @@ def reference_estimate(test, library, cfg):
             d2 = curve_distance(test.sigma, train.sigma, tau)
             if d2 is None:
                 continue
-            rul, clamped = candidate_rul(len(train), len(test), tau)
-            rows.append((train.unit_id, tau, rul, similarity(d2, cfg.beta), clamped))
+            rul = candidate_rul(len(train), len(test), tau)
+            rows.append((train.unit_id, tau, rul, similarity(d2, cfg.beta)))
     sum_s = math.fsum(r[3] for r in rows)
     if sum_s > 0.0:
         return math.fsum(r[3] * r[2] for r in rows) / sum_s, sum_s, False, rows
@@ -117,13 +141,13 @@ class TestSimilarity:
 
 class TestCandidateRul:
     def test_direct_formula(self):
-        assert candidate_rul(200, 150, 10) == (40.0, False)
+        assert candidate_rul(200, 150, 10) == 40.0
 
     def test_boundary_zero(self):
-        assert candidate_rul(200, 200, 0) == (0.0, False)
+        assert candidate_rul(200, 200, 0) == 0.0
 
-    def test_negative_clamped_and_flagged(self):
-        assert candidate_rul(160, 150, 20) == (0.0, True)
+    def test_negative_clamps_to_zero(self):
+        assert candidate_rul(160, 150, 20) == 0.0
 
 
 class TestEstimateRul:
@@ -133,7 +157,7 @@ class TestEstimateRul:
         cfg = MatchConfig(tau1=2, tau2=2, beta=0.1)
         est = estimate_rul(test, prepare_library([train]), cfg)
         assert est.estimate == pytest.approx(15 - 10 - 2)
-        assert len(est.candidates) == 1
+        assert est.n_candidates == 1
 
     def test_equal_similarity_symmetry(self):
         test = curve(1, np.full(10, 0.5))
@@ -162,13 +186,11 @@ class TestEstimateRul:
     def test_convexity(self):
         rng = np.random.default_rng(2)
         cfg = MatchConfig(tau1=0, tau2=10, beta=0.01)
-        est = estimate_rul(
-            curve(1, rng.uniform(0, 1, 20)),
-            prepare_library([curve(u, rng.uniform(0, 1, 50)) for u in range(2, 7)]),
-            cfg,
-        )
-        ruls = [c.rul for c in est.candidates]
-        assert min(ruls) <= est.estimate <= max(ruls)
+        test = curve(1, rng.uniform(0, 1, 20))
+        lib = prepare_library([curve(u, rng.uniform(0, 1, 50)) for u in range(2, 7)])
+        est = estimate_rul(test, lib, cfg)
+        _, ruls, _ = _candidates(test, lib, cfg)
+        assert ruls.min() <= est.estimate <= ruls.max()
 
     def test_library_order_invariance(self):
         rng = np.random.default_rng(3)
@@ -219,16 +241,17 @@ class TestEstimateRul:
             with pytest.raises(NumericalError, match="training unit 2"):
                 prepare_library([curve(3, np.full(30, 0.5)), curve(2, lib_sigma)])
 
-    def test_candidates_are_one_record_array(self):
+    def test_candidates_in_unit_lag_order(self):
         test = curve(1, np.full(10, 0.5))
-        lib = [curve(3, np.full(13, 0.5)), curve(2, np.full(12, 0.5))]
+        lib = prepare_library([curve(3, np.full(13, 0.5)), curve(2, np.full(12, 0.5))])
         cfg = MatchConfig(tau1=1, tau2=3, beta=0.1)
-        est = estimate_rul(test, prepare_library(lib), cfg)
-        assert isinstance(est.candidates, np.recarray)
-        assert est.candidates.train_unit.tolist() == [2, 2, 3, 3, 3]
-        assert est.candidates.tau.tolist() == [1, 2, 1, 2, 3]
-        assert est.candidates.rul.tolist() == [1.0, 0.0, 2.0, 1.0, 0.0]
-        assert not any(c.clamped for c in est.candidates)
+        valid, ruls, sims = _candidates(test, lib, cfg)
+        rows, lags = np.nonzero(valid)
+        assert lib.unit_ids[rows].tolist() == [2, 2, 3, 3, 3]
+        assert (cfg.tau1 + lags).tolist() == [1, 2, 1, 2, 3]
+        assert ruls.tolist() == [1.0, 0.0, 2.0, 1.0, 0.0]
+        assert sims.tolist() == [1.0] * 5
+        assert estimate_rul(test, lib, cfg).n_candidates == 5
 
     def test_similarity_underflow_falls_back_to_mean(self):
         test = curve(1, np.ones(10))
@@ -268,9 +291,10 @@ def test_estimate_always_convex_combination(seed):
     lib = [
         curve(u, rng.uniform(0, 1, int(rng.integers(25, 60)))) for u in range(2, 6)
     ]
-    est = estimate_rul(test, prepare_library(lib), cfg)
-    ruls = [c.rul for c in est.candidates]
-    assert min(ruls) - 1e-12 <= est.estimate <= max(ruls) + 1e-12
+    library = prepare_library(lib)
+    est = estimate_rul(test, library, cfg)
+    _, ruls, _ = _candidates(test, library, cfg)
+    assert ruls.min() - 1e-12 <= est.estimate <= ruls.max() + 1e-12
 
 
 @st.composite
@@ -298,19 +322,20 @@ def match_problems(draw):
 @given(problem=match_problems())
 def test_estimate_matches_scalar_reference(problem):
     """The product-form distances round differently from the scalar loop:
-    the candidates and their RULs agree exactly, the similarities and what
-    is summed from them to a relative 1e-9."""
+    the candidate (unit, lag) pairs, their RULs, their count and the
+    underflow flag agree exactly, the similarities and what is summed from
+    them to a relative 1e-9."""
     test, library, cfg = problem
     estimate, sum_s, underflow, rows = reference_estimate(test, library, cfg)
-    est = estimate_rul(test, prepare_library(library), cfg)
+    lib = prepare_library(library)
+    valid, ruls, sims = _candidates(test, lib, cfg)
+    units, lags = np.nonzero(valid)
+    pairs = list(zip(lib.unit_ids[units].tolist(), (cfg.tau1 + lags).tolist()))
+    assert pairs == [(r[0], r[1]) for r in rows]
+    assert ruls.tolist() == [r[2] for r in rows]
+    assert sims.tolist() == pytest.approx([r[3] for r in rows], rel=1e-9, abs=0)
+    est = estimate_rul(test, lib, cfg)
+    assert est.n_candidates == len(rows)
+    assert est.similarity_underflow == underflow
     assert est.estimate == pytest.approx(estimate, rel=1e-9, abs=0)
     assert est.sum_similarity == pytest.approx(sum_s, rel=1e-9, abs=0)
-    assert est.similarity_underflow == underflow
-    assert est.n_candidates == len(rows)
-    cands = est.candidates
-    for k, name in enumerate(CANDIDATE_DTYPE.names):
-        want = [r[k] for r in rows]
-        if name == "similarity":
-            assert cands[name].tolist() == pytest.approx(want, rel=1e-9, abs=0)
-        else:
-            assert cands[name].tolist() == want, name
