@@ -204,12 +204,12 @@ def unit_blocks(
     return order, list(zip(units[starts].tolist(), starts.tolist(), stops.tolist()))
 
 
-def first_non_finite_line(lines) -> int:
+def first_non_finite_line(lines, sep: str | None = None, start: int = 1) -> int:
     """Number of the first non-blank line with a token that parses to nan or
     inf. Callers rescan with it only after a parsed array failed the
     finiteness check, so every token parses and such a line exists."""
-    for lineno, line in enumerate(lines, start=1):
-        if line.strip() and not all(math.isfinite(float(p)) for p in line.split()):
+    for lineno, line in enumerate(lines, start=start):
+        if line.strip() and not all(math.isfinite(float(p)) for p in line.split(sep)):
             return lineno
     raise ValueError("no non-finite value found")
 

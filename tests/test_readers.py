@@ -1,17 +1,24 @@
-"""The numpy bulk reader against the line parser it falls back to.
+"""The numpy bulk readers against the line parsers they fall back to.
 
-dataset.load_cmapss parses a file with one np.loadtxt call and falls back
-to its line parser when that parse or a check on its result fails. The line
-parser is the reference: the bulk path may accept only files it accepts,
-with bit-equal arrays, and every error comes from it.
+dataset.load_cmapss and persist.read_curves_csv parse a file with one
+np.loadtxt call and fall back to their line parser when that parse or a
+check on its result fails. The line parser is the reference: the bulk path
+may accept only files it accepts, with bit-equal arrays, and every error
+comes from it.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subtrack import dataset
+from subtrack import dataset, persist
 from subtrack.dataset import SynthConfig, generate_synthetic, load_cmapss, save_cmapss
 from subtrack.errors import PrognosticsError
+from subtrack.health import HiCurve
+from subtrack.persist import CURVE_CSV_HEADER, read_curves_csv, write_curves_csv
+
+CMAPSS = (load_cmapss, dataset._parse_cmapss_bulk, dataset._parse_cmapss_lines)
+CURVES = (read_curves_csv, persist._read_curves_bulk, persist._read_curves_lines)
 
 
 def trajectory_bits(trajs):
@@ -22,24 +29,40 @@ def trajectory_bits(trajs):
     ]
 
 
+def curve_bits(curves):
+    return [
+        (c.unit_id, type(c.unit_id), c.sigma.tobytes(), c.raw_dist.tobytes(),
+         c.scaled_dist.tobytes())
+        for c in curves
+    ]
+
+
+def bits(result):
+    result = list(result)
+    if result and isinstance(result[0], HiCurve):
+        return curve_bits(result)
+    return trajectory_bits(result)
+
+
 def outcome(read, path):
     """("ok", bits of the result) or (exception type, message)."""
     try:
-        return "ok", trajectory_bits(read(path))
+        return "ok", bits(read(path))
     except PrognosticsError as exc:
         return type(exc), str(exc)
 
 
-def check_agree(path):
-    """load_cmapss gives what the line parser gives, and the bulk path
+def check_agree(readers, path):
+    """The public reader gives what the line parser gives, and the bulk path
     accepts only what the line parser accepts, with bit-equal arrays.
     Returns which path decided: "fast", "fallback" or "error"."""
-    ref = outcome(dataset._parse_cmapss_lines, path)
-    assert outcome(load_cmapss, path) == ref
-    fast = dataset._parse_cmapss_bulk(path)
+    public, bulk, lines = readers
+    ref = outcome(lines, path)
+    assert outcome(public, path) == ref
+    fast = bulk(path)
     if fast is not None:
         assert ref[0] == "ok", "the bulk path accepted a file the line parser rejects"
-        assert trajectory_bits(fast) == ref[1]
+        assert bits(fast) == ref[1]
         return "fast"
     return "fallback" if ref[0] == "ok" else "error"
 
@@ -88,6 +111,19 @@ def cmapss_texts(draw):
     return join_lines(draw, lines, eol)
 
 
+@st.composite
+def curve_texts(draw):
+    rows, eol = draw(unit_rows())
+    id_format = draw(st.sampled_from(["{}", "{:+d}", " {} "]))
+    fmt = draw(st.sampled_from(VALUE_FORMATS))
+    lines = []
+    for unit, cycle in rows:
+        values = draw(st.lists(FLOATS, min_size=3, max_size=3))
+        fields = [id_format.format(unit), id_format.format(cycle)]
+        lines.append(",".join(fields + [fmt(v) for v in values]))
+    return CURVE_CSV_HEADER + eol + join_lines(draw, lines, eol)
+
+
 def write_text(tmp_path_factory, text, name):
     path = tmp_path_factory.mktemp("readers") / name
     with open(path, "w", newline="") as fh:
@@ -99,7 +135,14 @@ def write_text(tmp_path_factory, text, name):
 @given(text=cmapss_texts())
 def test_valid_cmapss_files_bit_equal_on_both_paths(tmp_path_factory, text):
     path = write_text(tmp_path_factory, text, "train.txt")
-    assert check_agree(path) == "fast"
+    assert check_agree(CMAPSS, path) == "fast"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=curve_texts())
+def test_valid_curve_files_bit_equal_on_both_paths(tmp_path_factory, text):
+    path = write_text(tmp_path_factory, text, "train_curves.csv")
+    assert check_agree(CURVES, path) == "fast"
 
 
 # ---------------------------------------------------------------------------
@@ -112,19 +155,26 @@ def cmapss_lines():
     ]
 
 
-def set_field(lines, lineno, column, token):
+def curve_lines():
+    return [CURVE_CSV_HEADER] + [
+        f"{unit},{cycle},{0.1 * cycle!r},{0.01 * cycle!r},{1 - 0.1 * cycle!r}"
+        for unit in (1, 2) for cycle in (1, 2, 3)
+    ]
+
+
+def set_field(lines, lineno, column, token, sep):
     """Replace one field of a 1-based line."""
     lines = list(lines)
-    fields = lines[lineno - 1].split()
+    fields = lines[lineno - 1].split(sep)
     fields[column] = token
-    lines[lineno - 1] = " ".join(fields)
+    lines[lineno - 1] = (sep or " ").join(fields)
     return lines
 
 
-def set_unit(lines, token):
+def set_unit(lines, first, token, sep):
     """Write unit 1's id, on all three of its lines, as token."""
-    for lineno in (1, 2, 3):
-        lines = set_field(lines, lineno, 0, token)
+    for lineno in range(first, first + 3):
+        lines = set_field(lines, lineno, 0, token, sep)
     return lines
 
 
@@ -138,36 +188,40 @@ def insert(lines, lineno, text):
     return lines[: lineno - 1] + [text] + lines[lineno - 1:]
 
 
-def edit_cases():
-    """(name, edit of the lines); units 1 and 2 have cycles 1 to 3 each, on
-    lines 1 to 6."""
+def edit_cases(sep, first):
+    """Cases shared by both readers: (name, edit of the lines). first is the
+    number of the first data line; units 1 and 2 have cycles 1 to 3 each."""
     cases = [
-        ("unit 1.0", lambda ls: set_unit(ls, "1.0")),
-        ("unit +1", lambda ls: set_unit(ls, "+1")),
-        ("unit 1_0", lambda ls: set_unit(ls, "1_0")),
-        ("unit 0x10", lambda ls: set_unit(ls, "0x10")),
-        ("unit #", lambda ls: set_unit(ls, "#")),
-        ("unit 1e400", lambda ls: set_unit(ls, "1e400")),
-        ("unit nan", lambda ls: set_unit(ls, "nan")),
-        ("cycle inf", lambda ls: set_field(ls, 2, 1, "inf")),
-        ("cycle -inf", lambda ls: set_field(ls, 2, 1, "-inf")),
-        ("blank line", lambda ls: insert(ls, 3, "")),
-        ("whitespace-only line", lambda ls: insert(ls, 3, " \t ")),
-        ("units out of order", lambda ls: ls[3:] + ls[:3]),
-        ("cycles shuffled", lambda ls: swap(ls, 1, 3)),
-        ("duplicate cycle", lambda ls: set_field(ls, 2, 1, "1")),
-        ("cycle gap", lambda ls: set_field(ls, 3, 1, "4")),
-        ("cycles start at 0", lambda ls: set_field(ls, 4, 1, "0")),
-        ("value 1_0", lambda ls: set_field(ls, 2, -1, "1_0")),
-        ("value nan", lambda ls: set_field(ls, 5, -1, "nan")),
-        ("value 1e400", lambda ls: set_field(ls, 5, -1, "1e400")),
-        ("value 0x10", lambda ls: set_field(ls, 2, -1, "0x10")),
-        ("trailing comma", lambda ls: ls[:1] + [ls[1] + ","] + ls[2:]),
-        ("trailing comma everywhere", lambda ls: [line + "," for line in ls]),
-        ("NUL in a value", lambda ls: set_field(ls, 1, -1, "1\x00")),
-        ("form feed before a separator", lambda ls: set_field(ls, 1, 2, "0.5\x0c")),
-        ("U+2028 before a separator", lambda ls: set_field(ls, 1, 2, "0.5\u2028")),
-        ("no data rows", lambda ls: []),
+        ("unit 1.0", lambda ls: set_unit(ls, first, "1.0", sep)),
+        ("unit +1", lambda ls: set_unit(ls, first, "+1", sep)),
+        ("unit 1_0", lambda ls: set_unit(ls, first, "1_0", sep)),
+        ("unit 0x10", lambda ls: set_unit(ls, first, "0x10", sep)),
+        ("unit #", lambda ls: set_unit(ls, first, "#", sep)),
+        ("unit 1e400", lambda ls: set_unit(ls, first, "1e400", sep)),
+        ("unit nan", lambda ls: set_unit(ls, first, "nan", sep)),
+        ("cycle inf", lambda ls: set_field(ls, first + 1, 1, "inf", sep)),
+        ("cycle -inf", lambda ls: set_field(ls, first + 1, 1, "-inf", sep)),
+        ("blank line", lambda ls: insert(ls, first + 2, "")),
+        ("whitespace-only line", lambda ls: insert(ls, first + 2, " \t ")),
+        ("units out of order",
+         lambda ls: ls[:first - 1] + ls[first + 2:] + ls[first - 1:first + 2]),
+        ("cycles shuffled", lambda ls: swap(ls, first, first + 2)),
+        ("duplicate cycle", lambda ls: set_field(ls, first + 1, 1, "1", sep)),
+        ("cycle gap", lambda ls: set_field(ls, first + 2, 1, "4", sep)),
+        ("cycles start at 0", lambda ls: set_field(ls, first + 3, 1, "0", sep)),
+        ("value 1_0", lambda ls: set_field(ls, first + 1, -1, "1_0", sep)),
+        ("value nan", lambda ls: set_field(ls, first + 4, -1, "nan", sep)),
+        ("value 1e400", lambda ls: set_field(ls, first + 4, -1, "1e400", sep)),
+        ("value 0x10", lambda ls: set_field(ls, first + 1, -1, "0x10", sep)),
+        ("trailing comma", lambda ls: ls[:first] + [ls[first] + ","] + ls[first + 1:]),
+        ("trailing comma everywhere",
+         lambda ls: ls[:first - 1] + [line + "," for line in ls[first - 1:]]),
+        ("NUL in a value", lambda ls: set_field(ls, first, -1, "1\x00", sep)),
+        ("form feed before a separator",
+         lambda ls: set_field(ls, first, 2, "0.5\x0c", sep)),
+        ("U+2028 before a separator",
+         lambda ls: set_field(ls, first, 2, "0.5\u2028", sep)),
+        ("no data rows", lambda ls: ls[:first - 1]),
     ]
     return [pytest.param(name, edit, id=name) for name, edit in cases]
 
@@ -187,15 +241,40 @@ CMAPSS_EXPECTED = {
     "form feed before a separator": "fast", "U+2028 before a separator": "fast",
     "no data rows": "error",
 }
+CURVE_EXPECTED = dict(
+    CMAPSS_EXPECTED,
+    **{"unit 1.0": "error", "whitespace-only line": "error",
+       "no data rows": "fallback"},
+)
 
 
 @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["LF", "CRLF"])
-@pytest.mark.parametrize("name,edit", edit_cases())
+@pytest.mark.parametrize("name,edit", edit_cases(None, 1))
 def test_cmapss_readers_agree(tmp_path, name, edit, eol):
     path = tmp_path / "train.txt"
     with open(path, "w", newline="") as fh:
         fh.write("".join(line + eol for line in edit(cmapss_lines())))
-    assert check_agree(path) == CMAPSS_EXPECTED[name]
+    assert check_agree(CMAPSS, path) == CMAPSS_EXPECTED[name]
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("name,edit", edit_cases(",", 2))
+def test_curve_readers_agree(tmp_path, name, edit, eol):
+    path = tmp_path / "train_curves.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(line + eol for line in edit(curve_lines())))
+    assert check_agree(CURVES, path) == CURVE_EXPECTED[name]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "unit_id,cycle\n1,1\n", CURVE_CSV_HEADER + ",extra\n1,1,0.1,0.1,0.9\n"],
+    ids=["empty", "short header", "long header"],
+)
+def test_curve_header_checked_by_line_parser(tmp_path, text):
+    path = tmp_path / "train_curves.csv"
+    path.write_text(text)
+    assert check_agree(CURVES, path) == "error"
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +288,20 @@ def test_bulk_paths_read_a_valid_fleet_and_library(tmp_path, monkeypatch):
     train, test, _, _ = generate_synthetic(
         SynthConfig(n_units=6, min_cycles=20, max_cycles=40, seed=11)
     )
+    rng = np.random.default_rng(11)
+    curves = [
+        HiCurve(unit_id=t.unit_id, sigma=rng.random(len(t)),
+                raw_dist=rng.random(len(t)), scaled_dist=rng.random(len(t)))
+        for t in train
+    ]
     save_cmapss(train, tmp_path / "train.txt")
     save_cmapss(test, tmp_path / "test.txt")
+    write_curves_csv(curves, tmp_path / "train_curves.csv")
     # a numpy warning or behaviour change that made the bulk path give up
     # would otherwise pass unnoticed, at the old speed
     monkeypatch.setattr(dataset, "_parse_cmapss_lines", refuse)
+    monkeypatch.setattr(persist, "_read_curves_lines", refuse)
 
     assert trajectory_bits(load_cmapss(tmp_path / "train.txt")) == trajectory_bits(train)
     assert trajectory_bits(load_cmapss(tmp_path / "test.txt")) == trajectory_bits(test)
+    assert curve_bits(read_curves_csv(tmp_path / "train_curves.csv")) == curve_bits(curves)
