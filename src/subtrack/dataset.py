@@ -272,43 +272,31 @@ class Normalizer:
     def n_features(self) -> int:
         return self.mean.shape[1]
 
-    def transform_rows(self, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    def transform_inplace(self, rows: np.ndarray, labels: np.ndarray) -> None:
+        """Z-score each row in place with the table of its regime label."""
         if rows.shape[1] != self.n_features:
             raise ValidationError(
                 f"normalizer fitted on {self.n_features} features, got {rows.shape[1]}"
             )
-        out = (rows - self.mean[labels]) / self.std[labels]
-        out[self.mask[labels]] = 0.0
-        return out
+        rows -= self.mean[labels]
+        rows /= self.std[labels]
+        rows[self.mask[labels]] = 0.0
 
 
-def fit_normalizer(tset: TrajectorySet, regimes: list[np.ndarray]) -> Normalizer:
-    """Fit z-score statistics over all rows, one table per regime.
-
-    `regimes` is a list aligned with tset.trajectories; each entry holds one
-    integer regime label per cycle.
-    """
-    if len(regimes) != len(tset.trajectories):
-        raise ValidationError("one label array per trajectory required")
-    rows = np.vstack([t.features for t in tset])
-    flat = np.concatenate([np.asarray(r, dtype=int) for r in regimes])
-    n_regimes = int(flat.max()) + 1
-    n_features = rows.shape[1]
-
-    mean = np.zeros((n_regimes, n_features))
-    std = np.ones((n_regimes, n_features))
-    mask = np.zeros((n_regimes, n_features), dtype=bool)
+def fit_normalizer(rows: np.ndarray, labels: np.ndarray, n_regimes: int) -> Normalizer:
+    """Fit z-score statistics over a (rows, features) matrix, one table per
+    regime in range(n_regimes); `labels` holds each row's regime. A regime
+    with no rows gets an all-masked table."""
+    shape = (n_regimes, rows.shape[1])
+    mean, std, mask = np.zeros(shape), np.ones(shape), np.zeros(shape, dtype=bool)
     for r in range(n_regimes):
-        sub = rows[flat == r]
+        sub = rows if n_regimes == 1 else rows[labels == r]  # K=1: the matrix, no copy
         if len(sub) == 0:
             mask[r] = True
             continue
-        mu = sub.mean(axis=0)
-        sd = sub.std(axis=0)
-        constant = sd < CONSTANT_STD
-        mean[r] = mu
-        std[r] = np.where(constant, 1.0, sd)
-        mask[r] = constant
+        mean[r], sd = sub.mean(axis=0), sub.std(axis=0)
+        mask[r] = sd < CONSTANT_STD
+        std[r] = np.where(mask[r], 1.0, sd)
     return Normalizer(mean=mean, std=std, mask=mask)
 
 

@@ -86,8 +86,7 @@ def analyze_rows(
     proj = np.empty((len(rows), model.models[0].subspace_dim))
     for k, m in enumerate(model.models):
         sel = labels == k
-        if np.any(sel):
-            proj[sel] = (rows[sel] - m.center) @ m.basis
+        proj[sel] = (rows[sel] - m.center) @ m.basis
     return dists, proj, labels
 
 
@@ -153,24 +152,12 @@ def to_health_index(scaled: np.ndarray) -> np.ndarray:
     return 1.0 - np.sqrt(scaled)
 
 
-def build_curve(
-    unit_id: int, raw: np.ndarray, smoothed: np.ndarray, scaler: DistanceScaler
-) -> HiCurve:
-    """Health-index curve of one unit from its raw and smoothed distances."""
-    scaled = scale(scaler, smoothed)
-    return HiCurve(
-        unit_id=unit_id,
-        sigma=to_health_index(scaled),
-        raw_dist=np.asarray(raw, dtype=float),
-        scaled_dist=scaled,
-    )
-
-
 def fit_hi_regression(
-    projections: np.ndarray, targets: np.ndarray, labels: np.ndarray
+    projections: np.ndarray, targets: np.ndarray, labels: np.ndarray, n_regimes: int
 ) -> HiRegressor:
     """Ordinary least squares (normal equations with a tiny ridge jitter)
-    from projections to health-index targets, one fit per regime label."""
+    from projections to health-index targets, one fit per regime label in
+    range(n_regimes); a regime with too few rows raises."""
     projections = np.atleast_2d(np.asarray(projections, dtype=float))
     targets = np.asarray(targets, dtype=float)
     if len(projections) != len(targets):
@@ -179,8 +166,6 @@ def fit_hi_regression(
         raise ValidationError("targets must lie in [0, 1]")
     d = projections.shape[1]
     labels = np.asarray(labels, dtype=int)
-    n_regimes = int(labels.max()) + 1
-
     weights = np.zeros((n_regimes, d + 1))
     for r in range(n_regimes):
         sel = labels == r

@@ -18,12 +18,13 @@ version is refused; one written with version 1 (the library kept only as
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig
-from .dataset import Normalizer, first_non_finite_line, read_table, unit_blocks
+from .dataset import N_SETTINGS, Normalizer, first_non_finite_line, read_table, unit_blocks
 from .errors import ValidationError
 from .evaluation import TrainedPipeline
 from .health import DistanceScaler, HiCurve, HiRegressor
@@ -142,15 +143,17 @@ def regressor_from_dict(doc: dict) -> HiRegressor:
 
 
 def write_curves_csv(curves: list[HiCurve], path: str | Path) -> None:
-    """One curve's rows at a time: the whole text of a fleet is never held."""
+    """One curve's rows at a time: the whole text of a fleet is never held.
+    Each column is one map of float.__repr__ (repr, for the floats of tolist)
+    and str.join joins the rows, so no Python code runs per row."""
+    cycles = list(map(str, range(1, max(map(len, curves), default=0) + 1)))
     with open(path, "w") as fh:
         fh.write(CURVE_CSV_HEADER + "\n")
         for c in curves:
-            rows = zip(c.raw_dist.tolist(), c.scaled_dist.tolist(), c.sigma.tolist())
-            fh.writelines(
-                f"{c.unit_id},{i},{raw!r},{scaled!r},{sigma!r}\n"
-                for i, (raw, scaled, sigma) in enumerate(rows, start=1)
-            )
+            values = (c.raw_dist, c.scaled_dist, c.sigma)
+            columns = [map(float.__repr__, a.tolist()) for a in values]
+            rows = zip(repeat(str(c.unit_id)), cycles, *columns)  # ends with the columns
+            fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def read_curves_csv(path: str | Path) -> list[HiCurve]:
@@ -336,9 +339,17 @@ def _load_library(model_dir: Path) -> Library:
     return Library.from_padded(unit_ids, lengths, padded)
 
 
+def _check_table(path: Path, name: str, table: np.ndarray, shape: tuple, positive=False):
+    """Refuse a fitted table that is not finite (and > 0, if positive) or not of shape."""
+    if table.shape != shape:
+        raise ValidationError(f"{path}: {name} has shape {table.shape}, expected {shape}")
+    if not (np.isfinite(table) & (table > 0 if positive else True)).all():
+        raise ValidationError(f"{path}: {name} must be finite{' and > 0' * positive}")
+
+
 def load_pipeline(model_dir: str | Path) -> TrainedPipeline:
-    """Read the artifacts save_pipeline wrote. The error trace and the
-    training curves are not kept; the library stands in for the curves."""
+    """Read the artifacts save_pipeline wrote, the tables checked against model.json.
+    The error trace and training curves are not kept; the library stands in for them."""
     model_dir = Path(model_dir)
     for name in ("config.json", "model.json", "scaler.json", "normalizer.json"):
         if not (model_dir / name).exists():
@@ -347,15 +358,22 @@ def load_pipeline(model_dir: str | Path) -> TrainedPipeline:
     # read before the library files: an old directory gets the version
     # message, not a missing .npy
     model = _read_json(model_dir / "model.json", model_from_dict)
-    reg_path = model_dir / "regressor.json"
+    k, m = model.n_regimes, model.models[0]
+    _check_table(model_dir / "model.json", "centroids", model.centroids, (k, N_SETTINGS))
+    norm_path, reg_path = model_dir / "normalizer.json", model_dir / "regressor.json"
+    normalizer = _read_json(norm_path, normalizer_from_dict)
+    shape = (k, m.dim + (0 if config.track_settings else N_SETTINGS))
+    for name in ("mean", "std", "mask"):
+        _check_table(norm_path, name, getattr(normalizer, name), shape, name == "std")
+    regressor = _read_json(reg_path, regressor_from_dict) if reg_path.exists() else None
+    if regressor is not None:
+        _check_table(reg_path, "weights", regressor.weights, (k, m.subspace_dim + 1))
     return TrainedPipeline(
         config=config,
-        normalizer=_read_json(model_dir / "normalizer.json", normalizer_from_dict),
+        normalizer=normalizer,
         model=model,
         scaler=_read_json(model_dir / "scaler.json", scaler_from_dict),
-        regressor=(
-            _read_json(reg_path, regressor_from_dict) if reg_path.exists() else None
-        ),
+        regressor=regressor,
         train_curves=[],
         library=_load_library(model_dir),
         error_trace=[],

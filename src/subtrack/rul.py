@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import NoMatchError, NumericalError, ValidationError
 from .health import HiCurve
@@ -144,10 +144,12 @@ def _candidates(
     taus = np.arange(tau1, tau2 + 1)
     n_lags = len(taus)
 
-    shifted = np.zeros(n + 2 * (n_lags - 1))
-    shifted[n_lags - 1 : n_lags - 1 + n] = sig
-    toeplitz = sliding_window_view(shifted, n_lags)[:, ::-1]
-    cross = library.padded[:, tau1 : tau1 + n + n_lags - 1] @ toeplitz
+    m = n + n_lags - 1  # rows of the Toeplitz operand
+    shifted = np.zeros(m + n_lags - 1)
+    shifted[n_lags - 1 : m] = sig
+    step = shifted.strides[0]  # toeplitz[i, j] = shifted[n_lags - 1 + i - j]
+    toeplitz = as_strided(shifted[n_lags - 1 :], (m, n_lags), (step, -step), writeable=False)
+    cross = library.padded[:, tau1 : tau1 + m] @ toeplitz
     energy = library.energy
     d2 = energy[:, tau1 + n : tau2 + n + 1] - energy[:, tau1 : tau2 + 1]
     d2 -= 2.0 * cross
@@ -155,14 +157,15 @@ def _candidates(
     d2 /= n
     np.maximum(d2, 0.0, out=d2)
 
-    valid = n + taus <= library.lengths[:, None]
+    rul_all = (library.lengths - n)[:, None] - taus
+    valid = rul_all >= 0
     d2 = d2[valid]
     if not np.isfinite(d2).all():
         raise NumericalError(
             f"unit {test.unit_id}: non-finite curve distance (overflow)"
         )
-    ruls = (library.lengths[:, None] - n - taus)[valid].astype(float)
-    return valid, ruls, np.exp(-d2 / cfg.beta)
+    ruls = rul_all[valid].astype(float)
+    return valid, ruls, np.exp(d2 / -cfg.beta)
 
 
 def estimate_rul(test: HiCurve, library: Library, cfg: MatchConfig) -> RulEstimate:
@@ -174,9 +177,9 @@ def estimate_rul(test: HiCurve, library: Library, cfg: MatchConfig) -> RulEstima
     otherwise pass for similarity underflow.
     """
     _, ruls, sims = _candidates(test, library, cfg)
-    sum_s = float(np.sum(sims))
+    sum_s = float(sims.sum())
     if sum_s > 0.0:
-        estimate = float(np.sum(sims * ruls)) / sum_s
+        estimate = float((sims * ruls).sum()) / sum_s
         underflow = False
     else:
         # every similarity underflowed; fall back to the unweighted mean

@@ -616,6 +616,87 @@ class TestInfer:
         assert "config.json: unknown config fields" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def lr_model_dir(tmp_path_factory):
+    """An sst-lr model with K=3 regimes, which tracks no settings: its
+    normalizer has 3 more columns than its subspaces' dimension."""
+    data = tmp_path_factory.mktemp("synth3")
+    assert main(["synth", "--out", str(data), "--units", "8", "--n-regimes", "3",
+                 "--seed", "4", "--min-cycles", "80", "--max-cycles", "100"]) == EXIT_OK
+    out = tmp_path_factory.mktemp("model3")
+    assert main(["train", "--train", str(data / "train_synth.txt"), "--out", str(out),
+                 "--mode", "sst-lr", "--n-regimes", "3"] + BENCH_FLAGS) == EXIT_OK
+    return out
+
+
+def _edit_table(name, edit):
+    def corrupt(d):
+        doc = json.loads((d / name).read_text())
+        edit(doc)
+        (d / name).write_text(json.dumps(doc))
+    return corrupt
+
+
+def _set_first(key, value):
+    def edit(doc):
+        doc[key][0][0] = value
+    return edit
+
+
+class TestFittedTables:
+    """normalizer.json and regressor.json must fit model.json: K=3 rows,
+    24 normalizer columns (21 tracked sensors and 3 settings) and 3 + 1
+    regression weights, all finite and std > 0; model.json's centroids must
+    have one finite column per setting."""
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("regressor.json", lambda doc: doc.update(weights=doc["weights"][:2]),
+             "weights has shape (2, 4), expected (3, 4)"),
+            ("regressor.json", lambda doc: doc.update(weights=doc["weights"][0]),
+             "weights has shape (4,), expected (3, 4)"),
+            ("regressor.json", _set_first("weights", float("nan")),
+             "weights must be finite"),
+            ("normalizer.json",
+             lambda doc: doc.update({k: v[:2] for k, v in doc.items()}),
+             "mean has shape (2, 24), expected (3, 24)"),
+            ("normalizer.json",
+             lambda doc: doc.update(mask=[row[1:] for row in doc["mask"]]),
+             "mask has shape (3, 23), expected (3, 24)"),
+            ("normalizer.json", _set_first("std", 0.0), "std must be finite and > 0"),
+            ("normalizer.json", _set_first("std", float("inf")),
+             "std must be finite and > 0"),
+            ("normalizer.json", _set_first("mean", float("nan")), "mean must be finite"),
+            ("model.json",
+             lambda doc: doc.update(centroids=[c[:2] for c in doc["centroids"]]),
+             "centroids has shape (3, 2), expected (3, 3)"),
+            ("model.json", _set_first("centroids", float("nan")), "centroids must be finite"),
+        ],
+        ids=["regressor-2-rows", "regressor-1d", "regressor-nan", "normalizer-2-rows",
+             "normalizer-23-mask-columns", "normalizer-zero-std", "normalizer-inf-std",
+             "normalizer-nan-mean", "model-2-settings-columns", "model-nan-centroid"],
+    )
+    def test_mismatched_table_exits_2_naming_file_before_data_is_read(
+        self, lr_model_dir, tmp_path, capsys, name, edit, message
+    ):
+        broken = tmp_path / "broken"
+        shutil.copytree(lr_model_dir, broken)
+        _edit_table(name, edit)(broken)
+        rc = main(["infer", "--model-dir", str(broken),
+                   "--data", str(tmp_path / "no-such-file.txt"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"error: {broken / name}: {message}" in err
+        assert "Traceback" not in err
+
+    def test_untouched_tables_load(self, lr_model_dir):
+        pipe = persist.load_pipeline(lr_model_dir)
+        assert pipe.normalizer.mean.shape == (3, 24)
+        assert pipe.regressor.weights.shape == (3, 4)
+
+
 class TestBenchmark:
     def run_bench(self, synth_dir, out, extra=()):
         return main(

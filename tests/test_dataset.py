@@ -129,12 +129,14 @@ def traj_from_features(unit_id, feats):
 def normalize_one(norm, tset):
     """The features of the one unit in tset, transformed as regime 0."""
     feats = tset.trajectories[0].features
-    return norm.transform_rows(feats, np.zeros(len(feats), dtype=int))
+    norm.transform_inplace(feats, np.zeros(len(feats), dtype=int))
+    return feats
 
 
 def fit_one_regime(tset):
     """A normalizer fitted with every row of tset in regime 0."""
-    return fit_normalizer(tset, [np.zeros(len(t), dtype=int) for t in tset])
+    rows = np.vstack([t.features for t in tset])
+    return fit_normalizer(rows, np.zeros(len(rows), dtype=int), 1)
 
 
 class TestNormalizer:
@@ -181,21 +183,41 @@ class TestNormalizer:
     def test_per_regime_tables(self):
         rng = np.random.default_rng(4)
         feats = rng.standard_normal((60, 24))
-        labels = [np.repeat(np.arange(6), 10)]
-        tset = TrajectorySet([traj_from_features(1, feats)])
-        norm = fit_normalizer(tset, regimes=labels)
+        labels = np.repeat(np.arange(6), 10)
+        norm = fit_normalizer(feats, labels, 6)
         assert norm.n_regimes == 6
-        out = norm.transform_rows(feats, labels[0])
+        out = feats.copy()
+        norm.transform_inplace(out, labels)
         for r in range(6):
             seg = out[10 * r : 10 * (r + 1)]
             np.testing.assert_allclose(seg.mean(axis=0), 0.0, atol=1e-9)
+
+    def test_table_per_regime_of_the_model_even_when_the_last_is_empty(self):
+        rng = np.random.default_rng(6)
+        feats = rng.standard_normal((20, 24))
+        norm = fit_normalizer(feats, np.zeros(20, dtype=int), 3)
+        assert norm.mean.shape == norm.std.shape == norm.mask.shape == (3, 24)
+        assert norm.mask[1:].all() and not norm.mask[0].any()
+
+    def test_fit_set_transformed_in_row_blocks_equals_one_call(self):
+        rng = np.random.default_rng(7)
+        feats = rng.standard_normal((50, 24)) * 3 + 1
+        labels = rng.integers(0, 2, 50)
+        norm = fit_normalizer(feats, labels, 2)
+        whole, blocks = feats.copy(), feats.copy()
+        norm.transform_inplace(whole, labels)
+        for a in range(0, 50, 7):
+            norm.transform_inplace(blocks[a : a + 7], labels[a : a + 7])
+        assert whole.tobytes() == blocks.tobytes()
+        want = (feats - norm.mean[labels]) / norm.std[labels]
+        assert whole.tobytes() == want.tobytes()
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(5)
         tset = TrajectorySet([traj_from_features(1, rng.standard_normal((10, 24)))])
         norm = fit_one_regime(tset)
         with pytest.raises(ValidationError):
-            norm.transform_rows(rng.standard_normal((10, 23)), np.zeros(10, dtype=int))
+            norm.transform_inplace(rng.standard_normal((10, 23)), np.zeros(10, dtype=int))
 
 
 class TestGenerateSynthetic:

@@ -1,13 +1,21 @@
 import math
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from subtrack import health
+from subtrack import evaluation, health
 from subtrack.config import RunConfig
-from subtrack.dataset import N_SETTINGS, SynthConfig, generate_synthetic
+from subtrack.dataset import (
+    N_SETTINGS,
+    SynthConfig,
+    Trajectory,
+    TrajectorySet,
+    generate_synthetic,
+)
 from subtrack.errors import ValidationError
 from subtrack.evaluation import (
     build_report,
@@ -18,6 +26,7 @@ from subtrack.evaluation import (
     score,
     train_pipeline,
 )
+from subtrack.health import analyze_rows
 from subtrack.multiscale import MultiModel, assign_rows, nearest_centroid
 from subtrack.subspace import init_subspace
 
@@ -150,12 +159,13 @@ class TestBatchTraining:
         cfg = pipe.config
         labels = [nearest_centroid(pipe.model.centroids, t.settings) for t in train]
         first = 0 if cfg.track_settings else N_SETTINGS
-        rows = [
-            pipe.normalizer.transform_rows(t.features, lab)[:, first:]
-            for t, lab in zip(train, labels)
-        ]
+        rows = []
+        for t, lab in zip(train, labels):
+            feats = t.features
+            pipe.normalizer.transform_inplace(feats, lab)
+            rows.append(feats[: cfg.healthy_cycles, first:])
         return (
-            np.vstack([r[: cfg.healthy_cycles] for r in rows]),
+            np.vstack(rows),
             np.concatenate([lab[: cfg.healthy_cycles] for lab in labels]),
         )
 
@@ -216,9 +226,134 @@ class TestBatchTraining:
         scaler = health.fit_scaler(raw, smoothed, cfg.healthy_cycles)
         assert pipe.scaler == scaler
         for got, s in zip(pipe.train_curves, smoothed):
-            want = health.build_curve(got.unit_id, got.raw_dist, s, scaler)
-            for name in ("sigma", "raw_dist", "scaled_dist"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            scaled = health.scale(scaler, s)
+            assert got.scaled_dist.tobytes() == scaled.tobytes()
+            assert got.sigma.tobytes() == health.to_health_index(scaled).tobytes()
+
+
+def scored(pipe, tset):
+    """(curves, estimates, per-row model labels) of one infer_curves and
+    estimate_fleet call; the labels are recorded from health.analyze_rows."""
+    labels = []
+
+    def recording(model, rows):
+        out = analyze_rows(model, rows)
+        labels.append(out[2])
+        return out
+
+    with mock.patch.object(health, "analyze_rows", recording):
+        curves = infer_curves(pipe, tset)
+    return curves, estimate_fleet(pipe, curves, skip_unmatched=True), np.concatenate(labels)
+
+
+def assert_units_scored_alone_alike(pipe, tset):
+    """Each unit of tset scored alone gets its fleet curve and estimate to
+    a relative 1e-12, and exactly its model labels, candidate count and
+    empty row."""
+    curves, estimates, labels = scored(pipe, tset)
+    offset = 0
+    for traj, curve, est in zip(tset, curves, estimates):
+        [alone], [alone_est], alone_labels = scored(pipe, TrajectorySet([traj]))
+        assert alone.unit_id == curve.unit_id == traj.unit_id
+        np.testing.assert_array_equal(alone_labels, labels[offset : offset + len(traj)])
+        offset += len(traj)
+        for name in ("sigma", "raw_dist", "scaled_dist"):
+            np.testing.assert_allclose(
+                getattr(alone, name), getattr(curve, name), rtol=1e-12, atol=0
+            )
+        assert (alone_est is None) == (est is None)
+        if est is not None:
+            assert alone_est.n_candidates == est.n_candidates
+            assert alone_est.similarity_underflow == est.similarity_underflow
+            assert alone_est.estimate == pytest.approx(est.estimate, rel=1e-12, abs=0)
+            assert alone_est.sum_similarity == pytest.approx(
+                est.sum_similarity, rel=1e-12, abs=0
+            )
+    assert offset == len(labels)
+
+
+def fleet_with_unmatched_unit(n_regimes, mode):
+    """A trained pipeline and a test fleet whose last unit, a copy of the
+    longest training unit, has no full-overlap candidate."""
+    synth = SynthConfig(
+        n_units=10, n_regimes=n_regimes, noise_std=0.01, drift_rate=0.03,
+        seed=6, min_cycles=80, max_cycles=120,
+    )
+    train, test, _, _ = generate_synthetic(synth)
+    pipe = train_pipeline(
+        train, RunConfig(mode=mode, n_regimes=n_regimes, tau2=20, seed=6)
+    )
+    longest = max(train, key=len)
+    copy = Trajectory(unit_id=1000, settings=longest.settings, sensors=longest.sensors)
+    return pipe, TrajectorySet([*test, copy])
+
+
+class TestFleetPath:
+    @pytest.mark.parametrize("mode", ["sst", "sst-lr"])
+    @pytest.mark.parametrize("n_regimes", [1, 2])
+    def test_unit_results_do_not_depend_on_fleet_mates(self, n_regimes, mode):
+        pipe, tset = fleet_with_unmatched_unit(n_regimes, mode)
+        assert_units_scored_alone_alike(pipe, tset)
+        assert scored(pipe, tset)[1][-1] is None
+
+    @pytest.mark.parametrize("n_regimes", [1, 2])
+    def test_peak_memory_is_a_bounded_multiple_of_the_fleet(self, n_regimes):
+        # normalizing and scoring a block at a time keeps the temporaries
+        # block-sized. Train peaks at about 2.1x (the fleet matrix and the
+        # copy the normalizer's std takes), infer at about 1.7x (the matrix
+        # and the per-row results); a fleet-size mean[labels] in the
+        # normalization, or one distance pass over the whole fleet, adds a
+        # multiple
+        synth = SynthConfig(
+            n_units=40, n_regimes=n_regimes, noise_std=0.01, drift_rate=0.03,
+            seed=3, min_cycles=100, max_cycles=200,
+        )
+        train, test, _, _ = generate_synthetic(synth)
+        cfg = RunConfig(mode="sst-lr", n_regimes=n_regimes, tau2=20, seed=3)
+        with mock.patch.object(evaluation, "ROW_BLOCK", 256):
+            pipe = train_pipeline(train, cfg)  # warm: first-call allocations
+            train_peak = traced_peak(lambda: train_pipeline(train, cfg), train)
+            infer_peak = traced_peak(lambda: infer_curves(pipe, test), test)
+        assert sum(len(t) for t in test) > 10 * 256
+        assert train_peak <= 2.5
+        assert infer_peak <= 2.0
+
+
+def traced_peak(run, tset) -> float:
+    """Peak of the memory that run allocates, in multiples of the float64
+    bytes of tset's 24 features."""
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (sum(len(t) for t in tset) * 24 * 8)
+
+
+@pytest.fixture(scope="module")
+def small_sst_lr():
+    synth = SynthConfig(
+        n_units=8, n_regimes=2, noise_std=0.01, drift_rate=0.03,
+        seed=6, min_cycles=80, max_cycles=120,
+    )
+    train, test, _, _ = generate_synthetic(synth)
+    return train_pipeline(train, RunConfig(mode="sst-lr", n_regimes=2, tau2=20, seed=6)), test
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_units_straddling_row_blocks_score_as_alone(small_sst_lr, data):
+    pipe, test = small_sst_lr
+    picks = data.draw(
+        st.lists(st.sampled_from(range(len(test))), min_size=1, max_size=4, unique=True)
+    )
+    tset = TrajectorySet([test.trajectories[i] for i in picks])
+    block = data.draw(st.integers(7, 120))
+    bounds = np.cumsum([0] + [len(t) for t in tset])
+    assume(any(a // block != (b - 1) // block for a, b in zip(bounds, bounds[1:])))
+    with mock.patch.object(evaluation, "ROW_BLOCK", block):
+        assert_units_scored_alone_alike(pipe, tset)
 
 
 class TestReport:

@@ -8,7 +8,6 @@ from subtrack.health import (
     DistanceScaler,
     HiRegressor,
     analyze_rows,
-    build_curve,
     fit_hi_regression,
     fit_scaler,
     predict_hi,
@@ -180,14 +179,14 @@ class TestHiRegression:
         w = np.array([0.1, -0.2, 0.05])
         y = np.clip(proj @ w + 0.5, 0, 1)
         keep = (proj @ w + 0.5 >= 0) & (proj @ w + 0.5 <= 1)
-        reg = fit_hi_regression(proj[keep], y[keep], regime0(keep.sum()))
+        reg = fit_hi_regression(proj[keep], y[keep], regime0(keep.sum()), 1)
         pred = predict_hi(reg, proj[keep], regime0(keep.sum()))
         assert np.max(np.abs(pred - y[keep])) <= 1e-8
 
     def test_constant_targets(self):
         rng = np.random.default_rng(6)
         proj = rng.standard_normal((30, 2))
-        reg = fit_hi_regression(proj, np.full(30, 0.7), regime0(30))
+        reg = fit_hi_regression(proj, np.full(30, 0.7), regime0(30), 1)
         np.testing.assert_allclose(reg.weights[0, :-1], 0.0, atol=1e-6)
         assert reg.weights[0, -1] == pytest.approx(0.7, abs=1e-8)
 
@@ -195,21 +194,31 @@ class TestHiRegression:
         rng = np.random.default_rng(7)
         proj = rng.standard_normal((100, 3))
         y = np.clip(0.5 + 0.1 * rng.standard_normal(100), 0, 1)
-        reg = fit_hi_regression(proj, y, regime0(100))
+        reg = fit_hi_regression(proj, y, regime0(100), 1)
         a = np.hstack([proj, np.ones((100, 1))])
         oracle = np.linalg.pinv(a) @ y
         np.testing.assert_allclose(reg.weights[0], oracle, atol=1e-8)
 
     def test_too_few_samples(self):
         with pytest.raises(ValidationError):
-            fit_hi_regression(np.zeros((3, 3)), np.zeros(3), regime0(3))
+            fit_hi_regression(np.zeros((3, 3)), np.zeros(3), regime0(3), 1)
+
+    @pytest.mark.parametrize("empty", [0, 1, 2])
+    def test_regime_without_rows_raises_wherever_it_is(self, empty):
+        # the table has one row per regime of the model, so an empty last
+        # regime fails here as an empty first or middle one does
+        rng = np.random.default_rng(8)
+        labels = np.delete(np.arange(3), empty).repeat(20)
+        proj, y = rng.standard_normal((40, 2)), rng.uniform(0, 1, 40)
+        with pytest.raises(ValidationError, match=f"regime {empty}: 0 samples"):
+            fit_hi_regression(proj, y, labels, n_regimes=3)
 
     def test_per_regime_fit(self):
         rng = np.random.default_rng(8)
         proj = rng.standard_normal((60, 2))
         labels = np.repeat([0, 1], 30)
         y = np.where(labels == 0, 0.2, 0.8)
-        reg = fit_hi_regression(proj, y, labels=labels)
+        reg = fit_hi_regression(proj, y, labels=labels, n_regimes=2)
         assert reg.n_regimes == 2
         pred = predict_hi(reg, proj, labels=labels)
         np.testing.assert_allclose(pred, y, atol=1e-6)
@@ -230,17 +239,16 @@ class TestHiRegression:
             predict_hi(reg, np.zeros((5, 3)), regime0(5))
 
 
-class TestBuildCurve:
-    def test_series_share_length_and_invariant(self):
+class TestScaleToHealthIndex:
+    def test_smoothed_series_maps_into_unit_interval(self):
         rng = np.random.default_rng(9)
         raw = np.abs(rng.standard_normal(80)).cumsum() * 0.1
         scaler = DistanceScaler(floor=0.0, ceiling=raw.max())
-        curve = build_curve(1, raw, smooth(raw, 0.3), scaler)
-        assert len(curve.sigma) == len(curve.raw_dist) == len(curve.scaled_dist) == 80
-        np.testing.assert_allclose(
-            curve.sigma, 1.0 - np.sqrt(curve.scaled_dist), atol=1e-12
-        )
-        assert np.all((curve.sigma >= 0) & (curve.sigma <= 1))
+        scaled = scale(scaler, smooth(raw, 0.3))
+        sigma = to_health_index(scaled)
+        assert len(sigma) == len(scaled) == 80
+        np.testing.assert_allclose(sigma, 1.0 - np.sqrt(scaled), atol=1e-12)
+        assert np.all((sigma >= 0) & (sigma <= 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import builtins
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from subtrack import persist
+from subtrack import multiscale, persist
 from subtrack.errors import ValidationError
 from subtrack.multiscale import (
     MultiModel,
@@ -36,9 +39,10 @@ class TestClusterRegimes:
     def test_single_cluster(self):
         rng = np.random.default_rng(0)
         pts = rng.standard_normal((50, 3))
-        centroids = cluster_regimes(pts, 1, seed=0)
+        centroids, labels = cluster_regimes(pts, 1, seed=0)
         assert centroids.shape == (1, 3)
         np.testing.assert_allclose(centroids[0], pts.mean(axis=0))
+        np.testing.assert_array_equal(labels, np.zeros(50))
 
     def test_well_separated_clusters(self):
         rng = np.random.default_rng(1)
@@ -46,8 +50,8 @@ class TestClusterRegimes:
         pts = np.vstack(
             [c + 0.1 * rng.standard_normal((30, 3)) for c in centers]
         )
-        centroids = cluster_regimes(pts, 6, seed=0)
-        labels = nearest_centroid(centroids, pts)
+        centroids, labels = cluster_regimes(pts, 6, seed=0)
+        np.testing.assert_array_equal(labels, nearest_centroid(centroids, pts))
         assert set(labels) == set(range(6))
         # internal tightness: max within-cluster distance < min between-centroid
         max_within = max(
@@ -63,11 +67,31 @@ class TestClusterRegimes:
 
     def test_each_point_own_cluster(self):
         pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        centroids = cluster_regimes(pts, 4, seed=3)
-        labels = nearest_centroid(centroids, pts)
+        centroids, labels = cluster_regimes(pts, 4, seed=3)
+        np.testing.assert_array_equal(labels, nearest_centroid(centroids, pts))
         assert len(set(labels.tolist())) == 4
         for k in range(4):
             np.testing.assert_allclose(pts[labels == k][0], centroids[k])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_labels_are_the_nearest_centroid_of_each_row(self, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((200, 3))
+        centroids, labels = cluster_regimes(pts, 4, seed=seed)
+        assert labels.dtype == np.intp
+        np.testing.assert_array_equal(labels, nearest_centroid(centroids, pts))
+
+    def test_labels_after_the_iteration_cap_are_of_the_final_centroids(self):
+        # a cap of one Lloyd step ends the loop before it converges, after a
+        # centroid move that the step's own labels predate
+        def capped(*args):
+            return builtins.range(1) if args == (300,) else builtins.range(*args)
+
+        pts = np.random.default_rng(9).standard_normal((200, 3))
+        with mock.patch.object(multiscale, "range", capped, create=True):
+            centroids, labels = cluster_regimes(pts, 4, seed=9)
+        np.testing.assert_array_equal(labels, nearest_centroid(centroids, pts))
+        assert not np.array_equal(centroids, cluster_regimes(pts, 4, seed=9)[0])
 
     def test_too_few_distinct_points(self):
         pts = np.zeros((10, 3))
@@ -83,9 +107,9 @@ class TestClusterRegimes:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
         pts = rng.standard_normal((100, 3))
-        a = cluster_regimes(pts, 4, seed=11)
-        b = cluster_regimes(pts, 4, seed=11)
+        (a, la), (b, lb) = (cluster_regimes(pts, 4, seed=11) for _ in range(2))
         np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(la, lb)
 
 
 def subspace_angle(a, b):

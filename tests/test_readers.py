@@ -305,3 +305,23 @@ def test_bulk_paths_read_a_valid_fleet_and_library(tmp_path, monkeypatch):
     assert trajectory_bits(load_cmapss(tmp_path / "train.txt")) == trajectory_bits(train)
     assert trajectory_bits(load_cmapss(tmp_path / "test.txt")) == trajectory_bits(test)
     assert curve_bits(read_curves_csv(tmp_path / "train_curves.csv")) == curve_bits(curves)
+
+
+def test_curve_csv_rows_hold_the_repr_of_each_value(tmp_path):
+    # the writer formats a column at a time; each row must still read
+    # unit,cycle,raw,scaled,sigma with every float as its shortest repr
+    values = np.array([0.1, 1 / 3, 5e-324, 1e300, 0.0, 1.0, 2.0**-1074 * 3])
+    curves = [
+        HiCurve(unit_id=7, sigma=values[::-1].copy(), raw_dist=values, scaled_dist=values / 7),
+        HiCurve(unit_id=12, sigma=np.array([0.5]), raw_dist=np.array([2.5]),
+                scaled_dist=np.array([0.25])),
+    ]
+    write_curves_csv(curves, tmp_path / "curves.csv")
+    want = [CURVE_CSV_HEADER] + [
+        f"{c.unit_id},{i},{r!r},{s!r},{g!r}"
+        for c in curves
+        for i, (r, s, g) in enumerate(
+            zip(c.raw_dist.tolist(), c.scaled_dist.tolist(), c.sigma.tolist()), start=1
+        )
+    ]
+    assert (tmp_path / "curves.csv").read_text() == "\n".join(want) + "\n"
