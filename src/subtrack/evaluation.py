@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -60,7 +60,7 @@ class TrainedPipeline:
     # empty in a pipeline read back from a model directory: matching needs
     # only the library
     train_curves: list[HiCurve]
-    library: rul.Library  # the smoothed training curves, prepared at fit time
+    library: rul.Library  # the training curves' sigma, prepared at fit time
     error_trace: list[float]
 
 
@@ -92,6 +92,11 @@ def _normalized(norm: Normalizer, rows, labels, n_set: int, cfg: RunConfig) -> n
     return rows if cfg.track_settings else rows[:, n_set:]
 
 
+def _smoothed(values: np.ndarray, bounds, smoothing: float) -> np.ndarray:
+    """values smoothed within each unit: the one smoothing of every curve."""
+    return np.concatenate(health.smooth_each(_split(values, bounds), smoothing))
+
+
 def _analyze_fleet(model: MultiModel, rows, bounds, smoothing: float) -> tuple:
     """Per row: (raw distance, raw distance smoothed within its unit, projection,
     model label), `health.analyze_rows` writing a block at a time into them."""
@@ -100,21 +105,21 @@ def _analyze_fleet(model: MultiModel, rows, bounds, smoothing: float) -> tuple:
     for a in range(0, len(rows), ROW_BLOCK):
         blk = slice(a, a + ROW_BLOCK)
         raw[blk], proj[blk], reg[blk] = health.analyze_rows(model, rows[blk])
-    smoothed = np.concatenate(health.smooth_each(_split(raw, bounds), smoothing))
-    return raw, smoothed, proj, reg
+    return raw, _smoothed(raw, bounds, smoothing), proj, reg
 
 
-def _curves(tset: TrajectorySet, bounds, raw, scaled, sigma) -> list[HiCurve]:
-    """The fleet's flat series split into one curve per unit."""
+def _fleet_curves(tset, bounds, cfg: RunConfig, scaler, regressor, analyzed) -> list[HiCurve]:
+    """One curve per unit, with the health index of train, infer and matching:
+    in sst mode that of the smoothed, scaled distance; in sst-lr mode the
+    index regressed from the projections, smoothed within its unit."""
+    raw, smoothed, proj, reg = analyzed
+    scaled = health.scale(scaler, smoothed)
+    if cfg.mode == "sst-lr":
+        sigma = _smoothed(health.predict_hi(regressor, proj, reg), bounds, cfg.smoothing)
+    else:
+        sigma = health.to_health_index(scaled)
     series = (_split(x, bounds) for x in (sigma, raw, scaled))
     return [HiCurve(u, *s) for u, *s in zip(tset.unit_ids, *series)]
-
-
-def smoothed_library(curves: list[HiCurve], smoothing: float) -> rul.Library:
-    """The matching library of training curves: each sigma smoothed as the
-    test curves are, the whole library in one call."""
-    sigmas = health.smooth_each([c.sigma for c in curves], smoothing)
-    return rul.prepare_library([replace(c, sigma=s) for c, s in zip(curves, sigmas)])
 
 
 def train_pipeline(train_set: TrajectorySet, cfg: RunConfig) -> TrainedPipeline:
@@ -138,16 +143,14 @@ def train_pipeline(train_set: TrajectorySet, cfg: RunConfig) -> TrainedPipeline:
             )
         members.append(subspace.init_subspace(rows_k, cfg.subspace_dim, cfg.delta))
     model = MultiModel(models=members, centroids=centroids)
-    trace = [float(np.mean(multiscale.assign_rows(model, healthy)[1]))]
 
-    raw, smoothed, proj, reg = _analyze_fleet(model, rows, bounds, cfg.smoothing)
+    analyzed = raw, smoothed, proj, reg = _analyze_fleet(model, rows, bounds, cfg.smoothing)
     scaler = health.fit_scaler(_split(raw, bounds), _split(smoothed, bounds), cfg.healthy_cycles)
-    scaled = health.scale(scaler, smoothed)
-    sigma = health.to_health_index(scaled)
     regressor = None
     if cfg.mode == "sst-lr":
-        regressor = health.fit_hi_regression(proj, sigma, reg, cfg.n_regimes)
-    curves = _curves(train_set, bounds, raw, scaled, sigma)
+        target = health.to_health_index(health.scale(scaler, smoothed))
+        regressor = health.fit_hi_regression(proj, target, reg, cfg.n_regimes)
+    curves = _fleet_curves(train_set, bounds, cfg, scaler, regressor, analyzed)
 
     return TrainedPipeline(
         config=cfg,
@@ -156,31 +159,22 @@ def train_pipeline(train_set: TrajectorySet, cfg: RunConfig) -> TrainedPipeline:
         scaler=scaler,
         regressor=regressor,
         train_curves=curves,
-        library=smoothed_library(curves, cfg.smoothing),
-        error_trace=trace,
+        library=rul.prepare_library(curves),
+        error_trace=[float(np.mean(raw[cycle < cfg.healthy_cycles]))],
     )
 
 
 def infer_curves(pipe: TrainedPipeline, tset: TrajectorySet) -> list[HiCurve]:
     """Health-index curves for a fleet under the trained pipeline, through
-    the same row analysis as training.
-
-    sst mode scales the assigned distances; sst-lr mode predicts the index
-    from the subspace projections instead.
-    """
+    the same row analysis and health index as training."""
     cfg = pipe.config
     if cfg.mode == "sst-lr" and pipe.regressor is None:
         raise ValidationError("sst-lr mode requires a fitted regressor")
     rows, bounds, n_set = _fleet_matrix(tset)
     labels = multiscale.nearest_centroid(pipe.model.centroids, rows[:, :n_set])
     rows = _normalized(pipe.normalizer, rows, labels, n_set, cfg)
-    raw, smoothed, proj, reg = _analyze_fleet(pipe.model, rows, bounds, cfg.smoothing)
-    scaled = health.scale(pipe.scaler, smoothed)
-    if cfg.mode == "sst-lr":
-        sigma = health.predict_hi(pipe.regressor, proj, reg)
-    else:
-        sigma = health.to_health_index(scaled)
-    return _curves(tset, bounds, raw, scaled, sigma)
+    analyzed = _analyze_fleet(pipe.model, rows, bounds, cfg.smoothing)
+    return _fleet_curves(tset, bounds, cfg, pipe.scaler, pipe.regressor, analyzed)
 
 
 def estimate_fleet(
@@ -188,19 +182,17 @@ def estimate_fleet(
     test_curves: list[HiCurve],
     skip_unmatched: bool = False,
 ) -> list[RulEstimate | None]:
-    """Match each (smoothed) test curve against the pipeline's library.
+    """Match each test curve, as given, against the pipeline's library.
 
     With skip_unmatched, a curve with no valid (unit, lag) candidate yields
     None instead of raising; benchmark runs keep the hard failure.
     """
     cfg = pipe.config
     match_cfg = MatchConfig(tau1=cfg.tau1, tau2=cfg.tau2, beta=cfg.beta)
-    test_sigmas = health.smooth_each([c.sigma for c in test_curves], cfg.smoothing)
     estimates = []
-    for curve, sigma in zip(test_curves, test_sigmas):
-        smoothed = replace(curve, sigma=sigma)
+    for curve in test_curves:
         try:
-            estimates.append(rul.estimate_rul(smoothed, pipe.library, match_cfg))
+            estimates.append(rul.estimate_rul(curve, pipe.library, match_cfg))
         except NoMatchError:
             if not skip_unmatched:
                 raise

@@ -48,9 +48,9 @@ class DistanceScaler:
     ceiling: float
 
     def __post_init__(self):
-        if not self.ceiling > self.floor >= 0:
+        if not (np.isfinite(self.ceiling) and self.ceiling > self.floor >= 0):
             raise ValidationError(
-                f"need ceiling > floor >= 0, got floor={self.floor} "
+                f"need finite ceiling > floor >= 0, got floor={self.floor} "
                 f"ceiling={self.ceiling}"
             )
 

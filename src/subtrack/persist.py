@@ -11,8 +11,9 @@ fleet, and carries the directory's format version, MODEL_FORMAT_VERSION.
 Matching reads the stored library and never opens `train_curves.csv`, which
 stays as the human-readable export; read_curves_csv reads it back for
 analysis, and load_pipeline never calls it. A directory of any other
-version is refused; one written with version 1 (the library kept only as
-`train_curves.csv`) is refused with a message to retrain.
+version is refused; one of version 1 (library only in `train_curves.csv`) or 2
+(library smoothed twice, in sst-lr mode of the distance index) with a message
+to retrain.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .multiscale import MultiModel
 from .rul import Library
 from .subspace import SubspaceModel
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 # Library field -> (file, dtype, ndim)
 LIBRARY_FILES = {
     "padded": ("library_sigma.npy", np.dtype("<f8"), 2),
@@ -50,13 +51,13 @@ ESTIMATE_CSV_HEADER = (
 
 
 def _check_version(doc: dict) -> None:
-    """Accept exactly the int MODEL_FORMAT_VERSION: not True, 2.0 or "2"."""
+    """Accept exactly the int MODEL_FORMAT_VERSION: not True, 3.0 or "3"."""
     version = doc.get("version")
     if type(version) is int and version == MODEL_FORMAT_VERSION:
         return
-    if type(version) is int and version == 1:
+    if type(version) is int and version in (1, 2):
         raise ValidationError(
-            "model format version 1 is no longer read; retrain with 'subtrack train'"
+            f"model format version {version} is no longer read; retrain with 'subtrack train'"
         )
     raise ValidationError(f"unsupported model format version {version!r}")
 

@@ -7,12 +7,13 @@ its weight is exp(-d2 / beta), where d2 is the mean squared pointwise
 difference of the overlap. The estimate is the similarity-weighted mean of
 all candidate RULs.
 
-The library is built once per trained model: prepare_library sorts the
-smoothed training curves by unit id, zero-pads them into one
-(n_train, max_len) array P and keeps the prefix sums of P**2. A model
-directory stores P, the unit ids and the lengths, and Library.from_padded
-rebuilds the prefix sums from them. estimate_rul then scores one test curve
-s against every (unit, lag) pair through the identity
+Library and test curves must carry the same health index; matching uses
+each sigma as given and smooths nothing. The library is built once per
+trained model: prepare_library sorts the training curves by unit id,
+zero-pads them into one (n_train, max_len) array P and keeps the prefix
+sums of P**2. A model directory stores P, the unit ids and the lengths, and
+Library.from_padded rebuilds the prefix sums from them. estimate_rul then
+scores one test curve s against every (unit, lag) pair through the identity
 
     d2 = (|s|^2 - 2 s.w + |w|^2) / n,   w = P[unit, tau : tau + n].
 
@@ -71,7 +72,7 @@ class RulEstimate:
 
 @dataclass(frozen=True)
 class Library:
-    """Smoothed training curves prepared for matching, sorted by unit id.
+    """Training curves prepared for matching, sorted by unit id.
 
     Built once at fit time (prepare_library) or from a model directory's
     stored arrays; both go through Library.from_padded.

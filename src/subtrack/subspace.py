@@ -58,8 +58,8 @@ class SubspaceModel:
             raise ValidationError("basis columns are not orthonormal")
         if not np.all(self.spreads > 0):
             raise ValidationError("spreads must be positive")
-        if not self.delta > 0:
-            raise ValidationError("delta must be positive")
+        if not 0 < self.delta < np.inf:
+            raise ValidationError("delta must be positive and finite")
         for arr in (self.basis, self.center, self.spreads):
             if not np.all(np.isfinite(arr)):
                 raise ValidationError("non-finite model parameter")

@@ -16,7 +16,7 @@ from subtrack.cli import EXIT_OK, main
 from subtrack.config import RunConfig
 from subtrack.dataset import SynthConfig, generate_synthetic
 from subtrack.evaluation import rmse, run_benchmark, run_pipeline, score
-from subtrack.health import HiCurve, smooth
+from subtrack.health import HiCurve
 from subtrack.multiscale import track
 from subtrack.rul import MatchConfig, _candidates, estimate_rul, prepare_library
 from subtrack.subspace import init_subspace, mahalanobis_rows
@@ -123,7 +123,7 @@ def test_criterion_4_degradation_monotonicity():
     bad = 0
     for traj, hi in zip(train, pipe.train_curves):
         onset = int(synth.drift_onset_fraction * len(traj))
-        sigma = smooth(hi.sigma, cfg.smoothing)[onset:]
+        sigma = hi.sigma[onset:]  # already the smoothed index
         rho, _ = spearmanr(np.arange(len(sigma)), sigma)
         if not rho <= -0.9:
             bad += 1

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -73,7 +74,7 @@ def synth_dir(tmp_path_factory):
 
 
 BENCH_FLAGS = ["--tau2", "20", "--seed", "3"]
-RETRAIN = "model format version 1 is no longer read; retrain with 'subtrack train'"
+RETRAIN = "model format version {} is no longer read; retrain with 'subtrack train'"
 
 
 class TestSynth:
@@ -377,10 +378,15 @@ class TestInfer:
             (True, "unsupported model format version True"),
             (2.0, "unsupported model format version 2.0"),
             ("2", "unsupported model format version '2'"),
-            (3, "unsupported model format version 3"),
-            (1, RETRAIN),
+            (3.0, "unsupported model format version 3.0"),
+            ("3", "unsupported model format version '3'"),
+            (4, "unsupported model format version 4"),
+            (1, RETRAIN.format(1)),
+            # a version 2 library is smoothed twice, and in sst-lr mode is
+            # not the index the queries carry
+            (2, RETRAIN.format(2)),
         ],
-        ids=["true", "2.0", "str-2", "3", "1"],
+        ids=["true", "2.0", "str-2", "3.0", "str-3", "4", "1", "2"],
     )
     def test_unsupported_version_exits_2_naming_model_json(
         self, synth_dir, model_dir, tmp_path, capsys, version, message, where
@@ -417,7 +423,7 @@ class TestInfer:
         }))
         assert self.infer_rc(synth_dir, legacy, tmp_path / "out") == EXIT_DATA
         err = capsys.readouterr().err
-        assert f"{legacy / 'model.json'}: {RETRAIN}" in err
+        assert f"{legacy / 'model.json'}: {RETRAIN.format(1)}" in err
         assert "Traceback" not in err
 
     @staticmethod
@@ -537,6 +543,31 @@ class TestInfer:
         assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
         err = capsys.readouterr().err
         assert f"{name}: unit 1, cycle 5: health index {value!r} outside [0, 1]" in err
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("scaler.json", lambda doc: doc.update(ceiling=math.inf),
+             "need finite ceiling > floor >= 0"),
+            ("model.json", lambda doc: doc["models"][0].update(delta=math.inf),
+             "delta must be positive and finite"),
+        ],
+        ids=["scaler-ceiling", "model-delta"],
+    )
+    def test_non_finite_parameter_exits_2_naming_file(
+        self, synth_dir, model_dir, tmp_path, capsys, name, edit, message
+    ):
+        # either value loads as a float and would give finite but meaningless
+        # curves or similarities
+        broken = tmp_path / "broken"
+        shutil.copytree(model_dir, broken)
+        doc = json.loads((broken / name).read_text())
+        edit(doc)
+        (broken / name).write_text(json.dumps(doc))  # writes Infinity
+        assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{broken / name}: " in err and message in err
+        assert "Traceback" not in err
 
     def test_infer_never_reads_train_curves(self, synth_dir, model_dir, tmp_path):
         stripped = tmp_path / "stripped"

@@ -26,8 +26,9 @@ from subtrack.evaluation import (
     score,
     train_pipeline,
 )
-from subtrack.health import analyze_rows
+from subtrack.health import analyze_rows, predict_hi
 from subtrack.multiscale import MultiModel, assign_rows, nearest_centroid
+from subtrack.rul import MatchConfig, estimate_rul
 from subtrack.subspace import init_subspace
 
 
@@ -218,17 +219,83 @@ class TestBatchTraining:
 
     @pytest.mark.parametrize("mode", ["sst", "sst-lr"])
     def test_curves_and_scaler_equal_smoothing_each_series_alone(self, mode):
+        # the distances are smoothed in both modes; sigma is the index of the
+        # smoothed, scaled distance in sst mode, and the regressed index,
+        # smoothed within its unit, in sst-lr mode
         train, _, _, _ = generate_synthetic(SMALL_SYNTH)
         cfg = RunConfig(mode=mode, healthy_cycles=20, tau2=20, seed=5)
-        pipe = train_pipeline(train, cfg)
+        regressed = []
+
+        def recording(*args):
+            regressed.append(predict_hi(*args))
+            return regressed[-1]
+
+        with mock.patch.object(health, "predict_hi", recording):
+            pipe = train_pipeline(train, cfg)
         raw = [c.raw_dist for c in pipe.train_curves]
         smoothed = [health.smooth(r, cfg.smoothing) for r in raw]
         scaler = health.fit_scaler(raw, smoothed, cfg.healthy_cycles)
         assert pipe.scaler == scaler
-        for got, s in zip(pipe.train_curves, smoothed):
+        assert len(regressed) == (mode == "sst-lr")
+        ends = np.cumsum([len(c) for c in pipe.train_curves])[:-1]
+        indexes = np.split(regressed[0], ends) if regressed else [None] * len(raw)
+        for got, s, index in zip(pipe.train_curves, smoothed, indexes):
             scaled = health.scale(scaler, s)
             assert got.scaled_dist.tobytes() == scaled.tobytes()
-            assert got.sigma.tobytes() == health.to_health_index(scaled).tobytes()
+            if mode == "sst":
+                want = health.to_health_index(scaled)
+            else:
+                want = health.smooth(index, cfg.smoothing)
+            assert got.sigma.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", ["sst", "sst-lr"])
+    @pytest.mark.parametrize("n_regimes", [1, 2])
+    def test_library_and_queries_are_one_index(self, n_regimes, mode):
+        # matching compares like with like: the library rows are the training
+        # sigmas, which a query of the training fleet reproduces, and
+        # estimate_fleet matches each curve as given, with no further smoothing
+        synth = SynthConfig(
+            n_units=10, n_regimes=n_regimes, noise_std=0.01, drift_rate=0.03,
+            seed=6, min_cycles=80, max_cycles=120,
+        )
+        train, test, _, _ = generate_synthetic(synth)
+        cfg = RunConfig(mode=mode, n_regimes=n_regimes, tau2=20, seed=6)
+        pipe = train_pipeline(train, cfg)
+        library = pipe.library
+        rows = {u: i for i, u in enumerate(library.unit_ids.tolist())}
+        assert sorted(rows) == sorted(train.unit_ids)
+        for got, want in zip(infer_curves(pipe, train), pipe.train_curves):
+            assert got.unit_id == want.unit_id
+            assert got.sigma.tobytes() == want.sigma.tobytes()
+            padded = library.padded[rows[got.unit_id]]
+            assert padded[: len(got)].tobytes() == got.sigma.tobytes()
+            assert not padded[len(got) :].any()
+        curves = infer_curves(pipe, test)
+        match_cfg = MatchConfig(tau1=cfg.tau1, tau2=cfg.tau2, beta=cfg.beta)
+        assert estimate_fleet(pipe, curves) == [
+            estimate_rul(c, library, match_cfg) for c in curves
+        ]
+
+
+@pytest.mark.parametrize("n_regimes", [1, 6])
+def test_both_modes_hold_the_age_only_baseline(n_regimes):
+    # The age-only predictor is the uniform mean of L - n - tau over every
+    # full-overlap candidate: the pipeline with beta = 1e300, where every
+    # similarity is exactly 1. The package generator's drift is orthogonal to
+    # the subspace, so the projections cannot see it and sst-lr can at best
+    # tie the baseline. A library of the distance index, smoothed twice, lost
+    # to it by 1.4-7.6% (generator seeds 0-3).
+    train, test, truths, _ = generate_synthetic(
+        SynthConfig(n_units=60, n_regimes=n_regimes)
+    )
+    cfg = RunConfig(n_regimes=n_regimes)
+    rmses = {
+        mode: run_pipeline(train, test, truths, replace(cfg, mode=mode))[0].rmse
+        for mode in ("sst", "sst-lr")
+    }
+    age_only = run_pipeline(train, test, truths, replace(cfg, beta=1e300))[0].rmse
+    assert rmses["sst-lr"] <= 1.005 * age_only
+    assert rmses["sst"] <= 0.97 * age_only
 
 
 def scored(pipe, tset):

@@ -142,7 +142,7 @@ def reference_smooth(series, factor):
     factor=st.floats(0.01, 1.0),
 )
 def test_smooth_zero_padded_stack_bit_equal_to_reference(curves, factor):
-    # estimate_fleet smooths the whole library as one zero-padded stack
+    # the fleet path smooths all its units' series as one zero-padded stack
     padded = np.zeros((len(curves), max(map(len, curves))))
     for row, c in zip(padded, curves):
         row[: len(c)] = c

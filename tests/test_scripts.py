@@ -27,7 +27,7 @@ def test_synthetic_experiment_prints_one_row_per_method():
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header.split() == ["mode", "rmse", "score"]
-    assert [r.split()[0] for r in rows] == ["sst", "sst-lr", "naive"]
+    assert [r.split()[0] for r in rows] == ["sst", "sst-lr", "age-only"]
 
 
 def test_cmapss_benchmark_prints_this_run_row(tmp_path):
