@@ -40,7 +40,7 @@ def main():
     args = parser.parse_args()
 
     cfg = RunConfig(mode=args.mode, n_regimes=REGIMES[args.dataset], seed=args.seed)
-    report, _, _ = run_benchmark(
+    report, *_ = run_benchmark(
         args.data / f"train_{args.dataset}.txt",
         args.data / f"test_{args.dataset}.txt",
         args.data / f"RUL_{args.dataset}.txt",

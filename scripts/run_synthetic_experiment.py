@@ -41,7 +41,7 @@ def main():
         ("sst-lr", replace(cfg, mode="sst-lr")),
         ("age-only", replace(cfg, beta=1e300)),
     ):
-        report, _, _ = run_pipeline(train, test, truths, run_cfg)
+        report, *_ = run_pipeline(train, test, truths, run_cfg)
         print(f"{name:<8} {report.rmse:>8.2f} {report.score:>10.2f}")
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import dataset, evaluation, persist
 from .config import RunConfig
-from .errors import DataFormatError, NumericalError, PrognosticsError, ValidationError
+from .errors import NumericalError, PrognosticsError, ValidationError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,8 +98,8 @@ def cmd_train(args) -> int:
     cfg = _build_config(args)
     train_set = dataset.load_cmapss(args.train)
     with evaluation.stage("train"):
-        pipe = evaluation.train_pipeline(train_set, cfg)
-    persist.save_pipeline(pipe, args.out)
+        pipe, curves = evaluation.train_pipeline(train_set, cfg)
+    persist.save_pipeline(pipe, curves, args.out)
     print(f"trained on {len(train_set)} units -> {args.out}")
     return EXIT_OK
 
@@ -127,7 +127,7 @@ def cmd_infer(args) -> int:
 
 def cmd_benchmark(args) -> int:
     cfg = _build_config(args)
-    report, pipe, test_curves = evaluation.run_benchmark(
+    report, _, train_curves, test_curves = evaluation.run_benchmark(
         args.train, args.test, args.rul, cfg
     )
     truths = [row["truth"] for row in report.rows]
@@ -135,7 +135,7 @@ def cmd_benchmark(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json() + "\n")
     (out / "report.txt").write_text(report.to_text() + "\n")
-    persist.write_curves_csv(pipe.train_curves, out / "hi_curves_train.csv")
+    persist.write_curves_csv(train_curves, out / "hi_curves_train.csv")
     persist.write_curves_csv(test_curves, out / "hi_curves.csv")
     persist.write_estimates_csv(report.estimates, truths, out / "rul_estimates.csv")
     _report_degraded([est.unit_id for est in report.estimates], report.estimates)
@@ -214,16 +214,10 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (DataFormatError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except PrognosticsError as exc:
+    except (OSError, PrognosticsError) as exc:  # any unreadable or unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -132,7 +133,7 @@ def _parse_cmapss_lines(path: Path) -> list[Trajectory]:
     """Line-by-line parse; the reference for what load_cmapss accepts and
     for every message it raises."""
     rows_by_unit: dict[int, list[tuple[int, np.ndarray]]] = {}
-    with open(path) as fh:
+    with open(path) as fh, _decoding(path):
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
@@ -173,6 +174,16 @@ def _parse_cmapss_lines(path: Path) -> list[Trajectory]:
             )
         )
     return trajectories
+
+
+@contextmanager
+def _decoding(path: Path):
+    """Turn a UnicodeDecodeError while reading path into a DataFormatError
+    naming the file (the decoder reads ahead, so no line is named)."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not a text file ({exc})") from exc
 
 
 def read_table(fh, **kwargs) -> np.ndarray | None:
@@ -229,7 +240,7 @@ def load_rul_targets(path: str | Path, n_units: int) -> list[int]:
     """Read one whole RUL >= 0 per line; must match the test fleet size exactly."""
     path = Path(path)
     targets = []
-    with open(path) as fh:
+    with open(path) as fh, _decoding(path):
         for lineno, line in enumerate(fh, start=1):
             token = line.strip()
             if not token:
@@ -341,6 +352,9 @@ class SynthConfig:
             raise ValidationError("drift_onset_fraction must be in [0, 1]")
         if self.n_units < 1:
             raise ValidationError("n_units must be >= 1")
+        if self.min_cycles < 2:
+            # a one-cycle unit leaves its test copy no cycle to keep
+            raise ValidationError("min_cycles must be >= 2")
         if self.min_cycles > self.max_cycles:
             raise ValidationError("min_cycles must be <= max_cycles")
         if self.n_features <= N_SETTINGS:

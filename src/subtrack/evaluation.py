@@ -52,16 +52,14 @@ def score(errors) -> float:
 
 @dataclass(frozen=True)
 class TrainedPipeline:
+    """Everything infer and matching need, and what a model directory holds."""
+
     config: RunConfig
     normalizer: Normalizer
     model: MultiModel
     scaler: DistanceScaler
     regressor: HiRegressor | None
-    # empty in a pipeline read back from a model directory: matching needs
-    # only the library
-    train_curves: list[HiCurve]
     library: rul.Library  # the training curves' sigma, prepared at fit time
-    error_trace: list[float]
 
 
 # Rows per health.analyze_rows call. One model scored the 56k-row fd004 bench fleet
@@ -122,10 +120,12 @@ def _fleet_curves(tset, bounds, cfg: RunConfig, scaler, regressor, analyzed) -> 
     return [HiCurve(u, *s) for u, *s in zip(tset.unit_ids, *series)]
 
 
-def train_pipeline(train_set: TrajectorySet, cfg: RunConfig) -> TrainedPipeline:
+def train_pipeline(
+    train_set: TrajectorySet, cfg: RunConfig
+) -> tuple[TrainedPipeline, list[HiCurve]]:
     """Fit the training stage: regimes, normalizer, one batch-PCA subspace
-    per regime (no epochs; the error trace is the mean healthy distance),
-    scaler and (in sst-lr mode) the health-index regressor."""
+    per regime (no epochs), scaler and (in sst-lr mode) the health-index
+    regressor. Returns the pipeline and the training curves its library holds."""
     rows, bounds, n_set = _fleet_matrix(train_set)
     centroids, labels = multiscale.cluster_regimes(rows[:, :n_set], cfg.n_regimes, cfg.seed)
     norm = dataset.fit_normalizer(rows, labels, cfg.n_regimes)
@@ -152,16 +152,15 @@ def train_pipeline(train_set: TrajectorySet, cfg: RunConfig) -> TrainedPipeline:
         regressor = health.fit_hi_regression(proj, target, reg, cfg.n_regimes)
     curves = _fleet_curves(train_set, bounds, cfg, scaler, regressor, analyzed)
 
-    return TrainedPipeline(
+    pipe = TrainedPipeline(
         config=cfg,
         normalizer=norm,
         model=model,
         scaler=scaler,
         regressor=regressor,
-        train_curves=curves,
         library=rul.prepare_library(curves),
-        error_trace=[float(np.mean(raw[cycle < cfg.healthy_cycles]))],
     )
+    return pipe, curves
 
 
 def infer_curves(pipe: TrainedPipeline, tset: TrajectorySet) -> list[HiCurve]:
@@ -296,23 +295,24 @@ def run_pipeline(
     test_set: TrajectorySet,
     truths: list[int],
     cfg: RunConfig,
-) -> tuple[RulReport, TrainedPipeline, list[HiCurve]]:
-    """Full in-memory benchmark: train, infer, match, evaluate."""
+) -> tuple[RulReport, TrainedPipeline, list[HiCurve], list[HiCurve]]:
+    """Full in-memory benchmark: train, infer, match, evaluate. Returns the
+    report, the pipeline, and the training and test curves."""
     start = time.perf_counter()
     with stage("train"):
-        pipe = train_pipeline(train_set, cfg)
+        pipe, train_curves = train_pipeline(train_set, cfg)
     with stage("infer"):
         test_curves = infer_curves(pipe, test_set)
     with stage("match"):
         estimates = estimate_fleet(pipe, test_curves)
     with stage("evaluate"):
         report = build_report(estimates, truths, cfg, time.perf_counter() - start)
-    return report, pipe, test_curves
+    return report, pipe, train_curves, test_curves
 
 
 def run_benchmark(
     train_path, test_path, rul_path, cfg: RunConfig
-) -> tuple[RulReport, TrainedPipeline, list[HiCurve]]:
+) -> tuple[RulReport, TrainedPipeline, list[HiCurve], list[HiCurve]]:
     """File-based benchmark entry point for CMAPSS-format datasets."""
     with stage("load"):
         train_set = dataset.load_cmapss(train_path)

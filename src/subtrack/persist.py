@@ -10,10 +10,12 @@ Its `model.json` holds the K-model document, also for a single-regime (K=1)
 fleet, and carries the directory's format version, MODEL_FORMAT_VERSION.
 Matching reads the stored library and never opens `train_curves.csv`, which
 stays as the human-readable export; read_curves_csv reads it back for
-analysis, and load_pipeline never calls it. A directory of any other
-version is refused; one of version 1 (library only in `train_curves.csv`) or 2
-(library smoothed twice, in sst-lr mode of the distance index) with a message
-to retrain.
+analysis, and load_pipeline never calls it. save_pipeline writes that export
+and `error_trace.csv` from the training curves it is given, apart from the
+pipeline, so load_pipeline returns the saved pipeline field for field.
+A directory of any other version is refused; one of version 1 (library only
+in `train_curves.csv`) or 2 (library smoothed twice, in sst-lr mode of the
+distance index) with a message to retrain.
 """
 
 from __future__ import annotations
@@ -250,8 +252,11 @@ def write_estimates_csv(estimates, truths, path: str | Path, unit_ids=None) -> N
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def save_pipeline(pipe: TrainedPipeline, out: str | Path) -> None:
-    """Write every artifact of a trained pipeline into the directory out."""
+def save_pipeline(pipe: TrainedPipeline, curves: list[HiCurve], out: str | Path) -> None:
+    """Write every artifact of a trained pipeline into the directory out, with
+    its training curves as the `train_curves.csv` and `error_trace.csv`
+    exports (the trace is one row, the mean raw distance of the healthy
+    cycles)."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "model.json").write_text(json.dumps(model_to_dict(pipe.model)))
@@ -262,13 +267,11 @@ def save_pipeline(pipe: TrainedPipeline, out: str | Path) -> None:
     (out / "config.json").write_text(
         json.dumps(pipe.config.to_dict(), indent=2, sort_keys=True)
     )
-    write_curves_csv(pipe.train_curves, out / "train_curves.csv")
+    write_curves_csv(curves, out / "train_curves.csv")
     for field, (name, _, _) in LIBRARY_FILES.items():
         np.save(out / name, getattr(pipe.library, field), allow_pickle=False)
-    trace_lines = ["epoch,mean_dist"] + [
-        f"{i},{v!r}" for i, v in enumerate(pipe.error_trace)
-    ]
-    (out / "error_trace.csv").write_text("\n".join(trace_lines) + "\n")
+    healthy = np.concatenate([c.raw_dist[: pipe.config.healthy_cycles] for c in curves])
+    (out / "error_trace.csv").write_text(f"epoch,mean_dist\n0,{float(np.mean(healthy))!r}\n")
 
 
 def _read_json(path: Path, from_dict):
@@ -349,8 +352,8 @@ def _check_table(path: Path, name: str, table: np.ndarray, shape: tuple, positiv
 
 
 def load_pipeline(model_dir: str | Path) -> TrainedPipeline:
-    """Read the artifacts save_pipeline wrote, the tables checked against model.json.
-    The error trace and training curves are not kept; the library stands in for them."""
+    """The pipeline save_pipeline wrote, its tables checked against model.json.
+    The curve exports are not read: matching needs only the library."""
     model_dir = Path(model_dir)
     for name in ("config.json", "model.json", "scaler.json", "normalizer.json"):
         if not (model_dir / name).exists():
@@ -375,7 +378,5 @@ def load_pipeline(model_dir: str | Path) -> TrainedPipeline:
         model=model,
         scaler=_read_json(model_dir / "scaler.json", scaler_from_dict),
         regressor=regressor,
-        train_curves=[],
         library=_load_library(model_dir),
-        error_trace=[],
     )

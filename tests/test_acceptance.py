@@ -119,9 +119,9 @@ def test_criterion_4_degradation_monotonicity():
     cfg = RunConfig(mode="sst", healthy_cycles=20, seed=104)
     from subtrack.evaluation import train_pipeline
 
-    pipe = train_pipeline(train, cfg)
+    _, curves = train_pipeline(train, cfg)
     bad = 0
-    for traj, hi in zip(train, pipe.train_curves):
+    for traj, hi in zip(train, curves):
         onset = int(synth.drift_onset_fraction * len(traj))
         sigma = hi.sigma[onset:]  # already the smoothed index
         rho, _ = spearmanr(np.arange(len(sigma)), sigma)
@@ -149,7 +149,7 @@ def test_criterion_5_synthetic_rul_beats_naive_baseline():
             mode="sst", healthy_cycles=20, tau2=40,
             seed=500 + seed,
         )
-        rep, _, _ = run_pipeline(train, test, truths, cfg)
+        rep, *_ = run_pipeline(train, test, truths, cfg)
         pipeline_rmses.append(rep.rmse)
         mean_rul = float(np.mean(truths))
         baseline_rmses.append(rmse([mean_rul - t for t in truths]))
@@ -223,7 +223,7 @@ def test_criterion_8_cmapss_reproduction():
 
     start = time.perf_counter()
     cfg = RunConfig(mode="sst-lr", n_regimes=1, seed=0)
-    rep1, _, _ = run_benchmark(
+    rep1, *_ = run_benchmark(
         data_dir / "train_FD001.txt",
         data_dir / "test_FD001.txt",
         data_dir / "RUL_FD001.txt",
@@ -234,7 +234,7 @@ def test_criterion_8_cmapss_reproduction():
 
     start = time.perf_counter()
     cfg4 = RunConfig(mode="sst-lr", n_regimes=6, seed=0)
-    rep4, _, _ = run_benchmark(
+    rep4, *_ = run_benchmark(
         data_dir / "train_FD004.txt",
         data_dir / "test_FD004.txt",
         data_dir / "RUL_FD004.txt",

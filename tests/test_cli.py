@@ -301,6 +301,52 @@ def model_dir(synth_dir, tmp_path_factory):
     return out
 
 
+# the argv of a run that reads the path `bad` through the flag named in its id
+UNREADABLE_INPUT = {
+    "train --train": lambda synth, model, bad, out: [
+        "train", "--train", bad, "--out", out],
+    "infer --data": lambda synth, model, bad, out: [
+        "infer", "--model-dir", model, "--data", bad, "--out", out],
+    "infer --rul": lambda synth, model, bad, out: [
+        "infer", "--model-dir", model, "--data", synth / "test_synth.txt",
+        "--rul", bad, "--out", out],
+}
+
+
+class TestUnreadablePaths:
+    """An input that is not text, or a path through a file, exits 2 naming
+    the path, with no traceback and no output. A PermissionError takes the
+    same path but cannot be shown when the tests run as root."""
+
+    def check_exits_2(self, argv, bad, out, capsys):
+        rc = main([str(a) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA, err
+        assert str(bad) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        return err
+
+    @pytest.mark.parametrize("argv", UNREADABLE_INPUT.values(), ids=UNREADABLE_INPUT)
+    def test_undecodable_input(self, synth_dir, model_dir, tmp_path, capsys, argv):
+        bad = tmp_path / "binary.txt"
+        bad.write_bytes(b"\xff" + np.random.default_rng(0).bytes(299))
+        out = tmp_path / "out"
+        err = self.check_exits_2(argv(synth_dir, model_dir, bad, out), bad, out, capsys)
+        assert f"{bad}: not a text file" in err
+
+    @pytest.mark.parametrize("argv", UNREADABLE_INPUT.values(), ids=UNREADABLE_INPUT)
+    def test_input_path_through_a_file(self, synth_dir, model_dir, tmp_path, capsys, argv):
+        bad = synth_dir / "RUL_synth.txt" / "x"
+        out = tmp_path / "out"
+        self.check_exits_2(argv(synth_dir, model_dir, bad, out), bad, out, capsys)
+
+    def test_output_path_through_a_file(self, synth_dir, tmp_path, capsys):
+        bad = synth_dir / "RUL_synth.txt" / "x"
+        argv = ["train", "--train", synth_dir / "train_synth.txt", "--out", bad]
+        self.check_exits_2(argv + BENCH_FLAGS, bad, bad, capsys)
+
+
 class TestInfer:
     def test_outputs_one_row_per_unit(self, synth_dir, model_dir, tmp_path):
         rc = main(

@@ -261,6 +261,24 @@ class TestGenerateSynthetic:
         with pytest.raises(ValidationError):
             generate_synthetic(SynthConfig(subspace_dim=30))
 
+    @pytest.mark.parametrize("min_cycles", [0, 1])
+    def test_min_cycles_below_two_rejected_for_every_seed(self, min_cycles):
+        # a one-cycle unit leaves its test copy nothing to keep; whether a
+        # fleet drew one used to depend on the seed
+        for seed in range(4):
+            cfg = SynthConfig(n_units=20, min_cycles=min_cycles, max_cycles=2, seed=seed)
+            with pytest.raises(ValidationError, match="min_cycles must be >= 2"):
+                generate_synthetic(cfg)
+
+    def test_two_cycle_units_generate(self):
+        for seed in range(4):
+            train, test, truths, _ = generate_synthetic(
+                SynthConfig(n_units=20, min_cycles=2, max_cycles=2, seed=seed)
+            )
+            assert [len(t) for t in train] == [2] * 20
+            assert [len(t) for t in test] == [1] * 20
+            assert truths == [1] * 20
+
     def test_mean_distance_matches_analytic_expectation(self):
         # drift-free fleet scored by the true generating model: the mean
         # distance has a closed form from the chi-square terms

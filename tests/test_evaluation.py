@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from unittest import mock
 
 import numpy as np
@@ -28,6 +28,7 @@ from subtrack.evaluation import (
 )
 from subtrack.health import analyze_rows, predict_hi
 from subtrack.multiscale import MultiModel, assign_rows, nearest_centroid
+from subtrack.persist import load_pipeline, save_pipeline
 from subtrack.rul import MatchConfig, estimate_rul
 from subtrack.subspace import init_subspace
 
@@ -83,7 +84,7 @@ SMALL_CFG = RunConfig(
 class TestPipeline:
     def test_synthetic_end_to_end_beats_trivial_floor(self):
         train, test, truths, _ = generate_synthetic(SMALL_SYNTH)
-        report, pipe, curves = run_pipeline(train, test, truths, SMALL_CFG)
+        report, pipe, _, curves = run_pipeline(train, test, truths, SMALL_CFG)
         assert len(report.rows) == len(test)
         assert report.rmse >= 0
         assert all(len(c) == len(t) for c, t in zip(curves, test))
@@ -93,14 +94,14 @@ class TestPipeline:
         cfg = RunConfig(
             mode="sst-lr", healthy_cycles=20, tau2=20, seed=5
         )
-        report, pipe, _ = run_pipeline(train, test, truths, cfg)
+        report, pipe, _, _ = run_pipeline(train, test, truths, cfg)
         assert pipe.regressor is not None
         assert report.rmse >= 0
 
     def test_sst_lr_curves_keep_the_sst_distances(self):
         # sst-lr replaces only sigma; the distances stay those of sst
         train, test, _, _ = generate_synthetic(SMALL_SYNTH)
-        pipe = train_pipeline(train, replace(SMALL_CFG, mode="sst-lr"))
+        pipe, _ = train_pipeline(train, replace(SMALL_CFG, mode="sst-lr"))
         sst = infer_curves(replace(pipe, config=SMALL_CFG), test)
         for got, want in zip(infer_curves(pipe, test), sst):
             assert got.raw_dist.tobytes() == want.raw_dist.tobytes()
@@ -116,20 +117,20 @@ class TestPipeline:
         cfg = RunConfig(
             n_regimes=2, healthy_cycles=20, tau2=20, seed=6
         )
-        report, pipe, _ = run_pipeline(train, test, truths, cfg)
+        report, pipe, _, _ = run_pipeline(train, test, truths, cfg)
         assert isinstance(pipe.model, MultiModel)
         assert pipe.model.n_regimes == 2
         assert len(report.rows) == len(test)
 
     def test_deterministic_given_seed(self):
         train, test, truths, _ = generate_synthetic(SMALL_SYNTH)
-        a, _, _ = run_pipeline(train, test, truths, SMALL_CFG)
-        b, _, _ = run_pipeline(train, test, truths, SMALL_CFG)
+        a, *_ = run_pipeline(train, test, truths, SMALL_CFG)
+        b, *_ = run_pipeline(train, test, truths, SMALL_CFG)
         assert a.to_json() == b.to_json()
 
     def test_estimate_fleet_repeats_bit_for_bit_without_candidate_records(self):
         train, test, _, _ = generate_synthetic(SMALL_SYNTH)
-        pipe = train_pipeline(train, SMALL_CFG)
+        pipe, _ = train_pipeline(train, SMALL_CFG)
         curves = infer_curves(pipe, test)
         a, b = (estimate_fleet(pipe, curves) for _ in range(2))
         assert [(e.estimate, e.sum_similarity, e.n_candidates) for e in a] == [
@@ -139,16 +140,14 @@ class TestPipeline:
 
     def test_training_sigma_near_one_in_healthy_window(self):
         train, _, _, _ = generate_synthetic(SMALL_SYNTH)
-        pipe = train_pipeline(train, SMALL_CFG)
-        healthy_sigma = np.concatenate(
-            [c.sigma[: SMALL_CFG.healthy_cycles] for c in pipe.train_curves]
-        )
+        _, curves = train_pipeline(train, SMALL_CFG)
+        healthy_sigma = np.concatenate([c.sigma[: SMALL_CFG.healthy_cycles] for c in curves])
         assert healthy_sigma.mean() >= 0.9
 
     def test_training_sigma_low_at_failure(self):
         train, _, _, _ = generate_synthetic(SMALL_SYNTH)
-        pipe = train_pipeline(train, SMALL_CFG)
-        finals = np.array([c.sigma[-1] for c in pipe.train_curves])
+        _, curves = train_pipeline(train, SMALL_CFG)
+        finals = np.array([c.sigma[-1] for c in curves])
         assert np.mean(finals <= 0.3) >= 0.9
 
 
@@ -171,14 +170,14 @@ class TestBatchTraining:
         )
 
     @pytest.mark.parametrize("n_regimes", [1, 2])
-    def test_models_are_the_batch_init_of_each_regime(self, n_regimes):
+    def test_models_are_the_batch_init_of_each_regime(self, n_regimes, tmp_path):
         synth = SynthConfig(
             n_units=10, n_regimes=n_regimes, noise_std=0.01, drift_rate=0.03,
             seed=6, min_cycles=80, max_cycles=120,
         )
         train, _, _, _ = generate_synthetic(synth)
         cfg = RunConfig(n_regimes=n_regimes, healthy_cycles=20, tau2=20, seed=6)
-        pipe = train_pipeline(train, cfg)
+        pipe, curves = train_pipeline(train, cfg)
         healthy, labels = self.healthy_rows(train, pipe)
         assert pipe.model.n_regimes == n_regimes
         for k, got in enumerate(pipe.model.models):
@@ -186,7 +185,11 @@ class TestBatchTraining:
             for name in ("basis", "center", "spreads"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
             assert got.delta == want.delta
-        assert pipe.error_trace == [float(np.mean(assign_rows(pipe.model, healthy)[1]))]
+        # the saved error trace is the mean assigned distance of those rows
+        save_pipeline(pipe, curves, tmp_path)
+        mean_dist = float(np.mean(assign_rows(pipe.model, healthy)[1]))
+        trace = (tmp_path / "error_trace.csv").read_text()
+        assert trace == f"epoch,mean_dist\n0,{mean_dist!r}\n"
 
     @pytest.mark.parametrize("n_regimes", [1, 2])
     def test_inferring_the_training_fleet_reproduces_its_curves(self, n_regimes):
@@ -197,10 +200,10 @@ class TestBatchTraining:
             seed=6, min_cycles=80, max_cycles=120,
         )
         train, _, _, _ = generate_synthetic(synth)
-        pipe = train_pipeline(train, RunConfig(n_regimes=n_regimes, tau2=20, seed=6))
+        pipe, curves = train_pipeline(train, RunConfig(n_regimes=n_regimes, tau2=20, seed=6))
         inferred = infer_curves(pipe, train)
-        assert [c.unit_id for c in inferred] == [c.unit_id for c in pipe.train_curves]
-        for got, want in zip(inferred, pipe.train_curves):
+        assert [c.unit_id for c in inferred] == [c.unit_id for c in curves]
+        for got, want in zip(inferred, curves):
             for name in ("sigma", "raw_dist", "scaled_dist"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
@@ -231,15 +234,15 @@ class TestBatchTraining:
             return regressed[-1]
 
         with mock.patch.object(health, "predict_hi", recording):
-            pipe = train_pipeline(train, cfg)
-        raw = [c.raw_dist for c in pipe.train_curves]
+            pipe, curves = train_pipeline(train, cfg)
+        raw = [c.raw_dist for c in curves]
         smoothed = [health.smooth(r, cfg.smoothing) for r in raw]
         scaler = health.fit_scaler(raw, smoothed, cfg.healthy_cycles)
         assert pipe.scaler == scaler
         assert len(regressed) == (mode == "sst-lr")
-        ends = np.cumsum([len(c) for c in pipe.train_curves])[:-1]
+        ends = np.cumsum([len(c) for c in curves])[:-1]
         indexes = np.split(regressed[0], ends) if regressed else [None] * len(raw)
-        for got, s, index in zip(pipe.train_curves, smoothed, indexes):
+        for got, s, index in zip(curves, smoothed, indexes):
             scaled = health.scale(scaler, s)
             assert got.scaled_dist.tobytes() == scaled.tobytes()
             if mode == "sst":
@@ -260,11 +263,11 @@ class TestBatchTraining:
         )
         train, test, _, _ = generate_synthetic(synth)
         cfg = RunConfig(mode=mode, n_regimes=n_regimes, tau2=20, seed=6)
-        pipe = train_pipeline(train, cfg)
+        pipe, train_curves = train_pipeline(train, cfg)
         library = pipe.library
         rows = {u: i for i, u in enumerate(library.unit_ids.tolist())}
         assert sorted(rows) == sorted(train.unit_ids)
-        for got, want in zip(infer_curves(pipe, train), pipe.train_curves):
+        for got, want in zip(infer_curves(pipe, train), train_curves):
             assert got.unit_id == want.unit_id
             assert got.sigma.tobytes() == want.sigma.tobytes()
             padded = library.padded[rows[got.unit_id]]
@@ -296,6 +299,41 @@ def test_both_modes_hold_the_age_only_baseline(n_regimes):
     age_only = run_pipeline(train, test, truths, replace(cfg, beta=1e300))[0].rmse
     assert rmses["sst-lr"] <= 1.005 * age_only
     assert rmses["sst"] <= 0.97 * age_only
+
+
+def mismatches(a, b, path="pipe"):
+    """Where a and b differ: dataclasses field by field, lists item by item,
+    arrays by dtype, shape and bytes, anything else by type and ==."""
+    if is_dataclass(a) and type(a) is type(b):
+        return [
+            m for f in fields(a)
+            for m in mismatches(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+        ]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [m for i, ab in enumerate(zip(a, b)) for m in mismatches(*ab, f"{path}[{i}]")]
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        same = (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    else:
+        same = type(a) is type(b) and a == b
+    return [] if same else [path]
+
+
+@pytest.mark.parametrize("mode, n_regimes", [("sst", 1), ("sst-lr", 2)])
+def test_a_loaded_pipeline_equals_the_trained_one(tmp_path, mode, n_regimes):
+    # a model directory holds the whole pipeline: nothing is left out of the
+    # saved files or filled in with a placeholder when they are read back
+    synth = SynthConfig(
+        n_units=10, n_regimes=n_regimes, noise_std=0.01, drift_rate=0.03,
+        seed=6, min_cycles=80, max_cycles=120,
+    )
+    train, _, _, _ = generate_synthetic(synth)
+    pipe, curves = train_pipeline(
+        train, RunConfig(mode=mode, n_regimes=n_regimes, tau2=20, seed=6)
+    )
+    save_pipeline(pipe, curves, tmp_path)
+    loaded = load_pipeline(tmp_path)
+    assert (loaded.regressor is None) == (mode == "sst")
+    assert mismatches(loaded, pipe) == []
 
 
 def scored(pipe, tset):
@@ -347,7 +385,7 @@ def fleet_with_unmatched_unit(n_regimes, mode):
         seed=6, min_cycles=80, max_cycles=120,
     )
     train, test, _, _ = generate_synthetic(synth)
-    pipe = train_pipeline(
+    pipe, _ = train_pipeline(
         train, RunConfig(mode=mode, n_regimes=n_regimes, tau2=20, seed=6)
     )
     longest = max(train, key=len)
@@ -378,7 +416,7 @@ class TestFleetPath:
         train, test, _, _ = generate_synthetic(synth)
         cfg = RunConfig(mode="sst-lr", n_regimes=n_regimes, tau2=20, seed=3)
         with mock.patch.object(evaluation, "ROW_BLOCK", 256):
-            pipe = train_pipeline(train, cfg)  # warm: first-call allocations
+            pipe, _ = train_pipeline(train, cfg)  # warm: first-call allocations
             train_peak = traced_peak(lambda: train_pipeline(train, cfg), train)
             infer_peak = traced_peak(lambda: infer_curves(pipe, test), test)
         assert sum(len(t) for t in test) > 10 * 256
@@ -405,7 +443,8 @@ def small_sst_lr():
         seed=6, min_cycles=80, max_cycles=120,
     )
     train, test, _, _ = generate_synthetic(synth)
-    return train_pipeline(train, RunConfig(mode="sst-lr", n_regimes=2, tau2=20, seed=6)), test
+    pipe, _ = train_pipeline(train, RunConfig(mode="sst-lr", n_regimes=2, tau2=20, seed=6))
+    return pipe, test
 
 
 @settings(max_examples=25, deadline=None)
