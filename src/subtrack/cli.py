@@ -107,13 +107,12 @@ def cmd_train(args) -> int:
 def cmd_infer(args) -> int:
     pipe = persist.load_pipeline(args.model_dir)
     tset = dataset.load_cmapss(args.data)
+    # a bad RUL file fails before any inference work
+    truths = None if args.rul is None else dataset.load_rul_targets(args.rul, len(tset))
     curves = evaluation.infer_curves(pipe, tset)
     # units with no valid match (e.g. full-length curves) get an empty row
     # instead of aborting the whole fleet
     estimates = evaluation.estimate_fleet(pipe, curves, skip_unmatched=True)
-    truths = None
-    if args.rul is not None:
-        truths = dataset.load_rul_targets(args.rul, len(tset))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     persist.write_curves_csv(curves, out / "hi_curves.csv")

@@ -13,11 +13,12 @@ import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, PrognosticsError, ValidationError
 
 N_SETTINGS = 3
 N_SENSORS = 21
@@ -29,46 +30,71 @@ CONSTANT_STD = 1e-12
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One unit's time-ordered operational settings and sensor readings.
+    """One unit's time-ordered rows: operational settings, then sensor readings.
 
-    Cycle indices are implicit: row i is cycle i+1.
+    Cycle indices are implicit: row i is cycle i+1. In a TrajectorySet the
+    rows are a read-only view of the set's matrix.
     """
 
     unit_id: int
-    settings: np.ndarray  # (L, n_settings)
-    sensors: np.ndarray  # (L, n_sensors)
+    features: np.ndarray  # (L, D), the N_SETTINGS settings columns first
 
     def __post_init__(self):
-        if self.settings.ndim != 2 or self.sensors.ndim != 2:
-            raise ValidationError("settings and sensors must be 2-d arrays")
-        if len(self.settings) != len(self.sensors):
+        if self.features.ndim != 2 or self.features.shape[1] <= N_SETTINGS:
             raise ValidationError(
-                f"unit {self.unit_id}: settings/sensors length mismatch"
+                f"unit {self.unit_id}: features must be a 2-d array with "
+                f"{N_SETTINGS} settings columns and at least one sensor column"
             )
-        if len(self.settings) == 0:
+        if len(self.features) == 0:
             raise ValidationError(f"unit {self.unit_id}: empty trajectory")
 
     def __len__(self) -> int:
-        return len(self.sensors)
+        return len(self.features)
 
     @property
-    def features(self) -> np.ndarray:
-        """Full feature matrix, settings columns first. Shape (L, D)."""
-        return np.hstack([self.settings, self.sensors])
+    def settings(self) -> np.ndarray:
+        return self.features[:, :N_SETTINGS]
+
+    @property
+    def sensors(self) -> np.ndarray:
+        return self.features[:, N_SETTINGS:]
 
 
-@dataclass(frozen=True)
 class TrajectorySet:
-    """A fleet of trajectories with distinct unit ids."""
+    """A fleet of trajectories with distinct unit ids, held as one read-only
+    C-ordered (rows, D) float64 matrix in unit order: `matrix[bounds[i]:
+    bounds[i + 1]]` are the rows of the i-th unit, and each trajectory is a
+    view of them. Built from trajectories, the set stacks their rows once."""
 
-    trajectories: list[Trajectory]
-
-    def __post_init__(self):
-        if not self.trajectories:
+    def __init__(self, trajectories: list[Trajectory]):
+        if not trajectories:
             raise ValidationError("empty trajectory set")
-        ids = [t.unit_id for t in self.trajectories]
-        if len(set(ids)) != len(ids):
+        if len({t.features.shape[1] for t in trajectories}) != 1:
+            raise ValidationError("trajectories differ in feature count")
+        self._hold(
+            np.concatenate([t.features for t in trajectories], dtype=float),
+            [t.unit_id for t in trajectories],
+            [0, *accumulate(map(len, trajectories))],
+        )
+
+    @classmethod
+    def of_rows(cls, matrix: np.ndarray, unit_ids: list[int], bounds: list[int]):
+        """The set whose units are consecutive row blocks of `matrix`, which
+        it takes over without a copy when it is C-ordered float64."""
+        tset = cls.__new__(cls)
+        tset._hold(matrix, unit_ids, bounds)
+        return tset
+
+    def _hold(self, matrix: np.ndarray, unit_ids: list[int], bounds: list[int]) -> None:
+        if len(set(unit_ids)) != len(unit_ids):
             raise ValidationError("duplicate unit ids in trajectory set")
+        self.matrix = np.ascontiguousarray(matrix, dtype=float)
+        self.matrix.flags.writeable = False
+        self.bounds = bounds
+        self.trajectories = [
+            Trajectory(unit, self.matrix[a:b])
+            for unit, a, b in zip(unit_ids, bounds, bounds[1:])
+        ]
 
     def __len__(self) -> int:
         return len(self.trajectories)
@@ -94,15 +120,13 @@ def load_cmapss(path: str | Path) -> TrajectorySet:
     1_0, say, which numpy does not parse).
     """
     path = Path(path)
-    trajectories = _parse_cmapss_bulk(path)
-    if trajectories is None:
-        trajectories = _parse_cmapss_lines(path)
-    return TrajectorySet(trajectories)
+    tset = _parse_cmapss_bulk(path)
+    return tset if tset is not None else _parse_cmapss_lines(path)
 
 
-def _parse_cmapss_bulk(path: Path) -> list[Trajectory] | None:
-    """The trajectories from one numpy parse, or None when the line parser
-    must decide. Accepts only files the line parser accepts, with the same
+def _parse_cmapss_bulk(path: Path) -> TrajectorySet | None:
+    """The fleet from one numpy parse, or None when the line parser must
+    decide. Accepts only files the line parser accepts, with the same
     values: float tokens are correctly rounded in both."""
     with open(path) as fh:
         table = read_table(fh, ndmin=2)
@@ -115,25 +139,18 @@ def _parse_cmapss_bulk(path: Path) -> list[Trajectory] | None:
     blocks = unit_blocks(ids[:, 0], ids[:, 1])
     if blocks is None:
         return None
-    order, bounds = blocks
-    data = table[order, 2:]  # a new C-ordered array, as the line parser builds
+    order, units, bounds = blocks
+    data = table[order, 2:]  # a new C-ordered array: the set's matrix, not copied
     if not np.isfinite(data).all():
         return None
-    return [
-        Trajectory(
-            unit_id=unit,
-            settings=data[a:b, :N_SETTINGS],
-            sensors=data[a:b, N_SETTINGS:],
-        )
-        for unit, a, b in bounds
-    ]
+    return TrajectorySet.of_rows(data, units, bounds)
 
 
-def _parse_cmapss_lines(path: Path) -> list[Trajectory]:
+def _parse_cmapss_lines(path: Path) -> TrajectorySet:
     """Line-by-line parse; the reference for what load_cmapss accepts and
     for every message it raises."""
     rows_by_unit: dict[int, list[tuple[int, np.ndarray]]] = {}
-    with open(path) as fh, _decoding(path):
+    with open(path) as fh, decoding(path):
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
@@ -166,24 +183,18 @@ def _parse_cmapss_lines(path: Path) -> list[Trajectory]:
             with open(path) as fh:
                 lineno = first_non_finite_line(fh)
             raise DataFormatError(f"{path}:{lineno}: non-finite value (nan or inf)")
-        trajectories.append(
-            Trajectory(
-                unit_id=unit,
-                settings=data[:, :N_SETTINGS],
-                sensors=data[:, N_SETTINGS:],
-            )
-        )
-    return trajectories
+        trajectories.append(Trajectory(unit_id=unit, features=data))
+    return TrajectorySet(trajectories)
 
 
 @contextmanager
-def _decoding(path: Path):
-    """Turn a UnicodeDecodeError while reading path into a DataFormatError
-    naming the file (the decoder reads ahead, so no line is named)."""
+def decoding(path: Path, error: type[PrognosticsError] = DataFormatError):
+    """Turn a UnicodeDecodeError while reading path into `error` naming the
+    file (the decoder reads ahead, so no line is named)."""
     try:
         yield
     except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not a text file ({exc})") from exc
+        raise error(f"{path}: not a text file ({exc})") from exc
 
 
 def read_table(fh, **kwargs) -> np.ndarray | None:
@@ -200,19 +211,20 @@ def read_table(fh, **kwargs) -> np.ndarray | None:
 
 def unit_blocks(
     units: np.ndarray, cycles: np.ndarray
-) -> tuple[np.ndarray, list[tuple[int, int, int]]] | None:
+) -> tuple[np.ndarray, list[int], list[int]] | None:
     """Group rows by unit: the row order that sorts by unit, then by cycle
-    (a stable sort, like sorting each unit's rows by cycle), and the
-    (unit, start, stop) of each unit's rows in that order, units ascending.
-    None when some unit's cycles are not exactly 1, 2, ..., L."""
+    (a stable sort, like sorting each unit's rows by cycle), the units in
+    ascending order, and the row bounds of each unit in that order (unit i
+    holds rows bounds[i]:bounds[i + 1]). None when some unit's cycles are
+    not exactly 1, 2, ..., L."""
     order = np.lexsort((cycles, units))
     units, cycles = units[order], cycles[order]
     starts = np.flatnonzero(np.r_[True, units[1:] != units[:-1]])
-    stops = np.r_[starts[1:], len(units)]
-    expected = np.arange(len(units)) - np.repeat(starts, stops - starts) + 1
+    bounds = np.r_[starts, len(units)]
+    expected = np.arange(len(units)) - np.repeat(starts, np.diff(bounds)) + 1
     if not np.array_equal(cycles, expected):
         return None
-    return order, list(zip(units[starts].tolist(), starts.tolist(), stops.tolist()))
+    return order, units[starts].tolist(), bounds.tolist()
 
 
 def first_non_finite_line(lines, sep: str | None = None, start: int = 1) -> int:
@@ -226,21 +238,22 @@ def first_non_finite_line(lines, sep: str | None = None, start: int = 1) -> int:
 
 
 def save_cmapss(tset: TrajectorySet, path: str | Path) -> None:
-    """Write a TrajectorySet back to 26-column text; values round-trip exactly."""
+    """Write a TrajectorySet back to 26-column text; values round-trip exactly.
+    Each unit's rows go through one tolist() and map(float.__repr__, ...)."""
     path = Path(path)
     with open(path, "w") as fh:
         for traj in tset:
-            feats = traj.features
-            for i in range(len(traj)):
-                vals = " ".join(repr(float(v)) for v in feats[i])
-                fh.write(f"{traj.unit_id} {i + 1} {vals}\n")
+            fh.writelines(
+                f"{traj.unit_id} {cycle} {' '.join(map(float.__repr__, row))}\n"
+                for cycle, row in enumerate(traj.features.tolist(), start=1)
+            )
 
 
 def load_rul_targets(path: str | Path, n_units: int) -> list[int]:
     """Read one whole RUL >= 0 per line; must match the test fleet size exactly."""
     path = Path(path)
     targets = []
-    with open(path) as fh, _decoding(path):
+    with open(path) as fh, decoding(path):
         for lineno, line in enumerate(fh, start=1):
             token = line.strip()
             if not token:
@@ -284,7 +297,11 @@ class Normalizer:
         return self.mean.shape[1]
 
     def transform_inplace(self, rows: np.ndarray, labels: np.ndarray) -> None:
-        """Z-score each row in place with the table of its regime label."""
+        """Z-score each row in place with the table of its regime label.
+
+        `rows` must be writable: the fleet path passes block-sized copies of
+        a TrajectorySet's read-only matrix, one ROW_BLOCK at a time, so the
+        `mean[labels]` and `std[labels]` temporaries stay block-sized too."""
         if rows.shape[1] != self.n_features:
             raise ValidationError(
                 f"normalizer fitted on {self.n_features} features, got {rows.shape[1]}"
@@ -403,8 +420,8 @@ def _sample_unit(
 ) -> Trajectory:
     onset = int(cfg.drift_onset_fraction * length)
     n_sensors = cfg.n_features - N_SETTINGS
-    settings = np.empty((length, N_SETTINGS))
-    sensors = np.empty((length, n_sensors))
+    features = np.empty((length, cfg.n_features))
+    settings, sensors = features[:, :N_SETTINGS], features[:, N_SETTINGS:]
     for i in range(length):
         t = i + 1
         k = int(rng.integers(cfg.n_regimes)) if cfg.n_regimes > 1 else 0
@@ -415,7 +432,7 @@ def _sample_unit(
         x = x + cfg.drift_rate * max(0, t - onset) * reg.drift_dir
         settings[i] = reg.settings
         sensors[i] = x
-    return Trajectory(unit_id=unit_id, settings=settings, sensors=sensors)
+    return Trajectory(unit_id=unit_id, features=features)
 
 
 def generate_synthetic(
@@ -444,13 +461,7 @@ def generate_synthetic(
         full = _sample_unit(cfg, rng, regimes, u, length)
         lo = min(cfg.min_test_cycles, length - 1)
         keep = int(rng.integers(lo, length))
-        test.append(
-            Trajectory(
-                unit_id=u,
-                settings=full.settings[:keep],
-                sensors=full.sensors[:keep],
-            )
-        )
+        test.append(Trajectory(unit_id=u, features=full.features[:keep]))
         true_ruls.append(length - keep)
 
     return (

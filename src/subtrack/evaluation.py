@@ -12,16 +12,15 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
 from . import dataset, health, multiscale, rul, subspace
 from .config import RunConfig
-from .dataset import Normalizer, TrajectorySet
+from .dataset import N_SETTINGS, Normalizer, TrajectorySet
 from .errors import NoMatchError, NumericalError, PrognosticsError, ValidationError
 from .health import DistanceScaler, HiCurve, HiRegressor
-from .multiscale import MultiModel
+from .multiscale import ROW_BLOCK, MultiModel
 from .rul import MatchConfig, RulEstimate
 
 GAMMA_EARLY = 1.0 / 13.0  # estimate below truth (early maintenance)
@@ -62,32 +61,13 @@ class TrainedPipeline:
     library: rul.Library  # the training curves' sigma, prepared at fit time
 
 
-# Rows per health.analyze_rows call. One model scored the 56k-row fd004 bench fleet
-# (2-vCPU Xeon, one BLAS thread) in ~21 ms in blocks of 1,024 to 8,192 rows, 24 ms
-# in blocks of 16,384 and 38 ms in one call, whose temporaries leave the cache.
-ROW_BLOCK = 8192
-
-
-def _fleet_matrix(tset: TrajectorySet) -> tuple[np.ndarray, list[int], int]:
-    """The fleet's (rows, features) matrix, settings columns first; the row
-    offset of each unit and the row count; and the number of settings columns."""
-    bounds = [0, *accumulate(len(t) for t in tset)]
-    n_set = tset.trajectories[0].settings.shape[1]
-    rows = np.empty((bounds[-1], n_set + tset.trajectories[0].sensors.shape[1]))
-    for t, a, b in zip(tset, bounds, bounds[1:]):
-        rows[a:b, :n_set], rows[a:b, n_set:] = t.settings, t.sensors
-    return rows, bounds, n_set
-
-
 def _split(values: np.ndarray, bounds: list[int]) -> list[np.ndarray]:
     return [values[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _normalized(norm: Normalizer, rows, labels, n_set: int, cfg: RunConfig) -> np.ndarray:
-    """The fleet matrix z-scored in place a block at a time: its tracked columns."""
-    for a in range(0, len(rows), ROW_BLOCK):
-        norm.transform_inplace(rows[a : a + ROW_BLOCK], labels[a : a + ROW_BLOCK])
-    return rows if cfg.track_settings else rows[:, n_set:]
+def _tracked(rows: np.ndarray, cfg: RunConfig) -> np.ndarray:
+    """The columns of normalized rows that the subspace models track."""
+    return rows if cfg.track_settings else rows[:, N_SETTINGS:]
 
 
 def _smoothed(values: np.ndarray, bounds, smoothing: float) -> np.ndarray:
@@ -95,22 +75,30 @@ def _smoothed(values: np.ndarray, bounds, smoothing: float) -> np.ndarray:
     return np.concatenate(health.smooth_each(_split(values, bounds), smoothing))
 
 
-def _analyze_fleet(model: MultiModel, rows, bounds, smoothing: float) -> tuple:
-    """Per row: (raw distance, raw distance smoothed within its unit, projection,
-    model label), `health.analyze_rows` writing a block at a time into them."""
+def _analyze_fleet(model: MultiModel, norm: Normalizer, tset, labels, cfg) -> tuple:
+    """Per row of the fleet: (raw distance, raw distance smoothed within its
+    unit, projection, model label). Each ROW_BLOCK of the set's read-only
+    matrix is copied into one block-sized buffer, normalized there with the
+    table of its regime `labels`, and scored by `health.analyze_rows`."""
+    rows = tset.matrix
     raw, reg = np.empty(len(rows)), np.empty(len(rows), dtype=np.intp)
     proj = np.empty((len(rows), model.models[0].subspace_dim))
+    buf = np.empty((min(ROW_BLOCK, len(rows)), rows.shape[1]))
     for a in range(0, len(rows), ROW_BLOCK):
         blk = slice(a, a + ROW_BLOCK)
-        raw[blk], proj[blk], reg[blk] = health.analyze_rows(model, rows[blk])
-    return raw, _smoothed(raw, bounds, smoothing), proj, reg
+        x = buf[: min(ROW_BLOCK, len(rows) - a)]
+        x[:] = rows[blk]
+        norm.transform_inplace(x, labels[blk])
+        raw[blk], proj[blk], reg[blk] = health.analyze_rows(model, _tracked(x, cfg))
+    return raw, _smoothed(raw, tset.bounds, cfg.smoothing), proj, reg
 
 
-def _fleet_curves(tset, bounds, cfg: RunConfig, scaler, regressor, analyzed) -> list[HiCurve]:
+def _fleet_curves(tset, cfg: RunConfig, scaler, regressor, analyzed) -> list[HiCurve]:
     """One curve per unit, with the health index of train, infer and matching:
     in sst mode that of the smoothed, scaled distance; in sst-lr mode the
     index regressed from the projections, smoothed within its unit."""
     raw, smoothed, proj, reg = analyzed
+    bounds = tset.bounds
     scaled = health.scale(scaler, smoothed)
     if cfg.mode == "sst-lr":
         sigma = _smoothed(health.predict_hi(regressor, proj, reg), bounds, cfg.smoothing)
@@ -125,14 +113,19 @@ def train_pipeline(
 ) -> tuple[TrainedPipeline, list[HiCurve]]:
     """Fit the training stage: regimes, normalizer, one batch-PCA subspace
     per regime (no epochs), scaler and (in sst-lr mode) the health-index
-    regressor. Returns the pipeline and the training curves its library holds."""
-    rows, bounds, n_set = _fleet_matrix(train_set)
-    centroids, labels = multiscale.cluster_regimes(rows[:, :n_set], cfg.n_regimes, cfg.seed)
+    regressor. Returns the pipeline and the training curves its library holds.
+    The set's matrix is only read."""
+    rows, bounds = train_set.matrix, train_set.bounds
+    centroids, labels = multiscale.cluster_regimes(
+        rows[:, :N_SETTINGS], cfg.n_regimes, cfg.seed
+    )
     norm = dataset.fit_normalizer(rows, labels, cfg.n_regimes)
-    rows = _normalized(norm, rows, labels, n_set, cfg)
 
     cycle = np.arange(len(rows)) - np.repeat(bounds[:-1], np.diff(bounds))
-    healthy, healthy_labels = rows[cycle < cfg.healthy_cycles], labels[cycle < cfg.healthy_cycles]
+    is_healthy = cycle < cfg.healthy_cycles
+    healthy, healthy_labels = rows[is_healthy], labels[is_healthy]  # a small copy
+    norm.transform_inplace(healthy, healthy_labels)
+    healthy = _tracked(healthy, cfg)
     members = []
     for k in range(cfg.n_regimes):
         rows_k = healthy[healthy_labels == k]
@@ -144,13 +137,13 @@ def train_pipeline(
         members.append(subspace.init_subspace(rows_k, cfg.subspace_dim, cfg.delta))
     model = MultiModel(models=members, centroids=centroids)
 
-    analyzed = raw, smoothed, proj, reg = _analyze_fleet(model, rows, bounds, cfg.smoothing)
+    analyzed = raw, smoothed, proj, reg = _analyze_fleet(model, norm, train_set, labels, cfg)
     scaler = health.fit_scaler(_split(raw, bounds), _split(smoothed, bounds), cfg.healthy_cycles)
     regressor = None
     if cfg.mode == "sst-lr":
         target = health.to_health_index(health.scale(scaler, smoothed))
         regressor = health.fit_hi_regression(proj, target, reg, cfg.n_regimes)
-    curves = _fleet_curves(train_set, bounds, cfg, scaler, regressor, analyzed)
+    curves = _fleet_curves(train_set, cfg, scaler, regressor, analyzed)
 
     pipe = TrainedPipeline(
         config=cfg,
@@ -169,11 +162,9 @@ def infer_curves(pipe: TrainedPipeline, tset: TrajectorySet) -> list[HiCurve]:
     cfg = pipe.config
     if cfg.mode == "sst-lr" and pipe.regressor is None:
         raise ValidationError("sst-lr mode requires a fitted regressor")
-    rows, bounds, n_set = _fleet_matrix(tset)
-    labels = multiscale.nearest_centroid(pipe.model.centroids, rows[:, :n_set])
-    rows = _normalized(pipe.normalizer, rows, labels, n_set, cfg)
-    analyzed = _analyze_fleet(pipe.model, rows, bounds, cfg.smoothing)
-    return _fleet_curves(tset, bounds, cfg, pipe.scaler, pipe.regressor, analyzed)
+    labels = multiscale.nearest_centroid(pipe.model.centroids, tset.matrix[:, :N_SETTINGS])
+    analyzed = _analyze_fleet(pipe.model, pipe.normalizer, tset, labels, cfg)
+    return _fleet_curves(tset, cfg, pipe.scaler, pipe.regressor, analyzed)
 
 
 def estimate_fleet(

@@ -27,7 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .dataset import N_SETTINGS, Normalizer, first_non_finite_line, read_table, unit_blocks
+from .dataset import (
+    N_SETTINGS, Normalizer, decoding, first_non_finite_line, read_table, unit_blocks
+)
 from .errors import ValidationError
 from .evaluation import TrainedPipeline
 from .health import DistanceScaler, HiCurve, HiRegressor
@@ -164,7 +166,8 @@ def read_curves_csv(path: str | Path) -> list[HiCurve]:
     rows in cycle order.
 
     Raises ValidationError naming the file and line on a malformed row or a
-    non-finite value, and naming the unit when its cycles are not 1..L. As in
+    non-finite value, naming the file when it does not decode, and naming
+    the unit when its cycles are not 1..L. As in
     dataset.load_cmapss, one numpy call parses the file, and the line parser
     decides whenever that parse or a check on its result fails.
     """
@@ -177,7 +180,10 @@ def _read_curves_bulk(path: str | Path) -> list[HiCurve] | None:
     decide. The id columns parse as integers, so numpy takes no id that
     int() rejects, such as 1.0."""
     with open(path) as fh:
-        if fh.readline().rstrip("\n") != CURVE_CSV_HEADER:
+        try:
+            if fh.readline().rstrip("\n") != CURVE_CSV_HEADER:
+                return None
+        except UnicodeDecodeError:
             return None
         table = read_table(fh, delimiter=",", dtype=CURVE_ROW_DTYPE, ndmin=1)
     if table is None:
@@ -185,7 +191,7 @@ def _read_curves_bulk(path: str | Path) -> list[HiCurve] | None:
     blocks = unit_blocks(table["unit"], table["cycle"])
     if blocks is None:
         return None
-    order, bounds = blocks
+    order, units, bounds = blocks
     raw, scaled, sigma = (table[name][order] for name in ("raw", "scaled", "sigma"))
     if not all(np.isfinite(a).all() for a in (raw, scaled, sigma)):
         return None
@@ -193,7 +199,7 @@ def _read_curves_bulk(path: str | Path) -> list[HiCurve] | None:
         HiCurve(
             unit_id=unit, sigma=sigma[a:b], raw_dist=raw[a:b], scaled_dist=scaled[a:b]
         )
-        for unit, a, b in bounds
+        for unit, a, b in zip(units, bounds, bounds[1:])
     ]
 
 
@@ -201,7 +207,7 @@ def _read_curves_lines(path: str | Path) -> list[HiCurve]:
     """Line-by-line parse; the reference for what read_curves_csv accepts
     and for every message it raises."""
     by_unit: dict[int, list[tuple[int, float, float, float]]] = {}
-    with open(path) as fh:
+    with open(path) as fh, decoding(path, ValidationError):
         if fh.readline().rstrip("\n") != CURVE_CSV_HEADER:
             raise ValidationError(f"{path}: not a health-index curve CSV")
         for lineno, line in enumerate(fh, start=2):

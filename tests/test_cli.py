@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import subtrack
-from subtrack import persist, rul
+from subtrack import evaluation, persist, rul
 from subtrack.cli import (
     EXIT_DATA,
     EXIT_NUMERICAL,
@@ -382,6 +382,23 @@ class TestInfer:
              "--rul", str(synth_dir / "RUL_synth.txt"),
              "--out", str(out)]
         )
+
+    def test_mismatched_rul_file_exits_2_before_inference(
+        self, synth_dir, model_dir, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("infer_curves ran before the RUL file was checked")
+
+        monkeypatch.setattr(evaluation, "infer_curves", refuse)
+        rul_file = tmp_path / "RUL_short.txt"
+        rul_file.write_text("10\n20\n30\n")
+        rc = main(["infer", "--model-dir", str(model_dir),
+                   "--data", str(synth_dir / "test_synth.txt"),
+                   "--rul", str(rul_file), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA, err
+        assert f"{rul_file}: 3 RUL lines for 10 test units" in err
+        assert not (tmp_path / "out").exists()
 
     def test_single_unit_infer_writes_its_fleet_row(
         self, synth_dir, model_dir, tmp_path

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subtrack import dataset
 from subtrack.dataset import (
     N_SENSORS,
     N_SETTINGS,
@@ -75,8 +76,10 @@ class TestLoadCmapss:
         trajs = [
             Trajectory(
                 unit_id=u,
-                settings=rng.standard_normal((5, N_SETTINGS)),
-                sensors=rng.standard_normal((5, N_SENSORS)) * 100,
+                features=np.hstack([
+                    rng.standard_normal((5, N_SETTINGS)),
+                    rng.standard_normal((5, N_SENSORS)) * 100,
+                ]),
             )
             for u in (1, 2)
         ]
@@ -87,6 +90,86 @@ class TestLoadCmapss:
         for a, b in zip(tset, back):
             np.testing.assert_array_equal(a.settings, b.settings)
             np.testing.assert_array_equal(a.sensors, b.sensors)
+
+    def test_writes_the_bytes_of_the_per_value_writer(self, tmp_path):
+        def per_value_writer(tset, path):
+            # save_cmapss as it was: repr(float(v)) for each value of each row
+            with open(path, "w") as fh:
+                for traj in tset:
+                    feats = traj.features
+                    for i in range(len(traj)):
+                        vals = " ".join(repr(float(v)) for v in feats[i])
+                        fh.write(f"{traj.unit_id} {i + 1} {vals}\n")
+
+        train, _, _, _ = generate_synthetic(
+            SynthConfig(n_units=3, n_regimes=2, seed=4, min_cycles=20, max_cycles=30)
+        )
+        odd = np.array([0.1, 1 / 3, 5e-324, -0.0, 1e300, -2.5, 2.0**-1074 * 3, 1e16])
+        extra = Trajectory(unit_id=-7, features=np.resize(odd, (5, 24)))
+        for tset in (train, TrajectorySet([extra, *train])):
+            save_cmapss(tset, tmp_path / "new.txt")
+            per_value_writer(tset, tmp_path / "old.txt")
+            assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+
+def assert_views_of_one_matrix(tset):
+    """tset's rows are one read-only C-ordered float64 matrix in unit order,
+    and every trajectory, with its settings and sensors, is a view of it."""
+    m = tset.matrix
+    assert m.dtype == np.float64 and m.flags.c_contiguous and not m.flags.writeable
+    assert tset.bounds == [0, *np.cumsum([len(t) for t in tset]).tolist()]
+    for t, a, b in zip(tset, tset.bounds, tset.bounds[1:]):
+        for part in (t.features, t.settings, t.sensors):
+            assert np.shares_memory(part, m)
+            assert not part.flags.writeable
+        assert t.features.tobytes() == m[a:b].tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        tset.trajectories[0].features[0, 0] = 1.0
+
+
+class TestOneMatrix:
+    def test_loaded_set_is_one_matrix_on_both_parse_paths(self, tmp_path):
+        train, _, _, _ = generate_synthetic(
+            SynthConfig(n_units=4, seed=2, min_cycles=20, max_cycles=30)
+        )
+        f = tmp_path / "train.txt"
+        save_cmapss(train, f)
+        for parse in (load_cmapss, dataset._parse_cmapss_lines):
+            tset = parse(f)
+            assert_views_of_one_matrix(tset)
+            assert tset.matrix.tobytes() == train.matrix.tobytes()
+
+    def test_bulk_parse_hands_over_its_matrix(self, tmp_path, monkeypatch):
+        # the array the bulk parse builds becomes the set's matrix, uncopied
+        handed = []
+        of_rows = TrajectorySet.of_rows.__func__
+
+        def recording(cls, matrix, unit_ids, bounds):
+            handed.append(matrix)
+            return of_rows(cls, matrix, unit_ids, bounds)
+
+        monkeypatch.setattr(TrajectorySet, "of_rows", classmethod(recording))
+        f = tmp_path / "train.txt"
+        write_rows(f, [make_row(2, 1), make_row(1, 2), make_row(1, 1)])
+        tset = load_cmapss(f)
+        assert len(handed) == 1 and tset.matrix is handed[0]
+
+    def test_set_of_trajectories_is_stacked_once(self):
+        train, test, _, _ = generate_synthetic(
+            SynthConfig(n_units=3, n_regimes=2, seed=5, min_cycles=20, max_cycles=30)
+        )
+        for tset in (train, test):
+            assert_views_of_one_matrix(tset)
+        rows = np.arange(48.0).reshape(2, 24)
+        tset = TrajectorySet([Trajectory(5, rows), Trajectory(3, rows[:1])])
+        assert_views_of_one_matrix(tset)
+        assert tset.unit_ids == [5, 3] and tset.bounds == [0, 2, 3]
+        assert not np.shares_memory(tset.matrix, rows)
+        assert rows.flags.writeable  # the caller's array is untouched
+
+    def test_mixed_feature_counts_rejected(self):
+        with pytest.raises(ValidationError, match="feature count"):
+            TrajectorySet([Trajectory(1, np.zeros((2, 24))), Trajectory(2, np.zeros((2, 23)))])
 
 
 class TestLoadRulTargets:
@@ -120,15 +203,12 @@ class TestLoadRulTargets:
 
 
 def traj_from_features(unit_id, feats):
-    feats = np.asarray(feats, dtype=float)
-    return Trajectory(
-        unit_id=unit_id, settings=feats[:, :N_SETTINGS], sensors=feats[:, N_SETTINGS:]
-    )
+    return Trajectory(unit_id=unit_id, features=np.asarray(feats, dtype=float))
 
 
 def normalize_one(norm, tset):
     """The features of the one unit in tset, transformed as regime 0."""
-    feats = tset.trajectories[0].features
+    feats = tset.trajectories[0].features.copy()  # the set's rows are read-only
     norm.transform_inplace(feats, np.zeros(len(feats), dtype=int))
     return feats
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from subtrack import dataset, persist
 from subtrack.dataset import SynthConfig, generate_synthetic, load_cmapss, save_cmapss
-from subtrack.errors import PrognosticsError
+from subtrack.errors import PrognosticsError, ValidationError
 from subtrack.health import HiCurve
 from subtrack.persist import CURVE_CSV_HEADER, read_curves_csv, write_curves_csv
 
@@ -275,6 +275,20 @@ def test_curve_header_checked_by_line_parser(tmp_path, text):
     path = tmp_path / "train_curves.csv"
     path.write_text(text)
     assert check_agree(CURVES, path) == "error"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b"\xff" + CURVE_CSV_HEADER.encode() + b"\n1,1,0.1,0.1,0.9\n",
+     CURVE_CSV_HEADER.encode() + b"\n1,1,0.1,0.1,0.9\n\xff\n"],
+    ids=["header", "body"],
+)
+def test_undecodable_curve_file_is_a_validation_error(tmp_path, text):
+    path = tmp_path / "train_curves.csv"
+    path.write_bytes(text)
+    assert check_agree(CURVES, path) == "error"
+    with pytest.raises(ValidationError, match=f"{path}: not a text file"):
+        read_curves_csv(path)
 
 
 # ---------------------------------------------------------------------------
