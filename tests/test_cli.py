@@ -643,6 +643,22 @@ class TestInfer:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    def test_sst_directory_never_reads_regressor_json(
+        self, synth_dir, model_dir, tmp_path
+    ):
+        # save_pipeline writes no regressor in sst mode; a stray file used
+        # to be loaded onto the pipeline (or, malformed, to exit 2)
+        stray = tmp_path / "stray"
+        shutil.copytree(model_dir, stray)
+        (stray / "regressor.json").write_text("not a regressor")
+        assert persist.load_pipeline(stray).regressor is None
+        for d, out in ((model_dir, "a"), (stray, "b")):
+            assert self.infer_rc(synth_dir, d, tmp_path / out) == EXIT_OK
+        for name in ("hi_curves.csv", "rul_estimates.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (
+                tmp_path / "b" / name
+            ).read_bytes()
+
     def test_unmatched_units_listed_on_stderr(
         self, synth_dir, model_dir, tmp_path, capsys
     ):
@@ -741,7 +757,8 @@ class TestFittedTables:
     """normalizer.json and regressor.json must fit model.json: K=3 rows,
     24 normalizer columns (21 tracked sensors and 3 settings) and 3 + 1
     regression weights, all finite and std > 0; model.json's centroids must
-    have one finite column per setting."""
+    have one finite column per setting; config.json must hold the model's
+    K=3, d=3 and delta 0.01."""
 
     @pytest.mark.parametrize(
         "name, edit, message",
@@ -766,10 +783,17 @@ class TestFittedTables:
              lambda doc: doc.update(centroids=[c[:2] for c in doc["centroids"]]),
              "centroids has shape (3, 2), expected (3, 3)"),
             ("model.json", _set_first("centroids", float("nan")), "centroids must be finite"),
+            ("config.json", lambda doc: doc.update(n_regimes=5),
+             "n_regimes 5 does not match 3 in model.json"),
+            ("config.json", lambda doc: doc.update(subspace_dim=2),
+             "subspace_dim 2 does not match 3 in model.json"),
+            ("config.json", lambda doc: doc.update(delta=0.02),
+             "delta 0.02 does not match 0.01 in model.json"),
         ],
         ids=["regressor-2-rows", "regressor-1d", "regressor-nan", "normalizer-2-rows",
              "normalizer-23-mask-columns", "normalizer-zero-std", "normalizer-inf-std",
-             "normalizer-nan-mean", "model-2-settings-columns", "model-nan-centroid"],
+             "normalizer-nan-mean", "model-2-settings-columns", "model-nan-centroid",
+             "config-5-regimes", "config-subspace-dim-2", "config-delta"],
     )
     def test_mismatched_table_exits_2_naming_file_before_data_is_read(
         self, lr_model_dir, tmp_path, capsys, name, edit, message
@@ -784,6 +808,19 @@ class TestFittedTables:
         err = capsys.readouterr().err
         assert f"error: {broken / name}: {message}" in err
         assert "Traceback" not in err
+
+    def test_sst_lr_directory_without_regressor_exits_2_naming_it(
+        self, lr_model_dir, tmp_path, capsys
+    ):
+        broken = tmp_path / "broken"
+        shutil.copytree(lr_model_dir, broken)
+        (broken / "regressor.json").unlink()
+        rc = main(["infer", "--model-dir", str(broken),
+                   "--data", str(tmp_path / "no-such-file.txt"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"error: missing artifact {broken / 'regressor.json'}" in err
 
     def test_untouched_tables_load(self, lr_model_dir):
         pipe = persist.load_pipeline(lr_model_dir)
