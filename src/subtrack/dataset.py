@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, PrognosticsError, ValidationError
 
 N_SETTINGS = 3
 N_SENSORS = 21
@@ -188,13 +188,13 @@ def _parse_cmapss_lines(path: Path) -> TrajectorySet:
 
 
 @contextmanager
-def decoding(path: Path):
-    """Turn a UnicodeDecodeError while reading path into a DataFormatError
-    naming the file (the decoder reads ahead, so no line is named)."""
+def decoding(path: Path, error: type[PrognosticsError] = DataFormatError):
+    """Turn a UnicodeDecodeError while reading path into `error` naming the
+    file (the decoder reads ahead, so no line is named)."""
     try:
         yield
     except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not a text file ({exc})") from exc
+        raise error(f"{path}: not a text file ({exc})") from exc
 
 
 def read_table(fh, **kwargs) -> np.ndarray | None:
@@ -227,12 +227,12 @@ def unit_blocks(
     return order, units[starts].tolist(), bounds.tolist()
 
 
-def first_non_finite_line(lines) -> int:
+def first_non_finite_line(lines, sep: str | None = None, start: int = 1) -> int:
     """Number of the first non-blank line with a token that parses to nan or
     inf. Callers rescan with it only after a parsed array failed the
     finiteness check, so every token parses and such a line exists."""
-    for lineno, line in enumerate(lines, start=1):
-        if line.strip() and not all(math.isfinite(float(p)) for p in line.split()):
+    for lineno, line in enumerate(lines, start=start):
+        if line.strip() and not all(math.isfinite(float(p)) for p in line.split(sep)):
             return lineno
     raise ValueError("no non-finite value found")
 

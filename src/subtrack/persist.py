@@ -8,13 +8,11 @@ only module that reads or writes a model directory.
 
 Its `model.json` holds the K-model document, also for a single-regime (K=1)
 fleet, and carries the directory's format version, MODEL_FORMAT_VERSION.
-Matching reads the stored library and never opens `train_curves.csv`.
-That file, like the `hi_curves*.csv` of infer and benchmark, is a write-only
-export: a header and one row per cycle, `unit_id,cycle,raw_dist,scaled_dist,sigma`,
-each float as its repr, which `np.loadtxt(path, delimiter=",", skiprows=1)`
-reads back exactly. save_pipeline writes that export and `error_trace.csv`
-from the training curves it is given, apart from the pipeline, so
-load_pipeline returns the saved pipeline field for field.
+Matching reads the stored library and never opens `train_curves.csv`, which
+stays as the human-readable export; read_curves_csv reads it back for
+analysis, and load_pipeline never calls it. save_pipeline writes that export
+and `error_trace.csv` from the training curves it is given, apart from the
+pipeline, so load_pipeline returns the saved pipeline field for field.
 A directory of any other version is refused; one of version 1 (library only
 in `train_curves.csv`) or 2 (library smoothed twice, in sst-lr mode of the
 distance index) with a message to retrain.
@@ -29,7 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .dataset import N_SETTINGS, Normalizer
+from .dataset import (
+    N_SETTINGS, Normalizer, decoding, first_non_finite_line, read_table, unit_blocks
+)
 from .errors import ValidationError
 from .evaluation import TrainedPipeline
 from .health import DistanceScaler, HiCurve, HiRegressor
@@ -45,6 +45,10 @@ LIBRARY_FILES = {
     "lengths": ("library_lengths.npy", np.dtype("<i8"), 1),
 }
 CURVE_CSV_HEADER = "unit_id,cycle,raw_dist,scaled_dist,sigma"
+CURVE_ROW_DTYPE = np.dtype(
+    [("unit", np.int64), ("cycle", np.int64),
+     ("raw", np.float64), ("scaled", np.float64), ("sigma", np.float64)]
+)
 ESTIMATE_CSV_HEADER = (
     "unit_id,estimated_rul,true_rul,error,n_candidates,sum_similarity"
 )
@@ -155,6 +159,85 @@ def write_curves_csv(curves: list[HiCurve], path: str | Path) -> None:
             columns = [map(float.__repr__, a.tolist()) for a in values]
             rows = zip(repeat(str(c.unit_id)), cycles, *columns)  # ends with the columns
             fh.write("\n".join(map(",".join, rows)) + "\n")
+
+
+def read_curves_csv(path: str | Path) -> list[HiCurve]:
+    """Curves of a `train_curves.csv` export, in unit order, each unit's
+    rows in cycle order.
+
+    Raises ValidationError naming the file and line on a malformed row or a
+    non-finite value, naming the file when it does not decode, and naming
+    the unit when its cycles are not 1..L. As in
+    dataset.load_cmapss, one numpy call parses the file, and the line parser
+    decides whenever that parse or a check on its result fails.
+    """
+    curves = _read_curves_bulk(path)
+    return curves if curves is not None else _read_curves_lines(path)
+
+
+def _read_curves_bulk(path: str | Path) -> list[HiCurve] | None:
+    """The curves from one numpy parse, or None when the line parser must
+    decide. The id columns parse as integers, so numpy takes no id that
+    int() rejects, such as 1.0."""
+    with open(path) as fh:
+        try:
+            if fh.readline().rstrip("\n") != CURVE_CSV_HEADER:
+                return None
+        except UnicodeDecodeError:
+            return None
+        table = read_table(fh, delimiter=",", dtype=CURVE_ROW_DTYPE, ndmin=1)
+    if table is None:
+        return None
+    blocks = unit_blocks(table["unit"], table["cycle"])
+    if blocks is None:
+        return None
+    order, units, bounds = blocks
+    raw, scaled, sigma = (table[name][order] for name in ("raw", "scaled", "sigma"))
+    if not all(np.isfinite(a).all() for a in (raw, scaled, sigma)):
+        return None
+    return [
+        HiCurve(
+            unit_id=unit, sigma=sigma[a:b], raw_dist=raw[a:b], scaled_dist=scaled[a:b]
+        )
+        for unit, a, b in zip(units, bounds, bounds[1:])
+    ]
+
+
+def _read_curves_lines(path: str | Path) -> list[HiCurve]:
+    """Line-by-line parse; the reference for what read_curves_csv accepts
+    and for every message it raises."""
+    by_unit: dict[int, list[tuple[int, float, float, float]]] = {}
+    with open(path) as fh, decoding(path, ValidationError):
+        if fh.readline().rstrip("\n") != CURVE_CSV_HEADER:
+            raise ValidationError(f"{path}: not a health-index curve CSV")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            try:
+                unit, cycle, raw, scaled, sigma = line.split(",")
+                by_unit.setdefault(int(unit), []).append(
+                    (int(cycle), float(raw), float(scaled), float(sigma))
+                )
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    curves = []
+    for unit in sorted(by_unit):
+        rows = sorted(by_unit[unit], key=lambda r: r[0])
+        if [r[0] for r in rows] != list(range(1, len(rows) + 1)):
+            raise ValidationError(
+                f"{path}: unit {unit} has non-contiguous cycle indices"
+            )
+        raw, scaled, sigma = (np.array([r[k] for r in rows]) for k in (1, 2, 3))
+        if not all(np.isfinite(a).all() for a in (raw, scaled, sigma)):
+            with open(path) as fh:
+                next(fh)
+                lineno = first_non_finite_line(fh, ",", start=2)
+            raise ValidationError(f"{path}:{lineno}: non-finite value (nan or inf)")
+        curves.append(
+            HiCurve(unit_id=unit, sigma=sigma, raw_dist=raw, scaled_dist=scaled)
+        )
+    return curves
 
 
 def write_estimates_csv(estimates, truths, path: str | Path, unit_ids=None) -> None:

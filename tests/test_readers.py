@@ -1,22 +1,25 @@
-"""The numpy bulk reader of CMAPSS files against the line parser it falls
-back to, and the format of the curve CSV export.
+"""The numpy bulk readers against the line parsers they fall back to.
 
-dataset.load_cmapss parses a file with one np.loadtxt call and falls back
-to its line parser when that parse or a check on its result fails. The line
-parser is the reference: the bulk path may accept only files it accepts,
-with bit-equal arrays, and every error comes from it. The curve CSVs are
-write-only exports, so only their writer is tested here.
+dataset.load_cmapss and persist.read_curves_csv parse a file with one
+np.loadtxt call and fall back to their line parser when that parse or a
+check on its result fails. The line parser is the reference: the bulk path
+may accept only files it accepts, with bit-equal arrays, and every error
+comes from it.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subtrack import dataset
+from subtrack import dataset, persist
 from subtrack.dataset import SynthConfig, generate_synthetic, load_cmapss, save_cmapss
-from subtrack.errors import PrognosticsError
+from subtrack.errors import PrognosticsError, ValidationError
 from subtrack.health import HiCurve
-from subtrack.persist import CURVE_CSV_HEADER, write_curves_csv
+from subtrack.persist import CURVE_CSV_HEADER, read_curves_csv, write_curves_csv
+
+CMAPSS = (load_cmapss, dataset._parse_cmapss_bulk, dataset._parse_cmapss_lines)
+CURVES = (read_curves_csv, persist._read_curves_bulk, persist._read_curves_lines)
+
 
 def trajectory_bits(trajs):
     return [
@@ -26,24 +29,40 @@ def trajectory_bits(trajs):
     ]
 
 
+def curve_bits(curves):
+    return [
+        (c.unit_id, type(c.unit_id), c.sigma.tobytes(), c.raw_dist.tobytes(),
+         c.scaled_dist.tobytes())
+        for c in curves
+    ]
+
+
+def bits(result):
+    result = list(result)
+    if result and isinstance(result[0], HiCurve):
+        return curve_bits(result)
+    return trajectory_bits(result)
+
+
 def outcome(read, path):
     """("ok", bits of the result) or (exception type, message)."""
     try:
-        return "ok", trajectory_bits(read(path))
+        return "ok", bits(read(path))
     except PrognosticsError as exc:
         return type(exc), str(exc)
 
 
-def check_agree(path):
-    """load_cmapss gives what the line parser gives, and the bulk path
+def check_agree(readers, path):
+    """The public reader gives what the line parser gives, and the bulk path
     accepts only what the line parser accepts, with bit-equal arrays.
     Returns which path decided: "fast", "fallback" or "error"."""
-    ref = outcome(dataset._parse_cmapss_lines, path)
-    assert outcome(load_cmapss, path) == ref
-    fast = dataset._parse_cmapss_bulk(path)
+    public, bulk, lines = readers
+    ref = outcome(lines, path)
+    assert outcome(public, path) == ref
+    fast = bulk(path)
     if fast is not None:
         assert ref[0] == "ok", "the bulk path accepted a file the line parser rejects"
-        assert trajectory_bits(fast) == ref[1]
+        assert bits(fast) == ref[1]
         return "fast"
     return "fallback" if ref[0] == "ok" else "error"
 
@@ -92,6 +111,19 @@ def cmapss_texts(draw):
     return join_lines(draw, lines, eol)
 
 
+@st.composite
+def curve_texts(draw):
+    rows, eol = draw(unit_rows())
+    id_format = draw(st.sampled_from(["{}", "{:+d}", " {} "]))
+    fmt = draw(st.sampled_from(VALUE_FORMATS))
+    lines = []
+    for unit, cycle in rows:
+        values = draw(st.lists(FLOATS, min_size=3, max_size=3))
+        fields = [id_format.format(unit), id_format.format(cycle)]
+        lines.append(",".join(fields + [fmt(v) for v in values]))
+    return CURVE_CSV_HEADER + eol + join_lines(draw, lines, eol)
+
+
 def write_text(tmp_path_factory, text, name):
     path = tmp_path_factory.mktemp("readers") / name
     with open(path, "w", newline="") as fh:
@@ -103,7 +135,14 @@ def write_text(tmp_path_factory, text, name):
 @given(text=cmapss_texts())
 def test_valid_cmapss_files_bit_equal_on_both_paths(tmp_path_factory, text):
     path = write_text(tmp_path_factory, text, "train.txt")
-    assert check_agree(path) == "fast"
+    assert check_agree(CMAPSS, path) == "fast"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=curve_texts())
+def test_valid_curve_files_bit_equal_on_both_paths(tmp_path_factory, text):
+    path = write_text(tmp_path_factory, text, "train_curves.csv")
+    assert check_agree(CURVES, path) == "fast"
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +151,13 @@ def test_valid_cmapss_files_bit_equal_on_both_paths(tmp_path_factory, text):
 def cmapss_lines():
     return [
         " ".join(map(str, [unit, cycle] + [0.5 * unit + cycle + i for i in range(24)]))
+        for unit in (1, 2) for cycle in (1, 2, 3)
+    ]
+
+
+def curve_lines():
+    return [CURVE_CSV_HEADER] + [
+        f"{unit},{cycle},{0.1 * cycle!r},{0.01 * cycle!r},{1 - 0.1 * cycle!r}"
         for unit in (1, 2) for cycle in (1, 2, 3)
     ]
 
@@ -143,9 +189,8 @@ def insert(lines, lineno, text):
 
 
 def edit_cases(sep, first):
-    """The odd and malformed files: (name, edit of the lines). first is the
-    number of the first data line and sep the field separator (None for
-    whitespace); units 1 and 2 have cycles 1 to 3 each."""
+    """Cases shared by both readers: (name, edit of the lines). first is the
+    number of the first data line; units 1 and 2 have cycles 1 to 3 each."""
     cases = [
         ("unit 1.0", lambda ls: set_unit(ls, first, "1.0", sep)),
         ("unit +1", lambda ls: set_unit(ls, first, "+1", sep)),
@@ -196,6 +241,11 @@ CMAPSS_EXPECTED = {
     "form feed before a separator": "fast", "U+2028 before a separator": "fast",
     "no data rows": "error",
 }
+CURVE_EXPECTED = dict(
+    CMAPSS_EXPECTED,
+    **{"unit 1.0": "error", "whitespace-only line": "error",
+       "no data rows": "fallback"},
+)
 
 
 @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["LF", "CRLF"])
@@ -204,7 +254,41 @@ def test_cmapss_readers_agree(tmp_path, name, edit, eol):
     path = tmp_path / "train.txt"
     with open(path, "w", newline="") as fh:
         fh.write("".join(line + eol for line in edit(cmapss_lines())))
-    assert check_agree(path) == CMAPSS_EXPECTED[name]
+    assert check_agree(CMAPSS, path) == CMAPSS_EXPECTED[name]
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("name,edit", edit_cases(",", 2))
+def test_curve_readers_agree(tmp_path, name, edit, eol):
+    path = tmp_path / "train_curves.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(line + eol for line in edit(curve_lines())))
+    assert check_agree(CURVES, path) == CURVE_EXPECTED[name]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "unit_id,cycle\n1,1\n", CURVE_CSV_HEADER + ",extra\n1,1,0.1,0.1,0.9\n"],
+    ids=["empty", "short header", "long header"],
+)
+def test_curve_header_checked_by_line_parser(tmp_path, text):
+    path = tmp_path / "train_curves.csv"
+    path.write_text(text)
+    assert check_agree(CURVES, path) == "error"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b"\xff" + CURVE_CSV_HEADER.encode() + b"\n1,1,0.1,0.1,0.9\n",
+     CURVE_CSV_HEADER.encode() + b"\n1,1,0.1,0.1,0.9\n\xff\n"],
+    ids=["header", "body"],
+)
+def test_undecodable_curve_file_is_a_validation_error(tmp_path, text):
+    path = tmp_path / "train_curves.csv"
+    path.write_bytes(text)
+    assert check_agree(CURVES, path) == "error"
+    with pytest.raises(ValidationError, match=f"{path}: not a text file"):
+        read_curves_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +302,23 @@ def test_bulk_paths_read_a_valid_fleet_and_library(tmp_path, monkeypatch):
     train, test, _, _ = generate_synthetic(
         SynthConfig(n_units=6, min_cycles=20, max_cycles=40, seed=11)
     )
+    rng = np.random.default_rng(11)
+    curves = [
+        HiCurve(unit_id=t.unit_id, sigma=rng.random(len(t)),
+                raw_dist=rng.random(len(t)), scaled_dist=rng.random(len(t)))
+        for t in train
+    ]
     save_cmapss(train, tmp_path / "train.txt")
     save_cmapss(test, tmp_path / "test.txt")
+    write_curves_csv(curves, tmp_path / "train_curves.csv")
     # a numpy warning or behaviour change that made the bulk path give up
     # would otherwise pass unnoticed, at the old speed
     monkeypatch.setattr(dataset, "_parse_cmapss_lines", refuse)
+    monkeypatch.setattr(persist, "_read_curves_lines", refuse)
 
     assert trajectory_bits(load_cmapss(tmp_path / "train.txt")) == trajectory_bits(train)
     assert trajectory_bits(load_cmapss(tmp_path / "test.txt")) == trajectory_bits(test)
+    assert curve_bits(read_curves_csv(tmp_path / "train_curves.csv")) == curve_bits(curves)
 
 
 def test_curve_csv_rows_hold_the_repr_of_each_value(tmp_path):
@@ -246,7 +339,7 @@ def test_curve_csv_rows_hold_the_repr_of_each_value(tmp_path):
         )
     ]
     assert (tmp_path / "curves.csv").read_text() == "\n".join(want) + "\n"
-    # the documented read-back of the export gives every value exactly
+    # the documented plain read-back of the export gives every value exactly
     table = np.loadtxt(tmp_path / "curves.csv", delimiter=",", skiprows=1)
     for column, field in enumerate(("raw_dist", "scaled_dist", "sigma"), start=2):
         want_column = np.concatenate([getattr(c, field) for c in curves])
