@@ -24,6 +24,9 @@ N_SETTINGS = 3
 N_SENSORS = 21
 N_COLUMNS = 2 + N_SETTINGS + N_SENSORS
 
+# rows per block of the parse's finiteness check
+PARSE_BLOCK = 1024
+
 # features with sample std below this are treated as constant and masked
 CONSTANT_STD = 1e-12
 
@@ -80,7 +83,9 @@ class TrajectorySet:
     @classmethod
     def of_rows(cls, matrix: np.ndarray, unit_ids: list[int], bounds: list[int]):
         """The set whose units are consecutive row blocks of `matrix`, which
-        it takes over without a copy when it is C-ordered float64."""
+        it takes over without a copy when it is C-ordered float64, also when
+        it is a view of a larger buffer: the bulk parse hands over the front
+        of the table numpy parsed."""
         tset = cls.__new__(cls)
         tset._hold(matrix, unit_ids, bounds)
         return tset
@@ -127,23 +132,51 @@ def load_cmapss(path: str | Path) -> TrajectorySet:
 def _parse_cmapss_bulk(path: Path) -> TrajectorySet | None:
     """The fleet from one numpy parse, or None when the line parser must
     decide. Accepts only files the line parser accepts, with the same
-    values: float tokens are correctly rounded in both."""
+    values: float tokens are correctly rounded in both.
+
+    The set's matrix is built inside the (rows, 26) table that numpy returns:
+    when the rows are already in (unit, cycle) order, the 24 feature columns
+    are moved to the front of the table's buffer, so the parse holds one
+    fleet-sized buffer. Only a file in another order takes a reordered copy."""
     with open(path) as fh:
         table = read_table(fh, ndmin=2)
-    if table is None or table.shape[1] != N_COLUMNS:
+    if table is None or table.shape[1] != N_COLUMNS or not _all_finite(table):
         return None
     ids = table[:, :2]
-    if not (np.abs(ids) < 2.0**62).all():  # also rejects nan
+    if not (np.abs(ids) < 2.0**62).all():
         return None
     ids = ids.astype(np.int64)  # truncates toward zero, as int() does
     blocks = unit_blocks(ids[:, 0], ids[:, 1])
     if blocks is None:
         return None
     order, units, bounds = blocks
-    data = table[order, 2:]  # a new C-ordered array: the set's matrix, not copied
-    if not np.isfinite(data).all():
-        return None
+    data = _compact_features(table) if order is None else table[order, 2:]
     return TrajectorySet.of_rows(data, units, bounds)
+
+
+def _all_finite(rows: np.ndarray) -> bool:
+    """No nan or inf in rows, checked PARSE_BLOCK rows at a time."""
+    return all(
+        np.isfinite(rows[a : a + PARSE_BLOCK]).all() for a in range(0, len(rows), PARSE_BLOCK)
+    )
+
+
+def _compact_features(table: np.ndarray) -> np.ndarray:
+    """The C-ordered (rows, 24) matrix of a C-ordered (rows, 26) table's
+    columns 2-25, moved to the front of the table's own buffer. Rows move in
+    blocks whose destination ends at or before their source begins, so no
+    block overwrites rows still to be moved and numpy makes no temporary;
+    only the first rows, which overlap their own source, move one by one."""
+    n, width = len(table), N_COLUMNS - 2
+    data = table.reshape(-1)[: n * width].reshape(n, width)
+    a = 0
+    while a < n:
+        # rows a:b go to flat [width * a, width * b): ending at or before
+        # N_COLUMNS * a + 2, where row a's source begins, takes b - a <= (2a + 2) / width
+        b = min(n, a + max(1, (2 * a + 2) // width))
+        data[a:b] = table[a:b, 2:]
+        a = b
+    return data
 
 
 def _parse_cmapss_lines(path: Path) -> TrajectorySet:
@@ -211,20 +244,32 @@ def read_table(fh, **kwargs) -> np.ndarray | None:
 
 def unit_blocks(
     units: np.ndarray, cycles: np.ndarray
-) -> tuple[np.ndarray, list[int], list[int]] | None:
+) -> tuple[np.ndarray | None, list[int], list[int]] | None:
     """Group rows by unit: the row order that sorts by unit, then by cycle
-    (a stable sort, like sorting each unit's rows by cycle), the units in
-    ascending order, and the row bounds of each unit in that order (unit i
-    holds rows bounds[i]:bounds[i + 1]). None when some unit's cycles are
-    not exactly 1, 2, ..., L."""
+    (a stable sort, like sorting each unit's rows by cycle), or None when
+    the rows are already in that order; the units in ascending order; and
+    the row bounds of each unit in sorted order (unit i holds rows
+    bounds[i]:bounds[i + 1]). None when some unit's cycles are not exactly
+    1, 2, ..., L."""
+    runs = _cycle_runs(units, cycles)
+    if runs is not None:
+        return None, *runs
     order = np.lexsort((cycles, units))
-    units, cycles = units[order], cycles[order]
-    starts = np.flatnonzero(np.r_[True, units[1:] != units[:-1]])
-    bounds = np.r_[starts, len(units)]
-    expected = np.arange(len(units)) - np.repeat(starts, np.diff(bounds)) + 1
-    if not np.array_equal(cycles, expected):
+    runs = _cycle_runs(units[order], cycles[order])
+    return None if runs is None else (order, *runs)
+
+
+def _cycle_runs(units: np.ndarray, cycles: np.ndarray) -> tuple[list[int], list[int]] | None:
+    """(units, bounds) of rows in ascending unit order whose cycles run 1,
+    2, ..., L within each unit; None for any other rows."""
+    if not (units[1:] >= units[:-1]).all():
         return None
-    return order, units[starts].tolist(), bounds.tolist()
+    starts = np.flatnonzero(np.r_[True, units[1:] != units[:-1]])
+    steps = np.diff(cycles)
+    steps[starts[1:] - 1] = 1  # the step into each unit; its first cycle is checked apart
+    if not ((steps == 1).all() and (cycles[starts] == 1).all()):
+        return None
+    return units[starts].tolist(), [*starts.tolist(), len(units)]
 
 
 def first_non_finite_line(lines, sep: str | None = None, start: int = 1) -> int:

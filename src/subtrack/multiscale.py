@@ -9,11 +9,12 @@ it is routed to.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .subspace import SubspaceModel, mahalanobis_rows, update
 
 # Rows per labelling pass here and per health.analyze_rows call in evaluation,
@@ -53,8 +54,12 @@ def cluster_regimes(
 
     Returns the (K, n_settings) centroids and each row's `nearest_centroid`
     label. Empty clusters are re-seeded from the point farthest from its
-    assigned centroid. K=1 is answered in closed form: the settings mean is
-    Lloyd's fixed point, and no random generator is needed.
+    assigned centroid. The k-means++ picks (Arthur & Vassilvitskii, SODA
+    2007) come from the stdlib `random.Random(seed)`: `randrange` picks the
+    first seed, and each later one is an inverse-CDF search of the running
+    sum of squared distances, so `numpy.random` (~6 MB of RSS) is never
+    imported. K=1 is answered in closed form: the settings mean is Lloyd's
+    fixed point. Raises NumericalError when the squared distances overflow.
     """
     points = np.asarray(settings, dtype=float)
     if points.ndim != 2 or len(points) == 0:
@@ -62,13 +67,15 @@ def cluster_regimes(
     if n_clusters == 1:
         return points.mean(axis=0, keepdims=True), np.zeros(len(points), dtype=np.intp)
 
-    rng = np.random.default_rng(seed)
-
-    # k-means++ seeding
-    centroids = [points[rng.integers(len(points))]]
+    rng = random.Random(seed)
+    centroids = [points[rng.randrange(len(points))]]
     for _ in range(1, n_clusters):
-        d2 = _nearest(points, centroids)[1]
-        total = d2.sum()
+        with np.errstate(over="ignore"):
+            d2 = _nearest(points, centroids)[1]
+            cum = np.cumsum(d2, out=d2)
+        total = cum[-1]
+        if not np.isfinite(total):
+            raise NumericalError("k-means++ seeding: squared settings distances overflow")
         if total == 0:
             # all remaining mass on already-chosen centers: with fewer distinct
             # points than clusters seeding always gets here, so they are
@@ -84,7 +91,10 @@ def cluster_regimes(
                     centroids.append(p)
                     break
             continue
-        centroids.append(points[rng.choice(len(points), p=d2 / total)])
+        # the first row whose running sum exceeds the draw has positive mass;
+        # a draw that rounds up to a subnormal total takes the last such row
+        pick = np.searchsorted(cum, rng.random() * total, side="right")
+        centroids.append(points[min(pick, np.searchsorted(cum, total))])
     centroids = np.array(centroids)
 
     for _ in range(300):

@@ -192,7 +192,9 @@ def _read_curves_bulk(path: str | Path) -> list[HiCurve] | None:
     if blocks is None:
         return None
     order, units, bounds = blocks
-    raw, scaled, sigma = (table[name][order] for name in ("raw", "scaled", "sigma"))
+    if order is not None:
+        table = table[order]
+    raw, scaled, sigma = (table[name] for name in ("raw", "scaled", "sigma"))
     if not all(np.isfinite(a).all() for a in (raw, scaled, sigma)):
         return None
     return [

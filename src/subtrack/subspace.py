@@ -117,11 +117,11 @@ def mahalanobis_rows(model: SubspaceModel, rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != model.dim:
         raise ValidationError(f"expected rows of dimension {model.dim}")
-    diff = rows - model.center
-    coords = diff @ model.basis
-    residual = diff - coords @ model.basis.T
+    residual = rows - model.center  # the centered rows, then in place their residual
+    coords = residual @ model.basis
+    residual -= coords @ model.basis.T
     return model.delta * np.sum(coords**2 / model.spreads, axis=1) + np.sum(
-        residual**2, axis=1
+        np.square(residual, out=residual), axis=1
     )
 
 

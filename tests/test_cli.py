@@ -22,7 +22,14 @@ from subtrack.cli import (
     main,
 )
 from subtrack.config import RETIRED_FIELDS, RunConfig
-from subtrack.dataset import load_cmapss
+from subtrack.dataset import (
+    N_SETTINGS,
+    SynthConfig,
+    TrajectorySet,
+    generate_synthetic,
+    load_cmapss,
+    save_cmapss,
+)
 from subtrack.errors import ValidationError
 
 
@@ -158,16 +165,26 @@ class TestTrain:
         assert saved["tau2"] == 25  # from file
         assert saved["seed"] == 3  # flag wins
 
-    def test_single_regime_leaves_numpy_random_unimported(self, synth_dir, tmp_path):
-        # K=1 regimes come in closed form; importing numpy.random costs ~6 MB RSS
-        code = (
-            "import sys; from subtrack.cli import main; "
-            f"rc = main(['train', '--train', {str(synth_dir / 'train_synth.txt')!r}, "
-            f"'--out', {str(tmp_path / 'model')!r}]); "
-            "assert rc == 0; assert 'numpy.random' not in sys.modules, 'imported'"
+    def test_overflowing_settings_exit_3_tagged_with_stage(self, tmp_path):
+        # finite settings whose squared distances overflow the k-means++ total
+        train = generate_synthetic(
+            SynthConfig(n_units=4, n_regimes=2, min_cycles=40, max_cycles=50)
+        )[0]
+        matrix = train.matrix.copy()
+        matrix[:, :N_SETTINGS] *= 1e160
+        data = tmp_path / "train.txt"
+        save_cmapss(TrajectorySet.of_rows(matrix, train.unit_ids, train.bounds), data)
+        argv = ["train", "--train", str(data), "--out", str(tmp_path / "model"),
+                "--n-regimes", "2"]
+        proc = run_fresh_interpreter(
+            f"import sys; from subtrack.cli import main; sys.exit(main({argv!r}))"
         )
-        proc = run_fresh_interpreter(code)
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == EXIT_NUMERICAL
+        assert proc.stderr == (
+            "numerical error: [train] k-means++ seeding: "
+            "squared settings distances overflow\n"
+        )
+        assert not (tmp_path / "model").exists()
 
     def test_non_finite_train_value_exits_2_naming_line(
         self, synth_dir, tmp_path, capsys
@@ -973,6 +990,35 @@ def test_benchmark_and_infer_leave_scipy_unimported(synth_dir, model_dir, tmp_pa
         )
         proc = run_fresh_interpreter(code)
         assert proc.returncode == 0, (name, proc.stderr)
+
+
+@pytest.mark.parametrize("n_regimes", [1, 2])
+def test_commands_leave_numpy_random_unimported(synth_dir, tmp_path, n_regimes):
+    # K=1 regimes come in closed form and k-means++ draws its seeds from the
+    # stdlib random module; importing numpy.random costs ~6 MB RSS
+    data = synth_dir
+    if n_regimes > 1:
+        data = tmp_path / "synth"
+        assert main(["synth", "--out", str(data), "--units", "6", "--seed", "3",
+                     "--n-regimes", str(n_regimes), "--min-cycles", "70",
+                     "--max-cycles", "100"]) == EXIT_OK
+    train, test, truth = (str(data / n) for n in ("train_synth.txt", "test_synth.txt",
+                                                  "RUL_synth.txt"))
+    model, k = str(tmp_path / "model"), ["--n-regimes", str(n_regimes)]
+    runs = [
+        ["train", "--train", train, "--out", model] + k + BENCH_FLAGS,
+        ["infer", "--model-dir", model, "--data", test, "--rul", truth,
+         "--out", str(tmp_path / "infer")],
+        ["benchmark", "--train", train, "--test", test, "--rul", truth,
+         "--out", str(tmp_path / "bench")] + k + BENCH_FLAGS,
+    ]
+    code = (
+        "import sys; from subtrack.cli import main; "
+        f"assert [main(argv) for argv in {runs!r}] == [0, 0, 0]; "
+        "assert 'numpy.random' not in sys.modules, 'imported'"
+    )
+    proc = run_fresh_interpreter(code)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestUsage:

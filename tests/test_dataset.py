@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,6 +155,45 @@ class TestOneMatrix:
         write_rows(f, [make_row(2, 1), make_row(1, 2), make_row(1, 1)])
         tset = load_cmapss(f)
         assert len(handed) == 1 and tset.matrix is handed[0]
+
+    def test_parse_of_an_ordered_file_holds_one_buffer(self, tmp_path, monkeypatch):
+        # the set's matrix is the front of the (rows, 26) table numpy parsed:
+        # past that table, the parse's peak holds only row-length vectors
+        train, _, _, _ = generate_synthetic(
+            SynthConfig(n_units=20, seed=2, min_cycles=150, max_cycles=300)
+        )
+        f = tmp_path / "train.txt"
+        save_cmapss(train, f)
+        tables, read_table = [], dataset.read_table
+
+        def recording(*args, **kwargs):
+            tables.append(read_table(*args, **kwargs))
+            # np.loadtxt grows its array in steps, whose overshoot depends
+            # on the row count and is numpy's, not the parse's
+            tracemalloc.reset_peak()
+            return tables[-1]
+
+        monkeypatch.setattr(dataset, "read_table", recording)
+        tracemalloc.start()
+        try:
+            tset = load_cmapss(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tables[0].shape == (len(train.matrix), 26)
+        assert peak <= 1.2 * tables[0].nbytes
+        assert np.shares_memory(tset.matrix, tables[0])
+        assert tset.matrix.tobytes() == train.matrix.tobytes()
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 11, 12, 13, 40, 300])
+    def test_compaction_moves_every_row(self, n_rows):
+        # the first rows overlap their own source and move one by one; later
+        # blocks grow with their distance from the front of the buffer
+        table = np.arange(n_rows * 26, dtype=float).reshape(n_rows, 26)
+        expected = table[:, 2:].copy()
+        data = dataset._compact_features(table)
+        assert data.flags.c_contiguous and np.shares_memory(data, table)
+        np.testing.assert_array_equal(data, expected)
 
     def test_set_of_trajectories_is_stacked_once(self):
         train, test, _, _ = generate_synthetic(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from subtrack import evaluation, health
+from subtrack import evaluation, health, multiscale
 from subtrack.config import RunConfig
 from subtrack.dataset import (
     N_SETTINGS,
@@ -422,6 +422,38 @@ class TestFleetPath:
         assert sum(len(t) for t in test) > 10 * 256
         assert train_peak <= 1.4
         assert infer_peak <= 1.0
+
+
+@pytest.mark.parametrize("mode", ["sst", "sst-lr"])
+def test_regime_numbering_changes_no_output(mode):
+    # the seeding decides which regime is number 0; a retrain that numbers
+    # them otherwise permutes the model's tables and nothing it outputs
+    train, test, _, _ = generate_synthetic(SynthConfig(
+        n_units=8, n_regimes=3, noise_std=0.01, drift_rate=0.03,
+        seed=6, min_cycles=80, max_cycles=120,
+    ))
+    cfg = RunConfig(mode=mode, n_regimes=3, tau2=20, seed=6)
+    cluster, perm = multiscale.cluster_regimes, np.array([2, 0, 1])
+
+    def renumbered(*args):
+        centroids, labels = cluster(*args)
+        return centroids[perm], np.argsort(perm)[labels]
+
+    def outputs():
+        pipe, curves = train_pipeline(train, cfg)
+        lib = pipe.library
+        return pipe, [
+            np.concatenate([getattr(c, f) for c in curves]).tobytes()
+            for f in ("sigma", "raw_dist", "scaled_dist")
+        ] + [a.tobytes() for a in (lib.unit_ids, lib.lengths, lib.padded, lib.energy)] + [
+            c.sigma.tobytes() for c in infer_curves(pipe, test)
+        ]
+
+    pipe, expected = outputs()
+    with mock.patch.object(multiscale, "cluster_regimes", renumbered):
+        renumbered_pipe, got = outputs()
+    assert got == expected
+    np.testing.assert_array_equal(renumbered_pipe.model.centroids, pipe.model.centroids[perm])
 
 
 @pytest.mark.parametrize("mode", ["sst", "sst-lr"])

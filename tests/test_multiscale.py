@@ -1,11 +1,12 @@
 import builtins
+import random
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from subtrack import multiscale, persist
-from subtrack.errors import ValidationError
+from subtrack.errors import NumericalError, ValidationError
 from subtrack.multiscale import (
     MultiModel,
     assign_rows,
@@ -103,6 +104,32 @@ class TestClusterRegimes:
         message = "3 distinct settings vectors for 4 clusters"
         with pytest.raises(ValidationError, match=message):
             cluster_regimes(pts, 4, seed=0)
+
+    def test_overflowing_squared_distances_raise(self):
+        pts = np.array([[0.0, 0, 0], [1e200, 0, 0], [-1e200, 0, 0]])
+        with pytest.raises(NumericalError, match="overflow"):
+            cluster_regimes(pts, 2, seed=0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeding_picks_only_rows_off_the_chosen_centers(self, seed):
+        pts = np.vstack([np.zeros((99, 3)), [[1.0, 0, 0]]])
+        centroids, _ = cluster_regimes(pts, 2, seed=seed)
+        assert sorted(centroids[:, 0].tolist()) == [0.0, 1.0]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_draw_rounding_up_to_a_subnormal_total_takes_the_last_row(self, seed):
+        # the largest draw times a subnormal total rounds to the total itself
+        class Highest(random.Random):
+            def random(self):
+                return 1.0 - 2.0**-53
+
+            def getrandbits(self, k):  # keeps randrange off random()
+                return super().getrandbits(k)
+
+        pts = np.array([[0.0, 0, 0], [1e-160, 0, 0], [0.0, 0, 0]])
+        with mock.patch.object(multiscale.random, "Random", Highest):
+            centroids, _ = cluster_regimes(pts, 2, seed=seed)
+        assert sorted(centroids[:, 0].tolist()) == [0.0, 1e-160]
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)

@@ -1,6 +1,7 @@
 """Checks on the source tree as text: pyproject.toml lists as runtime
 dependencies exactly the third-party packages that the source imports
-(test-only packages go in the test extra), and no np.load can unpickle."""
+(test-only packages go in the test extra), no np.load can unpickle, and
+only the synthetic-fleet generator uses numpy.random."""
 
 import ast
 import re
@@ -74,3 +75,54 @@ def test_every_np_load_refuses_pickles():
         )
     ]
     assert unsafe == []
+
+
+# the only code that may use numpy.random: dataset's synthetic-fleet generator
+SYNTHETIC_FLEET_CODE = {
+    ("dataset.py", name)
+    for name in ("_random_orthonormal", "_make_regimes", "_sample_unit", "generate_synthetic")
+}
+
+
+def uses_np_random(node) -> bool:
+    """node names numpy.random: np.random / numpy.random, or an import of it."""
+    if isinstance(node, ast.Attribute):
+        return (
+            node.attr == "random"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        )
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.random") for alias in node.names)
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return node.module.startswith("numpy.random") or (
+            node.module == "numpy" and any(alias.name == "random" for alias in node.names)
+        )
+    return False
+
+
+def np_random_uses():
+    """(file, top-level definition, line) of every use of numpy.random in
+    src/subtrack/*.py; the definition is None at module level."""
+    for path in sorted((ROOT / "src" / "subtrack").glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if uses_np_random(node):
+                    yield path.name, owner, node.lineno
+
+
+def test_numpy_random_only_in_synthetic_fleet_code():
+    # importing numpy.random costs ~6 MB of RSS; no command but synth needs it
+    uses = list(np_random_uses())
+    assert uses, "no numpy.random use found; the check has gone stale"
+    assert [u for u in uses if u[:2] not in SYNTHETIC_FLEET_CODE] == []
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["np.random.default_rng(0)", "import numpy.random", "from numpy import random",
+     "from numpy.random import default_rng", "numpy.random.seed(1)"],
+)
+def test_numpy_random_scan_sees(line):
+    assert any(uses_np_random(node) for node in ast.walk(ast.parse(line)))
