@@ -12,7 +12,7 @@ Expects train_FDxxx.txt / test_FDxxx.txt / RUL_FDxxx.txt in the data dir.
 import argparse
 from pathlib import Path
 
-from subtrack.config import RunConfig
+from subtrack.config import MODES, RunConfig
 from subtrack.evaluation import run_benchmark
 
 # published reference results (rmse, score) for side-by-side display
@@ -35,7 +35,7 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--data", type=Path, required=True)
     parser.add_argument("--dataset", choices=sorted(REFERENCE), default="FD001")
-    parser.add_argument("--mode", choices=["sst", "sst-lr"], default="sst-lr")
+    parser.add_argument("--mode", choices=MODES, default="sst-lr")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 

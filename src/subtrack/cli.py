@@ -18,7 +18,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import dataset, evaluation, persist
-from .config import RunConfig
+from .config import MODES, RunConfig
 from .errors import NumericalError, PrognosticsError, ValidationError
 
 EXIT_OK = 0
@@ -34,10 +34,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# every RunConfig field but the tri-state include_settings, typed by its default
-_CONFIG_FLAGS = {
-    f.name: type(f.default) for f in fields(RunConfig) if f.name != "include_settings"
-}
+# every RunConfig field, typed by its default
+_CONFIG_FLAGS = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -45,15 +43,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     for name, typ in _CONFIG_FLAGS.items():
         flag = "--" + name.replace("_", "-")
         if name == "mode":
-            p.add_argument(flag, choices=["sst", "sst-lr"], default=None)
+            p.add_argument(flag, choices=MODES, default=None)
         else:
             p.add_argument(flag, type=typ, default=None)
-    p.add_argument(
-        "--include-settings",
-        choices=["auto", "yes", "no"],
-        default=None,
-        help="track operational settings as features (auto: only when K=1)",
-    )
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -70,9 +62,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             values[name] = flag_value
-    inc = getattr(args, "include_settings", None)
-    if inc is not None:
-        values["include_settings"] = None if inc == "auto" else (inc == "yes")
     return RunConfig.from_dict(values)
 
 

@@ -8,21 +8,23 @@ from dataclasses import asdict, dataclass, fields
 from .errors import ValidationError
 from .rul import MatchConfig
 
-# knobs of the retired epoch trainer, still held by older config files
-RETIRED_FIELDS = frozenset({"alpha", "eta", "max_epochs", "rel_tol"})
+MODES = ("sst", "sst-lr")
+
+# fields older config files still hold: the knobs of the retired epoch
+# trainer, and the settings switch, which from_dict accepts only as null
+RETIRED_FIELDS = frozenset({"alpha", "eta", "max_epochs", "rel_tol", "include_settings"})
 
 _TYPES = {  # annotation -> (accepts the value, what it takes); a bool is no number
     "str": (lambda v: type(v) is str, "a string"),
     "int": (lambda v: type(v) is int, "an int"),
     "float": (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
               "a finite number"),  # nan fails the comparison too
-    "bool | None": (lambda v: v is None or type(v) is bool, "true, false or null"),
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    mode: str = "sst"  # "sst" or "sst-lr"
+    mode: str = "sst"  # one of MODES
     n_regimes: int = 1
     subspace_dim: int = 3
     delta: float = 0.01
@@ -32,8 +34,6 @@ class RunConfig:
     beta: float = 0.0235
     smoothing: float = 0.3
     seed: int = 0
-    # None: track all features for single-regime runs, sensors only otherwise
-    include_settings: bool | None = None
 
     def __post_init__(self):
         for f in fields(self):
@@ -41,7 +41,7 @@ class RunConfig:
             value = getattr(self, f.name)
             if not accepts(value):
                 raise ValidationError(f"{f.name} must be {what}, got {value!r}")
-        if self.mode not in ("sst", "sst-lr"):
+        if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
         if self.n_regimes < 1:
             raise ValidationError("n_regimes must be >= 1")
@@ -59,15 +59,21 @@ class RunConfig:
 
     @property
     def track_settings(self) -> bool:
-        if self.include_settings is None:
-            return self.n_regimes == 1
-        return self.include_settings
+        """The subspaces track the settings columns only in a single-regime
+        run; with K>1 the settings pick the regime and are left out."""
+        return self.n_regimes == 1
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        # a set value may describe a model of another dimension than the rule gives
+        if doc.get("include_settings") is not None:
+            raise ValidationError(
+                "include_settings must be null: settings are tracked exactly "
+                f"when n_regimes is 1, got {doc['include_settings']!r}"
+            )
         doc = {k: v for k, v in doc.items() if k not in RETIRED_FIELDS}
         unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:

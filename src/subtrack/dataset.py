@@ -27,7 +27,9 @@ N_COLUMNS = 2 + N_SETTINGS + N_SENSORS
 # rows per block of the parse's finiteness check
 PARSE_BLOCK = 1024
 
-# features with sample std below this are treated as constant and masked
+# features with sample std below this, relative to max(1, |mean|), are
+# treated as constant and masked: a column holding one value gets a std of
+# rounding size, which grows with the value
 CONSTANT_STD = 1e-12
 
 
@@ -325,8 +327,9 @@ class Normalizer:
     """Per-feature z-score statistics, one table per operating regime; every
     row is transformed with the table of its regime label.
 
-    Constant features (std below CONSTANT_STD) are masked: their output is 0,
-    keeping the column count and indices aligned with the file format.
+    Constant features (std below CONSTANT_STD * max(1, |mean|)) are masked:
+    their output is 0, keeping the column count and indices aligned with the
+    file format.
     """
 
     mean: np.ndarray  # (R, F)
@@ -368,7 +371,7 @@ def fit_normalizer(rows: np.ndarray, labels: np.ndarray, n_regimes: int) -> Norm
             mask[r] = True
             continue
         mean[r], sd = sub.mean(axis=0), sub.std(axis=0)
-        mask[r] = sd < CONSTANT_STD
+        mask[r] = sd < CONSTANT_STD * np.maximum(1.0, np.abs(mean[r]))
         std[r] = np.where(mask[r], 1.0, sd)
     return Normalizer(mean=mean, std=std, mask=mask)
 

@@ -29,12 +29,22 @@ GAMMA_LATE = 1.0 / 10.0  # estimate above truth (late maintenance)
 REPORT_FORMAT_VERSION = 1
 
 
+def _finite(name: str, value: float, errors: np.ndarray) -> float:
+    """value, unless it overflowed: a metric is a finite number or raises."""
+    if not np.isfinite(value):
+        raise NumericalError(
+            f"{name} overflows: the largest |error| is {np.abs(errors).max():g}"
+        )
+    return value
+
+
 def rmse(errors) -> float:
     """Root mean squared RUL error over the fleet."""
     errors = np.asarray(errors, dtype=float)
     if errors.size == 0:
         raise ValidationError("rmse of an empty error list")
-    return float(np.sqrt(np.mean(errors**2)))
+    with np.errstate(over="ignore"):  # an overflow raises in _finite
+        return _finite("rmse", float(np.sqrt(np.mean(errors**2))), errors)
 
 
 def score(errors) -> float:
@@ -43,7 +53,8 @@ def score(errors) -> float:
     if errors.size == 0:
         raise ValidationError("score of an empty error list")
     gamma = np.where(errors < 0, GAMMA_EARLY, GAMMA_LATE)
-    return float(np.sum(np.exp(gamma * np.abs(errors)) - 1.0))
+    with np.errstate(over="ignore"):  # an overflow raises in _finite
+        return _finite("score", float(np.sum(np.exp(gamma * np.abs(errors)) - 1.0)), errors)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +90,8 @@ def _analyze_fleet(model: MultiModel, norm: Normalizer, tset, labels, cfg) -> tu
     """Per row of the fleet: (raw distance, raw distance smoothed within its
     unit, projection, model label). Each ROW_BLOCK of the set's read-only
     matrix is copied into one block-sized buffer, normalized there with the
-    table of its regime `labels`, and scored by `health.analyze_rows`."""
+    table of its regime `labels`, and scored by `health.analyze_rows`. A
+    distance that overflows (a huge delta) raises NumericalError."""
     rows = tset.matrix
     raw, reg = np.empty(len(rows)), np.empty(len(rows), dtype=np.intp)
     proj = np.empty((len(rows), model.models[0].subspace_dim))
@@ -89,7 +101,10 @@ def _analyze_fleet(model: MultiModel, norm: Normalizer, tset, labels, cfg) -> tu
         x = buf[: min(ROW_BLOCK, len(rows) - a)]
         x[:] = rows[blk]
         norm.transform_inplace(x, labels[blk])
-        raw[blk], proj[blk], reg[blk] = health.analyze_rows(model, _tracked(x, cfg))
+        with np.errstate(over="ignore"):  # an overflow raises below
+            raw[blk], proj[blk], reg[blk] = health.analyze_rows(model, _tracked(x, cfg))
+        if not np.isfinite(raw[blk]).all():
+            raise NumericalError("non-finite subspace distance (overflow)")
     return raw, _smoothed(raw, tset.bounds, cfg.smoothing), proj, reg
 
 
@@ -218,6 +233,7 @@ class RulReport:
             },
             indent=2,
             sort_keys=True,
+            allow_nan=False,  # strict JSON: a metric that overflowed has raised
         )
 
     def to_text(self) -> str:

@@ -166,7 +166,9 @@ def _candidates(
             f"unit {test.unit_id}: non-finite curve distance (overflow)"
         )
     ruls = rul_all[valid].astype(float)
-    return valid, ruls, np.exp(d2 / -cfg.beta)
+    with np.errstate(over="ignore"):  # d2 / -beta at -inf: the similarity underflows to 0
+        sims = np.exp(d2 / -cfg.beta)
+    return valid, ruls, sims
 
 
 def estimate_rul(test: HiCurve, library: Library, cfg: MatchConfig) -> RulEstimate:

@@ -34,13 +34,15 @@ from subtrack.errors import ValidationError
 
 
 def run_fresh_interpreter(code):
-    """Run code in a new interpreter that imports subtrack from this tree."""
+    """Run code in a new interpreter that imports subtrack from this tree and,
+    like the suite, turns a RuntimeWarning into an error."""
     src = str(Path(subtrack.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+        env=env, capture_output=True, text=True,
     )
 
 
@@ -198,10 +200,11 @@ class TestTrain:
         assert not (tmp_path / "m").exists()
 
     def test_config_file_with_trainer_keys_accepted(self, synth_dir, tmp_path):
-        # the epoch trainer's keys, as config files written for it hold them
+        # the retired fields, as config files written for the epoch trainer hold them
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(
-            {"alpha": 0.5, "eta": 0.0, "max_epochs": 5, "rel_tol": 1e-3, "seed": 9}
+            {"alpha": 0.5, "eta": 0.0, "max_epochs": 5, "rel_tol": 1e-3,
+             "include_settings": None, "seed": 9}
         ))
         out = tmp_path / "model"
         rc = main(
@@ -239,6 +242,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "numerical error: [train] Eigenvalues did not converge" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "model").exists()
+
+    @pytest.mark.parametrize(
+        "delta, message",
+        [("1e308", "non-finite subspace distance (overflow)"),
+         ("1e307", "healthy-level distance overflows")],
+    )
+    def test_overflowing_distance_exits_3(
+        self, synth_dir, tmp_path, capsys, delta, message
+    ):
+        rc = main(["train", "--train", str(synth_dir / "train_synth.txt"),
+                   "--out", str(tmp_path / "model"), "--delta", delta])
+        assert rc == EXIT_NUMERICAL
+        assert capsys.readouterr().err == f"numerical error: [train] {message}\n"
         assert not (tmp_path / "model").exists()
 
     @pytest.mark.parametrize(
@@ -718,7 +735,7 @@ class TestInfer:
         shutil.copytree(model_dir, legacy)
         doc = json.loads((legacy / "config.json").read_text())
         assert not set(doc) & set(RETIRED_FIELDS)
-        doc.update(alpha=0.87, eta=0.01, max_epochs=100, rel_tol=1e-4)
+        doc.update(alpha=0.87, eta=0.01, max_epochs=100, rel_tol=1e-4, include_settings=None)
         (legacy / "config.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
         assert persist.load_pipeline(legacy).config == (
             persist.load_pipeline(model_dir).config
@@ -730,6 +747,40 @@ class TestInfer:
             assert (tmp_path / "old" / name).read_bytes() == (
                 tmp_path / "new" / name
             ).read_bytes()
+
+    def test_model_with_overflowing_delta_exits_3(
+        self, synth_dir, model_dir, tmp_path, capsys
+    ):
+        huge = tmp_path / "huge"
+        shutil.copytree(model_dir, huge)
+        for name in ("model.json", "config.json"):
+            doc = json.loads((huge / name).read_text())
+            for m in doc.get("models", [doc]):
+                m["delta"] = 1e308
+            (huge / name).write_text(json.dumps(doc))
+        assert self.infer_rc(synth_dir, huge, tmp_path / "out") == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical error: non-finite subspace distance (overflow)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_config_with_set_include_settings_exits_2_naming_file(
+        self, synth_dir, model_dir, tmp_path, capsys, value
+    ):
+        # trained with the settings switch set: the model's dimension may
+        # not be the one the n_regimes rule gives
+        broken = tmp_path / "broken"
+        shutil.copytree(model_dir, broken)
+        doc = json.loads((broken / "config.json").read_text())
+        doc["include_settings"] = value
+        (broken / "config.json").write_text(json.dumps(doc))
+        assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {broken / 'config.json'}: include_settings must be null: settings "
+            f"are tracked exactly when n_regimes is 1, got {value}\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_config_with_unknown_key_exits_2_naming_file(
         self, synth_dir, model_dir, tmp_path, capsys
@@ -944,6 +995,38 @@ class TestBenchmark:
         err = capsys.readouterr().err
         assert warned_units(err, "every similarity underflowed") == underflowed
 
+    @pytest.mark.parametrize(
+        "truth, metric", [("100000", "score"), ("1e200", "rmse")]
+    )
+    def test_overflowing_metric_exits_3_writing_no_report(
+        self, synth_dir, tmp_path, capsys, truth, metric
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        truths = (data / "RUL_synth.txt").read_text().splitlines()
+        (data / "RUL_synth.txt").write_text("\n".join([truth] + truths[1:]) + "\n")
+        assert self.run_bench(data, tmp_path / "out") == EXIT_NUMERICAL
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(
+            f"numerical error: [evaluate] {metric} overflows: the largest |error| is "
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_subnormal_beta_underflows_without_numpy_warning(
+        self, synth_dir, tmp_path, capsys
+    ):
+        # exp(-d2 / 5e-324): the quotient overflows to -inf, the documented underflow
+        assert self.run_bench(synth_dir, tmp_path, ["--beta", "5e-324"]) == EXIT_OK
+        units = [r["unit_id"] for r in estimate_rows(tmp_path)
+                 if float(r["sum_similarity"]) == 0.0]
+        assert capsys.readouterr().err == (
+            "warning: every similarity underflowed, unweighted mean RUL for "
+            f"{len(units)} units: {', '.join(units)}\n"
+        )
+        assert json.loads(  # strict JSON: no Infinity or NaN
+            (tmp_path / "report.json").read_text(), parse_constant=pytest.fail
+        )["n_units"] == 10
+
     def test_composes_with_train_then_infer(self, synth_dir, tmp_path):
         bench = tmp_path / "bench"
         assert self.run_bench(synth_dir, bench) == EXIT_OK
@@ -1029,7 +1112,7 @@ class TestUsage:
         assert main(["train", "--bogus"]) == EXIT_USAGE
 
     @pytest.mark.parametrize(
-        "flag", ["--alpha", "--eta", "--max-epochs", "--rel-tol"]
+        "flag", ["--alpha", "--eta", "--max-epochs", "--rel-tol", "--include-settings"]
     )
     def test_trainer_flags_are_gone(self, tmp_path, flag):
         rc = main(["train", "--train", str(tmp_path / "t.txt"),
@@ -1049,7 +1132,6 @@ class TestUsage:
         wanted = RunConfig(
             mode="sst-lr", n_regimes=2, subspace_dim=2, delta=0.02,
             healthy_cycles=15, tau1=2, tau2=30, beta=0.05, smoothing=0.5, seed=4,
-            include_settings=True,
         )
         argv = [command, "--train", "t", "--out", "o"]
         if command == "benchmark":
@@ -1057,7 +1139,5 @@ class TestUsage:
         for f in fields(RunConfig):
             value = getattr(wanted, f.name)
             assert value != f.default, f.name
-            if f.name == "include_settings":
-                value = "yes"
             argv += ["--" + f.name.replace("_", "-"), str(value)]
         assert _build_config(build_parser().parse_args(argv)) == wanted

@@ -44,7 +44,12 @@ def test_from_dict_returns_a_config_or_raises_validation_error(field, value):
         ({"beta": float("inf")}, "beta must be a finite number, got inf"),
         ({"smoothing": "0.3"}, "smoothing must be a finite number, got '0.3'"),
         ({"delta": 10**400}, f"delta must be a finite number, got {10**400}"),
-        ({"include_settings": 1}, "include_settings must be true, false or null, got 1"),
+        pytest.param(  # the id names the message of the field before it was retired
+            {"include_settings": 1},
+            "include_settings must be null: settings are tracked exactly "
+            "when n_regimes is 1, got 1",
+            id="doc6-include_settings must be true, false or null, got 1",
+        ),
         ({"mode": None}, "mode must be a string, got None"),
         ({"subspace_dim": 0}, "subspace_dim must be >= 1"),
         ({"delta": 0}, "delta must be > 0"),
@@ -59,6 +64,11 @@ def test_invalid_field_named(doc, message):
     with pytest.raises(ValidationError) as info:
         RunConfig.from_dict(doc)
     assert str(info.value) == message
+
+
+def test_null_include_settings_loads_as_absent():
+    assert RunConfig.from_dict({"include_settings": None, "seed": 2}) == RunConfig(seed=2)
+    assert "include_settings" not in RunConfig().to_dict()
 
 
 def test_float_fields_take_ints():

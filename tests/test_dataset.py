@@ -18,6 +18,7 @@ from subtrack.dataset import (
     save_cmapss,
 )
 from subtrack.errors import DataFormatError, ValidationError
+from subtrack.multiscale import cluster_regimes
 from subtrack.subspace import SubspaceModel, mahalanobis_rows
 
 
@@ -269,6 +270,18 @@ class TestNormalizer:
         norm = fit_one_regime(tset)
         out = normalize_one(norm, tset)
         assert np.all(out[:, 5] == 0.0)
+
+    def test_settings_constant_within_each_regime_are_masked_to_zero(self):
+        # each regime of a generator fleet holds one settings vector, whose
+        # std within the regime is rounding noise of up to ~1e-11
+        train, *_ = generate_synthetic(SynthConfig(n_units=60, n_regimes=6, seed=1))
+        rows = train.matrix
+        _, labels = cluster_regimes(rows[:, :N_SETTINGS], 6, 0)
+        norm = fit_normalizer(rows, labels, 6)
+        assert norm.mask[:, :N_SETTINGS].all()
+        out = rows.copy()
+        norm.transform_inplace(out, labels)
+        assert np.all(out[:, :N_SETTINGS] == 0.0)
 
     def test_two_point_feature(self):
         feats = np.zeros((2, 24))

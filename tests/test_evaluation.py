@@ -16,7 +16,7 @@ from subtrack.dataset import (
     TrajectorySet,
     generate_synthetic,
 )
-from subtrack.errors import ValidationError
+from subtrack.errors import NumericalError, ValidationError
 from subtrack.evaluation import (
     build_report,
     estimate_fleet,
@@ -47,6 +47,11 @@ class TestRmse:
         with pytest.raises(ValidationError):
             rmse([])
 
+    def test_overflow_raises(self):
+        assert rmse([1e150]) == 1e150
+        with pytest.raises(NumericalError, match=r"rmse overflows: the largest \|error\| is 1e\+200"):
+            rmse([3, -1e200])
+
 
 class TestScore:
     def test_zero_error(self):
@@ -69,6 +74,14 @@ class TestScore:
     def test_empty(self):
         with pytest.raises(ValidationError):
             score([])
+
+    def test_overflow_raises(self):
+        # exp(e / 10) overflows past e ~ 7098 when late, e ~ 9228 when early
+        assert math.isfinite(score([7000, -9000]))
+        with pytest.raises(NumericalError, match="score overflows"):
+            score([7200])
+        with pytest.raises(NumericalError, match="score overflows"):
+            score([-9300])
 
 
 SMALL_SYNTH = SynthConfig(

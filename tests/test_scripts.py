@@ -11,13 +11,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_script(name, *args):
-    """Run scripts/<name> in a new interpreter that imports subtrack from this tree."""
+    """Run scripts/<name> in a new interpreter that imports subtrack from this
+    tree and, like the suite, turns a RuntimeWarning into an error."""
     src = str(Path(subtrack.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / name), *args],
         env=env, capture_output=True, text=True, timeout=300,
     )
 
