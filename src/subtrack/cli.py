@@ -88,7 +88,7 @@ def cmd_train(args) -> int:
     train_set = dataset.load_cmapss(args.train)
     with evaluation.stage("train"):
         pipe, curves = evaluation.train_pipeline(train_set, cfg)
-    persist.save_pipeline(pipe, curves, args.out)
+        persist.save_pipeline(pipe, curves, args.out)
     print(f"trained on {len(train_set)} units -> {args.out}")
     return EXIT_OK
 

@@ -86,39 +86,44 @@ def _smoothed(values: np.ndarray, bounds, smoothing: float) -> np.ndarray:
     return np.concatenate(health.smooth_each(_split(values, bounds), smoothing))
 
 
-def _analyze_fleet(model: MultiModel, norm: Normalizer, tset, labels, cfg) -> tuple:
-    """Per row of the fleet: (raw distance, raw distance smoothed within its
-    unit, projection, model label). Each ROW_BLOCK of the set's read-only
-    matrix is copied into one block-sized buffer, normalized there with the
-    table of its regime `labels`, and scored by `health.analyze_rows`. A
-    distance that overflows (a huge delta) raises NumericalError."""
+def _normalized_blocks(norm: Normalizer, tset, labels, cfg):
+    """(slice, tracked rows) for each ROW_BLOCK of the set's read-only
+    matrix: the block is copied into one block-sized buffer and normalized
+    there with the table of its regime `labels`. Every block reuses that
+    buffer, so a block is spent once the next one is asked for."""
     rows = tset.matrix
-    raw, reg = np.empty(len(rows)), np.empty(len(rows), dtype=np.intp)
-    proj = np.empty((len(rows), model.models[0].subspace_dim))
     buf = np.empty((min(ROW_BLOCK, len(rows)), rows.shape[1]))
     for a in range(0, len(rows), ROW_BLOCK):
         blk = slice(a, a + ROW_BLOCK)
         x = buf[: min(ROW_BLOCK, len(rows) - a)]
         x[:] = rows[blk]
         norm.transform_inplace(x, labels[blk])
+        yield blk, _tracked(x, cfg)
+
+
+def _analyze_fleet(model: MultiModel, blocks, n_rows: int, regressor=None) -> tuple:
+    """Per row of the fleet: (raw distance, model label, and with a
+    regressor the health index it predicts from the row, else None). A
+    distance that overflows (a huge delta) raises NumericalError."""
+    raw, reg = np.empty(n_rows), np.empty(n_rows, dtype=np.intp)
+    hi = None if regressor is None else np.empty(n_rows)
+    for blk, x in blocks:
         with np.errstate(over="ignore"):  # an overflow raises below
-            raw[blk], proj[blk], reg[blk] = health.analyze_rows(model, _tracked(x, cfg))
+            reg[blk], raw[blk] = multiscale.assign_rows(model, x)
         if not np.isfinite(raw[blk]).all():
             raise NumericalError("non-finite subspace distance (overflow)")
-    return raw, _smoothed(raw, tset.bounds, cfg.smoothing), proj, reg
+        if regressor is not None:
+            hi[blk] = health.predict_hi(regressor, x, reg[blk])
+    return raw, reg, hi
 
 
-def _fleet_curves(tset, cfg: RunConfig, scaler, regressor, analyzed) -> list[HiCurve]:
+def _fleet_curves(tset, cfg: RunConfig, scaler, raw, smoothed, hi) -> list[HiCurve]:
     """One curve per unit, with the health index of train, infer and matching:
-    in sst mode that of the smoothed, scaled distance; in sst-lr mode the
-    index regressed from the projections, smoothed within its unit."""
-    raw, smoothed, proj, reg = analyzed
+    in sst mode (hi None) that of the smoothed, scaled distance; in sst-lr
+    mode the regressed index hi, smoothed within its unit."""
     bounds = tset.bounds
     scaled = health.scale(scaler, smoothed)
-    if cfg.mode == "sst-lr":
-        sigma = _smoothed(health.predict_hi(regressor, proj, reg), bounds, cfg.smoothing)
-    else:
-        sigma = health.to_health_index(scaled)
+    sigma = health.to_health_index(scaled) if hi is None else _smoothed(hi, bounds, cfg.smoothing)
     series = (_split(x, bounds) for x in (sigma, raw, scaled))
     return [HiCurve(u, *s) for u, *s in zip(tset.unit_ids, *series)]
 
@@ -152,13 +157,22 @@ def train_pipeline(
         members.append(subspace.init_subspace(rows_k, cfg.subspace_dim, cfg.delta))
     model = MultiModel(models=members, centroids=centroids)
 
-    analyzed = raw, smoothed, proj, reg = _analyze_fleet(model, norm, train_set, labels, cfg)
+    def blocks():
+        return _normalized_blocks(norm, train_set, labels, cfg)
+
+    raw, reg, _ = _analyze_fleet(model, blocks(), len(rows))
+    smoothed = _smoothed(raw, bounds, cfg.smoothing)
     scaler = health.fit_scaler(_split(raw, bounds), _split(smoothed, bounds), cfg.healthy_cycles)
-    regressor = None
+    regressor = hi = None
     if cfg.mode == "sst-lr":
         target = health.to_health_index(health.scale(scaler, smoothed))
-        regressor = health.fit_hi_regression(proj, target, reg, cfg.n_regimes)
-    curves = _fleet_curves(train_set, cfg, scaler, regressor, analyzed)
+        regressor = health.fit_hi_regression(
+            ((x, target[blk], reg[blk]) for blk, x in blocks()), cfg.n_regimes
+        )
+        hi = np.empty(len(rows))
+        for blk, x in blocks():
+            hi[blk] = health.predict_hi(regressor, x, reg[blk])
+    curves = _fleet_curves(train_set, cfg, scaler, raw, smoothed, hi)
 
     pipe = TrainedPipeline(
         config=cfg,
@@ -178,8 +192,11 @@ def infer_curves(pipe: TrainedPipeline, tset: TrajectorySet) -> list[HiCurve]:
     if cfg.mode == "sst-lr" and pipe.regressor is None:
         raise ValidationError("sst-lr mode requires a fitted regressor")
     labels = multiscale.nearest_centroid(pipe.model.centroids, tset.matrix[:, :N_SETTINGS])
-    analyzed = _analyze_fleet(pipe.model, pipe.normalizer, tset, labels, cfg)
-    return _fleet_curves(tset, cfg, pipe.scaler, pipe.regressor, analyzed)
+    blocks = _normalized_blocks(pipe.normalizer, tset, labels, cfg)
+    regressor = pipe.regressor if cfg.mode == "sst-lr" else None
+    raw, _, hi = _analyze_fleet(pipe.model, blocks, len(tset.matrix), regressor)
+    smoothed = _smoothed(raw, tset.bounds, cfg.smoothing)
+    return _fleet_curves(tset, cfg, pipe.scaler, raw, smoothed, hi)
 
 
 def estimate_fleet(

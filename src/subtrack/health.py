@@ -5,14 +5,15 @@ healthy/failure reference levels, and mapped to a health index
 
     sigma = 1 - sqrt(scaled_distance),
 
-so 1 means perfect health and 0 failure. A least-squares refinement maps the
-low-dimensional subspace projections to health-index values (the "-LR"
-variant), one regressor per regime.
+so 1 means perfect health and 0 failure. A least-squares refinement (the
+"-LR" variant) maps the normalized, tracked row, all D columns, to
+health-index values, one affine fit per model label: a linear regression of
+the sensor readings, as in Wang et al. (PHM 2008).
 
 Every row carries two labels. Its regime label, from the settings
 clustering, picks its normalizer table and the healthy-window fit. Its
-model label, from minimum-distance routing in `analyze_rows`, sets its
-distance and its regressor row. They need not agree: on an FD004-sized
+model label, from minimum-distance routing in `multiscale.assign_rows`, sets
+its distance and its regressor row. They need not agree: on an FD004-sized
 fleet (K=6) they differed on 16% of the training rows and 4% of the test rows.
 """
 
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .multiscale import MultiModel, assign_rows
 
 RIDGE_JITTER = 1e-10
 
@@ -62,37 +62,13 @@ class DistanceScaler:
 
 @dataclass(frozen=True)
 class HiRegressor:
-    """Affine least-squares map from subspace projections to health index.
+    """Affine least-squares map from the normalized, tracked row to the
+    health index.
 
-    weights has shape (R, d+1): intercept last, one row per regime.
+    weights has shape (K, D+1): intercept last, one row per model label.
     """
 
     weights: np.ndarray
-
-    @property
-    def n_regimes(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.weights.shape[1] - 1
-
-
-def analyze_rows(
-    model: MultiModel, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(assigned distances, subspace projections, regime labels) for each row.
-
-    Each row is scored against its minimum-distance model, and projected onto
-    that model's basis.
-    """
-    rows = np.asarray(rows, dtype=float)
-    labels, dists = assign_rows(model, rows)
-    proj = np.empty((len(rows), model.models[0].subspace_dim))
-    for k, m in enumerate(model.models):
-        sel = labels == k
-        proj[sel] = (rows[sel] - m.center) @ m.basis
-    return dists, proj, labels
 
 
 def smooth(series: np.ndarray, factor: float) -> np.ndarray:
@@ -160,45 +136,44 @@ def to_health_index(scaled: np.ndarray) -> np.ndarray:
     return 1.0 - np.sqrt(scaled)
 
 
-def fit_hi_regression(
-    projections: np.ndarray, targets: np.ndarray, labels: np.ndarray, n_regimes: int
-) -> HiRegressor:
+def fit_hi_regression(blocks, n_regimes: int) -> HiRegressor:
     """Ordinary least squares (normal equations with a tiny ridge jitter)
-    from projections to health-index targets, one fit per regime label in
-    range(n_regimes); a regime with too few rows raises."""
-    projections = np.atleast_2d(np.asarray(projections, dtype=float))
-    targets = np.asarray(targets, dtype=float)
-    if len(projections) != len(targets):
-        raise ValidationError("projections and targets must align")
-    if np.any(targets < 0) or np.any(targets > 1):
-        raise ValidationError("targets must lie in [0, 1]")
-    d = projections.shape[1]
-    labels = np.asarray(labels, dtype=int)
-    weights = np.zeros((n_regimes, d + 1))
-    for r in range(n_regimes):
-        sel = labels == r
-        p, y = projections[sel], targets[sel]
-        if len(p) < d + 1:
-            raise ValidationError(
-                f"regime {r}: {len(p)} samples for {d + 1} coefficients"
-            )
-        a = np.hstack([p, np.ones((len(p), 1))])
-        gram = a.T @ a + RIDGE_JITTER * np.eye(d + 1)
-        weights[r] = np.linalg.solve(gram, a.T @ y)
-    return HiRegressor(weights=weights)
+    from rows to health-index targets, one affine fit per label in
+    range(n_regimes). `blocks` is an iterable of (rows, targets, labels)
+    arrays; each label's sums are added up block by block and solved once,
+    so no block is kept. A label with fewer rows than coefficients raises."""
+    gram = cross = None  # per label: [[x.T @ x, sum x], [sum x, n]] and [x.T @ y, sum y]
+    for rows, targets, labels in blocks:
+        if len(rows) != len(targets) or np.any(targets < 0) or np.any(targets > 1):
+            raise ValidationError("need one target in [0, 1] per row")
+        if gram is None:
+            n_coef = rows.shape[1] + 1
+            gram, cross = np.zeros((n_regimes, n_coef, n_coef)), np.zeros((n_regimes, n_coef))
+        for r in range(n_regimes):
+            sel = labels == r
+            x, y = rows[sel], targets[sel]
+            gram[r, :-1, :-1] += x.T @ x
+            gram[r, -1] += np.append(x.sum(axis=0), len(x))
+            cross[r] += np.append(x.T @ y, y.sum())
+    if gram is None:
+        raise ValidationError("no rows to regress")
+    gram[:, :-1, -1] = gram[:, -1, :-1]  # the upper sum x, mirrored from the lower
+    for r, count in enumerate(gram[:, -1, -1]):
+        if count < n_coef:
+            raise ValidationError(f"regime {r}: {int(count)} samples for {n_coef} coefficients")
+    weights = np.linalg.solve(gram + RIDGE_JITTER * np.eye(n_coef), cross[..., None])
+    return HiRegressor(weights=weights[..., 0])
 
 
-def predict_hi(
-    reg: HiRegressor, projections: np.ndarray, labels: np.ndarray
-) -> np.ndarray:
-    """Affine prediction with each row's regime weights, clamped to [0, 1]."""
-    projections = np.atleast_2d(np.asarray(projections, dtype=float))
-    if projections.shape[1] != reg.input_dim:
+def predict_hi(reg: HiRegressor, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Affine prediction with each row's label weights, clamped to [0, 1]:
+    one product per label, so no per-row copy of the weights is made."""
+    if rows.shape[1] != reg.weights.shape[1] - 1:
         raise ValidationError(
-            f"regressor expects dimension {reg.input_dim}, "
-            f"got {projections.shape[1]}"
+            f"regressor expects dimension {reg.weights.shape[1] - 1}, got {rows.shape[1]}"
         )
-    labels = np.asarray(labels, dtype=int)
-    w = reg.weights[labels]
-    pred = np.sum(w[:, :-1] * projections, axis=1) + w[:, -1]
-    return np.clip(pred, 0.0, 1.0)
+    labels, pred = np.asarray(labels), np.empty(len(rows))
+    for r, w in enumerate(reg.weights):
+        sel = labels == r
+        pred[sel] = rows[sel] @ w[:-1] + w[-1]
+    return np.clip(pred, 0.0, 1.0, out=pred)

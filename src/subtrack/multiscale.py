@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .subspace import SubspaceModel, mahalanobis_rows, update
 
-# Rows per labelling pass here and per health.analyze_rows call in evaluation,
+# Rows per labelling pass here and per block of evaluation's fleet passes,
 # so every temporary of a fleet pass is block-sized. One model scored the 56k-row
 # fd004 bench fleet (2-vCPU Xeon, one BLAS thread) in ~21 ms in blocks of 1,024
 # to 8,192 rows, 24 ms in blocks of 16,384 and 38 ms in one call, whose

@@ -14,8 +14,9 @@ analysis, and load_pipeline never calls it. save_pipeline writes that export
 and `error_trace.csv` from the training curves it is given, apart from the
 pipeline, so load_pipeline returns the saved pipeline field for field.
 A directory of any other version is refused; one of version 1 (library only
-in `train_curves.csv`) or 2 (library smoothed twice, in sst-lr mode of the
-distance index) with a message to retrain.
+in `train_curves.csv`), 2 (library smoothed twice, in sst-lr mode of the
+distance index) or 3 (an sst-lr regressor of the d subspace projections,
+where version 4 regresses the whole tracked row) with a message to retrain.
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ from .config import RunConfig
 from .dataset import (
     N_SETTINGS, Normalizer, decoding, first_non_finite_line, read_table, unit_blocks
 )
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .evaluation import TrainedPipeline
 from .health import DistanceScaler, HiCurve, HiRegressor
 from .multiscale import MultiModel
 from .rul import Library
 from .subspace import SubspaceModel
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 # Library field -> (file, dtype, ndim)
 LIBRARY_FILES = {
     "padded": ("library_sigma.npy", np.dtype("<f8"), 2),
@@ -55,11 +56,11 @@ ESTIMATE_CSV_HEADER = (
 
 
 def _check_version(doc: dict) -> None:
-    """Accept exactly the int MODEL_FORMAT_VERSION: not True, 3.0 or "3"."""
+    """Accept exactly the int MODEL_FORMAT_VERSION: not True, 4.0 or "4"."""
     version = doc.get("version")
     if type(version) is int and version == MODEL_FORMAT_VERSION:
         return
-    if type(version) is int and version in (1, 2):
+    if type(version) is int and version in (1, 2, 3):
         raise ValidationError(
             f"model format version {version} is no longer read; retrain with 'subtrack train'"
         )
@@ -264,7 +265,12 @@ def save_pipeline(pipe: TrainedPipeline, curves: list[HiCurve], out: str | Path)
     """Write every artifact of a trained pipeline into the directory out, with
     its training curves as the `train_curves.csv` and `error_trace.csv`
     exports (the trace is one row, the mean raw distance of the healthy
-    cycles)."""
+    cycles; one that overflows raises NumericalError before any file is written)."""
+    healthy = np.concatenate([c.raw_dist[: pipe.config.healthy_cycles] for c in curves])
+    with np.errstate(over="ignore"):  # a sum of huge distances; raises below
+        mean_dist = float(np.mean(healthy))
+    if not np.isfinite(mean_dist):
+        raise NumericalError("mean healthy distance overflows")
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "model.json").write_text(json.dumps(model_to_dict(pipe.model)))
@@ -278,8 +284,7 @@ def save_pipeline(pipe: TrainedPipeline, curves: list[HiCurve], out: str | Path)
     write_curves_csv(curves, out / "train_curves.csv")
     for field, (name, _, _) in LIBRARY_FILES.items():
         np.save(out / name, getattr(pipe.library, field), allow_pickle=False)
-    healthy = np.concatenate([c.raw_dist[: pipe.config.healthy_cycles] for c in curves])
-    (out / "error_trace.csv").write_text(f"epoch,mean_dist\n0,{float(np.mean(healthy))!r}\n")
+    (out / "error_trace.csv").write_text(f"epoch,mean_dist\n0,{mean_dist!r}\n")
 
 
 def _read_json(path: Path, from_dict):
@@ -393,7 +398,7 @@ def load_pipeline(model_dir: str | Path) -> TrainedPipeline:
     regressor = None
     if config.mode == "sst-lr":  # only an sst-lr directory holds a regressor
         regressor = _read_json(reg_path, regressor_from_dict)
-        _check_table(reg_path, "weights", regressor.weights, (k, m.subspace_dim + 1))
+        _check_table(reg_path, "weights", regressor.weights, (k, m.dim + 1))
     return TrainedPipeline(
         config=config,
         normalizer=normalizer,

@@ -247,7 +247,8 @@ class TestTrain:
     @pytest.mark.parametrize(
         "delta, message",
         [("1e308", "non-finite subspace distance (overflow)"),
-         ("1e307", "healthy-level distance overflows")],
+         ("1e307", "healthy-level distance overflows"),
+         ("1e306", "mean healthy distance overflows")],
     )
     def test_overflowing_distance_exits_3(
         self, synth_dir, tmp_path, capsys, delta, message
@@ -477,13 +478,17 @@ class TestInfer:
             ("2", "unsupported model format version '2'"),
             (3.0, "unsupported model format version 3.0"),
             ("3", "unsupported model format version '3'"),
-            (4, "unsupported model format version 4"),
+            (4.0, "unsupported model format version 4.0"),
+            ("4", "unsupported model format version '4'"),
+            (5, "unsupported model format version 5"),
             (1, RETRAIN.format(1)),
             # a version 2 library is smoothed twice, and in sst-lr mode is
             # not the index the queries carry
             (2, RETRAIN.format(2)),
+            # a version 3 regressor reads the d projections, not the row
+            (3, RETRAIN.format(3)),
         ],
-        ids=["true", "2.0", "str-2", "3.0", "str-3", "4", "1", "2"],
+        ids=["true", "2.0", "str-2", "3.0", "str-3", "4.0", "str-4", "5", "1", "2", "3"],
     )
     def test_unsupported_version_exits_2_naming_model_json(
         self, synth_dir, model_dir, tmp_path, capsys, version, message, where
@@ -823,7 +828,7 @@ def _set_first(key, value):
 
 class TestFittedTables:
     """normalizer.json and regressor.json must fit model.json: K=3 rows,
-    24 normalizer columns (21 tracked sensors and 3 settings) and 3 + 1
+    24 normalizer columns (21 tracked sensors and 3 settings) and 21 + 1
     regression weights, all finite and std > 0; model.json's centroids must
     have one finite column per setting; config.json must hold the model's
     K=3, d=3 and delta 0.01."""
@@ -832,9 +837,13 @@ class TestFittedTables:
         "name, edit, message",
         [
             ("regressor.json", lambda doc: doc.update(weights=doc["weights"][:2]),
-             "weights has shape (2, 4), expected (3, 4)"),
+             "weights has shape (2, 22), expected (3, 22)"),
             ("regressor.json", lambda doc: doc.update(weights=doc["weights"][0]),
-             "weights has shape (4,), expected (3, 4)"),
+             "weights has shape (22,), expected (3, 22)"),
+            # the (K, d+1) weights of a version 3 regressor of the projections
+            ("regressor.json",
+             lambda doc: doc.update(weights=[row[:3] + row[-1:] for row in doc["weights"]]),
+             "weights has shape (3, 4), expected (3, 22)"),
             ("regressor.json", _set_first("weights", float("nan")),
              "weights must be finite"),
             ("normalizer.json",
@@ -858,7 +867,8 @@ class TestFittedTables:
             ("config.json", lambda doc: doc.update(delta=0.02),
              "delta 0.02 does not match 0.01 in model.json"),
         ],
-        ids=["regressor-2-rows", "regressor-1d", "regressor-nan", "normalizer-2-rows",
+        ids=["regressor-2-rows", "regressor-1d", "regressor-projection-width",
+             "regressor-nan", "normalizer-2-rows",
              "normalizer-23-mask-columns", "normalizer-zero-std", "normalizer-inf-std",
              "normalizer-nan-mean", "model-2-settings-columns", "model-nan-centroid",
              "config-5-regimes", "config-subspace-dim-2", "config-delta"],
@@ -893,7 +903,7 @@ class TestFittedTables:
     def test_untouched_tables_load(self, lr_model_dir):
         pipe = persist.load_pipeline(lr_model_dir)
         assert pipe.normalizer.mean.shape == (3, 24)
-        assert pipe.regressor.weights.shape == (3, 4)
+        assert pipe.regressor.weights.shape == (3, 22)
 
 
 class TestBenchmark:

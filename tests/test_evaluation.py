@@ -26,7 +26,7 @@ from subtrack.evaluation import (
     score,
     train_pipeline,
 )
-from subtrack.health import analyze_rows, predict_hi
+from subtrack.health import predict_hi
 from subtrack.multiscale import MultiModel, assign_rows, nearest_centroid
 from subtrack.persist import load_pipeline, save_pipeline
 from subtrack.rul import MatchConfig, estimate_rul
@@ -297,10 +297,10 @@ class TestBatchTraining:
 def test_both_modes_hold_the_age_only_baseline(n_regimes):
     # The age-only predictor is the uniform mean of L - n - tau over every
     # full-overlap candidate: the pipeline with beta = 1e300, where every
-    # similarity is exactly 1. The package generator's drift is orthogonal to
-    # the subspace, so the projections cannot see it and sst-lr can at best
-    # tie the baseline. A library of the distance index, smoothed twice, lost
-    # to it by 1.4-7.6% (generator seeds 0-3).
+    # similarity is exactly 1. sst-lr, which regresses the whole tracked row,
+    # measured 0.895x (K=1) and 0.841x (K=6) of it here, 0.949x at worst over
+    # generator seeds 0-3. A library of the distance index, smoothed twice,
+    # lost to it by 1.4-7.6% (generator seeds 0-3).
     train, test, truths, _ = generate_synthetic(
         SynthConfig(n_units=60, n_regimes=n_regimes)
     )
@@ -310,7 +310,7 @@ def test_both_modes_hold_the_age_only_baseline(n_regimes):
         for mode in ("sst", "sst-lr")
     }
     age_only = run_pipeline(train, test, truths, replace(cfg, beta=1e300))[0].rmse
-    assert rmses["sst-lr"] <= 1.005 * age_only
+    assert rmses["sst-lr"] <= 0.96 * age_only
     assert rmses["sst"] <= 0.97 * age_only
 
 
@@ -351,15 +351,16 @@ def test_a_loaded_pipeline_equals_the_trained_one(tmp_path, mode, n_regimes):
 
 def scored(pipe, tset):
     """(curves, estimates, per-row model labels) of one infer_curves and
-    estimate_fleet call; the labels are recorded from health.analyze_rows."""
+    estimate_fleet call; the labels are recorded from multiscale.assign_rows,
+    where evaluation calls it."""
     labels = []
 
     def recording(model, rows):
-        out = analyze_rows(model, rows)
-        labels.append(out[2])
+        out = assign_rows(model, rows)
+        labels.append(out[0])
         return out
 
-    with mock.patch.object(health, "analyze_rows", recording):
+    with mock.patch.object(multiscale, "assign_rows", recording):
         curves = infer_curves(pipe, tset)
     return curves, estimate_fleet(pipe, curves, skip_unmatched=True), np.concatenate(labels)
 

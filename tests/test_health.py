@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import spearmanr
 
+from subtrack.config import RunConfig
+from subtrack.dataset import SynthConfig, generate_synthetic
 from subtrack.errors import ValidationError
+from subtrack.evaluation import train_pipeline
 from subtrack.health import (
     DistanceScaler,
     HiRegressor,
-    analyze_rows,
     fit_hi_regression,
     fit_scaler,
     predict_hi,
@@ -16,7 +18,7 @@ from subtrack.health import (
     smooth_each,
     to_health_index,
 )
-from subtrack.multiscale import MultiModel
+from subtrack.multiscale import MultiModel, assign_rows
 from subtrack.subspace import mahalanobis_rows
 
 from test_subspace import random_model, solo
@@ -26,12 +28,12 @@ class TestDistanceSeries:
     def test_center_copies_give_zeros(self):
         model = random_model(np.random.default_rng(0), 8, 2)
         rows = np.tile(model.center, (10, 1))
-        np.testing.assert_array_equal(analyze_rows(solo(model), rows)[0], np.zeros(10))
+        np.testing.assert_array_equal(assign_rows(solo(model), rows)[1], np.zeros(10))
 
     def test_shape_contract(self):
         rng = np.random.default_rng(1)
         model = random_model(rng, 8, 2)
-        assert analyze_rows(solo(model), rng.standard_normal((37, 8)))[0].shape == (37,)
+        assert assign_rows(solo(model), rng.standard_normal((37, 8)))[1].shape == (37,)
 
     def test_drifting_unit_is_increasing(self):
         rng = np.random.default_rng(2)
@@ -42,7 +44,7 @@ class TestDistanceSeries:
         t = np.arange(1, 101)
         rows = model.center + np.outer(0.1 * t, drift_dir) \
             + 0.01 * rng.standard_normal((100, 8))
-        dists = analyze_rows(solo(model), rows)[0]
+        dists = assign_rows(solo(model), rows)[1]
         rho, _ = spearmanr(t, dists)
         assert rho >= 0.9
 
@@ -53,20 +55,28 @@ class TestDistanceSeries:
             models=models, centroids=np.arange(9, dtype=float).reshape(3, 3)
         )
         rows = rng.standard_normal((20, 8))
-        dists = analyze_rows(mm, rows)[0]
+        dists = assign_rows(mm, rows)[1]
         all_dists = np.array([mahalanobis_rows(m, rows) for m in models])
         np.testing.assert_allclose(dists, all_dists.min(axis=0))
 
 
-class TestAnalyzeRows:
-    def test_projection_matches_basis_coordinates(self):
-        rng = np.random.default_rng(4)
-        model = random_model(rng, 8, 3)
-        rows = rng.standard_normal((15, 8))
-        dists, proj, labels = analyze_rows(solo(model), rows)
-        np.testing.assert_allclose(proj, (rows - model.center) @ model.basis)
-        np.testing.assert_allclose(dists, mahalanobis_rows(model, rows))
-        assert np.all(labels == 0)
+class TestRegressorInput:
+    @pytest.mark.parametrize("n_regimes", [1, 2])
+    def test_sst_lr_sigma_falls_when_drift_leaves_the_subspace(self, n_regimes):
+        # the package generator drifts orthogonally to the healthy subspace,
+        # where the d in-subspace projections see nothing; the regressor
+        # reads the whole tracked row, so its index falls from the healthy
+        # window to failure as the sst index does (measured: a fall of
+        # 0.86-0.91 over generator seeds 0-3; 0.05 at most from projections)
+        train, _, _, _ = generate_synthetic(SynthConfig(
+            n_units=12, n_regimes=n_regimes, drift_rate=0.03, seed=0,
+            min_cycles=80, max_cycles=120,
+        ))
+        cfg = RunConfig(mode="sst-lr", n_regimes=n_regimes, healthy_cycles=20, tau2=20)
+        _, curves = train_pipeline(train, cfg)
+        healthy = np.mean([c.sigma[: cfg.healthy_cycles].mean() for c in curves])
+        final = np.mean([c.sigma[-1] for c in curves])
+        assert healthy - final >= 0.5
 
 
 class TestScaler:
@@ -179,14 +189,14 @@ class TestHiRegression:
         w = np.array([0.1, -0.2, 0.05])
         y = np.clip(proj @ w + 0.5, 0, 1)
         keep = (proj @ w + 0.5 >= 0) & (proj @ w + 0.5 <= 1)
-        reg = fit_hi_regression(proj[keep], y[keep], regime0(keep.sum()), 1)
+        reg = fit_hi_regression([(proj[keep], y[keep], regime0(keep.sum()))], 1)
         pred = predict_hi(reg, proj[keep], regime0(keep.sum()))
         assert np.max(np.abs(pred - y[keep])) <= 1e-8
 
     def test_constant_targets(self):
         rng = np.random.default_rng(6)
         proj = rng.standard_normal((30, 2))
-        reg = fit_hi_regression(proj, np.full(30, 0.7), regime0(30), 1)
+        reg = fit_hi_regression([(proj, np.full(30, 0.7), regime0(30))], 1)
         np.testing.assert_allclose(reg.weights[0, :-1], 0.0, atol=1e-6)
         assert reg.weights[0, -1] == pytest.approx(0.7, abs=1e-8)
 
@@ -194,14 +204,31 @@ class TestHiRegression:
         rng = np.random.default_rng(7)
         proj = rng.standard_normal((100, 3))
         y = np.clip(0.5 + 0.1 * rng.standard_normal(100), 0, 1)
-        reg = fit_hi_regression(proj, y, regime0(100), 1)
+        reg = fit_hi_regression([(proj, y, regime0(100))], 1)
         a = np.hstack([proj, np.ones((100, 1))])
         oracle = np.linalg.pinv(a) @ y
         np.testing.assert_allclose(reg.weights[0], oracle, atol=1e-8)
 
+    def test_blocks_add_up_to_one_fit(self):
+        # the sums of uneven blocks with mixed labels solve to the weights
+        # of the whole set in one block
+        rng = np.random.default_rng(10)
+        rows = rng.standard_normal((90, 4))
+        y, labels = rng.uniform(0, 1, 90), rng.integers(0, 2, 90)
+        whole = fit_hi_regression([(rows, y, labels)], 2)
+        cuts = [0, 7, 40, 41, 90]
+        blocks = [(rows[a:b], y[a:b], labels[a:b]) for a, b in zip(cuts, cuts[1:])]
+        np.testing.assert_allclose(
+            fit_hi_regression(blocks, 2).weights, whole.weights, rtol=0, atol=1e-12
+        )
+
+    def test_no_blocks_raises(self):
+        with pytest.raises(ValidationError, match="no rows"):
+            fit_hi_regression([], 1)
+
     def test_too_few_samples(self):
         with pytest.raises(ValidationError):
-            fit_hi_regression(np.zeros((3, 3)), np.zeros(3), regime0(3), 1)
+            fit_hi_regression([(np.zeros((3, 3)), np.zeros(3), regime0(3))], 1)
 
     @pytest.mark.parametrize("empty", [0, 1, 2])
     def test_regime_without_rows_raises_wherever_it_is(self, empty):
@@ -211,15 +238,15 @@ class TestHiRegression:
         labels = np.delete(np.arange(3), empty).repeat(20)
         proj, y = rng.standard_normal((40, 2)), rng.uniform(0, 1, 40)
         with pytest.raises(ValidationError, match=f"regime {empty}: 0 samples"):
-            fit_hi_regression(proj, y, labels, n_regimes=3)
+            fit_hi_regression([(proj, y, labels)], n_regimes=3)
 
     def test_per_regime_fit(self):
         rng = np.random.default_rng(8)
         proj = rng.standard_normal((60, 2))
         labels = np.repeat([0, 1], 30)
         y = np.where(labels == 0, 0.2, 0.8)
-        reg = fit_hi_regression(proj, y, labels=labels, n_regimes=2)
-        assert reg.n_regimes == 2
+        reg = fit_hi_regression([(proj, y, labels)], n_regimes=2)
+        assert reg.weights.shape == (2, 3)
         pred = predict_hi(reg, proj, labels=labels)
         np.testing.assert_allclose(pred, y, atol=1e-6)
 

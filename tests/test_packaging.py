@@ -1,9 +1,11 @@
 """Checks on the source tree as text: pyproject.toml lists as runtime
 dependencies exactly the third-party packages that the source imports
-(test-only packages go in the test extra), no np.load can unpickle, and
-only the synthetic-fleet generator uses numpy.random."""
+(test-only packages go in the test extra), no np.load can unpickle, only
+the synthetic-fleet generator uses numpy.random, and every module.name that
+the source or the README names exists."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -126,3 +128,42 @@ def test_numpy_random_only_in_synthetic_fleet_code():
 )
 def test_numpy_random_scan_sees(line):
     assert any(uses_np_random(node) for node in ast.walk(ast.parse(line)))
+
+
+
+MODULES = ("dataset", "evaluation", "health", "multiscale", "persist", "rul", "subspace", "cli")
+MODULE_REFERENCE = re.compile(rf"\b({'|'.join(MODULES)})\.([A-Za-z_]\w*)")
+
+
+def references(text: str) -> list[str]:
+    """Every module.name in text that names a subtrack module; file names
+    such as health.py are not references."""
+    return [m.group(0) for m in MODULE_REFERENCE.finditer(text) if m.group(2) != "py"]
+
+
+def test_every_module_reference_resolves():
+    # a comment or README line naming a deleted function misleads every
+    # later reader: each name must still exist in its module
+    paths = [*sorted((ROOT / "src" / "subtrack").glob("*.py")), ROOT / "README.md"]
+    refs = [
+        (path.name, lineno, ref)
+        for path in paths
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        for ref in references(line)
+    ]
+    assert refs, "no module reference found; the check has gone stale"
+    stale = [
+        (name, lineno, ref) for name, lineno, ref in refs
+        if not hasattr(importlib.import_module(f"subtrack.{ref.split('.')[0]}"), ref.split(".")[1])
+    ]
+    assert stale == []
+
+
+@pytest.mark.parametrize(
+    "line, refs",
+    [("see `health.analyze_rows`", ["health.analyze_rows"]),
+     ("evaluation.py and rul.py", []),
+     ("the evaluation. Then", [])],
+)
+def test_module_reference_scan_sees(line, refs):
+    assert references(line) == refs

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from subtrack import persist
 from subtrack.errors import NumericalError, ValidationError
-from subtrack.health import analyze_rows
 from subtrack.multiscale import MultiModel
 from subtrack.subspace import (
     FORGETTING,
@@ -39,8 +38,8 @@ def distance(model, x):
 
 
 def project(model, x):
-    """Coordinates of x - center in the basis, as analyze_rows reports them."""
-    return analyze_rows(solo(model), np.atleast_2d(x))[1][0]
+    """Coordinates of x - center in the basis."""
+    return (x - model.center) @ model.basis
 
 
 def explicit_complement_distance(model, x):
