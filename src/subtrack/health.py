@@ -96,6 +96,15 @@ def smooth_each(series: list[np.ndarray], factor: float) -> list[np.ndarray]:
     return [row[: len(s)] for row, s in zip(smooth(padded, factor), series)]
 
 
+def _median(values: list[float]) -> float:
+    """np.median of a list of floats, bit for bit (NaN if any value is, never
+    -0.0), without the numpy.ma import of its NaN check (~17 ms, 1.2 MB RSS)."""
+    if any(v != v for v in values):
+        return float("nan")
+    s, mid = sorted(values), len(values) // 2
+    return (s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2) + 0.0
+
+
 def fit_scaler(
     train_raw: list[np.ndarray], smoothed: list[np.ndarray], healthy_cycles: int
 ) -> DistanceScaler:
@@ -110,8 +119,7 @@ def fit_scaler(
     with np.errstate(over="ignore"):  # a sum of huge distances; raises below
         floors = [float(np.mean(s[:healthy_cycles])) for s in train_raw]
     ceilings = [float(s[-1]) for s in smoothed]
-    floor = float(np.median(floors))
-    ceiling = float(np.median(ceilings))
+    floor, ceiling = _median(floors), _median(ceilings)
     if not np.isfinite(floor):
         raise NumericalError("healthy-level distance overflows")
     if ceiling <= floor:

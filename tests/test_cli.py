@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -33,15 +34,16 @@ from subtrack.dataset import (
 from subtrack.errors import ValidationError
 
 
-def run_fresh_interpreter(code):
-    """Run code in a new interpreter that imports subtrack from this tree and,
-    like the suite, turns a RuntimeWarning into an error."""
+def run_fresh_interpreter(*args, path=()):
+    """Run `python args` in a new interpreter that imports subtrack from this
+    tree (after the directories in path) and, like the suite, turns a
+    RuntimeWarning into an error."""
     src = str(Path(subtrack.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
+        str(p) for p in (*path, src, os.environ.get("PYTHONPATH")) if p
     ))
     return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
         env=env, capture_output=True, text=True,
     )
 
@@ -179,7 +181,7 @@ class TestTrain:
         argv = ["train", "--train", str(data), "--out", str(tmp_path / "model"),
                 "--n-regimes", "2"]
         proc = run_fresh_interpreter(
-            f"import sys; from subtrack.cli import main; sys.exit(main({argv!r}))"
+            "-c", f"import sys; from subtrack.cli import main; sys.exit(main({argv!r}))"
         )
         assert proc.returncode == EXIT_NUMERICAL
         assert proc.stderr == (
@@ -1081,14 +1083,13 @@ def test_benchmark_and_infer_leave_scipy_unimported(synth_dir, model_dir, tmp_pa
             f"assert main({argv!r}) == 0; "
             "assert 'scipy' not in sys.modules, 'imported'"
         )
-        proc = run_fresh_interpreter(code)
+        proc = run_fresh_interpreter("-c", code)
         assert proc.returncode == 0, (name, proc.stderr)
 
 
-@pytest.mark.parametrize("n_regimes", [1, 2])
-def test_commands_leave_numpy_random_unimported(synth_dir, tmp_path, n_regimes):
-    # K=1 regimes come in closed form and k-means++ draws its seeds from the
-    # stdlib random module; importing numpy.random costs ~6 MB RSS
+def run_commands_then_check_unimported(synth_dir, tmp_path, n_regimes, module):
+    """train, infer and benchmark at n_regimes in one fresh interpreter that
+    then asserts module was never imported."""
     data = synth_dir
     if n_regimes > 1:
         data = tmp_path / "synth"
@@ -1108,10 +1109,92 @@ def test_commands_leave_numpy_random_unimported(synth_dir, tmp_path, n_regimes):
     code = (
         "import sys; from subtrack.cli import main; "
         f"assert [main(argv) for argv in {runs!r}] == [0, 0, 0]; "
-        "assert 'numpy.random' not in sys.modules, 'imported'"
+        f"assert {module!r} not in sys.modules, 'imported'"
     )
-    proc = run_fresh_interpreter(code)
+    return run_fresh_interpreter("-c", code)
+
+
+@pytest.mark.parametrize("n_regimes", [1, 2])
+def test_commands_leave_numpy_random_unimported(synth_dir, tmp_path, n_regimes):
+    # K=1 regimes come in closed form and k-means++ draws its seeds from the
+    # stdlib random module; importing numpy.random costs ~6 MB RSS
+    proc = run_commands_then_check_unimported(synth_dir, tmp_path, n_regimes, "numpy.random")
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("n_regimes", [1, 2])
+def test_commands_leave_numpy_ma_unimported(synth_dir, tmp_path, n_regimes):
+    # np.median's NaN check imports numpy.ma: ~17 ms and 1.25 MB RSS per call
+    proc = run_commands_then_check_unimported(synth_dir, tmp_path, n_regimes, "numpy.ma")
+    assert proc.returncode == 0, proc.stderr
+
+
+# numpy subpackages that `import numpy` leaves unloaded and subtrack never needs
+UNNEEDED_NUMPY = ("numpy.ma", "numpy.random", "numpy.fft", "numpy.polynomial")
+
+
+def test_cli_import_adds_only_stdlib_and_subtrack():
+    code = (
+        "import json, sys, numpy; before = set(sys.modules); import subtrack.cli; "
+        "print(json.dumps([sorted(set(sys.modules) - before), sorted(sys.modules)]))"
+    )
+    proc = run_fresh_interpreter("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    added, loaded = json.loads(proc.stdout)
+    assert "subtrack.cli" in added
+    foreign = [m for m in added
+               if m.split(".")[0] not in sys.stdlib_module_names | {"subtrack"}]
+    assert foreign == []
+    assert [m for m in loaded if ".".join(m.split(".")[:2]) in UNNEEDED_NUMPY] == []
+
+
+# argv of one run per exit code, from the synth fleet and a scratch directory
+EXIT_RUNS = {
+    "success": (EXIT_OK, lambda synth, tmp: [
+        "synth", "--out", str(tmp / "synth"), "--units", "3",
+        "--min-cycles", "40", "--max-cycles", "50"]),
+    "usage": (EXIT_USAGE, lambda synth, tmp: ["train", "--bogus"]),
+    "missing-file": (EXIT_DATA, lambda synth, tmp: [
+        "train", "--train", str(tmp / "nope.txt"), "--out", str(tmp / "model")]),
+    "overflow": (EXIT_NUMERICAL, lambda synth, tmp: [
+        "train", "--train", str(synth / "train_synth.txt"),
+        "--out", str(tmp / "model"), "--delta", "1e306"]),
+}
+
+# a sitecustomize module that reports the GC freeze count once the
+# interpreter starts to shut down
+FREEZE_PROBE = """\
+import atexit, gc, sys
+atexit.register(lambda: print(f"freeze count {gc.get_freeze_count()}", file=sys.stderr))
+"""
+
+
+class TestExitPath:
+    @pytest.mark.parametrize("case", sorted(EXIT_RUNS))
+    def test_module_run_exits_as_main_returns(self, synth_dir, tmp_path, capsys, case):
+        code, make_argv = EXIT_RUNS[case]
+        argv = make_argv(synth_dir, tmp_path)
+        assert main(argv) == code
+        expected = capsys.readouterr()
+        proc = run_fresh_interpreter("-m", "subtrack.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, expected.out, expected.err)
+
+    @pytest.mark.parametrize("case", ["success", "usage"])
+    def test_main_leaves_gc_unfrozen(self, synth_dir, tmp_path, case):
+        code, make_argv = EXIT_RUNS[case]
+        assert main(make_argv(synth_dir, tmp_path)) == code
+        assert gc.get_freeze_count() == 0
+
+    def test_module_run_freezes_before_exit(self, tmp_path):
+        (tmp_path / "probe").mkdir()
+        (tmp_path / "probe" / "sitecustomize.py").write_text(FREEZE_PROBE)
+        _, make_argv = EXIT_RUNS["success"]
+        proc = run_fresh_interpreter(
+            "-m", "subtrack.cli", *make_argv(None, tmp_path), path=[tmp_path / "probe"])
+        assert proc.returncode == EXIT_OK, proc.stderr
+        count = proc.stderr.splitlines()[-1].removeprefix("freeze count ")
+        assert int(count) > 0
 
 
 class TestUsage:

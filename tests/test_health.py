@@ -10,6 +10,7 @@ from subtrack.evaluation import train_pipeline
 from subtrack.health import (
     DistanceScaler,
     HiRegressor,
+    _median,
     fit_hi_regression,
     fit_scaler,
     predict_hi,
@@ -97,6 +98,14 @@ class TestScaler:
         series = [np.full(50, 3.0)]
         with pytest.raises(ValidationError, match="degenerate"):
             fit_scaler(series, series, healthy_cycles=10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=60)
+           | st.lists(st.sampled_from([0.0, -0.0, 1.5, np.inf]), min_size=1, max_size=6))
+    def test_median_is_np_median_bit_for_bit(self, values):
+        with np.errstate(all="ignore"):  # np.mean of two huge values overflows
+            expected = float(np.median(values))
+        assert repr(_median(values)) == repr(expected)
 
     def test_scale_endpoints_and_clamp(self):
         scaler = DistanceScaler(floor=1.0, ceiling=9.0)

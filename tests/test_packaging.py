@@ -1,6 +1,7 @@
 """Checks on the source tree as text: pyproject.toml lists as runtime
 dependencies exactly the third-party packages that the source imports
-(test-only packages go in the test extra), no np.load can unpickle, only
+(test-only packages go in the test extra), the console script calls the
+function that `python -m subtrack.cli` calls, no np.load can unpickle, only
 the synthetic-fleet generator uses numpy.random, and every module.name that
 the source or the README names exists."""
 
@@ -34,12 +35,15 @@ def third_party_imports():
     return names - set(sys.stdlib_module_names) - {"subtrack"}
 
 
-def runtime_dependencies():
+def pyproject():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
-    doc = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    return tomllib.loads((ROOT / "pyproject.toml").read_text())
+
+
+def runtime_dependencies():
     return {
         re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
-        for dep in doc["project"]["dependencies"]
+        for dep in pyproject()["project"]["dependencies"]
     }
 
 
@@ -47,6 +51,27 @@ def test_runtime_dependencies_are_what_the_source_imports():
     imports = third_party_imports()
     assert "numpy" in imports
     assert runtime_dependencies() == imports
+
+
+def main_block_calls(path):
+    """Names of the functions that the `if __name__ == "__main__":` block of
+    path calls."""
+    blocks = [
+        node for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert len(blocks) == 1, path
+    return [
+        node.func.id for node in ast.walk(blocks[0])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+
+
+def test_console_script_exits_as_python_m_does():
+    # both process entry points must take the exit path that freezes GC
+    module, func = pyproject()["project"]["scripts"]["subtrack"].split(":")
+    assert module == "subtrack.cli"
+    assert main_block_calls(ROOT / "src" / "subtrack" / "cli.py") == [func]
 
 
 def np_load_calls():
