@@ -1124,7 +1124,7 @@ def test_commands_leave_numpy_random_unimported(synth_dir, tmp_path, n_regimes):
 
 @pytest.mark.parametrize("n_regimes", [1, 2])
 def test_commands_leave_numpy_ma_unimported(synth_dir, tmp_path, n_regimes):
-    # np.median's NaN check imports numpy.ma: ~17 ms and 1.25 MB RSS per call
+    # np.median's NaN check imports numpy.ma: ~17 ms and 1.25 MB RSS per process
     proc = run_commands_then_check_unimported(synth_dir, tmp_path, n_regimes, "numpy.ma")
     assert proc.returncode == 0, proc.stderr
 

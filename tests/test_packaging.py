@@ -53,25 +53,16 @@ def test_runtime_dependencies_are_what_the_source_imports():
     assert runtime_dependencies() == imports
 
 
-def main_block_calls(path):
-    """Names of the functions that the `if __name__ == "__main__":` block of
-    path calls."""
-    blocks = [
-        node for node in ast.parse(path.read_text()).body
-        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
-    ]
-    assert len(blocks) == 1, path
-    return [
-        node.func.id for node in ast.walk(blocks[0])
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-    ]
-
-
 def test_console_script_exits_as_python_m_does():
     # both process entry points must take the exit path that freezes GC
     module, func = pyproject()["project"]["scripts"]["subtrack"].split(":")
     assert module == "subtrack.cli"
-    assert main_block_calls(ROOT / "src" / "subtrack" / "cli.py") == [func]
+    tree = ast.parse((ROOT / "src" / "subtrack" / "cli.py").read_text())
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    calls = [node.func.id for node in ast.walk(block)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert calls == [func]
 
 
 def np_load_calls():
