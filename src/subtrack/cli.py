@@ -133,17 +133,10 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = dataset.SynthConfig(
-        n_units=args.units,
-        n_regimes=args.n_regimes,
-        subspace_dim=args.subspace_dim,
-        noise_std=args.noise_std,
-        drift_onset_fraction=args.drift_onset,
-        drift_rate=args.drift_rate,
-        seed=args.seed,
-        min_cycles=args.min_cycles,
-        max_cycles=args.max_cycles,
-    )
+    # only the flags given: SynthConfig holds the defaults
+    given = {f.name: getattr(args, f.name) for f in fields(dataset.SynthConfig)
+             if getattr(args, f.name, None) is not None}
+    cfg = dataset.SynthConfig(**given)
     train_set, test_set, truths, _ = dataset.generate_synthetic(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -181,15 +174,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic CMAPSS-format fleet")
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--units", type=int, default=50)
-    p.add_argument("--n-regimes", type=int, default=1)
-    p.add_argument("--subspace-dim", type=int, default=3)
-    p.add_argument("--noise-std", type=float, default=0.01)
-    p.add_argument("--drift-rate", type=float, default=0.02)
-    p.add_argument("--drift-onset", type=float, default=0.5)
-    p.add_argument("--min-cycles", type=int, default=150)
-    p.add_argument("--max-cycles", type=int, default=300)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--units", dest="n_units", type=int)
+    p.add_argument("--n-regimes", type=int)
+    p.add_argument("--subspace-dim", type=int)
+    p.add_argument("--noise-std", type=float)
+    p.add_argument("--drift-rate", type=float)
+    p.add_argument("--drift-onset", dest="drift_onset_fraction", type=float)
+    p.add_argument("--min-cycles", type=int)
+    p.add_argument("--max-cycles", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_synth)
 
     return parser

@@ -6,7 +6,6 @@ import sys
 from dataclasses import asdict, dataclass, fields
 
 from .errors import ValidationError
-from .rul import MatchConfig
 
 MODES = ("sst", "sst-lr")
 
@@ -55,7 +54,10 @@ class RunConfig:
             raise ValidationError("smoothing must be in (0, 1]")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-        MatchConfig(tau1=self.tau1, tau2=self.tau2, beta=self.beta)  # checks all three
+        if not 0 <= self.tau1 <= self.tau2:
+            raise ValidationError("need 0 <= tau1 <= tau2")
+        if not self.beta > 0:
+            raise ValidationError("beta must be positive")
 
     @property
     def track_settings(self) -> bool:

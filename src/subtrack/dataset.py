@@ -235,7 +235,7 @@ def decoding(path: Path, error: type[PrognosticsError] = DataFormatError):
 def read_table(fh, **kwargs) -> np.ndarray | None:
     """np.loadtxt over the rest of an open text file, with no comment
     character; None when numpy rejects the text or warns (it warns on a file
-    with no data rows). Callers then fall back to their line parser."""
+    with no data rows). The caller then falls back to its line parser."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -389,9 +389,7 @@ class SynthConfig:
     the subspace distance should pick up.
     """
 
-    n_units: int = 50
-    n_test_units: int | None = None
-    n_features: int = 24  # settings + sensors, CMAPSS layout when 24
+    n_units: int = 50  # in the train fleet and in the test fleet
     subspace_dim: int = 3
     n_regimes: int = 1
     noise_std: float = 0.01
@@ -405,7 +403,7 @@ class SynthConfig:
     def validate(self) -> None:
         if self.subspace_dim < 1:
             raise ValidationError("subspace_dim must be >= 1")
-        if self.subspace_dim >= self.n_features - N_SETTINGS:
+        if self.subspace_dim >= N_SENSORS:
             raise ValidationError("subspace_dim must be < number of sensor features")
         if self.n_regimes < 1:
             raise ValidationError("n_regimes must be >= 1")
@@ -422,8 +420,6 @@ class SynthConfig:
             raise ValidationError("min_cycles must be >= 2")
         if self.min_cycles > self.max_cycles:
             raise ValidationError("min_cycles must be <= max_cycles")
-        if self.n_features <= N_SETTINGS:
-            raise ValidationError(f"n_features must exceed {N_SETTINGS}")
 
 
 @dataclass(frozen=True)
@@ -443,16 +439,15 @@ def _random_orthonormal(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 
 
 def _make_regimes(cfg: SynthConfig, rng: np.random.Generator) -> list[RegimeGround]:
-    n_sensors = cfg.n_features - N_SETTINGS
     regimes = []
     for k in range(cfg.n_regimes):
         settings = np.zeros(N_SETTINGS) if cfg.n_regimes == 1 else rng.uniform(
             0.0, 100.0, N_SETTINGS
         )
-        center = rng.uniform(-2.0, 2.0, n_sensors)
-        basis = _random_orthonormal(rng, n_sensors, cfg.subspace_dim)
+        center = rng.uniform(-2.0, 2.0, N_SENSORS)
+        basis = _random_orthonormal(rng, N_SENSORS, cfg.subspace_dim)
         spreads = rng.uniform(0.5, 2.0, cfg.subspace_dim)
-        raw = rng.standard_normal(n_sensors)
+        raw = rng.standard_normal(N_SENSORS)
         drift = raw - basis @ (basis.T @ raw)
         drift /= np.linalg.norm(drift)
         regimes.append(RegimeGround(settings, center, basis, spreads, drift))
@@ -467,15 +462,14 @@ def _sample_unit(
     length: int,
 ) -> Trajectory:
     onset = int(cfg.drift_onset_fraction * length)
-    n_sensors = cfg.n_features - N_SETTINGS
-    features = np.empty((length, cfg.n_features))
+    features = np.empty((length, N_SETTINGS + N_SENSORS))
     settings, sensors = features[:, :N_SETTINGS], features[:, N_SETTINGS:]
     for i in range(length):
         t = i + 1
         k = int(rng.integers(cfg.n_regimes)) if cfg.n_regimes > 1 else 0
         reg = regimes[k]
         z = rng.standard_normal(cfg.subspace_dim) * np.sqrt(reg.spreads)
-        eps = rng.standard_normal(n_sensors) * cfg.noise_std
+        eps = rng.standard_normal(N_SENSORS) * cfg.noise_std
         x = reg.center + reg.basis @ z + eps
         x = x + cfg.drift_rate * max(0, t - onset) * reg.drift_dir
         settings[i] = reg.settings
@@ -501,10 +495,9 @@ def generate_synthetic(
         length = int(rng.integers(cfg.min_cycles, cfg.max_cycles + 1))
         train.append(_sample_unit(cfg, rng, regimes, u, length))
 
-    n_test = cfg.n_test_units if cfg.n_test_units is not None else cfg.n_units
     test = []
     true_ruls = []
-    for u in range(1, n_test + 1):
+    for u in range(1, cfg.n_units + 1):
         length = int(rng.integers(cfg.min_cycles, cfg.max_cycles + 1))
         full = _sample_unit(cfg, rng, regimes, u, length)
         lo = min(cfg.min_test_cycles, length - 1)

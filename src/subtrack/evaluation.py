@@ -21,7 +21,7 @@ from .dataset import N_SETTINGS, Normalizer, TrajectorySet
 from .errors import NoMatchError, NumericalError, PrognosticsError, ValidationError
 from .health import DistanceScaler, HiCurve, HiRegressor
 from .multiscale import ROW_BLOCK, MultiModel
-from .rul import MatchConfig, RulEstimate
+from .rul import RulEstimate
 
 GAMMA_EARLY = 1.0 / 13.0  # estimate below truth (early maintenance)
 GAMMA_LATE = 1.0 / 10.0  # estimate above truth (late maintenance)
@@ -209,12 +209,10 @@ def estimate_fleet(
     With skip_unmatched, a curve with no valid (unit, lag) candidate yields
     None instead of raising; benchmark runs keep the hard failure.
     """
-    cfg = pipe.config
-    match_cfg = MatchConfig(tau1=cfg.tau1, tau2=cfg.tau2, beta=cfg.beta)
     estimates = []
     for curve in test_curves:
         try:
-            estimates.append(rul.estimate_rul(curve, pipe.library, match_cfg))
+            estimates.append(rul.estimate_rul(curve, pipe.library, pipe.config))
         except NoMatchError:
             if not skip_unmatched:
                 raise

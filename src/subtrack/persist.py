@@ -9,8 +9,8 @@ only module that reads or writes a model directory.
 Its `model.json` holds the K-model document, also for a single-regime (K=1)
 fleet, and carries the directory's format version, MODEL_FORMAT_VERSION.
 Matching reads the stored library and never opens `train_curves.csv`, which
-stays as the human-readable export; read_curves_csv reads it back for
-analysis, and load_pipeline never calls it. save_pipeline writes that export
+stays as the human-readable export; read_curves_csv, a line parser that no
+command calls, reads it back for analysis. save_pipeline writes that export
 and `error_trace.csv` from the training curves it is given, apart from the
 pipeline, so load_pipeline returns the saved pipeline field for field.
 A directory of any other version is refused; one of version 1 (library only
@@ -28,9 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .dataset import (
-    N_SETTINGS, Normalizer, decoding, first_non_finite_line, read_table, unit_blocks
-)
+from .dataset import N_SETTINGS, Normalizer, decoding, first_non_finite_line
 from .errors import NumericalError, ValidationError
 from .evaluation import TrainedPipeline
 from .health import DistanceScaler, HiCurve, HiRegressor
@@ -46,10 +44,6 @@ LIBRARY_FILES = {
     "lengths": ("library_lengths.npy", np.dtype("<i8"), 1),
 }
 CURVE_CSV_HEADER = "unit_id,cycle,raw_dist,scaled_dist,sigma"
-CURVE_ROW_DTYPE = np.dtype(
-    [("unit", np.int64), ("cycle", np.int64),
-     ("raw", np.float64), ("scaled", np.float64), ("sigma", np.float64)]
-)
 ESTIMATE_CSV_HEADER = (
     "unit_id,estimated_rul,true_rul,error,n_candidates,sum_similarity"
 )
@@ -164,51 +158,12 @@ def write_curves_csv(curves: list[HiCurve], path: str | Path) -> None:
 
 def read_curves_csv(path: str | Path) -> list[HiCurve]:
     """Curves of a `train_curves.csv` export, in unit order, each unit's
-    rows in cycle order.
+    rows in cycle order, parsed line by line.
 
     Raises ValidationError naming the file and line on a malformed row or a
     non-finite value, naming the file when it does not decode, and naming
-    the unit when its cycles are not 1..L. As in
-    dataset.load_cmapss, one numpy call parses the file, and the line parser
-    decides whenever that parse or a check on its result fails.
+    the unit when its cycles are not 1..L.
     """
-    curves = _read_curves_bulk(path)
-    return curves if curves is not None else _read_curves_lines(path)
-
-
-def _read_curves_bulk(path: str | Path) -> list[HiCurve] | None:
-    """The curves from one numpy parse, or None when the line parser must
-    decide. The id columns parse as integers, so numpy takes no id that
-    int() rejects, such as 1.0."""
-    with open(path) as fh:
-        try:
-            if fh.readline().rstrip("\n") != CURVE_CSV_HEADER:
-                return None
-        except UnicodeDecodeError:
-            return None
-        table = read_table(fh, delimiter=",", dtype=CURVE_ROW_DTYPE, ndmin=1)
-    if table is None:
-        return None
-    blocks = unit_blocks(table["unit"], table["cycle"])
-    if blocks is None:
-        return None
-    order, units, bounds = blocks
-    if order is not None:
-        table = table[order]
-    raw, scaled, sigma = (table[name] for name in ("raw", "scaled", "sigma"))
-    if not all(np.isfinite(a).all() for a in (raw, scaled, sigma)):
-        return None
-    return [
-        HiCurve(
-            unit_id=unit, sigma=sigma[a:b], raw_dist=raw[a:b], scaled_dist=scaled[a:b]
-        )
-        for unit, a, b in zip(units, bounds, bounds[1:])
-    ]
-
-
-def _read_curves_lines(path: str | Path) -> list[HiCurve]:
-    """Line-by-line parse; the reference for what read_curves_csv accepts
-    and for every message it raises."""
     by_unit: dict[int, list[tuple[int, float, float, float]]] = {}
     with open(path) as fh, decoding(path, ValidationError):
         if fh.readline().rstrip("\n") != CURVE_CSV_HEADER:

@@ -5,7 +5,8 @@ of length L over the lags tau in [tau1, tau2]. Each (train unit, lag) pair
 with full overlap (n + tau <= L) is a candidate: its RUL is L - n - tau and
 its weight is exp(-d2 / beta), where d2 is the mean squared pointwise
 difference of the overlap. The estimate is the similarity-weighted mean of
-all candidate RULs.
+all candidate RULs. tau1, tau2 and beta are read from the run's RunConfig,
+which checks them.
 
 Library and test curves must carry the same health index; matching uses
 each sigma as given and smooths nothing. The library is built once per
@@ -44,21 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import NoMatchError, NumericalError, ValidationError
+from .config import RunConfig
+from .errors import NoMatchError, NumericalError
 from .health import HiCurve
-
-
-@dataclass(frozen=True)
-class MatchConfig:
-    tau1: int = 1
-    tau2: int = 40
-    beta: float = 0.0235
-
-    def __post_init__(self):
-        if not 0 <= self.tau1 <= self.tau2:
-            raise ValidationError("need 0 <= tau1 <= tau2")
-        if not self.beta > 0:
-            raise ValidationError("beta must be positive")
 
 
 @dataclass(frozen=True)
@@ -121,7 +110,7 @@ def prepare_library(curves: list[HiCurve]) -> Library:
 
 
 def _candidates(
-    test: HiCurve, library: Library, cfg: MatchConfig
+    test: HiCurve, library: Library, cfg: RunConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score the test curve against every (library unit, lag) pair.
 
@@ -171,7 +160,7 @@ def _candidates(
     return valid, ruls, sims
 
 
-def estimate_rul(test: HiCurve, library: Library, cfg: MatchConfig) -> RulEstimate:
+def estimate_rul(test: HiCurve, library: Library, cfg: RunConfig) -> RulEstimate:
     """Similarity-weighted combination of candidate RULs over all library
     curves and lags in [tau1, tau2].
 

@@ -18,7 +18,7 @@ from subtrack.dataset import SynthConfig, generate_synthetic
 from subtrack.evaluation import rmse, run_benchmark, run_pipeline, score
 from subtrack.health import HiCurve
 from subtrack.multiscale import track
-from subtrack.rul import MatchConfig, _candidates, estimate_rul, prepare_library
+from subtrack.rul import _candidates, estimate_rul, prepare_library
 from subtrack.subspace import init_subspace, mahalanobis_rows
 
 from test_multiscale import subspace_angle
@@ -179,7 +179,7 @@ def test_criterion_7_curve_matching_oracle():
     worst = 0.0
     convexity_violations = 0
     for _ in range(100):
-        cfg = MatchConfig(
+        cfg = RunConfig(
             tau1=int(rng.integers(0, 3)),
             tau2=int(rng.integers(5, 20)),
             beta=float(rng.uniform(0.005, 0.2)),

@@ -431,9 +431,8 @@ class TestGenerateSynthetic:
         dists = mahalanobis_rows(model, rows)
 
         s2 = cfg.noise_std**2
-        n_sensors = cfg.n_features - N_SETTINGS
         expected = delta * np.sum((reg.spreads + s2) / reg.spreads) + (
-            n_sensors - cfg.subspace_dim
+            N_SENSORS - cfg.subspace_dim
         ) * s2
         stderr = dists.std() / np.sqrt(len(dists))
         assert abs(dists.mean() - expected) <= 3 * stderr

@@ -29,7 +29,7 @@ from subtrack.evaluation import (
 from subtrack.health import predict_hi
 from subtrack.multiscale import MultiModel, assign_rows, nearest_centroid
 from subtrack.persist import load_pipeline, save_pipeline
-from subtrack.rul import MatchConfig, estimate_rul
+from subtrack.rul import estimate_rul
 from subtrack.subspace import init_subspace
 
 
@@ -287,9 +287,8 @@ class TestBatchTraining:
             assert padded[: len(got)].tobytes() == got.sigma.tobytes()
             assert not padded[len(got) :].any()
         curves = infer_curves(pipe, test)
-        match_cfg = MatchConfig(tau1=cfg.tau1, tau2=cfg.tau2, beta=cfg.beta)
         assert estimate_fleet(pipe, curves) == [
-            estimate_rul(c, library, match_cfg) for c in curves
+            estimate_rul(c, library, cfg) for c in curves
         ]
 
 

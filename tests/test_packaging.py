@@ -1,13 +1,16 @@
 """Checks on the source tree as text: pyproject.toml lists as runtime
 dependencies exactly the third-party packages that the source imports
 (test-only packages go in the test extra), the console script calls the
-function that `python -m subtrack.cli` calls, no np.load can unpickle, only
-the synthetic-fleet generator uses numpy.random, and every module.name that
-the source or the README names exists."""
+function that `python -m subtrack.cli` calls, `import subtrack` loads no
+submodule, no np.load can unpickle, only the synthetic-fleet generator uses
+numpy.random, and every module.name that the source or the README names
+exists."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -63,6 +66,16 @@ def test_console_script_exits_as_python_m_does():
     calls = [node.func.id for node in ast.walk(block)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
     assert calls == [func]
+
+
+def test_package_import_loads_no_submodule():
+    # `import subtrack` runs before every command: a re-export in __init__
+    # would load modules that the command itself may never need
+    code = "import subtrack, sys; print(*(m for m in sys.modules if m.startswith('subtrack.')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def np_load_calls():

@@ -1,24 +1,25 @@
-"""The numpy bulk readers against the line parsers they fall back to.
+"""The CMAPSS bulk reader against the line parser it falls back to, and the
+curve CSV line parser against the values its files were written from.
 
-dataset.load_cmapss and persist.read_curves_csv parse a file with one
-np.loadtxt call and fall back to their line parser when that parse or a
-check on its result fails. The line parser is the reference: the bulk path
-may accept only files it accepts, with bit-equal arrays, and every error
-comes from it.
+dataset.load_cmapss parses a file with one np.loadtxt call and falls back to
+its line parser when that parse or a check on its result fails. The line
+parser is the reference: the bulk path may accept only files it accepts,
+with bit-equal arrays, and every error comes from it.
+persist.read_curves_csv is a line parser alone; the cases it shares with the
+CMAPSS reader check which files it accepts.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subtrack import dataset, persist
+from subtrack import dataset
 from subtrack.dataset import SynthConfig, generate_synthetic, load_cmapss, save_cmapss
 from subtrack.errors import PrognosticsError, ValidationError
 from subtrack.health import HiCurve
 from subtrack.persist import CURVE_CSV_HEADER, read_curves_csv, write_curves_csv
 
 CMAPSS = (load_cmapss, dataset._parse_cmapss_bulk, dataset._parse_cmapss_lines)
-CURVES = (read_curves_csv, persist._read_curves_bulk, persist._read_curves_lines)
 
 
 def trajectory_bits(trajs):
@@ -37,17 +38,10 @@ def curve_bits(curves):
     ]
 
 
-def bits(result):
-    result = list(result)
-    if result and isinstance(result[0], HiCurve):
-        return curve_bits(result)
-    return trajectory_bits(result)
-
-
 def outcome(read, path):
     """("ok", bits of the result) or (exception type, message)."""
     try:
-        return "ok", bits(read(path))
+        return "ok", trajectory_bits(read(path))
     except PrognosticsError as exc:
         return type(exc), str(exc)
 
@@ -62,13 +56,24 @@ def check_agree(readers, path):
     fast = bulk(path)
     if fast is not None:
         assert ref[0] == "ok", "the bulk path accepted a file the line parser rejects"
-        assert bits(fast) == ref[1]
+        assert trajectory_bits(fast) == ref[1]
         return "fast"
     return "fallback" if ref[0] == "ok" else "error"
 
 
+def curve_outcome(path):
+    """"ok" when read_curves_csv reads the file, "error" when it refuses it
+    with a ValidationError."""
+    try:
+        read_curves_csv(path)
+    except ValidationError:
+        return "error"
+    return "ok"
+
+
 # ---------------------------------------------------------------------------
-# valid files: both paths give bit-equal arrays
+# valid files: the CMAPSS paths give bit-equal arrays, the curve reader the
+# values that were written
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 VALUE_FORMATS = (repr, "{:.6e}".format, "{:.3f}".format, "{:g}".format)
@@ -113,15 +118,18 @@ def cmapss_texts(draw):
 
 @st.composite
 def curve_texts(draw):
+    """A curve CSV text, and {unit: {cycle: (raw, scaled, sigma)}} from the
+    int and float of each token written."""
     rows, eol = draw(unit_rows())
     id_format = draw(st.sampled_from(["{}", "{:+d}", " {} "]))
     fmt = draw(st.sampled_from(VALUE_FORMATS))
-    lines = []
+    lines, written = [], {}
     for unit, cycle in rows:
-        values = draw(st.lists(FLOATS, min_size=3, max_size=3))
         fields = [id_format.format(unit), id_format.format(cycle)]
-        lines.append(",".join(fields + [fmt(v) for v in values]))
-    return CURVE_CSV_HEADER + eol + join_lines(draw, lines, eol)
+        fields += [fmt(v) for v in draw(st.lists(FLOATS, min_size=3, max_size=3))]
+        lines.append(",".join(fields))
+        written.setdefault(int(fields[0]), {})[int(fields[1])] = tuple(map(float, fields[2:]))
+    return CURVE_CSV_HEADER + eol + join_lines(draw, lines, eol), written
 
 
 def write_text(tmp_path_factory, text, name):
@@ -139,10 +147,18 @@ def test_valid_cmapss_files_bit_equal_on_both_paths(tmp_path_factory, text):
 
 
 @settings(max_examples=150, deadline=None)
-@given(text=curve_texts())
-def test_valid_curve_files_bit_equal_on_both_paths(tmp_path_factory, text):
+@given(text_written=curve_texts())
+def test_valid_curve_files_bit_equal_on_both_paths(tmp_path_factory, text_written):
+    text, written = text_written
     path = write_text(tmp_path_factory, text, "train_curves.csv")
-    assert check_agree(CURVES, path) == "fast"
+    curves = read_curves_csv(path)
+    assert [(c.unit_id, type(c.unit_id)) for c in curves] == [(u, int) for u in sorted(written)]
+    for c in curves:
+        rows = written[c.unit_id]
+        assert sorted(rows) == list(range(1, len(c) + 1))
+        for column, values in enumerate((c.raw_dist, c.scaled_dist, c.sigma)):
+            want = np.array([rows[cycle][column] for cycle in range(1, len(c) + 1)])
+            assert values.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +242,8 @@ def edit_cases(sep, first):
     return [pytest.param(name, edit, id=name) for name, edit in cases]
 
 
-# what decides each case: "fast" (the bulk path), "fallback" (the line
-# parser accepts what numpy does not parse) or "error"
+# what decides each CMAPSS case: "fast" (the bulk path), "fallback" (the
+# line parser accepts what numpy does not parse) or "error"
 CMAPSS_EXPECTED = {
     "unit 1.0": "fast", "unit +1": "fast", "unit 1_0": "fallback",
     "unit 0x10": "error", "unit #": "error", "unit 1e400": "error",
@@ -241,11 +257,13 @@ CMAPSS_EXPECTED = {
     "form feed before a separator": "fast", "U+2028 before a separator": "fast",
     "no data rows": "error",
 }
-CURVE_EXPECTED = dict(
-    CMAPSS_EXPECTED,
-    **{"unit 1.0": "error", "whitespace-only line": "error",
-       "no data rows": "fallback"},
-)
+# whether read_curves_csv reads each case: "ok" or "error"
+CURVE_EXPECTED = {
+    name: "error" if decided == "error" else "ok"
+    for name, decided in CMAPSS_EXPECTED.items()
+}
+CURVE_EXPECTED.update({"unit 1.0": "error", "whitespace-only line": "error",
+                       "no data rows": "ok"})
 
 
 @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["LF", "CRLF"])
@@ -263,7 +281,7 @@ def test_curve_readers_agree(tmp_path, name, edit, eol):
     path = tmp_path / "train_curves.csv"
     with open(path, "w", newline="") as fh:
         fh.write("".join(line + eol for line in edit(curve_lines())))
-    assert check_agree(CURVES, path) == CURVE_EXPECTED[name]
+    assert curve_outcome(path) == CURVE_EXPECTED[name]
 
 
 @pytest.mark.parametrize(
@@ -274,7 +292,7 @@ def test_curve_readers_agree(tmp_path, name, edit, eol):
 def test_curve_header_checked_by_line_parser(tmp_path, text):
     path = tmp_path / "train_curves.csv"
     path.write_text(text)
-    assert check_agree(CURVES, path) == "error"
+    assert curve_outcome(path) == "error"
 
 
 @pytest.mark.parametrize(
@@ -286,13 +304,13 @@ def test_curve_header_checked_by_line_parser(tmp_path, text):
 def test_undecodable_curve_file_is_a_validation_error(tmp_path, text):
     path = tmp_path / "train_curves.csv"
     path.write_bytes(text)
-    assert check_agree(CURVES, path) == "error"
+    assert curve_outcome(path) == "error"
     with pytest.raises(ValidationError, match=f"{path}: not a text file"):
         read_curves_csv(path)
 
 
 # ---------------------------------------------------------------------------
-# the fast path is taken on valid input
+# the CMAPSS fast path is taken on valid input; curves round-trip
 
 def refuse(path):
     raise AssertionError(f"line parser ran on {path}")
@@ -314,7 +332,6 @@ def test_bulk_paths_read_a_valid_fleet_and_library(tmp_path, monkeypatch):
     # a numpy warning or behaviour change that made the bulk path give up
     # would otherwise pass unnoticed, at the old speed
     monkeypatch.setattr(dataset, "_parse_cmapss_lines", refuse)
-    monkeypatch.setattr(persist, "_read_curves_lines", refuse)
 
     assert trajectory_bits(load_cmapss(tmp_path / "train.txt")) == trajectory_bits(train)
     assert trajectory_bits(load_cmapss(tmp_path / "test.txt")) == trajectory_bits(test)

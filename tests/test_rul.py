@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from subtrack.config import RunConfig
 from subtrack.errors import NoMatchError, NumericalError, ValidationError
 from subtrack.health import HiCurve
-from subtrack.rul import MatchConfig, _candidates, estimate_rul, prepare_library
+from subtrack.rul import _candidates, estimate_rul, prepare_library
 
 
 def curve(unit_id, sigma):
@@ -154,7 +155,7 @@ class TestEstimateRul:
     def test_single_candidate(self):
         test = curve(1, np.full(10, 0.8))
         train = curve(2, np.full(15, 0.8))
-        cfg = MatchConfig(tau1=2, tau2=2, beta=0.1)
+        cfg = RunConfig(tau1=2, tau2=2, beta=0.1)
         est = estimate_rul(test, prepare_library([train]), cfg)
         assert est.estimate == pytest.approx(15 - 10 - 2)
         assert est.n_candidates == 1
@@ -163,13 +164,13 @@ class TestEstimateRul:
         test = curve(1, np.full(10, 0.5))
         # same curve shape, lengths chosen so candidates are 10 and 30
         lib = [curve(2, np.full(21, 0.5)), curve(3, np.full(41, 0.5))]
-        cfg = MatchConfig(tau1=1, tau2=1, beta=0.1)
+        cfg = RunConfig(tau1=1, tau2=1, beta=0.1)
         est = estimate_rul(test, prepare_library(lib), cfg)
         assert est.estimate == pytest.approx(20.0)
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(1)
-        cfg = MatchConfig(tau1=1, tau2=15, beta=0.0235)
+        cfg = RunConfig(tau1=1, tau2=15, beta=0.0235)
         test_sigma = rng.uniform(0, 1, 25)
         library = [
             (u, rng.uniform(0, 1, int(rng.integers(30, 80)))) for u in range(1, 6)
@@ -185,7 +186,7 @@ class TestEstimateRul:
 
     def test_convexity(self):
         rng = np.random.default_rng(2)
-        cfg = MatchConfig(tau1=0, tau2=10, beta=0.01)
+        cfg = RunConfig(tau1=0, tau2=10, beta=0.01)
         test = curve(1, rng.uniform(0, 1, 20))
         lib = prepare_library([curve(u, rng.uniform(0, 1, 50)) for u in range(2, 7)])
         est = estimate_rul(test, lib, cfg)
@@ -194,7 +195,7 @@ class TestEstimateRul:
 
     def test_library_order_invariance(self):
         rng = np.random.default_rng(3)
-        cfg = MatchConfig(tau1=1, tau2=8, beta=0.05)
+        cfg = RunConfig(tau1=1, tau2=8, beta=0.05)
         test = curve(1, rng.uniform(0, 1, 15))
         lib = [curve(u, rng.uniform(0, 1, 40)) for u in range(2, 8)]
         a = estimate_rul(test, prepare_library(lib), cfg)
@@ -208,25 +209,25 @@ class TestEstimateRul:
         rng = np.random.default_rng(4)
         full = np.clip(np.linspace(1, 0, 120) + 0.01 * rng.standard_normal(120), 0, 1)
         prefix = full[:70]
-        cfg = MatchConfig(tau1=0, tau2=40, beta=1e-6)
+        cfg = RunConfig(tau1=0, tau2=40, beta=1e-6)
         est = estimate_rul(curve(1, prefix), prepare_library([curve(2, full)]), cfg)
         assert abs(est.estimate - 50) <= 1.0
 
     def test_empty_library(self):
         with pytest.raises(NoMatchError):
-            estimate_rul(curve(1, np.ones(5)), prepare_library([]), MatchConfig())
+            estimate_rul(curve(1, np.ones(5)), prepare_library([]), RunConfig())
 
     def test_no_overlap_anywhere(self):
         test = curve(1, np.ones(50))
         lib = [curve(2, np.ones(30))]
         with pytest.raises(NoMatchError):
             estimate_rul(
-                test, prepare_library(lib), MatchConfig(tau1=1, tau2=5, beta=0.1)
+                test, prepare_library(lib), RunConfig(tau1=1, tau2=5, beta=0.1)
             )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_curve_raises_numerical_error(self, bad):
-        cfg = MatchConfig(tau1=1, tau2=5, beta=0.1)
+        cfg = RunConfig(tau1=1, tau2=5, beta=0.1)
         poisoned = np.full(10, 0.5)
         poisoned[3] = bad
         with pytest.raises(NumericalError, match="unit 1"):
@@ -244,7 +245,7 @@ class TestEstimateRul:
     def test_candidates_in_unit_lag_order(self):
         test = curve(1, np.full(10, 0.5))
         lib = prepare_library([curve(3, np.full(13, 0.5)), curve(2, np.full(12, 0.5))])
-        cfg = MatchConfig(tau1=1, tau2=3, beta=0.1)
+        cfg = RunConfig(tau1=1, tau2=3, beta=0.1)
         valid, ruls, sims = _candidates(test, lib, cfg)
         rows, lags = np.nonzero(valid)
         assert lib.unit_ids[rows].tolist() == [2, 2, 3, 3, 3]
@@ -256,7 +257,7 @@ class TestEstimateRul:
     def test_similarity_underflow_falls_back_to_mean(self):
         test = curve(1, np.ones(10))
         lib = [curve(2, np.zeros(30)), curve(3, np.zeros(40))]
-        cfg = MatchConfig(tau1=1, tau2=1, beta=1e-300)
+        cfg = RunConfig(tau1=1, tau2=1, beta=1e-300)
         est = estimate_rul(test, prepare_library(lib), cfg)
         assert est.similarity_underflow
         assert est.estimate == pytest.approx((19 + 29) / 2)
@@ -286,7 +287,7 @@ def test_similarity_strictly_monotone(d2a, d2b, beta):
 @given(seed=st.integers(0, 10_000))
 def test_estimate_always_convex_combination(seed):
     rng = np.random.default_rng(seed)
-    cfg = MatchConfig(tau1=0, tau2=5, beta=0.1)
+    cfg = RunConfig(tau1=0, tau2=5, beta=0.1)
     test = curve(1, rng.uniform(0, 1, int(rng.integers(5, 20))))
     lib = [
         curve(u, rng.uniform(0, 1, int(rng.integers(25, 60)))) for u in range(2, 6)
@@ -315,7 +316,7 @@ def match_problems(draw):
     beta = draw(st.sampled_from([1e-4, 0.0235, 0.5, 10.0]))
     test = curve(0, rng.uniform(0, 1, n))
     library = [curve(u, rng.uniform(0, 1, L)) for u, L in zip(unit_ids, lengths)]
-    return test, library, MatchConfig(tau1=tau1, tau2=tau2, beta=beta)
+    return test, library, RunConfig(tau1=tau1, tau2=tau2, beta=beta)
 
 
 @settings(max_examples=200, deadline=None)
