@@ -119,14 +119,13 @@ def cmd_benchmark(args) -> int:
     report, _, train_curves, test_curves = evaluation.run_benchmark(
         args.train, args.test, args.rul, cfg
     )
-    truths = [row["truth"] for row in report.rows]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json() + "\n")
     (out / "report.txt").write_text(report.to_text() + "\n")
     persist.write_curves_csv(train_curves, out / "hi_curves_train.csv")
     persist.write_curves_csv(test_curves, out / "hi_curves.csv")
-    persist.write_estimates_csv(report.estimates, truths, out / "rul_estimates.csv")
+    persist.write_estimates_csv(report.estimates, report.truths, out / "rul_estimates.csv")
     _report_degraded([est.unit_id for est in report.estimates], report.estimates)
     print(report.to_text())
     return EXIT_OK

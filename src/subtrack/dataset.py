@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, PrognosticsError, ValidationError
+from .errors import DataFormatError, NumericalError, PrognosticsError, ValidationError
 
 N_SETTINGS = 3
 N_SENSORS = 21
@@ -33,85 +33,47 @@ PARSE_BLOCK = 1024
 CONSTANT_STD = 1e-12
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """One unit's time-ordered rows: operational settings, then sensor readings.
-
-    Cycle indices are implicit: row i is cycle i+1. In a TrajectorySet the
-    rows are a read-only view of the set's matrix.
-    """
-
-    unit_id: int
-    features: np.ndarray  # (L, D), the N_SETTINGS settings columns first
-
-    def __post_init__(self):
-        if self.features.ndim != 2 or self.features.shape[1] <= N_SETTINGS:
-            raise ValidationError(
-                f"unit {self.unit_id}: features must be a 2-d array with "
-                f"{N_SETTINGS} settings columns and at least one sensor column"
-            )
-        if len(self.features) == 0:
-            raise ValidationError(f"unit {self.unit_id}: empty trajectory")
-
-    def __len__(self) -> int:
-        return len(self.features)
-
-    @property
-    def settings(self) -> np.ndarray:
-        return self.features[:, :N_SETTINGS]
-
-    @property
-    def sensors(self) -> np.ndarray:
-        return self.features[:, N_SETTINGS:]
-
-
 class TrajectorySet:
-    """A fleet of trajectories with distinct unit ids, held as one read-only
-    C-ordered (rows, D) float64 matrix in unit order: `matrix[bounds[i]:
-    bounds[i + 1]]` are the rows of the i-th unit, and each trajectory is a
-    view of them. Built from trajectories, the set stacks their rows once."""
+    """A fleet of units with distinct ids, held as one read-only C-ordered
+    (rows, D) float64 matrix in unit order: `matrix[bounds[i]:bounds[i + 1]]`
+    are the rows of unit `unit_ids[i]`, the N_SETTINGS settings columns
+    first, then the sensor readings. Row j of a unit is cycle j+1. Iterating
+    yields each unit's rows as read-only views of the matrix.
 
-    def __init__(self, trajectories: list[Trajectory]):
-        if not trajectories:
+    The matrix is taken over without a copy when it is C-ordered float64,
+    also when it is a view of a larger buffer: the bulk parse hands over the
+    front of the table numpy parsed."""
+
+    def __init__(self, matrix: np.ndarray, unit_ids: list[int], bounds: list[int]):
+        if len(unit_ids) == 0:
             raise ValidationError("empty trajectory set")
-        if len({t.features.shape[1] for t in trajectories}) != 1:
-            raise ValidationError("trajectories differ in feature count")
-        self._hold(
-            np.concatenate([t.features for t in trajectories], dtype=float),
-            [t.unit_id for t in trajectories],
-            [0, *accumulate(map(len, trajectories))],
-        )
-
-    @classmethod
-    def of_rows(cls, matrix: np.ndarray, unit_ids: list[int], bounds: list[int]):
-        """The set whose units are consecutive row blocks of `matrix`, which
-        it takes over without a copy when it is C-ordered float64, also when
-        it is a view of a larger buffer: the bulk parse hands over the front
-        of the table numpy parsed."""
-        tset = cls.__new__(cls)
-        tset._hold(matrix, unit_ids, bounds)
-        return tset
-
-    def _hold(self, matrix: np.ndarray, unit_ids: list[int], bounds: list[int]) -> None:
         if len(set(unit_ids)) != len(unit_ids):
             raise ValidationError("duplicate unit ids in trajectory set")
         self.matrix = np.ascontiguousarray(matrix, dtype=float)
+        if self.matrix.ndim != 2 or self.matrix.shape[1] <= N_SETTINGS:
+            raise ValidationError(
+                f"features must be a 2-d array with {N_SETTINGS} settings "
+                "columns and at least one sensor column"
+            )
+        for unit, a, b in zip(unit_ids, bounds, bounds[1:]):
+            if b <= a:
+                raise ValidationError(f"unit {unit}: empty trajectory")
         self.matrix.flags.writeable = False
-        self.bounds = bounds
-        self.trajectories = [
-            Trajectory(unit, self.matrix[a:b])
-            for unit, a, b in zip(unit_ids, bounds, bounds[1:])
-        ]
+        self.unit_ids, self.bounds = list(unit_ids), list(bounds)
+
+    @classmethod
+    def stack(cls, unit_ids: list[int], arrays: list[np.ndarray]) -> TrajectorySet:
+        """The set of one (L, D) array of rows per unit, stacked once."""
+        if len({np.shape(a)[1:] for a in arrays}) > 1:
+            raise ValidationError("trajectories differ in feature count")
+        matrix = np.concatenate(arrays, dtype=float) if arrays else np.empty((0, 0))
+        return cls(matrix, unit_ids, [0, *accumulate(map(len, arrays))])
 
     def __len__(self) -> int:
-        return len(self.trajectories)
+        return len(self.unit_ids)
 
     def __iter__(self):
-        return iter(self.trajectories)
-
-    @property
-    def unit_ids(self) -> list[int]:
-        return [t.unit_id for t in self.trajectories]
+        return (self.matrix[a:b] for a, b in zip(self.bounds, self.bounds[1:]))
 
 
 def load_cmapss(path: str | Path) -> TrajectorySet:
@@ -119,7 +81,9 @@ def load_cmapss(path: str | Path) -> TrajectorySet:
 
     Raises DataFormatError with the offending line number on malformed rows
     and on non-finite values (nan, inf), ValidationError when a unit's cycle
-    indices are not 1, 2, 3, ...
+    indices are not 1, 2, 3, ... Lines are checked in file order and cycles
+    once the file is read, so a file with several faults reports its first
+    malformed or non-finite line, even before a cycle gap in an earlier unit.
 
     The file is parsed with one numpy call. When that parse or a check on
     its result fails, the line parser reads the file again and decides: it
@@ -153,7 +117,7 @@ def _parse_cmapss_bulk(path: Path) -> TrajectorySet | None:
         return None
     order, units, bounds = blocks
     data = _compact_features(table) if order is None else table[order, 2:]
-    return TrajectorySet.of_rows(data, units, bounds)
+    return TrajectorySet(data, units, bounds)
 
 
 def _all_finite(rows: np.ndarray) -> bool:
@@ -200,26 +164,23 @@ def _parse_cmapss_lines(path: Path) -> TrajectorySet:
                 cycle = int(values[1])
             except (ValueError, OverflowError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: non-numeric field ({exc})")
+            if not np.isfinite(values).all():
+                raise DataFormatError(f"{path}:{lineno}: non-finite value (nan or inf)")
             rows_by_unit.setdefault(unit, []).append((cycle, values[2:]))
 
     if not rows_by_unit:
         raise DataFormatError(f"{path}: no data rows")
 
-    trajectories = []
-    for unit in sorted(rows_by_unit):
+    units, arrays = sorted(rows_by_unit), []
+    for unit in units:
         rows = sorted(rows_by_unit[unit], key=lambda r: r[0])
         cycles = [c for c, _ in rows]
         if cycles != list(range(1, len(cycles) + 1)):
             raise ValidationError(
                 f"{path}: unit {unit} has non-contiguous cycle indices"
             )
-        data = np.array([v for _, v in rows])
-        if not np.isfinite(data).all():
-            with open(path) as fh:
-                lineno = first_non_finite_line(fh)
-            raise DataFormatError(f"{path}:{lineno}: non-finite value (nan or inf)")
-        trajectories.append(Trajectory(unit_id=unit, features=data))
-    return TrajectorySet(trajectories)
+        arrays.append(np.array([v for _, v in rows]))
+    return TrajectorySet.stack(units, arrays)
 
 
 @contextmanager
@@ -274,25 +235,15 @@ def _cycle_runs(units: np.ndarray, cycles: np.ndarray) -> tuple[list[int], list[
     return units[starts].tolist(), [*starts.tolist(), len(units)]
 
 
-def first_non_finite_line(lines, sep: str | None = None, start: int = 1) -> int:
-    """Number of the first non-blank line with a token that parses to nan or
-    inf. Callers rescan with it only after a parsed array failed the
-    finiteness check, so every token parses and such a line exists."""
-    for lineno, line in enumerate(lines, start=start):
-        if line.strip() and not all(math.isfinite(float(p)) for p in line.split(sep)):
-            return lineno
-    raise ValueError("no non-finite value found")
-
-
 def save_cmapss(tset: TrajectorySet, path: str | Path) -> None:
     """Write a TrajectorySet back to 26-column text; values round-trip exactly.
     Each unit's rows go through one tolist() and map(float.__repr__, ...)."""
     path = Path(path)
     with open(path, "w") as fh:
-        for traj in tset:
+        for unit, rows in zip(tset.unit_ids, tset):
             fh.writelines(
-                f"{traj.unit_id} {cycle} {' '.join(map(float.__repr__, row))}\n"
-                for cycle, row in enumerate(traj.features.tolist(), start=1)
+                f"{unit} {cycle} {' '.join(map(float.__repr__, row))}\n"
+                for cycle, row in enumerate(rows.tolist(), start=1)
             )
 
 
@@ -362,7 +313,8 @@ class Normalizer:
 def fit_normalizer(rows: np.ndarray, labels: np.ndarray, n_regimes: int) -> Normalizer:
     """Fit z-score statistics over a (rows, features) matrix, one table per
     regime in range(n_regimes); `labels` holds each row's regime. A regime
-    with no rows gets an all-masked table."""
+    with no rows gets an all-masked table. A mean or std that overflows (a
+    huge value) raises NumericalError."""
     shape = (n_regimes, rows.shape[1])
     mean, std, mask = np.zeros(shape), np.ones(shape), np.zeros(shape, dtype=bool)
     for r in range(n_regimes):
@@ -370,7 +322,10 @@ def fit_normalizer(rows: np.ndarray, labels: np.ndarray, n_regimes: int) -> Norm
         if len(sub) == 0:
             mask[r] = True
             continue
-        mean[r], sd = sub.mean(axis=0), sub.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+            mean[r], sd = sub.mean(axis=0), sub.std(axis=0)
+        if not (np.isfinite(mean[r]).all() and np.isfinite(sd).all()):
+            raise NumericalError(f"regime {r}: feature mean or std overflows")
         mask[r] = sd < CONSTANT_STD * np.maximum(1.0, np.abs(mean[r]))
         std[r] = np.where(mask[r], 1.0, sd)
     return Normalizer(mean=mean, std=std, mask=mask)
@@ -458,9 +413,8 @@ def _sample_unit(
     cfg: SynthConfig,
     rng: np.random.Generator,
     regimes: list[RegimeGround],
-    unit_id: int,
     length: int,
-) -> Trajectory:
+) -> np.ndarray:
     onset = int(cfg.drift_onset_fraction * length)
     features = np.empty((length, N_SETTINGS + N_SENSORS))
     settings, sensors = features[:, :N_SETTINGS], features[:, N_SETTINGS:]
@@ -474,7 +428,7 @@ def _sample_unit(
         x = x + cfg.drift_rate * max(0, t - onset) * reg.drift_dir
         settings[i] = reg.settings
         sensors[i] = x
-    return Trajectory(unit_id=unit_id, features=features)
+    return features
 
 
 def generate_synthetic(
@@ -490,24 +444,25 @@ def generate_synthetic(
     rng = np.random.default_rng(cfg.seed)
     regimes = _make_regimes(cfg, rng)
 
+    units = list(range(1, cfg.n_units + 1))
     train = []
-    for u in range(1, cfg.n_units + 1):
+    for _ in units:
         length = int(rng.integers(cfg.min_cycles, cfg.max_cycles + 1))
-        train.append(_sample_unit(cfg, rng, regimes, u, length))
+        train.append(_sample_unit(cfg, rng, regimes, length))
 
     test = []
     true_ruls = []
-    for u in range(1, cfg.n_units + 1):
+    for _ in units:
         length = int(rng.integers(cfg.min_cycles, cfg.max_cycles + 1))
-        full = _sample_unit(cfg, rng, regimes, u, length)
+        full = _sample_unit(cfg, rng, regimes, length)
         lo = min(cfg.min_test_cycles, length - 1)
         keep = int(rng.integers(lo, length))
-        test.append(Trajectory(unit_id=u, features=full.features[:keep]))
+        test.append(full[:keep])
         true_ruls.append(length - keep)
 
     return (
-        TrajectorySet(train),
-        TrajectorySet(test),
+        TrajectorySet.stack(units, train),
+        TrajectorySet.stack(units, test),
         true_ruls,
         regimes,
     )

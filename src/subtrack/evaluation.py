@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import dataset, health, multiscale, rul, subspace
 from .config import RunConfig
 from .dataset import N_SETTINGS, Normalizer, TrajectorySet
 from .errors import NoMatchError, NumericalError, PrognosticsError, ValidationError
-from .health import DistanceScaler, HiCurve, HiRegressor
+from .health import DistanceScaler, HiCurve
 from .multiscale import ROW_BLOCK, MultiModel
 from .rul import RulEstimate
 
@@ -68,7 +68,7 @@ class TrainedPipeline:
     normalizer: Normalizer
     model: MultiModel
     scaler: DistanceScaler
-    regressor: HiRegressor | None
+    regressor: np.ndarray | None  # sst-lr: the (K, D+1) weights of fit_hi_regression
     library: rul.Library  # the training curves' sigma, prepared at fit time
 
 
@@ -101,19 +101,21 @@ def _normalized_blocks(norm: Normalizer, tset, labels, cfg):
         yield blk, _tracked(x, cfg)
 
 
-def _analyze_fleet(model: MultiModel, blocks, n_rows: int, regressor=None) -> tuple:
-    """Per row of the fleet: (raw distance, model label, and with a
-    regressor the health index it predicts from the row, else None). A
-    distance that overflows (a huge delta) raises NumericalError."""
+def _analyze_fleet(model: MultiModel, blocks, n_rows: int, weights=None) -> tuple:
+    """Per row of the fleet: (raw distance, model label, and with regressor
+    weights the health index they predict from the row, else None). A
+    distance that overflows (a huge delta or row value) raises
+    NumericalError. Each block is normalized as it is drawn, inside the
+    errstate of that check."""
     raw, reg = np.empty(n_rows), np.empty(n_rows, dtype=np.intp)
-    hi = None if regressor is None else np.empty(n_rows)
-    for blk, x in blocks:
-        with np.errstate(over="ignore"):  # an overflow raises below
+    hi = None if weights is None else np.empty(n_rows)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        for blk, x in blocks:
             reg[blk], raw[blk] = multiscale.assign_rows(model, x)
-        if not np.isfinite(raw[blk]).all():
-            raise NumericalError("non-finite subspace distance (overflow)")
-        if regressor is not None:
-            hi[blk] = health.predict_hi(regressor, x, reg[blk])
+            if not np.isfinite(raw[blk]).all():
+                raise NumericalError("non-finite subspace distance (overflow)")
+            if weights is not None:
+                hi[blk] = health.predict_hi(weights, x, reg[blk])
     return raw, reg, hi
 
 
@@ -193,8 +195,8 @@ def infer_curves(pipe: TrainedPipeline, tset: TrajectorySet) -> list[HiCurve]:
         raise ValidationError("sst-lr mode requires a fitted regressor")
     labels = multiscale.nearest_centroid(pipe.model.centroids, tset.matrix[:, :N_SETTINGS])
     blocks = _normalized_blocks(pipe.normalizer, tset, labels, cfg)
-    regressor = pipe.regressor if cfg.mode == "sst-lr" else None
-    raw, _, hi = _analyze_fleet(pipe.model, blocks, len(tset.matrix), regressor)
+    weights = pipe.regressor if cfg.mode == "sst-lr" else None
+    raw, _, hi = _analyze_fleet(pipe.model, blocks, len(tset.matrix), weights)
     smoothed = _smoothed(raw, tset.bounds, cfg.smoothing)
     return _fleet_curves(tset, cfg, pipe.scaler, raw, smoothed, hi)
 
@@ -225,14 +227,20 @@ def estimate_fleet(
 
 @dataclass(frozen=True)
 class RulReport:
-    rows: list[dict]  # unit_id, estimate, truth, error
+    estimates: list[RulEstimate]
+    truths: list[int]  # one per estimate
     rmse: float
     score: float
     config: dict
     wall_time: float
-    # the estimates behind the rows, kept so writers need no second match
-    # pass; neither to_json nor to_text includes them
-    estimates: list[RulEstimate] = field(default_factory=list, repr=False)
+
+    @property
+    def rows(self) -> list[dict]:
+        """unit_id, estimate, truth and error of each estimate."""
+        return [
+            {"unit_id": e.unit_id, "estimate": e.estimate, "truth": t, "error": e.estimate - t}
+            for e, t in zip(self.estimates, self.truths)
+        ]
 
     def to_json(self) -> str:
         # wall_time is deliberately left out so identical runs serialize
@@ -241,7 +249,7 @@ class RulReport:
             {
                 "version": REPORT_FORMAT_VERSION,
                 "config": self.config,
-                "n_units": len(self.rows),
+                "n_units": len(self.estimates),
                 "rmse": self.rmse,
                 "score": self.score,
                 "rows": self.rows,
@@ -261,7 +269,7 @@ class RulReport:
                 f"{r['truth']:>8} {r['error']:>8.2f}"
             )
         lines.append("")
-        lines.append(f"units: {len(self.rows)}")
+        lines.append(f"units: {len(self.estimates)}")
         lines.append(f"rmse:  {self.rmse:.4f}")
         lines.append(f"score: {self.score:.4f}")
         lines.append(f"wall time: {self.wall_time:.2f} s")
@@ -276,26 +284,14 @@ def build_report(
 ) -> RulReport:
     if len(estimates) != len(truths):
         raise ValidationError("one truth value per estimate required")
-    rows = []
-    errors = []
-    for est, truth in zip(estimates, truths):
-        err = est.estimate - truth
-        errors.append(err)
-        rows.append(
-            {
-                "unit_id": est.unit_id,
-                "estimate": est.estimate,
-                "truth": truth,
-                "error": err,
-            }
-        )
+    errors = [est.estimate - truth for est, truth in zip(estimates, truths)]
     return RulReport(
-        rows=rows,
+        estimates=list(estimates),
+        truths=list(truths),
         rmse=rmse(errors),
         score=score(errors),
         config=cfg.to_dict(),
         wall_time=wall_time,
-        estimates=list(estimates),
     )
 
 

@@ -60,17 +60,6 @@ class DistanceScaler:
             )
 
 
-@dataclass(frozen=True)
-class HiRegressor:
-    """Affine least-squares map from the normalized, tracked row to the
-    health index.
-
-    weights has shape (K, D+1): intercept last, one row per model label.
-    """
-
-    weights: np.ndarray
-
-
 def smooth(series: np.ndarray, factor: float) -> np.ndarray:
     """Exponential moving average along the last axis; factor=1 is the
     identity. The filter is causal, so the rows of a zero-padded 2-d stack
@@ -144,12 +133,13 @@ def to_health_index(scaled: np.ndarray) -> np.ndarray:
     return 1.0 - np.sqrt(scaled)
 
 
-def fit_hi_regression(blocks, n_regimes: int) -> HiRegressor:
+def fit_hi_regression(blocks, n_regimes: int) -> np.ndarray:
     """Ordinary least squares (normal equations with a tiny ridge jitter)
     from rows to health-index targets, one affine fit per label in
-    range(n_regimes). `blocks` is an iterable of (rows, targets, labels)
-    arrays; each label's sums are added up block by block and solved once,
-    so no block is kept. A label with fewer rows than coefficients raises."""
+    range(n_regimes): the (n_regimes, D+1) weights, intercept last.
+    `blocks` is an iterable of (rows, targets, labels) arrays; each label's
+    sums are added up block by block and solved once, so no block is kept.
+    A label with fewer rows than coefficients raises."""
     gram = cross = None  # per label: [[x.T @ x, sum x], [sum x, n]] and [x.T @ y, sum y]
     for rows, targets, labels in blocks:
         if len(rows) != len(targets) or np.any(targets < 0) or np.any(targets > 1):
@@ -170,18 +160,19 @@ def fit_hi_regression(blocks, n_regimes: int) -> HiRegressor:
         if count < n_coef:
             raise ValidationError(f"regime {r}: {int(count)} samples for {n_coef} coefficients")
     weights = np.linalg.solve(gram + RIDGE_JITTER * np.eye(n_coef), cross[..., None])
-    return HiRegressor(weights=weights[..., 0])
+    return weights[..., 0]
 
 
-def predict_hi(reg: HiRegressor, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Affine prediction with each row's label weights, clamped to [0, 1]:
-    one product per label, so no per-row copy of the weights is made."""
-    if rows.shape[1] != reg.weights.shape[1] - 1:
+def predict_hi(weights: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Affine prediction with the (K, D+1) weights row of each row's label,
+    clamped to [0, 1]: one product per label, so no per-row copy of the
+    weights is made."""
+    if rows.shape[1] != weights.shape[1] - 1:
         raise ValidationError(
-            f"regressor expects dimension {reg.weights.shape[1] - 1}, got {rows.shape[1]}"
+            f"regressor expects dimension {weights.shape[1] - 1}, got {rows.shape[1]}"
         )
     labels, pred = np.asarray(labels), np.empty(len(rows))
-    for r, w in enumerate(reg.weights):
+    for r, w in enumerate(weights):
         sel = labels == r
         pred[sel] = rows[sel] @ w[:-1] + w[-1]
     return np.clip(pred, 0.0, 1.0, out=pred)

@@ -113,8 +113,14 @@ def cluster_regimes(
 
 
 def nearest_centroid(centroids: np.ndarray, settings: np.ndarray) -> np.ndarray:
-    """Label each settings row with its nearest centroid index."""
-    return _nearest(np.atleast_2d(np.asarray(settings, dtype=float)), centroids)[0]
+    """Label each settings row with its nearest centroid index. Raises
+    NumericalError when a row's squared distance to its nearest centroid
+    overflows: every centroid is then equally far, and argmin would pick 0."""
+    with np.errstate(over="ignore"):  # an overflow raises below
+        labels, d2 = _nearest(np.atleast_2d(np.asarray(settings, dtype=float)), centroids)
+    if not np.isfinite(d2).all():
+        raise NumericalError("squared settings distances to the regime centroids overflow")
+    return labels
 
 
 def _nearest(points: np.ndarray, centroids) -> tuple[np.ndarray, np.ndarray]:

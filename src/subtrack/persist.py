@@ -22,16 +22,17 @@ where version 4 regresses the whole tracked row) with a message to retrain.
 from __future__ import annotations
 
 import json
+import math
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig
-from .dataset import N_SETTINGS, Normalizer, decoding, first_non_finite_line
+from .dataset import N_SETTINGS, Normalizer, decoding
 from .errors import NumericalError, ValidationError
 from .evaluation import TrainedPipeline
-from .health import DistanceScaler, HiCurve, HiRegressor
+from .health import DistanceScaler, HiCurve
 from .multiscale import MultiModel
 from .rul import Library
 from .subspace import SubspaceModel
@@ -134,12 +135,12 @@ def scaler_from_dict(doc: dict) -> DistanceScaler:
     return DistanceScaler(floor=float(doc["floor"]), ceiling=float(doc["ceiling"]))
 
 
-def regressor_to_dict(reg: HiRegressor) -> dict:
-    return {"weights": reg.weights.tolist()}
+def regressor_to_dict(weights: np.ndarray) -> dict:
+    return {"weights": weights.tolist()}
 
 
-def regressor_from_dict(doc: dict) -> HiRegressor:
-    return HiRegressor(weights=np.array(doc["weights"], dtype=float))
+def regressor_from_dict(doc: dict) -> np.ndarray:
+    return np.array(doc["weights"], dtype=float)
 
 
 def write_curves_csv(curves: list[HiCurve], path: str | Path) -> None:
@@ -174,11 +175,12 @@ def read_curves_csv(path: str | Path) -> list[HiCurve]:
                 continue
             try:
                 unit, cycle, raw, scaled, sigma = line.split(",")
-                by_unit.setdefault(int(unit), []).append(
-                    (int(cycle), float(raw), float(scaled), float(sigma))
-                )
+                row = (int(unit), int(cycle), float(raw), float(scaled), float(sigma))
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+            if not all(map(math.isfinite, row[2:])):
+                raise ValidationError(f"{path}:{lineno}: non-finite value (nan or inf)")
+            by_unit.setdefault(row[0], []).append(row[1:])
     curves = []
     for unit in sorted(by_unit):
         rows = sorted(by_unit[unit], key=lambda r: r[0])
@@ -187,11 +189,6 @@ def read_curves_csv(path: str | Path) -> list[HiCurve]:
                 f"{path}: unit {unit} has non-contiguous cycle indices"
             )
         raw, scaled, sigma = (np.array([r[k] for r in rows]) for k in (1, 2, 3))
-        if not all(np.isfinite(a).all() for a in (raw, scaled, sigma)):
-            with open(path) as fh:
-                next(fh)
-                lineno = first_non_finite_line(fh, ",", start=2)
-            raise ValidationError(f"{path}:{lineno}: non-finite value (nan or inf)")
         curves.append(
             HiCurve(unit_id=unit, sigma=sigma, raw_dist=raw, scaled_dist=scaled)
         )
@@ -353,7 +350,7 @@ def load_pipeline(model_dir: str | Path) -> TrainedPipeline:
     regressor = None
     if config.mode == "sst-lr":  # only an sst-lr directory holds a regressor
         regressor = _read_json(reg_path, regressor_from_dict)
-        _check_table(reg_path, "weights", regressor.weights, (k, m.dim + 1))
+        _check_table(reg_path, "weights", regressor, (k, m.dim + 1))
     return TrainedPipeline(
         config=config,
         normalizer=normalizer,

@@ -177,7 +177,7 @@ class TestTrain:
         matrix = train.matrix.copy()
         matrix[:, :N_SETTINGS] *= 1e160
         data = tmp_path / "train.txt"
-        save_cmapss(TrajectorySet.of_rows(matrix, train.unit_ids, train.bounds), data)
+        save_cmapss(TrajectorySet(matrix, train.unit_ids, train.bounds), data)
         argv = ["train", "--train", str(data), "--out", str(tmp_path / "model"),
                 "--n-regimes", "2"]
         proc = run_fresh_interpreter(
@@ -905,7 +905,7 @@ class TestFittedTables:
     def test_untouched_tables_load(self, lr_model_dir):
         pipe = persist.load_pipeline(lr_model_dir)
         assert pipe.normalizer.mean.shape == (3, 24)
-        assert pipe.regressor.weights.shape == (3, 22)
+        assert pipe.regressor.shape == (3, 22)
 
 
 class TestBenchmark:
@@ -1063,6 +1063,93 @@ class TestBenchmark:
         assert (infer / "rul_estimates.csv").read_bytes() == (
             bench / "rul_estimates.csv"
         ).read_bytes()
+
+
+@pytest.fixture(scope="module", params=[1, 3], ids=["K1", "K3"])
+def k_fleet(request, tmp_path_factory):
+    """(K, a synthetic fleet with K regimes, the sst model trained on it)."""
+    k = request.param
+    data = tmp_path_factory.mktemp(f"synth_k{k}")
+    assert main(["synth", "--out", str(data), "--units", "8", "--n-regimes", str(k),
+                 "--seed", "2", "--min-cycles", "70", "--max-cycles", "100"]) == EXIT_OK
+    model = tmp_path_factory.mktemp(f"model_k{k}")
+    assert main(["train", "--train", str(data / "train_synth.txt"), "--out", str(model),
+                 "--n-regimes", str(k)] + BENCH_FLAGS) == EXIT_OK
+    return k, data, model
+
+
+# finite values on the first line of unit 1 whose arithmetic overflows:
+# column index -> token
+HUGE_VALUES = {
+    "settings-1e200": {2: "1e200", 3: "-1e200", 4: "1e200"},
+    "sensor-1.7e308": {25: "1.7e308"},
+}
+
+
+def huge_copy(src, dst, tokens):
+    """src with the first line's fields set to tokens, written to dst."""
+    first, rest = src.read_text().split("\n", 1)
+    fields_ = first.split()
+    for column, token in tokens.items():
+        fields_[column] = token
+    dst.write_text(" ".join(fields_) + "\n" + rest)
+    return dst
+
+
+class TestOverflowingValues:
+    """A finite value whose arithmetic overflows ends the run with exit 3,
+    one stderr line and no numpy warning (the suite makes a RuntimeWarning
+    an error), and leaves no output directory."""
+
+    @staticmethod
+    def check_exits_3(argv, out, capsys, message):
+        assert main(argv) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ") and err.count("\n") == 1, err
+        assert message in err
+        assert not out.exists()
+        return err
+
+    def test_train_and_benchmark_refuse_an_overflowing_normalizer(
+        self, k_fleet, tmp_path, capsys
+    ):
+        # the std of a column with 1.7e308 overflows: the model written
+        # held Infinity, which infer refused, and benchmark ran on with
+        # the column zeroed
+        k, data, _ = k_fleet
+        train = huge_copy(data / "train_synth.txt", tmp_path / "train.txt",
+                          HUGE_VALUES["sensor-1.7e308"])
+        message = "feature mean or std overflows"
+        out = tmp_path / "model"
+        err = self.check_exits_3(["train", "--train", str(train), "--out", str(out),
+                                  "--n-regimes", str(k)] + BENCH_FLAGS, out, capsys, message)
+        assert err.startswith("numerical error: [train] regime ")
+        out = tmp_path / "bench"
+        assert err == self.check_exits_3(
+            ["benchmark", "--train", str(train), "--test", str(data / "test_synth.txt"),
+             "--rul", str(data / "RUL_synth.txt"), "--out", str(out),
+             "--n-regimes", str(k)] + BENCH_FLAGS,
+            out, capsys, message,
+        )
+
+    @pytest.mark.parametrize("command", ["infer", "benchmark"])
+    @pytest.mark.parametrize("case", sorted(HUGE_VALUES))
+    def test_overflowing_test_row_exits_3(self, k_fleet, tmp_path, capsys, command, case):
+        # settings at 1e200 are infinitely far from every centroid: argmin
+        # took regime 0 and changed the unit's estimate with exit 0
+        k, data, model = k_fleet
+        test = huge_copy(data / "test_synth.txt", tmp_path / "test.txt", HUGE_VALUES[case])
+        out = tmp_path / "out"
+        if command == "infer":
+            argv = ["infer", "--model-dir", str(model), "--data", str(test),
+                    "--out", str(out)]
+        else:
+            argv = ["benchmark", "--train", str(data / "train_synth.txt"),
+                    "--test", str(test), "--rul", str(data / "RUL_synth.txt"),
+                    "--out", str(out), "--n-regimes", str(k)] + BENCH_FLAGS
+        message = ("settings distances" if case.startswith("settings")
+                   else "non-finite subspace distance (overflow)")
+        self.check_exits_3(argv, out, capsys, message)
 
 
 def test_benchmark_and_infer_leave_scipy_unimported(synth_dir, model_dir, tmp_path):

@@ -9,7 +9,6 @@ from subtrack.dataset import (
     N_SENSORS,
     N_SETTINGS,
     SynthConfig,
-    Trajectory,
     TrajectorySet,
     fit_normalizer,
     generate_synthetic,
@@ -36,9 +35,10 @@ class TestLoadCmapss:
         write_rows(f, [make_row(1, 1), make_row(1, 2), make_row(1, 3)])
         tset = load_cmapss(f)
         assert len(tset) == 1
-        assert len(tset.trajectories[0]) == 3
-        assert tset.trajectories[0].settings.shape == (3, N_SETTINGS)
-        assert tset.trajectories[0].sensors.shape == (3, N_SENSORS)
+        rows = next(iter(tset))
+        assert len(rows) == 3
+        assert rows[:, :N_SETTINGS].shape == (3, N_SETTINGS)
+        assert rows[:, N_SETTINGS:].shape == (3, N_SENSORS)
 
     def test_wrong_field_count_reports_line(self, tmp_path):
         f = tmp_path / "bad.txt"
@@ -76,40 +76,37 @@ class TestLoadCmapss:
 
     def test_round_trip_preserves_values(self, tmp_path):
         rng = np.random.default_rng(0)
-        trajs = [
-            Trajectory(
-                unit_id=u,
-                features=np.hstack([
-                    rng.standard_normal((5, N_SETTINGS)),
-                    rng.standard_normal((5, N_SENSORS)) * 100,
-                ]),
-            )
-            for u in (1, 2)
+        rows = [
+            np.hstack([
+                rng.standard_normal((5, N_SETTINGS)),
+                rng.standard_normal((5, N_SENSORS)) * 100,
+            ])
+            for _ in (1, 2)
         ]
-        tset = TrajectorySet(trajs)
+        tset = TrajectorySet.stack([1, 2], rows)
         f = tmp_path / "rt.txt"
         save_cmapss(tset, f)
         back = load_cmapss(f)
+        assert back.unit_ids == [1, 2]
         for a, b in zip(tset, back):
-            np.testing.assert_array_equal(a.settings, b.settings)
-            np.testing.assert_array_equal(a.sensors, b.sensors)
+            np.testing.assert_array_equal(a[:, :N_SETTINGS], b[:, :N_SETTINGS])
+            np.testing.assert_array_equal(a[:, N_SETTINGS:], b[:, N_SETTINGS:])
 
     def test_writes_the_bytes_of_the_per_value_writer(self, tmp_path):
         def per_value_writer(tset, path):
             # save_cmapss as it was: repr(float(v)) for each value of each row
             with open(path, "w") as fh:
-                for traj in tset:
-                    feats = traj.features
-                    for i in range(len(traj)):
+                for unit, feats in zip(tset.unit_ids, tset):
+                    for i in range(len(feats)):
                         vals = " ".join(repr(float(v)) for v in feats[i])
-                        fh.write(f"{traj.unit_id} {i + 1} {vals}\n")
+                        fh.write(f"{unit} {i + 1} {vals}\n")
 
         train, _, _, _ = generate_synthetic(
             SynthConfig(n_units=3, n_regimes=2, seed=4, min_cycles=20, max_cycles=30)
         )
         odd = np.array([0.1, 1 / 3, 5e-324, -0.0, 1e300, -2.5, 2.0**-1074 * 3, 1e16])
-        extra = Trajectory(unit_id=-7, features=np.resize(odd, (5, 24)))
-        for tset in (train, TrajectorySet([extra, *train])):
+        extra = np.resize(odd, (5, 24))
+        for tset in (train, TrajectorySet.stack([-7, *train.unit_ids], [extra, *train])):
             save_cmapss(tset, tmp_path / "new.txt")
             per_value_writer(tset, tmp_path / "old.txt")
             assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
@@ -117,17 +114,17 @@ class TestLoadCmapss:
 
 def assert_views_of_one_matrix(tset):
     """tset's rows are one read-only C-ordered float64 matrix in unit order,
-    and every trajectory, with its settings and sensors, is a view of it."""
+    and every unit's rows, with their settings and sensors, are a view of it."""
     m = tset.matrix
     assert m.dtype == np.float64 and m.flags.c_contiguous and not m.flags.writeable
     assert tset.bounds == [0, *np.cumsum([len(t) for t in tset]).tolist()]
     for t, a, b in zip(tset, tset.bounds, tset.bounds[1:]):
-        for part in (t.features, t.settings, t.sensors):
+        for part in (t, t[:, :N_SETTINGS], t[:, N_SETTINGS:]):
             assert np.shares_memory(part, m)
             assert not part.flags.writeable
-        assert t.features.tobytes() == m[a:b].tobytes()
+        assert t.tobytes() == m[a:b].tobytes()
     with pytest.raises(ValueError, match="read-only"):
-        tset.trajectories[0].features[0, 0] = 1.0
+        next(iter(tset))[0, 0] = 1.0
 
 
 class TestOneMatrix:
@@ -145,13 +142,13 @@ class TestOneMatrix:
     def test_bulk_parse_hands_over_its_matrix(self, tmp_path, monkeypatch):
         # the array the bulk parse builds becomes the set's matrix, uncopied
         handed = []
-        of_rows = TrajectorySet.of_rows.__func__
+        init = TrajectorySet.__init__
 
-        def recording(cls, matrix, unit_ids, bounds):
+        def recording(self, matrix, unit_ids, bounds):
             handed.append(matrix)
-            return of_rows(cls, matrix, unit_ids, bounds)
+            init(self, matrix, unit_ids, bounds)
 
-        monkeypatch.setattr(TrajectorySet, "of_rows", classmethod(recording))
+        monkeypatch.setattr(TrajectorySet, "__init__", recording)
         f = tmp_path / "train.txt"
         write_rows(f, [make_row(2, 1), make_row(1, 2), make_row(1, 1)])
         tset = load_cmapss(f)
@@ -203,7 +200,7 @@ class TestOneMatrix:
         for tset in (train, test):
             assert_views_of_one_matrix(tset)
         rows = np.arange(48.0).reshape(2, 24)
-        tset = TrajectorySet([Trajectory(5, rows), Trajectory(3, rows[:1])])
+        tset = TrajectorySet.stack([5, 3], [rows, rows[:1]])
         assert_views_of_one_matrix(tset)
         assert tset.unit_ids == [5, 3] and tset.bounds == [0, 2, 3]
         assert not np.shares_memory(tset.matrix, rows)
@@ -211,7 +208,28 @@ class TestOneMatrix:
 
     def test_mixed_feature_counts_rejected(self):
         with pytest.raises(ValidationError, match="feature count"):
-            TrajectorySet([Trajectory(1, np.zeros((2, 24))), Trajectory(2, np.zeros((2, 23)))])
+            TrajectorySet.stack([1, 2], [np.zeros((2, 24)), np.zeros((2, 23))])
+
+    @pytest.mark.parametrize("build", ["constructor", "stack"])
+    @pytest.mark.parametrize(
+        "unit_ids, arrays, message",
+        [
+            ([], [], "empty trajectory set"),
+            ([1, 1], [np.zeros((2, 24)), np.zeros((3, 24))], "duplicate unit ids"),
+            ([1, 2], [np.zeros((2, 24)), np.zeros((0, 24))], "unit 2: empty trajectory"),
+            ([1], [np.zeros(24)], "2-d array"),
+            ([1], [np.zeros((2, 4, 24))], "2-d array"),
+            ([1], [np.zeros((2, N_SETTINGS))], "at least one sensor column"),
+        ],
+        ids=["empty-set", "duplicate-ids", "empty-unit", "1-d", "3-d", "no-sensors"],
+    )
+    def test_malformed_set_rejected(self, build, unit_ids, arrays, message):
+        with pytest.raises(ValidationError, match=message):
+            if build == "stack":
+                TrajectorySet.stack(unit_ids, arrays)
+            else:
+                matrix = np.concatenate(arrays) if arrays else np.empty((0, 24))
+                TrajectorySet(matrix, unit_ids, [0, *np.cumsum([len(a) for a in arrays])])
 
 
 class TestLoadRulTargets:
@@ -244,20 +262,20 @@ class TestLoadRulTargets:
             load_rul_targets(f, 3)
 
 
-def traj_from_features(unit_id, feats):
-    return Trajectory(unit_id=unit_id, features=np.asarray(feats, dtype=float))
+def one_unit(feats):
+    return TrajectorySet.stack([1], [np.asarray(feats, dtype=float)])
 
 
 def normalize_one(norm, tset):
     """The features of the one unit in tset, transformed as regime 0."""
-    feats = tset.trajectories[0].features.copy()  # the set's rows are read-only
+    feats = tset.matrix.copy()  # the set's rows are read-only
     norm.transform_inplace(feats, np.zeros(len(feats), dtype=int))
     return feats
 
 
 def fit_one_regime(tset):
     """A normalizer fitted with every row of tset in regime 0."""
-    rows = np.vstack([t.features for t in tset])
+    rows = tset.matrix
     return fit_normalizer(rows, np.zeros(len(rows), dtype=int), 1)
 
 
@@ -266,7 +284,7 @@ class TestNormalizer:
         rng = np.random.default_rng(1)
         feats = rng.standard_normal((40, 24))
         feats[:, 5] = 3.14
-        tset = TrajectorySet([traj_from_features(1, feats)])
+        tset = one_unit(feats)
         norm = fit_one_regime(tset)
         out = normalize_one(norm, tset)
         assert np.all(out[:, 5] == 0.0)
@@ -286,7 +304,7 @@ class TestNormalizer:
     def test_two_point_feature(self):
         feats = np.zeros((2, 24))
         feats[1, :] = 2.0
-        tset = TrajectorySet([traj_from_features(1, feats)])
+        tset = one_unit(feats)
         norm = fit_one_regime(tset)
         out = normalize_one(norm, tset)
         np.testing.assert_allclose(out[0], -1.0)
@@ -295,7 +313,7 @@ class TestNormalizer:
     def test_fit_set_becomes_standard(self):
         rng = np.random.default_rng(2)
         feats = rng.standard_normal((500, 24)) * rng.uniform(0.1, 10, 24) + 5
-        tset = TrajectorySet([traj_from_features(1, feats)])
+        tset = one_unit(feats)
         norm = fit_one_regime(tset)
         out = normalize_one(norm, tset)
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-9)
@@ -304,7 +322,7 @@ class TestNormalizer:
     def test_identity_normalizer(self):
         rng = np.random.default_rng(3)
         feats = rng.standard_normal((10, 24))
-        tset = TrajectorySet([traj_from_features(1, feats)])
+        tset = one_unit(feats)
         norm = fit_one_regime(tset)
         ident = type(norm)(
             mean=np.zeros_like(norm.mean),
@@ -348,7 +366,7 @@ class TestNormalizer:
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(5)
-        tset = TrajectorySet([traj_from_features(1, rng.standard_normal((10, 24)))])
+        tset = one_unit(rng.standard_normal((10, 24)))
         norm = fit_one_regime(tset)
         with pytest.raises(ValidationError):
             norm.transform_inplace(rng.standard_normal((10, 23)), np.zeros(10, dtype=int))
@@ -363,7 +381,7 @@ class TestGenerateSynthetic:
         train, _, _, regimes = generate_synthetic(cfg)
         reg = regimes[0]
         for traj in train:
-            diff = traj.sensors - reg.center
+            diff = traj[:, N_SETTINGS:] - reg.center
             residual = diff - (diff @ reg.basis) @ reg.basis.T
             assert np.max(np.sum(residual**2, axis=1)) <= 1e-18
 
@@ -373,9 +391,9 @@ class TestGenerateSynthetic:
         b_train, b_test, b_rul, _ = generate_synthetic(cfg)
         assert a_rul == b_rul
         for x, y in zip(a_train, b_train):
-            np.testing.assert_array_equal(x.sensors, y.sensors)
+            np.testing.assert_array_equal(x[:, N_SETTINGS:], y[:, N_SETTINGS:])
         for x, y in zip(a_test, b_test):
-            np.testing.assert_array_equal(x.sensors, y.sensors)
+            np.testing.assert_array_equal(x[:, N_SETTINGS:], y[:, N_SETTINGS:])
 
     def test_drift_energy_at_final_cycle(self):
         cfg = SynthConfig(
@@ -383,9 +401,9 @@ class TestGenerateSynthetic:
             drift_onset_fraction=0.5, seed=2, min_cycles=200, max_cycles=200,
         )
         train, _, _, regimes = generate_synthetic(cfg)
-        traj = train.trajectories[0]
+        traj = next(iter(train))
         reg = regimes[0]
-        diff = traj.sensors[-1] - reg.center
+        diff = traj[-1, N_SETTINGS:] - reg.center
         residual = diff - reg.basis @ (reg.basis.T @ diff)
         assert residual @ residual == pytest.approx((100 * 0.05) ** 2, rel=1e-10)
 
@@ -426,7 +444,7 @@ class TestGenerateSynthetic:
         model = SubspaceModel(
             basis=reg.basis, center=reg.center, spreads=reg.spreads, delta=delta
         )
-        rows = np.vstack([t.sensors for t in train])
+        rows = train.matrix[:, N_SETTINGS:]
         assert len(rows) >= 10_000
         dists = mahalanobis_rows(model, rows)
 
@@ -443,7 +461,7 @@ class TestGenerateSynthetic:
 def test_normalizer_round_trip_property(seed, factor):
     rng = np.random.default_rng(seed)
     feats = rng.standard_normal((50, 24)) * factor
-    tset = TrajectorySet([traj_from_features(1, feats)])
+    tset = one_unit(feats)
     norm = fit_one_regime(tset)
     out = normalize_one(norm, tset)
     unmasked = ~norm.mask[0]

@@ -12,7 +12,6 @@ from subtrack.config import RunConfig
 from subtrack.dataset import (
     N_SETTINGS,
     SynthConfig,
-    Trajectory,
     TrajectorySet,
     generate_synthetic,
 )
@@ -170,11 +169,11 @@ class TestBatchTraining:
         """The normalized healthy rows and their regime labels, derived from
         the fitted centroids and normalizer as train_pipeline derives them."""
         cfg = pipe.config
-        labels = [nearest_centroid(pipe.model.centroids, t.settings) for t in train]
+        labels = [nearest_centroid(pipe.model.centroids, t[:, :N_SETTINGS]) for t in train]
         first = 0 if cfg.track_settings else N_SETTINGS
         rows = []
         for t, lab in zip(train, labels):
-            feats = t.features.copy()  # the set's rows are read-only
+            feats = t.copy()  # the set's rows are read-only
             pipe.normalizer.transform_inplace(feats, lab)
             rows.append(feats[: cfg.healthy_cycles, first:])
         return (
@@ -370,9 +369,9 @@ def assert_units_scored_alone_alike(pipe, tset):
     empty row."""
     curves, estimates, labels = scored(pipe, tset)
     offset = 0
-    for traj, curve, est in zip(tset, curves, estimates):
-        [alone], [alone_est], alone_labels = scored(pipe, TrajectorySet([traj]))
-        assert alone.unit_id == curve.unit_id == traj.unit_id
+    for unit, traj, curve, est in zip(tset.unit_ids, tset, curves, estimates):
+        [alone], [alone_est], alone_labels = scored(pipe, TrajectorySet.stack([unit], [traj]))
+        assert alone.unit_id == curve.unit_id == unit
         np.testing.assert_array_equal(alone_labels, labels[offset : offset + len(traj)])
         offset += len(traj)
         for name in ("sigma", "raw_dist", "scaled_dist"):
@@ -402,8 +401,7 @@ def fleet_with_unmatched_unit(n_regimes, mode):
         train, RunConfig(mode=mode, n_regimes=n_regimes, tau2=20, seed=6)
     )
     longest = max(train, key=len)
-    copy = Trajectory(unit_id=1000, features=longest.features)
-    return pipe, TrajectorySet([*test, copy])
+    return pipe, TrajectorySet.stack([*test.unit_ids, 1000], [*test, longest])
 
 
 class TestFleetPath:
@@ -517,7 +515,8 @@ def test_units_straddling_row_blocks_score_as_alone(small_sst_lr, data):
     picks = data.draw(
         st.lists(st.sampled_from(range(len(test))), min_size=1, max_size=4, unique=True)
     )
-    tset = TrajectorySet([test.trajectories[i] for i in picks])
+    units = list(test)
+    tset = TrajectorySet.stack([test.unit_ids[i] for i in picks], [units[i] for i in picks])
     block = data.draw(st.integers(7, 120))
     bounds = np.cumsum([0] + [len(t) for t in tset])
     assume(any(a // block != (b - 1) // block for a, b in zip(bounds, bounds[1:])))
@@ -537,6 +536,7 @@ class TestReport:
         ]
         report = build_report(ests, [12, 18], SMALL_CFG, wall_time=0.5)
         assert [e.unit_id for e in report.estimates] == [1, 2]
+        assert report.truths == [12, 18]
         assert report.rows[0]["error"] == pytest.approx(-2.0)
         assert report.rows[1]["error"] == pytest.approx(2.0)
         assert report.rmse == pytest.approx(2.0)

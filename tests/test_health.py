@@ -9,7 +9,6 @@ from subtrack.errors import ValidationError
 from subtrack.evaluation import train_pipeline
 from subtrack.health import (
     DistanceScaler,
-    HiRegressor,
     _median,
     fit_hi_regression,
     fit_scaler,
@@ -206,8 +205,8 @@ class TestHiRegression:
         rng = np.random.default_rng(6)
         proj = rng.standard_normal((30, 2))
         reg = fit_hi_regression([(proj, np.full(30, 0.7), regime0(30))], 1)
-        np.testing.assert_allclose(reg.weights[0, :-1], 0.0, atol=1e-6)
-        assert reg.weights[0, -1] == pytest.approx(0.7, abs=1e-8)
+        np.testing.assert_allclose(reg[0, :-1], 0.0, atol=1e-6)
+        assert reg[0, -1] == pytest.approx(0.7, abs=1e-8)
 
     def test_matches_pseudo_inverse_oracle(self):
         rng = np.random.default_rng(7)
@@ -216,7 +215,7 @@ class TestHiRegression:
         reg = fit_hi_regression([(proj, y, regime0(100))], 1)
         a = np.hstack([proj, np.ones((100, 1))])
         oracle = np.linalg.pinv(a) @ y
-        np.testing.assert_allclose(reg.weights[0], oracle, atol=1e-8)
+        np.testing.assert_allclose(reg[0], oracle, atol=1e-8)
 
     def test_blocks_add_up_to_one_fit(self):
         # the sums of uneven blocks with mixed labels solve to the weights
@@ -228,7 +227,7 @@ class TestHiRegression:
         cuts = [0, 7, 40, 41, 90]
         blocks = [(rows[a:b], y[a:b], labels[a:b]) for a, b in zip(cuts, cuts[1:])]
         np.testing.assert_allclose(
-            fit_hi_regression(blocks, 2).weights, whole.weights, rtol=0, atol=1e-12
+            fit_hi_regression(blocks, 2), whole, rtol=0, atol=1e-12
         )
 
     def test_no_blocks_raises(self):
@@ -255,22 +254,22 @@ class TestHiRegression:
         labels = np.repeat([0, 1], 30)
         y = np.where(labels == 0, 0.2, 0.8)
         reg = fit_hi_regression([(proj, y, labels)], n_regimes=2)
-        assert reg.weights.shape == (2, 3)
+        assert reg.shape == (2, 3)
         pred = predict_hi(reg, proj, labels=labels)
         np.testing.assert_allclose(pred, y, atol=1e-6)
 
     def test_predict_clamps(self):
-        reg = HiRegressor(weights=np.array([[1.0, 0.0]]))
+        reg = np.array([[1.0, 0.0]])
         assert predict_hi(reg, np.array([[1.3]]), regime0(1))[0] == 1.0
         assert predict_hi(reg, np.array([[-0.5]]), regime0(1))[0] == 0.0
 
     def test_zero_weights_constant_intercept(self):
-        reg = HiRegressor(weights=np.array([[0.0, 0.0, 0.7]]))
+        reg = np.array([[0.0, 0.0, 0.7]])
         out = predict_hi(reg, np.zeros((5, 2)), regime0(5))
         np.testing.assert_allclose(out, 0.7)
 
     def test_predict_dimension_mismatch(self):
-        reg = HiRegressor(weights=np.array([[0.0, 0.0, 0.7]]))
+        reg = np.array([[0.0, 0.0, 0.7]])
         with pytest.raises(ValidationError):
             predict_hi(reg, np.zeros((5, 3)), regime0(5))
 

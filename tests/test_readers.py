@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subtrack import dataset
-from subtrack.dataset import SynthConfig, generate_synthetic, load_cmapss, save_cmapss
+from subtrack.dataset import (
+    N_SETTINGS, SynthConfig, generate_synthetic, load_cmapss, save_cmapss,
+)
 from subtrack.errors import PrognosticsError, ValidationError
 from subtrack.health import HiCurve
 from subtrack.persist import CURVE_CSV_HEADER, read_curves_csv, write_curves_csv
@@ -22,11 +24,11 @@ from subtrack.persist import CURVE_CSV_HEADER, read_curves_csv, write_curves_csv
 CMAPSS = (load_cmapss, dataset._parse_cmapss_bulk, dataset._parse_cmapss_lines)
 
 
-def trajectory_bits(trajs):
+def trajectory_bits(tset):
     return [
-        (t.unit_id, type(t.unit_id), t.settings.shape, t.settings.tobytes(),
-         t.sensors.tobytes())
-        for t in trajs
+        (u, type(u), t[:, :N_SETTINGS].shape, t[:, :N_SETTINGS].tobytes(),
+         t[:, N_SETTINGS:].tobytes())
+        for u, t in zip(tset.unit_ids, tset)
     ]
 
 
@@ -322,9 +324,9 @@ def test_bulk_paths_read_a_valid_fleet_and_library(tmp_path, monkeypatch):
     )
     rng = np.random.default_rng(11)
     curves = [
-        HiCurve(unit_id=t.unit_id, sigma=rng.random(len(t)),
+        HiCurve(unit_id=u, sigma=rng.random(len(t)),
                 raw_dist=rng.random(len(t)), scaled_dist=rng.random(len(t)))
-        for t in train
+        for u, t in zip(train.unit_ids, train)
     ]
     save_cmapss(train, tmp_path / "train.txt")
     save_cmapss(test, tmp_path / "test.txt")
