@@ -34,22 +34,21 @@ CONSTANT_STD = 1e-12
 
 
 class TrajectorySet:
-    """A fleet of units with distinct ids, held as one read-only C-ordered
-    (rows, D) float64 matrix in unit order: `matrix[bounds[i]:bounds[i + 1]]`
-    are the rows of unit `unit_ids[i]`, the N_SETTINGS settings columns
-    first, then the sensor readings. Row j of a unit is cycle j+1. Iterating
-    yields each unit's rows as read-only views of the matrix.
+    """A fleet of units with distinct ids, held as one read-only (rows, D)
+    float64 matrix in unit order: `matrix[bounds[i]:bounds[i + 1]]` are the
+    rows of unit `unit_ids[i]`, the N_SETTINGS settings columns first, then
+    the sensor readings. Row j of a unit is cycle j+1. Iterating yields each
+    unit's rows as read-only views of the matrix.
 
-    The matrix is taken over without a copy when it is C-ordered float64,
-    also when it is a view of a larger buffer: the bulk parse hands over the
-    front of the table numpy parsed."""
+    A float64 matrix is taken over without a copy, in any memory order: the
+    bulk parse hands over a strided view of the table numpy parsed."""
 
     def __init__(self, matrix: np.ndarray, unit_ids: list[int], bounds: list[int]):
         if len(unit_ids) == 0:
             raise ValidationError("empty trajectory set")
         if len(set(unit_ids)) != len(unit_ids):
             raise ValidationError("duplicate unit ids in trajectory set")
-        self.matrix = np.ascontiguousarray(matrix, dtype=float)
+        self.matrix = np.asarray(matrix, dtype=float)
         if self.matrix.ndim != 2 or self.matrix.shape[1] <= N_SETTINGS:
             raise ValidationError(
                 f"features must be a 2-d array with {N_SETTINGS} settings "
@@ -85,10 +84,11 @@ def load_cmapss(path: str | Path) -> TrajectorySet:
     once the file is read, so a file with several faults reports its first
     malformed or non-finite line, even before a cycle gap in an earlier unit.
 
-    The file is parsed with one numpy call. When that parse or a check on
-    its result fails, the line parser reads the file again and decides: it
-    raises the error, or returns what the file holds (a unit id written as
-    1_0, say, which numpy does not parse).
+    The file is parsed with one numpy call, and the set's matrix is a view
+    of the table it returns. When that parse or a check on its result fails,
+    the line parser reads the file again and decides: it raises the error,
+    or returns what the file holds (a unit id written as 1_0, say, which
+    numpy does not parse, or rows that are not in (unit, cycle) order).
     """
     path = Path(path)
     tset = _parse_cmapss_bulk(path)
@@ -100,24 +100,20 @@ def _parse_cmapss_bulk(path: Path) -> TrajectorySet | None:
     decide. Accepts only files the line parser accepts, with the same
     values: float tokens are correctly rounded in both.
 
-    The set's matrix is built inside the (rows, 26) table that numpy returns:
-    when the rows are already in (unit, cycle) order, the 24 feature columns
-    are moved to the front of the table's buffer, so the parse holds one
-    fleet-sized buffer. Only a file in another order takes a reordered copy."""
+    Only a file whose rows are in (unit, cycle) order is read here, and the
+    set's matrix is the read-only view of columns 2-25 of the (rows, 26)
+    table numpy returns, so the parse holds one fleet-sized buffer. A file
+    in any other row order goes to the line parser, which sorts it."""
     with open(path) as fh:
-        table = read_table(fh, ndmin=2)
+        table = read_table(fh)
     if table is None or table.shape[1] != N_COLUMNS or not _all_finite(table):
         return None
     ids = table[:, :2]
     if not (np.abs(ids) < 2.0**62).all():
         return None
     ids = ids.astype(np.int64)  # truncates toward zero, as int() does
-    blocks = unit_blocks(ids[:, 0], ids[:, 1])
-    if blocks is None:
-        return None
-    order, units, bounds = blocks
-    data = _compact_features(table) if order is None else table[order, 2:]
-    return TrajectorySet(data, units, bounds)
+    runs = _cycle_runs(ids[:, 0], ids[:, 1])
+    return None if runs is None else TrajectorySet(table[:, 2:], *runs)
 
 
 def _all_finite(rows: np.ndarray) -> bool:
@@ -125,24 +121,6 @@ def _all_finite(rows: np.ndarray) -> bool:
     return all(
         np.isfinite(rows[a : a + PARSE_BLOCK]).all() for a in range(0, len(rows), PARSE_BLOCK)
     )
-
-
-def _compact_features(table: np.ndarray) -> np.ndarray:
-    """The C-ordered (rows, 24) matrix of a C-ordered (rows, 26) table's
-    columns 2-25, moved to the front of the table's own buffer. Rows move in
-    blocks whose destination ends at or before their source begins, so no
-    block overwrites rows still to be moved and numpy makes no temporary;
-    only the first rows, which overlap their own source, move one by one."""
-    n, width = len(table), N_COLUMNS - 2
-    data = table.reshape(-1)[: n * width].reshape(n, width)
-    a = 0
-    while a < n:
-        # rows a:b go to flat [width * a, width * b): ending at or before
-        # N_COLUMNS * a + 2, where row a's source begins, takes b - a <= (2a + 2) / width
-        b = min(n, a + max(1, (2 * a + 2) // width))
-        data[a:b] = table[a:b, 2:]
-        a = b
-    return data
 
 
 def _parse_cmapss_lines(path: Path) -> TrajectorySet:
@@ -193,33 +171,16 @@ def decoding(path: Path, error: type[PrognosticsError] = DataFormatError):
         raise error(f"{path}: not a text file ({exc})") from exc
 
 
-def read_table(fh, **kwargs) -> np.ndarray | None:
-    """np.loadtxt over the rest of an open text file, with no comment
-    character; None when numpy rejects the text or warns (it warns on a file
-    with no data rows). The caller then falls back to its line parser."""
+def read_table(fh) -> np.ndarray | None:
+    """np.loadtxt's 2-d table of the rest of an open text file, with no
+    comment character; None when numpy rejects the text or warns (it warns
+    on a file with no data rows): the caller's line parser then decides."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return np.loadtxt(fh, comments=None, **kwargs)
+            return np.loadtxt(fh, comments=None, ndmin=2)
     except (ValueError, Warning):
         return None
-
-
-def unit_blocks(
-    units: np.ndarray, cycles: np.ndarray
-) -> tuple[np.ndarray | None, list[int], list[int]] | None:
-    """Group rows by unit: the row order that sorts by unit, then by cycle
-    (a stable sort, like sorting each unit's rows by cycle), or None when
-    the rows are already in that order; the units in ascending order; and
-    the row bounds of each unit in sorted order (unit i holds rows
-    bounds[i]:bounds[i + 1]). None when some unit's cycles are not exactly
-    1, 2, ..., L."""
-    runs = _cycle_runs(units, cycles)
-    if runs is not None:
-        return None, *runs
-    order = np.lexsort((cycles, units))
-    runs = _cycle_runs(units[order], cycles[order])
-    return None if runs is None else (order, *runs)
 
 
 def _cycle_runs(units: np.ndarray, cycles: np.ndarray) -> tuple[list[int], list[int]] | None:

@@ -98,7 +98,7 @@ def cluster_regimes(
     centroids = np.array(centroids)
 
     for _ in range(300):
-        labels, d2 = _nearest(points, centroids)
+        labels, d2 = _nearest_finite(points, centroids)
         new_centroids = centroids.copy()
         for k in range(n_clusters):
             members = points[labels == k]
@@ -114,13 +114,20 @@ def cluster_regimes(
 
 def nearest_centroid(centroids: np.ndarray, settings: np.ndarray) -> np.ndarray:
     """Label each settings row with its nearest centroid index. Raises
-    NumericalError when a row's squared distance to its nearest centroid
-    overflows: every centroid is then equally far, and argmin would pick 0."""
+    NumericalError as `_nearest_finite` does."""
+    return _nearest_finite(np.atleast_2d(np.asarray(settings, dtype=float)), centroids)[0]
+
+
+def _nearest_finite(points: np.ndarray, centroids) -> tuple[np.ndarray, np.ndarray]:
+    """`_nearest`, raising NumericalError when a row's squared distance to its
+    nearest centroid overflows: every centroid is then equally far, and
+    argmin would pick 0. An overflow in the distance to a farther centroid
+    changes no label and is ignored."""
     with np.errstate(over="ignore"):  # an overflow raises below
-        labels, d2 = _nearest(np.atleast_2d(np.asarray(settings, dtype=float)), centroids)
+        labels, d2 = _nearest(points, centroids)
     if not np.isfinite(d2).all():
         raise NumericalError("squared settings distances to the regime centroids overflow")
-    return labels
+    return labels, d2
 
 
 def _nearest(points: np.ndarray, centroids) -> tuple[np.ndarray, np.ndarray]:

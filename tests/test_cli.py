@@ -24,6 +24,7 @@ from subtrack.cli import (
 )
 from subtrack.config import RETIRED_FIELDS, RunConfig
 from subtrack.dataset import (
+    N_SENSORS,
     N_SETTINGS,
     SynthConfig,
     TrajectorySet,
@@ -1150,6 +1151,72 @@ class TestOverflowingValues:
         message = ("settings distances" if case.startswith("settings")
                    else "non-finite subspace distance (overflow)")
         self.check_exits_3(argv, out, capsys, message)
+
+
+def unit_fleet(path, unit_settings):
+    """A fleet of one unit per list of settings vectors, one row a cycle,
+    with random sensors; written to path."""
+    rng = np.random.default_rng(0)
+    arrays = [np.hstack([s, rng.standard_normal((len(s), N_SENSORS))])
+              for s in map(np.array, unit_settings)]
+    save_cmapss(TrajectorySet.stack(list(range(1, len(arrays) + 1)), arrays), path)
+    return path
+
+
+class TestUntrainableRegimes:
+    """A training fleet that leaves some regime too few healthy rows to fit
+    its subspace ends train and benchmark with exit 2, one stderr line and
+    no numpy warning (the suite makes a RuntimeWarning an error), and
+    leaves no output directory."""
+
+    @staticmethod
+    def check_exits_2(command, train, test_dir, k, seed, tmp_path, capsys, message):
+        out = tmp_path / "out"
+        argv = [command, "--train", str(train), "--out", str(out),
+                "--n-regimes", str(k), "--seed", str(seed)]
+        if command == "benchmark":
+            argv += ["--test", str(test_dir / "test_synth.txt"),
+                     "--rul", str(test_dir / "RUL_synth.txt")]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: [train] {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    def test_overflowing_kmeans_distance_leaves_no_warning(
+        self, tmp_path, capsys, command, seed
+    ):
+        # settings at +-5e153 are 3e308 apart in squared distance, which
+        # overflowed inside the k-means loop with a numpy warning
+        data = tmp_path / "synth"
+        assert main(["synth", "--out", str(data), "--units", "6", "--seed", "1",
+                     "--n-regimes", "2", "--min-cycles", "60", "--max-cycles", "80"]) == EXIT_OK
+        lines = (data / "train_synth.txt").read_text().splitlines()
+        for lineno, token in ((6, "5e153"), (7, "-5e153")):
+            fields_ = lines[lineno - 1].split()
+            fields_[2:2 + N_SETTINGS] = [token] * N_SETTINGS
+            lines[lineno - 1] = " ".join(fields_)
+        train = tmp_path / "train.txt"
+        train.write_text("\n".join(lines) + "\n")
+        self.check_exits_2(
+            command, train, data, 2, seed, tmp_path, capsys,
+            "regime 1: 1 healthy rows cannot initialize a 3-dimensional subspace",
+        )
+
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    @pytest.mark.parametrize("k", [1, 3], ids=["K1", "K3"])
+    def test_too_few_healthy_rows_exit_2(self, synth_dir, tmp_path, capsys, command, k):
+        a, b, c = [10.0, 0.2, 100.0], [20.0, 0.5, 60.0], [35.0, 0.8, 80.0]
+        if k == 1:  # one unit of 3 cycles: 3 healthy rows for a 3-d subspace
+            settings_, message = [[a] * 3], "regime 0: 3 healthy rows"
+        else:  # settings c appear only after the 20 healthy cycles
+            settings_ = [[a, b] * 10 + [a, b, c] * 7] * 3
+            message = "regime 1: 0 healthy rows"
+        train = unit_fleet(tmp_path / "train.txt", settings_)
+        self.check_exits_2(
+            command, train, synth_dir, k, 3, tmp_path, capsys,
+            f"{message} cannot initialize a 3-dimensional subspace",
+        )
 
 
 def test_benchmark_and_infer_leave_scipy_unimported(synth_dir, model_dir, tmp_path):

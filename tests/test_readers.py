@@ -9,9 +9,13 @@ persist.read_curves_csv is a line parser alone; the cases it shares with the
 CMAPSS reader check which files it accepts.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from subtrack import dataset
 from subtrack.dataset import (
@@ -82,15 +86,22 @@ VALUE_FORMATS = (repr, "{:.6e}".format, "{:.3f}".format, "{:g}".format)
 
 
 @st.composite
-def unit_rows(draw, max_units=4, max_len=4):
-    """Shuffled (unit id, cycle) pairs of a fleet, and the line end."""
+def unit_rows(draw, order="any", max_units=4, max_len=4):
+    """The (unit id, cycle) pairs of a fleet, and the line end. The pairs
+    come in any order, in (unit, cycle) order ("sorted") or in any other
+    order ("shuffled", a fleet of at least two rows)."""
     lengths = draw(st.lists(st.integers(1, max_len), min_size=1, max_size=max_units))
     ids = draw(
         st.lists(st.integers(-3, 10**6), min_size=len(lengths),
                  max_size=len(lengths), unique=True)
     )
-    rows = [(u, c) for u, n in zip(ids, lengths) for c in range(1, n + 1)]
-    return draw(st.permutations(rows)), draw(st.sampled_from(["\n", "\r\n"]))
+    rows = sorted((u, c) for u, n in zip(ids, lengths) for c in range(1, n + 1))
+    if order != "sorted":
+        assume(order == "any" or len(rows) > 1)
+        drawn = draw(st.permutations(rows))
+        # the rotation of sorted rows is out of order
+        rows = drawn[1:] + drawn[:1] if order == "shuffled" and drawn == rows else drawn
+    return rows, draw(st.sampled_from(["\n", "\r\n"]))
 
 
 def join_lines(draw, lines, eol):
@@ -104,8 +115,8 @@ def join_lines(draw, lines, eol):
 
 
 @st.composite
-def cmapss_texts(draw):
-    rows, eol = draw(unit_rows())
+def cmapss_texts(draw, order):
+    rows, eol = draw(unit_rows(order))
     id_format = draw(st.sampled_from(["{}", "{:+d}", "{}.0"]))
     sep = draw(st.sampled_from([" ", "\t", "  ", " \t", "\x0c"]))
     fmt = draw(st.sampled_from(VALUE_FORMATS))
@@ -142,10 +153,18 @@ def write_text(tmp_path_factory, text, name):
 
 
 @settings(max_examples=150, deadline=None)
-@given(text=cmapss_texts())
+@given(text=cmapss_texts("sorted"))
 def test_valid_cmapss_files_bit_equal_on_both_paths(tmp_path_factory, text):
     path = write_text(tmp_path_factory, text, "train.txt")
     assert check_agree(CMAPSS, path) == "fast"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=cmapss_texts("shuffled"))
+def test_shuffled_cmapss_files_fall_back_bit_equal(tmp_path_factory, text):
+    # rows out of (unit, cycle) order are left to the line parser, which sorts them
+    path = write_text(tmp_path_factory, text, "train.txt")
+    assert check_agree(CMAPSS, path) == "fallback"
 
 
 @settings(max_examples=150, deadline=None)
@@ -245,13 +264,14 @@ def edit_cases(sep, first):
 
 
 # what decides each CMAPSS case: "fast" (the bulk path), "fallback" (the
-# line parser accepts what numpy does not parse) or "error"
+# line parser accepts what the bulk path leaves to it: a token numpy does not
+# parse, or rows out of (unit, cycle) order) or "error"
 CMAPSS_EXPECTED = {
     "unit 1.0": "fast", "unit +1": "fast", "unit 1_0": "fallback",
     "unit 0x10": "error", "unit #": "error", "unit 1e400": "error",
     "unit nan": "error", "cycle inf": "error", "cycle -inf": "error",
     "blank line": "fast", "whitespace-only line": "fast",
-    "units out of order": "fast", "cycles shuffled": "fast",
+    "units out of order": "fallback", "cycles shuffled": "fallback",
     "duplicate cycle": "error", "cycle gap": "error", "cycles start at 0": "error",
     "value 1_0": "fallback", "value nan": "error", "value 1e400": "error",
     "value 0x10": "error", "trailing comma": "error",
@@ -338,6 +358,22 @@ def test_bulk_paths_read_a_valid_fleet_and_library(tmp_path, monkeypatch):
     assert trajectory_bits(load_cmapss(tmp_path / "train.txt")) == trajectory_bits(train)
     assert trajectory_bits(load_cmapss(tmp_path / "test.txt")) == trajectory_bits(test)
     assert curve_bits(read_curves_csv(tmp_path / "train_curves.csv")) == curve_bits(curves)
+
+
+def test_benchmark_inputs_take_the_bulk_path(tmp_path):
+    # the benchmark's fleet generator writes every data file in (unit, cycle)
+    # order; a file it wrote that left the bulk path would time the line parser
+    fleet = Path(__file__).resolve().parents[1] / "perfbench" / "fleet.py"
+    for out, extra, n_data in [("fleet", [], 2), ("units", ["--unit-files", "2"], 3)]:
+        subprocess.run(
+            [sys.executable, str(fleet), "--fleet", "fd001", "--seed", "1",
+             "--out", str(tmp_path / out), *extra],
+            check=True, capture_output=True,
+        )
+        data = [f for f in (tmp_path / out).glob("*.txt") if not f.name.startswith("RUL")]
+        assert len(data) == n_data
+        for f in data:
+            assert dataset._parse_cmapss_bulk(f) is not None, f
 
 
 def test_curve_csv_rows_hold_the_repr_of_each_value(tmp_path):
