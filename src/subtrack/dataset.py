@@ -13,16 +13,18 @@ import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, NumericalError, PrognosticsError, ValidationError
+from .errors import DataFormatError, NumericalError, ValidationError
 
 N_SETTINGS = 3
 N_SENSORS = 21
 N_COLUMNS = 2 + N_SETTINGS + N_SENSORS
+
+ID_LIMIT = 2.0**53  # bound on |unit| and |cycle|: float64 holds every integer below it
 
 # rows per block of the parse's finiteness check
 PARSE_BLOCK = 1024
@@ -78,8 +80,9 @@ class TrajectorySet:
 def load_cmapss(path: str | Path) -> TrajectorySet:
     """Parse a 26-column CMAPSS-format text file into a TrajectorySet.
 
-    Raises DataFormatError with the offending line number on malformed rows
-    and on non-finite values (nan, inf), ValidationError when a unit's cycle
+    Raises DataFormatError with the offending line number on malformed rows,
+    non-finite values (nan, inf) and ids of magnitude ID_LIMIT or more
+    (float64 would change them), ValidationError when a unit's cycle
     indices are not 1, 2, 3, ... Lines are checked in file order and cycles
     once the file is read, so a file with several faults reports its first
     malformed or non-finite line, even before a cycle gap in an earlier unit.
@@ -109,7 +112,7 @@ def _parse_cmapss_bulk(path: Path) -> TrajectorySet | None:
     if table is None or table.shape[1] != N_COLUMNS or not _all_finite(table):
         return None
     ids = table[:, :2]
-    if not (np.abs(ids) < 2.0**62).all():
+    if not (np.abs(ids) < ID_LIMIT).all():
         return None
     ids = ids.astype(np.int64)  # truncates toward zero, as int() does
     runs = _cycle_runs(ids[:, 0], ids[:, 1])
@@ -126,25 +129,36 @@ def _all_finite(rows: np.ndarray) -> bool:
 def _parse_cmapss_lines(path: Path) -> TrajectorySet:
     """Line-by-line parse; the reference for what load_cmapss accepts and
     for every message it raises."""
-    rows_by_unit: dict[int, list[tuple[int, np.ndarray]]] = {}
     with open(path) as fh, decoding(path):
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != N_COLUMNS:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {N_COLUMNS} fields, got {len(parts)}"
-                )
-            try:
-                values = np.array([float(p) for p in parts])
-                unit = int(values[0])
-                cycle = int(values[1])
-            except (ValueError, OverflowError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: non-numeric field ({exc})")
-            if not np.isfinite(values).all():
-                raise DataFormatError(f"{path}:{lineno}: non-finite value (nan or inf)")
-            rows_by_unit.setdefault(unit, []).append((cycle, values[2:]))
+        return TrajectorySet.stack(*read_unit_rows(path, fh, N_COLUMNS))
+
+
+def read_unit_rows(path: Path, lines, n_fields: int, sep=None, start=1) -> tuple[list, list]:
+    """(ascending unit ids, one (L, n_fields - 2) array per unit in cycle
+    order) of `unit cycle value ...` lines split by sep, numbered from start;
+    whitespace-only lines are skipped. DataFormatError names path and line of
+    a malformed row, a non-finite value or an id of magnitude ID_LIMIT or
+    more; ValidationError names a unit whose cycles are not 1, 2, ..., L."""
+    rows_by_unit: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for lineno, line in enumerate(lines, start=start):
+        if not line.strip():
+            continue
+        parts = line.split(sep)
+        if len(parts) != n_fields:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}"
+            )
+        try:
+            values = np.array([float(p) for p in parts])
+            unit = int(values[0])
+            cycle = int(values[1])
+        except (ValueError, OverflowError) as exc:
+            raise DataFormatError(f"{path}:{lineno}: non-numeric field ({exc})")
+        if not np.isfinite(values).all():
+            raise DataFormatError(f"{path}:{lineno}: non-finite value (nan or inf)")
+        if max(abs(unit), abs(cycle)) >= ID_LIMIT:
+            raise DataFormatError(f"{path}:{lineno}: unit or cycle of magnitude 2**53 or more")
+        rows_by_unit.setdefault(unit, []).append((cycle, values[2:]))
 
     if not rows_by_unit:
         raise DataFormatError(f"{path}: no data rows")
@@ -158,17 +172,17 @@ def _parse_cmapss_lines(path: Path) -> TrajectorySet:
                 f"{path}: unit {unit} has non-contiguous cycle indices"
             )
         arrays.append(np.array([v for _, v in rows]))
-    return TrajectorySet.stack(units, arrays)
+    return units, arrays
 
 
 @contextmanager
-def decoding(path: Path, error: type[PrognosticsError] = DataFormatError):
-    """Turn a UnicodeDecodeError while reading path into `error` naming the
-    file (the decoder reads ahead, so no line is named)."""
+def decoding(path: Path):
+    """Turn a UnicodeDecodeError while reading path into a DataFormatError
+    naming the file (the decoder reads ahead, so no line is named)."""
     try:
         yield
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not a text file ({exc})") from exc
+        raise DataFormatError(f"{path}: not a text file ({exc})") from exc
 
 
 def read_table(fh) -> np.ndarray | None:
@@ -197,15 +211,22 @@ def _cycle_runs(units: np.ndarray, cycles: np.ndarray) -> tuple[list[int], list[
 
 
 def save_cmapss(tset: TrajectorySet, path: str | Path) -> None:
-    """Write a TrajectorySet back to 26-column text; values round-trip exactly.
-    Each unit's rows go through one tolist() and map(float.__repr__, ...)."""
-    path = Path(path)
+    """Write a TrajectorySet back to 26-column text; values round-trip exactly."""
     with open(path, "w") as fh:
-        for unit, rows in zip(tset.unit_ids, tset):
-            fh.writelines(
-                f"{unit} {cycle} {' '.join(map(float.__repr__, row))}\n"
-                for cycle, row in enumerate(rows.tolist(), start=1)
-            )
+        write_unit_rows(fh, tset.unit_ids, (rows.T for rows in tset), " ")
+
+
+def write_unit_rows(fh, unit_ids, columns, sep: str) -> None:
+    """Write each unit's rows `unit cycle value ...`, cycles 1..L, joined by
+    sep, from its L-long value columns. Each column is one map of
+    float.__repr__ and str.join joins the rows: no Python code runs per row."""
+    cycles: list[str] = []
+    for unit, unit_columns in zip(unit_ids, columns):
+        if len(cycles) < len(unit_columns[0]):
+            cycles = list(map(str, range(1, len(unit_columns[0]) + 1)))
+        values = [map(float.__repr__, a.tolist()) for a in unit_columns]
+        rows = zip(repeat(str(unit)), cycles, *values)  # ends with the columns
+        fh.write("\n".join(map(sep.join, rows)) + "\n")
 
 
 def load_rul_targets(path: str | Path, n_units: int) -> list[int]:

@@ -9,10 +9,12 @@ only module that reads or writes a model directory.
 Its `model.json` holds the K-model document, also for a single-regime (K=1)
 fleet, and carries the directory's format version, MODEL_FORMAT_VERSION.
 Matching reads the stored library and never opens `train_curves.csv`, which
-stays as the human-readable export; read_curves_csv, a line parser that no
-command calls, reads it back for analysis. save_pipeline writes that export
-and `error_trace.csv` from the training curves it is given, apart from the
-pipeline, so load_pipeline returns the saved pipeline field for field.
+stays as the human-readable export. Curve CSVs are unit tables like the
+CMAPSS files, written and parsed by dataset.write_unit_rows and
+read_unit_rows; read_curves_csv, which no command calls, reads one back.
+save_pipeline writes that export and `error_trace.csv` from the training
+curves it is given, apart from the pipeline, so load_pipeline returns the
+saved pipeline field for field.
 A directory of any other version is refused; one of version 1 (library only
 in `train_curves.csv`), 2 (library smoothed twice, in sst-lr mode of the
 distance index) or 3 (an sst-lr regressor of the d subspace projections,
@@ -22,14 +24,12 @@ where version 4 regresses the whole tracked row) with a message to retrain.
 from __future__ import annotations
 
 import json
-import math
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig
-from .dataset import N_SETTINGS, Normalizer, decoding
+from .dataset import N_SETTINGS, Normalizer, decoding, read_unit_rows, write_unit_rows
 from .errors import NumericalError, ValidationError
 from .evaluation import TrainedPipeline
 from .health import DistanceScaler, HiCurve
@@ -144,55 +144,25 @@ def regressor_from_dict(doc: dict) -> np.ndarray:
 
 
 def write_curves_csv(curves: list[HiCurve], path: str | Path) -> None:
-    """One curve's rows at a time: the whole text of a fleet is never held.
-    Each column is one map of float.__repr__ (repr, for the floats of tolist)
-    and str.join joins the rows, so no Python code runs per row."""
-    cycles = list(map(str, range(1, max(map(len, curves), default=0) + 1)))
+    """The header, then each curve's rows; values round-trip exactly."""
     with open(path, "w") as fh:
         fh.write(CURVE_CSV_HEADER + "\n")
-        for c in curves:
-            values = (c.raw_dist, c.scaled_dist, c.sigma)
-            columns = [map(float.__repr__, a.tolist()) for a in values]
-            rows = zip(repeat(str(c.unit_id)), cycles, *columns)  # ends with the columns
-            fh.write("\n".join(map(",".join, rows)) + "\n")
+        columns = ((c.raw_dist, c.scaled_dist, c.sigma) for c in curves)
+        write_unit_rows(fh, [c.unit_id for c in curves], columns, ",")
 
 
 def read_curves_csv(path: str | Path) -> list[HiCurve]:
-    """Curves of a `train_curves.csv` export, in unit order, each unit's
-    rows in cycle order, parsed line by line.
-
-    Raises ValidationError naming the file and line on a malformed row or a
-    non-finite value, naming the file when it does not decode, and naming
-    the unit when its cycles are not 1..L.
-    """
-    by_unit: dict[int, list[tuple[int, float, float, float]]] = {}
-    with open(path) as fh, decoding(path, ValidationError):
+    """Curves of a `train_curves.csv` export, in unit order. Raises
+    ValidationError naming the file when its first line is not the header,
+    and what the CMAPSS line parser raises on the rows that follow."""
+    with open(path) as fh, decoding(path):
         if fh.readline().rstrip("\n") != CURVE_CSV_HEADER:
             raise ValidationError(f"{path}: not a health-index curve CSV")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                unit, cycle, raw, scaled, sigma = line.split(",")
-                row = (int(unit), int(cycle), float(raw), float(scaled), float(sigma))
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            if not all(map(math.isfinite, row[2:])):
-                raise ValidationError(f"{path}:{lineno}: non-finite value (nan or inf)")
-            by_unit.setdefault(row[0], []).append(row[1:])
-    curves = []
-    for unit in sorted(by_unit):
-        rows = sorted(by_unit[unit], key=lambda r: r[0])
-        if [r[0] for r in rows] != list(range(1, len(rows) + 1)):
-            raise ValidationError(
-                f"{path}: unit {unit} has non-contiguous cycle indices"
-            )
-        raw, scaled, sigma = (np.array([r[k] for r in rows]) for k in (1, 2, 3))
-        curves.append(
-            HiCurve(unit_id=unit, sigma=sigma, raw_dist=raw, scaled_dist=scaled)
-        )
-    return curves
+        units, arrays = read_unit_rows(path, fh, 5, ",", start=2)
+    return [
+        HiCurve(unit_id=unit, raw_dist=a[:, 0], scaled_dist=a[:, 1], sigma=a[:, 2])
+        for unit, a in zip(units, arrays)
+    ]
 
 
 def write_estimates_csv(estimates, truths, path: str | Path, unit_ids=None) -> None:

@@ -20,7 +20,8 @@ scores one test curve s against every (unit, lag) pair through the identity
 
 The cross terms s.w of all pairs are one matrix product: the library slab
 P[:, tau1 : tau1 + m], m = n + n_lags - 1, times the (m, n_lags) Toeplitz
-matrix whose column j holds s at rows j .. j + n - 1. The window energies
+matrix whose column j holds s at rows j .. j + n - 1 (a read-only,
+column-reversed sliding_window_view of s zero-padded). The window energies
 |w|^2 are differences of the prefix sums. The identity cancels, so d2 is
 clipped at 0. Lags past max_len - n never have full overlap and are not
 computed, so a huge tau2 costs nothing.
@@ -43,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import RunConfig
 from .errors import NoMatchError, NumericalError
@@ -137,8 +138,7 @@ def _candidates(
     m = n + n_lags - 1  # rows of the Toeplitz operand
     shifted = np.zeros(m + n_lags - 1)
     shifted[n_lags - 1 : m] = sig
-    step = shifted.strides[0]  # toeplitz[i, j] = shifted[n_lags - 1 + i - j]
-    toeplitz = as_strided(shifted[n_lags - 1 :], (m, n_lags), (step, -step), writeable=False)
+    toeplitz = sliding_window_view(shifted, n_lags)[:, ::-1]  # column j: s at rows j..j+n-1
     cross = library.padded[:, tau1 : tau1 + m] @ toeplitz
     energy = library.energy
     d2 = energy[:, tau1 + n : tau2 + n + 1] - energy[:, tau1 : tau2 + 1]

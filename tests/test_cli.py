@@ -1165,15 +1165,16 @@ def unit_fleet(path, unit_settings):
 
 class TestUntrainableRegimes:
     """A training fleet that leaves some regime too few healthy rows to fit
-    its subspace ends train and benchmark with exit 2, one stderr line and
+    its subspace, or whose rows all sit at distance 0 (a degenerate fleet),
+    ends train and benchmark with exit 2, one stderr line and
     no numpy warning (the suite makes a RuntimeWarning an error), and
     leaves no output directory."""
 
     @staticmethod
-    def check_exits_2(command, train, test_dir, k, seed, tmp_path, capsys, message):
+    def check_exits_2(command, train, test_dir, k, seed, tmp_path, capsys, message, extra=()):
         out = tmp_path / "out"
         argv = [command, "--train", str(train), "--out", str(out),
-                "--n-regimes", str(k), "--seed", str(seed)]
+                "--n-regimes", str(k), "--seed", str(seed), *extra]
         if command == "benchmark":
             argv += ["--test", str(test_dir / "test_synth.txt"),
                      "--rul", str(test_dir / "RUL_synth.txt")]
@@ -1216,6 +1217,21 @@ class TestUntrainableRegimes:
         self.check_exits_2(
             command, train, synth_dir, k, 3, tmp_path, capsys,
             f"{message} cannot initialize a 3-dimensional subspace",
+        )
+
+    @pytest.mark.parametrize(
+        "command,mode", [("train", "sst"), ("train", "sst-lr"), ("benchmark", "sst")]
+    )
+    def test_degenerate_fleet_exits_2(self, synth_dir, tmp_path, capsys, command, mode):
+        # 5 units of 40 identical rows: every row sits at distance 0, so the
+        # health index has no scale to map distances onto
+        rows = np.tile([10.0, 0.2, 100.0, *range(1, N_SENSORS + 1)], (40, 1))
+        train = tmp_path / "train.txt"
+        save_cmapss(TrajectorySet.stack([1, 2, 3, 4, 5], [rows] * 5), train)
+        self.check_exits_2(
+            command, train, synth_dir, 1, 3, tmp_path, capsys,
+            "degenerate fleet: failure-level distance 0.0 does not exceed healthy level 0.0",
+            ["--mode", mode],
         )
 
 

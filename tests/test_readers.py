@@ -1,12 +1,15 @@
 """The CMAPSS bulk reader against the line parser it falls back to, and the
-curve CSV line parser against the values its files were written from.
+curve CSV reader against the values its files were written from.
 
 dataset.load_cmapss parses a file with one np.loadtxt call and falls back to
 its line parser when that parse or a check on its result fails. The line
 parser is the reference: the bulk path may accept only files it accepts,
 with bit-equal arrays, and every error comes from it.
-persist.read_curves_csv is a line parser alone; the cases it shares with the
-CMAPSS reader check which files it accepts.
+persist.read_curves_csv checks the header, then parses the rows with the
+same line parser, dataset.read_unit_rows: on the cases it shares with the
+CMAPSS reader it accepts exactly the files the CMAPSS line parser accepts.
+One codec: both tables are parsed by read_unit_rows and written by
+dataset.write_unit_rows.
 """
 
 import subprocess
@@ -17,11 +20,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from subtrack import dataset
+from subtrack import dataset, persist
 from subtrack.dataset import (
     N_SETTINGS, SynthConfig, generate_synthetic, load_cmapss, save_cmapss,
 )
-from subtrack.errors import PrognosticsError, ValidationError
+from subtrack.errors import DataFormatError, PrognosticsError
 from subtrack.health import HiCurve
 from subtrack.persist import CURVE_CSV_HEADER, read_curves_csv, write_curves_csv
 
@@ -69,10 +72,10 @@ def check_agree(readers, path):
 
 def curve_outcome(path):
     """"ok" when read_curves_csv reads the file, "error" when it refuses it
-    with a ValidationError."""
+    with a PrognosticsError."""
     try:
         read_curves_csv(path)
-    except ValidationError:
+    except PrognosticsError:
         return "error"
     return "ok"
 
@@ -236,6 +239,8 @@ def edit_cases(sep, first):
         ("unit #", lambda ls: set_unit(ls, first, "#", sep)),
         ("unit 1e400", lambda ls: set_unit(ls, first, "1e400", sep)),
         ("unit nan", lambda ls: set_unit(ls, first, "nan", sep)),
+        ("unit 2**53 + 1", lambda ls: set_unit(ls, first, str(2**53 + 1), sep)),
+        ("unit 1e300", lambda ls: set_unit(ls, first, "1e300", sep)),
         ("cycle inf", lambda ls: set_field(ls, first + 1, 1, "inf", sep)),
         ("cycle -inf", lambda ls: set_field(ls, first + 1, 1, "-inf", sep)),
         ("blank line", lambda ls: insert(ls, first + 2, "")),
@@ -269,7 +274,8 @@ def edit_cases(sep, first):
 CMAPSS_EXPECTED = {
     "unit 1.0": "fast", "unit +1": "fast", "unit 1_0": "fallback",
     "unit 0x10": "error", "unit #": "error", "unit 1e400": "error",
-    "unit nan": "error", "cycle inf": "error", "cycle -inf": "error",
+    "unit nan": "error", "unit 2**53 + 1": "error", "unit 1e300": "error",
+    "cycle inf": "error", "cycle -inf": "error",
     "blank line": "fast", "whitespace-only line": "fast",
     "units out of order": "fallback", "cycles shuffled": "fallback",
     "duplicate cycle": "error", "cycle gap": "error", "cycles start at 0": "error",
@@ -279,13 +285,12 @@ CMAPSS_EXPECTED = {
     "form feed before a separator": "fast", "U+2028 before a separator": "fast",
     "no data rows": "error",
 }
-# whether read_curves_csv reads each case: "ok" or "error"
+# whether read_curves_csv reads each case, as the CMAPSS line parser does:
+# "ok" or "error"
 CURVE_EXPECTED = {
     name: "error" if decided == "error" else "ok"
     for name, decided in CMAPSS_EXPECTED.items()
 }
-CURVE_EXPECTED.update({"unit 1.0": "error", "whitespace-only line": "error",
-                       "no data rows": "ok"})
 
 
 @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["LF", "CRLF"])
@@ -323,11 +328,11 @@ def test_curve_header_checked_by_line_parser(tmp_path, text):
      CURVE_CSV_HEADER.encode() + b"\n1,1,0.1,0.1,0.9\n\xff\n"],
     ids=["header", "body"],
 )
-def test_undecodable_curve_file_is_a_validation_error(tmp_path, text):
+def test_undecodable_curve_file_is_a_data_format_error(tmp_path, text):
     path = tmp_path / "train_curves.csv"
     path.write_bytes(text)
     assert curve_outcome(path) == "error"
-    with pytest.raises(ValidationError, match=f"{path}: not a text file"):
+    with pytest.raises(DataFormatError, match=f"{path}: not a text file"):
         read_curves_csv(path)
 
 
@@ -358,6 +363,41 @@ def test_bulk_paths_read_a_valid_fleet_and_library(tmp_path, monkeypatch):
     assert trajectory_bits(load_cmapss(tmp_path / "train.txt")) == trajectory_bits(train)
     assert trajectory_bits(load_cmapss(tmp_path / "test.txt")) == trajectory_bits(test)
     assert curve_bits(read_curves_csv(tmp_path / "train_curves.csv")) == curve_bits(curves)
+
+
+def test_both_tables_share_one_parser_and_one_writer(tmp_path, monkeypatch):
+    # CMAPSS files and curve CSVs are one kind of table: a second line
+    # parser or writer for either would not go through these two functions
+    calls = []
+
+    def recording(name, func):
+        def shim(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+        return shim
+
+    for name in ("read_unit_rows", "write_unit_rows"):
+        func = getattr(dataset, name)
+        assert getattr(persist, name) is func
+        for module in (dataset, persist):
+            monkeypatch.setattr(module, name, recording(name, func))
+    train, _, _, _ = generate_synthetic(
+        SynthConfig(n_units=3, min_cycles=5, max_cycles=8, seed=3)
+    )
+    curves = [
+        HiCurve(unit_id=u, sigma=t[:, -1], raw_dist=t[:, -2], scaled_dist=t[:, -3])
+        for u, t in zip(train.unit_ids, train)
+    ]
+
+    save_cmapss(train, tmp_path / "train.txt")
+    write_curves_csv(curves, tmp_path / "train_curves.csv")
+    assert calls == ["write_unit_rows"] * 2
+    # rows out of (unit, cycle) order leave the bulk path to the line parser
+    lines = (tmp_path / "train.txt").read_text().splitlines(keepends=True)
+    (tmp_path / "shuffled.txt").write_text("".join(lines[::-1]))
+    assert trajectory_bits(load_cmapss(tmp_path / "shuffled.txt")) == trajectory_bits(train)
+    assert curve_bits(read_curves_csv(tmp_path / "train_curves.csv")) == curve_bits(curves)
+    assert calls == ["write_unit_rows"] * 2 + ["read_unit_rows"] * 2
 
 
 def test_benchmark_inputs_take_the_bulk_path(tmp_path):
