@@ -73,7 +73,7 @@ def _report_degraded(unit_ids, estimates) -> None:
         ("no valid match, empty row",
          [u for u, est in zip(unit_ids, estimates) if est is None]),
         ("every similarity underflowed, unweighted mean RUL",
-         [est.unit_id for est in estimates
+         [u for u, est in zip(unit_ids, estimates)
           if est is not None and est.similarity_underflow]),
     ):
         if units:
@@ -106,10 +106,8 @@ def cmd_infer(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     persist.write_curves_csv(curves, out / "hi_curves.csv")
-    persist.write_estimates_csv(
-        estimates, truths, out / "rul_estimates.csv", unit_ids=tset.unit_ids
-    )
-    _report_degraded(tset.unit_ids, estimates)
+    persist.write_estimates_csv(estimates, truths, out / "rul_estimates.csv", curves.unit_ids)
+    _report_degraded(curves.unit_ids, estimates)
     print(f"inferred {len(curves)} units -> {args.out}")
     return EXIT_OK
 
@@ -125,8 +123,10 @@ def cmd_benchmark(args) -> int:
     (out / "report.txt").write_text(report.to_text() + "\n")
     persist.write_curves_csv(train_curves, out / "hi_curves_train.csv")
     persist.write_curves_csv(test_curves, out / "hi_curves.csv")
-    persist.write_estimates_csv(report.estimates, report.truths, out / "rul_estimates.csv")
-    _report_degraded([est.unit_id for est in report.estimates], report.estimates)
+    persist.write_estimates_csv(
+        report.estimates, report.truths, out / "rul_estimates.csv", test_curves.unit_ids
+    )
+    _report_degraded(test_curves.unit_ids, report.estimates)
     print(report.to_text())
     return EXIT_OK
 

@@ -26,7 +26,7 @@ N_COLUMNS = 2 + N_SETTINGS + N_SENSORS
 
 ID_LIMIT = 2.0**53  # bound on |unit| and |cycle|: float64 holds every integer below it
 
-# rows per block of the parse's finiteness check
+# rows per block of the parse's row checks
 PARSE_BLOCK = 1024
 
 # features with sample std below this, relative to max(1, |mean|), are
@@ -36,11 +36,11 @@ CONSTANT_STD = 1e-12
 
 
 class TrajectorySet:
-    """A fleet of units with distinct ids, held as one read-only (rows, D)
-    float64 matrix in unit order: `matrix[bounds[i]:bounds[i + 1]]` are the
-    rows of unit `unit_ids[i]`, the N_SETTINGS settings columns first, then
-    the sensor readings. Row j of a unit is cycle j+1. Iterating yields each
-    unit's rows as read-only views of the matrix.
+    """A unit table of distinct unit ids: one read-only (rows, D) float64
+    matrix in unit order, `matrix[bounds[i]:bounds[i + 1]]` the rows of unit
+    `unit_ids[i]`, row j of a unit its cycle j+1. Iterating yields each
+    unit's rows as read-only views. A fleet's columns are the N_SETTINGS
+    settings, then the sensors; those of its curves `health.CURVE_COLUMNS`.
 
     A float64 matrix is taken over without a copy, in any memory order: the
     bulk parse hands over a strided view of the table numpy parsed."""
@@ -51,11 +51,8 @@ class TrajectorySet:
         if len(set(unit_ids)) != len(unit_ids):
             raise ValidationError("duplicate unit ids in trajectory set")
         self.matrix = np.asarray(matrix, dtype=float)
-        if self.matrix.ndim != 2 or self.matrix.shape[1] <= N_SETTINGS:
-            raise ValidationError(
-                f"features must be a 2-d array with {N_SETTINGS} settings "
-                "columns and at least one sensor column"
-            )
+        if self.matrix.ndim != 2:
+            raise ValidationError("features must be a 2-d array")
         for unit, a, b in zip(unit_ids, bounds, bounds[1:]):
             if b <= a:
                 raise ValidationError(f"unit {unit}: empty trajectory")
@@ -81,11 +78,12 @@ def load_cmapss(path: str | Path) -> TrajectorySet:
     """Parse a 26-column CMAPSS-format text file into a TrajectorySet.
 
     Raises DataFormatError with the offending line number on malformed rows,
-    non-finite values (nan, inf) and ids of magnitude ID_LIMIT or more
-    (float64 would change them), ValidationError when a unit's cycle
-    indices are not 1, 2, 3, ... Lines are checked in file order and cycles
-    once the file is read, so a file with several faults reports its first
-    malformed or non-finite line, even before a cycle gap in an earlier unit.
+    non-finite values (nan, inf), ids that are not whole numbers or of
+    magnitude ID_LIMIT or more (float64 would change them), ValidationError
+    when a unit's cycle indices are not 1, 2, 3, ... Lines are checked in
+    file order and cycles once the file is read, so a file with several
+    faults reports its first malformed or non-finite line, even before a
+    cycle gap in an earlier unit.
 
     The file is parsed with one numpy call, and the set's matrix is a view
     of the table it returns. When that parse or a check on its result fails,
@@ -109,21 +107,22 @@ def _parse_cmapss_bulk(path: Path) -> TrajectorySet | None:
     in any other row order goes to the line parser, which sorts it."""
     with open(path) as fh:
         table = read_table(fh)
-    if table is None or table.shape[1] != N_COLUMNS or not _all_finite(table):
+    if table is None or table.shape[1] != N_COLUMNS or not _valid_rows(table):
         return None
-    ids = table[:, :2]
-    if not (np.abs(ids) < ID_LIMIT).all():
-        return None
-    ids = ids.astype(np.int64)  # truncates toward zero, as int() does
+    ids = table[:, :2].astype(np.int64)  # exact: whole numbers below 2**53
     runs = _cycle_runs(ids[:, 0], ids[:, 1])
     return None if runs is None else TrajectorySet(table[:, 2:], *runs)
 
 
-def _all_finite(rows: np.ndarray) -> bool:
-    """No nan or inf in rows, checked PARSE_BLOCK rows at a time."""
-    return all(
-        np.isfinite(rows[a : a + PARSE_BLOCK]).all() for a in range(0, len(rows), PARSE_BLOCK)
-    )
+def _valid_rows(rows: np.ndarray) -> bool:
+    """No nan or inf in rows, and unit and cycle ids that are whole numbers of
+    magnitude below ID_LIMIT, checked PARSE_BLOCK rows at a time."""
+    for a in range(0, len(rows), PARSE_BLOCK):
+        block = rows[a : a + PARSE_BLOCK]
+        ids = block[:, :2]
+        if not (np.isfinite(block).all() and (abs(ids) < ID_LIMIT).all() and (ids % 1 == 0).all()):
+            return False
+    return True
 
 
 def _parse_cmapss_lines(path: Path) -> TrajectorySet:
@@ -137,8 +136,8 @@ def read_unit_rows(path: Path, lines, n_fields: int, sep=None, start=1) -> tuple
     """(ascending unit ids, one (L, n_fields - 2) array per unit in cycle
     order) of `unit cycle value ...` lines split by sep, numbered from start;
     whitespace-only lines are skipped. DataFormatError names path and line of
-    a malformed row, a non-finite value or an id of magnitude ID_LIMIT or
-    more; ValidationError names a unit whose cycles are not 1, 2, ..., L."""
+    a malformed row, a non-finite value or an id not whole or of magnitude
+    ID_LIMIT or more; ValidationError names a unit whose cycles are not 1..L."""
     rows_by_unit: dict[int, list[tuple[int, np.ndarray]]] = {}
     for lineno, line in enumerate(lines, start=start):
         if not line.strip():
@@ -158,6 +157,8 @@ def read_unit_rows(path: Path, lines, n_fields: int, sep=None, start=1) -> tuple
             raise DataFormatError(f"{path}:{lineno}: non-finite value (nan or inf)")
         if max(abs(unit), abs(cycle)) >= ID_LIMIT:
             raise DataFormatError(f"{path}:{lineno}: unit or cycle of magnitude 2**53 or more")
+        if unit != values[0] or cycle != values[1]:
+            raise DataFormatError(f"{path}:{lineno}: unit and cycle must be whole numbers")
         rows_by_unit.setdefault(unit, []).append((cycle, values[2:]))
 
     if not rows_by_unit:
@@ -213,20 +214,18 @@ def _cycle_runs(units: np.ndarray, cycles: np.ndarray) -> tuple[list[int], list[
 def save_cmapss(tset: TrajectorySet, path: str | Path) -> None:
     """Write a TrajectorySet back to 26-column text; values round-trip exactly."""
     with open(path, "w") as fh:
-        write_unit_rows(fh, tset.unit_ids, (rows.T for rows in tset), " ")
+        write_unit_rows(fh, tset, " ")
 
 
-def write_unit_rows(fh, unit_ids, columns, sep: str) -> None:
+def write_unit_rows(fh, tset: TrajectorySet, sep: str) -> None:
     """Write each unit's rows `unit cycle value ...`, cycles 1..L, joined by
-    sep, from its L-long value columns. Each column is one map of
+    sep, from the views of its columns. Each column is one map of
     float.__repr__ and str.join joins the rows: no Python code runs per row."""
-    cycles: list[str] = []
-    for unit, unit_columns in zip(unit_ids, columns):
-        if len(cycles) < len(unit_columns[0]):
-            cycles = list(map(str, range(1, len(unit_columns[0]) + 1)))
-        values = [map(float.__repr__, a.tolist()) for a in unit_columns]
-        rows = zip(repeat(str(unit)), cycles, *values)  # ends with the columns
-        fh.write("\n".join(map(sep.join, rows)) + "\n")
+    cycles = list(map(str, range(1, max(np.diff(tset.bounds)) + 1)))
+    for unit, rows in zip(tset.unit_ids, tset):
+        values = [map(float.__repr__, a.tolist()) for a in rows.T]
+        lines = zip(repeat(str(unit)), cycles, *values)  # ends with the columns
+        fh.write("\n".join(map(sep.join, lines)) + "\n")
 
 
 def load_rul_targets(path: str | Path, n_units: int) -> list[int]:

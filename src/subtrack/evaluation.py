@@ -19,7 +19,7 @@ from . import dataset, health, multiscale, rul, subspace
 from .config import RunConfig
 from .dataset import N_SETTINGS, Normalizer, TrajectorySet
 from .errors import NoMatchError, NumericalError, PrognosticsError, ValidationError
-from .health import DistanceScaler, HiCurve
+from .health import CURVE_COLUMNS, RAW_DIST, SCALED_DIST, SIGMA, DistanceScaler
 from .multiscale import ROW_BLOCK, MultiModel
 from .rul import RulEstimate
 
@@ -72,18 +72,9 @@ class TrainedPipeline:
     library: rul.Library  # the training curves' sigma, prepared at fit time
 
 
-def _split(values: np.ndarray, bounds: list[int]) -> list[np.ndarray]:
-    return [values[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
 def _tracked(rows: np.ndarray, cfg: RunConfig) -> np.ndarray:
     """The columns of normalized rows that the subspace models track."""
     return rows if cfg.track_settings else rows[:, N_SETTINGS:]
-
-
-def _smoothed(values: np.ndarray, bounds, smoothing: float) -> np.ndarray:
-    """values smoothed within each unit: the one smoothing of every curve."""
-    return np.concatenate(health.smooth_each(_split(values, bounds), smoothing))
 
 
 def _normalized_blocks(norm: Normalizer, tset, labels, cfg):
@@ -101,14 +92,14 @@ def _normalized_blocks(norm: Normalizer, tset, labels, cfg):
         yield blk, _tracked(x, cfg)
 
 
-def _analyze_fleet(model: MultiModel, blocks, n_rows: int, weights=None) -> tuple:
-    """Per row of the fleet: (raw distance, model label, and with regressor
-    weights the health index they predict from the row, else None). A
-    distance that overflows (a huge delta or row value) raises
-    NumericalError. Each block is normalized as it is drawn, inside the
-    errstate of that check."""
-    raw, reg = np.empty(n_rows), np.empty(n_rows, dtype=np.intp)
-    hi = None if weights is None else np.empty(n_rows)
+def _analyze_fleet(model: MultiModel, blocks, tset, cfg: RunConfig, weights=None) -> tuple:
+    """(the fleet's curve table: each row's raw distance, that distance
+    smoothed within its unit in the scaled column and, given regressor
+    weights, the health index they predict in the sigma column; the rows'
+    model labels). A distance that overflows (a huge delta or row value)
+    raises NumericalError. Each block is normalized as it is drawn."""
+    curves = np.empty((len(CURVE_COLUMNS), len(tset.matrix))).T  # contiguous columns, for matching
+    raw, hi, reg = curves[:, RAW_DIST], curves[:, SIGMA], np.empty(len(curves), dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         for blk, x in blocks:
             reg[blk], raw[blk] = multiscale.assign_rows(model, x)
@@ -116,28 +107,36 @@ def _analyze_fleet(model: MultiModel, blocks, n_rows: int, weights=None) -> tupl
                 raise NumericalError("non-finite subspace distance (overflow)")
             if weights is not None:
                 hi[blk] = health.predict_hi(weights, x, reg[blk])
-    return raw, reg, hi
+    health.smooth_units(raw, tset.bounds, cfg.smoothing, out=curves[:, SCALED_DIST])
+    return curves, reg
 
 
-def _fleet_curves(tset, cfg: RunConfig, scaler, raw, smoothed, hi) -> list[HiCurve]:
-    """One curve per unit, with the health index of train, infer and matching:
-    in sst mode (hi None) that of the smoothed, scaled distance; in sst-lr
-    mode the regressed index hi, smoothed within its unit."""
-    bounds = tset.bounds
-    scaled = health.scale(scaler, smoothed)
-    sigma = health.to_health_index(scaled) if hi is None else _smoothed(hi, bounds, cfg.smoothing)
-    series = (_split(x, bounds) for x in (sigma, raw, scaled))
-    return [HiCurve(u, *s) for u, *s in zip(tset.unit_ids, *series)]
+def _fleet_curves(tset, cfg: RunConfig, scaler, curves) -> TrajectorySet:
+    """The fleet's curves, the smoothed distance scaled in place, with the
+    health index of train, infer and matching: in sst mode that of the scaled
+    distance; in sst-lr mode the regressed index in the sigma column, smoothed."""
+    curves[:, SCALED_DIST] = health.scale(scaler, curves[:, SCALED_DIST])
+    sigma = curves[:, SIGMA]
+    if cfg.mode == "sst-lr":
+        health.smooth_units(sigma, tset.bounds, cfg.smoothing, out=sigma)
+    else:
+        sigma[:] = health.to_health_index(curves[:, SCALED_DIST])
+    return TrajectorySet(curves, tset.unit_ids, tset.bounds)
 
 
 def train_pipeline(
     train_set: TrajectorySet, cfg: RunConfig
-) -> tuple[TrainedPipeline, list[HiCurve]]:
+) -> tuple[TrainedPipeline, TrajectorySet]:
     """Fit the training stage: regimes, normalizer, one batch-PCA subspace
     per regime (no epochs), scaler and (in sst-lr mode) the health-index
     regressor. Returns the pipeline and the training curves its library holds.
     The set's matrix is only read."""
     rows, bounds = train_set.matrix, train_set.bounds
+    if rows.shape[1] <= N_SETTINGS:
+        raise ValidationError(
+            f"features must be a 2-d array with {N_SETTINGS} settings "
+            "columns and at least one sensor column"
+        )
     centroids, labels = multiscale.cluster_regimes(
         rows[:, :N_SETTINGS], cfg.n_regimes, cfg.seed
     )
@@ -162,19 +161,18 @@ def train_pipeline(
     def blocks():
         return _normalized_blocks(norm, train_set, labels, cfg)
 
-    raw, reg, _ = _analyze_fleet(model, blocks(), len(rows))
-    smoothed = _smoothed(raw, bounds, cfg.smoothing)
-    scaler = health.fit_scaler(_split(raw, bounds), _split(smoothed, bounds), cfg.healthy_cycles)
-    regressor = hi = None
+    curves, reg = _analyze_fleet(model, blocks(), train_set, cfg)
+    smoothed = curves[:, SCALED_DIST]
+    scaler = health.fit_scaler(curves[:, RAW_DIST], smoothed, bounds, cfg.healthy_cycles)
+    regressor = None
     if cfg.mode == "sst-lr":
         target = health.to_health_index(health.scale(scaler, smoothed))
         regressor = health.fit_hi_regression(
             ((x, target[blk], reg[blk]) for blk, x in blocks()), cfg.n_regimes
         )
-        hi = np.empty(len(rows))
         for blk, x in blocks():
-            hi[blk] = health.predict_hi(regressor, x, reg[blk])
-    curves = _fleet_curves(train_set, cfg, scaler, raw, smoothed, hi)
+            curves[blk, SIGMA] = health.predict_hi(regressor, x, reg[blk])
+    curve_set = _fleet_curves(train_set, cfg, scaler, curves)
 
     pipe = TrainedPipeline(
         config=cfg,
@@ -182,12 +180,12 @@ def train_pipeline(
         model=model,
         scaler=scaler,
         regressor=regressor,
-        library=rul.prepare_library(curves),
+        library=rul.prepare_library(curve_set),
     )
-    return pipe, curves
+    return pipe, curve_set
 
 
-def infer_curves(pipe: TrainedPipeline, tset: TrajectorySet) -> list[HiCurve]:
+def infer_curves(pipe: TrainedPipeline, tset: TrajectorySet) -> TrajectorySet:
     """Health-index curves for a fleet under the trained pipeline, through
     the same row analysis and health index as training."""
     cfg = pipe.config
@@ -196,25 +194,24 @@ def infer_curves(pipe: TrainedPipeline, tset: TrajectorySet) -> list[HiCurve]:
     labels = multiscale.nearest_centroid(pipe.model.centroids, tset.matrix[:, :N_SETTINGS])
     blocks = _normalized_blocks(pipe.normalizer, tset, labels, cfg)
     weights = pipe.regressor if cfg.mode == "sst-lr" else None
-    raw, _, hi = _analyze_fleet(pipe.model, blocks, len(tset.matrix), weights)
-    smoothed = _smoothed(raw, tset.bounds, cfg.smoothing)
-    return _fleet_curves(tset, cfg, pipe.scaler, raw, smoothed, hi)
+    curves, _ = _analyze_fleet(pipe.model, blocks, tset, cfg, weights)
+    return _fleet_curves(tset, cfg, pipe.scaler, curves)
 
 
 def estimate_fleet(
     pipe: TrainedPipeline,
-    test_curves: list[HiCurve],
+    test_curves: TrajectorySet,
     skip_unmatched: bool = False,
 ) -> list[RulEstimate | None]:
-    """Match each test curve, as given, against the pipeline's library.
+    """Match each unit's sigma, as given, against the pipeline's library.
 
     With skip_unmatched, a curve with no valid (unit, lag) candidate yields
     None instead of raising; benchmark runs keep the hard failure.
     """
     estimates = []
-    for curve in test_curves:
+    for unit, curve in zip(test_curves.unit_ids, test_curves):
         try:
-            estimates.append(rul.estimate_rul(curve, pipe.library, pipe.config))
+            estimates.append(rul.estimate_rul(unit, curve[:, SIGMA], pipe.library, pipe.config))
         except NoMatchError:
             if not skip_unmatched:
                 raise
@@ -313,7 +310,7 @@ def run_pipeline(
     test_set: TrajectorySet,
     truths: list[int],
     cfg: RunConfig,
-) -> tuple[RulReport, TrainedPipeline, list[HiCurve], list[HiCurve]]:
+) -> tuple[RulReport, TrainedPipeline, TrajectorySet, TrajectorySet]:
     """Full in-memory benchmark: train, infer, match, evaluate. Returns the
     report, the pipeline, and the training and test curves."""
     start = time.perf_counter()
@@ -330,7 +327,7 @@ def run_pipeline(
 
 def run_benchmark(
     train_path, test_path, rul_path, cfg: RunConfig
-) -> tuple[RulReport, TrainedPipeline, list[HiCurve], list[HiCurve]]:
+) -> tuple[RulReport, TrainedPipeline, TrajectorySet, TrajectorySet]:
     """File-based benchmark entry point for CMAPSS-format datasets."""
     with stage("load"):
         train_set = dataset.load_cmapss(train_path)

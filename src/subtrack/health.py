@@ -5,10 +5,11 @@ healthy/failure reference levels, and mapped to a health index
 
     sigma = 1 - sqrt(scaled_distance),
 
-so 1 means perfect health and 0 failure. A least-squares refinement (the
-"-LR" variant) maps the normalized, tracked row, all D columns, to
-health-index values, one affine fit per model label: a linear regression of
-the sensor readings, as in Wang et al. (PHM 2008).
+so 1 means perfect health and 0 failure. A fleet's curves are one unit table,
+a `dataset.TrajectorySet` of the CURVE_COLUMNS in the curve CSV's order. A
+least-squares refinement (the "-LR" variant) maps the normalized, tracked
+row, all D columns, to health-index values, one affine fit per model label:
+a linear regression of the sensor readings, as in Wang et al. (PHM 2008).
 
 Every row carries two labels. Its regime label, from the settings
 clustering, picks its normalizer table and the healthy-window fit. Its
@@ -27,22 +28,8 @@ from .errors import NumericalError, ValidationError
 
 RIDGE_JITTER = 1e-10
 
-
-@dataclass(frozen=True)
-class HiCurve:
-    """Per-unit health-index series with the distances it was derived from."""
-
-    unit_id: int
-    sigma: np.ndarray
-    raw_dist: np.ndarray
-    scaled_dist: np.ndarray
-
-    def __post_init__(self):
-        if not len(self.sigma) == len(self.raw_dist) == len(self.scaled_dist):
-            raise ValidationError("curve series must share length")
-
-    def __len__(self) -> int:
-        return len(self.sigma)
+CURVE_COLUMNS = ("raw_dist", "scaled_dist", "sigma")
+RAW_DIST, SCALED_DIST, SIGMA = range(len(CURVE_COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -77,12 +64,21 @@ def smooth(series: np.ndarray, factor: float) -> np.ndarray:
     return out
 
 
-def smooth_each(series: list[np.ndarray], factor: float) -> list[np.ndarray]:
-    """`smooth` applied to each 1-d series, in one call on their zero-padded stack."""
-    padded = np.zeros((len(series), max((len(s) for s in series), default=0)))
-    for row, s in zip(padded, series):
-        row[: len(s)] = s
-    return [row[: len(s)] for row, s in zip(smooth(padded, factor), series)]
+def pad_units(values: np.ndarray, bounds: list[int]) -> np.ndarray:
+    """The zero-padded (units, longest unit) stack of a series over a fleet's
+    rows: row i holds values[bounds[i]:bounds[i + 1]]."""
+    padded = np.zeros((len(bounds) - 1, max(np.diff(bounds), default=0)))
+    for row, a, b in zip(padded, bounds, bounds[1:]):
+        row[: b - a] = values[a:b]
+    return padded
+
+
+def smooth_units(values: np.ndarray, bounds: list[int], factor: float, out=None) -> np.ndarray:
+    """A series over a fleet's rows, smoothed within each unit by one `smooth`
+    call on its `pad_units` stack, into out when given (out may be values)."""
+    padded = pad_units(values, bounds)
+    inside = np.arange(padded.shape[1]) < np.diff(bounds)[:, None]  # each unit's cycles
+    return np.compress(inside.ravel(), smooth(padded, factor), out=out)
 
 
 def _median(values: list[float]) -> float:
@@ -95,19 +91,20 @@ def _median(values: list[float]) -> float:
 
 
 def fit_scaler(
-    train_raw: list[np.ndarray], smoothed: list[np.ndarray], healthy_cycles: int
+    raw: np.ndarray, smoothed: np.ndarray, bounds: list[int], healthy_cycles: int
 ) -> DistanceScaler:
-    """Fleet-level reference distances from run-to-failure raw series and
-    the same series smoothed.
+    """Fleet-level reference distances from the raw distances of a
+    run-to-failure fleet's rows and the same distances smoothed within each
+    unit; unit i holds rows bounds[i]:bounds[i + 1].
 
     Floor: median over units of the mean raw distance in the healthy window.
     Ceiling: median over units of the smoothed distance at the final cycle.
     """
-    if not train_raw:
+    if len(bounds) < 2:
         raise ValidationError("no training series")
     with np.errstate(over="ignore"):  # a sum of huge distances; raises below
-        floors = [float(np.mean(s[:healthy_cycles])) for s in train_raw]
-    ceilings = [float(s[-1]) for s in smoothed]
+        floors = [float(np.mean(raw[a:b][:healthy_cycles])) for a, b in zip(bounds, bounds[1:])]
+    ceilings = [float(smoothed[b - 1]) for b in bounds[1:]]
     floor, ceiling = _median(floors), _median(ceilings)
     if not np.isfinite(floor):
         raise NumericalError("healthy-level distance overflows")

@@ -9,12 +9,12 @@ only module that reads or writes a model directory.
 Its `model.json` holds the K-model document, also for a single-regime (K=1)
 fleet, and carries the directory's format version, MODEL_FORMAT_VERSION.
 Matching reads the stored library and never opens `train_curves.csv`, which
-stays as the human-readable export. Curve CSVs are unit tables like the
-CMAPSS files, written and parsed by dataset.write_unit_rows and
-read_unit_rows; read_curves_csv, which no command calls, reads one back.
-save_pipeline writes that export and `error_trace.csv` from the training
-curves it is given, apart from the pipeline, so load_pipeline returns the
-saved pipeline field for field.
+stays as the human-readable export. Curves are unit tables like the CMAPSS
+fleets, a TrajectorySet in memory, written and parsed by
+dataset.write_unit_rows and read_unit_rows; read_curves_csv, which no
+command calls, reads one back. save_pipeline writes that export and
+`error_trace.csv` from the training curve table it is given, apart from the
+pipeline, so load_pipeline returns the saved pipeline field for field.
 A directory of any other version is refused; one of version 1 (library only
 in `train_curves.csv`), 2 (library smoothed twice, in sst-lr mode of the
 distance index) or 3 (an sst-lr regressor of the d subspace projections,
@@ -29,10 +29,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .dataset import N_SETTINGS, Normalizer, decoding, read_unit_rows, write_unit_rows
+from .dataset import (
+    N_SETTINGS, Normalizer, TrajectorySet, decoding, read_unit_rows, write_unit_rows,
+)
 from .errors import NumericalError, ValidationError
 from .evaluation import TrainedPipeline
-from .health import DistanceScaler, HiCurve
+from .health import CURVE_COLUMNS, RAW_DIST, DistanceScaler
 from .multiscale import MultiModel
 from .rul import Library
 from .subspace import SubspaceModel
@@ -44,7 +46,7 @@ LIBRARY_FILES = {
     "unit_ids": ("library_unit_ids.npy", np.dtype("<i8"), 1),
     "lengths": ("library_lengths.npy", np.dtype("<i8"), 1),
 }
-CURVE_CSV_HEADER = "unit_id,cycle,raw_dist,scaled_dist,sigma"
+CURVE_CSV_HEADER = ",".join(("unit_id", "cycle", *CURVE_COLUMNS))
 ESTIMATE_CSV_HEADER = (
     "unit_id,estimated_rul,true_rul,error,n_candidates,sum_similarity"
 )
@@ -143,52 +145,46 @@ def regressor_from_dict(doc: dict) -> np.ndarray:
     return np.array(doc["weights"], dtype=float)
 
 
-def write_curves_csv(curves: list[HiCurve], path: str | Path) -> None:
-    """The header, then each curve's rows; values round-trip exactly."""
+def write_curves_csv(curves: TrajectorySet, path: str | Path) -> None:
+    """The header, then each unit's rows of the curve table; values round-trip exactly."""
     with open(path, "w") as fh:
         fh.write(CURVE_CSV_HEADER + "\n")
-        columns = ((c.raw_dist, c.scaled_dist, c.sigma) for c in curves)
-        write_unit_rows(fh, [c.unit_id for c in curves], columns, ",")
+        write_unit_rows(fh, curves, ",")
 
 
-def read_curves_csv(path: str | Path) -> list[HiCurve]:
-    """Curves of a `train_curves.csv` export, in unit order. Raises
+def read_curves_csv(path: str | Path) -> TrajectorySet:
+    """The curve table of a `train_curves.csv` export, in unit order. Raises
     ValidationError naming the file when its first line is not the header,
     and what the CMAPSS line parser raises on the rows that follow."""
     with open(path) as fh, decoding(path):
         if fh.readline().rstrip("\n") != CURVE_CSV_HEADER:
             raise ValidationError(f"{path}: not a health-index curve CSV")
-        units, arrays = read_unit_rows(path, fh, 5, ",", start=2)
-    return [
-        HiCurve(unit_id=unit, raw_dist=a[:, 0], scaled_dist=a[:, 1], sigma=a[:, 2])
-        for unit, a in zip(units, arrays)
-    ]
+        return TrajectorySet.stack(*read_unit_rows(path, fh, 5, ",", start=2))
 
 
-def write_estimates_csv(estimates, truths, path: str | Path, unit_ids=None) -> None:
-    """truths may be None when ground truth is unavailable; a None estimate
-    (no valid match for that unit) writes an empty row."""
+def write_estimates_csv(estimates, truths, path: str | Path, unit_ids) -> None:
+    """One row per unit id and estimate; truths may be None when ground truth
+    is unavailable. A None estimate (no valid match) writes an empty row."""
     lines = [ESTIMATE_CSV_HEADER]
-    for i, est in enumerate(estimates):
+    for i, (unit, est) in enumerate(zip(unit_ids, estimates)):
         truth = truths[i] if truths is not None else ""
         if est is None:
-            unit = unit_ids[i] if unit_ids is not None else ""
             lines.append(f"{unit},,{truth},,0,0.0")
             continue
         err = repr(float(est.estimate - truths[i])) if truths is not None else ""
         lines.append(
-            f"{est.unit_id},{float(est.estimate)!r},{truth},{err},"
+            f"{unit},{float(est.estimate)!r},{truth},{err},"
             f"{est.n_candidates},{float(est.sum_similarity)!r}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def save_pipeline(pipe: TrainedPipeline, curves: list[HiCurve], out: str | Path) -> None:
+def save_pipeline(pipe: TrainedPipeline, curves: TrajectorySet, out: str | Path) -> None:
     """Write every artifact of a trained pipeline into the directory out, with
-    its training curves as the `train_curves.csv` and `error_trace.csv`
+    its training curve table as the `train_curves.csv` and `error_trace.csv`
     exports (the trace is one row, the mean raw distance of the healthy
     cycles; one that overflows raises NumericalError before any file is written)."""
-    healthy = np.concatenate([c.raw_dist[: pipe.config.healthy_cycles] for c in curves])
+    healthy = np.concatenate([rows[: pipe.config.healthy_cycles, RAW_DIST] for rows in curves])
     with np.errstate(over="ignore"):  # a sum of huge distances; raises below
         mean_dist = float(np.mean(healthy))
     if not np.isfinite(mean_dist):

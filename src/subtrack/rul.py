@@ -10,11 +10,12 @@ which checks them.
 
 Library and test curves must carry the same health index; matching uses
 each sigma as given and smooths nothing. The library is built once per
-trained model: prepare_library sorts the training curves by unit id,
-zero-pads them into one (n_train, max_len) array P and keeps the prefix
-sums of P**2. A model directory stores P, the unit ids and the lengths, and
-Library.from_padded rebuilds the prefix sums from them. estimate_rul then
-scores one test curve s against every (unit, lag) pair through the identity
+trained model: prepare_library zero-pads the sigma column of the training
+curve table into one (n_train, max_len) array P, its rows in unit id order,
+with `health.pad_units`, and keeps the prefix sums of P**2. A model
+directory stores P, the unit ids and the lengths, and Library.from_padded
+rebuilds the prefix sums from them. estimate_rul then scores one test
+unit's sigma s against every (unit, lag) pair through the identity
 
     d2 = (|s|^2 - 2 s.w + |w|^2) / n,   w = P[unit, tau : tau + n].
 
@@ -47,8 +48,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import RunConfig
+from .dataset import TrajectorySet
 from .errors import NoMatchError, NumericalError
-from .health import HiCurve
+from .health import SIGMA, pad_units
 
 
 @dataclass(frozen=True)
@@ -95,43 +97,33 @@ class Library:
         return cls(unit_ids=unit_ids, lengths=lengths, padded=padded, energy=energy)
 
 
-def prepare_library(curves: list[HiCurve]) -> Library:
-    """The library of curves in any order, their sigma used as given.
-
-    Raises NumericalError as Library.from_padded does.
-    """
-    curves = sorted(curves, key=lambda c: c.unit_id)
-    lengths = np.array([len(c) for c in curves], dtype=np.int64)
-    padded = np.zeros((len(curves), lengths.max(initial=0)))
-    for row, c in zip(padded, curves):
-        row[: len(c)] = c.sigma
-    return Library.from_padded(
-        np.array([c.unit_id for c in curves], dtype=np.int64), lengths, padded
-    )
+def prepare_library(curves: TrajectorySet) -> Library:
+    """The library of a curve table's units in any order, their sigma used
+    as given. Raises NumericalError as Library.from_padded does."""
+    ids, lengths = np.array(curves.unit_ids), np.diff(curves.bounds)
+    padded = pad_units(curves.matrix[:, SIGMA], curves.bounds)
+    order = slice(None) if (ids[1:] > ids[:-1]).all() else np.argsort(ids)  # no copy if sorted
+    return Library.from_padded(ids[order], lengths[order], padded[order])
 
 
 def _candidates(
-    test: HiCurve, library: Library, cfg: RunConfig
+    unit_id: int, sigma: np.ndarray, library: Library, cfg: RunConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Score the test curve against every (library unit, lag) pair.
+    """Score one test unit's sigma against every (library unit, lag) pair.
 
     Returns (valid, ruls, sims): valid is the (n_train, n_lags) full-overlap
     mask over the library's units and the lags tau1, tau1 + 1, ...; ruls and
     sims hold the RUL and similarity of each valid pair in (unit, lag) order.
     Raises as estimate_rul does.
     """
-    sig = np.asarray(test.sigma, dtype=float)
+    sig = np.ascontiguousarray(sigma, dtype=float)  # a strided sig @ sig rounds otherwise
     n = len(sig)
     if not np.isfinite(sig).all():
-        raise NumericalError(
-            f"unit {test.unit_id}: non-finite value in its health-index curve"
-        )
+        raise NumericalError(f"unit {unit_id}: non-finite value in its health-index curve")
     tau1 = cfg.tau1
     tau2 = min(cfg.tau2, library.padded.shape[1] - n)
     if tau2 < tau1:  # also an empty library
-        raise NoMatchError(
-            f"unit {test.unit_id}: no training curve long enough for any lag"
-        )
+        raise NoMatchError(f"unit {unit_id}: no training curve long enough for any lag")
     taus = np.arange(tau1, tau2 + 1)
     n_lags = len(taus)
 
@@ -151,24 +143,22 @@ def _candidates(
     valid = rul_all >= 0
     d2 = d2[valid]
     if not np.isfinite(d2).all():
-        raise NumericalError(
-            f"unit {test.unit_id}: non-finite curve distance (overflow)"
-        )
+        raise NumericalError(f"unit {unit_id}: non-finite curve distance (overflow)")
     ruls = rul_all[valid].astype(float)
     with np.errstate(over="ignore"):  # d2 / -beta at -inf: the similarity underflows to 0
         sims = np.exp(d2 / -cfg.beta)
     return valid, ruls, sims
 
 
-def estimate_rul(test: HiCurve, library: Library, cfg: RunConfig) -> RulEstimate:
-    """Similarity-weighted combination of candidate RULs over all library
-    curves and lags in [tau1, tau2].
+def estimate_rul(unit_id: int, sigma: np.ndarray, library: Library, cfg: RunConfig) -> RulEstimate:
+    """Similarity-weighted combination of candidate RULs of one test unit's
+    sigma over all library curves and lags in [tau1, tau2].
 
     Raises NoMatchError when no pair has full overlap and NumericalError when
     the test curve is not finite, or a distance overflows, which would
     otherwise pass for similarity underflow.
     """
-    _, ruls, sims = _candidates(test, library, cfg)
+    _, ruls, sims = _candidates(unit_id, sigma, library, cfg)
     sum_s = float(sims.sum())
     if sum_s > 0.0:
         estimate = float((sims * ruls).sum()) / sum_s
@@ -179,7 +169,7 @@ def estimate_rul(test: HiCurve, library: Library, cfg: RunConfig) -> RulEstimate
         underflow = True
 
     return RulEstimate(
-        unit_id=test.unit_id,
+        unit_id=unit_id,
         estimate=estimate,
         sum_similarity=sum_s,
         n_candidates=len(ruls),

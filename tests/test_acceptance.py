@@ -16,13 +16,13 @@ from subtrack.cli import EXIT_OK, main
 from subtrack.config import RunConfig
 from subtrack.dataset import SynthConfig, generate_synthetic
 from subtrack.evaluation import rmse, run_benchmark, run_pipeline, score
-from subtrack.health import HiCurve
+from subtrack.health import SIGMA
 from subtrack.multiscale import track
-from subtrack.rul import _candidates, estimate_rul, prepare_library
+from subtrack.rul import _candidates, estimate_rul
 from subtrack.subspace import init_subspace, mahalanobis_rows
 
 from test_multiscale import subspace_angle
-from test_rul import curve, oracle_estimate
+from test_rul import curve, library_of, oracle_estimate
 from test_subspace import explicit_complement_distance, random_model, solo
 
 
@@ -123,7 +123,7 @@ def test_criterion_4_degradation_monotonicity():
     bad = 0
     for traj, hi in zip(train, curves):
         onset = int(synth.drift_onset_fraction * len(traj))
-        sigma = hi.sigma[onset:]  # already the smoothed index
+        sigma = hi[onset:, SIGMA]  # already the smoothed index
         rho, _ = spearmanr(np.arange(len(sigma)), sigma)
         if not rho <= -0.9:
             bad += 1
@@ -189,11 +189,11 @@ def test_criterion_7_curve_matching_oracle():
             (u, rng.uniform(0, 1, int(rng.integers(40, 90))))
             for u in range(1, int(rng.integers(3, 8)))
         ]
-        lib = prepare_library([curve(u, s) for u, s in library])
-        est = estimate_rul(curve(0, test_sigma), lib, cfg)
+        lib = library_of(library)
+        est = estimate_rul(*curve(0, test_sigma), lib, cfg)
         expected = oracle_estimate(test_sigma, library, cfg)
         worst = max(worst, abs(est.estimate - expected))
-        _, ruls, _ = _candidates(curve(0, test_sigma), lib, cfg)
+        _, ruls, _ = _candidates(*curve(0, test_sigma), lib, cfg)
         if not ruls.min() <= est.estimate <= ruls.max():
             convexity_violations += 1
     report(

@@ -989,9 +989,9 @@ class TestBenchmark:
         matched = []
         estimate_rul = rul.estimate_rul
 
-        def counting(test, library, cfg):
-            matched.append(test.unit_id)
-            return estimate_rul(test, library, cfg)
+        def counting(unit_id, sigma, library, cfg):
+            matched.append(unit_id)
+            return estimate_rul(unit_id, sigma, library, cfg)
 
         monkeypatch.setattr(rul, "estimate_rul", counting)
         assert self.run_bench(synth_dir, tmp_path) == EXIT_OK

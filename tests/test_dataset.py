@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subtrack import dataset
+from subtrack.config import RunConfig
 from subtrack.dataset import (
     N_SENSORS,
     N_SETTINGS,
@@ -17,6 +18,7 @@ from subtrack.dataset import (
     save_cmapss,
 )
 from subtrack.errors import DataFormatError, ValidationError
+from subtrack.evaluation import train_pipeline
 from subtrack.multiscale import cluster_regimes
 from subtrack.subspace import SubspaceModel, mahalanobis_rows
 
@@ -218,12 +220,15 @@ class TestOneMatrix:
         ids=["empty-set", "duplicate-ids", "empty-unit", "1-d", "3-d", "no-sensors"],
     )
     def test_malformed_set_rejected(self, build, unit_ids, arrays, message):
+        # a set is any 2-d table, curves too; one without a sensor column is
+        # refused where a fleet enters training
         with pytest.raises(ValidationError, match=message):
             if build == "stack":
-                TrajectorySet.stack(unit_ids, arrays)
+                tset = TrajectorySet.stack(unit_ids, arrays)
             else:
                 matrix = np.concatenate(arrays) if arrays else np.empty((0, 24))
-                TrajectorySet(matrix, unit_ids, [0, *np.cumsum([len(a) for a in arrays])])
+                tset = TrajectorySet(matrix, unit_ids, [0, *np.cumsum([len(a) for a in arrays])])
+            train_pipeline(tset, RunConfig())
 
 
 class TestLoadRulTargets:

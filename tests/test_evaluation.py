@@ -25,7 +25,7 @@ from subtrack.evaluation import (
     score,
     train_pipeline,
 )
-from subtrack.health import predict_hi
+from subtrack.health import RAW_DIST, SCALED_DIST, SIGMA, predict_hi
 from subtrack.multiscale import MultiModel, assign_rows, nearest_centroid
 from subtrack.persist import load_pipeline, save_pipeline
 from subtrack.rul import estimate_rul
@@ -116,9 +116,9 @@ class TestPipeline:
         pipe, _ = train_pipeline(train, replace(SMALL_CFG, mode="sst-lr"))
         sst = infer_curves(replace(pipe, config=SMALL_CFG), test)
         for got, want in zip(infer_curves(pipe, test), sst):
-            assert got.raw_dist.tobytes() == want.raw_dist.tobytes()
-            assert got.scaled_dist.tobytes() == want.scaled_dist.tobytes()
-            assert not np.array_equal(got.sigma, want.sigma)
+            assert got[:, RAW_DIST].tobytes() == want[:, RAW_DIST].tobytes()
+            assert got[:, SCALED_DIST].tobytes() == want[:, SCALED_DIST].tobytes()
+            assert not np.array_equal(got[:, SIGMA], want[:, SIGMA])
 
     def test_multiregime_pipeline_runs(self):
         synth = SynthConfig(
@@ -153,13 +153,13 @@ class TestPipeline:
     def test_training_sigma_near_one_in_healthy_window(self):
         train, _, _, _ = generate_synthetic(SMALL_SYNTH)
         _, curves = train_pipeline(train, SMALL_CFG)
-        healthy_sigma = np.concatenate([c.sigma[: SMALL_CFG.healthy_cycles] for c in curves])
+        healthy_sigma = np.concatenate([c[: SMALL_CFG.healthy_cycles, SIGMA] for c in curves])
         assert healthy_sigma.mean() >= 0.9
 
     def test_training_sigma_low_at_failure(self):
         train, _, _, _ = generate_synthetic(SMALL_SYNTH)
         _, curves = train_pipeline(train, SMALL_CFG)
-        finals = np.array([c.sigma[-1] for c in curves])
+        finals = np.array([c[-1, SIGMA] for c in curves])
         assert np.mean(finals <= 0.3) >= 0.9
 
 
@@ -214,10 +214,8 @@ class TestBatchTraining:
         train, _, _, _ = generate_synthetic(synth)
         pipe, curves = train_pipeline(train, RunConfig(n_regimes=n_regimes, tau2=20, seed=6))
         inferred = infer_curves(pipe, train)
-        assert [c.unit_id for c in inferred] == [c.unit_id for c in curves]
-        for got, want in zip(inferred, curves):
-            for name in ("sigma", "raw_dist", "scaled_dist"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert (inferred.unit_ids, inferred.bounds) == (curves.unit_ids, curves.bounds)
+        assert inferred.matrix.tobytes() == curves.matrix.tobytes()
 
     def test_smooths_each_training_series_at_most_once(self, monkeypatch):
         train, _, _, _ = generate_synthetic(SMALL_SYNTH)
@@ -247,21 +245,23 @@ class TestBatchTraining:
 
         with mock.patch.object(health, "predict_hi", recording):
             pipe, curves = train_pipeline(train, cfg)
-        raw = [c.raw_dist for c in curves]
+        raw = [c[:, RAW_DIST] for c in curves]
         smoothed = [health.smooth(r, cfg.smoothing) for r in raw]
-        scaler = health.fit_scaler(raw, smoothed, cfg.healthy_cycles)
+        scaler = health.fit_scaler(
+            np.concatenate(raw), np.concatenate(smoothed), curves.bounds, cfg.healthy_cycles
+        )
         assert pipe.scaler == scaler
         assert len(regressed) == (mode == "sst-lr")
-        ends = np.cumsum([len(c) for c in curves])[:-1]
+        ends = curves.bounds[1:-1]
         indexes = np.split(regressed[0], ends) if regressed else [None] * len(raw)
         for got, s, index in zip(curves, smoothed, indexes):
             scaled = health.scale(scaler, s)
-            assert got.scaled_dist.tobytes() == scaled.tobytes()
+            assert got[:, SCALED_DIST].tobytes() == scaled.tobytes()
             if mode == "sst":
                 want = health.to_health_index(scaled)
             else:
                 want = health.smooth(index, cfg.smoothing)
-            assert got.sigma.tobytes() == want.tobytes()
+            assert got[:, SIGMA].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("mode", ["sst", "sst-lr"])
     @pytest.mark.parametrize("n_regimes", [1, 2])
@@ -279,15 +279,36 @@ class TestBatchTraining:
         library = pipe.library
         rows = {u: i for i, u in enumerate(library.unit_ids.tolist())}
         assert sorted(rows) == sorted(train.unit_ids)
-        for got, want in zip(infer_curves(pipe, train), train_curves):
-            assert got.unit_id == want.unit_id
-            assert got.sigma.tobytes() == want.sigma.tobytes()
-            padded = library.padded[rows[got.unit_id]]
-            assert padded[: len(got)].tobytes() == got.sigma.tobytes()
+        inferred = infer_curves(pipe, train)
+        assert inferred.unit_ids == train_curves.unit_ids
+        for unit, got, want in zip(inferred.unit_ids, inferred, train_curves):
+            assert got[:, SIGMA].tobytes() == want[:, SIGMA].tobytes()
+            padded = library.padded[rows[unit]]
+            assert padded[: len(got)].tobytes() == got[:, SIGMA].tobytes()
             assert not padded[len(got) :].any()
         curves = infer_curves(pipe, test)
         assert estimate_fleet(pipe, curves) == [
-            estimate_rul(c, library, cfg) for c in curves
+            estimate_rul(u, c[:, SIGMA], library, cfg) for u, c in zip(curves.unit_ids, curves)
+        ]
+
+    @pytest.mark.parametrize("mode", ["sst", "sst-lr"])
+    def test_curve_tables_keep_each_column_contiguous(self, mode):
+        # one unit's sigma is then a contiguous slice: its dot products in
+        # matching round as those of a contiguous copy, so estimate_fleet on
+        # the table gives estimate_rul's estimates on a C-contiguous copy of
+        # each unit's sigma, bit for bit
+        train, test, _, _ = generate_synthetic(SMALL_SYNTH)
+        cfg = replace(SMALL_CFG, mode=mode)
+        pipe, train_curves = train_pipeline(train, cfg)
+        curves = infer_curves(pipe, test)
+        for table in (train_curves, curves, run_pipeline(train, test, [1] * len(test), cfg)[3]):
+            assert table.matrix.shape == (table.bounds[-1], len(health.CURVE_COLUMNS))
+            for column in table.matrix.T:
+                assert column.flags.c_contiguous
+            assert not table.matrix.flags.writeable
+        copies = [np.array(c[:, SIGMA], order="C") for c in curves]
+        assert estimate_fleet(pipe, curves) == [
+            estimate_rul(u, s, pipe.library, cfg) for u, s in zip(curves.unit_ids, copies)
         ]
 
 
@@ -368,16 +389,14 @@ def assert_units_scored_alone_alike(pipe, tset):
     a relative 1e-12, and exactly its model labels, candidate count and
     empty row."""
     curves, estimates, labels = scored(pipe, tset)
+    assert curves.unit_ids == tset.unit_ids
     offset = 0
     for unit, traj, curve, est in zip(tset.unit_ids, tset, curves, estimates):
-        [alone], [alone_est], alone_labels = scored(pipe, TrajectorySet.stack([unit], [traj]))
-        assert alone.unit_id == curve.unit_id == unit
+        alone, [alone_est], alone_labels = scored(pipe, TrajectorySet.stack([unit], [traj]))
+        assert alone.unit_ids == [unit]
         np.testing.assert_array_equal(alone_labels, labels[offset : offset + len(traj)])
         offset += len(traj)
-        for name in ("sigma", "raw_dist", "scaled_dist"):
-            np.testing.assert_allclose(
-                getattr(alone, name), getattr(curve, name), rtol=1e-12, atol=0
-            )
+        np.testing.assert_allclose(alone.matrix, curve, rtol=1e-12, atol=0)
         assert (alone_est is None) == (est is None)
         if est is not None:
             assert alone_est.n_candidates == est.n_candidates
@@ -453,12 +472,9 @@ def test_regime_numbering_changes_no_output(mode):
     def outputs():
         pipe, curves = train_pipeline(train, cfg)
         lib = pipe.library
-        return pipe, [
-            np.concatenate([getattr(c, f) for c in curves]).tobytes()
-            for f in ("sigma", "raw_dist", "scaled_dist")
-        ] + [a.tobytes() for a in (lib.unit_ids, lib.lengths, lib.padded, lib.energy)] + [
-            c.sigma.tobytes() for c in infer_curves(pipe, test)
-        ]
+        return pipe, [curves.matrix.tobytes()] + [
+            a.tobytes() for a in (lib.unit_ids, lib.lengths, lib.padded, lib.energy)
+        ] + [infer_curves(pipe, test).matrix[:, SIGMA].tobytes()]
 
     pipe, expected = outputs()
     with mock.patch.object(multiscale, "cluster_regimes", renumbered):

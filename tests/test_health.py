@@ -11,11 +11,13 @@ from subtrack.health import (
     DistanceScaler,
     _median,
     fit_hi_regression,
+    SIGMA,
     fit_scaler,
+    pad_units,
     predict_hi,
     scale,
     smooth,
-    smooth_each,
+    smooth_units,
     to_health_index,
 )
 from subtrack.multiscale import MultiModel, assign_rows
@@ -74,29 +76,30 @@ class TestRegressorInput:
         ))
         cfg = RunConfig(mode="sst-lr", n_regimes=n_regimes, healthy_cycles=20, tau2=20)
         _, curves = train_pipeline(train, cfg)
-        healthy = np.mean([c.sigma[: cfg.healthy_cycles].mean() for c in curves])
-        final = np.mean([c.sigma[-1] for c in curves])
+        healthy = np.mean([c[: cfg.healthy_cycles, SIGMA].mean() for c in curves])
+        final = np.mean([c[-1, SIGMA] for c in curves])
         assert healthy - final >= 0.5
 
 
 class TestScaler:
     def test_fit_on_constructed_fleet(self):
         # every unit: healthy mean 1.0, converging to smoothed final 9.0
-        series = [np.concatenate([np.full(20, 1.0), np.full(200, 9.0)])] * 5
-        scaler = fit_scaler(series, [smooth(s, 0.5) for s in series], healthy_cycles=20)
+        raw = np.tile(np.concatenate([np.full(20, 1.0), np.full(200, 9.0)]), 5)
+        bounds = list(range(0, len(raw) + 1, 220))
+        scaler = fit_scaler(raw, smooth_units(raw, bounds, 0.5), bounds, healthy_cycles=20)
         assert scaler.floor == pytest.approx(1.0)
         assert scaler.ceiling == pytest.approx(9.0)
 
     def test_single_unit_fleet(self):
-        series = [np.concatenate([np.full(10, 2.0), np.full(100, 6.0)])]
-        scaler = fit_scaler(series, series, healthy_cycles=10)
+        series = np.concatenate([np.full(10, 2.0), np.full(100, 6.0)])
+        scaler = fit_scaler(series, series, [0, len(series)], healthy_cycles=10)
         assert scaler.floor == pytest.approx(2.0)
         assert scaler.ceiling == pytest.approx(6.0)
 
     def test_degenerate_fleet(self):
-        series = [np.full(50, 3.0)]
+        series = np.full(50, 3.0)
         with pytest.raises(ValidationError, match="degenerate"):
-            fit_scaler(series, series, healthy_cycles=10)
+            fit_scaler(series, series, [0, 50], healthy_cycles=10)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(), min_size=1, max_size=60)
@@ -179,10 +182,16 @@ def test_smooth_zero_padded_stack_bit_equal_to_reference(curves, factor):
     factor=st.floats(0.01, 1.0),
 )
 def test_smooth_each_bit_equal_to_smoothing_each_alone(curves, factor):
-    got = smooth_each([np.array(c) for c in curves], factor)
-    assert len(got) == len(curves)
-    for row, c in zip(got, curves):
-        assert row.tobytes() == smooth(np.array(c), factor).tobytes()
+    # smooth_units smooths each unit of a fleet-long series as one padded
+    # stack; the one padder, pad_units, also lays out the matching library
+    bounds = [0, *np.cumsum([len(c) for c in curves]).tolist()]
+    values = np.array([v for c in curves for v in c])
+    padded = pad_units(values, bounds)
+    got = smooth_units(values, bounds, factor)
+    assert len(got) == len(values)
+    for row, c, a, b in zip(padded, curves, bounds, bounds[1:]):
+        assert row.tobytes() == np.array(c + [0.0] * (padded.shape[1] - len(c))).tobytes()
+        assert got[a:b].tobytes() == smooth(np.array(c), factor).tobytes()
 
 
 def regime0(n):

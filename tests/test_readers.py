@@ -8,8 +8,8 @@ with bit-equal arrays, and every error comes from it.
 persist.read_curves_csv checks the header, then parses the rows with the
 same line parser, dataset.read_unit_rows: on the cases it shares with the
 CMAPSS reader it accepts exactly the files the CMAPSS line parser accepts.
-One codec: both tables are parsed by read_unit_rows and written by
-dataset.write_unit_rows.
+One form and one codec: both tables are a TrajectorySet, parsed by
+read_unit_rows and written by dataset.write_unit_rows.
 """
 
 import subprocess
@@ -22,10 +22,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from subtrack import dataset, persist
 from subtrack.dataset import (
-    N_SETTINGS, SynthConfig, generate_synthetic, load_cmapss, save_cmapss,
+    N_SETTINGS, SynthConfig, TrajectorySet, generate_synthetic, load_cmapss, save_cmapss,
 )
 from subtrack.errors import DataFormatError, PrognosticsError
-from subtrack.health import HiCurve
+from subtrack.health import CURVE_COLUMNS
 from subtrack.persist import CURVE_CSV_HEADER, read_curves_csv, write_curves_csv
 
 CMAPSS = (load_cmapss, dataset._parse_cmapss_bulk, dataset._parse_cmapss_lines)
@@ -41,9 +41,7 @@ def trajectory_bits(tset):
 
 def curve_bits(curves):
     return [
-        (c.unit_id, type(c.unit_id), c.sigma.tobytes(), c.raw_dist.tobytes(),
-         c.scaled_dist.tobytes())
-        for c in curves
+        (u, type(u), *(column.tobytes() for column in c.T)) for u, c in zip(curves.unit_ids, curves)
     ]
 
 
@@ -176,11 +174,11 @@ def test_valid_curve_files_bit_equal_on_both_paths(tmp_path_factory, text_writte
     text, written = text_written
     path = write_text(tmp_path_factory, text, "train_curves.csv")
     curves = read_curves_csv(path)
-    assert [(c.unit_id, type(c.unit_id)) for c in curves] == [(u, int) for u in sorted(written)]
-    for c in curves:
-        rows = written[c.unit_id]
+    assert [(u, type(u)) for u in curves.unit_ids] == [(u, int) for u in sorted(written)]
+    for unit, c in zip(curves.unit_ids, curves):
+        rows = written[unit]
         assert sorted(rows) == list(range(1, len(c) + 1))
-        for column, values in enumerate((c.raw_dist, c.scaled_dist, c.sigma)):
+        for column, values in enumerate(c.T):
             want = np.array([rows[cycle][column] for cycle in range(1, len(c) + 1)])
             assert values.tobytes() == want.tobytes()
 
@@ -241,6 +239,8 @@ def edit_cases(sep, first):
         ("unit nan", lambda ls: set_unit(ls, first, "nan", sep)),
         ("unit 2**53 + 1", lambda ls: set_unit(ls, first, str(2**53 + 1), sep)),
         ("unit 1e300", lambda ls: set_unit(ls, first, "1e300", sep)),
+        ("unit 1.5", lambda ls: set_unit(ls, first, "1.5", sep)),
+        ("cycle 2.5", lambda ls: set_field(ls, first + 1, 1, "2.5", sep)),
         ("cycle inf", lambda ls: set_field(ls, first + 1, 1, "inf", sep)),
         ("cycle -inf", lambda ls: set_field(ls, first + 1, 1, "-inf", sep)),
         ("blank line", lambda ls: insert(ls, first + 2, "")),
@@ -275,6 +275,7 @@ CMAPSS_EXPECTED = {
     "unit 1.0": "fast", "unit +1": "fast", "unit 1_0": "fallback",
     "unit 0x10": "error", "unit #": "error", "unit 1e400": "error",
     "unit nan": "error", "unit 2**53 + 1": "error", "unit 1e300": "error",
+    "unit 1.5": "error", "cycle 2.5": "error",
     "cycle inf": "error", "cycle -inf": "error",
     "blank line": "fast", "whitespace-only line": "fast",
     "units out of order": "fallback", "cycles shuffled": "fallback",
@@ -348,11 +349,9 @@ def test_bulk_paths_read_a_valid_fleet_and_library(tmp_path, monkeypatch):
         SynthConfig(n_units=6, min_cycles=20, max_cycles=40, seed=11)
     )
     rng = np.random.default_rng(11)
-    curves = [
-        HiCurve(unit_id=u, sigma=rng.random(len(t)),
-                raw_dist=rng.random(len(t)), scaled_dist=rng.random(len(t)))
-        for u, t in zip(train.unit_ids, train)
-    ]
+    curves = TrajectorySet.stack(
+        train.unit_ids, [rng.random((len(t), len(CURVE_COLUMNS))) for t in train]
+    )
     save_cmapss(train, tmp_path / "train.txt")
     save_cmapss(test, tmp_path / "test.txt")
     write_curves_csv(curves, tmp_path / "train_curves.csv")
@@ -384,10 +383,7 @@ def test_both_tables_share_one_parser_and_one_writer(tmp_path, monkeypatch):
     train, _, _, _ = generate_synthetic(
         SynthConfig(n_units=3, min_cycles=5, max_cycles=8, seed=3)
     )
-    curves = [
-        HiCurve(unit_id=u, sigma=t[:, -1], raw_dist=t[:, -2], scaled_dist=t[:, -3])
-        for u, t in zip(train.unit_ids, train)
-    ]
+    curves = TrajectorySet.stack(train.unit_ids, [t[:, -len(CURVE_COLUMNS):] for t in train])
 
     save_cmapss(train, tmp_path / "train.txt")
     write_curves_csv(curves, tmp_path / "train_curves.csv")
@@ -395,9 +391,13 @@ def test_both_tables_share_one_parser_and_one_writer(tmp_path, monkeypatch):
     # rows out of (unit, cycle) order leave the bulk path to the line parser
     lines = (tmp_path / "train.txt").read_text().splitlines(keepends=True)
     (tmp_path / "shuffled.txt").write_text("".join(lines[::-1]))
-    assert trajectory_bits(load_cmapss(tmp_path / "shuffled.txt")) == trajectory_bits(train)
-    assert curve_bits(read_curves_csv(tmp_path / "train_curves.csv")) == curve_bits(curves)
+    shuffled = load_cmapss(tmp_path / "shuffled.txt")
+    read_back = read_curves_csv(tmp_path / "train_curves.csv")
     assert calls == ["write_unit_rows"] * 2 + ["read_unit_rows"] * 2
+    # and both read into one form
+    assert type(shuffled) is type(read_back) is TrajectorySet
+    assert trajectory_bits(shuffled) == trajectory_bits(train)
+    assert curve_bits(read_back) == curve_bits(curves)
 
 
 def test_benchmark_inputs_take_the_bulk_path(tmp_path):
@@ -420,22 +420,15 @@ def test_curve_csv_rows_hold_the_repr_of_each_value(tmp_path):
     # the writer formats a column at a time; each row must still read
     # unit,cycle,raw,scaled,sigma with every float as its shortest repr
     values = np.array([0.1, 1 / 3, 5e-324, 1e300, 0.0, 1.0, 2.0**-1074 * 3])
-    curves = [
-        HiCurve(unit_id=7, sigma=values[::-1].copy(), raw_dist=values, scaled_dist=values / 7),
-        HiCurve(unit_id=12, sigma=np.array([0.5]), raw_dist=np.array([2.5]),
-                scaled_dist=np.array([0.25])),
-    ]
+    unit_7 = np.column_stack([values, values / 7, values[::-1]])
+    curves = TrajectorySet.stack([7, 12], [unit_7, np.array([[2.5, 0.25, 0.5]])])
     write_curves_csv(curves, tmp_path / "curves.csv")
     want = [CURVE_CSV_HEADER] + [
-        f"{c.unit_id},{i},{r!r},{s!r},{g!r}"
-        for c in curves
-        for i, (r, s, g) in enumerate(
-            zip(c.raw_dist.tolist(), c.scaled_dist.tolist(), c.sigma.tolist()), start=1
-        )
+        f"{u},{i},{r!r},{s!r},{g!r}"
+        for u, c in zip(curves.unit_ids, curves)
+        for i, (r, s, g) in enumerate(c.tolist(), start=1)
     ]
     assert (tmp_path / "curves.csv").read_text() == "\n".join(want) + "\n"
     # the documented plain read-back of the export gives every value exactly
     table = np.loadtxt(tmp_path / "curves.csv", delimiter=",", skiprows=1)
-    for column, field in enumerate(("raw_dist", "scaled_dist", "sigma"), start=2):
-        want_column = np.concatenate([getattr(c, field) for c in curves])
-        assert table[:, column].tobytes() == want_column.tobytes()
+    assert table[:, 2:].tobytes() == curves.matrix.tobytes()

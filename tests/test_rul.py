@@ -5,19 +5,30 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from subtrack.config import RunConfig
+from subtrack.dataset import TrajectorySet
 from subtrack.errors import NoMatchError, NumericalError, ValidationError
-from subtrack.health import HiCurve
-from subtrack.rul import _candidates, estimate_rul, prepare_library
+from subtrack.health import CURVE_COLUMNS, SIGMA
+from subtrack.rul import Library, _candidates, estimate_rul, prepare_library
 
 
 def curve(unit_id, sigma):
-    sigma = np.asarray(sigma, dtype=float)
-    return HiCurve(
-        unit_id=unit_id,
-        sigma=sigma,
-        raw_dist=np.zeros_like(sigma),
-        scaled_dist=np.zeros_like(sigma),
-    )
+    """A test curve: the (unit id, sigma) arguments of estimate_rul."""
+    return unit_id, np.asarray(sigma, dtype=float)
+
+
+def curve_table(curves):
+    """The curve table of (unit id, sigma) pairs, its distances zero."""
+    tables = []
+    for _, sigma in curves:
+        table = np.zeros((len(sigma), len(CURVE_COLUMNS)))
+        table[:, SIGMA] = sigma
+        tables.append(table)
+    return TrajectorySet.stack([u for u, _ in curves], tables)
+
+
+def library_of(curves):
+    """The library of (unit id, sigma) pairs in any order."""
+    return prepare_library(curve_table(curves))
 
 
 # ---------------------------------------------------------------------------
@@ -74,19 +85,20 @@ def oracle_estimate(test_sigma, library, cfg):
 
 def reference_estimate(test, library, cfg):
     """The per-candidate scalar loop estimate_rul replaces: the scalar
-    helpers above in (unit, lag) order, summed with math.fsum.
+    helpers above in (unit, lag) order, summed with math.fsum. test and the
+    library's curves are (unit id, sigma) pairs.
 
     Returns (estimate, sum_similarity, underflow, candidate rows), each row
     (train_unit, tau, rul, similarity).
     """
     rows = []
-    for train in sorted(library, key=lambda c: c.unit_id):
+    for unit, train in sorted(library, key=lambda c: c[0]):
         for tau in range(cfg.tau1, cfg.tau2 + 1):
-            d2 = curve_distance(test.sigma, train.sigma, tau)
+            d2 = curve_distance(test[1], train, tau)
             if d2 is None:
                 continue
-            rul = candidate_rul(len(train), len(test), tau)
-            rows.append((train.unit_id, tau, rul, similarity(d2, cfg.beta)))
+            rul = candidate_rul(len(train), len(test[1]), tau)
+            rows.append((unit, tau, rul, similarity(d2, cfg.beta)))
     sum_s = math.fsum(r[3] for r in rows)
     if sum_s > 0.0:
         return math.fsum(r[3] * r[2] for r in rows) / sum_s, sum_s, False, rows
@@ -156,7 +168,7 @@ class TestEstimateRul:
         test = curve(1, np.full(10, 0.8))
         train = curve(2, np.full(15, 0.8))
         cfg = RunConfig(tau1=2, tau2=2, beta=0.1)
-        est = estimate_rul(test, prepare_library([train]), cfg)
+        est = estimate_rul(*test, library_of([train]), cfg)
         assert est.estimate == pytest.approx(15 - 10 - 2)
         assert est.n_candidates == 1
 
@@ -165,7 +177,7 @@ class TestEstimateRul:
         # same curve shape, lengths chosen so candidates are 10 and 30
         lib = [curve(2, np.full(21, 0.5)), curve(3, np.full(41, 0.5))]
         cfg = RunConfig(tau1=1, tau2=1, beta=0.1)
-        est = estimate_rul(test, prepare_library(lib), cfg)
+        est = estimate_rul(*test, library_of(lib), cfg)
         assert est.estimate == pytest.approx(20.0)
 
     def test_matches_exhaustive_oracle(self):
@@ -176,8 +188,8 @@ class TestEstimateRul:
             (u, rng.uniform(0, 1, int(rng.integers(30, 80)))) for u in range(1, 6)
         ]
         est = estimate_rul(
-            curve(99, test_sigma),
-            prepare_library([curve(u, s) for u, s in library]),
+            *curve(99, test_sigma),
+            library_of(library),
             cfg,
         )
         assert est.estimate == pytest.approx(
@@ -188,9 +200,9 @@ class TestEstimateRul:
         rng = np.random.default_rng(2)
         cfg = RunConfig(tau1=0, tau2=10, beta=0.01)
         test = curve(1, rng.uniform(0, 1, 20))
-        lib = prepare_library([curve(u, rng.uniform(0, 1, 50)) for u in range(2, 7)])
-        est = estimate_rul(test, lib, cfg)
-        _, ruls, _ = _candidates(test, lib, cfg)
+        lib = library_of([curve(u, rng.uniform(0, 1, 50)) for u in range(2, 7)])
+        est = estimate_rul(*test, lib, cfg)
+        _, ruls, _ = _candidates(*test, lib, cfg)
         assert ruls.min() <= est.estimate <= ruls.max()
 
     def test_library_order_invariance(self):
@@ -198,8 +210,8 @@ class TestEstimateRul:
         cfg = RunConfig(tau1=1, tau2=8, beta=0.05)
         test = curve(1, rng.uniform(0, 1, 15))
         lib = [curve(u, rng.uniform(0, 1, 40)) for u in range(2, 8)]
-        a = estimate_rul(test, prepare_library(lib), cfg)
-        b = estimate_rul(test, prepare_library(list(reversed(lib))), cfg)
+        a = estimate_rul(*test, library_of(lib), cfg)
+        b = estimate_rul(*test, library_of(list(reversed(lib))), cfg)
         assert a.estimate == b.estimate
         assert a.sum_similarity == b.sum_similarity
 
@@ -210,19 +222,21 @@ class TestEstimateRul:
         full = np.clip(np.linspace(1, 0, 120) + 0.01 * rng.standard_normal(120), 0, 1)
         prefix = full[:70]
         cfg = RunConfig(tau1=0, tau2=40, beta=1e-6)
-        est = estimate_rul(curve(1, prefix), prepare_library([curve(2, full)]), cfg)
+        est = estimate_rul(*curve(1, prefix), library_of([curve(2, full)]), cfg)
         assert abs(est.estimate - 50) <= 1.0
 
     def test_empty_library(self):
+        ids = np.zeros(0, dtype=np.int64)
+        empty = Library.from_padded(ids, ids, np.zeros((0, 0)))
         with pytest.raises(NoMatchError):
-            estimate_rul(curve(1, np.ones(5)), prepare_library([]), RunConfig())
+            estimate_rul(*curve(1, np.ones(5)), empty, RunConfig())
 
     def test_no_overlap_anywhere(self):
         test = curve(1, np.ones(50))
         lib = [curve(2, np.ones(30))]
         with pytest.raises(NoMatchError):
             estimate_rul(
-                test, prepare_library(lib), RunConfig(tau1=1, tau2=5, beta=0.1)
+                *test, library_of(lib), RunConfig(tau1=1, tau2=5, beta=0.1)
             )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -232,7 +246,7 @@ class TestEstimateRul:
         poisoned[3] = bad
         with pytest.raises(NumericalError, match="unit 1"):
             estimate_rul(
-                curve(1, poisoned), prepare_library([curve(2, np.full(30, 0.5))]), cfg
+                *curve(1, poisoned), library_of([curve(2, np.full(30, 0.5))]), cfg
             )
         # the same value in a library curve, inside a lag window or outside
         # every one: the library is rejected when built, naming its unit
@@ -240,25 +254,25 @@ class TestEstimateRul:
             lib_sigma = np.full(30, 0.5)
             lib_sigma[index] = bad
             with pytest.raises(NumericalError, match="training unit 2"):
-                prepare_library([curve(3, np.full(30, 0.5)), curve(2, lib_sigma)])
+                library_of([curve(3, np.full(30, 0.5)), curve(2, lib_sigma)])
 
     def test_candidates_in_unit_lag_order(self):
         test = curve(1, np.full(10, 0.5))
-        lib = prepare_library([curve(3, np.full(13, 0.5)), curve(2, np.full(12, 0.5))])
+        lib = library_of([curve(3, np.full(13, 0.5)), curve(2, np.full(12, 0.5))])
         cfg = RunConfig(tau1=1, tau2=3, beta=0.1)
-        valid, ruls, sims = _candidates(test, lib, cfg)
+        valid, ruls, sims = _candidates(*test, lib, cfg)
         rows, lags = np.nonzero(valid)
         assert lib.unit_ids[rows].tolist() == [2, 2, 3, 3, 3]
         assert (cfg.tau1 + lags).tolist() == [1, 2, 1, 2, 3]
         assert ruls.tolist() == [1.0, 0.0, 2.0, 1.0, 0.0]
         assert sims.tolist() == [1.0] * 5
-        assert estimate_rul(test, lib, cfg).n_candidates == 5
+        assert estimate_rul(*test, lib, cfg).n_candidates == 5
 
     def test_similarity_underflow_falls_back_to_mean(self):
         test = curve(1, np.ones(10))
         lib = [curve(2, np.zeros(30)), curve(3, np.zeros(40))]
         cfg = RunConfig(tau1=1, tau2=1, beta=1e-300)
-        est = estimate_rul(test, prepare_library(lib), cfg)
+        est = estimate_rul(*test, library_of(lib), cfg)
         assert est.similarity_underflow
         assert est.estimate == pytest.approx((19 + 29) / 2)
 
@@ -292,9 +306,9 @@ def test_estimate_always_convex_combination(seed):
     lib = [
         curve(u, rng.uniform(0, 1, int(rng.integers(25, 60)))) for u in range(2, 6)
     ]
-    library = prepare_library(lib)
-    est = estimate_rul(test, library, cfg)
-    _, ruls, _ = _candidates(test, library, cfg)
+    library = library_of(lib)
+    est = estimate_rul(*test, library, cfg)
+    _, ruls, _ = _candidates(*test, library, cfg)
     assert ruls.min() - 1e-12 <= est.estimate <= ruls.max() + 1e-12
 
 
@@ -328,14 +342,14 @@ def test_estimate_matches_scalar_reference(problem):
     them to a relative 1e-9."""
     test, library, cfg = problem
     estimate, sum_s, underflow, rows = reference_estimate(test, library, cfg)
-    lib = prepare_library(library)
-    valid, ruls, sims = _candidates(test, lib, cfg)
+    lib = library_of(library)
+    valid, ruls, sims = _candidates(*test, lib, cfg)
     units, lags = np.nonzero(valid)
     pairs = list(zip(lib.unit_ids[units].tolist(), (cfg.tau1 + lags).tolist()))
     assert pairs == [(r[0], r[1]) for r in rows]
     assert ruls.tolist() == [r[2] for r in rows]
     assert sims.tolist() == pytest.approx([r[3] for r in rows], rel=1e-9, abs=0)
-    est = estimate_rul(test, lib, cfg)
+    est = estimate_rul(*test, lib, cfg)
     assert est.n_candidates == len(rows)
     assert est.similarity_underflow == underflow
     assert est.estimate == pytest.approx(estimate, rel=1e-9, abs=0)
