@@ -67,21 +67,15 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _report_degraded(unit_ids, estimates) -> None:
-    """One stderr line per degraded condition; the output files stay as
-    they are."""
-    for condition, units in (
-        ("no valid match, empty row",
-         [u for u, est in zip(unit_ids, estimates) if est is None]),
-        ("every similarity underflowed, unweighted mean RUL",
-         [u for u, est in zip(unit_ids, estimates)
-          if est is not None and est.similarity_underflow]),
-    ):
-        if units:
-            print(
-                f"warning: {condition} for {len(units)} units: "
-                + ", ".join(map(str, units)),
-                file=sys.stderr,
-            )
+    """One stderr line naming the units with no valid match; the output
+    files stay as they are."""
+    units = [u for u, est in zip(unit_ids, estimates) if est is None]
+    if units:
+        print(
+            f"warning: no valid match, empty row for {len(units)} units: "
+            + ", ".join(map(str, units)),
+            file=sys.stderr,
+        )
 
 
 def cmd_train(args) -> int:

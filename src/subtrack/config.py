@@ -10,8 +10,11 @@ from .errors import ValidationError
 MODES = ("sst", "sst-lr")
 
 # fields older config files still hold: the knobs of the retired epoch
-# trainer, and the settings switch, which from_dict accepts only as null
-RETIRED_FIELDS = frozenset({"alpha", "eta", "max_epochs", "rel_tol", "include_settings"})
+# trainer, the matching bandwidth (now each test unit's own, see rul), both
+# ignored, and the settings switch, which from_dict accepts only as null
+RETIRED_FIELDS = frozenset(
+    {"alpha", "eta", "max_epochs", "rel_tol", "beta", "include_settings"}
+)
 
 _TYPES = {  # annotation -> (accepts the value, what it takes); a bool is no number
     "str": (lambda v: type(v) is str, "a string"),
@@ -30,7 +33,6 @@ class RunConfig:
     healthy_cycles: int = 20
     tau1: int = 1
     tau2: int = 40
-    beta: float = 0.0235
     smoothing: float = 0.3
     seed: int = 0
 
@@ -56,8 +58,6 @@ class RunConfig:
             raise ValidationError("seed must be >= 0")
         if not 0 <= self.tau1 <= self.tau2:
             raise ValidationError("need 0 <= tau1 <= tau2")
-        if not self.beta > 0:
-            raise ValidationError("beta must be positive")
 
     @property
     def track_settings(self) -> bool:

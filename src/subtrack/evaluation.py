@@ -124,6 +124,17 @@ def _fleet_curves(tset, cfg: RunConfig, scaler, curves) -> TrajectorySet:
     return TrajectorySet(curves, tset.unit_ids, tset.bounds)
 
 
+def _settings(tset: TrajectorySet) -> np.ndarray:
+    """The settings columns of a fleet's matrix, which must hold at least
+    one sensor column after them."""
+    if tset.matrix.shape[1] <= N_SETTINGS:
+        raise ValidationError(
+            f"features must be a 2-d array with {N_SETTINGS} settings "
+            "columns and at least one sensor column"
+        )
+    return tset.matrix[:, :N_SETTINGS]
+
+
 def train_pipeline(
     train_set: TrajectorySet, cfg: RunConfig
 ) -> tuple[TrainedPipeline, TrajectorySet]:
@@ -132,14 +143,7 @@ def train_pipeline(
     regressor. Returns the pipeline and the training curves its library holds.
     The set's matrix is only read."""
     rows, bounds = train_set.matrix, train_set.bounds
-    if rows.shape[1] <= N_SETTINGS:
-        raise ValidationError(
-            f"features must be a 2-d array with {N_SETTINGS} settings "
-            "columns and at least one sensor column"
-        )
-    centroids, labels = multiscale.cluster_regimes(
-        rows[:, :N_SETTINGS], cfg.n_regimes, cfg.seed
-    )
+    centroids, labels = multiscale.cluster_regimes(_settings(train_set), cfg.n_regimes, cfg.seed)
     norm = dataset.fit_normalizer(rows, labels, cfg.n_regimes)
 
     cycle = np.arange(len(rows)) - np.repeat(bounds[:-1], np.diff(bounds))
@@ -191,7 +195,7 @@ def infer_curves(pipe: TrainedPipeline, tset: TrajectorySet) -> TrajectorySet:
     cfg = pipe.config
     if cfg.mode == "sst-lr" and pipe.regressor is None:
         raise ValidationError("sst-lr mode requires a fitted regressor")
-    labels = multiscale.nearest_centroid(pipe.model.centroids, tset.matrix[:, :N_SETTINGS])
+    labels = multiscale.nearest_centroid(pipe.model.centroids, _settings(tset))
     blocks = _normalized_blocks(pipe.normalizer, tset, labels, cfg)
     weights = pipe.regressor if cfg.mode == "sst-lr" else None
     curves, _ = _analyze_fleet(pipe.model, blocks, tset, cfg, weights)

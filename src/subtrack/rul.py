@@ -3,10 +3,13 @@
 A truncated test curve of length n is slid along every full training curve
 of length L over the lags tau in [tau1, tau2]. Each (train unit, lag) pair
 with full overlap (n + tau <= L) is a candidate: its RUL is L - n - tau and
-its weight is exp(-d2 / beta), where d2 is the mean squared pointwise
-difference of the overlap. The estimate is the similarity-weighted mean of
-all candidate RULs. tau1, tau2 and beta are read from the run's RunConfig,
-which checks them.
+its weight is exp(-d2 / b), where d2 is the mean squared pointwise
+difference of the overlap and the bandwidth b is the test unit's smallest
+candidate d2, floored at BANDWIDTH_FLOOR. The estimate is the weighted mean
+of all candidate RULs, a Nadaraya-Watson estimator; the nearest candidate
+weighs e^-1 (more when the floor binds), so the weights never all
+underflow. tau1 and tau2 are read from the run's RunConfig, which checks
+them.
 
 Library and test curves must carry the same health index; matching uses
 each sigma as given and smooths nothing. The library is built once per
@@ -29,15 +32,15 @@ computed, so a huge tau2 costs nothing.
 
 The identity rounds differently from the direct mean of squared
 differences in the per-candidate scalar loop that tests/test_rul.py keeps
-as the reference: estimates, similarities and their sums agree with it to
-a relative 1e-9; the candidate set, their RULs and the underflow flag agree
-exactly. Results are deterministic on a given machine and BLAS build, and
-do not depend on library order, but are not bitwise equal across machines
-or BLAS builds.
+as the reference. Its absolute rounding in d2, divided by b, bounds the
+error of each weight, and that test derives its tolerances so; the
+candidate set and their RULs agree exactly. Results are deterministic on a
+given machine and BLAS build, and do not depend on library order, but are
+not bitwise equal across machines or BLAS builds.
 
-An estimate keeps the number of candidates, their similarity sum and
-whether every similarity underflowed, not the candidates themselves. Full
-overlap already implies L - n - tau >= 0, so no candidate RUL needs a clamp.
+An estimate keeps the number of candidates and their weight sum, not the
+candidates themselves. Full overlap already implies L - n - tau >= 0, so no
+candidate RUL needs a clamp.
 """
 
 from __future__ import annotations
@@ -52,6 +55,12 @@ from .dataset import TrajectorySet
 from .errors import NoMatchError, NumericalError
 from .health import SIGMA, pad_units
 
+# The bandwidth's floor. The identity clips d2 at 0, so a test curve equal to
+# a library window has a smallest d2 of 0 (or of the identity's rounding,
+# ~1e-14 on short curves); the floor keeps that window's weight near 1 and
+# every farther candidate's near 0.
+BANDWIDTH_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class RulEstimate:
@@ -59,7 +68,6 @@ class RulEstimate:
     estimate: float
     sum_similarity: float
     n_candidates: int
-    similarity_underflow: bool = False
 
 
 @dataclass(frozen=True)
@@ -113,7 +121,7 @@ def _candidates(
 
     Returns (valid, ruls, sims): valid is the (n_train, n_lags) full-overlap
     mask over the library's units and the lags tau1, tau1 + 1, ...; ruls and
-    sims hold the RUL and similarity of each valid pair in (unit, lag) order.
+    sims hold the RUL and weight of each valid pair in (unit, lag) order.
     Raises as estimate_rul does.
     """
     sig = np.ascontiguousarray(sigma, dtype=float)  # a strided sig @ sig rounds otherwise
@@ -145,33 +153,25 @@ def _candidates(
     if not np.isfinite(d2).all():
         raise NumericalError(f"unit {unit_id}: non-finite curve distance (overflow)")
     ruls = rul_all[valid].astype(float)
-    with np.errstate(over="ignore"):  # d2 / -beta at -inf: the similarity underflows to 0
-        sims = np.exp(d2 / -cfg.beta)
+    # d2 is not empty: the longest curve overlaps fully at lag tau1
+    bandwidth = max(float(d2.min()), BANDWIDTH_FLOOR)
+    with np.errstate(over="ignore"):  # a huge d2 over a small bandwidth: that weight is 0
+        sims = np.exp(d2 / -bandwidth)
     return valid, ruls, sims
 
 
 def estimate_rul(unit_id: int, sigma: np.ndarray, library: Library, cfg: RunConfig) -> RulEstimate:
-    """Similarity-weighted combination of candidate RULs of one test unit's
-    sigma over all library curves and lags in [tau1, tau2].
+    """Weighted mean of the candidate RULs of one test unit's sigma over all
+    library curves and lags in [tau1, tau2]; see the module docstring.
 
     Raises NoMatchError when no pair has full overlap and NumericalError when
-    the test curve is not finite, or a distance overflows, which would
-    otherwise pass for similarity underflow.
+    the test curve is not finite or a distance overflows.
     """
     _, ruls, sims = _candidates(unit_id, sigma, library, cfg)
-    sum_s = float(sims.sum())
-    if sum_s > 0.0:
-        estimate = float((sims * ruls).sum()) / sum_s
-        underflow = False
-    else:
-        # every similarity underflowed; fall back to the unweighted mean
-        estimate = float(np.sum(ruls)) / len(ruls)
-        underflow = True
-
+    sum_s = float(sims.sum())  # >= e^-1, the nearest candidate's weight
     return RulEstimate(
         unit_id=unit_id,
-        estimate=estimate,
+        estimate=float((sims * ruls).sum()) / sum_s,
         sum_similarity=sum_s,
         n_candidates=len(ruls),
-        similarity_underflow=underflow,
     )

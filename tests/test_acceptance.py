@@ -179,11 +179,7 @@ def test_criterion_7_curve_matching_oracle():
     worst = 0.0
     convexity_violations = 0
     for _ in range(100):
-        cfg = RunConfig(
-            tau1=int(rng.integers(0, 3)),
-            tau2=int(rng.integers(5, 20)),
-            beta=float(rng.uniform(0.005, 0.2)),
-        )
+        cfg = RunConfig(tau1=int(rng.integers(0, 3)), tau2=int(rng.integers(5, 20)))
         test_sigma = rng.uniform(0, 1, int(rng.integers(10, 30)))
         library = [
             (u, rng.uniform(0, 1, int(rng.integers(40, 90))))

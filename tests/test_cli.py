@@ -203,11 +203,12 @@ class TestTrain:
         assert not (tmp_path / "m").exists()
 
     def test_config_file_with_trainer_keys_accepted(self, synth_dir, tmp_path):
-        # the retired fields, as config files written for the epoch trainer hold them
+        # the retired fields, as config files written for the epoch trainer
+        # and the fixed matching bandwidth hold them
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(
             {"alpha": 0.5, "eta": 0.0, "max_epochs": 5, "rel_tol": 1e-3,
-             "include_settings": None, "seed": 9}
+             "beta": 0.0235, "include_settings": None, "seed": 9}
         ))
         out = tmp_path / "model"
         rc = main(
@@ -307,10 +308,8 @@ class TestTrain:
             (["--subspace-dim", "0"], "subspace_dim must be >= 1"),
             (["--n-regimes", "2", "--seed", "-1"], "seed must be >= 0"),
             (["--tau2", "-5"], "need 0 <= tau1 <= tau2"),
-            (["--beta", "0"], "beta must be positive"),
-            (["--beta", "nan"], "beta must be a finite number, got nan"),
         ],
-        ids=["subspace-dim-0", "negative-seed", "negative-tau2", "beta-0", "beta-nan"],
+        ids=["subspace-dim-0", "negative-seed", "negative-tau2"],
     )
     def test_out_of_range_flag_exits_2_naming_field(
         self, tmp_path, capsys, flags, message
@@ -397,6 +396,9 @@ class TestInfer:
         lines = (tmp_path / "rul_estimates.csv").read_text().splitlines()
         assert len(lines) == 11  # header + 10 units
         assert lines[0].startswith("unit_id,estimated_rul,true_rul")
+        # the weight sum: the nearest candidate weighs e^-1, none more than 1
+        for row in estimate_rows(tmp_path):
+            assert math.exp(-1) <= float(row["sum_similarity"]) <= int(row["n_candidates"])
 
     def test_healthy_window_sigma_high(self, synth_dir, model_dir, tmp_path):
         rc = main(
@@ -716,34 +718,19 @@ class TestInfer:
         assert empty
         err = capsys.readouterr().err
         assert warned_units(err, "no valid match") == empty
-        assert "underflow" not in err
-
-    def test_underflow_units_listed_on_stderr(
-        self, synth_dir, tmp_path, capsys
-    ):
-        model = tmp_path / "model"
-        rc = main(
-            ["train", "--train", str(synth_dir / "train_synth.txt"),
-             "--out", str(model), "--beta", "1e-9"] + BENCH_FLAGS
-        )
-        assert rc == EXIT_OK
-        assert self.infer_rc(synth_dir, model, tmp_path / "out") == EXIT_OK
-        underflowed = [int(r["unit_id"]) for r in estimate_rows(tmp_path / "out")
-                       if float(r["sum_similarity"]) == 0.0]
-        assert underflowed
-        err = capsys.readouterr().err
-        assert warned_units(err, "every similarity underflowed") == underflowed
-        assert "no valid match" not in err
 
     def test_config_with_trainer_keys_infers_identically(
         self, synth_dir, model_dir, tmp_path
     ):
-        # config.json as train wrote it while it ran the epoch trainer
+        # config.json as train wrote it while it ran the epoch trainer and
+        # matched with a fixed bandwidth
         legacy = tmp_path / "legacy"
         shutil.copytree(model_dir, legacy)
         doc = json.loads((legacy / "config.json").read_text())
         assert not set(doc) & set(RETIRED_FIELDS)
-        doc.update(alpha=0.87, eta=0.01, max_epochs=100, rel_tol=1e-4, include_settings=None)
+        doc.update(
+            alpha=0.87, eta=0.01, max_epochs=100, rel_tol=1e-4, beta=0.0235, include_settings=None
+        )
         (legacy / "config.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
         assert persist.load_pipeline(legacy).config == (
             persist.load_pipeline(model_dir).config
@@ -997,17 +984,6 @@ class TestBenchmark:
         assert self.run_bench(synth_dir, tmp_path) == EXIT_OK
         assert sorted(matched) == list(range(1, 11))
 
-    def test_underflow_units_listed_on_stderr(self, synth_dir, tmp_path, capsys):
-        assert self.run_bench(synth_dir, tmp_path / "a") == EXIT_OK
-        assert "warning" not in capsys.readouterr().err
-        rc = self.run_bench(synth_dir, tmp_path / "b", ["--beta", "1e-9"])
-        assert rc == EXIT_OK
-        underflowed = [int(r["unit_id"]) for r in estimate_rows(tmp_path / "b")
-                       if float(r["sum_similarity"]) == 0.0]
-        assert underflowed
-        err = capsys.readouterr().err
-        assert warned_units(err, "every similarity underflowed") == underflowed
-
     @pytest.mark.parametrize(
         "truth, metric", [("100000", "score"), ("1e200", "rmse")]
     )
@@ -1024,21 +1000,6 @@ class TestBenchmark:
             f"numerical error: [evaluate] {metric} overflows: the largest |error| is "
         )
         assert not (tmp_path / "out").exists()
-
-    def test_subnormal_beta_underflows_without_numpy_warning(
-        self, synth_dir, tmp_path, capsys
-    ):
-        # exp(-d2 / 5e-324): the quotient overflows to -inf, the documented underflow
-        assert self.run_bench(synth_dir, tmp_path, ["--beta", "5e-324"]) == EXIT_OK
-        units = [r["unit_id"] for r in estimate_rows(tmp_path)
-                 if float(r["sum_similarity"]) == 0.0]
-        assert capsys.readouterr().err == (
-            "warning: every similarity underflowed, unweighted mean RUL for "
-            f"{len(units)} units: {', '.join(units)}\n"
-        )
-        assert json.loads(  # strict JSON: no Infinity or NaN
-            (tmp_path / "report.json").read_text(), parse_constant=pytest.fail
-        )["n_units"] == 10
 
     def test_composes_with_train_then_infer(self, synth_dir, tmp_path):
         bench = tmp_path / "bench"
@@ -1375,12 +1336,13 @@ class TestUsage:
         assert main(["train", "--bogus"]) == EXIT_USAGE
 
     @pytest.mark.parametrize(
-        "flag", ["--alpha", "--eta", "--max-epochs", "--rel-tol", "--include-settings"]
+        "flag", ["--alpha", "--eta", "--max-epochs", "--rel-tol", "--include-settings", "--beta"]
     )
-    def test_trainer_flags_are_gone(self, tmp_path, flag):
+    def test_trainer_flags_are_gone(self, tmp_path, capsys, flag):
         rc = main(["train", "--train", str(tmp_path / "t.txt"),
-                   "--out", str(tmp_path / "model"), flag, "5"])
+                   "--out", str(tmp_path / "model"), flag, "0.1"])
         assert rc == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} 0.1" in capsys.readouterr().err
         assert not (tmp_path / "model").exists()
 
     def test_from_dict_drops_only_the_trainer_fields(self):
@@ -1394,7 +1356,7 @@ class TestUsage:
         # a valid config where every field differs from its default
         wanted = RunConfig(
             mode="sst-lr", n_regimes=2, subspace_dim=2, delta=0.02,
-            healthy_cycles=15, tau1=2, tau2=30, beta=0.05, smoothing=0.5, seed=4,
+            healthy_cycles=15, tau1=2, tau2=30, smoothing=0.5, seed=4,
         )
         argv = [command, "--train", "t", "--out", "o"]
         if command == "benchmark":

@@ -41,7 +41,7 @@ def test_from_dict_returns_a_config_or_raises_validation_error(field, value):
         ({"n_regimes": True}, "n_regimes must be an int, got True"),
         ({"seed": 1.0}, "seed must be an int, got 1.0"),
         ({"delta": True}, "delta must be a finite number, got True"),
-        ({"beta": float("inf")}, "beta must be a finite number, got inf"),
+        ({"tau2": float("inf")}, "tau2 must be an int, got inf"),
         ({"smoothing": "0.3"}, "smoothing must be a finite number, got '0.3'"),
         ({"delta": 10**400}, f"delta must be a finite number, got {10**400}"),
         pytest.param(  # the id names the message of the field before it was retired
@@ -56,7 +56,7 @@ def test_from_dict_returns_a_config_or_raises_validation_error(field, value):
         ({"delta": -0.5}, "delta must be > 0"),
         ({"tau1": -1}, "need 0 <= tau1 <= tau2"),
         ({"tau1": 5, "tau2": 2}, "need 0 <= tau1 <= tau2"),
-        ({"beta": 0.0}, "beta must be positive"),
+        ({"healthy_cycles": 3}, "healthy_cycles must be >= subspace_dim + 1"),
         ({"seed": -1}, "seed must be >= 0"),
     ],
 )
@@ -72,5 +72,13 @@ def test_null_include_settings_loads_as_absent():
 
 
 def test_float_fields_take_ints():
-    cfg = RunConfig(delta=1, beta=2, smoothing=1)
-    assert (cfg.delta, cfg.beta, cfg.smoothing) == (1, 2, 1)
+    cfg = RunConfig(delta=1, smoothing=1)
+    assert (cfg.delta, cfg.smoothing) == (1, 1)
+
+
+@pytest.mark.parametrize("beta", [0.0235, 0.0, float("nan"), "wide"])
+def test_retired_beta_loads_and_is_ignored(beta):
+    # config documents written while matching took a fixed bandwidth; each
+    # test unit's bandwidth now comes from its own distances
+    assert RunConfig.from_dict({"beta": beta, "seed": 2}) == RunConfig(seed=2)
+    assert "beta" not in RunConfig().to_dict()

@@ -312,14 +312,22 @@ class TestBatchTraining:
         ]
 
 
+def age_only_rmse(train, test, truths, cfg):
+    """rmse of the age-only predictor: each test unit's estimate is the mean
+    of L - n - tau over the full-overlap (training length L, lag tau) pairs
+    that matching scores, read from unit lengths alone."""
+    ruls = np.diff(train.bounds)[:, None] - np.arange(cfg.tau1, cfg.tau2 + 1)
+    estimates = [(ruls - n)[ruls >= n].mean() for n in np.diff(test.bounds)]
+    return rmse(np.subtract(estimates, truths))
+
+
 @pytest.mark.parametrize("n_regimes", [1, 6])
 def test_both_modes_hold_the_age_only_baseline(n_regimes):
-    # The age-only predictor is the uniform mean of L - n - tau over every
-    # full-overlap candidate: the pipeline with beta = 1e300, where every
-    # similarity is exactly 1. sst-lr, which regresses the whole tracked row,
-    # measured 0.895x (K=1) and 0.841x (K=6) of it here, 0.949x at worst over
-    # generator seeds 0-3. A library of the distance index, smoothed twice,
-    # lost to it by 1.4-7.6% (generator seeds 0-3).
+    # With each unit's bandwidth its smallest candidate d2, sst-lr measured
+    # 0.739x (K=1) and 0.685x (K=6) of the age-only rmse here, sst 0.749x and
+    # 0.678x; 0.934x at worst over generator seeds 0-3 (sst-lr, K=1, seed 1).
+    # A library of the distance index, smoothed twice, lost to the age-only
+    # predictor by 1.4-7.6% (seeds 0-3).
     train, test, truths, _ = generate_synthetic(
         SynthConfig(n_units=60, n_regimes=n_regimes)
     )
@@ -328,7 +336,7 @@ def test_both_modes_hold_the_age_only_baseline(n_regimes):
         mode: run_pipeline(train, test, truths, replace(cfg, mode=mode))[0].rmse
         for mode in ("sst", "sst-lr")
     }
-    age_only = run_pipeline(train, test, truths, replace(cfg, beta=1e300))[0].rmse
+    age_only = age_only_rmse(train, test, truths, cfg)
     assert rmses["sst-lr"] <= 0.96 * age_only
     assert rmses["sst"] <= 0.97 * age_only
 
@@ -386,8 +394,15 @@ def scored(pipe, tset):
 
 def assert_units_scored_alone_alike(pipe, tset):
     """Each unit of tset scored alone gets its fleet curve and estimate to
-    a relative 1e-12, and exactly its model labels, candidate count and
-    empty row."""
+    a relative 1e-12, its weight sum to a relative 1e-10, and exactly its
+    model labels, candidate count and empty row.
+
+    The sum's bound is wider because each weight is exp(-d2 / b), with b the
+    unit's smallest d2: 7e-6 to 5e-5 on these fleets. A curve that differs
+    in the 13th digit (another block split of its rows) moves every d2 / b,
+    and so the sum, by about 1e-11: 2.8e-11 at worst over every pick of up
+    to 3 units, and 400 picks of 4, at each block size 7-120. The estimate,
+    a ratio, cancels the common part of that shift (2.2e-13 at worst)."""
     curves, estimates, labels = scored(pipe, tset)
     assert curves.unit_ids == tset.unit_ids
     offset = 0
@@ -400,10 +415,9 @@ def assert_units_scored_alone_alike(pipe, tset):
         assert (alone_est is None) == (est is None)
         if est is not None:
             assert alone_est.n_candidates == est.n_candidates
-            assert alone_est.similarity_underflow == est.similarity_underflow
             assert alone_est.estimate == pytest.approx(est.estimate, rel=1e-12, abs=0)
             assert alone_est.sum_similarity == pytest.approx(
-                est.sum_similarity, rel=1e-12, abs=0
+                est.sum_similarity, rel=1e-10, abs=0
             )
     assert offset == len(labels)
 
@@ -522,6 +536,20 @@ def small_sst_lr():
     train, test, _, _ = generate_synthetic(synth)
     pipe, _ = train_pipeline(train, RunConfig(mode="sst-lr", n_regimes=2, tau2=20, seed=6))
     return pipe, test
+
+
+@pytest.mark.parametrize("width", [N_SETTINGS - 1, N_SETTINGS])
+def test_train_and_infer_refuse_a_set_without_sensor_columns(small_sst_lr, width):
+    tset = TrajectorySet(np.zeros((30, width)), [1], [0, 30])
+    message = (
+        f"features must be a 2-d array with {N_SETTINGS} settings columns "
+        "and at least one sensor column"
+    )
+    with pytest.raises(ValidationError) as infer_error:
+        infer_curves(small_sst_lr[0], tset)
+    with pytest.raises(ValidationError) as train_error:
+        train_pipeline(tset, RunConfig())
+    assert str(infer_error.value) == str(train_error.value) == message
 
 
 @settings(max_examples=25, deadline=None)

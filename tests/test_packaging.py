@@ -196,3 +196,39 @@ def test_every_module_reference_resolves():
 )
 def test_module_reference_scan_sees(line, refs):
     assert references(line) == refs
+
+
+PROBES = {
+    # hypothesis imports libcst to report a failing property, and that import
+    # warns of a deprecation the suite's filters would turn into an
+    # INTERNALERROR that skips every later test
+    "failing-property": '''
+from hypothesis import given, settings, strategies as st
+
+@settings(max_examples=5, database=None, derandomize=True)
+@given(st.integers(0, 10))
+def test_property(x):
+    assert x < 0
+''',
+    # any other deprecation still fails its test
+    "other-deprecation": '''
+import warnings
+
+def test_deprecated_call():
+    warnings.warn("numpy.fleet_mean is deprecated", DeprecationWarning)
+''',
+}
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_a_failing_test_ends_in_a_failure_not_an_internal_error(tmp_path, probe):
+    path = tmp_path / "test_probe.py"
+    path.write_text(PROBES[probe] + "\n\ndef test_passing():\n    pass\n")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "pytest", "-q",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", str(path)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("1 failed, 1 passed"), proc.stdout
