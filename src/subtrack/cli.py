@@ -120,7 +120,6 @@ def cmd_benchmark(args) -> int:
     persist.write_estimates_csv(
         report.estimates, report.truths, out / "rul_estimates.csv", test_curves.unit_ids
     )
-    _report_degraded(test_curves.unit_ids, report.estimates)
     print(report.to_text())
     return EXIT_OK
 

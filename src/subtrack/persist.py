@@ -2,23 +2,24 @@
 
 Documents are JSON and curves and estimates CSV, with floats written with
 repr so reading a file back reproduces the exact values that were written.
-The matching library is stored as binary `.npy` arrays (LIBRARY_FILES),
-written with np.save and read with np.load(allow_pickle=False). This is the
-only module that reads or writes a model directory.
+This is the only module that reads or writes a model directory: one
+document, MODEL_FILE, one array, SIGMA_FILE, and two exports.
 
-Its `model.json` holds the K-model document, also for a single-regime (K=1)
-fleet, and carries the directory's format version, MODEL_FORMAT_VERSION.
-Matching reads the stored library and never opens `train_curves.csv`, which
-stays as the human-readable export. Curves are unit tables like the CMAPSS
-fleets, a TrajectorySet in memory, written and parsed by
-dataset.write_unit_rows and read_unit_rows; read_curves_csv, which no
-command calls, reads one back. save_pipeline writes that export and
-`error_trace.csv` from the training curve table it is given, apart from the
-pipeline, so load_pipeline returns the saved pipeline field for field.
-A directory of any other version is refused; one of version 1 (library only
-in `train_curves.csv`), 2 (library smoothed twice, in sst-lr mode of the
-distance index) or 3 (an sst-lr regressor of the d subspace projections,
-where version 4 regresses the whole tracked row) with a message to retrain.
+The document (model_document, read_model_document) holds the whole fitted
+pipeline but the library's curves: its format version, the run config, the
+regime centroids, one member {c, lambdas, U1} per regime, the normalizer,
+the scaler, the sst-lr regressor (null in sst mode) and the library's unit
+ids and curve lengths. The config fixes the shape of every table, and each
+member's delta is the config's. The library's zero-padded curves are a
+float64 `.npy` array, written with np.save and read with
+np.load(allow_pickle=False). Matching reads the stored library and never
+opens `train_curves.csv`, the human-readable export of the training curve
+table that save_pipeline is given beside the pipeline; read_curves_csv,
+which no command calls, reads it back with dataset.read_unit_rows. A
+directory of any other version than MODEL_FORMAT_VERSION is refused; one of
+version 1 (library only in `train_curves.csv`), 2 (library smoothed twice),
+3 (an sst-lr regressor of the d subspace projections) or 4 (the pipeline
+spread over five documents and three arrays) with a message to retrain.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import numpy as np
 
 from .config import RunConfig
 from .dataset import (
-    N_SETTINGS, Normalizer, TrajectorySet, decoding, read_unit_rows, write_unit_rows,
+    ID_LIMIT, N_SENSORS, N_SETTINGS, Normalizer, TrajectorySet, decoding, read_unit_rows,
+    write_unit_rows,
 )
 from .errors import NumericalError, ValidationError
 from .evaluation import TrainedPipeline
@@ -39,110 +41,119 @@ from .multiscale import MultiModel
 from .rul import Library
 from .subspace import SubspaceModel
 
-MODEL_FORMAT_VERSION = 4
-# Library field -> (file, dtype, ndim)
-LIBRARY_FILES = {
-    "padded": ("library_sigma.npy", np.dtype("<f8"), 2),
-    "unit_ids": ("library_unit_ids.npy", np.dtype("<i8"), 1),
-    "lengths": ("library_lengths.npy", np.dtype("<i8"), 1),
-}
+MODEL_FORMAT_VERSION = 5
+MODEL_FILE = "model.json"
+SIGMA_FILE = "library_sigma.npy"  # float64, (n_train, longest curve)
 CURVE_CSV_HEADER = ",".join(("unit_id", "cycle", *CURVE_COLUMNS))
 ESTIMATE_CSV_HEADER = (
     "unit_id,estimated_rul,true_rul,error,n_candidates,sum_similarity"
 )
+# the JSON entries a document table of each kind takes, and what they must be
+_ENTRIES = {
+    float: (lambda v: type(v) in (int, float), "numbers"),
+    int: (lambda v: type(v) is int and abs(v) < ID_LIMIT, "integers of magnitude below 2**53"),
+    bool: (lambda v: type(v) is int and v in (0, 1), "0s and 1s"),
+}
 
 
 def _check_version(doc: dict) -> None:
-    """Accept exactly the int MODEL_FORMAT_VERSION: not True, 4.0 or "4"."""
+    """Accept exactly the int MODEL_FORMAT_VERSION: not True, 5.0 or "5"."""
     version = doc.get("version")
     if type(version) is int and version == MODEL_FORMAT_VERSION:
         return
-    if type(version) is int and version in (1, 2, 3):
+    if type(version) is int and 1 <= version < MODEL_FORMAT_VERSION:
         raise ValidationError(
             f"model format version {version} is no longer read; retrain with 'subtrack train'"
         )
     raise ValidationError(f"unsupported model format version {version!r}")
 
 
-def subspace_to_dict(model: SubspaceModel) -> dict:
+def model_document(pipe: TrainedPipeline) -> dict:
+    """The MODEL_FILE document of a pipeline: everything but its library's curves."""
+    norm = pipe.normalizer
     return {
         "version": MODEL_FORMAT_VERSION,
-        "D": model.dim,
-        "d": model.subspace_dim,
-        "delta": model.delta,
-        "c": model.center.tolist(),
-        "lambdas": model.spreads.tolist(),
-        "U1": [model.basis[:, j].tolist() for j in range(model.subspace_dim)],
+        "config": pipe.config.to_dict(),
+        "centroids": pipe.model.centroids.tolist(),
+        "members": [
+            {"c": m.center.tolist(), "lambdas": m.spreads.tolist(), "U1": m.basis.T.tolist()}
+            for m in pipe.model.models
+        ],
+        "normalizer": {
+            "mean": norm.mean.tolist(), "std": norm.std.tolist(),
+            "mask": norm.mask.astype(int).tolist(),
+        },
+        "scaler": {"floor": pipe.scaler.floor, "ceiling": pipe.scaler.ceiling},
+        "regressor": None if pipe.regressor is None else pipe.regressor.tolist(),
+        "library": {
+            "unit_ids": pipe.library.unit_ids.tolist(),
+            "lengths": pipe.library.lengths.tolist(),
+        },
     }
 
 
-def subspace_from_dict(doc: dict) -> SubspaceModel:
+def _table(value, name: str, shape: tuple, kind=float, positive=False) -> np.ndarray:
+    """value as an array of kind, refused unless it has shape and every entry
+    is a JSON value of kind (and, for numbers, finite, and > 0 if positive)."""
+    table = np.array(value, dtype=object)
+    if table.shape != shape:
+        raise ValidationError(f"{name} has shape {table.shape}, expected {shape}")
+    accepts, what = _ENTRIES[kind]
+    if not all(map(accepts, table.flat)):
+        raise ValidationError(f"{name} must hold only {what}")
+    table = table.astype(np.int64 if kind is int else kind)
+    if kind is float and not (np.isfinite(table) & (table > 0 if positive else True)).all():
+        raise ValidationError(f"{name} must be finite{' and > 0' * positive}")
+    return table
+
+
+def read_model_document(doc: dict) -> dict:
+    """The TrainedPipeline fields of a model_document, with the library's
+    `unit_ids` and `lengths` in place of the library. Every table is checked
+    against the shape the config gives; raises ValidationError."""
     _check_version(doc)
-    model = SubspaceModel(
-        # the C layout of init_subspace's basis, so matrix products round
-        # as they did before saving
-        basis=np.ascontiguousarray(np.array(doc["U1"], dtype=float).T),
-        center=np.array(doc["c"], dtype=float),
-        spreads=np.array(doc["lambdas"], dtype=float),
-        delta=float(doc["delta"]),
-    )
-    if model.dim != doc.get("D") or model.subspace_dim != doc.get("d"):
-        raise ValidationError("model document dimensions are inconsistent")
+    config = RunConfig.from_dict(doc["config"])
+    k, d = config.n_regimes, config.subspace_dim
+    dim = N_SENSORS + (N_SETTINGS if config.track_settings else 0)  # D, the tracked columns
+    features = (k, N_SETTINGS + N_SENSORS)
+    if len(doc["members"]) != k:
+        raise ValidationError(f"{len(doc['members'])} members for n_regimes {k}")
+    members = [
+        SubspaceModel(
+            # the C layout of init_subspace's basis, so matrix products round
+            # as they did before saving
+            basis=np.ascontiguousarray(_table(m["U1"], f"members[{i}].U1", (d, dim)).T),
+            center=_table(m["c"], f"members[{i}].c", (dim,)),
+            spreads=_table(m["lambdas"], f"members[{i}].lambdas", (d,)),
+            delta=config.delta,
+        )
+        for i, m in enumerate(doc["members"])
+    ]
+    model = MultiModel(members, _table(doc["centroids"], "centroids", (k, N_SETTINGS)))
     model.validate()
-    return model
-
-
-def model_to_dict(mm: MultiModel) -> dict:
+    norm, scaler, library = doc["normalizer"], doc["scaler"], doc["library"]
+    n_train = len(library["unit_ids"])
+    unit_ids = _table(library["unit_ids"], "library.unit_ids", (n_train,), int)
+    if not (unit_ids[1:] > unit_ids[:-1]).all():
+        raise ValidationError("library.unit_ids are not strictly increasing")
     return {
-        "version": MODEL_FORMAT_VERSION,
-        "K": mm.n_regimes,
-        "centroids": mm.centroids.tolist(),
-        "models": [subspace_to_dict(m) for m in mm.models],
+        "config": config,
+        "normalizer": Normalizer(
+            mean=_table(norm["mean"], "normalizer.mean", features),
+            std=_table(norm["std"], "normalizer.std", features, positive=True),
+            mask=_table(norm["mask"], "normalizer.mask", features, bool),
+        ),
+        "model": model,
+        "scaler": DistanceScaler(
+            floor=float(_table(scaler["floor"], "scaler.floor", ())),
+            ceiling=float(_table(scaler["ceiling"], "scaler.ceiling", ())),
+        ),
+        # only an sst-lr model holds a regressor
+        "regressor": _table(doc["regressor"], "regressor", (k, dim + 1))
+        if config.mode == "sst-lr" else None,
+        "unit_ids": unit_ids,
+        "lengths": _table(library["lengths"], "library.lengths", (n_train,), int),
     }
-
-
-def model_from_dict(doc: dict) -> MultiModel:
-    _check_version(doc)
-    mm = MultiModel(
-        models=[subspace_from_dict(m) for m in doc["models"]],
-        centroids=np.array(doc["centroids"], dtype=float),
-    )
-    if doc.get("K") != mm.n_regimes:
-        raise ValidationError("model count does not match K")
-    mm.validate()
-    return mm
-
-
-def normalizer_to_dict(norm: Normalizer) -> dict:
-    return {
-        "mean": norm.mean.tolist(),
-        "std": norm.std.tolist(),
-        "mask": norm.mask.astype(int).tolist(),
-    }
-
-
-def normalizer_from_dict(doc: dict) -> Normalizer:
-    return Normalizer(
-        mean=np.array(doc["mean"], dtype=float),
-        std=np.array(doc["std"], dtype=float),
-        mask=np.array(doc["mask"], dtype=bool),
-    )
-
-
-def scaler_to_dict(scaler: DistanceScaler) -> dict:
-    return {"floor": scaler.floor, "ceiling": scaler.ceiling}
-
-
-def scaler_from_dict(doc: dict) -> DistanceScaler:
-    return DistanceScaler(floor=float(doc["floor"]), ceiling=float(doc["ceiling"]))
-
-
-def regressor_to_dict(weights: np.ndarray) -> dict:
-    return {"weights": weights.tolist()}
-
-
-def regressor_from_dict(doc: dict) -> np.ndarray:
-    return np.array(doc["weights"], dtype=float)
 
 
 def write_curves_csv(curves: TrajectorySet, path: str | Path) -> None:
@@ -191,31 +202,10 @@ def save_pipeline(pipe: TrainedPipeline, curves: TrajectorySet, out: str | Path)
         raise NumericalError("mean healthy distance overflows")
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "model.json").write_text(json.dumps(model_to_dict(pipe.model)))
-    (out / "scaler.json").write_text(json.dumps(scaler_to_dict(pipe.scaler)))
-    (out / "normalizer.json").write_text(json.dumps(normalizer_to_dict(pipe.normalizer)))
-    if pipe.regressor is not None:
-        (out / "regressor.json").write_text(json.dumps(regressor_to_dict(pipe.regressor)))
-    (out / "config.json").write_text(
-        json.dumps(pipe.config.to_dict(), indent=2, sort_keys=True)
-    )
+    (out / MODEL_FILE).write_text(json.dumps(model_document(pipe)))
     write_curves_csv(curves, out / "train_curves.csv")
-    for field, (name, _, _) in LIBRARY_FILES.items():
-        np.save(out / name, getattr(pipe.library, field), allow_pickle=False)
+    np.save(out / SIGMA_FILE, pipe.library.padded, allow_pickle=False)
     (out / "error_trace.csv").write_text(f"epoch,mean_dist\n0,{mean_dist!r}\n")
-
-
-def _read_json(path: Path, from_dict):
-    """Parse one JSON artifact; a missing file or malformed content of any
-    kind becomes a ValidationError that names the file."""
-    try:
-        return from_dict(json.loads(path.read_text()))
-    except FileNotFoundError:
-        raise ValidationError(f"missing artifact {path}") from None
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-    except (ValueError, TypeError, KeyError, IndexError, AttributeError) as exc:
-        raise ValidationError(f"{path}: malformed artifact: {exc!r}") from exc
 
 
 def _check_health_range(path: Path, unit_ids, sigma: np.ndarray) -> None:
@@ -251,77 +241,31 @@ def read_npy(path: Path, dtype: np.dtype, ndim: int) -> np.ndarray:
     return array
 
 
-def _load_library(model_dir: Path) -> Library:
-    """The directory's library from its stored arrays."""
-    paths = {field: model_dir / name for field, (name, _, _) in LIBRARY_FILES.items()}
-    arrays = {
-        field: read_npy(paths[field], dtype, ndim)
-        for field, (_, dtype, ndim) in LIBRARY_FILES.items()
-    }
-    padded, unit_ids, lengths = arrays["padded"], arrays["unit_ids"], arrays["lengths"]
-    n_train, width = padded.shape
-    for field in ("unit_ids", "lengths"):
-        if len(arrays[field]) != n_train:
-            raise ValidationError(
-                f"{paths[field]}: {len(arrays[field])} entries for {n_train} curves"
-            )
-    if not (unit_ids[1:] > unit_ids[:-1]).all():
-        raise ValidationError(f"{paths['unit_ids']}: unit ids are not strictly increasing")
+def load_pipeline(model_dir: str | Path) -> TrainedPipeline:
+    """The pipeline save_pipeline wrote. MODEL_FILE is parsed and checked
+    before SIGMA_FILE is looked for, so an old directory gets the version
+    message; each error names the file at fault. The curve exports are not
+    read: matching needs only the library."""
+    path = Path(model_dir) / MODEL_FILE
+    try:
+        fields = read_model_document(json.loads(path.read_text()))
+    except FileNotFoundError:
+        raise ValidationError(f"missing artifact {path}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    except (ValueError, TypeError, KeyError, IndexError, AttributeError, OverflowError) as exc:
+        raise ValidationError(f"{path}: malformed artifact: {exc!r}") from exc
+    unit_ids, lengths = fields.pop("unit_ids"), fields.pop("lengths")
+    sigma_path = path.with_name(SIGMA_FILE)
+    sigma = read_npy(sigma_path, np.dtype("<f8"), 2)
+    n_train, width = sigma.shape
+    if n_train != len(unit_ids):
+        raise ValidationError(
+            f"{sigma_path}: {n_train} curves for the {len(unit_ids)} library units of {path}"
+        )
     if not ((lengths >= 1) & (lengths <= width)).all():
         raise ValidationError(
-            f"{paths['lengths']}: curve lengths must lie in [1, {width}], "
-            "the width of the padded curves"
+            f"{path}: library.lengths must lie in [1, {width}], the width of {SIGMA_FILE}"
         )
-    _check_health_range(paths["padded"], unit_ids, padded)
-    return Library.from_padded(unit_ids, lengths, padded)
-
-
-def _check_table(path: Path, name: str, table: np.ndarray, shape: tuple, positive=False):
-    """Refuse a fitted table that is not finite (and > 0, if positive) or not of shape."""
-    if table.shape != shape:
-        raise ValidationError(f"{path}: {name} has shape {table.shape}, expected {shape}")
-    if not (np.isfinite(table) & (table > 0 if positive else True)).all():
-        raise ValidationError(f"{path}: {name} must be finite{' and > 0' * positive}")
-
-
-def _check_config(path: Path, config: RunConfig, model: MultiModel) -> None:
-    """Refuse a config.json that does not describe the model it was saved
-    with: K regimes, and every member's subspace dimension and delta."""
-    fitted = [("n_regimes", model.n_regimes)]
-    for member in model.models:
-        fitted += [("subspace_dim", member.subspace_dim), ("delta", member.delta)]
-    for name, value in fitted:
-        if getattr(config, name) != value:
-            raise ValidationError(
-                f"{path}: {name} {getattr(config, name)!r} does not match {value!r} in model.json"
-            )
-
-
-def load_pipeline(model_dir: str | Path) -> TrainedPipeline:
-    """The pipeline save_pipeline wrote, its tables checked against model.json.
-    The curve exports are not read: matching needs only the library."""
-    model_dir = Path(model_dir)
-    config = _read_json(model_dir / "config.json", RunConfig.from_dict)
-    # read before the library files: an old directory gets the version
-    # message, not a missing .npy
-    model = _read_json(model_dir / "model.json", model_from_dict)
-    k, m = model.n_regimes, model.models[0]
-    _check_config(model_dir / "config.json", config, model)
-    _check_table(model_dir / "model.json", "centroids", model.centroids, (k, N_SETTINGS))
-    norm_path, reg_path = model_dir / "normalizer.json", model_dir / "regressor.json"
-    normalizer = _read_json(norm_path, normalizer_from_dict)
-    shape = (k, m.dim + (0 if config.track_settings else N_SETTINGS))
-    for name in ("mean", "std", "mask"):
-        _check_table(norm_path, name, getattr(normalizer, name), shape, name == "std")
-    regressor = None
-    if config.mode == "sst-lr":  # only an sst-lr directory holds a regressor
-        regressor = _read_json(reg_path, regressor_from_dict)
-        _check_table(reg_path, "weights", regressor, (k, m.dim + 1))
-    return TrainedPipeline(
-        config=config,
-        normalizer=normalizer,
-        model=model,
-        scaler=_read_json(model_dir / "scaler.json", scaler_from_dict),
-        regressor=regressor,
-        library=_load_library(model_dir),
-    )
+    _check_health_range(sigma_path, unit_ids, sigma)
+    return TrainedPipeline(**fields, library=Library.from_padded(unit_ids, lengths, sigma))

@@ -87,6 +87,20 @@ def synth_dir(tmp_path_factory):
 
 BENCH_FLAGS = ["--tau2", "20", "--seed", "3"]
 RETRAIN = "model format version {} is no longer read; retrain with 'subtrack train'"
+# everything train writes: the model document, the library's curves and the exports
+MODEL_DIR_FILES = {"model.json", "library_sigma.npy", "train_curves.csv", "error_trace.csv"}
+
+
+def model_doc(model):
+    """The model.json document of a model directory."""
+    return json.loads((model / "model.json").read_text())
+
+
+def edit_model_doc(model, edit):
+    """Rewrite model.json with edit applied to its document."""
+    doc = model_doc(model)
+    edit(doc)
+    (model / "model.json").write_text(json.dumps(doc))
 
 
 class TestSynth:
@@ -135,11 +149,10 @@ class TestTrain:
              "--out", str(out)] + BENCH_FLAGS
         )
         assert rc == EXIT_OK
-        for name in ("model.json", "scaler.json", "normalizer.json",
-                     "config.json", "train_curves.csv", "error_trace.csv",
-                     *(name for name, _, _ in persist.LIBRARY_FILES.values())):
-            assert (out / name).exists()
-        assert not (out / "regressor.json").exists()
+        assert {p.name for p in out.iterdir()} == MODEL_DIR_FILES
+        doc = model_doc(out)
+        assert doc["version"] == persist.MODEL_FORMAT_VERSION == 5
+        assert doc["regressor"] is None
 
     def test_sst_lr_writes_regressor(self, synth_dir, tmp_path):
         out = tmp_path / "model"
@@ -148,7 +161,9 @@ class TestTrain:
              "--out", str(out), "--mode", "sst-lr"] + BENCH_FLAGS
         )
         assert rc == EXIT_OK
-        assert (out / "regressor.json").exists()
+        assert {p.name for p in out.iterdir()} == MODEL_DIR_FILES
+        # K=1 tracks all N_SETTINGS + N_SENSORS columns: (K, D+1) weights
+        assert np.shape(model_doc(out)["regressor"]) == (1, N_SETTINGS + N_SENSORS + 1)
 
     def test_missing_input_no_partial_files(self, tmp_path):
         out = tmp_path / "model"
@@ -166,7 +181,7 @@ class TestTrain:
              "--out", str(out), "--config", str(cfg_file), "--seed", "3"]
         )
         assert rc == EXIT_OK
-        saved = json.loads((out / "config.json").read_text())
+        saved = model_doc(out)["config"]
         assert saved["tau2"] == 25  # from file
         assert saved["seed"] == 3  # flag wins
 
@@ -216,7 +231,7 @@ class TestTrain:
              "--out", str(out), "--config", str(cfg_file)]
         )
         assert rc == EXIT_OK
-        saved = json.loads((out / "config.json").read_text())
+        saved = model_doc(out)["config"]
         assert saved["seed"] == 9
         assert not set(saved) & set(RETIRED_FIELDS)
 
@@ -458,12 +473,12 @@ class TestInfer:
     def test_corrupt_model_json_rejected(self, synth_dir, model_dir, tmp_path):
         broken = tmp_path / "broken"
         shutil.copytree(model_dir, broken)
-        doc = json.loads((broken / "model.json").read_text())
-        doc["models"][0]["lambdas"][0] = -3.0
+        doc = model_doc(broken)
+        doc["members"][0]["lambdas"][0] = -3.0
         (broken / "model.json").write_text(json.dumps(doc))
         assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
-        # a member document alone is not a K-model document
-        (broken / "model.json").write_text(json.dumps(doc["models"][0]))
+        # a member alone is not a model document
+        (broken / "model.json").write_text(json.dumps(doc["members"][0]))
         assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
 
     def test_version_mismatch_rejected(self, synth_dir, model_dir, tmp_path):
@@ -474,7 +489,6 @@ class TestInfer:
         (broken / "model.json").write_text(json.dumps(doc))
         assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
 
-    @pytest.mark.parametrize("where", ["top", "member"])
     @pytest.mark.parametrize(
         "version, message",
         [
@@ -485,28 +499,31 @@ class TestInfer:
             ("3", "unsupported model format version '3'"),
             (4.0, "unsupported model format version 4.0"),
             ("4", "unsupported model format version '4'"),
-            (5, "unsupported model format version 5"),
+            (5.0, "unsupported model format version 5.0"),
+            ("5", "unsupported model format version '5'"),
+            (6, "unsupported model format version 6"),
+            (0, "unsupported model format version 0"),
             (1, RETRAIN.format(1)),
             # a version 2 library is smoothed twice, and in sst-lr mode is
             # not the index the queries carry
             (2, RETRAIN.format(2)),
             # a version 3 regressor reads the d projections, not the row
             (3, RETRAIN.format(3)),
+            # a version 4 pipeline is spread over five documents and three arrays
+            (4, RETRAIN.format(4)),
         ],
-        ids=["true", "2.0", "str-2", "3.0", "str-3", "4.0", "str-4", "5", "1", "2", "3"],
+        ids=["true", "2.0", "str-2", "3.0", "str-3", "4.0", "str-4", "5.0", "str-5",
+             "6", "0", "1", "2", "3", "4"],
     )
     def test_unsupported_version_exits_2_naming_model_json(
-        self, synth_dir, model_dir, tmp_path, capsys, version, message, where
+        self, synth_dir, model_dir, tmp_path, capsys, version, message
     ):
-        # without library files, as version 1 wrote a directory: the version
-        # is refused before any of them is looked for
+        # without the library file, as version 1 wrote a directory: the
+        # version is refused before it is looked for
         broken = tmp_path / "broken"
         shutil.copytree(model_dir, broken)
-        for name, _, _ in persist.LIBRARY_FILES.values():
-            (broken / name).unlink()
-        doc = json.loads((broken / "model.json").read_text())
-        (doc if where == "top" else doc["models"][0])["version"] = version
-        (broken / "model.json").write_text(json.dumps(doc))
+        (broken / "library_sigma.npy").unlink()
+        edit_model_doc(broken, lambda doc: doc.update(version=version))
         assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
         err = capsys.readouterr().err
         assert f"{broken / 'model.json'}: {message}" in err
@@ -515,15 +532,16 @@ class TestInfer:
     def test_single_model_document_exits_2_with_retrain_message(
         self, synth_dir, model_dir, tmp_path, capsys
     ):
-        member = json.loads((model_dir / "model.json").read_text())["models"][0]
+        doc = model_doc(model_dir)
+        member = doc["members"][0]
         legacy = tmp_path / "legacy"
         shutil.copytree(model_dir, legacy)
         # the documented keys of a version 1 single-model model.json
         (legacy / "model.json").write_text(json.dumps({
             "version": 1,
-            "D": member["D"],
-            "d": member["d"],
-            "delta": member["delta"],
+            "D": len(member["c"]),
+            "d": len(member["lambdas"]),
+            "delta": doc["config"]["delta"],
             "c": member["c"],
             "lambdas": member["lambdas"],
             "U1": member["U1"],
@@ -541,9 +559,7 @@ class TestInfer:
 
     @staticmethod
     def _shorten_basis_column(d):
-        doc = json.loads((d / "model.json").read_text())
-        doc["models"][0]["U1"][1].pop()
-        (d / "model.json").write_text(json.dumps(doc))
+        edit_model_doc(d, lambda doc: doc["members"][0]["U1"][1].pop())
         return "model.json"
 
     @pytest.mark.parametrize(
@@ -592,26 +608,31 @@ class TestInfer:
         return "library_sigma.npy"
 
     @staticmethod
-    def _pickled_unit_ids(d):
-        path = d / "library_unit_ids.npy"
+    def _pickled_library(d):
+        path = d / "library_sigma.npy"
         np.save(path, np.load(path).astype(object), allow_pickle=True)
-        return "library_unit_ids.npy"
+        return "library_sigma.npy"
+
+    @staticmethod
+    def _extra_library_curve(d):
+        path = d / "library_sigma.npy"
+        sigma = np.load(path)
+        np.save(path, np.vstack([sigma, sigma[:1]]))
+        return "library_sigma.npy"
 
     @staticmethod
     def _length_past_width(d):
-        path = d / "library_lengths.npy"
-        lengths = np.load(path)
-        lengths[3] = np.load(d / "library_sigma.npy").shape[1] + 1
-        np.save(path, lengths)
-        return "library_lengths.npy"
+        width = np.load(d / "library_sigma.npy").shape[1]
+        edit_model_doc(d, lambda doc: doc["library"]["lengths"].__setitem__(3, width + 1))
+        return "model.json"
 
     @staticmethod
     def _swapped_unit_ids(d):
-        path = d / "library_unit_ids.npy"
-        ids = np.load(path)
-        ids[[0, 1]] = ids[[1, 0]]
-        np.save(path, ids)
-        return "library_unit_ids.npy"
+        def swap(doc):
+            ids = doc["library"]["unit_ids"]
+            ids[0], ids[1] = ids[1], ids[0]
+        edit_model_doc(d, swap)
+        return "model.json"
 
     @staticmethod
     def _missing_library(d):
@@ -621,8 +642,8 @@ class TestInfer:
     @pytest.mark.parametrize(
         "corrupt",
         ["_truncate_library", "_flatten_library", "_float32_library",
-         "_pickled_unit_ids", "_length_past_width", "_swapped_unit_ids",
-         "_missing_library"],
+         "_pickled_library", "_extra_library_curve", "_length_past_width",
+         "_swapped_unit_ids", "_missing_library"],
     )
     def test_corrupt_library_exits_2_naming_file(
         self, synth_dir, model_dir, tmp_path, capsys, corrupt
@@ -652,28 +673,54 @@ class TestInfer:
         assert f"{name}: unit 1, cycle 5: health index {value!r} outside [0, 1]" in err
 
     @pytest.mark.parametrize(
-        "name, edit, message",
+        "section, key, index, value",
         [
-            ("scaler.json", lambda doc: doc.update(ceiling=math.inf),
-             "need finite ceiling > floor >= 0"),
-            ("model.json", lambda doc: doc["models"][0].update(delta=math.inf),
-             "delta must be positive and finite"),
+            # each in place of the id or flag that numpy would turn it into
+            ("library", "unit_ids", 0, 1.5),
+            ("library", "unit_ids", 0, True),
+            ("library", "unit_ids", 2, "3"),
+            ("library", "unit_ids", -1, 2**53),
+            ("normalizer", "mask", 0, 0.5),
+        ],
+        ids=["id-1.5", "id-true", "id-str-3", "id-2**53", "mask-0.5"],
+    )
+    def test_mistyped_integer_exits_2_naming_model_json(
+        self, synth_dir, model_dir, tmp_path, capsys, section, key, index, value
+    ):
+        # np.array([1.5, "3", True], dtype=np.int64) reads [1, 3, 1] without a word
+        broken = tmp_path / "broken"
+        shutil.copytree(model_dir, broken)
+
+        def mistype(doc):
+            table = doc[section][key]
+            (table[0] if section == "normalizer" else table)[index] = value
+        edit_model_doc(broken, mistype)
+        assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"error: {broken / 'model.json'}: {section}.{key} must hold only " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["scaler"].update(ceiling=math.inf),
+             "scaler.ceiling must be finite"),
+            (lambda doc: doc["config"].update(delta=math.inf),
+             "delta must be a finite number, got inf"),
         ],
         ids=["scaler-ceiling", "model-delta"],
     )
     def test_non_finite_parameter_exits_2_naming_file(
-        self, synth_dir, model_dir, tmp_path, capsys, name, edit, message
+        self, synth_dir, model_dir, tmp_path, capsys, edit, message
     ):
         # either value loads as a float and would give finite but meaningless
         # curves or similarities
         broken = tmp_path / "broken"
         shutil.copytree(model_dir, broken)
-        doc = json.loads((broken / name).read_text())
-        edit(doc)
-        (broken / name).write_text(json.dumps(doc))  # writes Infinity
+        edit_model_doc(broken, edit)  # writes Infinity
         assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
         err = capsys.readouterr().err
-        assert f"{broken / name}: " in err and message in err
+        assert f"{broken / 'model.json'}: {message}" in err
         assert "Traceback" not in err
 
     def test_infer_never_reads_train_curves(self, synth_dir, model_dir, tmp_path):
@@ -690,11 +737,11 @@ class TestInfer:
     def test_sst_directory_never_reads_regressor_json(
         self, synth_dir, model_dir, tmp_path
     ):
-        # save_pipeline writes no regressor in sst mode; a stray file used
-        # to be loaded onto the pipeline (or, malformed, to exit 2)
+        # save_pipeline writes no regressor in sst mode; a stray one used to
+        # be loaded onto the pipeline (or, malformed, to exit 2)
         stray = tmp_path / "stray"
         shutil.copytree(model_dir, stray)
-        (stray / "regressor.json").write_text("not a regressor")
+        edit_model_doc(stray, lambda doc: doc.update(regressor="not a regressor"))
         assert persist.load_pipeline(stray).regressor is None
         for d, out in ((model_dir, "a"), (stray, "b")):
             assert self.infer_rc(synth_dir, d, tmp_path / out) == EXIT_OK
@@ -722,16 +769,14 @@ class TestInfer:
     def test_config_with_trainer_keys_infers_identically(
         self, synth_dir, model_dir, tmp_path
     ):
-        # config.json as train wrote it while it ran the epoch trainer and
+        # a config as train wrote it while it ran the epoch trainer and
         # matched with a fixed bandwidth
         legacy = tmp_path / "legacy"
         shutil.copytree(model_dir, legacy)
-        doc = json.loads((legacy / "config.json").read_text())
-        assert not set(doc) & set(RETIRED_FIELDS)
-        doc.update(
+        assert not set(model_doc(legacy)["config"]) & set(RETIRED_FIELDS)
+        edit_model_doc(legacy, lambda doc: doc["config"].update(
             alpha=0.87, eta=0.01, max_epochs=100, rel_tol=1e-4, beta=0.0235, include_settings=None
-        )
-        (legacy / "config.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+        ))
         assert persist.load_pipeline(legacy).config == (
             persist.load_pipeline(model_dir).config
         )
@@ -748,11 +793,7 @@ class TestInfer:
     ):
         huge = tmp_path / "huge"
         shutil.copytree(model_dir, huge)
-        for name in ("model.json", "config.json"):
-            doc = json.loads((huge / name).read_text())
-            for m in doc.get("models", [doc]):
-                m["delta"] = 1e308
-            (huge / name).write_text(json.dumps(doc))
+        edit_model_doc(huge, lambda doc: doc["config"].update(delta=1e308))
         assert self.infer_rc(synth_dir, huge, tmp_path / "out") == EXIT_NUMERICAL
         assert capsys.readouterr().err == (
             "numerical error: non-finite subspace distance (overflow)\n"
@@ -767,12 +808,10 @@ class TestInfer:
         # not be the one the n_regimes rule gives
         broken = tmp_path / "broken"
         shutil.copytree(model_dir, broken)
-        doc = json.loads((broken / "config.json").read_text())
-        doc["include_settings"] = value
-        (broken / "config.json").write_text(json.dumps(doc))
+        edit_model_doc(broken, lambda doc: doc["config"].update(include_settings=value))
         assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
         assert capsys.readouterr().err == (
-            f"error: {broken / 'config.json'}: include_settings must be null: settings "
+            f"error: {broken / 'model.json'}: include_settings must be null: settings "
             f"are tracked exactly when n_regimes is 1, got {value}\n"
         )
         assert not (tmp_path / "out").exists()
@@ -782,11 +821,12 @@ class TestInfer:
     ):
         broken = tmp_path / "broken"
         shutil.copytree(model_dir, broken)
-        doc = json.loads((broken / "config.json").read_text())
-        doc["max_epoch"] = 100
-        (broken / "config.json").write_text(json.dumps(doc))
+        edit_model_doc(broken, lambda doc: doc["config"].update(max_epoch=100))
         assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
-        assert "config.json: unknown config fields" in capsys.readouterr().err
+        assert (
+            f"{broken / 'model.json'}: unknown config fields: ['max_epoch']"
+            in capsys.readouterr().err
+        )
 
 
 @pytest.fixture(scope="module")
@@ -802,79 +842,73 @@ def lr_model_dir(tmp_path_factory):
     return out
 
 
-def _edit_table(name, edit):
-    def corrupt(d):
-        doc = json.loads((d / name).read_text())
-        edit(doc)
-        (d / name).write_text(json.dumps(doc))
-    return corrupt
-
-
-def _set_first(key, value):
+def _first(section, key, value):
     def edit(doc):
-        doc[key][0][0] = value
+        table = doc[section][key] if key else doc[section]
+        table[0][0] = value
     return edit
 
 
 class TestFittedTables:
-    """normalizer.json and regressor.json must fit model.json: K=3 rows,
-    24 normalizer columns (21 tracked sensors and 3 settings) and 21 + 1
-    regression weights, all finite and std > 0; model.json's centroids must
-    have one finite column per setting; config.json must hold the model's
-    K=3, d=3 and delta 0.01."""
+    """Every table of model.json must have the shape its config gives:
+    K=3 members, 24 normalizer columns (21 tracked sensors and 3 settings),
+    21 + 1 regression weights and one centroid column per setting, all
+    finite JSON numbers and std > 0. A config edited apart from its tables no longer
+    fits them."""
 
     @pytest.mark.parametrize(
-        "name, edit, message",
+        "edit, message",
         [
-            ("regressor.json", lambda doc: doc.update(weights=doc["weights"][:2]),
-             "weights has shape (2, 22), expected (3, 22)"),
-            ("regressor.json", lambda doc: doc.update(weights=doc["weights"][0]),
-             "weights has shape (22,), expected (3, 22)"),
+            (lambda doc: doc.update(regressor=doc["regressor"][:2]),
+             "regressor has shape (2, 22), expected (3, 22)"),
+            (lambda doc: doc.update(regressor=doc["regressor"][0]),
+             "regressor has shape (22,), expected (3, 22)"),
             # the (K, d+1) weights of a version 3 regressor of the projections
-            ("regressor.json",
-             lambda doc: doc.update(weights=[row[:3] + row[-1:] for row in doc["weights"]]),
-             "weights has shape (3, 4), expected (3, 22)"),
-            ("regressor.json", _set_first("weights", float("nan")),
-             "weights must be finite"),
-            ("normalizer.json",
-             lambda doc: doc.update({k: v[:2] for k, v in doc.items()}),
-             "mean has shape (2, 24), expected (3, 24)"),
-            ("normalizer.json",
-             lambda doc: doc.update(mask=[row[1:] for row in doc["mask"]]),
-             "mask has shape (3, 23), expected (3, 24)"),
-            ("normalizer.json", _set_first("std", 0.0), "std must be finite and > 0"),
-            ("normalizer.json", _set_first("std", float("inf")),
-             "std must be finite and > 0"),
-            ("normalizer.json", _set_first("mean", float("nan")), "mean must be finite"),
-            ("model.json",
-             lambda doc: doc.update(centroids=[c[:2] for c in doc["centroids"]]),
+            (lambda doc: doc.update(regressor=[row[:3] + row[-1:] for row in doc["regressor"]]),
+             "regressor has shape (3, 4), expected (3, 22)"),
+            (_first("regressor", None, float("nan")), "regressor must be finite"),
+            (lambda doc: doc["normalizer"].update(
+                {k: v[:2] for k, v in doc["normalizer"].items()}),
+             "normalizer.mean has shape (2, 24), expected (3, 24)"),
+            (lambda doc: doc["normalizer"].update(
+                mask=[row[1:] for row in doc["normalizer"]["mask"]]),
+             "normalizer.mask has shape (3, 23), expected (3, 24)"),
+            (_first("normalizer", "std", 0.0), "normalizer.std must be finite and > 0"),
+            (_first("normalizer", "std", float("inf")),
+             "normalizer.std must be finite and > 0"),
+            (_first("normalizer", "mean", float("nan")), "normalizer.mean must be finite"),
+            (lambda doc: doc.update(centroids=[c[:2] for c in doc["centroids"]]),
              "centroids has shape (3, 2), expected (3, 3)"),
-            ("model.json", _set_first("centroids", float("nan")), "centroids must be finite"),
-            ("config.json", lambda doc: doc.update(n_regimes=5),
-             "n_regimes 5 does not match 3 in model.json"),
-            ("config.json", lambda doc: doc.update(subspace_dim=2),
-             "subspace_dim 2 does not match 3 in model.json"),
-            ("config.json", lambda doc: doc.update(delta=0.02),
-             "delta 0.02 does not match 0.01 in model.json"),
+            (_first("centroids", None, float("nan")), "centroids must be finite"),
+            (lambda doc: doc["config"].update(n_regimes=5), "3 members for n_regimes 5"),
+            (lambda doc: doc["config"].update(subspace_dim=2),
+             "members[0].U1 has shape (3, 21), expected (2, 21)"),
+            # entries numpy would read as 1.0 and 0.5, or fail on deep inside
+            (_first("centroids", None, True), "centroids must hold only numbers"),
+            (lambda doc: doc["scaler"].update(floor="0.5"),
+             "scaler.floor must hold only numbers"),
+            (lambda doc: doc["members"][0]["lambdas"].__setitem__(0, None),
+             "members[0].lambdas must hold only numbers"),
         ],
         ids=["regressor-2-rows", "regressor-1d", "regressor-projection-width",
              "regressor-nan", "normalizer-2-rows",
              "normalizer-23-mask-columns", "normalizer-zero-std", "normalizer-inf-std",
              "normalizer-nan-mean", "model-2-settings-columns", "model-nan-centroid",
-             "config-5-regimes", "config-subspace-dim-2", "config-delta"],
+             "config-5-regimes", "config-subspace-dim-2", "model-true-centroid",
+             "scaler-str-floor", "member-null-spread"],
     )
     def test_mismatched_table_exits_2_naming_file_before_data_is_read(
-        self, lr_model_dir, tmp_path, capsys, name, edit, message
+        self, lr_model_dir, tmp_path, capsys, edit, message
     ):
         broken = tmp_path / "broken"
         shutil.copytree(lr_model_dir, broken)
-        _edit_table(name, edit)(broken)
+        edit_model_doc(broken, edit)
         rc = main(["infer", "--model-dir", str(broken),
                    "--data", str(tmp_path / "no-such-file.txt"),
                    "--out", str(tmp_path / "out")])
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
-        assert f"error: {broken / name}: {message}" in err
+        assert f"error: {broken / 'model.json'}: {message}" in err
         assert "Traceback" not in err
 
     def test_sst_lr_directory_without_regressor_exits_2_naming_it(
@@ -882,13 +916,13 @@ class TestFittedTables:
     ):
         broken = tmp_path / "broken"
         shutil.copytree(lr_model_dir, broken)
-        (broken / "regressor.json").unlink()
+        edit_model_doc(broken, lambda doc: doc.update(regressor=None))
         rc = main(["infer", "--model-dir", str(broken),
                    "--data", str(tmp_path / "no-such-file.txt"),
                    "--out", str(tmp_path / "out")])
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
-        assert f"error: missing artifact {broken / 'regressor.json'}" in err
+        assert f"error: {broken / 'model.json'}: regressor has shape (), expected (3, 22)" in err
 
     def test_untouched_tables_load(self, lr_model_dir):
         pipe = persist.load_pipeline(lr_model_dir)

@@ -5,7 +5,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from subtrack import multiscale, persist
+from subtrack import multiscale
+from subtrack.dataset import N_SENSORS
 from subtrack.errors import NumericalError, ValidationError
 from subtrack.multiscale import (
     MultiModel,
@@ -16,7 +17,7 @@ from subtrack.multiscale import (
 )
 from subtrack.subspace import init_subspace, mahalanobis_rows, update
 
-from test_subspace import random_model, solo
+from test_subspace import model_document, random_model, read_model, solo
 
 
 def make_multimodel(rng, n_models, dim=8, sub_dim=2, spread_centers=10.0):
@@ -266,10 +267,11 @@ class TestNearestCentroid:
 
 
 class TestSerialization:
+    # with K>1 the settings pick the regime, and the subspaces track the sensors
     def test_round_trip(self):
         rng = np.random.default_rng(11)
-        mm = make_multimodel(rng, 3)
-        back = persist.model_from_dict(persist.model_to_dict(mm))
+        mm = make_multimodel(rng, 3, dim=N_SENSORS)
+        back = read_model(model_document(mm))
         assert back.n_regimes == 3
         np.testing.assert_array_equal(back.centroids, mm.centroids)
         for a, b in zip(back.models, mm.models):
@@ -277,7 +279,7 @@ class TestSerialization:
 
     def test_rejects_k_mismatch(self):
         rng = np.random.default_rng(12)
-        doc = persist.model_to_dict(make_multimodel(rng, 2))
-        doc["K"] = 3
-        with pytest.raises(ValidationError):
-            persist.model_from_dict(doc)
+        doc = model_document(make_multimodel(rng, 2, dim=N_SENSORS))
+        doc["members"].pop()
+        with pytest.raises(ValidationError, match="1 members for n_regimes 2"):
+            read_model(doc)

@@ -2,7 +2,8 @@
 dependencies exactly the third-party packages that the source imports
 (test-only packages go in the test extra), the console script calls the
 function that `python -m subtrack.cli` calls, `import subtrack` loads no
-submodule, no np.load can unpickle, only the synthetic-fleet generator uses
+submodule, no np.load can unpickle, only persist names a model directory's
+files or calls np.save and np.load, only the synthetic-fleet generator uses
 numpy.random, and every module.name that the source or the README names
 exists."""
 
@@ -106,6 +107,37 @@ def test_every_np_load_refuses_pickles():
         )
     ]
     assert unsafe == []
+
+
+# what a model directory holds; persist alone writes and reads it
+MODEL_DIR_FILES = ("model.json", "library_sigma.npy", "train_curves.csv", "error_trace.csv")
+
+
+def model_dir_uses():
+    """(file, line, what) of every model-directory file name and every
+    np.save or np.load call in src/subtrack/*.py."""
+    for path in sorted((ROOT / "src" / "subtrack").glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            for name in MODEL_DIR_FILES:
+                if name in line:
+                    yield path.name, lineno, name
+    for path, node in source_nodes():
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("save", "load")
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            yield path.name, node.lineno, f"np.{node.attr}"
+
+
+def test_only_persist_touches_a_model_directory():
+    # one module owns the directory's format: a file name or an array read
+    # elsewhere is a second place to change when the format does
+    uses = list(model_dir_uses())
+    seen = {what for name, _, what in uses if name == "persist.py"}
+    assert seen >= {*MODEL_DIR_FILES, "np.save", "np.load"}, "the check has gone stale"
+    assert [u for u in uses if u[0] != "persist.py"] == []
 
 
 # the only code that may use numpy.random: dataset's synthetic-fleet generator

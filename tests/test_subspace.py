@@ -6,8 +6,13 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from subtrack import persist
+from subtrack.config import RunConfig
+from subtrack.dataset import N_SENSORS, N_SETTINGS, Normalizer
 from subtrack.errors import NumericalError, ValidationError
+from subtrack.evaluation import TrainedPipeline
+from subtrack.health import DistanceScaler
 from subtrack.multiscale import MultiModel
+from subtrack.rul import Library
 from subtrack.subspace import (
     FORGETTING,
     SubspaceModel,
@@ -30,6 +35,27 @@ def random_model(rng, dim, sub_dim, delta=0.01):
 def solo(model):
     """The model as the single-regime (K=1) K-model the pipeline uses."""
     return MultiModel(models=[model], centroids=np.zeros((1, 3)))
+
+
+def model_document(mm):
+    """The model document of an sst pipeline around the K-model mm, its
+    config fitting mm and its other tables placeholders of their shapes."""
+    k, member, width = mm.n_regimes, mm.models[0], N_SETTINGS + N_SENSORS
+    pipe = TrainedPipeline(
+        config=RunConfig(n_regimes=k, subspace_dim=member.subspace_dim, delta=member.delta),
+        normalizer=Normalizer(mean=np.zeros((k, width)), std=np.ones((k, width)),
+                              mask=np.zeros((k, width), dtype=bool)),
+        model=mm,
+        scaler=DistanceScaler(floor=0.0, ceiling=1.0),
+        regressor=None,
+        library=Library.from_padded(np.array([1]), np.array([1]), np.ones((1, 1))),
+    )
+    return json.loads(json.dumps(persist.model_document(pipe)))
+
+
+def read_model(doc):
+    """The K-model a model document holds."""
+    return persist.read_model_document(doc)["model"]
 
 
 def distance(model, x):
@@ -230,11 +256,12 @@ class TestUpdate:
 
 
 class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        model = random_model(np.random.default_rng(16), 7, 3)
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(persist.subspace_to_dict(model)))
-        loaded = persist.subspace_from_dict(json.loads(path.read_text()))
+    # a single-regime model tracks every settings and sensor column
+    DIM = N_SETTINGS + N_SENSORS
+
+    def test_round_trip(self):
+        model = random_model(np.random.default_rng(16), self.DIM, 3)
+        loaded = read_model(model_document(solo(model))).models[0]
         np.testing.assert_array_equal(loaded.basis, model.basis)
         np.testing.assert_array_equal(loaded.center, model.center)
         np.testing.assert_array_equal(loaded.spreads, model.spreads)
@@ -244,26 +271,25 @@ class TestSerialization:
         # eigh returns Fortran-ordered vectors; a basis kept in that layout
         # gave distances a few ulps off the C-ordered basis persist reads back
         rng = np.random.default_rng(19)
-        window = rng.standard_normal((200, 24)) @ rng.standard_normal((24, 24))
+        window = rng.standard_normal((200, self.DIM)) @ rng.standard_normal((self.DIM, self.DIM))
         model = init_subspace(window, 3)
-        doc = json.loads(json.dumps(persist.model_to_dict(solo(model))))
-        loaded = persist.model_from_dict(doc).models[0]
-        rows = rng.standard_normal((5000, 24))
+        loaded = read_model(model_document(solo(model))).models[0]
+        rows = rng.standard_normal((5000, self.DIM))
         assert mahalanobis_rows(loaded, rows).tobytes() == (
             mahalanobis_rows(model, rows).tobytes()
         )
 
     def test_rejects_bad_version(self):
-        doc = persist.subspace_to_dict(random_model(np.random.default_rng(17), 6, 2))
+        doc = model_document(solo(random_model(np.random.default_rng(17), self.DIM, 2)))
         doc["version"] = 99
-        with pytest.raises(ValidationError):
-            persist.subspace_from_dict(doc)
+        with pytest.raises(ValidationError, match="unsupported model format version 99"):
+            read_model(doc)
 
     def test_rejects_broken_invariant(self):
-        doc = persist.subspace_to_dict(random_model(np.random.default_rng(18), 6, 2))
-        doc["lambdas"][0] = -1.0
+        doc = model_document(solo(random_model(np.random.default_rng(18), self.DIM, 2)))
+        doc["members"][0]["lambdas"][0] = -1.0
         with pytest.raises(ValidationError, match="positive"):
-            persist.subspace_from_dict(doc)
+            read_model(doc)
 
 
 # ---------------------------------------------------------------------------
