@@ -6,6 +6,9 @@ Subcommands:
   benchmark  end-to-end run with metrics report
   synth      generate a synthetic fleet in CMAPSS format
 
+Curve tables are written as `.npy` arrays (persist.write_curves), estimates
+and reports as text.
+
 Exit codes: 0 success, 1 usage, 2 data error, 3 numerical failure.
 """
 
@@ -99,7 +102,7 @@ def cmd_infer(args) -> int:
     estimates = evaluation.estimate_fleet(pipe, curves, skip_unmatched=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    persist.write_curves_csv(curves, out / "hi_curves.csv")
+    persist.write_curves(curves, out / "hi_curves.npy")
     persist.write_estimates_csv(estimates, truths, out / "rul_estimates.csv", curves.unit_ids)
     _report_degraded(curves.unit_ids, estimates)
     print(f"inferred {len(curves)} units -> {args.out}")
@@ -115,8 +118,8 @@ def cmd_benchmark(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json() + "\n")
     (out / "report.txt").write_text(report.to_text() + "\n")
-    persist.write_curves_csv(train_curves, out / "hi_curves_train.csv")
-    persist.write_curves_csv(test_curves, out / "hi_curves.csv")
+    persist.write_curves(train_curves, out / "hi_curves_train.npy")
+    persist.write_curves(test_curves, out / "hi_curves.npy")
     persist.write_estimates_csv(
         report.estimates, report.truths, out / "rul_estimates.csv", test_curves.unit_ids
     )

@@ -132,17 +132,18 @@ def _parse_cmapss_lines(path: Path) -> TrajectorySet:
         return TrajectorySet.stack(*read_unit_rows(path, fh, N_COLUMNS))
 
 
-def read_unit_rows(path: Path, lines, n_fields: int, sep=None, start=1) -> tuple[list, list]:
+def read_unit_rows(path: Path, lines, n_fields: int) -> tuple[list, list]:
     """(ascending unit ids, one (L, n_fields - 2) array per unit in cycle
-    order) of `unit cycle value ...` lines split by sep, numbered from start;
-    whitespace-only lines are skipped. DataFormatError names path and line of
-    a malformed row, a non-finite value or an id not whole or of magnitude
-    ID_LIMIT or more; ValidationError names a unit whose cycles are not 1..L."""
+    order) of whitespace-separated `unit cycle value ...` lines, numbered
+    from 1; whitespace-only lines are skipped. DataFormatError names path
+    and line of a malformed row, a non-finite value or an id not whole or of
+    magnitude ID_LIMIT or more; ValidationError names a unit whose cycles
+    are not 1..L."""
     rows_by_unit: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for lineno, line in enumerate(lines, start=start):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        parts = line.split(sep)
+        parts = line.split()
         if len(parts) != n_fields:
             raise DataFormatError(
                 f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}"
@@ -214,18 +215,18 @@ def _cycle_runs(units: np.ndarray, cycles: np.ndarray) -> tuple[list[int], list[
 def save_cmapss(tset: TrajectorySet, path: str | Path) -> None:
     """Write a TrajectorySet back to 26-column text; values round-trip exactly."""
     with open(path, "w") as fh:
-        write_unit_rows(fh, tset, " ")
+        write_unit_rows(fh, tset)
 
 
-def write_unit_rows(fh, tset: TrajectorySet, sep: str) -> None:
-    """Write each unit's rows `unit cycle value ...`, cycles 1..L, joined by
-    sep, from the views of its columns. Each column is one map of
+def write_unit_rows(fh, tset: TrajectorySet) -> None:
+    """Write each unit's rows `unit cycle value ...`, cycles 1..L, separated
+    by spaces, from the views of its columns. Each column is one map of
     float.__repr__ and str.join joins the rows: no Python code runs per row."""
     cycles = list(map(str, range(1, max(np.diff(tset.bounds)) + 1)))
     for unit, rows in zip(tset.unit_ids, tset):
         values = [map(float.__repr__, a.tolist()) for a in rows.T]
         lines = zip(repeat(str(unit)), cycles, *values)  # ends with the columns
-        fh.write("\n".join(map(sep.join, lines)) + "\n")
+        fh.write("\n".join(map(" ".join, lines)) + "\n")
 
 
 def load_rul_targets(path: str | Path, n_units: int) -> list[int]:

@@ -6,7 +6,8 @@ healthy/failure reference levels, and mapped to a health index
     sigma = 1 - sqrt(scaled_distance),
 
 so 1 means perfect health and 0 failure. A fleet's curves are one unit table,
-a `dataset.TrajectorySet` of the CURVE_COLUMNS in the curve CSV's order. A
+a `dataset.TrajectorySet` of the CURVE_COLUMNS, in the order of the last
+three columns of a `persist.write_curves` export. A
 least-squares refinement (the "-LR" variant) maps the normalized, tracked
 row, all D columns, to health-index values, one affine fit per model label:
 a linear regression of the sensor readings, as in Wang et al. (PHM 2008).

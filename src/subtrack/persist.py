@@ -1,9 +1,10 @@
 """On-disk formats for trained pipeline artifacts.
 
-Documents are JSON and curves and estimates CSV, with floats written with
-repr so reading a file back reproduces the exact values that were written.
-This is the only module that reads or writes a model directory: one
-document, MODEL_FILE, one array, SIGMA_FILE, and two exports.
+Documents are JSON and estimates CSV, floats written with repr, and arrays
+`.npy` (np.save, read with np.load(allow_pickle=False)), so reading a file
+back reproduces the exact values written. This is the only module that
+reads or writes a model directory: one document, MODEL_FILE, one array,
+SIGMA_FILE, and two exports.
 
 The document (model_document, read_model_document) holds the whole fitted
 pipeline but the library's curves: its format version, the run config, the
@@ -11,13 +12,12 @@ regime centroids, one member {c, lambdas, U1} per regime, the normalizer,
 the scaler, the sst-lr regressor (null in sst mode) and the library's unit
 ids and curve lengths. The config fixes the shape of every table, and each
 member's delta is the config's. The library's zero-padded curves are a
-float64 `.npy` array, written with np.save and read with
-np.load(allow_pickle=False). Matching reads the stored library and never
-opens `train_curves.csv`, the human-readable export of the training curve
-table that save_pipeline is given beside the pipeline; read_curves_csv,
-which no command calls, reads it back with dataset.read_unit_rows. A
-directory of any other version than MODEL_FORMAT_VERSION is refused; one of
-version 1 (library only in `train_curves.csv`), 2 (library smoothed twice),
+float64 `.npy` array. Matching reads the stored library and never opens
+`train_curves.npy`, the export of the training curve table that
+save_pipeline is given beside the pipeline, written by write_curves like
+every curve export. A directory of any other version than
+MODEL_FORMAT_VERSION is refused; one of version 1 (library only in a
+`train_curves.csv`), 2 (library smoothed twice),
 3 (an sst-lr regressor of the d subspace projections) or 4 (the pipeline
 spread over five documents and three arrays) with a message to retrain.
 """
@@ -30,10 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .dataset import (
-    ID_LIMIT, N_SENSORS, N_SETTINGS, Normalizer, TrajectorySet, decoding, read_unit_rows,
-    write_unit_rows,
-)
+from .dataset import ID_LIMIT, N_SENSORS, N_SETTINGS, Normalizer, TrajectorySet
 from .errors import NumericalError, ValidationError
 from .evaluation import TrainedPipeline
 from .health import CURVE_COLUMNS, RAW_DIST, DistanceScaler
@@ -44,7 +41,6 @@ from .subspace import SubspaceModel
 MODEL_FORMAT_VERSION = 5
 MODEL_FILE = "model.json"
 SIGMA_FILE = "library_sigma.npy"  # float64, (n_train, longest curve)
-CURVE_CSV_HEADER = ",".join(("unit_id", "cycle", *CURVE_COLUMNS))
 ESTIMATE_CSV_HEADER = (
     "unit_id,estimated_rul,true_rul,error,n_candidates,sum_similarity"
 )
@@ -156,21 +152,18 @@ def read_model_document(doc: dict) -> dict:
     }
 
 
-def write_curves_csv(curves: TrajectorySet, path: str | Path) -> None:
-    """The header, then each unit's rows of the curve table; values round-trip exactly."""
-    with open(path, "w") as fh:
-        fh.write(CURVE_CSV_HEADER + "\n")
-        write_unit_rows(fh, curves, ",")
-
-
-def read_curves_csv(path: str | Path) -> TrajectorySet:
-    """The curve table of a `train_curves.csv` export, in unit order. Raises
-    ValidationError naming the file when its first line is not the header,
-    and what the CMAPSS line parser raises on the rows that follow."""
-    with open(path) as fh, decoding(path):
-        if fh.readline().rstrip("\n") != CURVE_CSV_HEADER:
-            raise ValidationError(f"{path}: not a health-index curve CSV")
-        return TrajectorySet.stack(*read_unit_rows(path, fh, 5, ",", start=2))
+def write_curves(curves: TrajectorySet, path: str | Path) -> None:
+    """The curve table as one (rows, 5) float64 `.npy` array, one row per
+    unit and cycle in unit order: unit_id, cycle, then the CURVE_COLUMNS.
+    Ids and cycles are exact below ID_LIMIT, and every curve value is the
+    table's, bit for bit."""
+    lengths = np.diff(curves.bounds)
+    table = np.empty((len(curves.matrix), 2 + len(CURVE_COLUMNS)))
+    table[:, 0] = np.repeat(curves.unit_ids, lengths)
+    # row i of a unit starting at row a is its cycle i - a + 1
+    table[:, 1] = np.arange(1, len(table) + 1) - np.repeat(curves.bounds[:-1], lengths)
+    table[:, 2:] = curves.matrix
+    np.save(path, table, allow_pickle=False)
 
 
 def write_estimates_csv(estimates, truths, path: str | Path, unit_ids) -> None:
@@ -192,7 +185,7 @@ def write_estimates_csv(estimates, truths, path: str | Path, unit_ids) -> None:
 
 def save_pipeline(pipe: TrainedPipeline, curves: TrajectorySet, out: str | Path) -> None:
     """Write every artifact of a trained pipeline into the directory out, with
-    its training curve table as the `train_curves.csv` and `error_trace.csv`
+    its training curve table as the `train_curves.npy` and `error_trace.csv`
     exports (the trace is one row, the mean raw distance of the healthy
     cycles; one that overflows raises NumericalError before any file is written)."""
     healthy = np.concatenate([rows[: pipe.config.healthy_cycles, RAW_DIST] for rows in curves])
@@ -203,7 +196,7 @@ def save_pipeline(pipe: TrainedPipeline, curves: TrajectorySet, out: str | Path)
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     (out / MODEL_FILE).write_text(json.dumps(model_document(pipe)))
-    write_curves_csv(curves, out / "train_curves.csv")
+    write_curves(curves, out / "train_curves.npy")
     np.save(out / SIGMA_FILE, pipe.library.padded, allow_pickle=False)
     (out / "error_trace.csv").write_text(f"epoch,mean_dist\n0,{mean_dist!r}\n")
 

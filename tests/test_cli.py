@@ -88,7 +88,7 @@ def synth_dir(tmp_path_factory):
 BENCH_FLAGS = ["--tau2", "20", "--seed", "3"]
 RETRAIN = "model format version {} is no longer read; retrain with 'subtrack train'"
 # everything train writes: the model document, the library's curves and the exports
-MODEL_DIR_FILES = {"model.json", "library_sigma.npy", "train_curves.csv", "error_trace.csv"}
+MODEL_DIR_FILES = {"model.json", "library_sigma.npy", "train_curves.npy", "error_trace.csv"}
 
 
 def model_doc(model):
@@ -423,10 +423,10 @@ class TestInfer:
         )
         assert rc == EXIT_OK
         sigmas = {}
-        for line in (tmp_path / "hi_curves.csv").read_text().splitlines()[1:]:
-            unit, cycle, _, _, sigma = line.split(",")
-            if int(cycle) <= 20:
-                sigmas.setdefault(int(unit), []).append(float(sigma))
+        table = np.load(tmp_path / "hi_curves.npy", allow_pickle=False)
+        for unit, cycle, _, _, sigma in table.tolist():
+            if cycle <= 20:
+                sigmas.setdefault(unit, []).append(sigma)
         mean_sigma = sum(sum(v) / len(v) for v in sigmas.values()) / len(sigmas)
         assert mean_sigma >= 0.9
 
@@ -726,10 +726,31 @@ class TestInfer:
     def test_infer_never_reads_train_curves(self, synth_dir, model_dir, tmp_path):
         stripped = tmp_path / "stripped"
         shutil.copytree(model_dir, stripped)
-        (stripped / "train_curves.csv").unlink()
+        (stripped / "train_curves.npy").unlink()
         for d, out in ((model_dir, "a"), (stripped, "b")):
             assert self.infer_rc(synth_dir, d, tmp_path / out) == EXIT_OK
-        for name in ("hi_curves.csv", "rul_estimates.csv"):
+        for name in ("hi_curves.npy", "rul_estimates.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (
+                tmp_path / "b" / name
+            ).read_bytes()
+
+    def test_directory_with_a_text_curve_export_infers_identically(
+        self, synth_dir, model_dir, tmp_path
+    ):
+        # a version-5 directory written before the curve exports were .npy
+        # holds train_curves.csv instead; matching reads neither export
+        old = tmp_path / "old"
+        shutil.copytree(model_dir, old)
+        table = np.load(old / "train_curves.npy", allow_pickle=False)
+        (old / "train_curves.npy").unlink()
+        (old / "train_curves.csv").write_text(
+            "unit_id,cycle,raw_dist,scaled_dist,sigma\n"
+            + "".join(f"{int(u)},{int(c)},{r!r},{s!r},{g!r}\n" for u, c, r, s, g in table.tolist())
+        )
+        assert model_doc(old)["version"] == persist.MODEL_FORMAT_VERSION
+        for d, out in ((model_dir, "a"), (old, "b")):
+            assert self.infer_rc(synth_dir, d, tmp_path / out) == EXIT_OK
+        for name in ("hi_curves.npy", "rul_estimates.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
@@ -745,7 +766,7 @@ class TestInfer:
         assert persist.load_pipeline(stray).regressor is None
         for d, out in ((model_dir, "a"), (stray, "b")):
             assert self.infer_rc(synth_dir, d, tmp_path / out) == EXIT_OK
-        for name in ("hi_curves.csv", "rul_estimates.csv"):
+        for name in ("hi_curves.npy", "rul_estimates.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
@@ -766,6 +787,21 @@ class TestInfer:
         err = capsys.readouterr().err
         assert warned_units(err, "no valid match") == empty
 
+    def test_unmatched_unit_keeps_its_curve_rows(self, synth_dir, model_dir, tmp_path):
+        # an empty estimate row does not drop the unit from the curve export
+        data = synth_dir / "train_synth.txt"
+        assert main(["infer", "--model-dir", str(model_dir), "--data", str(data),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        empty = [int(r["unit_id"]) for r in estimate_rows(tmp_path)
+                 if not r["estimated_rul"]]
+        assert empty
+        table = np.load(tmp_path / "hi_curves.npy", allow_pickle=False)
+        fleet = load_cmapss(data)
+        lengths = dict(zip(fleet.unit_ids, np.diff(fleet.bounds).tolist()))
+        for unit in empty:
+            cycles = table[table[:, 0] == unit, 1]
+            assert cycles.tolist() == list(range(1, lengths[unit] + 1))
+
     def test_config_with_trainer_keys_infers_identically(
         self, synth_dir, model_dir, tmp_path
     ):
@@ -783,7 +819,7 @@ class TestInfer:
 
         assert self.infer_rc(synth_dir, model_dir, tmp_path / "new") == EXIT_OK
         assert self.infer_rc(synth_dir, legacy, tmp_path / "old") == EXIT_OK
-        for name in ("hi_curves.csv", "rul_estimates.csv"):
+        for name in ("hi_curves.npy", "rul_estimates.csv"):
             assert (tmp_path / "old" / name).read_bytes() == (
                 tmp_path / "new" / name
             ).read_bytes()
@@ -1053,8 +1089,8 @@ class TestBenchmark:
              "--out", str(infer)]
         )
         assert rc == EXIT_OK
-        assert (infer / "hi_curves.csv").read_bytes() == (
-            bench / "hi_curves.csv"
+        assert (infer / "hi_curves.npy").read_bytes() == (
+            bench / "hi_curves.npy"
         ).read_bytes()
         assert (infer / "rul_estimates.csv").read_bytes() == (
             bench / "rul_estimates.csv"

@@ -2,10 +2,10 @@
 dependencies exactly the third-party packages that the source imports
 (test-only packages go in the test extra), the console script calls the
 function that `python -m subtrack.cli` calls, `import subtrack` loads no
-submodule, no np.load can unpickle, only persist names a model directory's
-files or calls np.save and np.load, only the synthetic-fleet generator uses
-numpy.random, and every module.name that the source or the README names
-exists."""
+submodule, no np.load or np.save can pickle, only persist names a model
+directory's files or calls np.save and np.load, only the synthetic-fleet
+generator uses numpy.random, and every module.name that the source or the
+README names exists."""
 
 import ast
 import importlib
@@ -79,24 +79,25 @@ def test_package_import_loads_no_submodule():
     assert proc.stdout.split() == []
 
 
-def np_load_calls():
-    """(file, line, call) of every np.load(...) in src/subtrack/*.py."""
+def np_calls(attr):
+    """(file, line, call) of every np.<attr>(...) in src/subtrack/*.py."""
     for path, node in source_nodes():
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "load"
+            and node.func.attr == attr
             and isinstance(node.func.value, ast.Name)
             and node.func.value.id in ("np", "numpy")
         ):
             yield path.name, node.lineno, node
 
 
-def test_every_np_load_refuses_pickles():
-    # a model directory is data: np.load must never run a pickle it holds
-    calls = list(np_load_calls())
-    assert calls, "no np.load call found; the check has gone stale"
-    unsafe = [
+def without_allow_pickle_false(attr):
+    """(file, line) of every np.<attr> call not passed allow_pickle=False;
+    fails when the source makes no np.<attr> call."""
+    calls = list(np_calls(attr))
+    assert calls, f"no np.{attr} call found; the check has gone stale"
+    return [
         (name, lineno)
         for name, lineno, call in calls
         if not any(
@@ -106,11 +107,21 @@ def test_every_np_load_refuses_pickles():
             for kw in call.keywords
         )
     ]
-    assert unsafe == []
+
+
+def test_every_np_load_refuses_pickles():
+    # a model directory is data: np.load must never run a pickle it holds
+    assert without_allow_pickle_false("load") == []
+
+
+def test_every_np_save_refuses_pickles():
+    # every array written is plain data: an object array must fail to save
+    # rather than become a file that np.load(allow_pickle=False) refuses
+    assert without_allow_pickle_false("save") == []
 
 
 # what a model directory holds; persist alone writes and reads it
-MODEL_DIR_FILES = ("model.json", "library_sigma.npy", "train_curves.csv", "error_trace.csv")
+MODEL_DIR_FILES = ("model.json", "library_sigma.npy", "train_curves.npy", "error_trace.csv")
 
 
 def model_dir_uses():

@@ -1,15 +1,14 @@
 """The CMAPSS bulk reader against the line parser it falls back to, and the
-curve CSV reader against the values its files were written from.
+curve exports against the tables they were written from.
 
 dataset.load_cmapss parses a file with one np.loadtxt call and falls back to
 its line parser when that parse or a check on its result fails. The line
 parser is the reference: the bulk path may accept only files it accepts,
-with bit-equal arrays, and every error comes from it.
-persist.read_curves_csv checks the header, then parses the rows with the
-same line parser, dataset.read_unit_rows: on the cases it shares with the
-CMAPSS reader it accepts exactly the files the CMAPSS line parser accepts.
-One form and one codec: both tables are a TrajectorySet, parsed by
-read_unit_rows and written by dataset.write_unit_rows.
+with bit-equal arrays, and every error comes from it. CMAPSS text has one
+line parser, dataset.read_unit_rows, and one writer, dataset.write_unit_rows.
+A curve table is the same form in memory, a TrajectorySet, but it is
+exported as one `.npy` array by persist.write_curves, which np.load reads
+back exactly.
 """
 
 import subprocess
@@ -20,13 +19,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from subtrack import dataset, persist
+from subtrack import dataset
 from subtrack.dataset import (
-    N_SETTINGS, SynthConfig, TrajectorySet, generate_synthetic, load_cmapss, save_cmapss,
+    ID_LIMIT, N_SETTINGS, SynthConfig, TrajectorySet, generate_synthetic, load_cmapss,
+    save_cmapss,
 )
-from subtrack.errors import DataFormatError, PrognosticsError
+from subtrack.errors import PrognosticsError
 from subtrack.health import CURVE_COLUMNS
-from subtrack.persist import CURVE_CSV_HEADER, read_curves_csv, write_curves_csv
+from subtrack.persist import write_curves
 
 CMAPSS = (load_cmapss, dataset._parse_cmapss_bulk, dataset._parse_cmapss_lines)
 
@@ -36,12 +36,6 @@ def trajectory_bits(tset):
         (u, type(u), t[:, :N_SETTINGS].shape, t[:, :N_SETTINGS].tobytes(),
          t[:, N_SETTINGS:].tobytes())
         for u, t in zip(tset.unit_ids, tset)
-    ]
-
-
-def curve_bits(curves):
-    return [
-        (u, type(u), *(column.tobytes() for column in c.T)) for u, c in zip(curves.unit_ids, curves)
     ]
 
 
@@ -68,19 +62,8 @@ def check_agree(readers, path):
     return "fallback" if ref[0] == "ok" else "error"
 
 
-def curve_outcome(path):
-    """"ok" when read_curves_csv reads the file, "error" when it refuses it
-    with a PrognosticsError."""
-    try:
-        read_curves_csv(path)
-    except PrognosticsError:
-        return "error"
-    return "ok"
-
-
 # ---------------------------------------------------------------------------
-# valid files: the CMAPSS paths give bit-equal arrays, the curve reader the
-# values that were written
+# valid files: the CMAPSS paths give bit-equal arrays
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 VALUE_FORMATS = (repr, "{:.6e}".format, "{:.3f}".format, "{:g}".format)
@@ -130,22 +113,6 @@ def cmapss_texts(draw, order):
     return join_lines(draw, lines, eol)
 
 
-@st.composite
-def curve_texts(draw):
-    """A curve CSV text, and {unit: {cycle: (raw, scaled, sigma)}} from the
-    int and float of each token written."""
-    rows, eol = draw(unit_rows())
-    id_format = draw(st.sampled_from(["{}", "{:+d}", " {} "]))
-    fmt = draw(st.sampled_from(VALUE_FORMATS))
-    lines, written = [], {}
-    for unit, cycle in rows:
-        fields = [id_format.format(unit), id_format.format(cycle)]
-        fields += [fmt(v) for v in draw(st.lists(FLOATS, min_size=3, max_size=3))]
-        lines.append(",".join(fields))
-        written.setdefault(int(fields[0]), {})[int(fields[1])] = tuple(map(float, fields[2:]))
-    return CURVE_CSV_HEADER + eol + join_lines(draw, lines, eol), written
-
-
 def write_text(tmp_path_factory, text, name):
     path = tmp_path_factory.mktemp("readers") / name
     with open(path, "w", newline="") as fh:
@@ -168,21 +135,6 @@ def test_shuffled_cmapss_files_fall_back_bit_equal(tmp_path_factory, text):
     assert check_agree(CMAPSS, path) == "fallback"
 
 
-@settings(max_examples=150, deadline=None)
-@given(text_written=curve_texts())
-def test_valid_curve_files_bit_equal_on_both_paths(tmp_path_factory, text_written):
-    text, written = text_written
-    path = write_text(tmp_path_factory, text, "train_curves.csv")
-    curves = read_curves_csv(path)
-    assert [(u, type(u)) for u in curves.unit_ids] == [(u, int) for u in sorted(written)]
-    for unit, c in zip(curves.unit_ids, curves):
-        rows = written[unit]
-        assert sorted(rows) == list(range(1, len(c) + 1))
-        for column, values in enumerate(c.T):
-            want = np.array([rows[cycle][column] for cycle in range(1, len(c) + 1)])
-            assert values.tobytes() == want.tobytes()
-
-
 # ---------------------------------------------------------------------------
 # odd and malformed files: the line parser decides
 
@@ -193,26 +145,19 @@ def cmapss_lines():
     ]
 
 
-def curve_lines():
-    return [CURVE_CSV_HEADER] + [
-        f"{unit},{cycle},{0.1 * cycle!r},{0.01 * cycle!r},{1 - 0.1 * cycle!r}"
-        for unit in (1, 2) for cycle in (1, 2, 3)
-    ]
-
-
-def set_field(lines, lineno, column, token, sep):
+def set_field(lines, lineno, column, token):
     """Replace one field of a 1-based line."""
     lines = list(lines)
-    fields = lines[lineno - 1].split(sep)
+    fields = lines[lineno - 1].split()
     fields[column] = token
-    lines[lineno - 1] = (sep or " ").join(fields)
+    lines[lineno - 1] = " ".join(fields)
     return lines
 
 
-def set_unit(lines, first, token, sep):
-    """Write unit 1's id, on all three of its lines, as token."""
-    for lineno in range(first, first + 3):
-        lines = set_field(lines, lineno, 0, token, sep)
+def set_unit(lines, token):
+    """Write unit 1's id, on all three of its lines (1 to 3), as token."""
+    for lineno in (1, 2, 3):
+        lines = set_field(lines, lineno, 0, token)
     return lines
 
 
@@ -226,44 +171,40 @@ def insert(lines, lineno, text):
     return lines[: lineno - 1] + [text] + lines[lineno - 1:]
 
 
-def edit_cases(sep, first):
-    """Cases shared by both readers: (name, edit of the lines). first is the
-    number of the first data line; units 1 and 2 have cycles 1 to 3 each."""
+def edit_cases():
+    """(name, edit of the lines) of each case; lines 1 to 3 are unit 1's
+    cycles 1 to 3, lines 4 to 6 unit 2's."""
     cases = [
-        ("unit 1.0", lambda ls: set_unit(ls, first, "1.0", sep)),
-        ("unit +1", lambda ls: set_unit(ls, first, "+1", sep)),
-        ("unit 1_0", lambda ls: set_unit(ls, first, "1_0", sep)),
-        ("unit 0x10", lambda ls: set_unit(ls, first, "0x10", sep)),
-        ("unit #", lambda ls: set_unit(ls, first, "#", sep)),
-        ("unit 1e400", lambda ls: set_unit(ls, first, "1e400", sep)),
-        ("unit nan", lambda ls: set_unit(ls, first, "nan", sep)),
-        ("unit 2**53 + 1", lambda ls: set_unit(ls, first, str(2**53 + 1), sep)),
-        ("unit 1e300", lambda ls: set_unit(ls, first, "1e300", sep)),
-        ("unit 1.5", lambda ls: set_unit(ls, first, "1.5", sep)),
-        ("cycle 2.5", lambda ls: set_field(ls, first + 1, 1, "2.5", sep)),
-        ("cycle inf", lambda ls: set_field(ls, first + 1, 1, "inf", sep)),
-        ("cycle -inf", lambda ls: set_field(ls, first + 1, 1, "-inf", sep)),
-        ("blank line", lambda ls: insert(ls, first + 2, "")),
-        ("whitespace-only line", lambda ls: insert(ls, first + 2, " \t ")),
-        ("units out of order",
-         lambda ls: ls[:first - 1] + ls[first + 2:] + ls[first - 1:first + 2]),
-        ("cycles shuffled", lambda ls: swap(ls, first, first + 2)),
-        ("duplicate cycle", lambda ls: set_field(ls, first + 1, 1, "1", sep)),
-        ("cycle gap", lambda ls: set_field(ls, first + 2, 1, "4", sep)),
-        ("cycles start at 0", lambda ls: set_field(ls, first + 3, 1, "0", sep)),
-        ("value 1_0", lambda ls: set_field(ls, first + 1, -1, "1_0", sep)),
-        ("value nan", lambda ls: set_field(ls, first + 4, -1, "nan", sep)),
-        ("value 1e400", lambda ls: set_field(ls, first + 4, -1, "1e400", sep)),
-        ("value 0x10", lambda ls: set_field(ls, first + 1, -1, "0x10", sep)),
-        ("trailing comma", lambda ls: ls[:first] + [ls[first] + ","] + ls[first + 1:]),
-        ("trailing comma everywhere",
-         lambda ls: ls[:first - 1] + [line + "," for line in ls[first - 1:]]),
-        ("NUL in a value", lambda ls: set_field(ls, first, -1, "1\x00", sep)),
-        ("form feed before a separator",
-         lambda ls: set_field(ls, first, 2, "0.5\x0c", sep)),
-        ("U+2028 before a separator",
-         lambda ls: set_field(ls, first, 2, "0.5\u2028", sep)),
-        ("no data rows", lambda ls: ls[:first - 1]),
+        ("unit 1.0", lambda ls: set_unit(ls, "1.0")),
+        ("unit +1", lambda ls: set_unit(ls, "+1")),
+        ("unit 1_0", lambda ls: set_unit(ls, "1_0")),
+        ("unit 0x10", lambda ls: set_unit(ls, "0x10")),
+        ("unit #", lambda ls: set_unit(ls, "#")),
+        ("unit 1e400", lambda ls: set_unit(ls, "1e400")),
+        ("unit nan", lambda ls: set_unit(ls, "nan")),
+        ("unit 2**53 + 1", lambda ls: set_unit(ls, str(2**53 + 1))),
+        ("unit 1e300", lambda ls: set_unit(ls, "1e300")),
+        ("unit 1.5", lambda ls: set_unit(ls, "1.5")),
+        ("cycle 2.5", lambda ls: set_field(ls, 2, 1, "2.5")),
+        ("cycle inf", lambda ls: set_field(ls, 2, 1, "inf")),
+        ("cycle -inf", lambda ls: set_field(ls, 2, 1, "-inf")),
+        ("blank line", lambda ls: insert(ls, 3, "")),
+        ("whitespace-only line", lambda ls: insert(ls, 3, " \t ")),
+        ("units out of order", lambda ls: ls[3:] + ls[:3]),
+        ("cycles shuffled", lambda ls: swap(ls, 1, 3)),
+        ("duplicate cycle", lambda ls: set_field(ls, 2, 1, "1")),
+        ("cycle gap", lambda ls: set_field(ls, 3, 1, "4")),
+        ("cycles start at 0", lambda ls: set_field(ls, 4, 1, "0")),
+        ("value 1_0", lambda ls: set_field(ls, 2, -1, "1_0")),
+        ("value nan", lambda ls: set_field(ls, 5, -1, "nan")),
+        ("value 1e400", lambda ls: set_field(ls, 5, -1, "1e400")),
+        ("value 0x10", lambda ls: set_field(ls, 2, -1, "0x10")),
+        ("trailing comma", lambda ls: ls[:1] + [ls[1] + ","] + ls[2:]),
+        ("trailing comma everywhere", lambda ls: [line + "," for line in ls]),
+        ("NUL in a value", lambda ls: set_field(ls, 1, -1, "1\x00")),
+        ("form feed before a separator", lambda ls: set_field(ls, 1, 2, "0.5\x0c")),
+        ("U+2028 before a separator", lambda ls: set_field(ls, 1, 2, "0.5\u2028")),
+        ("no data rows", lambda ls: []),
     ]
     return [pytest.param(name, edit, id=name) for name, edit in cases]
 
@@ -286,16 +227,10 @@ CMAPSS_EXPECTED = {
     "form feed before a separator": "fast", "U+2028 before a separator": "fast",
     "no data rows": "error",
 }
-# whether read_curves_csv reads each case, as the CMAPSS line parser does:
-# "ok" or "error"
-CURVE_EXPECTED = {
-    name: "error" if decided == "error" else "ok"
-    for name, decided in CMAPSS_EXPECTED.items()
-}
 
 
 @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["LF", "CRLF"])
-@pytest.mark.parametrize("name,edit", edit_cases(None, 1))
+@pytest.mark.parametrize("name,edit", edit_cases())
 def test_cmapss_readers_agree(tmp_path, name, edit, eol):
     path = tmp_path / "train.txt"
     with open(path, "w", newline="") as fh:
@@ -303,42 +238,8 @@ def test_cmapss_readers_agree(tmp_path, name, edit, eol):
     assert check_agree(CMAPSS, path) == CMAPSS_EXPECTED[name]
 
 
-@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["LF", "CRLF"])
-@pytest.mark.parametrize("name,edit", edit_cases(",", 2))
-def test_curve_readers_agree(tmp_path, name, edit, eol):
-    path = tmp_path / "train_curves.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(line + eol for line in edit(curve_lines())))
-    assert curve_outcome(path) == CURVE_EXPECTED[name]
-
-
-@pytest.mark.parametrize(
-    "text",
-    ["", "unit_id,cycle\n1,1\n", CURVE_CSV_HEADER + ",extra\n1,1,0.1,0.1,0.9\n"],
-    ids=["empty", "short header", "long header"],
-)
-def test_curve_header_checked_by_line_parser(tmp_path, text):
-    path = tmp_path / "train_curves.csv"
-    path.write_text(text)
-    assert curve_outcome(path) == "error"
-
-
-@pytest.mark.parametrize(
-    "text",
-    [b"\xff" + CURVE_CSV_HEADER.encode() + b"\n1,1,0.1,0.1,0.9\n",
-     CURVE_CSV_HEADER.encode() + b"\n1,1,0.1,0.1,0.9\n\xff\n"],
-    ids=["header", "body"],
-)
-def test_undecodable_curve_file_is_a_data_format_error(tmp_path, text):
-    path = tmp_path / "train_curves.csv"
-    path.write_bytes(text)
-    assert curve_outcome(path) == "error"
-    with pytest.raises(DataFormatError, match=f"{path}: not a text file"):
-        read_curves_csv(path)
-
-
 # ---------------------------------------------------------------------------
-# the CMAPSS fast path is taken on valid input; curves round-trip
+# the CMAPSS fast path is taken on valid input
 
 def refuse(path):
     raise AssertionError(f"line parser ran on {path}")
@@ -348,25 +249,19 @@ def test_bulk_paths_read_a_valid_fleet_and_library(tmp_path, monkeypatch):
     train, test, _, _ = generate_synthetic(
         SynthConfig(n_units=6, min_cycles=20, max_cycles=40, seed=11)
     )
-    rng = np.random.default_rng(11)
-    curves = TrajectorySet.stack(
-        train.unit_ids, [rng.random((len(t), len(CURVE_COLUMNS))) for t in train]
-    )
     save_cmapss(train, tmp_path / "train.txt")
     save_cmapss(test, tmp_path / "test.txt")
-    write_curves_csv(curves, tmp_path / "train_curves.csv")
     # a numpy warning or behaviour change that made the bulk path give up
     # would otherwise pass unnoticed, at the old speed
     monkeypatch.setattr(dataset, "_parse_cmapss_lines", refuse)
 
     assert trajectory_bits(load_cmapss(tmp_path / "train.txt")) == trajectory_bits(train)
     assert trajectory_bits(load_cmapss(tmp_path / "test.txt")) == trajectory_bits(test)
-    assert curve_bits(read_curves_csv(tmp_path / "train_curves.csv")) == curve_bits(curves)
 
 
 def test_both_tables_share_one_parser_and_one_writer(tmp_path, monkeypatch):
-    # CMAPSS files and curve CSVs are one kind of table: a second line
-    # parser or writer for either would not go through these two functions
+    # CMAPSS text has one line parser and one writer, and a curve table is
+    # the same form in memory but no text: its export goes through neither
     calls = []
 
     def recording(name, func):
@@ -376,28 +271,22 @@ def test_both_tables_share_one_parser_and_one_writer(tmp_path, monkeypatch):
         return shim
 
     for name in ("read_unit_rows", "write_unit_rows"):
-        func = getattr(dataset, name)
-        assert getattr(persist, name) is func
-        for module in (dataset, persist):
-            monkeypatch.setattr(module, name, recording(name, func))
+        monkeypatch.setattr(dataset, name, recording(name, getattr(dataset, name)))
     train, _, _, _ = generate_synthetic(
         SynthConfig(n_units=3, min_cycles=5, max_cycles=8, seed=3)
     )
     curves = TrajectorySet.stack(train.unit_ids, [t[:, -len(CURVE_COLUMNS):] for t in train])
 
     save_cmapss(train, tmp_path / "train.txt")
-    write_curves_csv(curves, tmp_path / "train_curves.csv")
-    assert calls == ["write_unit_rows"] * 2
+    write_curves(curves, tmp_path / "train_curves.npy")
+    assert calls == ["write_unit_rows"]
     # rows out of (unit, cycle) order leave the bulk path to the line parser
     lines = (tmp_path / "train.txt").read_text().splitlines(keepends=True)
     (tmp_path / "shuffled.txt").write_text("".join(lines[::-1]))
     shuffled = load_cmapss(tmp_path / "shuffled.txt")
-    read_back = read_curves_csv(tmp_path / "train_curves.csv")
-    assert calls == ["write_unit_rows"] * 2 + ["read_unit_rows"] * 2
-    # and both read into one form
-    assert type(shuffled) is type(read_back) is TrajectorySet
+    assert calls == ["write_unit_rows", "read_unit_rows"]
+    assert type(shuffled) is type(curves) is TrajectorySet
     assert trajectory_bits(shuffled) == trajectory_bits(train)
-    assert curve_bits(read_back) == curve_bits(curves)
 
 
 def test_benchmark_inputs_take_the_bulk_path(tmp_path):
@@ -416,19 +305,63 @@ def test_benchmark_inputs_take_the_bulk_path(tmp_path):
             assert dataset._parse_cmapss_bulk(f) is not None, f
 
 
-def test_curve_csv_rows_hold_the_repr_of_each_value(tmp_path):
-    # the writer formats a column at a time; each row must still read
-    # unit,cycle,raw,scaled,sigma with every float as its shortest repr
-    values = np.array([0.1, 1 / 3, 5e-324, 1e300, 0.0, 1.0, 2.0**-1074 * 3])
-    unit_7 = np.column_stack([values, values / 7, values[::-1]])
-    curves = TrajectorySet.stack([7, 12], [unit_7, np.array([[2.5, 0.25, 0.5]])])
-    write_curves_csv(curves, tmp_path / "curves.csv")
-    want = [CURVE_CSV_HEADER] + [
-        f"{u},{i},{r!r},{s!r},{g!r}"
-        for u, c in zip(curves.unit_ids, curves)
-        for i, (r, s, g) in enumerate(c.tolist(), start=1)
+# ---------------------------------------------------------------------------
+# curve exports: one (rows, 5) float64 .npy array per table
+
+# the values a text export had to spell exactly: the smallest subnormal,
+# huge and non-terminating values, and the signed zero
+EDGE_VALUES = [0.1, 1 / 3, 5e-324, 1e300, 0.0, -0.0, 1.0, 2.0**-1074 * 3]
+CURVE_VALUES = st.one_of(st.sampled_from(EDGE_VALUES), FLOATS)
+
+
+@st.composite
+def curve_tables(draw):
+    """A curve table of distinct unit ids up to ID_LIMIT - 1 in magnitude,
+    one-row units among them."""
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    limit = int(ID_LIMIT) - 1
+    ids = draw(st.lists(
+        st.one_of(st.integers(-limit, limit), st.sampled_from([limit, -limit, 0, 1])),
+        min_size=len(lengths), max_size=len(lengths), unique=True,
+    ))
+    arrays = [
+        np.array(draw(st.lists(st.tuples(CURVE_VALUES, CURVE_VALUES, CURVE_VALUES),
+                               min_size=n, max_size=n)))
+        for n in lengths
     ]
-    assert (tmp_path / "curves.csv").read_text() == "\n".join(want) + "\n"
-    # the documented plain read-back of the export gives every value exactly
-    table = np.loadtxt(tmp_path / "curves.csv", delimiter=",", skiprows=1)
+    return TrajectorySet.stack(sorted(ids), arrays)
+
+
+def assert_export_holds(path, curves):
+    table = np.load(path, allow_pickle=False)
+    assert table.dtype == np.float64
+    assert table.shape == (len(curves.matrix), 2 + len(CURVE_COLUMNS))
+    # ids and cycles exact: Python compares a float and an int exactly
+    assert table[:, :2].tolist() == [
+        [u, c] for u, t in zip(curves.unit_ids, curves) for c in range(1, len(t) + 1)
+    ]
     assert table[:, 2:].tobytes() == curves.matrix.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(curves=curve_tables())
+def test_curve_export_round_trips_exactly(tmp_path_factory, curves):
+    path = tmp_path_factory.mktemp("curves") / "hi_curves.npy"
+    write_curves(curves, path)
+    assert_export_holds(path, curves)
+
+
+def test_curve_export_holds_edge_values_and_one_row_units(tmp_path):
+    values = np.array(EDGE_VALUES)
+    unit_7 = np.column_stack([values, values / 7, values[::-1]])
+    curves = TrajectorySet.stack(
+        [-(2**53 - 1), 7, 12, 2**53 - 1],
+        [np.array([[1e300, 5e-324, 1 / 3]]), unit_7, np.array([[2.5, 0.25, 0.5]]),
+         np.array([[-0.0, 0.0, 1.0]])],
+    )
+    write_curves(curves, tmp_path / "hi_curves.npy")
+    assert_export_holds(tmp_path / "hi_curves.npy", curves)
+    table = np.load(tmp_path / "hi_curves.npy", allow_pickle=False)
+    assert table[:, :2].tolist() == [
+        [-(2**53 - 1), 1], *([7, c] for c in range(1, len(values) + 1)), [12, 1], [2**53 - 1, 1]
+    ]
