@@ -36,10 +36,9 @@ def main():
     parser.add_argument("--data", type=Path, required=True)
     parser.add_argument("--dataset", choices=sorted(REFERENCE), default="FD001")
     parser.add_argument("--mode", choices=MODES, default="sst-lr")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    cfg = RunConfig(mode=args.mode, n_regimes=REGIMES[args.dataset], seed=args.seed)
+    cfg = RunConfig(mode=args.mode, n_regimes=REGIMES[args.dataset])
     report, *_ = run_benchmark(
         args.data / f"train_{args.dataset}.txt",
         args.data / f"test_{args.dataset}.txt",

@@ -42,7 +42,7 @@ def main():
         max_cycles=200,
     )
     train, test, truths, _ = generate_synthetic(synth)
-    cfg = RunConfig(seed=args.seed)
+    cfg = RunConfig()
 
     print(f"{'mode':<8} {'rmse':>8} {'score':>10}")
     for name, run_cfg in (("sst", cfg), ("sst-lr", replace(cfg, mode="sst-lr"))):

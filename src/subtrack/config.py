@@ -9,11 +9,11 @@ from .errors import ValidationError
 
 MODES = ("sst", "sst-lr")
 
-# fields older config files still hold: the knobs of the retired epoch
-# trainer, the matching bandwidth (now each test unit's own, see rul), both
-# ignored, and the settings switch, which from_dict accepts only as null
+# fields older config files still hold, ignored: the retired epoch trainer's
+# knobs, the matching bandwidth (see rul) and the k-means++ seed; and the
+# settings switch, which from_dict accepts only as null
 RETIRED_FIELDS = frozenset(
-    {"alpha", "eta", "max_epochs", "rel_tol", "beta", "include_settings"}
+    {"alpha", "eta", "max_epochs", "rel_tol", "beta", "seed", "include_settings"}
 )
 
 _TYPES = {  # annotation -> (accepts the value, what it takes); a bool is no number
@@ -34,7 +34,6 @@ class RunConfig:
     tau1: int = 1
     tau2: int = 40
     smoothing: float = 0.3
-    seed: int = 0
 
     def __post_init__(self):
         for f in fields(self):
@@ -54,8 +53,6 @@ class RunConfig:
             raise ValidationError("healthy_cycles must be >= subspace_dim + 1")
         if not 0.0 < self.smoothing <= 1.0:
             raise ValidationError("smoothing must be in (0, 1]")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
         if not 0 <= self.tau1 <= self.tau2:
             raise ValidationError("need 0 <= tau1 <= tau2")
 

@@ -143,7 +143,7 @@ def train_pipeline(
     regressor. Returns the pipeline and the training curves its library holds.
     The set's matrix is only read."""
     rows, bounds = train_set.matrix, train_set.bounds
-    centroids, labels = multiscale.cluster_regimes(_settings(train_set), cfg.n_regimes, cfg.seed)
+    centroids, labels = multiscale.cluster_regimes(_settings(train_set), cfg.n_regimes)
     norm = dataset.fit_normalizer(rows, labels, cfg.n_regimes)
 
     cycle = np.arange(len(rows)) - np.repeat(bounds[:-1], np.diff(bounds))

@@ -9,7 +9,6 @@ it is routed to.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,19 +46,15 @@ class MultiModel:
                     raise ValidationError("centroids must be pairwise distinct")
 
 
-def cluster_regimes(
-    settings: np.ndarray, n_clusters: int, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded k-means (k-means++ init) over operational-setting vectors.
+def cluster_regimes(settings: np.ndarray, n_clusters: int) -> tuple[np.ndarray, np.ndarray]:
+    """k-means over operational-setting vectors, seeded by farthest points.
 
     Returns the (K, n_settings) centroids and each row's `nearest_centroid`
-    label. Empty clusters are re-seeded from the point farthest from its
-    assigned centroid. The k-means++ picks (Arthur & Vassilvitskii, SODA
-    2007) come from the stdlib `random.Random(seed)`: `randrange` picks the
-    first seed, and each later one is an inverse-CDF search of the running
-    sum of squared distances, so `numpy.random` (~6 MB of RSS) is never
-    imported. K=1 is answered in closed form: the settings mean is Lloyd's
-    fixed point. Raises NumericalError when the squared distances overflow.
+    label. The first row is the first seed, each later one the row farthest
+    from those chosen (Gonzalez, TCS 1985): no draw is made. Empty clusters
+    are re-seeded from the point farthest from its assigned centroid. K=1 is
+    answered in closed form: the settings mean is Lloyd's fixed point.
+    Raises NumericalError as `_nearest_finite` does.
     """
     points = np.asarray(settings, dtype=float)
     if points.ndim != 2 or len(points) == 0:
@@ -67,34 +62,25 @@ def cluster_regimes(
     if n_clusters == 1:
         return points.mean(axis=0, keepdims=True), np.zeros(len(points), dtype=np.intp)
 
-    rng = random.Random(seed)
-    centroids = [points[rng.randrange(len(points))]]
+    centroids = [points[0]]
     for _ in range(1, n_clusters):
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # an infinite distance marks the farthest row
             d2 = _nearest(points, centroids)[1]
-            cum = np.cumsum(d2, out=d2)
-        total = cum[-1]
-        if not np.isfinite(total):
-            raise NumericalError("k-means++ seeding: squared settings distances overflow")
-        if total == 0:
-            # all remaining mass on already-chosen centers: with fewer distinct
-            # points than clusters seeding always gets here, so they are
-            # counted here and not over every row up front
-            distinct = np.unique(points, axis=0)
-            if len(distinct) < n_clusters:
-                raise ValidationError(
-                    f"{len(distinct)} distinct settings vectors for {n_clusters} clusters"
-                )
-            # distances that underflowed to 0; pick a new distinct point
-            for p in distinct:
-                if not any(np.array_equal(p, c) for c in centroids):
-                    centroids.append(p)
-                    break
+        far = np.argmax(d2)
+        if d2[far] > 0:
+            centroids.append(points[far])
             continue
-        # the first row whose running sum exceeds the draw has positive mass;
-        # a draw that rounds up to a subnormal total takes the last such row
-        pick = np.searchsorted(cum, rng.random() * total, side="right")
-        centroids.append(points[min(pick, np.searchsorted(cum, total))])
+        # every row on a chosen center, as always with fewer distinct points
+        # than clusters: they are counted here, not over every row up front
+        distinct = np.unique(points, axis=0)
+        if len(distinct) < n_clusters:
+            raise ValidationError(
+                f"{len(distinct)} distinct settings vectors for {n_clusters} clusters"
+            )
+        # distances that underflowed to 0: the first distinct vector not chosen
+        centroids.append(next(
+            p for p in distinct if not any(np.array_equal(p, c) for c in centroids)
+        ))
     centroids = np.array(centroids)
 
     for _ in range(300):

@@ -116,7 +116,7 @@ def test_criterion_4_degradation_monotonicity():
         seed=104, min_cycles=120, max_cycles=200,
     )
     train, _, _, _ = generate_synthetic(synth)
-    cfg = RunConfig(mode="sst", healthy_cycles=20, seed=104)
+    cfg = RunConfig(mode="sst", healthy_cycles=20)
     from subtrack.evaluation import train_pipeline
 
     _, curves = train_pipeline(train, cfg)
@@ -145,10 +145,7 @@ def test_criterion_5_synthetic_rul_beats_naive_baseline():
             min_cycles=100, max_cycles=180, min_test_cycles=30,
         )
         train, test, truths, _ = generate_synthetic(synth)
-        cfg = RunConfig(
-            mode="sst", healthy_cycles=20, tau2=40,
-            seed=500 + seed,
-        )
+        cfg = RunConfig(mode="sst", healthy_cycles=20, tau2=40)
         rep, *_ = run_pipeline(train, test, truths, cfg)
         pipeline_rmses.append(rep.rmse)
         mean_rul = float(np.mean(truths))
@@ -218,7 +215,7 @@ def test_criterion_8_cmapss_reproduction():
         pytest.skip("CMAPSS dataset not available (set CMAPSS_DATA)")
 
     start = time.perf_counter()
-    cfg = RunConfig(mode="sst-lr", n_regimes=1, seed=0)
+    cfg = RunConfig(mode="sst-lr", n_regimes=1)
     rep1, *_ = run_benchmark(
         data_dir / "train_FD001.txt",
         data_dir / "test_FD001.txt",
@@ -229,7 +226,7 @@ def test_criterion_8_cmapss_reproduction():
     t1 = time.perf_counter() - start
 
     start = time.perf_counter()
-    cfg4 = RunConfig(mode="sst-lr", n_regimes=6, seed=0)
+    cfg4 = RunConfig(mode="sst-lr", n_regimes=6)
     rep4, *_ = run_benchmark(
         data_dir / "train_FD004.txt",
         data_dir / "test_FD004.txt",
@@ -259,7 +256,7 @@ def test_criterion_9_benchmark_determinism(tmp_path):
         "--train", str(synth_dir / "train_synth.txt"),
         "--test", str(synth_dir / "test_synth.txt"),
         "--rul", str(synth_dir / "RUL_synth.txt"),
-        "--tau2", "20", "--seed", "9",
+        "--tau2", "20",
     ]
     assert main(args + ["--out", str(tmp_path / "a")]) == EXIT_OK
     assert main(args + ["--out", str(tmp_path / "b")]) == EXIT_OK

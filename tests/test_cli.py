@@ -33,6 +33,7 @@ from subtrack.dataset import (
     save_cmapss,
 )
 from subtrack.errors import ValidationError
+from subtrack.multiscale import cluster_regimes, nearest_centroid
 
 
 def run_fresh_interpreter(*args, path=()):
@@ -46,6 +47,15 @@ def run_fresh_interpreter(*args, path=()):
     return subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", *args],
         env=env, capture_output=True, text=True,
+    )
+
+
+def train_in_fresh_interpreter(data, out, n_regimes):
+    """`subtrack train` at n_regimes in a new interpreter, where a numpy
+    RuntimeWarning is an error."""
+    argv = ["train", "--train", str(data), "--out", str(out), "--n-regimes", str(n_regimes)]
+    return run_fresh_interpreter(
+        "-c", f"import sys; from subtrack.cli import main; sys.exit(main({argv!r}))"
     )
 
 
@@ -85,7 +95,7 @@ def synth_dir(tmp_path_factory):
     return out
 
 
-BENCH_FLAGS = ["--tau2", "20", "--seed", "3"]
+BENCH_FLAGS = ["--tau2", "20"]
 RETRAIN = "model format version {} is no longer read; retrain with 'subtrack train'"
 # everything train writes: the model document, the library's curves and the exports
 MODEL_DIR_FILES = {"model.json", "library_sigma.npy", "train_curves.npy", "error_trace.csv"}
@@ -174,19 +184,21 @@ class TestTrain:
 
     def test_config_file_with_flag_override(self, synth_dir, tmp_path):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"tau2": 25, "seed": 9}))
+        cfg_file.write_text(json.dumps({"tau1": 2, "tau2": 25}))
         out = tmp_path / "model"
         rc = main(
             ["train", "--train", str(synth_dir / "train_synth.txt"),
-             "--out", str(out), "--config", str(cfg_file), "--seed", "3"]
+             "--out", str(out), "--config", str(cfg_file), "--tau2", "30"]
         )
         assert rc == EXIT_OK
         saved = model_doc(out)["config"]
-        assert saved["tau2"] == 25  # from file
-        assert saved["seed"] == 3  # flag wins
+        assert saved["tau1"] == 2  # from file
+        assert saved["tau2"] == 30  # flag wins
 
-    def test_overflowing_settings_exit_3_tagged_with_stage(self, tmp_path):
-        # finite settings whose squared distances overflow the k-means++ total
+    def test_settings_at_1e160_train_with_finite_outputs(self, tmp_path):
+        # regimes 1e160 apart: squared distances of ~1e320 overflowed the
+        # running sum of k-means++; to farthest-point seeding an infinite
+        # distance only marks the farthest row
         train = generate_synthetic(
             SynthConfig(n_units=4, n_regimes=2, min_cycles=40, max_cycles=50)
         )[0]
@@ -194,15 +206,22 @@ class TestTrain:
         matrix[:, :N_SETTINGS] *= 1e160
         data = tmp_path / "train.txt"
         save_cmapss(TrajectorySet(matrix, train.unit_ids, train.bounds), data)
-        argv = ["train", "--train", str(data), "--out", str(tmp_path / "model"),
-                "--n-regimes", "2"]
-        proc = run_fresh_interpreter(
-            "-c", f"import sys; from subtrack.cli import main; sys.exit(main({argv!r}))"
-        )
+        model = tmp_path / "model"
+        proc = train_in_fresh_interpreter(data, model, 2)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        for name in ("train_curves.npy", "library_sigma.npy"):
+            assert np.isfinite(np.load(model / name, allow_pickle=False)).all()
+        assert np.isfinite(model_doc(model)["centroids"]).all()
+
+    def test_overflowing_settings_exit_3_tagged_with_stage(self, tmp_path):
+        # the rows at -1e200 are an infinite squared distance from both seeds
+        data = unit_fleet(tmp_path / "train.txt",
+                          [[[v] * N_SETTINGS] * 30 for v in (0.0, 1e200, -1e200)])
+        proc = train_in_fresh_interpreter(data, tmp_path / "model", 2)
         assert proc.returncode == EXIT_NUMERICAL
         assert proc.stderr == (
-            "numerical error: [train] k-means++ seeding: "
-            "squared settings distances overflow\n"
+            "numerical error: [train] squared settings distances to the "
+            "regime centroids overflow\n"
         )
         assert not (tmp_path / "model").exists()
 
@@ -223,7 +242,7 @@ class TestTrain:
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(
             {"alpha": 0.5, "eta": 0.0, "max_epochs": 5, "rel_tol": 1e-3,
-             "beta": 0.0235, "include_settings": None, "seed": 9}
+             "beta": 0.0235, "include_settings": None, "seed": 9, "tau2": 25}
         ))
         out = tmp_path / "model"
         rc = main(
@@ -232,12 +251,12 @@ class TestTrain:
         )
         assert rc == EXIT_OK
         saved = model_doc(out)["config"]
-        assert saved["seed"] == 9
+        assert saved["tau2"] == 25
         assert not set(saved) & set(RETIRED_FIELDS)
 
     def test_config_file_with_unknown_key_exits_2(self, synth_dir, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"max_epoch": 5, "seed": 9}))
+        cfg_file.write_text(json.dumps({"max_epoch": 5, "tau2": 25}))
         rc = main(
             ["train", "--train", str(synth_dir / "train_synth.txt"),
              "--out", str(tmp_path / "model"), "--config", str(cfg_file)]
@@ -279,7 +298,7 @@ class TestTrain:
         assert not (tmp_path / "model").exists()
 
     @pytest.mark.parametrize(
-        "text", ['{"seed": 1', "[1, 2]"], ids=["malformed", "not-an-object"]
+        "text", ['{"tau2": 1', "[1, 2]"], ids=["malformed", "not-an-object"]
     )
     def test_bad_config_file_exits_2_naming_file(
         self, synth_dir, tmp_path, capsys, text
@@ -321,17 +340,15 @@ class TestTrain:
         "flags, message",
         [
             (["--subspace-dim", "0"], "subspace_dim must be >= 1"),
-            (["--n-regimes", "2", "--seed", "-1"], "seed must be >= 0"),
             (["--tau2", "-5"], "need 0 <= tau1 <= tau2"),
         ],
-        ids=["subspace-dim-0", "negative-seed", "negative-tau2"],
+        ids=["subspace-dim-0", "negative-tau2"],
     )
     def test_out_of_range_flag_exits_2_naming_field(
         self, tmp_path, capsys, flags, message
     ):
-        # a two-regime fleet, so a negative seed reaches the k-means generator
         data = tmp_path / "synth"
-        assert main(["synth", "--out", str(data), "--units", "4", "--n-regimes", "2",
+        assert main(["synth", "--out", str(data), "--units", "4",
                      "--min-cycles", "40", "--max-cycles", "50"]) == EXIT_OK
         rc = main(
             ["train", "--train", str(data / "train_synth.txt"),
@@ -805,13 +822,14 @@ class TestInfer:
     def test_config_with_trainer_keys_infers_identically(
         self, synth_dir, model_dir, tmp_path
     ):
-        # a config as train wrote it while it ran the epoch trainer and
-        # matched with a fixed bandwidth
+        # a config as train wrote it while it ran the epoch trainer, matched
+        # with a fixed bandwidth and seeded k-means++ from a draw
         legacy = tmp_path / "legacy"
         shutil.copytree(model_dir, legacy)
         assert not set(model_doc(legacy)["config"]) & set(RETIRED_FIELDS)
         edit_model_doc(legacy, lambda doc: doc["config"].update(
-            alpha=0.87, eta=0.01, max_epochs=100, rel_tol=1e-4, beta=0.0235, include_settings=None
+            alpha=0.87, eta=0.01, max_epochs=100, rel_tol=1e-4, beta=0.0235, seed=3,
+            include_settings=None,
         ))
         assert persist.load_pipeline(legacy).config == (
             persist.load_pipeline(model_dir).config
@@ -1013,7 +1031,7 @@ class TestBenchmark:
              "--train", str(synth_dir / "train_synth.txt"),
              "--test", str(synth_dir / "test_synth.txt"),
              "--rul", str(synth_dir / "RUL_synth.txt"),
-             "--out", str(out), "--config", str(config), "--seed", "3"]
+             "--out", str(out), "--config", str(config)]
         )
 
     def test_lags_past_the_longest_curve_are_not_computed(
@@ -1202,10 +1220,10 @@ class TestUntrainableRegimes:
     leaves no output directory."""
 
     @staticmethod
-    def check_exits_2(command, train, test_dir, k, seed, tmp_path, capsys, message, extra=()):
+    def check_exits_2(command, train, test_dir, k, tmp_path, capsys, message, extra=()):
         out = tmp_path / "out"
         argv = [command, "--train", str(train), "--out", str(out),
-                "--n-regimes", str(k), "--seed", str(seed), *extra]
+                "--n-regimes", str(k), *extra]
         if command == "benchmark":
             argv += ["--test", str(test_dir / "test_synth.txt"),
                      "--rul", str(test_dir / "RUL_synth.txt")]
@@ -1213,11 +1231,8 @@ class TestUntrainableRegimes:
         assert capsys.readouterr().err == f"error: [train] {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("command", ["train", "benchmark"])
-    def test_overflowing_kmeans_distance_leaves_no_warning(
-        self, tmp_path, capsys, command, seed
-    ):
+    def test_overflowing_kmeans_distance_leaves_no_warning(self, tmp_path, capsys, command):
         # settings at +-5e153 are 3e308 apart in squared distance, which
         # overflowed inside the k-means loop with a numpy warning
         data = tmp_path / "synth"
@@ -1231,7 +1246,7 @@ class TestUntrainableRegimes:
         train = tmp_path / "train.txt"
         train.write_text("\n".join(lines) + "\n")
         self.check_exits_2(
-            command, train, data, 2, seed, tmp_path, capsys,
+            command, train, data, 2, tmp_path, capsys,
             "regime 1: 1 healthy rows cannot initialize a 3-dimensional subspace",
         )
 
@@ -1243,10 +1258,11 @@ class TestUntrainableRegimes:
             settings_, message = [[a] * 3], "regime 0: 3 healthy rows"
         else:  # settings c appear only after the 20 healthy cycles
             settings_ = [[a, b] * 10 + [a, b, c] * 7] * 3
-            message = "regime 1: 0 healthy rows"
+            centroids, _ = cluster_regimes(np.vstack(settings_), 3)
+            message = f"regime {nearest_centroid(centroids, c)[0]}: 0 healthy rows"
         train = unit_fleet(tmp_path / "train.txt", settings_)
         self.check_exits_2(
-            command, train, synth_dir, k, 3, tmp_path, capsys,
+            command, train, synth_dir, k, tmp_path, capsys,
             f"{message} cannot initialize a 3-dimensional subspace",
         )
 
@@ -1260,7 +1276,7 @@ class TestUntrainableRegimes:
         train = tmp_path / "train.txt"
         save_cmapss(TrajectorySet.stack([1, 2, 3, 4, 5], [rows] * 5), train)
         self.check_exits_2(
-            command, train, synth_dir, 1, 3, tmp_path, capsys,
+            command, train, synth_dir, 1, tmp_path, capsys,
             "degenerate fleet: failure-level distance 0.0 does not exceed healthy level 0.0",
             ["--mode", mode],
         )
@@ -1317,8 +1333,8 @@ def run_commands_then_check_unimported(synth_dir, tmp_path, n_regimes, module):
 
 @pytest.mark.parametrize("n_regimes", [1, 2])
 def test_commands_leave_numpy_random_unimported(synth_dir, tmp_path, n_regimes):
-    # K=1 regimes come in closed form and k-means++ draws its seeds from the
-    # stdlib random module; importing numpy.random costs ~6 MB RSS
+    # K=1 regimes come in closed form and farthest-point seeding draws
+    # nothing; importing numpy.random costs ~6 MB RSS
     proc = run_commands_then_check_unimported(synth_dir, tmp_path, n_regimes, "numpy.random")
     assert proc.returncode == 0, proc.stderr
 
@@ -1406,7 +1422,8 @@ class TestUsage:
         assert main(["train", "--bogus"]) == EXIT_USAGE
 
     @pytest.mark.parametrize(
-        "flag", ["--alpha", "--eta", "--max-epochs", "--rel-tol", "--include-settings", "--beta"]
+        "flag",
+        ["--alpha", "--eta", "--max-epochs", "--rel-tol", "--include-settings", "--beta", "--seed"],
     )
     def test_trainer_flags_are_gone(self, tmp_path, capsys, flag):
         rc = main(["train", "--train", str(tmp_path / "t.txt"),
@@ -1415,18 +1432,27 @@ class TestUsage:
         assert f"unrecognized arguments: {flag} 0.1" in capsys.readouterr().err
         assert not (tmp_path / "model").exists()
 
+    @pytest.mark.parametrize("flag", ["--beta", "--seed"])
+    def test_retired_flags_are_gone_from_benchmark(self, tmp_path, capsys, flag):
+        t = str(tmp_path / "t.txt")
+        rc = main(["benchmark", "--train", t, "--test", t, "--rul", t,
+                   "--out", str(tmp_path / "out"), flag, "0.1"])
+        assert rc == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} 0.1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_from_dict_drops_only_the_trainer_fields(self):
-        doc = {"seed": 4, "alpha": 0.5, "eta": 0.1, "max_epochs": 7, "rel_tol": 1e-3}
-        assert RunConfig.from_dict(doc) == RunConfig(seed=4)
+        doc = {"tau2": 30, "alpha": 0.5, "eta": 0.1, "max_epochs": 7, "rel_tol": 1e-3}
+        assert RunConfig.from_dict(doc) == RunConfig(tau2=30)
         with pytest.raises(ValidationError, match="unknown config fields"):
-            RunConfig.from_dict({"seed": 4, "epochs": 7})
+            RunConfig.from_dict({"tau2": 30, "epochs": 7})
 
     @pytest.mark.parametrize("command", ["train", "benchmark"])
     def test_every_config_field_has_a_flag(self, command):
         # a valid config where every field differs from its default
         wanted = RunConfig(
             mode="sst-lr", n_regimes=2, subspace_dim=2, delta=0.02,
-            healthy_cycles=15, tau1=2, tau2=30, smoothing=0.5, seed=4,
+            healthy_cycles=15, tau1=2, tau2=30, smoothing=0.5,
         )
         argv = [command, "--train", "t", "--out", "o"]
         if command == "benchmark":

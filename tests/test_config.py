@@ -39,7 +39,7 @@ def test_from_dict_returns_a_config_or_raises_validation_error(field, value):
     "doc, message",
     [
         ({"n_regimes": True}, "n_regimes must be an int, got True"),
-        ({"seed": 1.0}, "seed must be an int, got 1.0"),
+        ({"healthy_cycles": 20.0}, "healthy_cycles must be an int, got 20.0"),
         ({"delta": True}, "delta must be a finite number, got True"),
         ({"tau2": float("inf")}, "tau2 must be an int, got inf"),
         ({"smoothing": "0.3"}, "smoothing must be a finite number, got '0.3'"),
@@ -57,7 +57,6 @@ def test_from_dict_returns_a_config_or_raises_validation_error(field, value):
         ({"tau1": -1}, "need 0 <= tau1 <= tau2"),
         ({"tau1": 5, "tau2": 2}, "need 0 <= tau1 <= tau2"),
         ({"healthy_cycles": 3}, "healthy_cycles must be >= subspace_dim + 1"),
-        ({"seed": -1}, "seed must be >= 0"),
     ],
 )
 def test_invalid_field_named(doc, message):
@@ -67,7 +66,7 @@ def test_invalid_field_named(doc, message):
 
 
 def test_null_include_settings_loads_as_absent():
-    assert RunConfig.from_dict({"include_settings": None, "seed": 2}) == RunConfig(seed=2)
+    assert RunConfig.from_dict({"include_settings": None, "tau2": 30}) == RunConfig(tau2=30)
     assert "include_settings" not in RunConfig().to_dict()
 
 
@@ -80,5 +79,5 @@ def test_float_fields_take_ints():
 def test_retired_beta_loads_and_is_ignored(beta):
     # config documents written while matching took a fixed bandwidth; each
     # test unit's bandwidth now comes from its own distances
-    assert RunConfig.from_dict({"beta": beta, "seed": 2}) == RunConfig(seed=2)
+    assert RunConfig.from_dict({"beta": beta, "tau2": 30}) == RunConfig(tau2=30)
     assert "beta" not in RunConfig().to_dict()

@@ -89,7 +89,7 @@ SMALL_SYNTH = SynthConfig(
 )
 
 SMALL_CFG = RunConfig(
-    mode="sst", healthy_cycles=20, tau2=20, seed=5
+    mode="sst", healthy_cycles=20, tau2=20
 )
 
 
@@ -104,7 +104,7 @@ class TestPipeline:
     def test_sst_lr_mode_produces_regressor(self):
         train, test, truths, _ = generate_synthetic(SMALL_SYNTH)
         cfg = RunConfig(
-            mode="sst-lr", healthy_cycles=20, tau2=20, seed=5
+            mode="sst-lr", healthy_cycles=20, tau2=20
         )
         report, pipe, _, _ = run_pipeline(train, test, truths, cfg)
         assert pipe.regressor is not None
@@ -127,7 +127,7 @@ class TestPipeline:
         )
         train, test, truths, _ = generate_synthetic(synth)
         cfg = RunConfig(
-            n_regimes=2, healthy_cycles=20, tau2=20, seed=6
+            n_regimes=2, healthy_cycles=20, tau2=20
         )
         report, pipe, _, _ = run_pipeline(train, test, truths, cfg)
         assert isinstance(pipe.model, MultiModel)
@@ -188,7 +188,7 @@ class TestBatchTraining:
             seed=6, min_cycles=80, max_cycles=120,
         )
         train, _, _, _ = generate_synthetic(synth)
-        cfg = RunConfig(n_regimes=n_regimes, healthy_cycles=20, tau2=20, seed=6)
+        cfg = RunConfig(n_regimes=n_regimes, healthy_cycles=20, tau2=20)
         pipe, curves = train_pipeline(train, cfg)
         healthy, labels = self.healthy_rows(train, pipe)
         assert pipe.model.n_regimes == n_regimes
@@ -212,7 +212,7 @@ class TestBatchTraining:
             seed=6, min_cycles=80, max_cycles=120,
         )
         train, _, _, _ = generate_synthetic(synth)
-        pipe, curves = train_pipeline(train, RunConfig(n_regimes=n_regimes, tau2=20, seed=6))
+        pipe, curves = train_pipeline(train, RunConfig(n_regimes=n_regimes, tau2=20))
         inferred = infer_curves(pipe, train)
         assert (inferred.unit_ids, inferred.bounds) == (curves.unit_ids, curves.bounds)
         assert inferred.matrix.tobytes() == curves.matrix.tobytes()
@@ -236,7 +236,7 @@ class TestBatchTraining:
         # smoothed, scaled distance in sst mode, and the regressed index,
         # smoothed within its unit, in sst-lr mode
         train, _, _, _ = generate_synthetic(SMALL_SYNTH)
-        cfg = RunConfig(mode=mode, healthy_cycles=20, tau2=20, seed=5)
+        cfg = RunConfig(mode=mode, healthy_cycles=20, tau2=20)
         regressed = []
 
         def recording(*args):
@@ -274,7 +274,7 @@ class TestBatchTraining:
             seed=6, min_cycles=80, max_cycles=120,
         )
         train, test, _, _ = generate_synthetic(synth)
-        cfg = RunConfig(mode=mode, n_regimes=n_regimes, tau2=20, seed=6)
+        cfg = RunConfig(mode=mode, n_regimes=n_regimes, tau2=20)
         pipe, train_curves = train_pipeline(train, cfg)
         library = pipe.library
         rows = {u: i for i, u in enumerate(library.unit_ids.tolist())}
@@ -368,7 +368,7 @@ def test_a_loaded_pipeline_equals_the_trained_one(tmp_path, mode, n_regimes):
     )
     train, _, _, _ = generate_synthetic(synth)
     pipe, curves = train_pipeline(
-        train, RunConfig(mode=mode, n_regimes=n_regimes, tau2=20, seed=6)
+        train, RunConfig(mode=mode, n_regimes=n_regimes, tau2=20)
     )
     save_pipeline(pipe, curves, tmp_path)
     loaded = load_pipeline(tmp_path)
@@ -431,7 +431,7 @@ def fleet_with_unmatched_unit(n_regimes, mode):
     )
     train, test, _, _ = generate_synthetic(synth)
     pipe, _ = train_pipeline(
-        train, RunConfig(mode=mode, n_regimes=n_regimes, tau2=20, seed=6)
+        train, RunConfig(mode=mode, n_regimes=n_regimes, tau2=20)
     )
     longest = max(train, key=len)
     return pipe, TrajectorySet.stack([*test.unit_ids, 1000], [*test, longest])
@@ -458,7 +458,7 @@ class TestFleetPath:
             seed=3, min_cycles=100, max_cycles=200,
         )
         train, test, _, _ = generate_synthetic(synth)
-        cfg = RunConfig(mode="sst-lr", n_regimes=n_regimes, tau2=20, seed=3)
+        cfg = RunConfig(mode="sst-lr", n_regimes=n_regimes, tau2=20)
         with mock.patch.object(evaluation, "ROW_BLOCK", 256):
             pipe, _ = train_pipeline(train, cfg)  # warm: first-call allocations
             train_peak = traced_peak(lambda: train_pipeline(train, cfg), train)
@@ -476,7 +476,7 @@ def test_regime_numbering_changes_no_output(mode):
         n_units=8, n_regimes=3, noise_std=0.01, drift_rate=0.03,
         seed=6, min_cycles=80, max_cycles=120,
     ))
-    cfg = RunConfig(mode=mode, n_regimes=3, tau2=20, seed=6)
+    cfg = RunConfig(mode=mode, n_regimes=3, tau2=20)
     cluster, perm = multiscale.cluster_regimes, np.array([2, 0, 1])
 
     def renumbered(*args):
@@ -505,7 +505,7 @@ def test_pipeline_leaves_the_fleet_matrix_unchanged(n_regimes, mode):
         seed=6, min_cycles=80, max_cycles=120,
     )
     train, test, truths, _ = generate_synthetic(synth)
-    cfg = RunConfig(mode=mode, n_regimes=n_regimes, tau2=20, seed=6)
+    cfg = RunConfig(mode=mode, n_regimes=n_regimes, tau2=20)
     before = [(t.matrix.tobytes(), t.bounds) for t in (train, test)]
     with mock.patch.object(evaluation, "ROW_BLOCK", 100):
         pipe, _ = train_pipeline(train, cfg)
@@ -534,7 +534,7 @@ def small_sst_lr():
         seed=6, min_cycles=80, max_cycles=120,
     )
     train, test, _, _ = generate_synthetic(synth)
-    pipe, _ = train_pipeline(train, RunConfig(mode="sst-lr", n_regimes=2, tau2=20, seed=6))
+    pipe, _ = train_pipeline(train, RunConfig(mode="sst-lr", n_regimes=2, tau2=20))
     return pipe, test
 
 

@@ -14,7 +14,7 @@ from subtrack.cli import EXIT_OK, main
 from subtrack.dataset import ID_LIMIT, load_cmapss
 from subtrack.health import CURVE_COLUMNS, RAW_DIST, SCALED_DIST, SIGMA
 
-FLAGS = ["--tau2", "20", "--seed", "3"]
+FLAGS = ["--tau2", "20"]
 # the synth and run flags of each mode's fleet: sst-lr on three regimes
 MODES = {"sst": (["--n-regimes", "1"], ["--mode", "sst"]),
          "sst-lr": (["--n-regimes", "3"], ["--mode", "sst-lr", "--n-regimes", "3"])}

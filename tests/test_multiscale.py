@@ -1,12 +1,11 @@
 import builtins
-import random
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from subtrack import multiscale
-from subtrack.dataset import N_SENSORS
+from subtrack.dataset import N_SENSORS, N_SETTINGS, SynthConfig, generate_synthetic
 from subtrack.errors import NumericalError, ValidationError
 from subtrack.multiscale import (
     MultiModel,
@@ -41,7 +40,7 @@ class TestClusterRegimes:
     def test_single_cluster(self):
         rng = np.random.default_rng(0)
         pts = rng.standard_normal((50, 3))
-        centroids, labels = cluster_regimes(pts, 1, seed=0)
+        centroids, labels = cluster_regimes(pts, 1)
         assert centroids.shape == (1, 3)
         np.testing.assert_allclose(centroids[0], pts.mean(axis=0))
         np.testing.assert_array_equal(labels, np.zeros(50))
@@ -52,7 +51,7 @@ class TestClusterRegimes:
         pts = np.vstack(
             [c + 0.1 * rng.standard_normal((30, 3)) for c in centers]
         )
-        centroids, labels = cluster_regimes(pts, 6, seed=0)
+        centroids, labels = cluster_regimes(pts, 6)
         np.testing.assert_array_equal(labels, nearest_centroid(centroids, pts))
         assert set(labels) == set(range(6))
         # internal tightness: max within-cluster distance < min between-centroid
@@ -69,7 +68,7 @@ class TestClusterRegimes:
 
     def test_each_point_own_cluster(self):
         pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        centroids, labels = cluster_regimes(pts, 4, seed=3)
+        centroids, labels = cluster_regimes(pts, 4)
         np.testing.assert_array_equal(labels, nearest_centroid(centroids, pts))
         assert len(set(labels.tolist())) == 4
         for k in range(4):
@@ -79,7 +78,7 @@ class TestClusterRegimes:
     def test_labels_are_the_nearest_centroid_of_each_row(self, seed):
         rng = np.random.default_rng(seed)
         pts = rng.standard_normal((200, 3))
-        centroids, labels = cluster_regimes(pts, 4, seed=seed)
+        centroids, labels = cluster_regimes(pts, 4)
         assert labels.dtype == np.intp
         np.testing.assert_array_equal(labels, nearest_centroid(centroids, pts))
 
@@ -91,51 +90,68 @@ class TestClusterRegimes:
 
         pts = np.random.default_rng(9).standard_normal((200, 3))
         with mock.patch.object(multiscale, "range", capped, create=True):
-            centroids, labels = cluster_regimes(pts, 4, seed=9)
+            centroids, labels = cluster_regimes(pts, 4)
         np.testing.assert_array_equal(labels, nearest_centroid(centroids, pts))
-        assert not np.array_equal(centroids, cluster_regimes(pts, 4, seed=9)[0])
+        assert not np.array_equal(centroids, cluster_regimes(pts, 4)[0])
 
     def test_too_few_distinct_points(self):
         pts = np.zeros((10, 3))
         with pytest.raises(ValidationError):
-            cluster_regimes(pts, 2, seed=0)
+            cluster_regimes(pts, 2)
 
     def test_too_few_distinct_points_counted_over_repeats(self):
         pts = np.repeat(np.eye(3), 10, axis=0)
         message = "3 distinct settings vectors for 4 clusters"
         with pytest.raises(ValidationError, match=message):
-            cluster_regimes(pts, 4, seed=0)
+            cluster_regimes(pts, 4)
 
     def test_overflowing_squared_distances_raise(self):
         pts = np.array([[0.0, 0, 0], [1e200, 0, 0], [-1e200, 0, 0]])
         with pytest.raises(NumericalError, match="overflow"):
-            cluster_regimes(pts, 2, seed=0)
+            cluster_regimes(pts, 2)
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_seeding_picks_only_rows_off_the_chosen_centers(self, seed):
+    def test_seeding_picks_only_rows_off_the_chosen_centers(self):
         pts = np.vstack([np.zeros((99, 3)), [[1.0, 0, 0]]])
-        centroids, _ = cluster_regimes(pts, 2, seed=seed)
+        centroids, _ = cluster_regimes(pts, 2)
         assert sorted(centroids[:, 0].tolist()) == [0.0, 1.0]
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_a_draw_rounding_up_to_a_subnormal_total_takes_the_last_row(self, seed):
-        # the largest draw times a subnormal total rounds to the total itself
-        class Highest(random.Random):
-            def random(self):
-                return 1.0 - 2.0**-53
-
-            def getrandbits(self, k):  # keeps randrange off random()
-                return super().getrandbits(k)
-
+    def test_rows_1e_160_apart_both_become_centroids(self):
+        # their squared distance is the subnormal 1e-320, still the farthest
         pts = np.array([[0.0, 0, 0], [1e-160, 0, 0], [0.0, 0, 0]])
-        with mock.patch.object(multiscale.random, "Random", Highest):
-            centroids, _ = cluster_regimes(pts, 2, seed=seed)
-        assert sorted(centroids[:, 0].tolist()) == [0.0, 1e-160]
+        centroids, labels = cluster_regimes(pts, 2)
+        assert centroids[:, 0].tolist() == [0.0, 1e-160]
+        assert labels.tolist() == [0, 1, 0]
+
+    def test_settings_1e_200_apart_seed_two_distinct_centroids(self):
+        # their squared distance underflows to 0: the distinct vectors decide
+        pts = np.array([[1e-200, 0, 0], [0.0, 0, 0], [1e-200, 0, 0]])
+        centroids, labels = cluster_regimes(pts, 2)
+        assert not np.array_equal(centroids[0], centroids[1])
+        np.testing.assert_array_equal(labels, nearest_centroid(centroids, pts))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_centroids_are_the_generator_regimes(self, k, seed):
+        train, _, _, regimes = generate_synthetic(
+            SynthConfig(n_units=6, n_regimes=k, seed=seed, min_cycles=30, max_cycles=60)
+        )
+        settings = train.matrix[:, :N_SETTINGS]
+        truth = np.array([r.settings for r in regimes])
+        centroids, labels = cluster_regimes(settings, k)
+        # one regime per centroid: the mean of a regime's identical rows
+        # is its settings vector up to rounding
+        match = nearest_centroid(truth, centroids)
+        assert sorted(match.tolist()) == list(range(k))
+        np.testing.assert_allclose(centroids, truth[match], rtol=1e-13, atol=0)
+        # the labels split the rows by true regime
+        true_labels = nearest_centroid(truth, settings)
+        np.testing.assert_array_equal(truth[true_labels], settings)
+        np.testing.assert_array_equal(match[labels], true_labels)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
         pts = rng.standard_normal((100, 3))
-        (a, la), (b, lb) = (cluster_regimes(pts, 4, seed=11) for _ in range(2))
+        (a, la), (b, lb) = (cluster_regimes(pts, 4) for _ in range(2))
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(la, lb)
 

@@ -4,18 +4,21 @@ dependencies exactly the third-party packages that the source imports
 function that `python -m subtrack.cli` calls, `import subtrack` loads no
 submodule, no np.load or np.save can pickle, only persist names a model
 directory's files or calls np.save and np.load, only the synthetic-fleet
-generator uses numpy.random, and every module.name that the source or the
-README names exists."""
+generator uses numpy.random, every module.name that the source or the
+README names exists, and every `subtrack` command in the README parses."""
 
 import ast
 import importlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from subtrack.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -239,6 +242,33 @@ def test_every_module_reference_resolves():
 )
 def test_module_reference_scan_sees(line, refs):
     assert references(line) == refs
+
+
+def sh_commands(text: str) -> list[list[str]]:
+    """The arguments of every `subtrack ...` command in the sh blocks of a
+    markdown text, continuation lines joined and comments dropped."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("subtrack ")]
+
+
+def test_readme_commands_parse():
+    # a retired flag left in an example is a usage error for whoever copies it
+    commands = sh_commands((ROOT / "README.md").read_text())
+    assert len(commands) >= 4, "no README command found; the check has gone stale"
+    parser, failed = build_parser(), []
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            failed.append(" ".join(argv))
+    assert failed == []
+
+
+def test_sh_command_scan_sees():
+    text = ("```sh\n# a comment\nsubtrack infer --data d \\\n    --out o  # note\n"
+            "pip install .\n```\nsubtrack train\n")
+    assert sh_commands(text) == [["infer", "--data", "d", "--out", "o"]]
 
 
 PROBES = {
