@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands:
-  train      fit batch-PCA subspaces + scaler (+ regressor) on a training file
+  train      fit settings regimes, then sensor subspaces + scaler (+ regressor)
   infer      health-index curves and RUL estimates from saved artifacts
   benchmark  end-to-end run with metrics report
   synth      generate a synthetic fleet in CMAPSS format

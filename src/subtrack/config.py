@@ -10,8 +10,8 @@ from .errors import ValidationError
 MODES = ("sst", "sst-lr")
 
 # fields older config files still hold, ignored: the retired epoch trainer's
-# knobs, the matching bandwidth (see rul) and the k-means++ seed; and the
-# settings switch, which from_dict accepts only as null
+# knobs, the matching bandwidth (see rul), the k-means++ seed and the settings
+# switch (the subspaces track the sensors at every n_regimes)
 RETIRED_FIELDS = frozenset(
     {"alpha", "eta", "max_epochs", "rel_tol", "beta", "seed", "include_settings"}
 )
@@ -56,23 +56,11 @@ class RunConfig:
         if not 0 <= self.tau1 <= self.tau2:
             raise ValidationError("need 0 <= tau1 <= tau2")
 
-    @property
-    def track_settings(self) -> bool:
-        """The subspaces track the settings columns only in a single-regime
-        run; with K>1 the settings pick the regime and are left out."""
-        return self.n_regimes == 1
-
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        # a set value may describe a model of another dimension than the rule gives
-        if doc.get("include_settings") is not None:
-            raise ValidationError(
-                "include_settings must be null: settings are tracked exactly "
-                f"when n_regimes is 1, got {doc['include_settings']!r}"
-            )
         doc = {k: v for k, v in doc.items() if k not in RETIRED_FIELDS}
         unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:

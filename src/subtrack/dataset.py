@@ -258,11 +258,12 @@ def load_rul_targets(path: str | Path, n_units: int) -> list[int]:
 @dataclass(frozen=True)
 class Normalizer:
     """Per-feature z-score statistics, one table per operating regime; every
-    row is transformed with the table of its regime label.
+    row is transformed with the table of its regime label. The pipeline fits
+    it on the N_SENSORS sensor columns, the ones its subspaces track.
 
     Constant features (std below CONSTANT_STD * max(1, |mean|)) are masked:
     their output is 0, keeping the column count and indices aligned with the
-    file format.
+    sensors.
     """
 
     mean: np.ndarray  # (R, F)

@@ -68,28 +68,23 @@ class TrainedPipeline:
     normalizer: Normalizer
     model: MultiModel
     scaler: DistanceScaler
-    regressor: np.ndarray | None  # sst-lr: the (K, D+1) weights of fit_hi_regression
+    regressor: np.ndarray | None  # sst-lr: the (K, N_SENSORS+1) weights of fit_hi_regression
     library: rul.Library  # the training curves' sigma, prepared at fit time
 
 
-def _tracked(rows: np.ndarray, cfg: RunConfig) -> np.ndarray:
-    """The columns of normalized rows that the subspace models track."""
-    return rows if cfg.track_settings else rows[:, N_SETTINGS:]
-
-
-def _normalized_blocks(norm: Normalizer, tset, labels, cfg):
+def _normalized_blocks(norm: Normalizer, tset, labels):
     """(slice, tracked rows) for each ROW_BLOCK of the set's read-only
-    matrix: the block is copied into one block-sized buffer and normalized
-    there with the table of its regime `labels`. Every block reuses that
-    buffer, so a block is spent once the next one is asked for."""
-    rows = tset.matrix
-    buf = np.empty((min(ROW_BLOCK, len(rows)), rows.shape[1]))
-    for a in range(0, len(rows), ROW_BLOCK):
+    matrix: the block's sensor columns are copied into one block-sized buffer
+    and normalized there with the table of its regime `labels`. Every block
+    reuses that buffer, so a block is spent once the next one is asked for."""
+    sensors = tset.matrix[:, N_SETTINGS:]
+    buf = np.empty((min(ROW_BLOCK, len(sensors)), sensors.shape[1]))
+    for a in range(0, len(sensors), ROW_BLOCK):
         blk = slice(a, a + ROW_BLOCK)
-        x = buf[: min(ROW_BLOCK, len(rows) - a)]
-        x[:] = rows[blk]
+        x = buf[: min(ROW_BLOCK, len(sensors) - a)]
+        x[:] = sensors[blk]
         norm.transform_inplace(x, labels[blk])
-        yield blk, _tracked(x, cfg)
+        yield blk, x
 
 
 def _analyze_fleet(model: MultiModel, blocks, tset, cfg: RunConfig, weights=None) -> tuple:
@@ -138,19 +133,19 @@ def _settings(tset: TrajectorySet) -> np.ndarray:
 def train_pipeline(
     train_set: TrajectorySet, cfg: RunConfig
 ) -> tuple[TrainedPipeline, TrajectorySet]:
-    """Fit the training stage: regimes, normalizer, one batch-PCA subspace
-    per regime (no epochs), scaler and (in sst-lr mode) the health-index
-    regressor. Returns the pipeline and the training curves its library holds.
-    The set's matrix is only read."""
-    rows, bounds = train_set.matrix, train_set.bounds
+    """Fit the training stage: regimes from the settings, then on the
+    sensors the normalizer, one batch-PCA subspace per regime (no epochs),
+    scaler and (in sst-lr mode) the health-index regressor. Returns the
+    pipeline and the training curves its library holds. The set's matrix is
+    only read."""
     centroids, labels = multiscale.cluster_regimes(_settings(train_set), cfg.n_regimes)
-    norm = dataset.fit_normalizer(rows, labels, cfg.n_regimes)
+    sensors, bounds = train_set.matrix[:, N_SETTINGS:], train_set.bounds
+    norm = dataset.fit_normalizer(sensors, labels, cfg.n_regimes)
 
-    cycle = np.arange(len(rows)) - np.repeat(bounds[:-1], np.diff(bounds))
+    cycle = np.arange(len(sensors)) - np.repeat(bounds[:-1], np.diff(bounds))
     is_healthy = cycle < cfg.healthy_cycles
-    healthy, healthy_labels = rows[is_healthy], labels[is_healthy]  # a small copy
+    healthy, healthy_labels = sensors[is_healthy], labels[is_healthy]  # a small copy
     norm.transform_inplace(healthy, healthy_labels)
-    healthy = _tracked(healthy, cfg)
     members = []
     for k in range(cfg.n_regimes):
         rows_k = healthy[healthy_labels == k]
@@ -163,7 +158,7 @@ def train_pipeline(
     model = MultiModel(models=members, centroids=centroids)
 
     def blocks():
-        return _normalized_blocks(norm, train_set, labels, cfg)
+        return _normalized_blocks(norm, train_set, labels)
 
     curves, reg = _analyze_fleet(model, blocks(), train_set, cfg)
     smoothed = curves[:, SCALED_DIST]
@@ -196,7 +191,7 @@ def infer_curves(pipe: TrainedPipeline, tset: TrajectorySet) -> TrajectorySet:
     if cfg.mode == "sst-lr" and pipe.regressor is None:
         raise ValidationError("sst-lr mode requires a fitted regressor")
     labels = multiscale.nearest_centroid(pipe.model.centroids, _settings(tset))
-    blocks = _normalized_blocks(pipe.normalizer, tset, labels, cfg)
+    blocks = _normalized_blocks(pipe.normalizer, tset, labels)
     weights = pipe.regressor if cfg.mode == "sst-lr" else None
     curves, _ = _analyze_fleet(pipe.model, blocks, tset, cfg, weights)
     return _fleet_curves(tset, cfg, pipe.scaler, curves)

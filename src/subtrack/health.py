@@ -9,11 +9,13 @@ so 1 means perfect health and 0 failure. A fleet's curves are one unit table,
 a `dataset.TrajectorySet` of the CURVE_COLUMNS, in the order of the last
 three columns of a `persist.write_curves` export. A
 least-squares refinement (the "-LR" variant) maps the normalized, tracked
-row, all D columns, to health-index values, one affine fit per model label:
-a linear regression of the sensor readings, as in Wang et al. (PHM 2008).
+row, its D = N_SENSORS sensor columns, to health-index values, one affine
+fit per model label: a linear regression of the sensor readings, as in Wang
+et al. (PHM 2008).
 
 Every row carries two labels. Its regime label, from the settings
-clustering, picks its normalizer table and the healthy-window fit. Its
+clustering, picks its normalizer table and the healthy-window fit; the
+settings reach nothing else, at any number of regimes. Its
 model label, from minimum-distance routing in `multiscale.assign_rows`, sets
 its distance and its regressor row. They need not agree: on an FD004-sized
 fleet (K=6) they differed on 16% of the training rows and 4% of the test rows.

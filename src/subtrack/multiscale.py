@@ -54,13 +54,14 @@ def cluster_regimes(settings: np.ndarray, n_clusters: int) -> tuple[np.ndarray, 
     from those chosen (Gonzalez, TCS 1985): no draw is made. Empty clusters
     are re-seeded from the point farthest from its assigned centroid. K=1 is
     answered in closed form: the settings mean is Lloyd's fixed point.
-    Raises NumericalError as `_nearest_finite` does.
+    Raises NumericalError as `_nearest_finite` does, or when a cluster's
+    mean overflows.
     """
     points = np.asarray(settings, dtype=float)
     if points.ndim != 2 or len(points) == 0:
         raise ValidationError("settings must be a non-empty 2-d array")
     if n_clusters == 1:
-        return points.mean(axis=0, keepdims=True), np.zeros(len(points), dtype=np.intp)
+        return _mean(points)[None], np.zeros(len(points), dtype=np.intp)
 
     centroids = [points[0]]
     for _ in range(1, n_clusters):
@@ -91,11 +92,20 @@ def cluster_regimes(settings: np.ndarray, n_clusters: int) -> tuple[np.ndarray, 
             if len(members) == 0:
                 new_centroids[k] = points[np.argmax(d2)]
             else:
-                new_centroids[k] = members.mean(axis=0)
+                new_centroids[k] = _mean(members)
         if np.allclose(new_centroids, centroids, atol=0, rtol=0):
             return centroids, labels  # converged: labelled by the final centroids
         centroids = new_centroids
     return centroids, nearest_centroid(centroids, points)
+
+
+def _mean(points: np.ndarray) -> np.ndarray:
+    """The mean settings row; raises NumericalError when its sum overflows."""
+    with np.errstate(over="ignore"):  # raises below
+        mean = points.mean(axis=0)
+    if not np.isfinite(mean).all():
+        raise NumericalError("the settings mean of a regime overflows")
+    return mean
 
 
 def nearest_centroid(centroids: np.ndarray, settings: np.ndarray) -> np.ndarray:

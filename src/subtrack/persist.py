@@ -4,22 +4,24 @@ Documents are JSON and estimates CSV, floats written with repr, and arrays
 `.npy` (np.save, read with np.load(allow_pickle=False)), so reading a file
 back reproduces the exact values written. This is the only module that
 reads or writes a model directory: one document, MODEL_FILE, one array,
-SIGMA_FILE, and two exports.
+SIGMA_FILE, and one export.
 
 The document (model_document, read_model_document) holds the whole fitted
 pipeline but the library's curves: its format version, the run config, the
-regime centroids, one member {c, lambdas, U1} per regime, the normalizer,
-the scaler, the sst-lr regressor (null in sst mode) and the library's unit
-ids and curve lengths. The config fixes the shape of every table, and each
-member's delta is the config's. The library's zero-padded curves are a
-float64 `.npy` array. Matching reads the stored library and never opens
-`train_curves.npy`, the export of the training curve table that
-save_pipeline is given beside the pipeline, written by write_curves like
-every curve export. A directory of any other version than
-MODEL_FORMAT_VERSION is refused; one of version 1 (library only in a
-`train_curves.csv`), 2 (library smoothed twice),
-3 (an sst-lr regressor of the d subspace projections) or 4 (the pipeline
-spread over five documents and three arrays) with a message to retrain.
+regime centroids over the N_SETTINGS settings, one member {c, lambdas, U1}
+per regime, the normalizer, the scaler, the sst-lr regressor (null in sst
+mode) and the library's unit ids and curve lengths. The normalizer, members
+and regressor span the N_SENSORS tracked columns; the config fixes the
+other dimensions of every table, and each member's delta is the config's.
+The library's zero-padded curves are a float64 `.npy` array. Matching reads
+the stored library and never opens `train_curves.npy`, the export of the
+training curve table that save_pipeline is given beside the pipeline,
+written by write_curves like every curve export. A directory of any other
+version than MODEL_FORMAT_VERSION is refused; one of version 1 (library
+only in a `train_curves.csv`), 2 (library smoothed twice), 3 (an sst-lr
+regressor of the d subspace projections), 4 (the pipeline spread over five
+documents and three arrays) or 5 (settings tracked at K=1) with a message
+to retrain.
 """
 
 from __future__ import annotations
@@ -31,14 +33,14 @@ import numpy as np
 
 from .config import RunConfig
 from .dataset import ID_LIMIT, N_SENSORS, N_SETTINGS, Normalizer, TrajectorySet
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .evaluation import TrainedPipeline
-from .health import CURVE_COLUMNS, RAW_DIST, DistanceScaler
+from .health import CURVE_COLUMNS, DistanceScaler
 from .multiscale import MultiModel
 from .rul import Library
 from .subspace import SubspaceModel
 
-MODEL_FORMAT_VERSION = 5
+MODEL_FORMAT_VERSION = 6
 MODEL_FILE = "model.json"
 SIGMA_FILE = "library_sigma.npy"  # float64, (n_train, longest curve)
 ESTIMATE_CSV_HEADER = (
@@ -53,7 +55,7 @@ _ENTRIES = {
 
 
 def _check_version(doc: dict) -> None:
-    """Accept exactly the int MODEL_FORMAT_VERSION: not True, 5.0 or "5"."""
+    """Accept exactly the int MODEL_FORMAT_VERSION: not True, 6.0 or "6"."""
     version = doc.get("version")
     if type(version) is int and version == MODEL_FORMAT_VERSION:
         return
@@ -110,16 +112,14 @@ def read_model_document(doc: dict) -> dict:
     _check_version(doc)
     config = RunConfig.from_dict(doc["config"])
     k, d = config.n_regimes, config.subspace_dim
-    dim = N_SENSORS + (N_SETTINGS if config.track_settings else 0)  # D, the tracked columns
-    features = (k, N_SETTINGS + N_SENSORS)
     if len(doc["members"]) != k:
         raise ValidationError(f"{len(doc['members'])} members for n_regimes {k}")
     members = [
         SubspaceModel(
             # the C layout of init_subspace's basis, so matrix products round
             # as they did before saving
-            basis=np.ascontiguousarray(_table(m["U1"], f"members[{i}].U1", (d, dim)).T),
-            center=_table(m["c"], f"members[{i}].c", (dim,)),
+            basis=np.ascontiguousarray(_table(m["U1"], f"members[{i}].U1", (d, N_SENSORS)).T),
+            center=_table(m["c"], f"members[{i}].c", (N_SENSORS,)),
             spreads=_table(m["lambdas"], f"members[{i}].lambdas", (d,)),
             delta=config.delta,
         )
@@ -135,9 +135,9 @@ def read_model_document(doc: dict) -> dict:
     return {
         "config": config,
         "normalizer": Normalizer(
-            mean=_table(norm["mean"], "normalizer.mean", features),
-            std=_table(norm["std"], "normalizer.std", features, positive=True),
-            mask=_table(norm["mask"], "normalizer.mask", features, bool),
+            mean=_table(norm["mean"], "normalizer.mean", (k, N_SENSORS)),
+            std=_table(norm["std"], "normalizer.std", (k, N_SENSORS), positive=True),
+            mask=_table(norm["mask"], "normalizer.mask", (k, N_SENSORS), bool),
         ),
         "model": model,
         "scaler": DistanceScaler(
@@ -145,7 +145,7 @@ def read_model_document(doc: dict) -> dict:
             ceiling=float(_table(scaler["ceiling"], "scaler.ceiling", ())),
         ),
         # only an sst-lr model holds a regressor
-        "regressor": _table(doc["regressor"], "regressor", (k, dim + 1))
+        "regressor": _table(doc["regressor"], "regressor", (k, N_SENSORS + 1))
         if config.mode == "sst-lr" else None,
         "unit_ids": unit_ids,
         "lengths": _table(library["lengths"], "library.lengths", (n_train,), int),
@@ -156,14 +156,22 @@ def write_curves(curves: TrajectorySet, path: str | Path) -> None:
     """The curve table as one (rows, 5) float64 `.npy` array, one row per
     unit and cycle in unit order: unit_id, cycle, then the CURVE_COLUMNS.
     Ids and cycles are exact below ID_LIMIT, and every curve value is the
-    table's, bit for bit."""
-    lengths = np.diff(curves.bounds)
-    table = np.empty((len(curves.matrix), 2 + len(CURVE_COLUMNS)))
-    table[:, 0] = np.repeat(curves.unit_ids, lengths)
-    # row i of a unit starting at row a is its cycle i - a + 1
-    table[:, 1] = np.arange(1, len(table) + 1) - np.repeat(curves.bounds[:-1], lengths)
-    table[:, 2:] = curves.matrix
-    np.save(path, table, allow_pickle=False)
+    table's, bit for bit. The bytes are np.save's of that table, written one
+    unit at a time from a buffer of the longest unit, so no fleet-sized
+    table is built."""
+    bounds, width = curves.bounds, 2 + len(CURVE_COLUMNS)
+    buf = np.empty((max(np.diff(bounds), default=0), width))
+    buf[:, 1] = np.arange(1, len(buf) + 1)  # every unit's cycles count from 1
+    descr = np.lib.format.dtype_to_descr(buf.dtype)
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": descr, "fortran_order": False, "shape": (len(curves.matrix), width)}
+        )
+        for unit, a, b in zip(curves.unit_ids, bounds, bounds[1:]):
+            block = buf[: b - a]
+            block[:, 0] = unit
+            block[:, 2:] = curves.matrix[a:b]
+            fh.write(block)
 
 
 def write_estimates_csv(estimates, truths, path: str | Path, unit_ids) -> None:
@@ -185,20 +193,12 @@ def write_estimates_csv(estimates, truths, path: str | Path, unit_ids) -> None:
 
 def save_pipeline(pipe: TrainedPipeline, curves: TrajectorySet, out: str | Path) -> None:
     """Write every artifact of a trained pipeline into the directory out, with
-    its training curve table as the `train_curves.npy` and `error_trace.csv`
-    exports (the trace is one row, the mean raw distance of the healthy
-    cycles; one that overflows raises NumericalError before any file is written)."""
-    healthy = np.concatenate([rows[: pipe.config.healthy_cycles, RAW_DIST] for rows in curves])
-    with np.errstate(over="ignore"):  # a sum of huge distances; raises below
-        mean_dist = float(np.mean(healthy))
-    if not np.isfinite(mean_dist):
-        raise NumericalError("mean healthy distance overflows")
+    its training curve table as the `train_curves.npy` export."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     (out / MODEL_FILE).write_text(json.dumps(model_document(pipe)))
     write_curves(curves, out / "train_curves.npy")
     np.save(out / SIGMA_FILE, pipe.library.padded, allow_pickle=False)
-    (out / "error_trace.csv").write_text(f"epoch,mean_dist\n0,{mean_dist!r}\n")
 
 
 def _check_health_range(path: Path, unit_ids, sigma: np.ndarray) -> None:

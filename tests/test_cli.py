@@ -50,10 +50,11 @@ def run_fresh_interpreter(*args, path=()):
     )
 
 
-def train_in_fresh_interpreter(data, out, n_regimes):
-    """`subtrack train` at n_regimes in a new interpreter, where a numpy
-    RuntimeWarning is an error."""
-    argv = ["train", "--train", str(data), "--out", str(out), "--n-regimes", str(n_regimes)]
+def train_in_fresh_interpreter(data, out, n_regimes, *flags):
+    """`subtrack train` at n_regimes, with flags, in a new interpreter, where
+    a numpy RuntimeWarning is an error."""
+    argv = ["train", "--train", str(data), "--out", str(out),
+            "--n-regimes", str(n_regimes), *flags]
     return run_fresh_interpreter(
         "-c", f"import sys; from subtrack.cli import main; sys.exit(main({argv!r}))"
     )
@@ -97,8 +98,8 @@ def synth_dir(tmp_path_factory):
 
 BENCH_FLAGS = ["--tau2", "20"]
 RETRAIN = "model format version {} is no longer read; retrain with 'subtrack train'"
-# everything train writes: the model document, the library's curves and the exports
-MODEL_DIR_FILES = {"model.json", "library_sigma.npy", "train_curves.npy", "error_trace.csv"}
+# everything train writes: the model document, the library's curves and the export
+MODEL_DIR_FILES = {"model.json", "library_sigma.npy", "train_curves.npy"}
 
 
 def model_doc(model):
@@ -161,7 +162,7 @@ class TestTrain:
         assert rc == EXIT_OK
         assert {p.name for p in out.iterdir()} == MODEL_DIR_FILES
         doc = model_doc(out)
-        assert doc["version"] == persist.MODEL_FORMAT_VERSION == 5
+        assert doc["version"] == persist.MODEL_FORMAT_VERSION == 6
         assert doc["regressor"] is None
 
     def test_sst_lr_writes_regressor(self, synth_dir, tmp_path):
@@ -172,8 +173,8 @@ class TestTrain:
         )
         assert rc == EXIT_OK
         assert {p.name for p in out.iterdir()} == MODEL_DIR_FILES
-        # K=1 tracks all N_SETTINGS + N_SENSORS columns: (K, D+1) weights
-        assert np.shape(model_doc(out)["regressor"]) == (1, N_SETTINGS + N_SENSORS + 1)
+        # the sensors are the tracked columns at K=1 too: (K, D+1) weights
+        assert np.shape(model_doc(out)["regressor"]) == (1, N_SENSORS + 1)
 
     def test_missing_input_no_partial_files(self, tmp_path):
         out = tmp_path / "model"
@@ -225,6 +226,19 @@ class TestTrain:
         )
         assert not (tmp_path / "model").exists()
 
+    @pytest.mark.parametrize("n_regimes", [1, 2])
+    def test_overflowing_settings_mean_exits_3_tagged_with_stage(self, tmp_path, n_regimes):
+        # every row of a regime at 1.5e308: the finite settings sum to more
+        # than the largest float; no numpy warning reaches stderr
+        data = unit_fleet(tmp_path / "train.txt",
+                          [[[v] * N_SETTINGS] * 30 for v in (1.5e308, -1.5e308)])
+        proc = train_in_fresh_interpreter(data, tmp_path / "model", n_regimes)
+        assert proc.returncode == EXIT_NUMERICAL
+        assert proc.stderr == (
+            "numerical error: [train] the settings mean of a regime overflows\n"
+        )
+        assert not (tmp_path / "model").exists()
+
     def test_non_finite_train_value_exits_2_naming_line(
         self, synth_dir, tmp_path, capsys
     ):
@@ -242,7 +256,7 @@ class TestTrain:
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(
             {"alpha": 0.5, "eta": 0.0, "max_epochs": 5, "rel_tol": 1e-3,
-             "beta": 0.0235, "include_settings": None, "seed": 9, "tau2": 25}
+             "beta": 0.0235, "include_settings": "yes", "seed": 9, "tau2": 25}
         ))
         out = tmp_path / "model"
         rc = main(
@@ -285,8 +299,7 @@ class TestTrain:
     @pytest.mark.parametrize(
         "delta, message",
         [("1e308", "non-finite subspace distance (overflow)"),
-         ("1e307", "healthy-level distance overflows"),
-         ("1e306", "mean healthy distance overflows")],
+         ("1e307", "healthy-level distance overflows")],
     )
     def test_overflowing_distance_exits_3(
         self, synth_dir, tmp_path, capsys, delta, message
@@ -296,6 +309,17 @@ class TestTrain:
         assert rc == EXIT_NUMERICAL
         assert capsys.readouterr().err == f"numerical error: [train] {message}\n"
         assert not (tmp_path / "model").exists()
+
+    @pytest.mark.parametrize("delta", ["1e306", "1e305"])
+    def test_huge_delta_trains_with_finite_outputs(self, synth_dir, tmp_path, delta):
+        # distances of ~1e306 and their healthy-level mean stay finite
+        model = tmp_path / "model"
+        proc = train_in_fresh_interpreter(
+            synth_dir / "train_synth.txt", model, 1, "--delta", delta
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        for name in ("train_curves.npy", "library_sigma.npy"):
+            assert np.isfinite(np.load(model / name, allow_pickle=False)).all()
 
     @pytest.mark.parametrize(
         "text", ['{"tau2": 1', "[1, 2]"], ids=["malformed", "not-an-object"]
@@ -319,9 +343,8 @@ class TestTrain:
         [
             ({"smoothing": "0.3"}, "smoothing"),
             ({"healthy_cycles": 20.5}, "healthy_cycles"),
-            ({"include_settings": "yes"}, "include_settings"),
         ],
-        ids=["string-smoothing", "float-healthy-cycles", "string-include-settings"],
+        ids=["string-smoothing", "float-healthy-cycles"],
     )
     def test_mistyped_config_value_exits_2_naming_field(
         self, synth_dir, tmp_path, capsys, doc, field
@@ -518,7 +541,9 @@ class TestInfer:
             ("4", "unsupported model format version '4'"),
             (5.0, "unsupported model format version 5.0"),
             ("5", "unsupported model format version '5'"),
-            (6, "unsupported model format version 6"),
+            (6.0, "unsupported model format version 6.0"),
+            ("6", "unsupported model format version '6'"),
+            (7, "unsupported model format version 7"),
             (0, "unsupported model format version 0"),
             (1, RETRAIN.format(1)),
             # a version 2 library is smoothed twice, and in sst-lr mode is
@@ -528,9 +553,11 @@ class TestInfer:
             (3, RETRAIN.format(3)),
             # a version 4 pipeline is spread over five documents and three arrays
             (4, RETRAIN.format(4)),
+            # a version 5 model tracks the 3 settings beside the sensors at K=1
+            (5, RETRAIN.format(5)),
         ],
         ids=["true", "2.0", "str-2", "3.0", "str-3", "4.0", "str-4", "5.0", "str-5",
-             "6", "0", "1", "2", "3", "4"],
+             "6.0", "str-6", "7", "0", "1", "2", "3", "4", "5"],
     )
     def test_unsupported_version_exits_2_naming_model_json(
         self, synth_dir, model_dir, tmp_path, capsys, version, message
@@ -754,8 +781,8 @@ class TestInfer:
     def test_directory_with_a_text_curve_export_infers_identically(
         self, synth_dir, model_dir, tmp_path
     ):
-        # a version-5 directory written before the curve exports were .npy
-        # holds train_curves.csv instead; matching reads neither export
+        # train_curves.csv, as releases before the .npy exports wrote it, in
+        # place of train_curves.npy; matching reads neither export
         old = tmp_path / "old"
         shutil.copytree(model_dir, old)
         table = np.load(old / "train_curves.npy", allow_pickle=False)
@@ -823,13 +850,14 @@ class TestInfer:
         self, synth_dir, model_dir, tmp_path
     ):
         # a config as train wrote it while it ran the epoch trainer, matched
-        # with a fixed bandwidth and seeded k-means++ from a draw
+        # with a fixed bandwidth, seeded k-means++ from a draw and took the
+        # settings switch: the retired fields are ignored, whatever they hold
         legacy = tmp_path / "legacy"
         shutil.copytree(model_dir, legacy)
         assert not set(model_doc(legacy)["config"]) & set(RETIRED_FIELDS)
         edit_model_doc(legacy, lambda doc: doc["config"].update(
             alpha=0.87, eta=0.01, max_epochs=100, rel_tol=1e-4, beta=0.0235, seed=3,
-            include_settings=None,
+            include_settings=True,
         ))
         assert persist.load_pipeline(legacy).config == (
             persist.load_pipeline(model_dir).config
@@ -854,22 +882,6 @@ class TestInfer:
         )
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("value", [True, False])
-    def test_config_with_set_include_settings_exits_2_naming_file(
-        self, synth_dir, model_dir, tmp_path, capsys, value
-    ):
-        # trained with the settings switch set: the model's dimension may
-        # not be the one the n_regimes rule gives
-        broken = tmp_path / "broken"
-        shutil.copytree(model_dir, broken)
-        edit_model_doc(broken, lambda doc: doc["config"].update(include_settings=value))
-        assert self.infer_rc(synth_dir, broken, tmp_path / "out") == EXIT_DATA
-        assert capsys.readouterr().err == (
-            f"error: {broken / 'model.json'}: include_settings must be null: settings "
-            f"are tracked exactly when n_regimes is 1, got {value}\n"
-        )
-        assert not (tmp_path / "out").exists()
-
     def test_config_with_unknown_key_exits_2_naming_file(
         self, synth_dir, model_dir, tmp_path, capsys
     ):
@@ -885,8 +897,8 @@ class TestInfer:
 
 @pytest.fixture(scope="module")
 def lr_model_dir(tmp_path_factory):
-    """An sst-lr model with K=3 regimes, which tracks no settings: its
-    normalizer has 3 more columns than its subspaces' dimension."""
+    """An sst-lr model with K=3 regimes, which tracks the sensors as every
+    model does: its normalizer, members and regressor are 21 columns wide."""
     data = tmp_path_factory.mktemp("synth3")
     assert main(["synth", "--out", str(data), "--units", "8", "--n-regimes", "3",
                  "--seed", "4", "--min-cycles", "80", "--max-cycles", "100"]) == EXIT_OK
@@ -905,7 +917,7 @@ def _first(section, key, value):
 
 class TestFittedTables:
     """Every table of model.json must have the shape its config gives:
-    K=3 members, 24 normalizer columns (21 tracked sensors and 3 settings),
+    K=3 members, 21 normalizer columns (the tracked sensors),
     21 + 1 regression weights and one centroid column per setting, all
     finite JSON numbers and std > 0. A config edited apart from its tables no longer
     fits them."""
@@ -923,10 +935,10 @@ class TestFittedTables:
             (_first("regressor", None, float("nan")), "regressor must be finite"),
             (lambda doc: doc["normalizer"].update(
                 {k: v[:2] for k, v in doc["normalizer"].items()}),
-             "normalizer.mean has shape (2, 24), expected (3, 24)"),
+             "normalizer.mean has shape (2, 21), expected (3, 21)"),
             (lambda doc: doc["normalizer"].update(
-                mask=[row[1:] for row in doc["normalizer"]["mask"]]),
-             "normalizer.mask has shape (3, 23), expected (3, 24)"),
+                mask=[row + [0, 0] for row in doc["normalizer"]["mask"]]),
+             "normalizer.mask has shape (3, 23), expected (3, 21)"),
             (_first("normalizer", "std", 0.0), "normalizer.std must be finite and > 0"),
             (_first("normalizer", "std", float("inf")),
              "normalizer.std must be finite and > 0"),
@@ -980,7 +992,7 @@ class TestFittedTables:
 
     def test_untouched_tables_load(self, lr_model_dir):
         pipe = persist.load_pipeline(lr_model_dir)
-        assert pipe.normalizer.mean.shape == (3, 24)
+        assert pipe.normalizer.mean.shape == (3, N_SENSORS)
         assert pipe.regressor.shape == (3, 22)
 
 
@@ -1375,7 +1387,7 @@ EXIT_RUNS = {
         "train", "--train", str(tmp / "nope.txt"), "--out", str(tmp / "model")]),
     "overflow": (EXIT_NUMERICAL, lambda synth, tmp: [
         "train", "--train", str(synth / "train_synth.txt"),
-        "--out", str(tmp / "model"), "--delta", "1e306"]),
+        "--out", str(tmp / "model"), "--delta", "1e307"]),
 }
 
 # a sitecustomize module that reports the GC freeze count once the

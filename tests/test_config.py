@@ -44,12 +44,7 @@ def test_from_dict_returns_a_config_or_raises_validation_error(field, value):
         ({"tau2": float("inf")}, "tau2 must be an int, got inf"),
         ({"smoothing": "0.3"}, "smoothing must be a finite number, got '0.3'"),
         ({"delta": 10**400}, f"delta must be a finite number, got {10**400}"),
-        pytest.param(  # the id names the message of the field before it was retired
-            {"include_settings": 1},
-            "include_settings must be null: settings are tracked exactly "
-            "when n_regimes is 1, got 1",
-            id="doc6-include_settings must be true, false or null, got 1",
-        ),
+        ({"n_regimes": 0}, "n_regimes must be >= 1"),
         ({"mode": None}, "mode must be a string, got None"),
         ({"subspace_dim": 0}, "subspace_dim must be >= 1"),
         ({"delta": 0}, "delta must be > 0"),
@@ -68,6 +63,13 @@ def test_invalid_field_named(doc, message):
 def test_null_include_settings_loads_as_absent():
     assert RunConfig.from_dict({"include_settings": None, "tau2": 30}) == RunConfig(tau2=30)
     assert "include_settings" not in RunConfig().to_dict()
+
+
+@pytest.mark.parametrize("value", [True, False, 1, "yes"])
+def test_set_include_settings_loads_and_is_ignored(value):
+    # config documents written while the settings switch was a field; the
+    # subspaces track the sensors at every n_regimes, so no value has a meaning
+    assert RunConfig.from_dict({"include_settings": value, "tau2": 30}) == RunConfig(tau2=30)
 
 
 def test_float_fields_take_ints():

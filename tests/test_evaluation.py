@@ -170,12 +170,11 @@ class TestBatchTraining:
         the fitted centroids and normalizer as train_pipeline derives them."""
         cfg = pipe.config
         labels = [nearest_centroid(pipe.model.centroids, t[:, :N_SETTINGS]) for t in train]
-        first = 0 if cfg.track_settings else N_SETTINGS
         rows = []
         for t, lab in zip(train, labels):
-            feats = t.copy()  # the set's rows are read-only
-            pipe.normalizer.transform_inplace(feats, lab)
-            rows.append(feats[: cfg.healthy_cycles, first:])
+            sensors = t[:, N_SETTINGS:].copy()  # the set's rows are read-only
+            pipe.normalizer.transform_inplace(sensors, lab)
+            rows.append(sensors[: cfg.healthy_cycles])
         return (
             np.vstack(rows),
             np.concatenate([lab[: cfg.healthy_cycles] for lab in labels]),
@@ -197,11 +196,12 @@ class TestBatchTraining:
             for name in ("basis", "center", "spreads"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
             assert got.delta == want.delta
-        # the saved error trace is the mean assigned distance of those rows
+        # the mean assigned distance of those rows is that of the exported
+        # raw distances over the healthy cycles: the same elements, in order
         save_pipeline(pipe, curves, tmp_path)
-        mean_dist = float(np.mean(assign_rows(pipe.model, healthy)[1]))
-        trace = (tmp_path / "error_trace.csv").read_text()
-        assert trace == f"epoch,mean_dist\n0,{mean_dist!r}\n"
+        table = np.load(tmp_path / "train_curves.npy", allow_pickle=False)
+        exported = table[table[:, 1] <= cfg.healthy_cycles, 2 + RAW_DIST]
+        assert float(np.mean(exported)) == float(np.mean(assign_rows(pipe.model, healthy)[1]))
 
     @pytest.mark.parametrize("n_regimes", [1, 2])
     def test_inferring_the_training_fleet_reproduces_its_curves(self, n_regimes):
@@ -495,6 +495,39 @@ def test_regime_numbering_changes_no_output(mode):
         renumbered_pipe, got = outputs()
     assert got == expected
     np.testing.assert_array_equal(renumbered_pipe.model.centroids, pipe.model.centroids[perm])
+
+
+def jittered(tset, scale):
+    """tset with a non-constant jitter of the given scale on its settings."""
+    matrix = tset.matrix.copy()
+    rows = np.arange(len(matrix))[:, None]
+    matrix[:, :N_SETTINGS] += scale * np.sin(rows * np.arange(1.0, N_SETTINGS + 1))
+    return TrajectorySet(matrix, tset.unit_ids, tset.bounds)
+
+
+@pytest.mark.parametrize("mode", ["sst", "sst-lr"])
+@pytest.mark.parametrize("n_regimes, scale", [(1, 1e-3), (1, 10.0), (6, 1e-3)])
+def test_settings_move_only_the_regime_labels(mode, n_regimes, scale):
+    # the settings pick each row's regime and reach nothing else: at K=1 any
+    # jitter on them, and at K=6 one too small to relabel a row, leaves every
+    # output and fitted table but the centroids as they were, bit for bit
+    train, test, truths, _ = generate_synthetic(SynthConfig(
+        n_units=20, n_regimes=n_regimes, noise_std=0.01, drift_rate=0.03,
+        seed=6, min_cycles=80, max_cycles=120,
+    ))
+    cfg = RunConfig(mode=mode, n_regimes=n_regimes, tau2=20)
+    fleets = [(train, test), (jittered(train, scale), jittered(test, scale))]
+    runs = [run_pipeline(*fleet, truths, cfg) for fleet in fleets]
+    labels = [
+        [nearest_centroid(pipe.model.centroids, t.matrix[:, :N_SETTINGS]).tolist() for t in fleet]
+        for fleet, (_, pipe, _, _) in zip(fleets, runs)
+    ]
+    assert labels[1] == labels[0]
+    (report, pipe, *curves), (j_report, j_pipe, *j_curves) = runs
+    assert mismatches(j_pipe, pipe) == ["pipe.model.centroids"]
+    assert mismatches(j_report.estimates, report.estimates) == []
+    assert j_report.to_json() == report.to_json()
+    assert [c.matrix.tobytes() for c in j_curves] == [c.matrix.tobytes() for c in curves]
 
 
 @pytest.mark.parametrize("mode", ["sst", "sst-lr"])

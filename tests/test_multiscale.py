@@ -283,7 +283,7 @@ class TestNearestCentroid:
 
 
 class TestSerialization:
-    # with K>1 the settings pick the regime, and the subspaces track the sensors
+    # the settings pick the regime, and the subspaces track the sensors
     def test_round_trip(self):
         rng = np.random.default_rng(11)
         mm = make_multimodel(rng, 3, dim=N_SENSORS)

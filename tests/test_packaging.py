@@ -124,7 +124,7 @@ def test_every_np_save_refuses_pickles():
 
 
 # what a model directory holds; persist alone writes and reads it
-MODEL_DIR_FILES = ("model.json", "library_sigma.npy", "train_curves.npy", "error_trace.csv")
+MODEL_DIR_FILES = ("model.json", "library_sigma.npy", "train_curves.npy")
 
 
 def model_dir_uses():

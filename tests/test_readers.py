@@ -13,6 +13,7 @@ back exactly.
 
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +350,36 @@ def test_curve_export_round_trips_exactly(tmp_path_factory, curves):
     path = tmp_path_factory.mktemp("curves") / "hi_curves.npy"
     write_curves(curves, path)
     assert_export_holds(path, curves)
+
+
+@settings(max_examples=100, deadline=None)
+@given(curves=curve_tables())
+def test_curve_export_is_np_save_of_the_whole_table(tmp_path_factory, curves):
+    # written one unit at a time, the file is byte for byte the np.save of
+    # the fleet-sized table it never builds
+    lengths = np.diff(curves.bounds)
+    table = np.column_stack([
+        np.repeat(curves.unit_ids, lengths),
+        np.concatenate([np.arange(1, n + 1) for n in lengths]),
+        curves.matrix,
+    ])
+    out = tmp_path_factory.mktemp("curves")
+    write_curves(curves, out / "hi_curves.npy")
+    np.save(out / "table.npy", table, allow_pickle=False)
+    assert (out / "hi_curves.npy").read_bytes() == (out / "table.npy").read_bytes()
+
+
+def test_curve_export_builds_no_fleet_sized_table(tmp_path):
+    # 50 units of 200 cycles: a (10,000, 5) table would take 400 kB, the
+    # buffer of one unit 8 kB
+    curves = TrajectorySet.stack(list(range(1, 51)), [np.full((200, 3), 0.5)] * 50)
+    tracemalloc.start()
+    try:
+        write_curves(curves, tmp_path / "hi_curves.npy")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * len(curves.matrix) * 5 * 8
 
 
 def test_curve_export_holds_edge_values_and_one_row_units(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from subtrack import persist
 from subtrack.config import RunConfig
-from subtrack.dataset import N_SENSORS, N_SETTINGS, Normalizer
+from subtrack.dataset import N_SENSORS, Normalizer
 from subtrack.errors import NumericalError, ValidationError
 from subtrack.evaluation import TrainedPipeline
 from subtrack.health import DistanceScaler
@@ -40,7 +40,7 @@ def solo(model):
 def model_document(mm):
     """The model document of an sst pipeline around the K-model mm, its
     config fitting mm and its other tables placeholders of their shapes."""
-    k, member, width = mm.n_regimes, mm.models[0], N_SETTINGS + N_SENSORS
+    k, member, width = mm.n_regimes, mm.models[0], N_SENSORS
     pipe = TrainedPipeline(
         config=RunConfig(n_regimes=k, subspace_dim=member.subspace_dim, delta=member.delta),
         normalizer=Normalizer(mean=np.zeros((k, width)), std=np.ones((k, width)),
@@ -256,8 +256,8 @@ class TestUpdate:
 
 
 class TestSerialization:
-    # a single-regime model tracks every settings and sensor column
-    DIM = N_SETTINGS + N_SENSORS
+    # a single-regime model tracks the sensors, as every model does
+    DIM = N_SENSORS
 
     def test_round_trip(self):
         model = random_model(np.random.default_rng(16), self.DIM, 3)
