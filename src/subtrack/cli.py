@@ -87,7 +87,8 @@ def cmd_train(args) -> int:
     with evaluation.stage("train"):
         pipe, curves = evaluation.train_pipeline(train_set, cfg)
         persist.save_pipeline(pipe, curves, args.out)
-    print(f"trained on {len(train_set)} units -> {args.out}")
+    d = pipe.model.models[0].subspace_dim
+    print(f"trained on {len(train_set)} units, subspace dim {d} -> {args.out}")
     return EXIT_OK
 
 

@@ -9,11 +9,11 @@ from .errors import ValidationError
 
 MODES = ("sst", "sst-lr")
 
-# fields older config files still hold, ignored: the retired epoch trainer's
-# knobs, the matching bandwidth (see rul), the k-means++ seed and the settings
-# switch (the subspaces track the sensors at every n_regimes)
+# fields older config files still hold, ignored: the epoch trainer's knobs, the
+# matching bandwidth (see rul), the k-means++ seed, the settings switch (the
+# sensors are tracked at every K) and the d training reads from the spectrum
 RETIRED_FIELDS = frozenset(
-    {"alpha", "eta", "max_epochs", "rel_tol", "beta", "seed", "include_settings"}
+    {"alpha", "eta", "max_epochs", "rel_tol", "beta", "seed", "include_settings", "subspace_dim"}
 )
 
 _TYPES = {  # annotation -> (accepts the value, what it takes); a bool is no number
@@ -28,7 +28,6 @@ _TYPES = {  # annotation -> (accepts the value, what it takes); a bool is no num
 class RunConfig:
     mode: str = "sst"  # one of MODES
     n_regimes: int = 1
-    subspace_dim: int = 3
     delta: float = 0.01
     healthy_cycles: int = 20
     tau1: int = 1
@@ -45,12 +44,10 @@ class RunConfig:
             raise ValidationError(f"unknown mode {self.mode!r}")
         if self.n_regimes < 1:
             raise ValidationError("n_regimes must be >= 1")
-        if self.subspace_dim < 1:
-            raise ValidationError("subspace_dim must be >= 1")
         if not self.delta > 0:
             raise ValidationError("delta must be > 0")
-        if self.healthy_cycles < self.subspace_dim + 1:
-            raise ValidationError("healthy_cycles must be >= subspace_dim + 1")
+        if self.healthy_cycles < 1:
+            raise ValidationError("healthy_cycles must be >= 1")
         if not 0.0 < self.smoothing <= 1.0:
             raise ValidationError("smoothing must be in (0, 1]")
         if not 0 <= self.tau1 <= self.tau2:

@@ -133,11 +133,11 @@ def _settings(tset: TrajectorySet) -> np.ndarray:
 def train_pipeline(
     train_set: TrajectorySet, cfg: RunConfig
 ) -> tuple[TrainedPipeline, TrajectorySet]:
-    """Fit the training stage: regimes from the settings, then on the
-    sensors the normalizer, one batch-PCA subspace per regime (no epochs),
-    scaler and (in sst-lr mode) the health-index regressor. Returns the
-    pipeline and the training curves its library holds. The set's matrix is
-    only read."""
+    """Fit the training stage: regimes from the settings, then on the sensors
+    the normalizer, one batch-PCA subspace per regime at the largest d
+    `subspace.pick_dim` reads from their healthy spectra (a regime of at most d
+    healthy rows raises ValidationError), scaler and (in sst-lr mode) the
+    regressor. Returns the pipeline and its library's curves; only reads the set."""
     centroids, labels = multiscale.cluster_regimes(_settings(train_set), cfg.n_regimes)
     sensors, bounds = train_set.matrix[:, N_SETTINGS:], train_set.bounds
     norm = dataset.fit_normalizer(sensors, labels, cfg.n_regimes)
@@ -146,15 +146,15 @@ def train_pipeline(
     is_healthy = cycle < cfg.healthy_cycles
     healthy, healthy_labels = sensors[is_healthy], labels[is_healthy]  # a small copy
     norm.transform_inplace(healthy, healthy_labels)
-    members = []
-    for k in range(cfg.n_regimes):
-        rows_k = healthy[healthy_labels == k]
-        if len(rows_k) <= cfg.subspace_dim:
+    n_rows = np.bincount(healthy_labels, minlength=cfg.n_regimes)
+    spectra = [subspace.spectrum(healthy[healthy_labels == k]) for k in np.flatnonzero(n_rows > 1)]
+    d = max((subspace.pick_dim(eigvals) for _, eigvals, _ in spectra), default=1)
+    for k, n in enumerate(n_rows):
+        if n <= d:
             raise ValidationError(
-                f"regime {k}: {len(rows_k)} healthy rows cannot initialize "
-                f"a {cfg.subspace_dim}-dimensional subspace"
+                f"regime {k}: {n} healthy rows cannot initialize a {d}-dimensional subspace"
             )
-        members.append(subspace.init_subspace(rows_k, cfg.subspace_dim, cfg.delta))
+    members = [subspace.fit_spectrum(*s, d, cfg.delta) for s in spectra]
     model = MultiModel(models=members, centroids=centroids)
 
     def blocks():

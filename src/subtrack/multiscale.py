@@ -51,8 +51,9 @@ def cluster_regimes(settings: np.ndarray, n_clusters: int) -> tuple[np.ndarray, 
 
     Returns the (K, n_settings) centroids and each row's `nearest_centroid`
     label. The first row is the first seed, each later one the row farthest
-    from those chosen (Gonzalez, TCS 1985): no draw is made. Empty clusters
-    are re-seeded from the point farthest from its assigned centroid. K=1 is
+    from those chosen (Gonzalez, TCS 1985): no draw is made. Each empty
+    cluster takes a row of its own, farthest from its centroid first, or
+    keeps its centroid when no row off its centroid is left. K=1 is
     answered in closed form: the settings mean is Lloyd's fixed point.
     Raises NumericalError as `_nearest_finite` does, or when a cluster's
     mean overflows.
@@ -86,13 +87,17 @@ def cluster_regimes(settings: np.ndarray, n_clusters: int) -> tuple[np.ndarray, 
 
     for _ in range(300):
         labels, d2 = _nearest_finite(points, centroids)
-        new_centroids = centroids.copy()
+        new_centroids, empty = centroids.copy(), []
         for k in range(n_clusters):
             members = points[labels == k]
             if len(members) == 0:
-                new_centroids[k] = points[np.argmax(d2)]
+                empty.append(k)
             else:
                 new_centroids[k] = _mean(members)
+        if empty:  # each its own row, farthest first, of the rows off their centroid
+            far = np.argsort(-d2, kind="stable")[: len(empty)]
+            for k, i in zip(empty, far[d2[far] > 0]):
+                new_centroids[k] = points[i]
         if np.allclose(new_centroids, centroids, atol=0, rtol=0):
             return centroids, labels  # converged: labelled by the final centroids
         centroids = new_centroids

@@ -28,6 +28,8 @@ from .errors import NumericalError, ValidationError
 SPREAD_FLOOR = 1e-8
 ORTHONORMAL_TOL = 1e-8
 FORGETTING = 0.87  # weight of the old statistics per update: a memory of ~8 rows
+SPECTRUM_FLOOR = 1e-10  # eigenvalues at most this fraction of the largest: a null space
+DOMINANT_GAP = 3.0  # the least ratio of neighbouring eigenvalues that marks the edge
 
 
 @dataclass(frozen=True)
@@ -92,16 +94,32 @@ def init_subspace(window: np.ndarray, subspace_dim: int, delta: float = 0.01) ->
         raise ValidationError("subspace dimension must be < ambient dimension")
     if not delta > 0:
         raise ValidationError("delta must be positive")
+    return fit_spectrum(*spectrum(window), subspace_dim, delta)
 
+
+def spectrum(window: np.ndarray) -> tuple:
+    """(column mean, eigenvalues, eigenvectors of the covariance) of n >= 2 rows."""
     center = window.mean(axis=0)
     centered = window - center
-    cov = centered.T @ centered / (n - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    return _eigen_fit(eigvals, eigvecs, center, subspace_dim, delta)
+    return (center, *np.linalg.eigh(centered.T @ centered / (len(window) - 1)))
 
 
-def _eigen_fit(eigvals, eigvecs, center, subspace_dim: int, delta: float) -> SubspaceModel:
-    """The model of the top subspace_dim eigenpairs of a covariance."""
+def pick_dim(eigvals: np.ndarray) -> int:
+    """The d of a healthy spectrum: of the eigenvalues above SPECTRUM_FLOOR times the
+    largest (masked sensors add zeros), the i of the largest lambda_i / lambda_{i+1}
+    if at least DOMINANT_GAP, else the count above the mean eigenvalue and at least 2
+    (Kaiser-Guttman, which overcounts: too large a d costs little); 1 at rank <= 1."""
+    lam = np.sort(eigvals)[::-1]
+    lam = lam[lam > SPECTRUM_FLOOR * lam[0]]
+    if len(lam) < 2:
+        return 1
+    ratios = lam[:-1] / lam[1:]
+    d = int(np.argmax(ratios)) + 1
+    return d if ratios[d - 1] >= DOMINANT_GAP else max(2, int(np.sum(lam > np.mean(eigvals))))
+
+
+def fit_spectrum(center, eigvals, eigvecs, subspace_dim: int, delta: float) -> SubspaceModel:
+    """The model of the top subspace_dim eigenpairs of a `spectrum`."""
     order = np.argsort(eigvals)[::-1][:subspace_dim]
     # C order like a basis read back by persist, so both round the same
     basis = np.ascontiguousarray(_fix_column_signs(eigvecs[:, order]))
@@ -147,4 +165,4 @@ def update(model: SubspaceModel, x: np.ndarray) -> SubspaceModel:
     )
     u, s, _ = np.linalg.svd(factor, full_matrices=False)
     center = model.center + (1.0 - a) * diff
-    return _eigen_fit(s**2, u, center, model.subspace_dim, model.delta)
+    return fit_spectrum(center, s**2, u, model.subspace_dim, model.delta)

@@ -165,6 +165,16 @@ class TestTrain:
         assert doc["version"] == persist.MODEL_FORMAT_VERSION == 6
         assert doc["regressor"] is None
 
+    def test_summary_names_the_subspace_dimension_it_read(self, synth_dir, tmp_path, capsys):
+        # the generator's d = 3, read from the healthy spectrum: no flag sets it
+        out = tmp_path / "model"
+        assert main(["train", "--train", str(synth_dir / "train_synth.txt"),
+                     "--out", str(out)] + BENCH_FLAGS) == EXIT_OK
+        assert capsys.readouterr().out == f"trained on 10 units, subspace dim 3 -> {out}\n"
+        doc = model_doc(out)
+        assert "subspace_dim" not in doc["config"]
+        assert [np.shape(m["U1"]) for m in doc["members"]] == [(3, N_SENSORS)]
+
     def test_sst_lr_writes_regressor(self, synth_dir, tmp_path):
         out = tmp_path / "model"
         rc = main(
@@ -362,10 +372,10 @@ class TestTrain:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--subspace-dim", "0"], "subspace_dim must be >= 1"),
+            (["--healthy-cycles", "0"], "healthy_cycles must be >= 1"),
             (["--tau2", "-5"], "need 0 <= tau1 <= tau2"),
         ],
-        ids=["subspace-dim-0", "negative-tau2"],
+        ids=["healthy-cycles-0", "negative-tau2"],
     )
     def test_out_of_range_flag_exits_2_naming_field(
         self, tmp_path, capsys, flags, message
@@ -870,6 +880,32 @@ class TestInfer:
                 tmp_path / "new" / name
             ).read_bytes()
 
+    def test_directory_with_a_subspace_dim_config_infers_identically(
+        self, synth_dir, model_dir, tmp_path
+    ):
+        # the model.json of version 6 as train wrote it while the subspace
+        # dimension was a config field, third in its config: the retired
+        # field is ignored and d is read from the members' bases, so the
+        # directory loads without a format bump
+        legacy = tmp_path / "legacy"
+        shutil.copytree(model_dir, legacy)
+
+        def add_subspace_dim(doc):
+            config = doc["config"]
+            doc["config"] = {"mode": config.pop("mode"), "n_regimes": config.pop("n_regimes"),
+                             "subspace_dim": len(doc["members"][0]["U1"]), **config}
+
+        edit_model_doc(legacy, add_subspace_dim)
+        assert model_doc(legacy)["config"]["subspace_dim"] == 3
+        assert persist.model_document(persist.load_pipeline(legacy)) == model_doc(model_dir)
+
+        assert self.infer_rc(synth_dir, model_dir, tmp_path / "new") == EXIT_OK
+        assert self.infer_rc(synth_dir, legacy, tmp_path / "old") == EXIT_OK
+        for name in ("hi_curves.npy", "rul_estimates.csv"):
+            assert (tmp_path / "old" / name).read_bytes() == (
+                tmp_path / "new" / name
+            ).read_bytes()
+
     def test_model_with_overflowing_delta_exits_3(
         self, synth_dir, model_dir, tmp_path, capsys
     ):
@@ -947,8 +983,10 @@ class TestFittedTables:
              "centroids has shape (3, 2), expected (3, 3)"),
             (_first("centroids", None, float("nan")), "centroids must be finite"),
             (lambda doc: doc["config"].update(n_regimes=5), "3 members for n_regimes 5"),
-            (lambda doc: doc["config"].update(subspace_dim=2),
-             "members[0].U1 has shape (3, 21), expected (2, 21)"),
+            # the first member's basis gives every member's d
+            (lambda doc: doc["members"][1].update(
+                U1=doc["members"][1]["U1"][:2], lambdas=doc["members"][1]["lambdas"][:2]),
+             "members[1].U1 has shape (2, 21), expected (3, 21)"),
             # entries numpy would read as 1.0 and 0.5, or fail on deep inside
             (_first("centroids", None, True), "centroids must hold only numbers"),
             (lambda doc: doc["scaler"].update(floor="0.5"),
@@ -960,7 +998,7 @@ class TestFittedTables:
              "regressor-nan", "normalizer-2-rows",
              "normalizer-23-mask-columns", "normalizer-zero-std", "normalizer-inf-std",
              "normalizer-nan-mean", "model-2-settings-columns", "model-nan-centroid",
-             "config-5-regimes", "config-subspace-dim-2", "model-true-centroid",
+             "config-5-regimes", "member-2-axes", "model-true-centroid",
              "scaler-str-floor", "member-null-spread"],
     )
     def test_mismatched_table_exits_2_naming_file_before_data_is_read(
@@ -1216,9 +1254,12 @@ class TestOverflowingValues:
 
 def unit_fleet(path, unit_settings):
     """A fleet of one unit per list of settings vectors, one row a cycle,
-    with random sensors; written to path."""
+    with random sensors on one 3-d subspace plus noise, whose healthy
+    spectrum reads d = 3 in every regime; written to path."""
     rng = np.random.default_rng(0)
-    arrays = [np.hstack([s, rng.standard_normal((len(s), N_SENSORS))])
+    basis = rng.standard_normal((3, N_SENSORS))
+    arrays = [np.hstack([s, rng.standard_normal((len(s), 3)) @ basis
+                         + 1e-3 * rng.standard_normal((len(s), N_SENSORS))])
               for s in map(np.array, unit_settings)]
     save_cmapss(TrajectorySet.stack(list(range(1, len(arrays) + 1)), arrays), path)
     return path
@@ -1257,25 +1298,30 @@ class TestUntrainableRegimes:
             lines[lineno - 1] = " ".join(fields_)
         train = tmp_path / "train.txt"
         train.write_text("\n".join(lines) + "\n")
+        # regime 0 holds the rows of both generator regimes: two 3-d
+        # subspaces and the line between their centers, which its spectrum reads
         self.check_exits_2(
             command, train, data, 2, tmp_path, capsys,
-            "regime 1: 1 healthy rows cannot initialize a 3-dimensional subspace",
+            "regime 1: 1 healthy rows cannot initialize a 7-dimensional subspace",
         )
 
     @pytest.mark.parametrize("command", ["train", "benchmark"])
     @pytest.mark.parametrize("k", [1, 3], ids=["K1", "K3"])
     def test_too_few_healthy_rows_exit_2(self, synth_dir, tmp_path, capsys, command, k):
         a, b, c = [10.0, 0.2, 100.0], [20.0, 0.5, 60.0], [35.0, 0.8, 80.0]
-        if k == 1:  # one unit of 3 cycles: 3 healthy rows for a 3-d subspace
-            settings_, message = [[a] * 3], "regime 0: 3 healthy rows"
+        if k == 1:
+            # the d one regime's spectrum reads is below its row count, so
+            # only a single row, one unit of one cycle, is too few
+            settings_, message = [[a]], "regime 0: 1 healthy rows cannot initialize a 1"
         else:  # settings c appear only after the 20 healthy cycles
             settings_ = [[a, b] * 10 + [a, b, c] * 7] * 3
             centroids, _ = cluster_regimes(np.vstack(settings_), 3)
-            message = f"regime {nearest_centroid(centroids, c)[0]}: 0 healthy rows"
+            message = (f"regime {nearest_centroid(centroids, c)[0]}: 0 healthy rows "
+                       "cannot initialize a 3")  # the d of regimes a and b
         train = unit_fleet(tmp_path / "train.txt", settings_)
         self.check_exits_2(
             command, train, synth_dir, k, tmp_path, capsys,
-            f"{message} cannot initialize a 3-dimensional subspace",
+            f"{message}-dimensional subspace",
         )
 
     @pytest.mark.parametrize(
@@ -1426,6 +1472,10 @@ class TestExitPath:
         assert int(count) > 0
 
 
+# the flag each retired config field had: train and benchmark refuse it
+RETIRED_FLAGS = sorted("--" + name.replace("_", "-") for name in RETIRED_FIELDS)
+
+
 class TestUsage:
     def test_no_command(self):
         assert main([]) == EXIT_USAGE
@@ -1433,10 +1483,7 @@ class TestUsage:
     def test_unknown_flag(self):
         assert main(["train", "--bogus"]) == EXIT_USAGE
 
-    @pytest.mark.parametrize(
-        "flag",
-        ["--alpha", "--eta", "--max-epochs", "--rel-tol", "--include-settings", "--beta", "--seed"],
-    )
+    @pytest.mark.parametrize("flag", RETIRED_FLAGS)
     def test_trainer_flags_are_gone(self, tmp_path, capsys, flag):
         rc = main(["train", "--train", str(tmp_path / "t.txt"),
                    "--out", str(tmp_path / "model"), flag, "0.1"])
@@ -1444,7 +1491,7 @@ class TestUsage:
         assert f"unrecognized arguments: {flag} 0.1" in capsys.readouterr().err
         assert not (tmp_path / "model").exists()
 
-    @pytest.mark.parametrize("flag", ["--beta", "--seed"])
+    @pytest.mark.parametrize("flag", RETIRED_FLAGS)
     def test_retired_flags_are_gone_from_benchmark(self, tmp_path, capsys, flag):
         t = str(tmp_path / "t.txt")
         rc = main(["benchmark", "--train", t, "--test", t, "--rul", t,
@@ -1463,7 +1510,7 @@ class TestUsage:
     def test_every_config_field_has_a_flag(self, command):
         # a valid config where every field differs from its default
         wanted = RunConfig(
-            mode="sst-lr", n_regimes=2, subspace_dim=2, delta=0.02,
+            mode="sst-lr", n_regimes=2, delta=0.02,
             healthy_cycles=15, tau1=2, tau2=30, smoothing=0.5,
         )
         argv = [command, "--train", "t", "--out", "o"]

@@ -46,12 +46,12 @@ def test_from_dict_returns_a_config_or_raises_validation_error(field, value):
         ({"delta": 10**400}, f"delta must be a finite number, got {10**400}"),
         ({"n_regimes": 0}, "n_regimes must be >= 1"),
         ({"mode": None}, "mode must be a string, got None"),
-        ({"subspace_dim": 0}, "subspace_dim must be >= 1"),
+        ({"smoothing": 0}, "smoothing must be in (0, 1]"),
         ({"delta": 0}, "delta must be > 0"),
         ({"delta": -0.5}, "delta must be > 0"),
         ({"tau1": -1}, "need 0 <= tau1 <= tau2"),
         ({"tau1": 5, "tau2": 2}, "need 0 <= tau1 <= tau2"),
-        ({"healthy_cycles": 3}, "healthy_cycles must be >= subspace_dim + 1"),
+        ({"healthy_cycles": 0}, "healthy_cycles must be >= 1"),
     ],
 )
 def test_invalid_field_named(doc, message):
@@ -83,3 +83,18 @@ def test_retired_beta_loads_and_is_ignored(beta):
     # test unit's bandwidth now comes from its own distances
     assert RunConfig.from_dict({"beta": beta, "tau2": 30}) == RunConfig(tau2=30)
     assert "beta" not in RunConfig().to_dict()
+
+
+@pytest.mark.parametrize("subspace_dim", [3, 0, 30, "three"])
+def test_retired_subspace_dim_loads_and_is_ignored(subspace_dim):
+    # config documents written while the subspace dimension was a field;
+    # training reads it from the healthy spectrum, and a model document's
+    # members hold it in their bases
+    assert RunConfig.from_dict({"subspace_dim": subspace_dim, "tau2": 30}) == RunConfig(tau2=30)
+    assert "subspace_dim" not in RunConfig().to_dict()
+
+
+def test_a_healthy_window_of_one_cycle_is_a_config():
+    # each regime's rows are pooled over the units: whether they suffice for
+    # the d its spectrum reads is checked in training
+    assert RunConfig(healthy_cycles=1).healthy_cycles == 1

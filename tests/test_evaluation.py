@@ -192,7 +192,8 @@ class TestBatchTraining:
         healthy, labels = self.healthy_rows(train, pipe)
         assert pipe.model.n_regimes == n_regimes
         for k, got in enumerate(pipe.model.models):
-            want = init_subspace(healthy[labels == k], cfg.subspace_dim, cfg.delta)
+            # at the generator's d, which each regime's healthy spectrum reads
+            want = init_subspace(healthy[labels == k], synth.subspace_dim, cfg.delta)
             for name in ("basis", "center", "spreads"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
             assert got.delta == want.delta
@@ -339,6 +340,53 @@ def test_both_modes_hold_the_age_only_baseline(n_regimes):
     age_only = age_only_rmse(train, test, truths, cfg)
     assert rmses["sst-lr"] <= 0.96 * age_only
     assert rmses["sst"] <= 0.97 * age_only
+
+
+def picked_dim(train, n_regimes):
+    """The subspace dimension train_pipeline reads from a fleet's healthy
+    spectra: every member's."""
+    pipe, _ = train_pipeline(train, RunConfig(n_regimes=n_regimes))
+    dims = {m.subspace_dim for m in pipe.model.models}
+    assert len(dims) == 1
+    return dims.pop()
+
+
+@pytest.mark.parametrize("noise_std", [0.05, 0.2, 0.5])
+@pytest.mark.parametrize("n_regimes", [1, 6])
+def test_the_picked_dimension_is_never_below_the_generators(n_regimes, noise_std):
+    # Measured: exact in all 40 cells at noise 0.05 and 0.2. At 0.5 the
+    # largest eigenvalue ratio alone read 1 for d = 2 and d = 3 (K=1, seed 2)
+    # and 2 for d = 3 (K=1, seed 3); no ratio reaches DOMINANT_GAP there, and
+    # the fallback reads up to 8 above the truth. At noise 1.0 the gap has
+    # closed: the largest ratio read 2 for d = 3 (K=1, seed 0).
+    below = []
+    for d in range(1, 6):
+        for seed in range(4):
+            train = generate_synthetic(SynthConfig(
+                n_units=60, n_regimes=n_regimes, seed=seed, subspace_dim=d, noise_std=noise_std
+            ))[0]
+            picked = picked_dim(train, n_regimes)
+            if picked < d:
+                below.append((d, seed, picked))
+    assert below == []
+
+
+def test_masked_constant_sensors_leave_the_picked_dimension():
+    # 7 of the 21 sensors constant, as in CMAPSS: they normalize to exact
+    # zeros, a null space below the spectrum's floor
+    train = generate_synthetic(SynthConfig(n_units=20, seed=2))[0]
+    matrix = train.matrix.copy()
+    matrix[:, N_SETTINGS : N_SETTINGS + 7] = 5.0
+    constant = TrajectorySet(matrix, train.unit_ids, train.bounds)
+    assert train_pipeline(constant, RunConfig())[0].normalizer.mask[0, :7].all()
+    assert picked_dim(constant, 1) == picked_dim(train, 1) == 3
+
+
+@pytest.mark.parametrize("n_regimes", [1, 6])
+def test_a_noise_free_fleet_reads_its_rank(n_regimes):
+    # no gap among the 3 eigenvalues above the floor: the fallback reads all
+    train = generate_synthetic(SynthConfig(n_units=20, n_regimes=n_regimes, noise_std=0.0))[0]
+    assert picked_dim(train, n_regimes) == 3
 
 
 def mismatches(a, b, path="pipe"):

@@ -129,6 +129,16 @@ class TestClusterRegimes:
         assert not np.array_equal(centroids[0], centroids[1])
         np.testing.assert_array_equal(labels, nearest_centroid(centroids, pts))
 
+    def test_empty_clusters_with_no_row_off_a_centroid_keep_theirs(self):
+        # every squared distance underflows to 0: all rows join cluster 0,
+        # and the two empty clusters have no row off its centroid to take;
+        # both used to take row 0, two equal centroids [0, 0, 0]
+        pts = np.array([[0.0, 0, 0], [1e-200, 0, 0], [2e-200, 0, 0], [0.0, 0, 0]])
+        centroids, labels = cluster_regimes(pts, 3)
+        assert len(np.unique(centroids, axis=0)) == 3
+        np.testing.assert_array_equal(centroids[1:], pts[1:3])
+        np.testing.assert_array_equal(labels, nearest_centroid(centroids, pts))
+
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
     def test_centroids_are_the_generator_regimes(self, k, seed):

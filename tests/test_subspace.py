@@ -14,10 +14,13 @@ from subtrack.health import DistanceScaler
 from subtrack.multiscale import MultiModel
 from subtrack.rul import Library
 from subtrack.subspace import (
+    DOMINANT_GAP,
     FORGETTING,
     SubspaceModel,
     init_subspace,
     mahalanobis_rows,
+    pick_dim,
+    spectrum,
     update,
 )
 
@@ -42,7 +45,7 @@ def model_document(mm):
     config fitting mm and its other tables placeholders of their shapes."""
     k, member, width = mm.n_regimes, mm.models[0], N_SENSORS
     pipe = TrainedPipeline(
-        config=RunConfig(n_regimes=k, subspace_dim=member.subspace_dim, delta=member.delta),
+        config=RunConfig(n_regimes=k, delta=member.delta),
         normalizer=Normalizer(mean=np.zeros((k, width)), std=np.ones((k, width)),
                               mask=np.zeros((k, width), dtype=bool)),
         model=mm,
@@ -115,6 +118,53 @@ class TestInitSubspace:
     def test_too_few_rows(self):
         with pytest.raises(ValidationError):
             init_subspace(np.zeros((3, 10)), 3)
+
+
+class TestPickDim:
+    def test_largest_ratio_marks_the_edge(self):
+        assert pick_dim(np.array([0.01, 0.009, 1.0, 4.0, 0.011, 2.0])) == 3
+
+    def test_constant_sensors_add_a_null_space_below_the_floor(self):
+        # 7 masked sensors normalize to exact zeros: their eigenvalues are
+        # rounding, and the ratio of the last noise eigenvalue to them is the
+        # largest; only the eigenvalues above the floor are compared
+        rng = np.random.default_rng(3)
+        basis, _ = np.linalg.qr(rng.standard_normal((14, 3)))
+        rows = np.zeros((200, N_SENSORS))
+        rows[:, 7:] = (rng.standard_normal((200, 3)) * [2.0, 1.5, 1.0]) @ basis.T \
+            + 0.05 * rng.standard_normal((200, 14))
+        eigvals = np.sort(spectrum(rows)[1])[::-1]
+        assert np.abs(eigvals[14:]).max() < 1e-12 * eigvals[0]
+        assert np.argmax(eigvals[:14] / np.maximum(eigvals[1:15], 1e-300)) + 1 == 14
+        assert pick_dim(spectrum(rows)[1]) == 3
+
+    def test_isotropic_rows_take_the_fallback(self):
+        # no dominant gap: the eigenvalues above their mean
+        rows = np.random.default_rng(4).standard_normal((400, N_SENSORS))
+        eigvals = np.sort(spectrum(rows)[1])[::-1]
+        assert (eigvals[:-1] / eigvals[1:]).max() < DOMINANT_GAP
+        assert pick_dim(eigvals) == np.sum(eigvals > eigvals.mean()) > 1
+
+    def test_a_spike_just_under_the_gap_reads_two_not_one(self):
+        # only the first eigenvalue lies above the mean
+        eigvals = np.array([1.0] + [1 / (0.99 * DOMINANT_GAP)] * (N_SENSORS - 1))
+        assert np.sum(eigvals > eigvals.mean()) == 1
+        assert pick_dim(eigvals) == 2
+
+    def test_a_window_of_exact_rank_without_a_gap_reads_its_rank(self):
+        # no noise: past the rank, rounding below the floor, which the mean
+        # over all D eigenvalues still counts, so each axis lies above it
+        rng = np.random.default_rng(6)
+        basis, _ = np.linalg.qr(rng.standard_normal((N_SENSORS, 3)))
+        rows = (rng.standard_normal((100, 3)) * [1.0, 0.8, 0.6]) @ basis.T
+        eigvals = np.sort(spectrum(rows)[1])[::-1]
+        assert np.abs(eigvals[3:]).max() < 1e-12 * eigvals[0]
+        assert (eigvals[:2] / eigvals[1:3]).max() < DOMINANT_GAP
+        assert pick_dim(eigvals) == 3
+
+    @pytest.mark.parametrize("eigvals", [np.zeros(5), np.array([0.0, 3.0, 1e-11, -1e-17])])
+    def test_a_spectrum_of_rank_at_most_one_reads_one(self, eigvals):
+        assert pick_dim(eigvals) == 1
 
 
 class TestMahalanobis:
