@@ -26,8 +26,17 @@ N_COLUMNS = 2 + N_SETTINGS + N_SENSORS
 
 ID_LIMIT = 2.0**53  # bound on |unit| and |cycle|: float64 holds every integer below it
 
-# rows per block of the parse's row checks
-PARSE_BLOCK = 1024
+# Rows per block of every pass over a fleet: the parse's row checks, the
+# settings clustering's labelling, the normalizer fit and the pipeline's
+# normalized blocks and routing. Each temporary of a pass is then block-sized
+# beside the fleet matrix and its per-row outputs. On the bench fleets (seed
+# 1; 2-vCPU Xeon, one BLAS thread), with routing's distances bit-identical
+# at every size:
+#
+#   block (rows)                              1,024  2,048  4,096  8,192
+#   fd001-benchmark peak RSS (MB)              40.8   41.1   42.2   44.2
+#   K=6 routing of the fd004 train fleet (ms)    68     66     66    111
+ROW_BLOCK = 1024
 
 # features with sample std below this, relative to max(1, |mean|), are
 # treated as constant and masked: a column holding one value gets a std of
@@ -116,9 +125,9 @@ def _parse_cmapss_bulk(path: Path) -> TrajectorySet | None:
 
 def _valid_rows(rows: np.ndarray) -> bool:
     """No nan or inf in rows, and unit and cycle ids that are whole numbers of
-    magnitude below ID_LIMIT, checked PARSE_BLOCK rows at a time."""
-    for a in range(0, len(rows), PARSE_BLOCK):
-        block = rows[a : a + PARSE_BLOCK]
+    magnitude below ID_LIMIT, checked ROW_BLOCK rows at a time."""
+    for a in range(0, len(rows), ROW_BLOCK):
+        block = rows[a : a + ROW_BLOCK]
         ids = block[:, :2]
         if not (np.isfinite(block).all() and (abs(ids) < ID_LIMIT).all() and (ids % 1 == 0).all()):
             return False
@@ -297,21 +306,42 @@ def fit_normalizer(rows: np.ndarray, labels: np.ndarray, n_regimes: int) -> Norm
     """Fit z-score statistics over a (rows, features) matrix, one table per
     regime in range(n_regimes); `labels` holds each row's regime. A regime
     with no rows gets an all-masked table. A mean or std that overflows (a
-    huge value) raises NumericalError."""
-    shape = (n_regimes, rows.shape[1])
-    mean, std, mask = np.zeros(shape), np.ones(shape), np.zeros(shape, dtype=bool)
-    for r in range(n_regimes):
-        sub = rows if n_regimes == 1 else rows[labels == r]  # K=1: the matrix, no copy
-        if len(sub) == 0:
-            mask[r] = True
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-            mean[r], sd = sub.mean(axis=0), sub.std(axis=0)
-        if not (np.isfinite(mean[r]).all() and np.isfinite(sd).all()):
-            raise NumericalError(f"regime {r}: feature mean or std overflows")
-        mask[r] = sd < CONSTANT_STD * np.maximum(1.0, np.abs(mean[r]))
-        std[r] = np.where(mask[r], 1.0, sd)
-    return Normalizer(mean=mean, std=std, mask=mask)
+    huge value) raises NumericalError.
+
+    Mean and variance take two passes over the rows, ROW_BLOCK at a time:
+    the column sums, then the sums of squared deviations from the mean
+    (the stable two-pass form; Chan, Golub & LeVeque, Am. Stat. 1983). No
+    temporary is larger than a block, and no regime's rows are copied
+    whole. Summing by blocks rounds otherwise than one sum over all rows,
+    so the tables agree with `mean(axis=0)` and `std(axis=0)` of each
+    regime's rows to rounding: within a relative 1.2e-14 on the bench fleets."""
+    # a regime with no rows divides its sums of 0 by 1: mean 0 and std 0, masked
+    n_rows = np.maximum(np.bincount(labels, minlength=n_regimes), 1)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        mean = _regime_sums(rows, labels, n_regimes) / n_rows
+        sd = np.sqrt(_regime_sums(rows, labels, n_regimes, center=mean) / n_rows)
+    overflow = ~(np.isfinite(mean) & np.isfinite(sd)).all(axis=1)
+    if overflow.any():
+        raise NumericalError(f"regime {np.argmax(overflow)}: feature mean or std overflows")
+    mask = sd < CONSTANT_STD * np.maximum(1.0, np.abs(mean))
+    return Normalizer(mean=mean, std=np.where(mask, 1.0, sd), mask=mask)
+
+
+def _regime_sums(rows: np.ndarray, labels: np.ndarray, n_regimes: int, center=None) -> np.ndarray:
+    """The (n_regimes, features) column sums of each regime's rows or, given
+    a (n_regimes, features) center, of their squared deviations from it,
+    taken ROW_BLOCK rows at a time."""
+    sums = np.zeros((n_regimes, rows.shape[1]))
+    for a in range(0, len(rows), ROW_BLOCK):
+        block, block_labels = rows[a : a + ROW_BLOCK], labels[a : a + ROW_BLOCK]
+        for r in range(n_regimes):
+            x = block[block_labels == r]  # a copy: the deviations are formed in place
+            if center is not None:
+                x -= center[r]
+                x *= x
+            sums[r] += x.sum(axis=0)
+            del x  # freed before the next copy is made
+    return sums
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .config import RunConfig
 from .dataset import N_SETTINGS, Normalizer, TrajectorySet
 from .errors import NoMatchError, NumericalError, PrognosticsError, ValidationError
 from .health import CURVE_COLUMNS, RAW_DIST, SCALED_DIST, SIGMA, DistanceScaler
-from .multiscale import ROW_BLOCK, MultiModel
+from .multiscale import MultiModel
 from .rul import RulEstimate
 
 GAMMA_EARLY = 1.0 / 13.0  # estimate below truth (early maintenance)
@@ -73,15 +73,16 @@ class TrainedPipeline:
 
 
 def _normalized_blocks(norm: Normalizer, tset, labels):
-    """(slice, tracked rows) for each ROW_BLOCK of the set's read-only
-    matrix: the block's sensor columns are copied into one block-sized buffer
-    and normalized there with the table of its regime `labels`. Every block
-    reuses that buffer, so a block is spent once the next one is asked for."""
-    sensors = tset.matrix[:, N_SETTINGS:]
-    buf = np.empty((min(ROW_BLOCK, len(sensors)), sensors.shape[1]))
-    for a in range(0, len(sensors), ROW_BLOCK):
-        blk = slice(a, a + ROW_BLOCK)
-        x = buf[: min(ROW_BLOCK, len(sensors) - a)]
+    """(slice, tracked rows) for each `dataset.ROW_BLOCK` rows of the set's
+    read-only matrix: the block's sensor columns are copied into one
+    block-sized buffer and normalized there with the table of its regime
+    `labels`. Every block reuses that buffer, so a block is spent once the
+    next one is asked for."""
+    sensors, size = tset.matrix[:, N_SETTINGS:], dataset.ROW_BLOCK
+    buf = np.empty((min(size, len(sensors)), sensors.shape[1]))
+    for a in range(0, len(sensors), size):
+        blk = slice(a, a + size)
+        x = buf[: min(size, len(sensors) - a)]
         x[:] = sensors[blk]
         norm.transform_inplace(x, labels[blk])
         yield blk, x
@@ -155,6 +156,7 @@ def train_pipeline(
                 f"regime {k}: {n} healthy rows cannot initialize a {d}-dimensional subspace"
             )
     members = [subspace.fit_spectrum(*s, d, cfg.delta) for s in spectra]
+    del cycle, is_healthy, healthy, healthy_labels  # freed before the fleet passes
     model = MultiModel(models=members, centroids=centroids)
 
     def blocks():

@@ -10,18 +10,13 @@ it is routed to.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
+from . import dataset
 from .errors import NumericalError, ValidationError
 from .subspace import SubspaceModel, mahalanobis_rows, update
-
-# Rows per labelling pass here and per block of evaluation's fleet passes,
-# so every temporary of a fleet pass is block-sized. One model scored the 56k-row
-# fd004 bench fleet (2-vCPU Xeon, one BLAS thread) in ~21 ms in blocks of 1,024
-# to 8,192 rows, 24 ms in blocks of 16,384 and 38 ms in one call, whose
-# temporaries leave the cache.
-ROW_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -40,10 +35,12 @@ class MultiModel:
             raise ValidationError("one centroid per model required")
         for m in self.models:
             m.validate()
-        for i in range(len(self.centroids)):
-            for j in range(i + 1, len(self.centroids)):
-                if np.array_equal(self.centroids[i], self.centroids[j]):
-                    raise ValidationError("centroids must be pairwise distinct")
+        if not _pairwise_distinct(self.centroids):
+            raise ValidationError("centroids must be pairwise distinct")
+
+
+def _pairwise_distinct(centroids: np.ndarray) -> bool:
+    return not any(np.array_equal(a, b) for a, b in combinations(centroids, 2))
 
 
 def cluster_regimes(settings: np.ndarray, n_clusters: int) -> tuple[np.ndarray, np.ndarray]:
@@ -56,7 +53,8 @@ def cluster_regimes(settings: np.ndarray, n_clusters: int) -> tuple[np.ndarray, 
     keeps its centroid when no row off its centroid is left. K=1 is
     answered in closed form: the settings mean is Lloyd's fixed point.
     Raises NumericalError as `_nearest_finite` does, or when a cluster's
-    mean overflows.
+    mean overflows; ValidationError when two centroids end equal, as a kept
+    centroid can when every squared distance underflows.
     """
     points = np.asarray(settings, dtype=float)
     if points.ndim != 2 or len(points) == 0:
@@ -99,9 +97,16 @@ def cluster_regimes(settings: np.ndarray, n_clusters: int) -> tuple[np.ndarray, 
             for k, i in zip(empty, far[d2[far] > 0]):
                 new_centroids[k] = points[i]
         if np.allclose(new_centroids, centroids, atol=0, rtol=0):
-            return centroids, labels  # converged: labelled by the final centroids
+            break  # converged: labelled by the final centroids
         centroids = new_centroids
-    return centroids, nearest_centroid(centroids, points)
+    else:
+        labels = nearest_centroid(centroids, points)
+    if not _pairwise_distinct(centroids):
+        raise ValidationError(
+            f"settings vectors too close to tell apart in {n_clusters} clusters: "
+            "their squared distances underflow to 0 and two centroids coincide"
+        )
+    return centroids, labels
 
 
 def _mean(points: np.ndarray) -> np.ndarray:
@@ -133,12 +138,13 @@ def _nearest_finite(points: np.ndarray, centroids) -> tuple[np.ndarray, np.ndarr
 
 def _nearest(points: np.ndarray, centroids) -> tuple[np.ndarray, np.ndarray]:
     """Each row's nearest centroid index (ties -> lowest) and squared distance
-    to it, ROW_BLOCK rows at a time: no (K, rows) table of the whole fleet."""
+    to it, `dataset.ROW_BLOCK` rows at a time: no (K, rows) table of the whole fleet."""
     labels, d2 = np.empty(len(points), dtype=np.intp), np.empty(len(points))
-    for a in range(0, len(points), ROW_BLOCK):
-        dists = _sq_dists(points[a : a + ROW_BLOCK], centroids)
-        labels[a : a + ROW_BLOCK] = np.argmin(dists, axis=0)
-        d2[a : a + ROW_BLOCK] = np.min(dists, axis=0)
+    for a in range(0, len(points), dataset.ROW_BLOCK):
+        blk = slice(a, a + dataset.ROW_BLOCK)
+        dists = _sq_dists(points[blk], centroids)
+        labels[blk] = np.argmin(dists, axis=0)
+        d2[blk] = np.min(dists, axis=0)
     return labels, d2
 
 

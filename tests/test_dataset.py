@@ -17,7 +17,7 @@ from subtrack.dataset import (
     load_rul_targets,
     save_cmapss,
 )
-from subtrack.errors import DataFormatError, ValidationError
+from subtrack.errors import DataFormatError, NumericalError, ValidationError
 from subtrack.evaluation import train_pipeline
 from subtrack.multiscale import cluster_regimes
 from subtrack.subspace import SubspaceModel, mahalanobis_rows
@@ -362,6 +362,51 @@ class TestNormalizer:
         assert whole.tobytes() == blocks.tobytes()
         want = (feats - norm.mean[labels]) / norm.std[labels]
         assert whole.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_regimes", [1, 3])
+    def test_block_sums_agree_with_one_sum_over_each_regime(self, n_regimes):
+        # the fit sums ROW_BLOCK rows at a time, which only rounds otherwise;
+        # a constant column is still masked, and regime 1 of 3 holds no row
+        rng = np.random.default_rng(8)
+        n = 2 * dataset.ROW_BLOCK + 517
+        rows = rng.standard_normal((n, N_SENSORS)) * rng.uniform(0.1, 10, N_SENSORS) + 5
+        rows[:, 4] = 3.14
+        labels = rng.choice([0, n_regimes - 1], n)
+        norm = fit_normalizer(rows, labels, n_regimes)
+        constant = np.arange(N_SENSORS) == 4
+        for r in range(n_regimes):
+            sub = rows[labels == r]
+            if r == 1:
+                assert len(sub) == 0 and norm.mask[r].all()
+                continue
+            assert norm.mask[r].tolist() == constant.tolist()
+            np.testing.assert_allclose(norm.mean[r], sub.mean(axis=0), rtol=1e-13, atol=0)
+            np.testing.assert_allclose(
+                norm.std[r][~constant], sub.std(axis=0)[~constant], rtol=1e-13, atol=0
+            )
+
+    @pytest.mark.parametrize("n_regimes", [1, 3])
+    def test_fit_holds_no_more_than_a_block_beside_the_rows(self, n_regimes):
+        # no copy of the rows or of a regime's rows, and no fleet-sized x - mean
+        rng = np.random.default_rng(9)
+        rows = rng.standard_normal((10 * dataset.ROW_BLOCK + 7, N_SENSORS))
+        labels = rng.integers(0, n_regimes, len(rows))
+        fit_normalizer(rows, labels, n_regimes)  # warm: first-call allocations
+        tracemalloc.start()
+        try:
+            fit_normalizer(rows, labels, n_regimes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * dataset.ROW_BLOCK * N_SENSORS * 8
+
+    @pytest.mark.parametrize("values", [[1.7e308], [1e200, -1e200]], ids=["mean", "std"])
+    def test_an_overflowing_column_raises_naming_its_regime(self, values):
+        n = 2 * dataset.ROW_BLOCK + 3
+        rows, labels = np.ones((n, N_SENSORS)), np.arange(n) % 2
+        rows[labels == 1, 5] = np.resize(values, n // 2)
+        with pytest.raises(NumericalError, match="^regime 1: feature mean or std overflows$"):
+            fit_normalizer(rows, labels, 2)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(5)

@@ -139,6 +139,14 @@ class TestClusterRegimes:
         np.testing.assert_array_equal(centroids[1:], pts[1:3])
         np.testing.assert_array_equal(labels, nearest_centroid(centroids, pts))
 
+    def test_a_kept_centroid_met_by_another_clusters_mean_raises(self):
+        # every squared distance underflows to 0: empty cluster 3 keeps its
+        # seed [1e-200, 0, 0], which cluster 0's new mean then meets; the
+        # two equal centroids made train exit on "regime 3: 0 healthy rows"
+        pts = np.array([[0.0, 0, 0], [1e-200, 0, 0], [2e-200, 0, 0], [1.0, 0, 0], [1.5, 0, 0]])
+        with pytest.raises(ValidationError, match="two centroids coincide"):
+            cluster_regimes(pts, 4)
+
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
     def test_centroids_are_the_generator_regimes(self, k, seed):
