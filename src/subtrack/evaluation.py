@@ -110,13 +110,14 @@ def _analyze_fleet(model: MultiModel, blocks, tset, cfg: RunConfig, weights=None
 def _fleet_curves(tset, cfg: RunConfig, scaler, curves) -> TrajectorySet:
     """The fleet's curves, the smoothed distance scaled in place, with the
     health index of train, infer and matching: in sst mode that of the scaled
-    distance; in sst-lr mode the regressed index in the sigma column, smoothed."""
-    curves[:, SCALED_DIST] = health.scale(scaler, curves[:, SCALED_DIST])
-    sigma = curves[:, SIGMA]
+    distance; in sst-lr mode the regressed index in the sigma column, smoothed.
+    Each step writes into the table's columns."""
+    scaled, sigma = curves[:, SCALED_DIST], curves[:, SIGMA]
+    health.scale(scaler, scaled, out=scaled)
     if cfg.mode == "sst-lr":
         health.smooth_units(sigma, tset.bounds, cfg.smoothing, out=sigma)
     else:
-        sigma[:] = health.to_health_index(curves[:, SCALED_DIST])
+        health.to_health_index(scaled, out=sigma)
     return TrajectorySet(curves, tset.unit_ids, tset.bounds)
 
 
@@ -143,8 +144,9 @@ def train_pipeline(
     sensors, bounds = train_set.matrix[:, N_SETTINGS:], train_set.bounds
     norm = dataset.fit_normalizer(sensors, labels, cfg.n_regimes)
 
-    cycle = np.arange(len(sensors)) - np.repeat(bounds[:-1], np.diff(bounds))
-    is_healthy = cycle < cfg.healthy_cycles
+    is_healthy = np.zeros(len(sensors), dtype=bool)  # each unit's first healthy_cycles rows
+    for a, b in zip(bounds, bounds[1:]):
+        is_healthy[a : min(b, a + cfg.healthy_cycles)] = True
     healthy, healthy_labels = sensors[is_healthy], labels[is_healthy]  # a small copy
     norm.transform_inplace(healthy, healthy_labels)
     n_rows = np.bincount(healthy_labels, minlength=cfg.n_regimes)
@@ -156,7 +158,7 @@ def train_pipeline(
                 f"regime {k}: {n} healthy rows cannot initialize a {d}-dimensional subspace"
             )
     members = [subspace.fit_spectrum(*s, d, cfg.delta) for s in spectra]
-    del cycle, is_healthy, healthy, healthy_labels  # freed before the fleet passes
+    del is_healthy, healthy, healthy_labels  # freed before the fleet passes
     model = MultiModel(models=members, centroids=centroids)
 
     def blocks():
@@ -166,10 +168,11 @@ def train_pipeline(
     smoothed = curves[:, SCALED_DIST]
     scaler = health.fit_scaler(curves[:, RAW_DIST], smoothed, bounds, cfg.healthy_cycles)
     regressor = None
-    if cfg.mode == "sst-lr":
-        target = health.to_health_index(health.scale(scaler, smoothed))
+    if cfg.mode == "sst-lr":  # each block's target: the sst index of its smoothed distance
         regressor = health.fit_hi_regression(
-            ((x, target[blk], reg[blk]) for blk, x in blocks()), cfg.n_regimes
+            ((x, health.to_health_index(health.scale(scaler, smoothed[blk])), reg[blk])
+             for blk, x in blocks()),
+            cfg.n_regimes,
         )
         for blk, x in blocks():
             curves[blk, SIGMA] = health.predict_hi(regressor, x, reg[blk])
@@ -306,6 +309,20 @@ def stage(name: str):
         raise NumericalError(f"[{name}] {exc}") from exc
 
 
+def _score(
+    pipe: TrainedPipeline, test_set: TrajectorySet, truths: list[int], start: float
+) -> tuple[RulReport, TrajectorySet]:
+    """Infer, match and evaluate a test fleet under a trained pipeline: the
+    report, timed from the perf_counter value start, and the test curves."""
+    with stage("infer"):
+        test_curves = infer_curves(pipe, test_set)
+    with stage("match"):
+        estimates = estimate_fleet(pipe, test_curves)
+    with stage("evaluate"):
+        report = build_report(estimates, truths, pipe.config, time.perf_counter() - start)
+    return report, test_curves
+
+
 def run_pipeline(
     train_set: TrajectorySet,
     test_set: TrajectorySet,
@@ -317,21 +334,27 @@ def run_pipeline(
     start = time.perf_counter()
     with stage("train"):
         pipe, train_curves = train_pipeline(train_set, cfg)
-    with stage("infer"):
-        test_curves = infer_curves(pipe, test_set)
-    with stage("match"):
-        estimates = estimate_fleet(pipe, test_curves)
-    with stage("evaluate"):
-        report = build_report(estimates, truths, cfg, time.perf_counter() - start)
+    report, test_curves = _score(pipe, test_set, truths, start)
     return report, pipe, train_curves, test_curves
 
 
 def run_benchmark(
     train_path, test_path, rul_path, cfg: RunConfig
 ) -> tuple[RulReport, TrainedPipeline, TrajectorySet, TrajectorySet]:
-    """File-based benchmark entry point for CMAPSS-format datasets."""
+    """File-based `run_pipeline` for CMAPSS-format datasets, holding one
+    fleet table at a time: the training table is dropped after training,
+    before the test and RUL files are parsed. Both are opened first, so an
+    unreadable path fails before training; the wall time spans their parse."""
     with stage("load"):
         train_set = dataset.load_cmapss(train_path)
+    for path in (test_path, rul_path):
+        open(path).close()
+    start = time.perf_counter()
+    with stage("train"):
+        pipe, train_curves = train_pipeline(train_set, cfg)
+    del train_set
+    with stage("load"):
         test_set = dataset.load_cmapss(test_path)
         truths = dataset.load_rul_targets(rul_path, len(test_set))
-    return run_pipeline(train_set, test_set, truths, cfg)
+    report, test_curves = _score(pipe, test_set, truths, start)
+    return report, pipe, train_curves, test_curves

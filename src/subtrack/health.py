@@ -50,14 +50,15 @@ class DistanceScaler:
             )
 
 
-def smooth(series: np.ndarray, factor: float) -> np.ndarray:
-    """Exponential moving average along the last axis; factor=1 is the
-    identity. The filter is causal, so the rows of a zero-padded 2-d stack
-    smooth as each curve alone would, bit for bit."""
+def smooth(series: np.ndarray, factor: float, out=None) -> np.ndarray:
+    """Exponential moving average along the last axis, into out when given;
+    factor=1 is the identity. The filter is causal, so the rows of a
+    zero-padded 2-d stack smooth as each curve alone would, bit for bit, and
+    out may be the series itself: step i reads only input i and output i-1."""
     if not 0.0 < factor <= 1.0:
         raise ValidationError("smoothing factor must be in (0, 1]")
     series = np.asarray(series, dtype=float)
-    out = np.empty_like(series)
+    out = np.empty_like(series) if out is None else out
     x, y = np.moveaxis(series, -1, 0), np.moveaxis(out, -1, 0)  # time first
     if len(x) == 0:
         return out
@@ -78,10 +79,11 @@ def pad_units(values: np.ndarray, bounds: list[int]) -> np.ndarray:
 
 def smooth_units(values: np.ndarray, bounds: list[int], factor: float, out=None) -> np.ndarray:
     """A series over a fleet's rows, smoothed within each unit by one `smooth`
-    call on its `pad_units` stack, into out when given (out may be values)."""
+    call on its `pad_units` stack, in place, into out when given (out may be
+    values)."""
     padded = pad_units(values, bounds)
     inside = np.arange(padded.shape[1]) < np.diff(bounds)[:, None]  # each unit's cycles
-    return np.compress(inside.ravel(), smooth(padded, factor), out=out)
+    return np.compress(inside.ravel(), smooth(padded, factor, out=padded), out=out)
 
 
 def _median(values: list[float]) -> float:
@@ -119,18 +121,23 @@ def fit_scaler(
     return DistanceScaler(floor=floor, ceiling=ceiling)
 
 
-def scale(scaler: DistanceScaler, raw: np.ndarray) -> np.ndarray:
-    """Map raw distances into [0, 1], clamping out-of-range values."""
+def scale(scaler: DistanceScaler, raw: np.ndarray, out=None) -> np.ndarray:
+    """Map raw distances into [0, 1], clamping out-of-range values, into out
+    when given (out may be raw)."""
     raw = np.asarray(raw, dtype=float)
-    return np.clip((raw - scaler.floor) / (scaler.ceiling - scaler.floor), 0.0, 1.0)
+    out = np.subtract(raw, scaler.floor, out=np.empty_like(raw) if out is None else out)
+    out /= scaler.ceiling - scaler.floor
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
-def to_health_index(scaled: np.ndarray) -> np.ndarray:
-    """sigma = 1 - sqrt(scaled distance); requires input already in [0, 1]."""
+def to_health_index(scaled: np.ndarray, out=None) -> np.ndarray:
+    """sigma = 1 - sqrt(scaled distance), into out when given (out may be
+    scaled); requires input already in [0, 1]."""
     scaled = np.asarray(scaled, dtype=float)
     if np.any(scaled < 0) or np.any(scaled > 1):
         raise ValidationError("scaled distances must lie in [0, 1]")
-    return 1.0 - np.sqrt(scaled)
+    out = np.sqrt(scaled, out=np.empty_like(scaled) if out is None else out)
+    return np.subtract(1.0, out, out=out)
 
 
 def fit_hi_regression(blocks, n_regimes: int) -> np.ndarray:

@@ -70,17 +70,14 @@ def cluster_regimes(settings: np.ndarray, n_clusters: int) -> tuple[np.ndarray, 
         if d2[far] > 0:
             centroids.append(points[far])
             continue
-        # every row on a chosen center, as always with fewer distinct points
-        # than clusters: they are counted here, not over every row up front
-        distinct = np.unique(points, axis=0)
-        if len(distinct) < n_clusters:
+        # every row on a chosen center or so near one that its distance
+        # underflowed to 0: the least vector not chosen, if any is left
+        least = _least_unchosen(points, centroids)
+        if least is None:  # the chosen centers are every distinct vector
             raise ValidationError(
-                f"{len(distinct)} distinct settings vectors for {n_clusters} clusters"
+                f"{len(centroids)} distinct settings vectors for {n_clusters} clusters"
             )
-        # distances that underflowed to 0: the first distinct vector not chosen
-        centroids.append(next(
-            p for p in distinct if not any(np.array_equal(p, c) for c in centroids)
-        ))
+        centroids.append(least)
     centroids = np.array(centroids)
 
     for _ in range(300):
@@ -107,6 +104,19 @@ def cluster_regimes(settings: np.ndarray, n_clusters: int) -> tuple[np.ndarray, 
             "their squared distances underflow to 0 and two centroids coincide"
         )
     return centroids, labels
+
+
+def _least_unchosen(points: np.ndarray, chosen: list) -> np.ndarray | None:
+    """The lexicographically least row of points equal to no chosen row, or
+    None when every row is one. Each `dataset.ROW_BLOCK` rows give their
+    least, so no sorted copy of every row is made."""
+    least = []
+    for a in range(0, len(points), dataset.ROW_BLOCK):
+        rows = points[a : a + dataset.ROW_BLOCK]
+        rows = rows[~np.any([(rows == c).all(axis=1) for c in chosen], axis=0)]
+        if len(rows):
+            least.append(rows[np.lexsort(rows.T[::-1])[0]])  # column 0 the first key
+    return min(least, key=tuple, default=None)
 
 
 def _mean(points: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1064,6 +1065,36 @@ class TestBenchmark:
         assert "RUL_synth.txt:3: RUL must be a whole number" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("missing", ["test", "rul"])
+    def test_unreadable_test_or_rul_path_exits_2_before_training(
+        self, synth_dir, tmp_path, capsys, monkeypatch, missing
+    ):
+        # the test and RUL files are parsed after training, but opened before it
+        trained = mock.Mock(side_effect=AssertionError("trained"))
+        monkeypatch.setattr(evaluation, "train_pipeline", trained)
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        gone = data / {"test": "test_synth.txt", "rul": "RUL_synth.txt"}[missing]
+        gone.unlink()
+        assert self.run_bench(data, tmp_path / "out") == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{gone}'\n"
+        )
+        assert not trained.called
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_test_file_exits_2_naming_the_line(self, synth_dir, tmp_path, capsys):
+        # the test fleet is parsed after training: a fault in it still ends
+        # the run with exit 2 and no output directory
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        poison_line(data / "test_synth.txt", 5)
+        assert self.run_bench(data, tmp_path / "out") == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: [load] {data / 'test_synth.txt'}:5: non-finite value (nan or inf)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_inverted_lag_range_exits_2_before_training(
         self, synth_dir, tmp_path, capsys
     ):
@@ -1402,6 +1433,26 @@ def test_commands_leave_numpy_ma_unimported(synth_dir, tmp_path, n_regimes):
     # np.median's NaN check imports numpy.ma: ~17 ms and 1.25 MB RSS per process
     proc = run_commands_then_check_unimported(synth_dir, tmp_path, n_regimes, "numpy.ma")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_more_regimes_than_settings_vectors_exits_2_leaving_numpy_ma_unimported(tmp_path):
+    # the seeding fallback, reached once every row sits on a chosen center,
+    # searches the rows block by block: numpy.ma (~17 ms and 1.25 MB RSS per
+    # process, imported by np.unique(axis=0)) stays out
+    data = tmp_path / "synth"
+    assert main(["synth", "--out", str(data), "--units", "4", "--seed", "1",
+                 "--n-regimes", "3", "--min-cycles", "40", "--max-cycles", "60"]) == EXIT_OK
+    argv = ["train", "--train", str(data / "train_synth.txt"),
+            "--out", str(tmp_path / "model"), "--n-regimes", "4"]
+    code = (
+        "import sys; from subtrack.cli import main; "
+        f"rc = main({argv!r}); "
+        "assert 'numpy.ma' not in sys.modules, 'imported'; sys.exit(rc)"
+    )
+    proc = run_fresh_interpreter("-c", code)
+    assert proc.returncode == EXIT_DATA, proc.stderr
+    assert proc.stderr == "error: [train] 3 distinct settings vectors for 4 clusters\n"
+    assert not (tmp_path / "model").exists()
 
 
 # numpy subpackages that `import numpy` leaves unloaded and subtrack never needs

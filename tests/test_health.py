@@ -168,6 +168,9 @@ def test_smooth_zero_padded_stack_bit_equal_to_reference(curves, factor):
     for row, c in zip(padded, curves):
         row[: len(c)] = c
     stacked = smooth(padded, factor)
+    # smooth_units smooths its stack in place: the filter is causal
+    assert smooth(padded, factor, out=padded) is padded
+    assert padded.tobytes() == stacked.tobytes()
     for row, c in zip(stacked, curves):
         want = np.array(reference_smooth(c, factor))
         assert row[: len(c)].tobytes() == want.tobytes()
@@ -192,6 +195,19 @@ def test_smooth_each_bit_equal_to_smoothing_each_alone(curves, factor):
     for row, c, a, b in zip(padded, curves, bounds, bounds[1:]):
         assert row.tobytes() == np.array(c + [0.0] * (padded.shape[1] - len(c))).tobytes()
         assert got[a:b].tobytes() == smooth(np.array(c), factor).tobytes()
+
+
+def test_scale_and_health_index_in_place_bit_equal():
+    # the curve table's scaled and sigma columns are written in place
+    raw = np.random.default_rng(4).uniform(-1.0, 12.0, 500)
+    scaler = DistanceScaler(floor=1.25, ceiling=9.5)
+    want = scale(scaler, raw)
+    got = raw.copy()
+    assert scale(scaler, got, out=got) is got
+    assert got.tobytes() == want.tobytes()
+    sigma = np.empty_like(got)
+    assert to_health_index(got, out=sigma) is sigma
+    assert sigma.tobytes() == to_health_index(want).tobytes()
 
 
 def regime0(n):
