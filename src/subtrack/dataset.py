@@ -136,40 +136,34 @@ def _valid_rows(rows: np.ndarray) -> bool:
 
 def _parse_cmapss_lines(path: Path) -> TrajectorySet:
     """Line-by-line parse; the reference for what load_cmapss accepts and
-    for every message it raises."""
-    with open(path) as fh, decoding(path):
-        return TrajectorySet.stack(*read_unit_rows(path, fh, N_COLUMNS))
-
-
-def read_unit_rows(path: Path, lines, n_fields: int) -> tuple[list, list]:
-    """(ascending unit ids, one (L, n_fields - 2) array per unit in cycle
-    order) of whitespace-separated `unit cycle value ...` lines, numbered
-    from 1; whitespace-only lines are skipped. DataFormatError names path
+    for every message it raises. Lines `unit cycle value ...` are numbered
+    from 1 and whitespace-only lines are skipped. DataFormatError names path
     and line of a malformed row, a non-finite value or an id not whole or of
     magnitude ID_LIMIT or more; ValidationError names a unit whose cycles
     are not 1..L."""
     rows_by_unit: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != n_fields:
-            raise DataFormatError(
-                f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}"
-            )
-        try:
-            values = np.array([float(p) for p in parts])
-            unit = int(values[0])
-            cycle = int(values[1])
-        except (ValueError, OverflowError) as exc:
-            raise DataFormatError(f"{path}:{lineno}: non-numeric field ({exc})")
-        if not np.isfinite(values).all():
-            raise DataFormatError(f"{path}:{lineno}: non-finite value (nan or inf)")
-        if max(abs(unit), abs(cycle)) >= ID_LIMIT:
-            raise DataFormatError(f"{path}:{lineno}: unit or cycle of magnitude 2**53 or more")
-        if unit != values[0] or cycle != values[1]:
-            raise DataFormatError(f"{path}:{lineno}: unit and cycle must be whole numbers")
-        rows_by_unit.setdefault(unit, []).append((cycle, values[2:]))
+    with open(path) as fh, decoding(path):
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            parts = line.split()
+            if len(parts) != N_COLUMNS:
+                raise DataFormatError(
+                    f"{path}:{lineno}: expected {N_COLUMNS} fields, got {len(parts)}"
+                )
+            try:
+                values = np.array([float(p) for p in parts])
+                unit = int(values[0])
+                cycle = int(values[1])
+            except (ValueError, OverflowError) as exc:
+                raise DataFormatError(f"{path}:{lineno}: non-numeric field ({exc})")
+            if not np.isfinite(values).all():
+                raise DataFormatError(f"{path}:{lineno}: non-finite value (nan or inf)")
+            if max(abs(unit), abs(cycle)) >= ID_LIMIT:
+                raise DataFormatError(f"{path}:{lineno}: unit or cycle of magnitude 2**53 or more")
+            if unit != values[0] or cycle != values[1]:
+                raise DataFormatError(f"{path}:{lineno}: unit and cycle must be whole numbers")
+            rows_by_unit.setdefault(unit, []).append((cycle, values[2:]))
 
     if not rows_by_unit:
         raise DataFormatError(f"{path}: no data rows")
@@ -183,7 +177,7 @@ def read_unit_rows(path: Path, lines, n_fields: int) -> tuple[list, list]:
                 f"{path}: unit {unit} has non-contiguous cycle indices"
             )
         arrays.append(np.array([v for _, v in rows]))
-    return units, arrays
+    return TrajectorySet.stack(units, arrays)
 
 
 @contextmanager
@@ -222,20 +216,16 @@ def _cycle_runs(units: np.ndarray, cycles: np.ndarray) -> tuple[list[int], list[
 
 
 def save_cmapss(tset: TrajectorySet, path: str | Path) -> None:
-    """Write a TrajectorySet back to 26-column text; values round-trip exactly."""
-    with open(path, "w") as fh:
-        write_unit_rows(fh, tset)
-
-
-def write_unit_rows(fh, tset: TrajectorySet) -> None:
-    """Write each unit's rows `unit cycle value ...`, cycles 1..L, separated
-    by spaces, from the views of its columns. Each column is one map of
-    float.__repr__ and str.join joins the rows: no Python code runs per row."""
+    """Write a TrajectorySet back to 26-column text, each unit's rows `unit
+    cycle value ...`, cycles 1..L, separated by spaces; values round-trip
+    exactly. Each column of a unit is one map of float.__repr__ and str.join
+    joins the rows: no Python code runs per row."""
     cycles = list(map(str, range(1, max(np.diff(tset.bounds)) + 1)))
-    for unit, rows in zip(tset.unit_ids, tset):
-        values = [map(float.__repr__, a.tolist()) for a in rows.T]
-        lines = zip(repeat(str(unit)), cycles, *values)  # ends with the columns
-        fh.write("\n".join(map(" ".join, lines)) + "\n")
+    with open(path, "w") as fh:
+        for unit, rows in zip(tset.unit_ids, tset):
+            values = [map(float.__repr__, a.tolist()) for a in rows.T]
+            lines = zip(repeat(str(unit)), cycles, *values)  # ends with the columns
+            fh.write("\n".join(map(" ".join, lines)) + "\n")
 
 
 def load_rul_targets(path: str | Path, n_units: int) -> list[int]:

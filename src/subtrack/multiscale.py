@@ -35,12 +35,8 @@ class MultiModel:
             raise ValidationError("one centroid per model required")
         for m in self.models:
             m.validate()
-        if not _pairwise_distinct(self.centroids):
+        if any(np.array_equal(a, b) for a, b in combinations(self.centroids, 2)):
             raise ValidationError("centroids must be pairwise distinct")
-
-
-def _pairwise_distinct(centroids: np.ndarray) -> bool:
-    return not any(np.array_equal(a, b) for a, b in combinations(centroids, 2))
 
 
 def cluster_regimes(settings: np.ndarray, n_clusters: int) -> tuple[np.ndarray, np.ndarray]:
@@ -48,13 +44,14 @@ def cluster_regimes(settings: np.ndarray, n_clusters: int) -> tuple[np.ndarray, 
 
     Returns the (K, n_settings) centroids and each row's `nearest_centroid`
     label. The first row is the first seed, each later one the row farthest
-    from those chosen (Gonzalez, TCS 1985): no draw is made. Each empty
-    cluster takes a row of its own, farthest from its centroid first, or
-    keeps its centroid when no row off its centroid is left. K=1 is
-    answered in closed form: the settings mean is Lloyd's fixed point.
-    Raises NumericalError as `_nearest_finite` does, or when a cluster's
-    mean overflows; ValidationError when two centroids end equal, as a kept
-    centroid can when every squared distance underflows.
+    from those chosen (Gonzalez, TCS 1985): no draw is made. Each cluster
+    emptied in Lloyd's loop takes a row of its own, farthest from its
+    centroid first. K=1 is answered in closed form: the settings mean is
+    Lloyd's fixed point.
+    Raises ValidationError when fewer than K rows lie apart (each other row
+    repeats a seed or lies so near one that its squared distance underflows
+    to 0), or when a regime ends holding no row; NumericalError as
+    `_nearest_finite` does, or when a cluster's mean overflows.
     """
     points = np.asarray(settings, dtype=float)
     if points.ndim != 2 or len(points) == 0:
@@ -67,17 +64,12 @@ def cluster_regimes(settings: np.ndarray, n_clusters: int) -> tuple[np.ndarray, 
         with np.errstate(over="ignore"):  # an infinite distance marks the farthest row
             d2 = _nearest(points, centroids)[1]
         far = np.argmax(d2)
-        if d2[far] > 0:
-            centroids.append(points[far])
-            continue
-        # every row on a chosen center or so near one that its distance
-        # underflowed to 0: the least vector not chosen, if any is left
-        least = _least_unchosen(points, centroids)
-        if least is None:  # the chosen centers are every distinct vector
+        if not d2[far] > 0:
             raise ValidationError(
-                f"{len(centroids)} distinct settings vectors for {n_clusters} clusters"
+                f"{len(centroids)} settings vectors apart for {n_clusters} clusters: "
+                "the others repeat them or lie too close to tell apart"
             )
-        centroids.append(least)
+        centroids.append(points[far])
     centroids = np.array(centroids)
 
     for _ in range(300):
@@ -98,25 +90,14 @@ def cluster_regimes(settings: np.ndarray, n_clusters: int) -> tuple[np.ndarray, 
         centroids = new_centroids
     else:
         labels = nearest_centroid(centroids, points)
-    if not _pairwise_distinct(centroids):
+    # two equal centroids tie to the lower index, leaving the higher one empty
+    held = np.bincount(labels, minlength=n_clusters)
+    if not held.all():
         raise ValidationError(
-            f"settings vectors too close to tell apart in {n_clusters} clusters: "
-            "their squared distances underflow to 0 and two centroids coincide"
+            f"regime {np.argmin(held)} holds no settings row at {n_clusters} clusters: its "
+            "centroid is nearest no row, as when settings lie too close to tell apart"
         )
     return centroids, labels
-
-
-def _least_unchosen(points: np.ndarray, chosen: list) -> np.ndarray | None:
-    """The lexicographically least row of points equal to no chosen row, or
-    None when every row is one. Each `dataset.ROW_BLOCK` rows give their
-    least, so no sorted copy of every row is made."""
-    least = []
-    for a in range(0, len(points), dataset.ROW_BLOCK):
-        rows = points[a : a + dataset.ROW_BLOCK]
-        rows = rows[~np.any([(rows == c).all(axis=1) for c in chosen], axis=0)]
-        if len(rows):
-            least.append(rows[np.lexsort(rows.T[::-1])[0]])  # column 0 the first key
-    return min(least, key=tuple, default=None)
 
 
 def _mean(points: np.ndarray) -> np.ndarray:

@@ -1298,7 +1298,8 @@ def unit_fleet(path, unit_settings):
 
 class TestUntrainableRegimes:
     """A training fleet that leaves some regime too few healthy rows to fit
-    its subspace, or whose rows all sit at distance 0 (a degenerate fleet),
+    its subspace, whose settings hold fewer vectors apart than regimes, or
+    whose rows all sit at distance 0 (a degenerate fleet),
     ends train and benchmark with exit 2, one stderr line and
     no numpy warning (the suite makes a RuntimeWarning an error), and
     leaves no output directory."""
@@ -1353,6 +1354,21 @@ class TestUntrainableRegimes:
         self.check_exits_2(
             command, train, synth_dir, k, tmp_path, capsys,
             f"{message}-dimensional subspace",
+        )
+
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    def test_settings_too_close_to_tell_apart_exit_2_naming_the_cause(
+        self, synth_dir, tmp_path, capsys, command
+    ):
+        # squared distances of the 1e-200 rows underflow to 0: three of the
+        # five vectors are apart, and the error says so before any regime
+        # is fitted, not "regime 3: 0 healthy rows cannot initialize ..."
+        five = [[0.0, 0, 0], [1e-200, 0, 0], [2e-200, 0, 0], [1.0, 0, 0], [1.5, 0, 0]]
+        train = unit_fleet(tmp_path / "train.txt", [five * 12] * 3)
+        self.check_exits_2(
+            command, train, synth_dir, 4, tmp_path, capsys,
+            "3 settings vectors apart for 4 clusters: "
+            "the others repeat them or lie too close to tell apart",
         )
 
     @pytest.mark.parametrize(
@@ -1436,9 +1452,9 @@ def test_commands_leave_numpy_ma_unimported(synth_dir, tmp_path, n_regimes):
 
 
 def test_more_regimes_than_settings_vectors_exits_2_leaving_numpy_ma_unimported(tmp_path):
-    # the seeding fallback, reached once every row sits on a chosen center,
-    # searches the rows block by block: numpy.ma (~17 ms and 1.25 MB RSS per
-    # process, imported by np.unique(axis=0)) stays out
+    # seeding stops once every row sits on a chosen center, with no sort of
+    # the rows: numpy.ma (~17 ms and 1.25 MB RSS per process, imported by
+    # np.unique(axis=0)) stays out
     data = tmp_path / "synth"
     assert main(["synth", "--out", str(data), "--units", "4", "--seed", "1",
                  "--n-regimes", "3", "--min-cycles", "40", "--max-cycles", "60"]) == EXIT_OK
@@ -1451,7 +1467,10 @@ def test_more_regimes_than_settings_vectors_exits_2_leaving_numpy_ma_unimported(
     )
     proc = run_fresh_interpreter("-c", code)
     assert proc.returncode == EXIT_DATA, proc.stderr
-    assert proc.stderr == "error: [train] 3 distinct settings vectors for 4 clusters\n"
+    assert proc.stderr == (
+        "error: [train] 3 settings vectors apart for 4 clusters: "
+        "the others repeat them or lie too close to tell apart\n"
+    )
     assert not (tmp_path / "model").exists()
 
 

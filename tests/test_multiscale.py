@@ -1,8 +1,11 @@
 import builtins
+import warnings
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subtrack import multiscale
 from subtrack.dataset import N_SENSORS, N_SETTINGS, SynthConfig, generate_synthetic
@@ -101,7 +104,7 @@ class TestClusterRegimes:
 
     def test_too_few_distinct_points_counted_over_repeats(self):
         pts = np.repeat(np.eye(3), 10, axis=0)
-        message = "3 distinct settings vectors for 4 clusters"
+        message = "^3 settings vectors apart for 4 clusters: the others repeat them"
         with pytest.raises(ValidationError, match=message):
             cluster_regimes(pts, 4)
 
@@ -122,30 +125,36 @@ class TestClusterRegimes:
         assert centroids[:, 0].tolist() == [0.0, 1e-160]
         assert labels.tolist() == [0, 1, 0]
 
-    def test_settings_1e_200_apart_seed_two_distinct_centroids(self):
-        # their squared distance underflows to 0: the distinct vectors decide
+    def test_settings_1e_200_apart_raise_as_too_close(self):
+        # their squared distance underflows to 0: seeding finds one vector apart
         pts = np.array([[1e-200, 0, 0], [0.0, 0, 0], [1e-200, 0, 0]])
-        centroids, labels = cluster_regimes(pts, 2)
-        assert not np.array_equal(centroids[0], centroids[1])
-        np.testing.assert_array_equal(labels, nearest_centroid(centroids, pts))
+        with pytest.raises(ValidationError, match="^1 settings vectors apart for 2 clusters"):
+            cluster_regimes(pts, 2)
 
-    def test_empty_clusters_with_no_row_off_a_centroid_keep_theirs(self):
-        # every squared distance underflows to 0: all rows join cluster 0,
-        # and the two empty clusters have no row off its centroid to take;
-        # both used to take row 0, two equal centroids [0, 0, 0]
+    def test_every_distance_underflowing_raises_at_seeding(self):
+        # every squared distance underflows to 0: only row 0 is apart
         pts = np.array([[0.0, 0, 0], [1e-200, 0, 0], [2e-200, 0, 0], [0.0, 0, 0]])
-        centroids, labels = cluster_regimes(pts, 3)
-        assert len(np.unique(centroids, axis=0)) == 3
-        np.testing.assert_array_equal(centroids[1:], pts[1:3])
-        np.testing.assert_array_equal(labels, nearest_centroid(centroids, pts))
+        with pytest.raises(ValidationError, match="^1 settings vectors apart for 3 clusters"):
+            cluster_regimes(pts, 3)
 
-    def test_a_kept_centroid_met_by_another_clusters_mean_raises(self):
-        # every squared distance underflows to 0: empty cluster 3 keeps its
-        # seed [1e-200, 0, 0], which cluster 0's new mean then meets; the
-        # two equal centroids made train exit on "regime 3: 0 healthy rows"
+    def test_five_rows_three_apart_raise_at_seeding(self):
+        # the 1e-200 rows lie too near row 0 to seed a regime of their own:
+        # the error names that cause, not a regime short of healthy rows
         pts = np.array([[0.0, 0, 0], [1e-200, 0, 0], [2e-200, 0, 0], [1.0, 0, 0], [1.5, 0, 0]])
-        with pytest.raises(ValidationError, match="two centroids coincide"):
+        message = ("^3 settings vectors apart for 4 clusters: "
+                   "the others repeat them or lie too close to tell apart$")
+        with pytest.raises(ValidationError, match=message):
             cluster_regimes(pts, 4)
+
+    def test_a_regime_left_no_row_raises(self):
+        # seeds 0 and 3e-162 are apart (squared distance 1e-323), but the
+        # mean of the 1.5e-162 rows lies too near both for any squared
+        # distance to it to be above 0: every row ties to regime 0
+        pts = np.zeros((102, 3))
+        pts[1, 0], pts[2:, 0] = 3e-162, 1.5e-162
+        message = "^regime 1 holds no settings row at 2 clusters: its centroid is nearest no row"
+        with pytest.raises(ValidationError, match=message):
+            cluster_regimes(pts, 2)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
@@ -172,6 +181,37 @@ class TestClusterRegimes:
         (a, la), (b, lb) = (cluster_regimes(pts, 4) for _ in range(2))
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(la, lb)
+
+
+@st.composite
+def near_repeated_settings(draw):
+    """Rows drawn from a few settings vectors, each a base vector plus offsets
+    whose squared size underflows (1e-200) or is subnormal (1e-160)."""
+    value = st.sampled_from([0.0, 1.0, -1.5, 1e150, -1e150]) | st.floats(-1e150, 1e150)
+    offset = st.sampled_from([0.0, 1e-200, -1e-200, 2e-200, 1e-160, -1e-160, 3e-160])
+    bases = draw(st.lists(st.lists(value, min_size=3, max_size=3), min_size=1, max_size=4))
+    vectors = [
+        np.array(draw(st.sampled_from(bases))) + draw(st.lists(offset, min_size=3, max_size=3))
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    picks = draw(st.lists(st.integers(0, len(vectors) - 1), min_size=1, max_size=40))
+    return np.array([vectors[i] for i in picks])
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_repeated_settings(), st.integers(2, 6))
+def test_each_regime_holds_a_row_or_clustering_raises(pts, k):
+    # distinct centroids, each nearest some row, or a typed error: never an
+    # empty regime, a numpy warning or an untyped exception
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            centroids, labels = cluster_regimes(pts, k)
+        except (ValidationError, NumericalError):
+            return
+    assert not any(np.array_equal(a, b) for a, b in combinations(centroids, 2))
+    assert (np.bincount(labels, minlength=k) > 0).all()
+    np.testing.assert_array_equal(labels, nearest_centroid(centroids, pts))
 
 
 def subspace_angle(a, b):

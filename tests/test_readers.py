@@ -5,7 +5,7 @@ dataset.load_cmapss parses a file with one np.loadtxt call and falls back to
 its line parser when that parse or a check on its result fails. The line
 parser is the reference: the bulk path may accept only files it accepts,
 with bit-equal arrays, and every error comes from it. CMAPSS text has one
-line parser, dataset.read_unit_rows, and one writer, dataset.write_unit_rows.
+line parser, dataset._parse_cmapss_lines, and one writer, dataset.save_cmapss.
 A curve table is the same form in memory, a TrajectorySet, but it is
 exported as one `.npy` array by persist.write_curves, which np.load reads
 back exactly.
@@ -271,21 +271,21 @@ def test_both_tables_share_one_parser_and_one_writer(tmp_path, monkeypatch):
             return func(*args, **kwargs)
         return shim
 
-    for name in ("read_unit_rows", "write_unit_rows"):
+    for name in ("_parse_cmapss_lines", "save_cmapss"):
         monkeypatch.setattr(dataset, name, recording(name, getattr(dataset, name)))
     train, _, _, _ = generate_synthetic(
         SynthConfig(n_units=3, min_cycles=5, max_cycles=8, seed=3)
     )
     curves = TrajectorySet.stack(train.unit_ids, [t[:, -len(CURVE_COLUMNS):] for t in train])
 
-    save_cmapss(train, tmp_path / "train.txt")
+    dataset.save_cmapss(train, tmp_path / "train.txt")
     write_curves(curves, tmp_path / "train_curves.npy")
-    assert calls == ["write_unit_rows"]
+    assert calls == ["save_cmapss"]
     # rows out of (unit, cycle) order leave the bulk path to the line parser
     lines = (tmp_path / "train.txt").read_text().splitlines(keepends=True)
     (tmp_path / "shuffled.txt").write_text("".join(lines[::-1]))
     shuffled = load_cmapss(tmp_path / "shuffled.txt")
-    assert calls == ["write_unit_rows", "read_unit_rows"]
+    assert calls == ["save_cmapss", "_parse_cmapss_lines"]
     assert type(shuffled) is type(curves) is TrajectorySet
     assert trajectory_bits(shuffled) == trajectory_bits(train)
 
