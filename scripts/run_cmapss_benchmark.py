@@ -27,9 +27,6 @@ REFERENCE = {
               "Deep LSTM": (28.17, 5554)},
 }
 
-# FD002/FD004 have six operating regimes
-REGIMES = {"FD001": 1, "FD002": 6, "FD003": 1, "FD004": 6}
-
 
 def main():
     parser = argparse.ArgumentParser()
@@ -38,15 +35,16 @@ def main():
     parser.add_argument("--mode", choices=MODES, default="sst-lr")
     args = parser.parse_args()
 
-    cfg = RunConfig(mode=args.mode, n_regimes=REGIMES[args.dataset])
-    report, *_ = run_benchmark(
+    cfg = RunConfig(mode=args.mode)
+    report, pipe, *_ = run_benchmark(
         args.data / f"train_{args.dataset}.txt",
         args.data / f"test_{args.dataset}.txt",
         args.data / f"RUL_{args.dataset}.txt",
         cfg,
     )
 
-    print(f"{args.dataset} ({args.mode})")
+    # FD002 and FD004 fly six operating conditions, FD001 and FD003 one
+    print(f"{args.dataset} ({args.mode}, {pipe.model.n_regimes} regimes read)")
     print(f"{'method':<12} {'rmse':>8} {'score':>10}")
     for method, (ref_rmse, ref_score) in REFERENCE[args.dataset].items():
         print(f"{method:<12} {ref_rmse:>8.2f} {ref_score:>10.0f}")

@@ -50,6 +50,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
             p.add_argument(flag, choices=MODES, default=None)
         else:
             p.add_argument(flag, type=typ, default=None)
+    # K is read from the settings: older scripts' flag is ignored, as from_dict drops it
+    p.add_argument("--n-regimes", type=int, help=argparse.SUPPRESS)
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -81,14 +83,24 @@ def _report_degraded(unit_ids, estimates) -> None:
         )
 
 
+def _read_regimes(args, pipe) -> int:
+    """The K training read from the settings; one stderr line when an
+    --n-regimes flag, which no longer sets K, names another."""
+    k = pipe.model.n_regimes
+    if args.n_regimes not in (None, k):
+        print(f"warning: --n-regimes {args.n_regimes} ignored: the settings read {k} regimes",
+              file=sys.stderr)
+    return k
+
+
 def cmd_train(args) -> int:
     cfg = _build_config(args)
     train_set = dataset.load_cmapss(args.train)
     with evaluation.stage("train"):
         pipe, curves = evaluation.train_pipeline(train_set, cfg)
         persist.save_pipeline(pipe, curves, args.out)
-    d = pipe.model.models[0].subspace_dim
-    print(f"trained on {len(train_set)} units, subspace dim {d} -> {args.out}")
+    k, d = _read_regimes(args, pipe), pipe.model.models[0].subspace_dim
+    print(f"trained on {len(train_set)} units, {k} regimes, subspace dim {d} -> {args.out}")
     return EXIT_OK
 
 
@@ -112,7 +124,7 @@ def cmd_infer(args) -> int:
 
 def cmd_benchmark(args) -> int:
     cfg = _build_config(args)
-    report, _, train_curves, test_curves = evaluation.run_benchmark(
+    report, pipe, train_curves, test_curves = evaluation.run_benchmark(
         args.train, args.test, args.rul, cfg
     )
     out = Path(args.out)
@@ -125,6 +137,7 @@ def cmd_benchmark(args) -> int:
         report.estimates, report.truths, out / "rul_estimates.csv", test_curves.unit_ids
     )
     print(report.to_text())
+    print(f"regimes: {_read_regimes(args, pipe)}")
     return EXIT_OK
 
 

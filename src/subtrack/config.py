@@ -11,9 +11,11 @@ MODES = ("sst", "sst-lr")
 
 # fields older config files still hold, ignored: the epoch trainer's knobs, the
 # matching bandwidth (see rul), the k-means++ seed, the settings switch (the
-# sensors are tracked at every K) and the d training reads from the spectrum
+# sensors are tracked at every K), the d training reads from the spectrum and
+# the K it reads from the settings (see multiscale.cluster_regimes)
 RETIRED_FIELDS = frozenset(
-    {"alpha", "eta", "max_epochs", "rel_tol", "beta", "seed", "include_settings", "subspace_dim"}
+    {"alpha", "eta", "max_epochs", "rel_tol", "beta", "seed", "include_settings",
+     "subspace_dim", "n_regimes"}
 )
 
 _TYPES = {  # annotation -> (accepts the value, what it takes); a bool is no number
@@ -27,7 +29,6 @@ _TYPES = {  # annotation -> (accepts the value, what it takes); a bool is no num
 @dataclass(frozen=True)
 class RunConfig:
     mode: str = "sst"  # one of MODES
-    n_regimes: int = 1
     delta: float = 0.01
     healthy_cycles: int = 20
     tau1: int = 1
@@ -42,8 +43,6 @@ class RunConfig:
                 raise ValidationError(f"{f.name} must be {what}, got {value!r}")
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
-        if self.n_regimes < 1:
-            raise ValidationError("n_regimes must be >= 1")
         if not self.delta > 0:
             raise ValidationError("delta must be > 0")
         if self.healthy_cycles < 1:

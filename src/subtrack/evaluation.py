@@ -135,27 +135,29 @@ def _settings(tset: TrajectorySet) -> np.ndarray:
 def train_pipeline(
     train_set: TrajectorySet, cfg: RunConfig
 ) -> tuple[TrainedPipeline, TrajectorySet]:
-    """Fit the training stage: regimes from the settings, then on the sensors
-    the normalizer, one batch-PCA subspace per regime at the largest d
+    """Fit the training stage: regimes (and K) read from the settings, then on
+    the sensors the normalizer, one batch-PCA subspace per regime at the largest d
     `subspace.pick_dim` reads from their healthy spectra (a regime of at most d
     healthy rows raises ValidationError), scaler and (in sst-lr mode) the
     regressor. Returns the pipeline and its library's curves; only reads the set."""
-    centroids, labels = multiscale.cluster_regimes(_settings(train_set), cfg.n_regimes)
+    centroids, labels = multiscale.cluster_regimes(_settings(train_set))
     sensors, bounds = train_set.matrix[:, N_SETTINGS:], train_set.bounds
-    norm = dataset.fit_normalizer(sensors, labels, cfg.n_regimes)
+    norm = dataset.fit_normalizer(sensors, labels, len(centroids))
 
     is_healthy = np.zeros(len(sensors), dtype=bool)  # each unit's first healthy_cycles rows
     for a, b in zip(bounds, bounds[1:]):
         is_healthy[a : min(b, a + cfg.healthy_cycles)] = True
     healthy, healthy_labels = sensors[is_healthy], labels[is_healthy]  # a small copy
     norm.transform_inplace(healthy, healthy_labels)
-    n_rows = np.bincount(healthy_labels, minlength=cfg.n_regimes)
+    n_rows = np.bincount(healthy_labels, minlength=len(centroids))
     spectra = [subspace.spectrum(healthy[healthy_labels == k]) for k in np.flatnonzero(n_rows > 1)]
     d = max((subspace.pick_dim(eigvals) for _, eigvals, _ in spectra), default=1)
     for k, n in enumerate(n_rows):
         if n <= d:
             raise ValidationError(
                 f"regime {k}: {n} healthy rows cannot initialize a {d}-dimensional subspace"
+                + (f" (of {len(n_rows)} regimes read from the settings; an outlying settings "
+                   "row reads as a regime of its own)" if len(n_rows) > 1 else "")
             )
     members = [subspace.fit_spectrum(*s, d, cfg.delta) for s in spectra]
     del is_healthy, healthy, healthy_labels  # freed before the fleet passes
@@ -172,7 +174,7 @@ def train_pipeline(
         regressor = health.fit_hi_regression(
             ((x, health.to_health_index(health.scale(scaler, smoothed[blk])), reg[blk])
              for blk, x in blocks()),
-            cfg.n_regimes,
+            len(centroids),
         )
         for blk, x in blocks():
             curves[blk, SIGMA] = health.predict_hi(regressor, x, reg[blk])

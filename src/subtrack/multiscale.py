@@ -16,7 +16,10 @@ import numpy as np
 
 from . import dataset
 from .errors import NumericalError, ValidationError
-from .subspace import SubspaceModel, mahalanobis_rows, update
+from .subspace import SubspaceModel, largest_gap, mahalanobis_rows, update
+
+MAX_REGIMES = 16  # the most seeds, so the most regimes, the settings are read for
+REGIME_GAP = 5.0  # the least ratio of neighbouring seed radii that marks the count
 
 
 @dataclass(frozen=True)
@@ -39,57 +42,43 @@ class MultiModel:
             raise ValidationError("centroids must be pairwise distinct")
 
 
-def cluster_regimes(settings: np.ndarray, n_clusters: int) -> tuple[np.ndarray, np.ndarray]:
-    """k-means over operational-setting vectors, seeded by farthest points.
+def cluster_regimes(settings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """k-means over operational-setting vectors, seeded by farthest points,
+    at the K the seeding reads.
 
     Returns the (K, n_settings) centroids and each row's `nearest_centroid`
     label. The first row is the first seed, each later one the row farthest
-    from those chosen (Gonzalez, TCS 1985): no draw is made. Each cluster
-    emptied in Lloyd's loop takes a row of its own, farthest from its
-    centroid first. K=1 is answered in closed form: the settings mean is
-    Lloyd's fixed point.
-    Raises ValidationError when fewer than K rows lie apart (each other row
-    repeats a seed or lies so near one that its squared distance underflows
-    to 0), or when a regime ends holding no row; NumericalError as
-    `_nearest_finite` does, or when a cluster's mean overflows.
+    from those chosen (Gonzalez, TCS 1985): no draw is made. Of up to
+    MAX_REGIMES seeds, let r_j be the distance from the first j to the
+    farthest row. When some r_j is 0, each row repeats a seed and K = j.
+    Otherwise K is the k of the largest r_{k-1} / r_k if at least REGIME_GAP
+    (`subspace.largest_gap`), else 1. The centroids are the means of the
+    seeds' clusters, and the labels are by those means. K=1 is answered in
+    closed form: the settings mean is Lloyd's fixed point.
+    Raises ValidationError when a regime ends holding no row; NumericalError
+    as `_nearest_finite` does, or when a cluster's mean overflows.
     """
     points = np.asarray(settings, dtype=float)
     if points.ndim != 2 or len(points) == 0:
         raise ValidationError("settings must be a non-empty 2-d array")
+
+    seeds = [0]
+    with np.errstate(over="ignore"):  # an infinite distance marks the farthest row
+        d2 = _nearest(points, points[:1])[1]  # to the nearest seed, kept as seeds join
+        radii = [d2.max()]
+        while radii[-1] > 0 and len(seeds) < MAX_REGIMES:
+            seeds.append(int(np.argmax(d2)))
+            np.minimum(d2, _nearest(points, points[seeds[-1]][None])[1], out=d2)
+            radii.append(d2.max())
+    n_clusters = len(seeds) if radii[-1] == 0 else largest_gap(np.sqrt(radii), REGIME_GAP) + 1
     if n_clusters == 1:
         return _mean(points)[None], np.zeros(len(points), dtype=np.intp)
-
-    centroids = [points[0]]
-    for _ in range(1, n_clusters):
-        with np.errstate(over="ignore"):  # an infinite distance marks the farthest row
-            d2 = _nearest(points, centroids)[1]
-        far = np.argmax(d2)
-        if not d2[far] > 0:
-            raise ValidationError(
-                f"{len(centroids)} settings vectors apart for {n_clusters} clusters: "
-                "the others repeat them or lie too close to tell apart"
-            )
-        centroids.append(points[far])
-    centroids = np.array(centroids)
-
-    for _ in range(300):
-        labels, d2 = _nearest_finite(points, centroids)
-        new_centroids, empty = centroids.copy(), []
-        for k in range(n_clusters):
-            members = points[labels == k]
-            if len(members) == 0:
-                empty.append(k)
-            else:
-                new_centroids[k] = _mean(members)
-        if empty:  # each its own row, farthest first, of the rows off their centroid
-            far = np.argsort(-d2, kind="stable")[: len(empty)]
-            for k, i in zip(empty, far[d2[far] > 0]):
-                new_centroids[k] = points[i]
-        if np.allclose(new_centroids, centroids, atol=0, rtol=0):
-            break  # converged: labelled by the final centroids
-        centroids = new_centroids
-    else:
-        labels = nearest_centroid(centroids, points)
+    # each seed lies r_{K-1} >= REGIME_GAP r_K from the others and every row
+    # within r_K of its own, so one Lloyd step ends Lloyd's loop: the labels
+    # by the seeds' means are the labels by the seeds (exact arithmetic)
+    labels = _nearest_finite(points, points[seeds[:n_clusters]])[0]  # each seed its own
+    centroids = np.array([_mean(points[labels == k]) for k in range(n_clusters)])
+    labels = _nearest_finite(points, centroids)[0]
     # two equal centroids tie to the lower index, leaving the higher one empty
     held = np.bincount(labels, minlength=n_clusters)
     if not held.all():

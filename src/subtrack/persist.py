@@ -11,8 +11,8 @@ pipeline but the library's curves: its format version, the run config, the
 regime centroids over the N_SETTINGS settings, one member {c, lambdas, U1}
 per regime, the normalizer, the scaler, the sst-lr regressor (null in sst
 mode) and the library's unit ids and curve lengths. The normalizer, members
-and regressor span the N_SENSORS tracked columns; the config fixes K and
-each member's delta, the first member's basis every member's d.
+and regressor span the N_SENSORS tracked columns; the member count fixes K,
+the config each member's delta, the first member's basis every member's d.
 The library's zero-padded curves are a float64 `.npy` array. Matching reads
 the stored library and never opens `train_curves.npy`, the export of the
 training curve table that save_pipeline is given beside the pipeline,
@@ -107,13 +107,13 @@ def _table(value, name: str, shape: tuple, kind=float, positive=False) -> np.nda
 
 def read_model_document(doc: dict) -> dict:
     """The TrainedPipeline fields of a model_document, with the library's
-    `unit_ids` and `lengths` in place of the library. Every table is checked
-    against the shape the config and first basis give; raises ValidationError."""
+    `unit_ids` and `lengths` in place of the library. Every table is checked against
+    the shape the member count, config and first basis give; raises ValidationError."""
     _check_version(doc)
     config = RunConfig.from_dict(doc["config"])
-    k = config.n_regimes
-    if len(doc["members"]) != k:
-        raise ValidationError(f"{len(doc['members'])} members for n_regimes {k}")
+    k = len(doc["members"])  # K: one member per regime
+    if k == 0:
+        raise ValidationError("members is empty: a model holds one member per regime")
     d = len(doc["members"][0]["U1"])
     members = [
         SubspaceModel(

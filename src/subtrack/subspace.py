@@ -113,9 +113,17 @@ def pick_dim(eigvals: np.ndarray) -> int:
     lam = lam[lam > SPECTRUM_FLOOR * lam[0]]
     if len(lam) < 2:
         return 1
-    ratios = lam[:-1] / lam[1:]
-    d = int(np.argmax(ratios)) + 1
-    return d if ratios[d - 1] >= DOMINANT_GAP else max(2, int(np.sum(lam > np.mean(eigvals))))
+    return largest_gap(lam, DOMINANT_GAP) or max(2, int(np.sum(lam > np.mean(eigvals))))
+
+
+def largest_gap(values: np.ndarray, gap: float) -> int:
+    """Of n >= 2 non-increasing positive values, the i (counted from 1) of the
+    largest ratio values[i-1] / values[i] if at least gap, else 0. An inf / inf
+    ratio reads as 1, no gap."""
+    with np.errstate(invalid="ignore"):
+        ratios = np.fmax(values[:-1] / values[1:], 1.0)
+    i = int(np.argmax(ratios)) + 1
+    return i if ratios[i - 1] >= gap else 0
 
 
 def fit_spectrum(center, eigvals, eigvecs, subspace_dim: int, delta: float) -> SubspaceModel:

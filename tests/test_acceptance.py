@@ -215,7 +215,8 @@ def test_criterion_8_cmapss_reproduction():
         pytest.skip("CMAPSS dataset not available (set CMAPSS_DATA)")
 
     start = time.perf_counter()
-    cfg = RunConfig(mode="sst-lr", n_regimes=1)
+    # both runs read K from the settings: FD001 flies one condition, FD004 six
+    cfg = RunConfig(mode="sst-lr")
     rep1, *_ = run_benchmark(
         data_dir / "train_FD001.txt",
         data_dir / "test_FD001.txt",
@@ -226,12 +227,11 @@ def test_criterion_8_cmapss_reproduction():
     t1 = time.perf_counter() - start
 
     start = time.perf_counter()
-    cfg4 = RunConfig(mode="sst-lr", n_regimes=6)
     rep4, *_ = run_benchmark(
         data_dir / "train_FD004.txt",
         data_dir / "test_FD004.txt",
         data_dir / "RUL_FD004.txt",
-        cfg4,
+        cfg,
     )
     fd004_ok = rep4.rmse <= 33.0
     t4 = time.perf_counter() - start

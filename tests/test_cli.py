@@ -51,14 +51,20 @@ def run_fresh_interpreter(*args, path=()):
     )
 
 
-def train_in_fresh_interpreter(data, out, n_regimes, *flags):
-    """`subtrack train` at n_regimes, with flags, in a new interpreter, where
-    a numpy RuntimeWarning is an error."""
-    argv = ["train", "--train", str(data), "--out", str(out),
-            "--n-regimes", str(n_regimes), *flags]
+def train_in_fresh_interpreter(data, out, *flags):
+    """`subtrack train` with flags in a new interpreter, where a numpy
+    RuntimeWarning is an error."""
+    argv = ["train", "--train", str(data), "--out", str(out), *flags]
     return run_fresh_interpreter(
         "-c", f"import sys; from subtrack.cli import main; sys.exit(main({argv!r}))"
     )
+
+
+def add_n_regimes(doc):
+    """The model document as train wrote it while K was the config field
+    n_regimes, second after mode."""
+    config = doc["config"]
+    doc["config"] = {"mode": config.pop("mode"), "n_regimes": len(doc["members"]), **config}
 
 
 def poison_line(path, lineno):
@@ -171,7 +177,8 @@ class TestTrain:
         out = tmp_path / "model"
         assert main(["train", "--train", str(synth_dir / "train_synth.txt"),
                      "--out", str(out)] + BENCH_FLAGS) == EXIT_OK
-        assert capsys.readouterr().out == f"trained on 10 units, subspace dim 3 -> {out}\n"
+        assert capsys.readouterr().out == (
+            f"trained on 10 units, 1 regimes, subspace dim 3 -> {out}\n")
         doc = model_doc(out)
         assert "subspace_dim" not in doc["config"]
         assert [np.shape(m["U1"]) for m in doc["members"]] == [(3, N_SENSORS)]
@@ -219,17 +226,20 @@ class TestTrain:
         data = tmp_path / "train.txt"
         save_cmapss(TrajectorySet(matrix, train.unit_ids, train.bounds), data)
         model = tmp_path / "model"
-        proc = train_in_fresh_interpreter(data, model, 2)
+        proc = train_in_fresh_interpreter(data, model)
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
         for name in ("train_curves.npy", "library_sigma.npy"):
             assert np.isfinite(np.load(model / name, allow_pickle=False)).all()
         assert np.isfinite(model_doc(model)["centroids"]).all()
 
     def test_overflowing_settings_exit_3_tagged_with_stage(self, tmp_path):
-        # the rows at -1e200 are an infinite squared distance from both seeds
-        data = unit_fleet(tmp_path / "train.txt",
-                          [[[v] * N_SETTINGS] * 30 for v in (0.0, 1e200, -1e200)])
-        proc = train_in_fresh_interpreter(data, tmp_path / "model", 2)
+        # the 20 vectors within 1.3e154 of the first read one regime beside
+        # the one at 1e200, but the last lies 2.4e154 from that regime's mean
+        near = [[-7.5e153 + i * 1e140] * N_SETTINGS for i in range(18)]
+        data = unit_fleet(tmp_path / "train.txt", [
+            [[0.0] * N_SETTINGS] + near + [[7.5e153] * N_SETTINGS, [1e200] * N_SETTINGS]
+        ] * 3)
+        proc = train_in_fresh_interpreter(data, tmp_path / "model")
         assert proc.returncode == EXIT_NUMERICAL
         assert proc.stderr == (
             "numerical error: [train] squared settings distances to the "
@@ -242,8 +252,8 @@ class TestTrain:
         # every row of a regime at 1.5e308: the finite settings sum to more
         # than the largest float; no numpy warning reaches stderr
         data = unit_fleet(tmp_path / "train.txt",
-                          [[[v] * N_SETTINGS] * 30 for v in (1.5e308, -1.5e308)])
-        proc = train_in_fresh_interpreter(data, tmp_path / "model", n_regimes)
+                          [[[v] * N_SETTINGS] * 30 for v in (1.5e308, -1.5e308)[:n_regimes]])
+        proc = train_in_fresh_interpreter(data, tmp_path / "model")
         assert proc.returncode == EXIT_NUMERICAL
         assert proc.stderr == (
             "numerical error: [train] the settings mean of a regime overflows\n"
@@ -326,7 +336,7 @@ class TestTrain:
         # distances of ~1e306 and their healthy-level mean stay finite
         model = tmp_path / "model"
         proc = train_in_fresh_interpreter(
-            synth_dir / "train_synth.txt", model, 1, "--delta", delta
+            synth_dir / "train_synth.txt", model, "--delta", delta
         )
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
         for name in ("train_curves.npy", "library_sigma.npy"):
@@ -881,6 +891,25 @@ class TestInfer:
                 tmp_path / "new" / name
             ).read_bytes()
 
+    def test_directory_with_an_n_regimes_config_infers_identically(
+        self, synth_dir, model_dir, tmp_path
+    ):
+        # the model.json of version 6 as train wrote it while K was a config
+        # field, second in its config: the retired field is ignored and K is
+        # read from the member count, so the directory loads without a format bump
+        legacy = tmp_path / "legacy"
+        shutil.copytree(model_dir, legacy)
+        edit_model_doc(legacy, add_n_regimes)
+        assert list(model_doc(legacy)["config"])[:2] == ["mode", "n_regimes"]
+        assert persist.model_document(persist.load_pipeline(legacy)) == model_doc(model_dir)
+
+        assert self.infer_rc(synth_dir, model_dir, tmp_path / "new") == EXIT_OK
+        assert self.infer_rc(synth_dir, legacy, tmp_path / "old") == EXIT_OK
+        for name in ("hi_curves.npy", "rul_estimates.csv"):
+            assert (tmp_path / "old" / name).read_bytes() == (
+                tmp_path / "new" / name
+            ).read_bytes()
+
     def test_directory_with_a_subspace_dim_config_infers_identically(
         self, synth_dir, model_dir, tmp_path
     ):
@@ -892,6 +921,7 @@ class TestInfer:
         shutil.copytree(model_dir, legacy)
 
         def add_subspace_dim(doc):
+            add_n_regimes(doc)
             config = doc["config"]
             doc["config"] = {"mode": config.pop("mode"), "n_regimes": config.pop("n_regimes"),
                              "subspace_dim": len(doc["members"][0]["U1"]), **config}
@@ -941,7 +971,7 @@ def lr_model_dir(tmp_path_factory):
                  "--seed", "4", "--min-cycles", "80", "--max-cycles", "100"]) == EXIT_OK
     out = tmp_path_factory.mktemp("model3")
     assert main(["train", "--train", str(data / "train_synth.txt"), "--out", str(out),
-                 "--mode", "sst-lr", "--n-regimes", "3"] + BENCH_FLAGS) == EXIT_OK
+                 "--mode", "sst-lr"] + BENCH_FLAGS) == EXIT_OK
     return out
 
 
@@ -953,11 +983,11 @@ def _first(section, key, value):
 
 
 class TestFittedTables:
-    """Every table of model.json must have the shape its config gives:
-    K=3 members, 21 normalizer columns (the tracked sensors),
+    """Every table of model.json must have the shape its members and config
+    give: K=3 members, 21 normalizer columns (the tracked sensors),
     21 + 1 regression weights and one centroid column per setting, all
-    finite JSON numbers and std > 0. A config edited apart from its tables no longer
-    fits them."""
+    finite JSON numbers and std > 0. A table edited apart from the others no
+    longer fits them."""
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -983,7 +1013,10 @@ class TestFittedTables:
             (lambda doc: doc.update(centroids=[c[:2] for c in doc["centroids"]]),
              "centroids has shape (3, 2), expected (3, 3)"),
             (_first("centroids", None, float("nan")), "centroids must be finite"),
-            (lambda doc: doc["config"].update(n_regimes=5), "3 members for n_regimes 5"),
+            (lambda doc: doc["config"].update(delta=0), "delta must be > 0"),
+            # K is the member count: none leaves no regime, and no basis to read d from
+            (lambda doc: doc.update(members=[]),
+             "members is empty: a model holds one member per regime"),
             # the first member's basis gives every member's d
             (lambda doc: doc["members"][1].update(
                 U1=doc["members"][1]["U1"][:2], lambdas=doc["members"][1]["lambdas"][:2]),
@@ -999,7 +1032,7 @@ class TestFittedTables:
              "regressor-nan", "normalizer-2-rows",
              "normalizer-23-mask-columns", "normalizer-zero-std", "normalizer-inf-std",
              "normalizer-nan-mean", "model-2-settings-columns", "model-nan-centroid",
-             "config-5-regimes", "member-2-axes", "model-true-centroid",
+             "config-zero-delta", "members-empty", "member-2-axes", "model-true-centroid",
              "scaler-str-floor", "member-null-spread"],
     )
     def test_mismatched_table_exits_2_naming_file_before_data_is_read(
@@ -1045,11 +1078,14 @@ class TestBenchmark:
              "--out", str(out)] + BENCH_FLAGS + list(extra)
         )
 
-    def test_report_shape(self, synth_dir, tmp_path):
+    def test_report_shape(self, synth_dir, tmp_path, capsys):
         assert self.run_bench(synth_dir, tmp_path) == EXIT_OK
         report = json.loads((tmp_path / "report.json").read_text())
         assert set(report) >= {"rmse", "score", "rows", "config", "n_units"}
         assert report["n_units"] == 10
+        # stdout is the report and the K read from the settings
+        text = (tmp_path / "report.txt").read_text()
+        assert capsys.readouterr() == (text + "regimes: 1\n", "")
 
     @pytest.mark.parametrize("token", ["inf", "-7"])
     def test_invalid_rul_value_exits_2_naming_line(
@@ -1198,15 +1234,15 @@ class TestBenchmark:
 
 @pytest.fixture(scope="module", params=[1, 3], ids=["K1", "K3"])
 def k_fleet(request, tmp_path_factory):
-    """(K, a synthetic fleet with K regimes, the sst model trained on it)."""
+    """(a synthetic fleet with K regimes, the sst model trained on it)."""
     k = request.param
     data = tmp_path_factory.mktemp(f"synth_k{k}")
     assert main(["synth", "--out", str(data), "--units", "8", "--n-regimes", str(k),
                  "--seed", "2", "--min-cycles", "70", "--max-cycles", "100"]) == EXIT_OK
     model = tmp_path_factory.mktemp(f"model_k{k}")
-    assert main(["train", "--train", str(data / "train_synth.txt"), "--out", str(model),
-                 "--n-regimes", str(k)] + BENCH_FLAGS) == EXIT_OK
-    return k, data, model
+    assert main(["train", "--train", str(data / "train_synth.txt"), "--out", str(model)]
+                + BENCH_FLAGS) == EXIT_OK
+    return data, model
 
 
 # finite values on the first line of unit 1 whose arithmetic overflows:
@@ -1247,19 +1283,18 @@ class TestOverflowingValues:
         # the std of a column with 1.7e308 overflows: the model written
         # held Infinity, which infer refused, and benchmark ran on with
         # the column zeroed
-        k, data, _ = k_fleet
+        data, _ = k_fleet
         train = huge_copy(data / "train_synth.txt", tmp_path / "train.txt",
                           HUGE_VALUES["sensor-1.7e308"])
         message = "feature mean or std overflows"
         out = tmp_path / "model"
-        err = self.check_exits_3(["train", "--train", str(train), "--out", str(out),
-                                  "--n-regimes", str(k)] + BENCH_FLAGS, out, capsys, message)
+        err = self.check_exits_3(["train", "--train", str(train), "--out", str(out)]
+                                 + BENCH_FLAGS, out, capsys, message)
         assert err.startswith("numerical error: [train] regime ")
         out = tmp_path / "bench"
         assert err == self.check_exits_3(
             ["benchmark", "--train", str(train), "--test", str(data / "test_synth.txt"),
-             "--rul", str(data / "RUL_synth.txt"), "--out", str(out),
-             "--n-regimes", str(k)] + BENCH_FLAGS,
+             "--rul", str(data / "RUL_synth.txt"), "--out", str(out)] + BENCH_FLAGS,
             out, capsys, message,
         )
 
@@ -1268,7 +1303,7 @@ class TestOverflowingValues:
     def test_overflowing_test_row_exits_3(self, k_fleet, tmp_path, capsys, command, case):
         # settings at 1e200 are infinitely far from every centroid: argmin
         # took regime 0 and changed the unit's estimate with exit 0
-        k, data, model = k_fleet
+        data, model = k_fleet
         test = huge_copy(data / "test_synth.txt", tmp_path / "test.txt", HUGE_VALUES[case])
         out = tmp_path / "out"
         if command == "infer":
@@ -1277,7 +1312,7 @@ class TestOverflowingValues:
         else:
             argv = ["benchmark", "--train", str(data / "train_synth.txt"),
                     "--test", str(test), "--rul", str(data / "RUL_synth.txt"),
-                    "--out", str(out), "--n-regimes", str(k)] + BENCH_FLAGS
+                    "--out", str(out)] + BENCH_FLAGS
         message = ("settings distances" if case.startswith("settings")
                    else "non-finite subspace distance (overflow)")
         self.check_exits_3(argv, out, capsys, message)
@@ -1296,19 +1331,23 @@ def unit_fleet(path, unit_settings):
     return path
 
 
+# how a regime too small to fit ends its message when the settings read K > 1
+OUTLIER_HINT = (" (of %d regimes read from the settings; an outlying settings row "
+                "reads as a regime of its own)")
+
+
 class TestUntrainableRegimes:
     """A training fleet that leaves some regime too few healthy rows to fit
-    its subspace, whose settings hold fewer vectors apart than regimes, or
-    whose rows all sit at distance 0 (a degenerate fleet),
+    its subspace or no settings row at all, or whose rows all sit at
+    distance 0 (a degenerate fleet),
     ends train and benchmark with exit 2, one stderr line and
     no numpy warning (the suite makes a RuntimeWarning an error), and
     leaves no output directory."""
 
     @staticmethod
-    def check_exits_2(command, train, test_dir, k, tmp_path, capsys, message, extra=()):
+    def check_exits_2(command, train, test_dir, tmp_path, capsys, message, extra=()):
         out = tmp_path / "out"
-        argv = [command, "--train", str(train), "--out", str(out),
-                "--n-regimes", str(k), *extra]
+        argv = [command, "--train", str(train), "--out", str(out), *extra]
         if command == "benchmark":
             argv += ["--test", str(test_dir / "test_synth.txt"),
                      "--rul", str(test_dir / "RUL_synth.txt")]
@@ -1330,11 +1369,11 @@ class TestUntrainableRegimes:
             lines[lineno - 1] = " ".join(fields_)
         train = tmp_path / "train.txt"
         train.write_text("\n".join(lines) + "\n")
-        # regime 0 holds the rows of both generator regimes: two 3-d
-        # subspaces and the line between their centers, which its spectrum reads
+        # four vectors apart read four regimes: the two rows seed their own
         self.check_exits_2(
-            command, train, data, 2, tmp_path, capsys,
-            "regime 1: 1 healthy rows cannot initialize a 7-dimensional subspace",
+            command, train, data, tmp_path, capsys,
+            "regime 1: 1 healthy rows cannot initialize a 3-dimensional subspace"
+            + OUTLIER_HINT % 4,
         )
 
     @pytest.mark.parametrize("command", ["train", "benchmark"])
@@ -1345,30 +1384,52 @@ class TestUntrainableRegimes:
             # the d one regime's spectrum reads is below its row count, so
             # only a single row, one unit of one cycle, is too few
             settings_, message = [[a]], "regime 0: 1 healthy rows cannot initialize a 1"
+            hint = ""
         else:  # settings c appear only after the 20 healthy cycles
             settings_ = [[a, b] * 10 + [a, b, c] * 7] * 3
-            centroids, _ = cluster_regimes(np.vstack(settings_), 3)
+            centroids, _ = cluster_regimes(np.vstack(settings_))
             message = (f"regime {nearest_centroid(centroids, c)[0]}: 0 healthy rows "
                        "cannot initialize a 3")  # the d of regimes a and b
+            hint = OUTLIER_HINT % 3
         train = unit_fleet(tmp_path / "train.txt", settings_)
         self.check_exits_2(
-            command, train, synth_dir, k, tmp_path, capsys,
-            f"{message}-dimensional subspace",
+            command, train, synth_dir, tmp_path, capsys,
+            f"{message}-dimensional subspace{hint}",
+        )
+
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    @pytest.mark.parametrize("off", [1e-4, 1e3], ids=["near", "far"])
+    def test_one_settings_outlier_exits_2_naming_it(
+        self, tmp_path, capsys, synth_dir, command, off
+    ):
+        # one condition, exact but for one row: any offset reads that row
+        # as a regime of its own (a zero radius at two seeds), whose single
+        # row cannot fit a subspace; the message names the likely cause
+        a = [100.0, 0.0, 0.0]
+        outlier = [100.0 + off, 0.0, 0.0]
+        train = unit_fleet(tmp_path / "train.txt",
+                           [[a] * 40, [a] * 5 + [outlier] + [a] * 34, [a] * 40])
+        self.check_exits_2(
+            command, train, synth_dir, tmp_path, capsys,
+            "regime 1: 1 healthy rows cannot initialize a 3-dimensional subspace"
+            + OUTLIER_HINT % 2,
         )
 
     @pytest.mark.parametrize("command", ["train", "benchmark"])
     def test_settings_too_close_to_tell_apart_exit_2_naming_the_cause(
         self, synth_dir, tmp_path, capsys, command
     ):
-        # squared distances of the 1e-200 rows underflow to 0: three of the
-        # five vectors are apart, and the error says so before any regime
-        # is fitted, not "regime 3: 0 healthy rows cannot initialize ..."
-        five = [[0.0, 0, 0], [1e-200, 0, 0], [2e-200, 0, 0], [1.0, 0, 0], [1.5, 0, 0]]
-        train = unit_fleet(tmp_path / "train.txt", [five * 12] * 3)
+        # 0 and 3e-162 seed two regimes (squared distance 1e-323), but the
+        # 1.5e-162 rows' mean lies too near both for any squared distance to
+        # it to be above 0: every row ties to regime 0, and the error says so
+        # before any regime is fitted, not "regime 1: 0 healthy rows ..."
+        near = [[1.5e-162, 0.0, 0.0]] * 40
+        train = unit_fleet(tmp_path / "train.txt",
+                           [[[0.0, 0, 0], [3e-162, 0, 0]] + near[2:], near, near])
         self.check_exits_2(
-            command, train, synth_dir, 4, tmp_path, capsys,
-            "3 settings vectors apart for 4 clusters: "
-            "the others repeat them or lie too close to tell apart",
+            command, train, synth_dir, tmp_path, capsys,
+            "regime 1 holds no settings row at 2 clusters: its centroid is nearest "
+            "no row, as when settings lie too close to tell apart",
         )
 
     @pytest.mark.parametrize(
@@ -1381,7 +1442,7 @@ class TestUntrainableRegimes:
         train = tmp_path / "train.txt"
         save_cmapss(TrajectorySet.stack([1, 2, 3, 4, 5], [rows] * 5), train)
         self.check_exits_2(
-            command, train, synth_dir, 1, tmp_path, capsys,
+            command, train, synth_dir, tmp_path, capsys,
             "degenerate fleet: failure-level distance 0.0 does not exceed healthy level 0.0",
             ["--mode", mode],
         )
@@ -1410,8 +1471,8 @@ def test_benchmark_and_infer_leave_scipy_unimported(synth_dir, model_dir, tmp_pa
 
 
 def run_commands_then_check_unimported(synth_dir, tmp_path, n_regimes, module):
-    """train, infer and benchmark at n_regimes in one fresh interpreter that
-    then asserts module was never imported."""
+    """train, infer and benchmark on a fleet of n_regimes in one fresh
+    interpreter that then asserts module was never imported."""
     data = synth_dir
     if n_regimes > 1:
         data = tmp_path / "synth"
@@ -1420,13 +1481,13 @@ def run_commands_then_check_unimported(synth_dir, tmp_path, n_regimes, module):
                      "--max-cycles", "100"]) == EXIT_OK
     train, test, truth = (str(data / n) for n in ("train_synth.txt", "test_synth.txt",
                                                   "RUL_synth.txt"))
-    model, k = str(tmp_path / "model"), ["--n-regimes", str(n_regimes)]
+    model = str(tmp_path / "model")
     runs = [
-        ["train", "--train", train, "--out", model] + k + BENCH_FLAGS,
+        ["train", "--train", train, "--out", model] + BENCH_FLAGS,
         ["infer", "--model-dir", model, "--data", test, "--rul", truth,
          "--out", str(tmp_path / "infer")],
         ["benchmark", "--train", train, "--test", test, "--rul", truth,
-         "--out", str(tmp_path / "bench")] + k + BENCH_FLAGS,
+         "--out", str(tmp_path / "bench")] + BENCH_FLAGS,
     ]
     code = (
         "import sys; from subtrack.cli import main; "
@@ -1451,27 +1512,27 @@ def test_commands_leave_numpy_ma_unimported(synth_dir, tmp_path, n_regimes):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_more_regimes_than_settings_vectors_exits_2_leaving_numpy_ma_unimported(tmp_path):
-    # seeding stops once every row sits on a chosen center, with no sort of
-    # the rows: numpy.ma (~17 ms and 1.25 MB RSS per process, imported by
-    # np.unique(axis=0)) stays out
-    data = tmp_path / "synth"
-    assert main(["synth", "--out", str(data), "--units", "4", "--seed", "1",
-                 "--n-regimes", "3", "--min-cycles", "40", "--max-cycles", "60"]) == EXIT_OK
-    argv = ["train", "--train", str(data / "train_synth.txt"),
-            "--out", str(tmp_path / "model"), "--n-regimes", "4"]
+def test_jittered_settings_read_their_regimes_leaving_numpy_ma_unimported(tmp_path):
+    # every row's settings apart: seeding runs to MAX_REGIMES and reads K at
+    # the gap, with no sort of the rows, so numpy.ma (~17 ms and 1.25 MB RSS
+    # per process, imported by np.unique(axis=0)) stays out
+    train = generate_synthetic(
+        SynthConfig(n_units=4, n_regimes=3, seed=1, min_cycles=40, max_cycles=60)
+    )[0]
+    matrix = train.matrix.copy()
+    matrix[:, :N_SETTINGS] += np.random.default_rng(0).normal(0, 0.01, (len(matrix), N_SETTINGS))
+    data = tmp_path / "train.txt"
+    save_cmapss(TrajectorySet(matrix, train.unit_ids, train.bounds), data)
+    model = tmp_path / "model"
+    argv = ["train", "--train", str(data), "--out", str(model)]
     code = (
         "import sys; from subtrack.cli import main; "
         f"rc = main({argv!r}); "
         "assert 'numpy.ma' not in sys.modules, 'imported'; sys.exit(rc)"
     )
     proc = run_fresh_interpreter("-c", code)
-    assert proc.returncode == EXIT_DATA, proc.stderr
-    assert proc.stderr == (
-        "error: [train] 3 settings vectors apart for 4 clusters: "
-        "the others repeat them or lie too close to tell apart\n"
-    )
-    assert not (tmp_path / "model").exists()
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout == f"trained on 4 units, 3 regimes, subspace dim 3 -> {model}\n"
 
 
 # numpy subpackages that `import numpy` leaves unloaded and subtrack never needs
@@ -1542,8 +1603,9 @@ class TestExitPath:
         assert int(count) > 0
 
 
-# the flag each retired config field had: train and benchmark refuse it
-RETIRED_FLAGS = sorted("--" + name.replace("_", "-") for name in RETIRED_FIELDS)
+# the flag each retired config field had: train and benchmark refuse it, but
+# --n-regimes, which scripts written while K was a field still pass
+RETIRED_FLAGS = sorted("--" + name.replace("_", "-") for name in RETIRED_FIELDS - {"n_regimes"})
 
 
 class TestUsage:
@@ -1570,6 +1632,37 @@ class TestUsage:
         assert f"unrecognized arguments: {flag} 0.1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_n_regimes_flag_parses_and_is_ignored(self, tmp_path, capsys):
+        # K is read from the settings, whatever the flag says; a flag naming
+        # another K gets one warning
+        data = tmp_path / "synth"
+        assert main(["synth", "--out", str(data), "--units", "6", "--n-regimes", "6",
+                     "--seed", "1", "--min-cycles", "60", "--max-cycles", "80"]) == EXIT_OK
+        capsys.readouterr()
+        models = {}
+        for flags, err in ((["--n-regimes", "2"], "warning: --n-regimes 2 ignored: the "
+                            "settings read 6 regimes\n"), (["--n-regimes", "6"], ""), ([], "")):
+            out = tmp_path / ("model" + "".join(flags))
+            assert main(["train", "--train", str(data / "train_synth.txt"), "--out", str(out),
+                         *flags] + BENCH_FLAGS) == EXIT_OK
+            assert capsys.readouterr() == (
+                f"trained on 6 units, 6 regimes, subspace dim 3 -> {out}\n", err)
+            models[out] = {p.name: p.read_bytes() for p in out.iterdir()}
+        first, *others = models.values()
+        assert set(first) == MODEL_DIR_FILES
+        assert all(other == first for other in others)
+        assert len(json.loads(first["model.json"])["members"]) == 6
+
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    def test_n_regimes_flag_takes_only_a_whole_number(self, tmp_path, capsys, command):
+        t = str(tmp_path / "t.txt")
+        argv = [command, "--train", t, "--out", str(tmp_path / "out"), "--n-regimes", "six"]
+        if command == "benchmark":
+            argv += ["--test", t, "--rul", t]
+        assert main(argv) == EXIT_USAGE
+        assert "--n-regimes: invalid int value: 'six'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_from_dict_drops_only_the_trainer_fields(self):
         doc = {"tau2": 30, "alpha": 0.5, "eta": 0.1, "max_epochs": 7, "rel_tol": 1e-3}
         assert RunConfig.from_dict(doc) == RunConfig(tau2=30)
@@ -1580,7 +1673,7 @@ class TestUsage:
     def test_every_config_field_has_a_flag(self, command):
         # a valid config where every field differs from its default
         wanted = RunConfig(
-            mode="sst-lr", n_regimes=2, delta=0.02,
+            mode="sst-lr", delta=0.02,
             healthy_cycles=15, tau1=2, tau2=30, smoothing=0.5,
         )
         argv = [command, "--train", "t", "--out", "o"]

@@ -38,13 +38,13 @@ def test_from_dict_returns_a_config_or_raises_validation_error(field, value):
 @pytest.mark.parametrize(
     "doc, message",
     [
-        ({"n_regimes": True}, "n_regimes must be an int, got True"),
+        ({"tau1": True}, "tau1 must be an int, got True"),
         ({"healthy_cycles": 20.0}, "healthy_cycles must be an int, got 20.0"),
         ({"delta": True}, "delta must be a finite number, got True"),
         ({"tau2": float("inf")}, "tau2 must be an int, got inf"),
         ({"smoothing": "0.3"}, "smoothing must be a finite number, got '0.3'"),
         ({"delta": 10**400}, f"delta must be a finite number, got {10**400}"),
-        ({"n_regimes": 0}, "n_regimes must be >= 1"),
+        ({"healthy_cycles": -3}, "healthy_cycles must be >= 1"),
         ({"mode": None}, "mode must be a string, got None"),
         ({"smoothing": 0}, "smoothing must be in (0, 1]"),
         ({"delta": 0}, "delta must be > 0"),
@@ -68,7 +68,7 @@ def test_null_include_settings_loads_as_absent():
 @pytest.mark.parametrize("value", [True, False, 1, "yes"])
 def test_set_include_settings_loads_and_is_ignored(value):
     # config documents written while the settings switch was a field; the
-    # subspaces track the sensors at every n_regimes, so no value has a meaning
+    # subspaces track the sensors at every K, so no value has a meaning
     assert RunConfig.from_dict({"include_settings": value, "tau2": 30}) == RunConfig(tau2=30)
 
 
@@ -92,6 +92,14 @@ def test_retired_subspace_dim_loads_and_is_ignored(subspace_dim):
     # members hold it in their bases
     assert RunConfig.from_dict({"subspace_dim": subspace_dim, "tau2": 30}) == RunConfig(tau2=30)
     assert "subspace_dim" not in RunConfig().to_dict()
+
+
+@pytest.mark.parametrize("n_regimes", [6, 1, 0, "six"])
+def test_retired_n_regimes_loads_and_is_ignored(n_regimes):
+    # config documents written while the regime count was a field; training
+    # reads it from the settings, and a model document holds one member per regime
+    assert RunConfig.from_dict({"n_regimes": n_regimes, "tau2": 30}) == RunConfig(tau2=30)
+    assert "n_regimes" not in RunConfig().to_dict()
 
 
 def test_a_healthy_window_of_one_cycle_is_a_config():

@@ -293,7 +293,7 @@ class TestNormalizer:
         # std within the regime is rounding noise of up to ~1e-11
         train, *_ = generate_synthetic(SynthConfig(n_units=60, n_regimes=6, seed=1))
         rows = train.matrix
-        _, labels = cluster_regimes(rows[:, :N_SETTINGS], 6)
+        _, labels = cluster_regimes(rows[:, :N_SETTINGS])
         norm = fit_normalizer(rows, labels, 6)
         assert norm.mask[:, :N_SETTINGS].all()
         out = rows.copy()

@@ -126,9 +126,7 @@ class TestPipeline:
             min_cycles=80, max_cycles=120,
         )
         train, test, truths, _ = generate_synthetic(synth)
-        cfg = RunConfig(
-            n_regimes=2, healthy_cycles=20, tau2=20
-        )
+        cfg = RunConfig(healthy_cycles=20, tau2=20)
         report, pipe, _, _ = run_pipeline(train, test, truths, cfg)
         assert isinstance(pipe.model, MultiModel)
         assert pipe.model.n_regimes == 2
@@ -187,7 +185,7 @@ class TestBatchTraining:
             seed=6, min_cycles=80, max_cycles=120,
         )
         train, _, _, _ = generate_synthetic(synth)
-        cfg = RunConfig(n_regimes=n_regimes, healthy_cycles=20, tau2=20)
+        cfg = RunConfig(healthy_cycles=20, tau2=20)
         pipe, curves = train_pipeline(train, cfg)
         healthy, labels = self.healthy_rows(train, pipe)
         assert pipe.model.n_regimes == n_regimes
@@ -213,7 +211,7 @@ class TestBatchTraining:
             seed=6, min_cycles=80, max_cycles=120,
         )
         train, _, _, _ = generate_synthetic(synth)
-        pipe, curves = train_pipeline(train, RunConfig(n_regimes=n_regimes, tau2=20))
+        pipe, curves = train_pipeline(train, RunConfig(tau2=20))
         inferred = infer_curves(pipe, train)
         assert (inferred.unit_ids, inferred.bounds) == (curves.unit_ids, curves.bounds)
         assert inferred.matrix.tobytes() == curves.matrix.tobytes()
@@ -276,7 +274,7 @@ class TestBatchTraining:
             seed=6, min_cycles=80, max_cycles=120,
         )
         train, test, _, _ = generate_synthetic(synth)
-        cfg = RunConfig(mode=mode, n_regimes=n_regimes, tau2=20)
+        cfg = RunConfig(mode=mode, tau2=20)
         pipe, train_curves = train_pipeline(train, cfg)
         library = pipe.library
         rows = {u: i for i, u in enumerate(library.unit_ids.tolist())}
@@ -333,7 +331,7 @@ def test_both_modes_hold_the_age_only_baseline(n_regimes):
     train, test, truths, _ = generate_synthetic(
         SynthConfig(n_units=60, n_regimes=n_regimes)
     )
-    cfg = RunConfig(n_regimes=n_regimes)
+    cfg = RunConfig()
     rmses = {
         mode: run_pipeline(train, test, truths, replace(cfg, mode=mode))[0].rmse
         for mode in ("sst", "sst-lr")
@@ -346,7 +344,7 @@ def test_both_modes_hold_the_age_only_baseline(n_regimes):
 def picked_dim(train, n_regimes):
     """The subspace dimension train_pipeline reads from a fleet's healthy
     spectra: every member's."""
-    pipe, _ = train_pipeline(train, RunConfig(n_regimes=n_regimes))
+    pipe, _ = train_pipeline(train, RunConfig())
     dims = {m.subspace_dim for m in pipe.model.models}
     assert len(dims) == 1
     return dims.pop()
@@ -417,7 +415,7 @@ def test_a_loaded_pipeline_equals_the_trained_one(tmp_path, mode, n_regimes):
     )
     train, _, _, _ = generate_synthetic(synth)
     pipe, curves = train_pipeline(
-        train, RunConfig(mode=mode, n_regimes=n_regimes, tau2=20)
+        train, RunConfig(mode=mode, tau2=20)
     )
     save_pipeline(pipe, curves, tmp_path)
     loaded = load_pipeline(tmp_path)
@@ -480,7 +478,7 @@ def fleet_with_unmatched_unit(n_regimes, mode):
     )
     train, test, _, _ = generate_synthetic(synth)
     pipe, _ = train_pipeline(
-        train, RunConfig(mode=mode, n_regimes=n_regimes, tau2=20)
+        train, RunConfig(mode=mode, tau2=20)
     )
     longest = max(train, key=len)
     return pipe, TrajectorySet.stack([*test.unit_ids, 1000], [*test, longest])
@@ -509,7 +507,7 @@ class TestFleetPath:
             seed=3, min_cycles=100, max_cycles=200,
         )
         train, test, _, _ = generate_synthetic(synth)
-        cfg = RunConfig(mode="sst-lr", n_regimes=n_regimes, tau2=20)
+        cfg = RunConfig(mode="sst-lr", tau2=20)
         with mock.patch.object(dataset, "ROW_BLOCK", 256):
             pipe, _ = train_pipeline(train, cfg)  # warm: first-call allocations
             train_peak = traced_peak(lambda: train_pipeline(train, cfg), train)
@@ -534,7 +532,7 @@ class TestFleetPath:
         dataset.save_cmapss(train, paths[0])
         dataset.save_cmapss(test, paths[1])
         paths[2].write_text("".join(f"{t}\n" for t in truths))
-        cfg = RunConfig(mode=mode, n_regimes=n_regimes, tau2=20)
+        cfg = RunConfig(mode=mode, tau2=20)
         with mock.patch.object(dataset, "ROW_BLOCK", 256):
             evaluation.run_benchmark(*paths, cfg)  # warm: first-call allocations
             peak = traced_peak(lambda: evaluation.run_benchmark(*paths, cfg), train)
@@ -550,7 +548,7 @@ def test_regime_numbering_changes_no_output(mode):
         n_units=8, n_regimes=3, noise_std=0.01, drift_rate=0.03,
         seed=6, min_cycles=80, max_cycles=120,
     ))
-    cfg = RunConfig(mode=mode, n_regimes=3, tau2=20)
+    cfg = RunConfig(mode=mode, tau2=20)
     cluster, perm = multiscale.cluster_regimes, np.array([2, 0, 1])
 
     def renumbered(*args):
@@ -589,7 +587,7 @@ def test_settings_move_only_the_regime_labels(mode, n_regimes, scale):
         n_units=20, n_regimes=n_regimes, noise_std=0.01, drift_rate=0.03,
         seed=6, min_cycles=80, max_cycles=120,
     ))
-    cfg = RunConfig(mode=mode, n_regimes=n_regimes, tau2=20)
+    cfg = RunConfig(mode=mode, tau2=20)
     fleets = [(train, test), (jittered(train, scale), jittered(test, scale))]
     runs = [run_pipeline(*fleet, truths, cfg) for fleet in fleets]
     labels = [
@@ -612,7 +610,7 @@ def test_pipeline_leaves_the_fleet_matrix_unchanged(n_regimes, mode):
         seed=6, min_cycles=80, max_cycles=120,
     )
     train, test, truths, _ = generate_synthetic(synth)
-    cfg = RunConfig(mode=mode, n_regimes=n_regimes, tau2=20)
+    cfg = RunConfig(mode=mode, tau2=20)
     before = [(t.matrix.tobytes(), t.bounds) for t in (train, test)]
     with mock.patch.object(dataset, "ROW_BLOCK", 100):
         pipe, _ = train_pipeline(train, cfg)
@@ -648,7 +646,7 @@ def small_sst_lr():
         seed=6, min_cycles=80, max_cycles=120,
     )
     train, test, _, _ = generate_synthetic(synth)
-    pipe, _ = train_pipeline(train, RunConfig(mode="sst-lr", n_regimes=2, tau2=20))
+    pipe, _ = train_pipeline(train, RunConfig(mode="sst-lr", tau2=20))
     return pipe, test
 
 

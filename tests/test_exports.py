@@ -17,7 +17,7 @@ from subtrack.health import CURVE_COLUMNS, RAW_DIST, SCALED_DIST, SIGMA
 FLAGS = ["--tau2", "20"]
 # the synth and run flags of each mode's fleet: sst-lr on three regimes
 MODES = {"sst": (["--n-regimes", "1"], ["--mode", "sst"]),
-         "sst-lr": (["--n-regimes", "3"], ["--mode", "sst-lr", "--n-regimes", "3"])}
+         "sst-lr": (["--n-regimes", "3"], ["--mode", "sst-lr"])}
 # each export: (its directory, its file name, whether it holds the train fleet)
 EXPORTS = {
     "train": ("model", "train_curves.npy", True),

@@ -74,7 +74,7 @@ class TestRegressorInput:
             n_units=12, n_regimes=n_regimes, drift_rate=0.03, seed=0,
             min_cycles=80, max_cycles=120,
         ))
-        cfg = RunConfig(mode="sst-lr", n_regimes=n_regimes, healthy_cycles=20, tau2=20)
+        cfg = RunConfig(mode="sst-lr", healthy_cycles=20, tau2=20)
         _, curves = train_pipeline(train, cfg)
         healthy = np.mean([c[: cfg.healthy_cycles, SIGMA].mean() for c in curves])
         final = np.mean([c[-1, SIGMA] for c in curves])

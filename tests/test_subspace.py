@@ -45,7 +45,7 @@ def model_document(mm):
     config fitting mm and its other tables placeholders of their shapes."""
     k, member, width = mm.n_regimes, mm.models[0], N_SENSORS
     pipe = TrainedPipeline(
-        config=RunConfig(n_regimes=k, delta=member.delta),
+        config=RunConfig(delta=member.delta),
         normalizer=Normalizer(mean=np.zeros((k, width)), std=np.ones((k, width)),
                               mask=np.zeros((k, width), dtype=bool)),
         model=mm,
