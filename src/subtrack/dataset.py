@@ -344,7 +344,8 @@ class SynthConfig:
     Healthy rows are c + B z + noise with z drawn from the per-axis spreads;
     after the onset cycle an off-subspace drift component grows linearly at
     drift_rate per cycle, which is exactly the quantity the residual term of
-    the subspace distance should pick up.
+    the subspace distance should pick up. An invalid field raises
+    ValidationError on construction.
     """
 
     n_units: int = 50  # in the train fleet and in the test fleet
@@ -358,7 +359,7 @@ class SynthConfig:
     max_cycles: int = 300
     min_test_cycles: int = 30
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.subspace_dim < 1:
             raise ValidationError("subspace_dim must be >= 1")
         if self.subspace_dim >= N_SENSORS:
@@ -378,6 +379,8 @@ class SynthConfig:
             raise ValidationError("min_cycles must be >= 2")
         if self.min_cycles > self.max_cycles:
             raise ValidationError("min_cycles must be <= max_cycles")
+        if self.min_test_cycles < 1:
+            raise ValidationError("min_test_cycles must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -412,60 +415,53 @@ def _make_regimes(cfg: SynthConfig, rng: np.random.Generator) -> list[RegimeGrou
     return regimes
 
 
-def _sample_unit(
-    cfg: SynthConfig,
-    rng: np.random.Generator,
-    regimes: list[RegimeGround],
-    length: int,
-) -> np.ndarray:
-    onset = int(cfg.drift_onset_fraction * length)
-    features = np.empty((length, N_SETTINGS + N_SENSORS))
-    settings, sensors = features[:, :N_SETTINGS], features[:, N_SETTINGS:]
-    for i in range(length):
-        t = i + 1
-        k = int(rng.integers(cfg.n_regimes)) if cfg.n_regimes > 1 else 0
-        reg = regimes[k]
-        z = rng.standard_normal(cfg.subspace_dim) * np.sqrt(reg.spreads)
-        eps = rng.standard_normal(N_SENSORS) * cfg.noise_std
-        x = reg.center + reg.basis @ z + eps
-        x = x + cfg.drift_rate * max(0, t - onset) * reg.drift_dir
-        settings[i] = reg.settings
-        sensors[i] = x
-    return features
-
-
 def generate_synthetic(
     cfg: SynthConfig,
 ) -> tuple[TrajectorySet, TrajectorySet, list[int], list[RegimeGround]]:
     """Generate (train fleet, truncated test fleet, true RULs, ground truth).
 
-    Deterministic for a fixed seed. Train units run to failure; test units are
-    truncated uniformly at random before their failure cycle and the withheld
-    tail length is recorded as the true RUL.
+    Train units run to failure; each test unit is cut at random before its
+    failure cycle, and the withheld tail length is its true RUL. Row t of a
+    unit of L cycles drifts by drift_rate * max(0, t - int(fraction * L)).
+
+    One stream, `default_rng(cfg.seed)`, draws in this order: the regimes
+    (`_make_regimes`); the lengths of the n_units train units, then of the
+    n_units test units; every test unit's kept cycles; then, for all rows of
+    both fleets at once (train rows first, in unit order, and only the kept
+    rows of the test units), the regime labels (none when n_regimes is 1),
+    the in-subspace states and the noise. A fixed seed gives a fixed fleet.
     """
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     regimes = _make_regimes(cfg, rng)
+    lengths = rng.integers(cfg.min_cycles, cfg.max_cycles + 1, size=2 * cfg.n_units)
+    test_lengths = lengths[cfg.n_units:]
+    keep = rng.integers(np.minimum(cfg.min_test_cycles, test_lengths - 1), test_lengths)
+    drawn = np.r_[lengths[: cfg.n_units], keep]  # rows drawn per unit
+
+    n_rows = int(drawn.sum())
+    labels = (rng.integers(cfg.n_regimes, size=n_rows) if cfg.n_regimes > 1
+              else np.zeros(n_rows, dtype=int))
+    z = rng.standard_normal((n_rows, cfg.subspace_dim))
+    features = np.empty((n_rows, N_SETTINGS + N_SENSORS))
+    features[:, N_SETTINGS:] = rng.standard_normal((n_rows, N_SENSORS)) * cfg.noise_std
+    starts = np.repeat(np.cumsum(drawn) - drawn, drawn)
+    onsets = np.repeat((cfg.drift_onset_fraction * lengths).astype(int), drawn)
+    wear = cfg.drift_rate * np.maximum(0, np.arange(1, n_rows + 1) - starts - onsets)
+    for k, reg in enumerate(regimes):
+        rows = labels == k
+        features[rows, :N_SETTINGS] = reg.settings
+        features[rows, N_SETTINGS:] += (
+            reg.center + (z[rows] * np.sqrt(reg.spreads)) @ reg.basis.T
+            + wear[rows, None] * reg.drift_dir
+        )
 
     units = list(range(1, cfg.n_units + 1))
-    train = []
-    for _ in units:
-        length = int(rng.integers(cfg.min_cycles, cfg.max_cycles + 1))
-        train.append(_sample_unit(cfg, rng, regimes, length))
-
-    test = []
-    true_ruls = []
-    for _ in units:
-        length = int(rng.integers(cfg.min_cycles, cfg.max_cycles + 1))
-        full = _sample_unit(cfg, rng, regimes, length)
-        lo = min(cfg.min_test_cycles, length - 1)
-        keep = int(rng.integers(lo, length))
-        test.append(full[:keep])
-        true_ruls.append(length - keep)
-
+    train_bounds = np.r_[0, np.cumsum(lengths[: cfg.n_units])].tolist()
+    test_bounds = np.r_[0, np.cumsum(keep)].tolist()
+    n_train = train_bounds[-1]
     return (
-        TrajectorySet.stack(units, train),
-        TrajectorySet.stack(units, test),
-        true_ruls,
+        TrajectorySet(features[:n_train], units, train_bounds),
+        TrajectorySet(features[n_train:], units, test_bounds),
+        (test_lengths - keep).tolist(),
         regimes,
     )

@@ -317,10 +317,13 @@ class TestTrain:
         assert "Traceback" not in err
         assert not (tmp_path / "model").exists()
 
+    # at 5e306 each row distance is finite but the healthy means overflow
+    # (3e306-8e306 on this fleet); test_health.py::TestScaler pins that
+    # branch without a draw
     @pytest.mark.parametrize(
         "delta, message",
         [("1e308", "non-finite subspace distance (overflow)"),
-         ("1e307", "healthy-level distance overflows")],
+         ("5e306", "healthy-level distance overflows")],
     )
     def test_overflowing_distance_exits_3(
         self, synth_dir, tmp_path, capsys, delta, message

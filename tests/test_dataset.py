@@ -439,6 +439,44 @@ class TestGenerateSynthetic:
         for x, y in zip(a_test, b_test):
             np.testing.assert_array_equal(x[:, N_SETTINGS:], y[:, N_SETTINGS:])
 
+    @pytest.mark.parametrize("n_regimes", [1, 6])
+    def test_every_row_is_its_regimes_point_plus_the_drift(self, n_regimes):
+        # noise-free: settings are the regime's, and the residual off the
+        # regime's subspace is drift_rate * max(0, t - int(fraction * L)) along
+        # its drift direction, at every cycle t of every unit of both fleets
+        cfg = SynthConfig(
+            n_units=8, n_regimes=n_regimes, noise_std=0.0, drift_rate=0.05,
+            drift_onset_fraction=0.4, seed=5, min_cycles=40, max_cycles=90,
+        )
+        train, test, truths, regimes = generate_synthetic(cfg)
+        settings = np.array([reg.settings for reg in regimes])
+        seen = set()
+        for fleet, withheld in ((train, [0] * cfg.n_units), (test, truths)):
+            for rows, tail in zip(fleet, withheld):
+                match = (rows[:, None, :N_SETTINGS] == settings).all(axis=2)
+                assert (match.sum(axis=1) == 1).all()
+                k = match.argmax(axis=1)
+                onset = int(cfg.drift_onset_fraction * (len(rows) + tail))
+                steps = np.maximum(0, np.arange(1, len(rows) + 1) - onset)
+                for r in set(k.tolist()):
+                    reg, mine = regimes[r], k == r
+                    diff = rows[mine, N_SETTINGS:] - reg.center
+                    residual = diff - (diff @ reg.basis) @ reg.basis.T
+                    expected = cfg.drift_rate * steps[mine, None] * reg.drift_dir
+                    np.testing.assert_allclose(residual, expected, rtol=0, atol=1e-12)
+                seen.update(k.tolist())
+        assert seen == set(range(n_regimes))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_test_cuts_keep_a_prefix_of_a_drawn_length(self, seed):
+        cfg = SynthConfig(n_units=40, seed=seed, min_cycles=20, max_cycles=45,
+                          min_test_cycles=30)
+        _, test, truths, _ = generate_synthetic(cfg)
+        for rows, tail in zip(test, truths):
+            length = len(rows) + tail
+            assert cfg.min_cycles <= length <= cfg.max_cycles
+            assert min(cfg.min_test_cycles, length - 1) <= len(rows) < length
+
     def test_drift_energy_at_final_cycle(self):
         cfg = SynthConfig(
             n_units=1, noise_std=0.0, drift_rate=0.05,
@@ -457,14 +495,28 @@ class TestGenerateSynthetic:
         with pytest.raises(ValidationError):
             generate_synthetic(SynthConfig(subspace_dim=30))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_units", 0, "n_units must be >= 1"),
+        ("subspace_dim", 0, "subspace_dim must be >= 1"),
+        ("subspace_dim", N_SENSORS, "subspace_dim must be < number of sensor features"),
+        ("n_regimes", 0, "n_regimes must be >= 1"),
+        ("noise_std", float("nan"), "noise_std must be finite and >= 0"),
+        ("drift_rate", float("-inf"), "drift_rate must be finite"),
+        ("drift_onset_fraction", 1.5, r"drift_onset_fraction must be in \[0, 1\]"),
+        ("max_cycles", 100, "min_cycles must be <= max_cycles"),
+        ("min_test_cycles", 0, "min_test_cycles must be >= 1"),
+    ])
+    def test_an_invalid_field_raises_on_construction(self, field, value, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            SynthConfig(**{field: value})
+
     @pytest.mark.parametrize("min_cycles", [0, 1])
     def test_min_cycles_below_two_rejected_for_every_seed(self, min_cycles):
         # a one-cycle unit leaves its test copy nothing to keep; whether a
         # fleet drew one used to depend on the seed
         for seed in range(4):
-            cfg = SynthConfig(n_units=20, min_cycles=min_cycles, max_cycles=2, seed=seed)
             with pytest.raises(ValidationError, match="min_cycles must be >= 2"):
-                generate_synthetic(cfg)
+                SynthConfig(n_units=20, min_cycles=min_cycles, max_cycles=2, seed=seed)
 
     def test_two_cycle_units_generate(self):
         for seed in range(4):

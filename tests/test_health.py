@@ -5,7 +5,7 @@ from scipy.stats import spearmanr
 
 from subtrack.config import RunConfig
 from subtrack.dataset import SynthConfig, generate_synthetic
-from subtrack.errors import ValidationError
+from subtrack.errors import NumericalError, ValidationError
 from subtrack.evaluation import train_pipeline
 from subtrack.health import (
     DistanceScaler,
@@ -100,6 +100,14 @@ class TestScaler:
         series = np.full(50, 3.0)
         with pytest.raises(ValidationError, match="degenerate"):
             fit_scaler(series, series, [0, 50], healthy_cycles=10)
+
+    def test_overflowing_healthy_means_raise(self):
+        # every distance is finite, but the healthy-window sums of two of the
+        # three units overflow, and so does the median of the unit means
+        raw = np.concatenate([np.full(30, 1e308), np.full(30, 1e308), np.full(30, 1.0)])
+        assert np.isfinite(raw).all()
+        with pytest.raises(NumericalError, match="^healthy-level distance overflows$"):
+            fit_scaler(raw, raw, [0, 30, 60, 90], healthy_cycles=10)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(), min_size=1, max_size=60)

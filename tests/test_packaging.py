@@ -157,7 +157,7 @@ def test_only_persist_touches_a_model_directory():
 # the only code that may use numpy.random: dataset's synthetic-fleet generator
 SYNTHETIC_FLEET_CODE = {
     ("dataset.py", name)
-    for name in ("_random_orthonormal", "_make_regimes", "_sample_unit", "generate_synthetic")
+    for name in ("_random_orthonormal", "_make_regimes", "generate_synthetic")
 }
 
 
@@ -193,6 +193,9 @@ def test_numpy_random_only_in_synthetic_fleet_code():
     # importing numpy.random costs ~6 MB of RSS; no command but synth needs it
     uses = list(np_random_uses())
     assert uses, "no numpy.random use found; the check has gone stale"
+    tree = ast.parse((ROOT / "src" / "subtrack" / "dataset.py").read_text())
+    defined = {("dataset.py", getattr(top, "name", None)) for top in tree.body}
+    assert SYNTHETIC_FLEET_CODE - defined == set(), "the allowlist names a deleted definition"
     assert [u for u in uses if u[:2] not in SYNTHETIC_FLEET_CODE] == []
 
 
