@@ -97,10 +97,12 @@ def cmd_train(args) -> int:
     cfg = _build_config(args)
     train_set = dataset.load_cmapss(args.train)
     with evaluation.stage("train"):
-        pipe, curves = evaluation.train_pipeline(train_set, cfg)
+        fitted = evaluation.fit_rows(train_set, cfg)
+        del train_set  # the library and the writes are made beside the curve table alone
+        pipe, curves = evaluation.fit_library(*fitted)
         persist.save_pipeline(pipe, curves, args.out)
     k, d = _read_regimes(args, pipe), pipe.model.models[0].subspace_dim
-    print(f"trained on {len(train_set)} units, {k} regimes, subspace dim {d} -> {args.out}")
+    print(f"trained on {len(curves)} units, {k} regimes, subspace dim {d} -> {args.out}")
     return EXIT_OK
 
 

@@ -95,7 +95,7 @@ def _analyze_fleet(model: MultiModel, blocks, tset, cfg: RunConfig, weights=None
     model labels). A distance that overflows (a huge delta or row value)
     raises NumericalError. Each block is normalized as it is drawn."""
     curves = np.empty((len(CURVE_COLUMNS), len(tset.matrix))).T  # contiguous columns, for matching
-    raw, hi, reg = curves[:, RAW_DIST], curves[:, SIGMA], np.empty(len(curves), dtype=np.intp)
+    raw, hi, reg = curves[:, RAW_DIST], curves[:, SIGMA], np.empty(len(curves), dtype=np.uint8)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         for blk, x in blocks:
             reg[blk], raw[blk] = multiscale.assign_rows(model, x)
@@ -139,7 +139,17 @@ def train_pipeline(
     the sensors the normalizer, one batch-PCA subspace per regime at the largest d
     `subspace.pick_dim` reads from their healthy spectra (a regime of at most d
     healthy rows raises ValidationError), scaler and (in sst-lr mode) the
-    regressor. Returns the pipeline and its library's curves; only reads the set."""
+    regressor. Returns the pipeline and its library's curves; only reads the set.
+    It is `fit_rows` then `fit_library`: a caller that holds the set only to
+    train may drop it between the two."""
+    return fit_library(*fit_rows(train_set, cfg))
+
+
+def fit_rows(train_set: TrajectorySet, cfg: RunConfig) -> tuple[dict, TrajectorySet]:
+    """Every pass of `train_pipeline` that reads the set's rows (the last is
+    the distance pass in sst mode, the predict pass in sst-lr mode), then
+    the curves they leave, written in place. Returns the TrainedPipeline
+    fields but the library, and the fleet's curves; neither holds the set."""
     centroids, labels = multiscale.cluster_regimes(_settings(train_set))
     sensors, bounds = train_set.matrix[:, N_SETTINGS:], train_set.bounds
     norm = dataset.fit_normalizer(sensors, labels, len(centroids))
@@ -178,17 +188,14 @@ def train_pipeline(
         )
         for blk, x in blocks():
             curves[blk, SIGMA] = health.predict_hi(regressor, x, reg[blk])
-    curve_set = _fleet_curves(train_set, cfg, scaler, curves)
+    fitted = dict(config=cfg, normalizer=norm, model=model, scaler=scaler, regressor=regressor)
+    return fitted, _fleet_curves(train_set, cfg, scaler, curves)
 
-    pipe = TrainedPipeline(
-        config=cfg,
-        normalizer=norm,
-        model=model,
-        scaler=scaler,
-        regressor=regressor,
-        library=rul.prepare_library(curve_set),
-    )
-    return pipe, curve_set
+
+def fit_library(fitted: dict, curves: TrajectorySet) -> tuple[TrainedPipeline, TrajectorySet]:
+    """The rest of `train_pipeline`, on what `fit_rows` returns: the pipeline,
+    with the library prepared from the curves, and the curves."""
+    return TrainedPipeline(**fitted, library=rul.prepare_library(curves)), curves
 
 
 def infer_curves(pipe: TrainedPipeline, tset: TrajectorySet) -> TrajectorySet:
@@ -353,8 +360,9 @@ def run_benchmark(
         open(path).close()
     start = time.perf_counter()
     with stage("train"):
-        pipe, train_curves = train_pipeline(train_set, cfg)
-    del train_set
+        fitted = fit_rows(train_set, cfg)
+        del train_set  # the library is prepared beside the curve table alone
+        pipe, train_curves = fit_library(*fitted)
     with stage("load"):
         test_set = dataset.load_cmapss(test_path)
         truths = dataset.load_rul_targets(rul_path, len(test_set))

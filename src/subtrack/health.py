@@ -50,24 +50,6 @@ class DistanceScaler:
             )
 
 
-def smooth(series: np.ndarray, factor: float, out=None) -> np.ndarray:
-    """Exponential moving average along the last axis, into out when given;
-    factor=1 is the identity. The filter is causal, so the rows of a
-    zero-padded 2-d stack smooth as each curve alone would, bit for bit, and
-    out may be the series itself: step i reads only input i and output i-1."""
-    if not 0.0 < factor <= 1.0:
-        raise ValidationError("smoothing factor must be in (0, 1]")
-    series = np.asarray(series, dtype=float)
-    out = np.empty_like(series) if out is None else out
-    x, y = np.moveaxis(series, -1, 0), np.moveaxis(out, -1, 0)  # time first
-    if len(x) == 0:
-        return out
-    y[0] = x[0]
-    for i in range(1, len(x)):
-        y[i] = factor * x[i] + (1.0 - factor) * y[i - 1]
-    return out
-
-
 def pad_units(values: np.ndarray, bounds: list[int]) -> np.ndarray:
     """The zero-padded (units, longest unit) stack of a series over a fleet's
     rows: row i holds values[bounds[i]:bounds[i + 1]]."""
@@ -78,12 +60,23 @@ def pad_units(values: np.ndarray, bounds: list[int]) -> np.ndarray:
 
 
 def smooth_units(values: np.ndarray, bounds: list[int], factor: float, out=None) -> np.ndarray:
-    """A series over a fleet's rows, smoothed within each unit by one `smooth`
-    call on its `pad_units` stack, in place, into out when given (out may be
-    values)."""
-    padded = pad_units(values, bounds)
-    inside = np.arange(padded.shape[1]) < np.diff(bounds)[:, None]  # each unit's cycles
-    return np.compress(inside.ravel(), smooth(padded, factor, out=padded), out=out)
+    """A series over a fleet's rows, smoothed within each unit by an
+    exponential moving average, into out when given; factor=1 is the
+    identity. Cycle i of every unit still running is one step over the
+    fleet: it reads only input i and output i-1, so out may be values and
+    no padded stack is built. Each output is the recurrence
+    y[i] = factor * x[i] + (1 - factor) * y[i - 1] in float64."""
+    if not 0.0 < factor <= 1.0:
+        raise ValidationError("smoothing factor must be in (0, 1]")
+    values = np.asarray(values, dtype=float)
+    out = np.empty_like(values) if out is None else out
+    starts, lengths = np.asarray(bounds[:-1], dtype=np.intp), np.diff(bounds)
+    rows = starts[lengths > 0]
+    out[rows] = values[rows]
+    for i in range(1, lengths.max(initial=0)):
+        rows = starts[lengths > i] + i  # the row at cycle i of each unit still running
+        out[rows] = factor * values[rows] + (1.0 - factor) * out[rows - 1]
+    return out
 
 
 def _median(values: list[float]) -> float:

@@ -72,7 +72,7 @@ def cluster_regimes(settings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             radii.append(d2.max())
     n_clusters = len(seeds) if radii[-1] == 0 else largest_gap(np.sqrt(radii), REGIME_GAP) + 1
     if n_clusters == 1:
-        return _mean(points)[None], np.zeros(len(points), dtype=np.intp)
+        return _mean(points)[None], np.zeros(len(points), dtype=np.uint8)
     # each seed lies r_{K-1} >= REGIME_GAP r_K from the others and every row
     # within r_K of its own, so one Lloyd step ends Lloyd's loop: the labels
     # by the seeds' means are the labels by the seeds (exact arithmetic)
@@ -117,9 +117,10 @@ def _nearest_finite(points: np.ndarray, centroids) -> tuple[np.ndarray, np.ndarr
 
 
 def _nearest(points: np.ndarray, centroids) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's nearest centroid index (ties -> lowest) and squared distance
-    to it, `dataset.ROW_BLOCK` rows at a time: no (K, rows) table of the whole fleet."""
-    labels, d2 = np.empty(len(points), dtype=np.intp), np.empty(len(points))
+    """Each row's nearest centroid index (ties -> lowest), one byte as K is
+    at most MAX_REGIMES, and squared distance to it, `dataset.ROW_BLOCK` rows
+    at a time: no (K, rows) table of the whole fleet."""
+    labels, d2 = np.empty(len(points), dtype=np.uint8), np.empty(len(points))
     for a in range(0, len(points), dataset.ROW_BLOCK):
         blk = slice(a, a + dataset.ROW_BLOCK)
         dists = _sq_dists(points[blk], centroids)

@@ -11,8 +11,9 @@ pipeline but the library's curves: its format version, the run config, the
 regime centroids over the N_SETTINGS settings, one member {c, lambdas, U1}
 per regime, the normalizer, the scaler, the sst-lr regressor (null in sst
 mode) and the library's unit ids and curve lengths. The normalizer, members
-and regressor span the N_SENSORS tracked columns; the member count fixes K,
-the config each member's delta, the first member's basis every member's d.
+and regressor span the N_SENSORS tracked columns; the member count fixes K
+(1 to `multiscale.MAX_REGIMES`), the config each member's delta, the first
+member's basis every member's d.
 The library's zero-padded curves are a float64 `.npy` array. Matching reads
 the stored library and never opens `train_curves.npy`, the export of the
 training curve table that save_pipeline is given beside the pipeline,
@@ -36,7 +37,7 @@ from .dataset import ID_LIMIT, N_SENSORS, N_SETTINGS, Normalizer, TrajectorySet
 from .errors import ValidationError
 from .evaluation import TrainedPipeline
 from .health import CURVE_COLUMNS, DistanceScaler
-from .multiscale import MultiModel
+from .multiscale import MAX_REGIMES, MultiModel
 from .rul import Library
 from .subspace import SubspaceModel
 
@@ -114,6 +115,10 @@ def read_model_document(doc: dict) -> dict:
     k = len(doc["members"])  # K: one member per regime
     if k == 0:
         raise ValidationError("members is empty: a model holds one member per regime")
+    if k > MAX_REGIMES:  # the settings read no more; a one-byte regime label holds K
+        raise ValidationError(
+            f"members holds {k} entries: a model holds at most MAX_REGIMES = {MAX_REGIMES}"
+        )
     d = len(doc["members"][0]["U1"])
     members = [
         SubspaceModel(

@@ -1020,6 +1020,12 @@ class TestFittedTables:
             # K is the member count: none leaves no regime, and no basis to read d from
             (lambda doc: doc.update(members=[]),
              "members is empty: a model holds one member per regime"),
+            # MAX_REGIMES members pass on to the next table, one more does not:
+            # the settings read no more regimes, and a regime label is one byte
+            (lambda doc: doc.update(members=doc["members"][:1] * 16),
+             "centroids has shape (3, 3), expected (16, 3)"),
+            (lambda doc: doc.update(members=doc["members"][:1] * 17),
+             "members holds 17 entries: a model holds at most MAX_REGIMES = 16"),
             # the first member's basis gives every member's d
             (lambda doc: doc["members"][1].update(
                 U1=doc["members"][1]["U1"][:2], lambdas=doc["members"][1]["lambdas"][:2]),
@@ -1035,8 +1041,8 @@ class TestFittedTables:
              "regressor-nan", "normalizer-2-rows",
              "normalizer-23-mask-columns", "normalizer-zero-std", "normalizer-inf-std",
              "normalizer-nan-mean", "model-2-settings-columns", "model-nan-centroid",
-             "config-zero-delta", "members-empty", "member-2-axes", "model-true-centroid",
-             "scaler-str-floor", "member-null-spread"],
+             "config-zero-delta", "members-empty", "members-16", "members-17", "member-2-axes",
+             "model-true-centroid", "scaler-str-floor", "member-null-spread"],
     )
     def test_mismatched_table_exits_2_naming_file_before_data_is_read(
         self, lr_model_dir, tmp_path, capsys, edit, message

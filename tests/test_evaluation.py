@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from dataclasses import fields, is_dataclass, replace
 from unittest import mock
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from subtrack import dataset, evaluation, health, multiscale
+from subtrack import dataset, evaluation, health, multiscale, rul
+from subtrack.cli import main
 from subtrack.config import RunConfig
 from subtrack.dataset import (
     N_SETTINGS,
@@ -30,6 +32,8 @@ from subtrack.multiscale import MultiModel, assign_rows, nearest_centroid
 from subtrack.persist import load_pipeline, save_pipeline
 from subtrack.rul import estimate_rul
 from subtrack.subspace import init_subspace
+
+from test_health import reference_smooth
 
 
 class TestRmse:
@@ -219,15 +223,19 @@ class TestBatchTraining:
     def test_smooths_each_training_series_at_most_once(self, monkeypatch):
         train, _, _, _ = generate_synthetic(SMALL_SYNTH)
         calls = []
-        smooth = health.smooth
+        smooth_units = health.smooth_units
 
-        def counting(series, factor, out=None):
-            calls.append(np.shape(series))
-            return smooth(series, factor, out=out)
+        def counting(values, bounds, factor, out=None):
+            calls.append((len(values), len(bounds)))
+            return smooth_units(values, bounds, factor, out=out)
 
-        monkeypatch.setattr(health, "smooth", counting)
-        train_pipeline(train, SMALL_CFG)
-        assert 0 < len(calls) <= len(train)
+        monkeypatch.setattr(health, "smooth_units", counting)
+        # one fleet-wide call per smoothed series: the distances, and in
+        # sst-lr mode the regressed index
+        for mode, n_calls in [("sst", 1), ("sst-lr", 2)]:
+            calls.clear()
+            train_pipeline(train, replace(SMALL_CFG, mode=mode))
+            assert calls == [(len(train.matrix), len(train) + 1)] * n_calls
 
     @pytest.mark.parametrize("mode", ["sst", "sst-lr"])
     def test_curves_and_scaler_equal_smoothing_each_series_alone(self, mode):
@@ -245,7 +253,7 @@ class TestBatchTraining:
         with mock.patch.object(health, "predict_hi", recording):
             pipe, curves = train_pipeline(train, cfg)
         raw = [c[:, RAW_DIST] for c in curves]
-        smoothed = [health.smooth(r, cfg.smoothing) for r in raw]
+        smoothed = [np.array(reference_smooth(r, cfg.smoothing)) for r in raw]
         scaler = health.fit_scaler(
             np.concatenate(raw), np.concatenate(smoothed), curves.bounds, cfg.healthy_cycles
         )
@@ -260,7 +268,7 @@ class TestBatchTraining:
             if mode == "sst":
                 want = health.to_health_index(scaled)
             else:
-                want = health.smooth(index, cfg.smoothing)
+                want = np.array(reference_smooth(index, cfg.smoothing))
             assert got[:, SIGMA].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("mode", ["sst", "sst-lr"])
@@ -500,11 +508,14 @@ class TestFleetPath:
         # the set's matrix is the only fleet-sized array: it is read, never
         # copied, and every pass over it (clustering, the normalizer fit,
         # the normalized blocks and routing) holds block-sized temporaries
-        # beside its per-row outputs. Train peaks at 0.43x-0.46x and infer
-        # at 0.49x-0.52x (the per-row results and curves); a copy of the
-        # fleet or of a regime's rows, a fleet-size mean[labels] in the
-        # normalization, or one pass over the whole fleet at once, adds a
-        # multiple
+        # beside its per-row outputs: the curve table and two one-byte
+        # labels. Train peaks at 0.30x-0.42x, in the healthy-window spectra
+        # (at K=1 every healthy row is copied twice), and infer at
+        # 0.34x-0.35x, in routing's block temporaries beside the curves;
+        # eight-byte labels lift infer to 0.41x-0.42x, a padded smoothing
+        # stack to 0.44x-0.47x. A copy of the fleet or of
+        # a regime's rows, a fleet-size mean[labels] in the normalization,
+        # or one pass over the whole fleet at once, adds a multiple
         synth = SynthConfig(
             n_units=40, n_regimes=n_regimes, noise_std=0.01, drift_rate=0.03,
             seed=3, min_cycles=100, max_cycles=200,
@@ -517,16 +528,16 @@ class TestFleetPath:
             infer_peak = traced_peak(lambda: infer_curves(pipe, test), test)
         assert sum(len(t) for t in test) > 10 * 256
         assert train_peak <= TRAIN_SHARE
-        assert infer_peak <= 0.6
+        assert infer_peak <= INFER_SHARE
 
     @pytest.mark.parametrize("mode", ["sst", "sst-lr"])
     @pytest.mark.parametrize("n_regimes", [1, 2])
     def test_benchmark_holds_one_fleet_table_at_a_time(self, tmp_path, n_regimes, mode):
         # run_benchmark frees the training table before it parses the test
         # file, so its peak is the training table (26 columns) and
-        # train_pipeline's share: measured 1.40x-1.42x the table. Holding the
-        # test table, 0.6x-0.7x the training one here, through training
-        # peaked at 2.1x-2.2x
+        # train_pipeline's share: measured 1.39x-1.51x the features' bytes,
+        # the table 1.08x. Holding the test table, 0.6x-0.7x the training
+        # one here, through training peaked at 2.1x-2.2x
         train, test, truths, _ = generate_synthetic(SynthConfig(
             n_units=40, n_regimes=n_regimes, noise_std=0.01, drift_rate=0.03,
             seed=3, min_cycles=100, max_cycles=200,
@@ -541,6 +552,45 @@ class TestFleetPath:
             peak = traced_peak(lambda: evaluation.run_benchmark(*paths, cfg), train)
         table = dataset.N_COLUMNS / (dataset.N_COLUMNS - 2)  # in the features' bytes
         assert peak <= table + TRAIN_SHARE
+
+    @pytest.mark.parametrize("mode", ["sst", "sst-lr"])
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    def test_training_table_is_freed_before_the_library_is_prepared(
+        self, tmp_path, monkeypatch, command, mode
+    ):
+        # the train command and run_benchmark drop the parsed training set
+        # after its last row pass (the distance pass in sst mode, the
+        # predict pass in sst-lr mode), so the library, the curve exports
+        # and the model files are made beside the curve table alone
+        train, test, truths, _ = generate_synthetic(SMALL_SYNTH)
+        paths = [tmp_path / name for name in ("train.txt", "test.txt", "rul.txt")]
+        dataset.save_cmapss(train, paths[0])
+        dataset.save_cmapss(test, paths[1])
+        paths[2].write_text("".join(f"{t}\n" for t in truths))
+        load, prepare = dataset.load_cmapss, rul.prepare_library
+        parsed, alive = [], []
+
+        def loading(path):
+            tset = load(path)
+            if not parsed:  # the training file is parsed first
+                table = tset.matrix
+                while isinstance(table.base, np.ndarray):  # the table numpy parsed
+                    table = table.base
+                parsed.extend([weakref.ref(tset), weakref.ref(table)])
+            return tset
+
+        def preparing(curves):
+            alive.append([ref() is not None for ref in parsed])
+            return prepare(curves)
+
+        monkeypatch.setattr(dataset, "load_cmapss", loading)
+        monkeypatch.setattr(rul, "prepare_library", preparing)
+        if command == "train":
+            assert main(["train", "--train", str(paths[0]), "--out", str(tmp_path / "model"),
+                         "--mode", mode, "--tau2", "20"]) == 0
+        else:
+            evaluation.run_benchmark(*paths, RunConfig(mode=mode, tau2=20))
+        assert alive == [[False, False]]
 
 
 @pytest.mark.parametrize("mode", ["sst", "sst-lr"])
@@ -623,11 +673,11 @@ def test_pipeline_leaves_the_fleet_matrix_unchanged(n_regimes, mode):
     assert not train.matrix.flags.writeable and not test.matrix.flags.writeable
 
 
-# train_pipeline's share of the tracemalloc peak, in multiples of the
-# fleet's float64 feature bytes: measured 0.43x-0.46x at K=1, 2 and 6 with
-# blocks of 256 rows, plus a 10% margin; fleet-length temporaries in the
-# curve passes (scaling, health index, sst-lr target) reach 0.46x-0.52x
-TRAIN_SHARE = 0.5
+# the tracemalloc peaks of train_pipeline and infer_curves, in multiples of
+# the fleet's float64 feature bytes, measured at K=1, 2 and 6 with blocks of
+# 256 rows, plus a 10% margin: train 0.30x-0.42x, infer 0.34x-0.35x
+TRAIN_SHARE = 0.47
+INFER_SHARE = 0.38
 
 
 def traced_peak(run, tset) -> float:

@@ -92,7 +92,7 @@ class TestClusterRegimes:
         pts = jittered_cmapss(np.random.default_rng(seed))
         centroids, labels = cluster_regimes(pts)
         assert len(centroids) == 6
-        assert labels.dtype == np.intp
+        assert labels.dtype == np.uint8  # one byte: K is at most MAX_REGIMES
         np.testing.assert_array_equal(labels, nearest_centroid(centroids, pts))
 
     def test_labels_after_the_iteration_cap_are_of_the_final_centroids(self):
