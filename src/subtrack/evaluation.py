@@ -98,7 +98,7 @@ def _analyze_fleet(model: MultiModel, blocks, tset, cfg: RunConfig, weights=None
     raw, hi, reg = curves[:, RAW_DIST], curves[:, SIGMA], np.empty(len(curves), dtype=np.uint8)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         for blk, x in blocks:
-            reg[blk], raw[blk] = multiscale.assign_rows(model, x)
+            reg[blk], raw[blk] = multiscale.assign_rows(model, x, cfg.delta)
             if not np.isfinite(raw[blk]).all():
                 raise NumericalError("non-finite subspace distance (overflow)")
             if weights is not None:
@@ -157,10 +157,13 @@ def fit_rows(train_set: TrajectorySet, cfg: RunConfig) -> tuple[dict, Trajectory
     is_healthy = np.zeros(len(sensors), dtype=bool)  # each unit's first healthy_cycles rows
     for a, b in zip(bounds, bounds[1:]):
         is_healthy[a : min(b, a + cfg.healthy_cycles)] = True
-    healthy, healthy_labels = sensors[is_healthy], labels[is_healthy]  # a small copy
+    idx = np.flatnonzero(is_healthy)
+    idx = idx[np.argsort(labels[idx], kind="stable")]  # by regime, in order within each
+    healthy, healthy_labels = sensors[idx], labels[idx]  # each healthy row copied once
     norm.transform_inplace(healthy, healthy_labels)
     n_rows = np.bincount(healthy_labels, minlength=len(centroids))
-    spectra = [subspace.spectrum(healthy[healthy_labels == k]) for k in np.flatnonzero(n_rows > 1)]
+    windows = np.split(healthy, np.cumsum(n_rows)[:-1])  # a view of each regime's rows
+    spectra = [subspace.spectrum(w) for w in windows if len(w) > 1]
     d = max((subspace.pick_dim(eigvals) for _, eigvals, _ in spectra), default=1)
     for k, n in enumerate(n_rows):
         if n <= d:
@@ -169,8 +172,8 @@ def fit_rows(train_set: TrajectorySet, cfg: RunConfig) -> tuple[dict, Trajectory
                 + (f" (of {len(n_rows)} regimes read from the settings; an outlying settings "
                    "row reads as a regime of its own)" if len(n_rows) > 1 else "")
             )
-    members = [subspace.fit_spectrum(*s, d, cfg.delta) for s in spectra]
-    del is_healthy, healthy, healthy_labels  # freed before the fleet passes
+    members = [subspace.fit_spectrum(*s, d) for s in spectra]
+    del is_healthy, idx, healthy, healthy_labels, windows  # freed before the fleet passes
     model = MultiModel(models=members, centroids=centroids)
 
     def blocks():

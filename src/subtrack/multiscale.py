@@ -3,8 +3,8 @@
 The operational-setting space is partitioned into K clusters; each cluster
 owns a subspace model. A sample is routed to the minimum-distance model. A
 single-regime fleet is the K=1 case. Training fits each model by batch PCA;
-`track` streams rows through the same fit, each row updating only the model
-it is routed to.
+`track`, which no command runs, streams rows through the online form of that
+fit, each row updating only the model it is routed to.
 """
 
 from __future__ import annotations
@@ -138,23 +138,23 @@ def _sq_dists(points: np.ndarray, centroids) -> np.ndarray:
     return out
 
 
-def assign_rows(mm: MultiModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def assign_rows(mm: MultiModel, rows: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Index of the minimum-distance model for each row of a (n, D) matrix and
-    that distance; ties -> lowest index."""
-    dists = np.array([mahalanobis_rows(m, rows) for m in mm.models])
+    that distance at delta (`subspace.mahalanobis_rows`); ties -> lowest index."""
+    dists = np.array([mahalanobis_rows(m, rows, delta) for m in mm.models])
     labels = np.argmin(dists, axis=0)
     return labels, dists[labels, np.arange(rows.shape[0])]
 
 
-def track(mm: MultiModel, rows: np.ndarray) -> MultiModel:
+def track(mm: MultiModel, rows: np.ndarray, delta: float) -> MultiModel:
     """One pass over a (n, D) stream: each row updates only its
-    minimum-distance model (ties -> lowest index), routed against the models
-    as they stand when it arrives. The other models stay untouched."""
+    minimum-distance model at delta (ties -> lowest index), routed against the
+    models as they stand when it arrives. The other models stay untouched."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != mm.models[0].dim:
         raise ValidationError(f"expected rows of dimension {mm.models[0].dim}")
     for row in rows:
-        k = assign_rows(mm, row[None])[0][0]
+        k = assign_rows(mm, row[None], delta)[0][0]
         models = list(mm.models)
         models[k] = update(models[k], row)
         mm = MultiModel(models=models, centroids=mm.centroids)

@@ -12,8 +12,8 @@ regime centroids over the N_SETTINGS settings, one member {c, lambdas, U1}
 per regime, the normalizer, the scaler, the sst-lr regressor (null in sst
 mode) and the library's unit ids and curve lengths. The normalizer, members
 and regressor span the N_SENSORS tracked columns; the member count fixes K
-(1 to `multiscale.MAX_REGIMES`), the config each member's delta, the first
-member's basis every member's d.
+(1 to `multiscale.MAX_REGIMES`) and the first member's basis every member's d;
+the config's delta weights the distances of every member.
 The library's zero-padded curves are a float64 `.npy` array. Matching reads
 the stored library and never opens `train_curves.npy`, the export of the
 training curve table that save_pipeline is given beside the pipeline,
@@ -127,7 +127,6 @@ def read_model_document(doc: dict) -> dict:
             basis=np.ascontiguousarray(_table(m["U1"], f"members[{i}].U1", (d, N_SENSORS)).T),
             center=_table(m["c"], f"members[{i}].c", (N_SENSORS,)),
             spreads=_table(m["lambdas"], f"members[{i}].lambdas", (d,)),
-            delta=config.delta,
         )
         for i, m in enumerate(doc["members"])
     ]

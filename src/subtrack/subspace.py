@@ -1,8 +1,8 @@
-"""Single-subspace model, its batch PCA fit and the streaming form of that fit.
+"""Single-subspace model, its batch PCA fit and an online form of that fit.
 
-The model is an affine subspace {basis, center, spreads, delta}: orthonormal
-basis columns span the healthy subspace, center is the input-space mean,
-spreads are the per-axis variances along the basis, and delta weights the
+The model is an affine subspace {basis, center, spreads}: orthonormal basis
+columns span the healthy subspace, center is the input-space mean and spreads
+are the per-axis variances along the basis. The run config's delta weights the
 in-subspace quadratic form against the off-subspace residual energy in the
 approximate Mahalanobis distance
 
@@ -12,9 +12,10 @@ where r is the projection residual (x - c) minus its in-subspace part. The
 complement basis is never materialized; the residual form is algebraically
 identical and costs O(D*d) per sample.
 
-`init_subspace` fits the top eigenpairs of a window's covariance; `update`,
-the online tracker, refits them after one exponentially weighted step of the
-same statistics (incremental PCA, Ross et al., IJCV 2008), O(D*d^2) per row.
+`fit_spectrum` fits the top eigenpairs of a window's covariance (`spectrum`);
+every command fits its members so. `update`, the online tracker, refits them
+after one exponentially weighted step of the same statistics (incremental PCA,
+Ross et al., IJCV 2008), O(D*d^2) per row; no command runs it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class SubspaceModel:
     basis: np.ndarray  # (D, d), orthonormal columns
     center: np.ndarray  # (D,)
     spreads: np.ndarray  # (d,), each >= SPREAD_FLOOR
-    delta: float
 
     @property
     def dim(self) -> int:
@@ -60,8 +60,6 @@ class SubspaceModel:
             raise ValidationError("basis columns are not orthonormal")
         if not np.all(self.spreads > 0):
             raise ValidationError("spreads must be positive")
-        if not 0 < self.delta < np.inf:
-            raise ValidationError("delta must be positive and finite")
         for arr in (self.basis, self.center, self.spreads):
             if not np.all(np.isfinite(arr)):
                 raise ValidationError("non-finite model parameter")
@@ -73,28 +71,6 @@ def _fix_column_signs(q: np.ndarray) -> np.ndarray:
     signs = np.sign(q[idx, np.arange(q.shape[1])])
     signs[signs == 0] = 1.0
     return q * signs
-
-
-def init_subspace(window: np.ndarray, subspace_dim: int, delta: float = 0.01) -> SubspaceModel:
-    """Batch-initialize from a window of healthy rows.
-
-    Center is the column mean; the basis holds the top eigenvectors of the
-    sample covariance and spreads the matching eigenvalues (floored, so rank
-    deficiency never fails).
-    """
-    window = np.asarray(window, dtype=float)
-    if window.ndim != 2:
-        raise ValidationError("window must be a 2-d array of rows")
-    n, dim = window.shape
-    if n <= subspace_dim:
-        raise ValidationError(
-            f"need more than {subspace_dim} rows to initialize, got {n}"
-        )
-    if subspace_dim >= dim:
-        raise ValidationError("subspace dimension must be < ambient dimension")
-    if not delta > 0:
-        raise ValidationError("delta must be positive")
-    return fit_spectrum(*spectrum(window), subspace_dim, delta)
 
 
 def spectrum(window: np.ndarray) -> tuple:
@@ -126,27 +102,28 @@ def largest_gap(values: np.ndarray, gap: float) -> int:
     return i if ratios[i - 1] >= gap else 0
 
 
-def fit_spectrum(center, eigvals, eigvecs, subspace_dim: int, delta: float) -> SubspaceModel:
-    """The model of the top subspace_dim eigenpairs of a `spectrum`."""
+def fit_spectrum(center, eigvals, eigvecs, subspace_dim: int) -> SubspaceModel:
+    """The model of the top subspace_dim eigenpairs of a `spectrum`, its spreads
+    floored at SPREAD_FLOOR, so a rank-deficient window fits too."""
     order = np.argsort(eigvals)[::-1][:subspace_dim]
     # C order like a basis read back by persist, so both round the same
     basis = np.ascontiguousarray(_fix_column_signs(eigvecs[:, order]))
     spreads = np.maximum(eigvals[order], SPREAD_FLOOR)
-    model = SubspaceModel(basis=basis, center=center, spreads=spreads, delta=delta)
+    model = SubspaceModel(basis=basis, center=center, spreads=spreads)
     model.validate()
     return model
 
 
-def mahalanobis_rows(model: SubspaceModel, rows: np.ndarray) -> np.ndarray:
+def mahalanobis_rows(model: SubspaceModel, rows: np.ndarray, delta: float) -> np.ndarray:
     """Approximate Mahalanobis distance of each row of a (n, D) matrix from
-    the subspace."""
+    the subspace, its in-subspace term weighted by delta."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != model.dim:
         raise ValidationError(f"expected rows of dimension {model.dim}")
     residual = rows - model.center  # the centered rows, then in place their residual
     coords = residual @ model.basis
     residual -= coords @ model.basis.T
-    return model.delta * np.sum(coords**2 / model.spreads, axis=1) + np.sum(
+    return delta * np.sum(coords**2 / model.spreads, axis=1) + np.sum(
         np.square(residual, out=residual), axis=1
     )
 
@@ -173,4 +150,4 @@ def update(model: SubspaceModel, x: np.ndarray) -> SubspaceModel:
     )
     u, s, _ = np.linalg.svd(factor, full_matrices=False)
     center = model.center + (1.0 - a) * diff
-    return fit_spectrum(center, s**2, u, model.subspace_dim, model.delta)
+    return fit_spectrum(center, s**2, u, model.subspace_dim)

@@ -19,11 +19,11 @@ from subtrack.evaluation import rmse, run_benchmark, run_pipeline, score
 from subtrack.health import SIGMA
 from subtrack.multiscale import track
 from subtrack.rul import _candidates, estimate_rul
-from subtrack.subspace import init_subspace, mahalanobis_rows
+from subtrack.subspace import mahalanobis_rows
 
 from test_multiscale import subspace_angle
 from test_rul import curve, library_of, oracle_estimate
-from test_subspace import explicit_complement_distance, random_model, solo
+from test_subspace import DELTA, explicit_complement_distance, fit, random_model, solo
 
 
 def report(name, ok, detail=""):
@@ -41,7 +41,7 @@ def test_criterion_1_distance_oracle_equivalence():
         sub_dim = int(rng.integers(1, min(dim, 6)))
         model = random_model(rng, dim, sub_dim)
         x = rng.standard_normal(dim) * 3
-        got = mahalanobis_rows(model, x[None])[0]
+        got = mahalanobis_rows(model, x[None], DELTA)[0]
         expected = explicit_complement_distance(model, x)
         worst = max(worst, abs(got - expected))
     elapsed = time.perf_counter() - start
@@ -61,7 +61,7 @@ def test_criterion_2_pca_initialization_oracle():
         sub_dim = int(rng.integers(1, min(dim - 1, 5)))
         n = int(rng.integers(dim + 5, 200))
         window = rng.standard_normal((n, dim)) * rng.uniform(0.5, 4.0, dim)
-        model = init_subspace(window, sub_dim)
+        model = fit(window, sub_dim)
 
         centered = window - window.mean(axis=0)
         cov = centered.T @ centered / (n - 1)
@@ -93,8 +93,8 @@ def test_criterion_3_static_manifold_tracking():
         z = rng.standard_normal((1000, 3)) * np.sqrt(spreads)
         rows = center + z @ basis.T + 0.01 * rng.standard_normal((1000, 24))
 
-        model = init_subspace(rows[:100], 3)
-        model = track(solo(model), rows).models[0]
+        model = fit(rows[:100], 3)
+        model = track(solo(model), rows, DELTA).models[0]
 
         angle = subspace_angle(model.basis, basis)
         angles.append(angle)
@@ -291,13 +291,14 @@ def test_criterion_10_rotating_manifold_tracking():
         rows = center + np.einsum("nij,nj->ni", bases, z) \
             + 0.01 * rng.standard_normal((n_rows, 24))
 
-        frozen = init_subspace(rows[:100], 3)
-        tracked = track(solo(frozen), rows[100:]).models[0]
+        frozen = fit(rows[:100], 3)
+        tracked = track(solo(frozen), rows[100:], DELTA).models[0]
 
         angle = subspace_angle(tracked.basis, bases[-1])
         tail = rows[-200:]
         ratio = float(
-            np.mean(mahalanobis_rows(tracked, tail)) / np.mean(mahalanobis_rows(frozen, tail))
+            np.mean(mahalanobis_rows(tracked, tail, DELTA))
+            / np.mean(mahalanobis_rows(frozen, tail, DELTA))
         )
         worst_angle, worst_ratio = max(worst_angle, angle), max(worst_ratio, ratio)
         ok = ok and angle <= 0.05 and ratio < 1.0

@@ -537,12 +537,10 @@ class TestGenerateSynthetic:
         train, _, _, regimes = generate_synthetic(cfg)
         reg = regimes[0]
         delta = 0.01
-        model = SubspaceModel(
-            basis=reg.basis, center=reg.center, spreads=reg.spreads, delta=delta
-        )
+        model = SubspaceModel(basis=reg.basis, center=reg.center, spreads=reg.spreads)
         rows = train.matrix[:, N_SETTINGS:]
         assert len(rows) >= 10_000
-        dists = mahalanobis_rows(model, rows)
+        dists = mahalanobis_rows(model, rows, delta)
 
         s2 = cfg.noise_std**2
         expected = delta * np.sum((reg.spreads + s2) / reg.spreads) + (

@@ -31,7 +31,7 @@ from subtrack.health import RAW_DIST, SCALED_DIST, SIGMA, predict_hi
 from subtrack.multiscale import MultiModel, assign_rows, nearest_centroid
 from subtrack.persist import load_pipeline, save_pipeline
 from subtrack.rul import estimate_rul
-from subtrack.subspace import init_subspace
+from subtrack.subspace import fit_spectrum, spectrum
 
 from test_health import reference_smooth
 
@@ -195,16 +195,16 @@ class TestBatchTraining:
         assert pipe.model.n_regimes == n_regimes
         for k, got in enumerate(pipe.model.models):
             # at the generator's d, which each regime's healthy spectrum reads
-            want = init_subspace(healthy[labels == k], synth.subspace_dim, cfg.delta)
+            want = fit_spectrum(*spectrum(healthy[labels == k]), synth.subspace_dim)
             for name in ("basis", "center", "spreads"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-            assert got.delta == want.delta
         # the mean assigned distance of those rows is that of the exported
         # raw distances over the healthy cycles: the same elements, in order
         save_pipeline(pipe, curves, tmp_path)
         table = np.load(tmp_path / "train_curves.npy", allow_pickle=False)
         exported = table[table[:, 1] <= cfg.healthy_cycles, 2 + RAW_DIST]
-        assert float(np.mean(exported)) == float(np.mean(assign_rows(pipe.model, healthy)[1]))
+        routed = assign_rows(pipe.model, healthy, cfg.delta)[1]
+        assert float(np.mean(exported)) == float(np.mean(routed))
 
     @pytest.mark.parametrize("n_regimes", [1, 2])
     def test_inferring_the_training_fleet_reproduces_its_curves(self, n_regimes):
@@ -440,8 +440,8 @@ def scored(pipe, tset):
     where evaluation calls it."""
     labels = []
 
-    def recording(model, rows):
-        out = assign_rows(model, rows)
+    def recording(model, rows, delta):
+        out = assign_rows(model, rows, delta)
         labels.append(out[0])
         return out
 
@@ -509,8 +509,9 @@ class TestFleetPath:
         # copied, and every pass over it (clustering, the normalizer fit,
         # the normalized blocks and routing) holds block-sized temporaries
         # beside its per-row outputs: the curve table and two one-byte
-        # labels. Train peaks at 0.30x-0.42x, in the healthy-window spectra
-        # (at K=1 every healthy row is copied twice), and infer at
+        # labels. Train peaks at 0.30x-0.31x, at K=1 in the healthy-window
+        # spectrum (each healthy row copied once; twice, 0.42x) and at K=2
+        # and 6 in the fleet passes, and infer at
         # 0.34x-0.35x, in routing's block temporaries beside the curves;
         # eight-byte labels lift infer to 0.41x-0.42x, a padded smoothing
         # stack to 0.44x-0.47x. A copy of the fleet or of
@@ -535,7 +536,7 @@ class TestFleetPath:
     def test_benchmark_holds_one_fleet_table_at_a_time(self, tmp_path, n_regimes, mode):
         # run_benchmark frees the training table before it parses the test
         # file, so its peak is the training table (26 columns) and
-        # train_pipeline's share: measured 1.39x-1.51x the features' bytes,
+        # train_pipeline's share: measured 1.35x-1.40x the features' bytes,
         # the table 1.08x. Holding the test table, 0.6x-0.7x the training
         # one here, through training peaked at 2.1x-2.2x
         train, test, truths, _ = generate_synthetic(SynthConfig(
@@ -675,8 +676,8 @@ def test_pipeline_leaves_the_fleet_matrix_unchanged(n_regimes, mode):
 
 # the tracemalloc peaks of train_pipeline and infer_curves, in multiples of
 # the fleet's float64 feature bytes, measured at K=1, 2 and 6 with blocks of
-# 256 rows, plus a 10% margin: train 0.30x-0.42x, infer 0.34x-0.35x
-TRAIN_SHARE = 0.47
+# 256 rows, plus a 10% margin: train 0.30x-0.31x, infer 0.34x-0.35x
+TRAIN_SHARE = 0.34
 INFER_SHARE = 0.38
 
 

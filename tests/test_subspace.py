@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -17,22 +18,28 @@ from subtrack.subspace import (
     DOMINANT_GAP,
     FORGETTING,
     SubspaceModel,
-    init_subspace,
+    fit_spectrum,
     mahalanobis_rows,
     pick_dim,
     spectrum,
     update,
 )
 
+DELTA = RunConfig().delta  # the in-subspace weight of every distance below
 
-def random_model(rng, dim, sub_dim, delta=0.01):
+
+def random_model(rng, dim, sub_dim):
     basis, _ = np.linalg.qr(rng.standard_normal((dim, sub_dim)))
     return SubspaceModel(
         basis=basis,
         center=rng.standard_normal(dim),
         spreads=rng.uniform(0.5, 3.0, sub_dim),
-        delta=delta,
     )
+
+
+def fit(window, sub_dim):
+    """The member training fits to a window of healthy rows."""
+    return fit_spectrum(*spectrum(window), sub_dim)
 
 
 def solo(model):
@@ -41,11 +48,11 @@ def solo(model):
 
 
 def model_document(mm):
-    """The model document of an sst pipeline around the K-model mm, its
-    config fitting mm and its other tables placeholders of their shapes."""
-    k, member, width = mm.n_regimes, mm.models[0], N_SENSORS
+    """The model document of an sst pipeline around the K-model mm, with
+    the default config and its other tables placeholders of their shapes."""
+    k, width = mm.n_regimes, N_SENSORS
     pipe = TrainedPipeline(
-        config=RunConfig(delta=member.delta),
+        config=RunConfig(),
         normalizer=Normalizer(mean=np.zeros((k, width)), std=np.ones((k, width)),
                               mask=np.zeros((k, width), dtype=bool)),
         model=mm,
@@ -63,7 +70,7 @@ def read_model(doc):
 
 def distance(model, x):
     """The distance of the single vector x."""
-    return mahalanobis_rows(model, np.atleast_2d(x))[0]
+    return mahalanobis_rows(model, np.atleast_2d(x), DELTA)[0]
 
 
 def project(model, x):
@@ -76,18 +83,23 @@ def explicit_complement_distance(model, x):
     full = scipy.linalg.null_space(model.basis.T)  # (D, D-d)
     diff = x - model.center
     coords = model.basis.T @ diff
-    in_term = model.delta * np.sum(coords**2 / model.spreads)
+    in_term = DELTA * np.sum(coords**2 / model.spreads)
     out_term = np.sum((full.T @ diff) ** 2)
     return in_term + out_term
 
 
-class TestInitSubspace:
+def test_a_member_holds_only_its_fit():
+    # delta is a run setting, read from the config where distances are taken
+    assert [f.name for f in dataclasses.fields(SubspaceModel)] == ["basis", "center", "spreads"]
+
+
+class TestFitSpectrum:
     def test_exact_subspace_window_has_zero_residual(self):
         rng = np.random.default_rng(0)
         basis, _ = np.linalg.qr(rng.standard_normal((8, 2)))
         center = rng.standard_normal(8)
         window = center + rng.standard_normal((30, 2)) @ basis.T
-        model = init_subspace(window, 2)
+        model = fit(window, 2)
         for row in window:
             diff = row - model.center
             residual = diff - model.basis @ (model.basis.T @ diff)
@@ -95,7 +107,7 @@ class TestInitSubspace:
 
     def test_identical_rows_degenerate(self):
         row = np.arange(5.0)
-        model = init_subspace(np.tile(row, (10, 1)), 2)
+        model = fit(np.tile(row, (10, 1)), 2)
         np.testing.assert_allclose(model.center, row)
         assert np.all(model.spreads == 1e-8)
 
@@ -103,7 +115,7 @@ class TestInitSubspace:
         # oracle: scipy dense eigendecomposition of the explicit covariance
         rng = np.random.default_rng(42)
         window = rng.standard_normal((200, 10)) * rng.uniform(0.5, 4.0, 10)
-        model = init_subspace(window, 3)
+        model = fit(window, 3)
 
         centered = window - window.mean(axis=0)
         cov = sum(np.outer(r, r) for r in centered) / (len(window) - 1)
@@ -114,10 +126,6 @@ class TestInitSubspace:
         p_est = model.basis @ model.basis.T
         p_true = vecs[:, top] @ vecs[:, top].T
         np.testing.assert_allclose(p_est, p_true, atol=1e-9)
-
-    def test_too_few_rows(self):
-        with pytest.raises(ValidationError):
-            init_subspace(np.zeros((3, 10)), 3)
 
 
 class TestPickDim:
@@ -177,7 +185,6 @@ class TestMahalanobis:
             basis=np.array([[1.0], [0.0]]),
             center=np.zeros(2),
             spreads=np.array([1.0]),
-            delta=0.01,
         )
         assert distance(model, np.array([1.0, 2.0])) == pytest.approx(4.01)
 
@@ -185,16 +192,29 @@ class TestMahalanobis:
         rng = np.random.default_rng(7)
         model = random_model(rng, 10, 3)
         rows = rng.standard_normal((1000, 10)) * 3
-        got = mahalanobis_rows(model, rows)
+        got = mahalanobis_rows(model, rows, DELTA)
         for x, d in zip(rows, got):
             assert d == pytest.approx(explicit_complement_distance(model, x), abs=1e-9)
+
+    def test_delta_weights_only_the_in_subspace_term(self):
+        # distances at 0 and at two weights: the step is linear in delta
+        rng = np.random.default_rng(11)
+        model = random_model(rng, 8, 3)
+        rows = rng.standard_normal((50, 8)) * 2
+        out = mahalanobis_rows(model, rows, 0.0)
+        coords = (rows - model.center) @ model.basis
+        in_term = np.sum(coords**2 / model.spreads, axis=1)
+        for delta in (DELTA, 5.0):
+            np.testing.assert_allclose(
+                mahalanobis_rows(model, rows, delta), out + delta * in_term, rtol=1e-12
+            )
 
     def test_dimension_mismatch(self):
         model = random_model(np.random.default_rng(2), 6, 2)
         with pytest.raises(ValidationError):
-            mahalanobis_rows(model, np.zeros((1, 5)))
+            mahalanobis_rows(model, np.zeros((1, 5)), DELTA)
         with pytest.raises(ValidationError):
-            mahalanobis_rows(model, np.zeros(6))
+            mahalanobis_rows(model, np.zeros(6), DELTA)
 
 
 class TestProject:
@@ -295,12 +315,12 @@ class TestUpdate:
         data = center + rng.standard_normal((80, 3)) @ (
             basis * np.sqrt([2.0, 1.0, 0.5])
         ).T + 0.01 * rng.standard_normal((80, 10))
-        model = init_subspace(data[:20], 3)
-        means = [np.mean(mahalanobis_rows(model, data))]
+        model = fit(data[:20], 3)
+        means = [np.mean(mahalanobis_rows(model, data, DELTA))]
         for _ in range(10):
             for row in data:
                 model = update(model, row)
-            means.append(np.mean(mahalanobis_rows(model, data)))
+            means.append(np.mean(mahalanobis_rows(model, data, DELTA)))
         increases = sum(b > a * 1.05 for a, b in zip(means, means[1:]))
         assert increases <= 1
 
@@ -315,18 +335,17 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.basis, model.basis)
         np.testing.assert_array_equal(loaded.center, model.center)
         np.testing.assert_array_equal(loaded.spreads, model.spreads)
-        assert loaded.delta == model.delta
 
     def test_init_model_distances_survive_round_trip(self):
         # eigh returns Fortran-ordered vectors; a basis kept in that layout
         # gave distances a few ulps off the C-ordered basis persist reads back
         rng = np.random.default_rng(19)
         window = rng.standard_normal((200, self.DIM)) @ rng.standard_normal((self.DIM, self.DIM))
-        model = init_subspace(window, 3)
+        model = fit(window, 3)
         loaded = read_model(model_document(solo(model))).models[0]
         rows = rng.standard_normal((5000, self.DIM))
-        assert mahalanobis_rows(loaded, rows).tobytes() == (
-            mahalanobis_rows(model, rows).tobytes()
+        assert mahalanobis_rows(loaded, rows, DELTA).tobytes() == (
+            mahalanobis_rows(model, rows, DELTA).tobytes()
         )
 
     def test_rejects_bad_version(self):
@@ -371,7 +390,6 @@ def test_rotation_equivariance(seed):
         basis=q @ model.basis,
         center=q @ model.center,
         spreads=model.spreads,
-        delta=model.delta,
     )
     assert distance(rotated, q @ x) == pytest.approx(distance(model, x), abs=1e-10)
 
