@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from subtrack.config import RunConfig
-from subtrack.dataset import SynthConfig, generate_synthetic
+from subtrack.synthetic import SynthConfig, generate_synthetic
 from subtrack.evaluation import rmse, run_pipeline, score
 
 

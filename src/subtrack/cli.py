@@ -10,20 +10,30 @@ Curve tables are written as `.npy` arrays (persist.write_curves), estimates
 and reports as text.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 numerical failure.
+
+`infer` runs only the modules imported here; train, benchmark and synth
+import the fitting, benchmark and generator modules they add when they run.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
-import sys
-from dataclasses import fields
-from pathlib import Path
 
-from . import dataset, evaluation, persist
-from .config import MODES, RunConfig
-from .errors import NumericalError, PrognosticsError, ValidationError
+if __name__ == "__main__":
+    # nearly every object the imports below make lives until exit, so the
+    # collector passes they would trigger free next to nothing (~4 ms a
+    # call). run() freezes them and turns GC back on
+    gc.disable()
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from dataclasses import fields  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from . import dataset, persist, pipeline  # noqa: E402
+from .config import MODES, RunConfig  # noqa: E402
+from .errors import NumericalError, PrognosticsError, ValidationError  # noqa: E402
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -94,12 +104,14 @@ def _read_regimes(args, pipe) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import fit
+
     cfg = _build_config(args)
     train_set = dataset.load_cmapss(args.train)
-    with evaluation.stage("train"):
-        fitted = evaluation.fit_rows(train_set, cfg)
+    with fit.stage("train"):
+        fitted = fit.fit_rows(train_set, cfg)
         del train_set  # the library and the writes are made beside the curve table alone
-        pipe, curves = evaluation.fit_library(*fitted)
+        pipe, curves = fit.fit_library(*fitted)
         persist.save_pipeline(pipe, curves, args.out)
     k, d = _read_regimes(args, pipe), pipe.model.models[0].subspace_dim
     print(f"trained on {len(curves)} units, {k} regimes, subspace dim {d} -> {args.out}")
@@ -111,10 +123,10 @@ def cmd_infer(args) -> int:
     tset = dataset.load_cmapss(args.data)
     # a bad RUL file fails before any inference work
     truths = None if args.rul is None else dataset.load_rul_targets(args.rul, len(tset))
-    curves = evaluation.infer_curves(pipe, tset)
+    curves = pipeline.infer_curves(pipe, tset)
     # units with no valid match (e.g. full-length curves) get an empty row
     # instead of aborting the whole fleet
-    estimates = evaluation.estimate_fleet(pipe, curves, skip_unmatched=True)
+    estimates = pipeline.estimate_fleet(pipe, curves, skip_unmatched=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     persist.write_curves(curves, out / "hi_curves.npy")
@@ -125,6 +137,8 @@ def cmd_infer(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    from . import evaluation
+
     cfg = _build_config(args)
     report, pipe, train_curves, test_curves = evaluation.run_benchmark(
         args.train, args.test, args.rul, cfg
@@ -144,15 +158,17 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import synthetic
+
     # only the flags given: SynthConfig holds the defaults
-    given = {f.name: getattr(args, f.name) for f in fields(dataset.SynthConfig)
+    given = {f.name: getattr(args, f.name) for f in fields(synthetic.SynthConfig)
              if getattr(args, f.name, None) is not None}
-    cfg = dataset.SynthConfig(**given)
-    train_set, test_set, truths, _ = dataset.generate_synthetic(cfg)
+    cfg = synthetic.SynthConfig(**given)
+    train_set, test_set, truths, _ = synthetic.generate_synthetic(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataset.save_cmapss(train_set, out / "train_synth.txt")
-    dataset.save_cmapss(test_set, out / "test_synth.txt")
+    synthetic.save_cmapss(train_set, out / "train_synth.txt")
+    synthetic.save_cmapss(test_set, out / "test_synth.txt")
     (out / "RUL_synth.txt").write_text("".join(f"{r}\n" for r in truths))
     print(f"wrote {len(train_set)} train / {len(test_set)} test units -> {args.out}")
     return EXIT_OK
@@ -217,9 +233,13 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """Entry point of `python -m subtrack.cli` and the `subtrack` script.
-    gc.freeze() before the exit spares shutdown two GC passes over the ~21k
-    objects the imports leave (~35 ms). main() leaves GC state alone, as
-    callers that run it in-process must still collect their garbage."""
+    The objects the imports left are frozen and GC is on when main() starts,
+    so its passes skip them; gc.freeze() again before the exit spares
+    shutdown two GC passes over all of them (~35 ms). main() leaves GC state
+    alone, as callers that run it in-process must still collect their
+    garbage."""
+    gc.freeze()
+    gc.enable()
     code = main()
     gc.freeze()
     sys.exit(code)

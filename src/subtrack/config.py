@@ -12,7 +12,7 @@ MODES = ("sst", "sst-lr")
 # fields older config files still hold, ignored: the epoch trainer's knobs, the
 # matching bandwidth (see rul), the k-means++ seed, the settings switch (the
 # sensors are tracked at every K), the d training reads from the spectrum and
-# the K it reads from the settings (see multiscale.cluster_regimes)
+# the K it reads from the settings (see fit.cluster_regimes)
 RETIRED_FIELDS = frozenset(
     {"alpha", "eta", "max_epochs", "rel_tol", "beta", "seed", "include_settings",
      "subspace_dim", "n_regimes"}

@@ -1,10 +1,11 @@
-"""CMAPSS-format ingestion, feature normalization and synthetic fleet generation.
+"""CMAPSS-format ingestion and the per-regime feature normalization.
 
 A data file is whitespace-separated text, one row per cycle:
 
     unit cycle setting1 setting2 setting3 sensor1 ... sensor21
 
 Ground-truth files carry one integer RUL per test unit, in unit order.
+`synthetic.save_cmapss` writes a fleet back to that text.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, NumericalError, ValidationError
+from .errors import DataFormatError, ValidationError
 
 N_SETTINGS = 3
 N_SENSORS = 21
@@ -37,11 +38,6 @@ ID_LIMIT = 2.0**53  # bound on |unit| and |cycle|: float64 holds every integer b
 #   fd001-benchmark peak RSS (MB)              40.8   41.1   42.2   44.2
 #   K=6 routing of the fd004 train fleet (ms)    68     66     66    111
 ROW_BLOCK = 1024
-
-# features with sample std below this, relative to max(1, |mean|), are
-# treated as constant and masked: a column holding one value gets a std of
-# rounding size, which grows with the value
-CONSTANT_STD = 1e-12
 
 
 class TrajectorySet:
@@ -215,19 +211,6 @@ def _cycle_runs(units: np.ndarray, cycles: np.ndarray) -> tuple[list[int], list[
     return units[starts].tolist(), [*starts.tolist(), len(units)]
 
 
-def save_cmapss(tset: TrajectorySet, path: str | Path) -> None:
-    """Write a TrajectorySet back to 26-column text, each unit's rows `unit
-    cycle value ...`, cycles 1..L, separated by spaces; values round-trip
-    exactly. Each column of a unit is one map of float.__repr__ and str.join
-    joins the rows: no Python code runs per row."""
-    cycles = list(map(str, range(1, max(np.diff(tset.bounds)) + 1)))
-    with open(path, "w") as fh:
-        for unit, rows in zip(tset.unit_ids, tset):
-            values = [map(float.__repr__, a.tolist()) for a in rows.T]
-            lines = zip(repeat(str(unit)), cycles, *values)  # ends with the columns
-            fh.write("\n".join(map(" ".join, lines)) + "\n")
-
-
 def load_rul_targets(path: str | Path, n_units: int) -> list[int]:
     """Read one whole RUL >= 0 per line; must match the test fleet size exactly."""
     path = Path(path)
@@ -257,12 +240,12 @@ def load_rul_targets(path: str | Path, n_units: int) -> list[int]:
 @dataclass(frozen=True)
 class Normalizer:
     """Per-feature z-score statistics, one table per operating regime; every
-    row is transformed with the table of its regime label. The pipeline fits
-    it on the N_SENSORS sensor columns, the ones its subspaces track.
+    row is transformed with the table of its regime label. Training fits
+    it (`fit.fit_normalizer`) on the N_SENSORS sensor columns, the ones its
+    subspaces track.
 
-    Constant features (std below CONSTANT_STD * max(1, |mean|)) are masked:
-    their output is 0, keeping the column count and indices aligned with the
-    sensors.
+    Constant features are masked: their output is 0, keeping the column
+    count and indices aligned with the sensors.
     """
 
     mean: np.ndarray  # (R, F)
@@ -290,178 +273,3 @@ class Normalizer:
         rows -= self.mean[labels]
         rows /= self.std[labels]
         rows[self.mask[labels]] = 0.0
-
-
-def fit_normalizer(rows: np.ndarray, labels: np.ndarray, n_regimes: int) -> Normalizer:
-    """Fit z-score statistics over a (rows, features) matrix, one table per
-    regime in range(n_regimes); `labels` holds each row's regime. A regime
-    with no rows gets an all-masked table. A mean or std that overflows (a
-    huge value) raises NumericalError.
-
-    Mean and variance take two passes over the rows, ROW_BLOCK at a time:
-    the column sums, then the sums of squared deviations from the mean
-    (the stable two-pass form; Chan, Golub & LeVeque, Am. Stat. 1983). No
-    temporary is larger than a block, and no regime's rows are copied
-    whole. Summing by blocks rounds otherwise than one sum over all rows,
-    so the tables agree with `mean(axis=0)` and `std(axis=0)` of each
-    regime's rows to rounding: within a relative 1.2e-14 on the bench fleets."""
-    # a regime with no rows divides its sums of 0 by 1: mean 0 and std 0, masked
-    n_rows = np.maximum(np.bincount(labels, minlength=n_regimes), 1)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        mean = _regime_sums(rows, labels, n_regimes) / n_rows
-        sd = np.sqrt(_regime_sums(rows, labels, n_regimes, center=mean) / n_rows)
-    overflow = ~(np.isfinite(mean) & np.isfinite(sd)).all(axis=1)
-    if overflow.any():
-        raise NumericalError(f"regime {np.argmax(overflow)}: feature mean or std overflows")
-    mask = sd < CONSTANT_STD * np.maximum(1.0, np.abs(mean))
-    return Normalizer(mean=mean, std=np.where(mask, 1.0, sd), mask=mask)
-
-
-def _regime_sums(rows: np.ndarray, labels: np.ndarray, n_regimes: int, center=None) -> np.ndarray:
-    """The (n_regimes, features) column sums of each regime's rows or, given
-    a (n_regimes, features) center, of their squared deviations from it,
-    taken ROW_BLOCK rows at a time."""
-    sums = np.zeros((n_regimes, rows.shape[1]))
-    for a in range(0, len(rows), ROW_BLOCK):
-        block, block_labels = rows[a : a + ROW_BLOCK], labels[a : a + ROW_BLOCK]
-        for r in range(n_regimes):
-            x = block[block_labels == r]  # a copy: the deviations are formed in place
-            if center is not None:
-                x -= center[r]
-                x *= x
-            sums[r] += x.sum(axis=0)
-            del x  # freed before the next copy is made
-    return sums
-
-
-# ---------------------------------------------------------------------------
-# synthetic fleets
-
-@dataclass(frozen=True)
-class SynthConfig:
-    """Generator for fleets whose healthy rows lie on a known affine subspace.
-
-    Healthy rows are c + B z + noise with z drawn from the per-axis spreads;
-    after the onset cycle an off-subspace drift component grows linearly at
-    drift_rate per cycle, which is exactly the quantity the residual term of
-    the subspace distance should pick up. An invalid field raises
-    ValidationError on construction.
-    """
-
-    n_units: int = 50  # in the train fleet and in the test fleet
-    subspace_dim: int = 3
-    n_regimes: int = 1
-    noise_std: float = 0.01
-    drift_onset_fraction: float = 0.5
-    drift_rate: float = 0.02
-    seed: int = 0
-    min_cycles: int = 150
-    max_cycles: int = 300
-    min_test_cycles: int = 30
-
-    def __post_init__(self):
-        if self.subspace_dim < 1:
-            raise ValidationError("subspace_dim must be >= 1")
-        if self.subspace_dim >= N_SENSORS:
-            raise ValidationError("subspace_dim must be < number of sensor features")
-        if self.n_regimes < 1:
-            raise ValidationError("n_regimes must be >= 1")
-        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise ValidationError("noise_std must be finite and >= 0")
-        if not math.isfinite(self.drift_rate):
-            raise ValidationError("drift_rate must be finite")
-        if not 0.0 <= self.drift_onset_fraction <= 1.0:
-            raise ValidationError("drift_onset_fraction must be in [0, 1]")
-        if self.n_units < 1:
-            raise ValidationError("n_units must be >= 1")
-        if self.min_cycles < 2:
-            # a one-cycle unit leaves its test copy no cycle to keep
-            raise ValidationError("min_cycles must be >= 2")
-        if self.min_cycles > self.max_cycles:
-            raise ValidationError("min_cycles must be <= max_cycles")
-        if self.min_test_cycles < 1:
-            raise ValidationError("min_test_cycles must be >= 1")
-
-
-@dataclass(frozen=True)
-class RegimeGround:
-    """True generating parameters of one regime (for oracle tests)."""
-
-    settings: np.ndarray  # (n_settings,)
-    center: np.ndarray  # (n_sensors,)
-    basis: np.ndarray  # (n_sensors, d), orthonormal
-    spreads: np.ndarray  # (d,)
-    drift_dir: np.ndarray  # (n_sensors,), unit norm, orthogonal to basis
-
-
-def _random_orthonormal(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    q, _ = np.linalg.qr(rng.standard_normal((n, d)))
-    return q
-
-
-def _make_regimes(cfg: SynthConfig, rng: np.random.Generator) -> list[RegimeGround]:
-    regimes = []
-    for k in range(cfg.n_regimes):
-        settings = np.zeros(N_SETTINGS) if cfg.n_regimes == 1 else rng.uniform(
-            0.0, 100.0, N_SETTINGS
-        )
-        center = rng.uniform(-2.0, 2.0, N_SENSORS)
-        basis = _random_orthonormal(rng, N_SENSORS, cfg.subspace_dim)
-        spreads = rng.uniform(0.5, 2.0, cfg.subspace_dim)
-        raw = rng.standard_normal(N_SENSORS)
-        drift = raw - basis @ (basis.T @ raw)
-        drift /= np.linalg.norm(drift)
-        regimes.append(RegimeGround(settings, center, basis, spreads, drift))
-    return regimes
-
-
-def generate_synthetic(
-    cfg: SynthConfig,
-) -> tuple[TrajectorySet, TrajectorySet, list[int], list[RegimeGround]]:
-    """Generate (train fleet, truncated test fleet, true RULs, ground truth).
-
-    Train units run to failure; each test unit is cut at random before its
-    failure cycle, and the withheld tail length is its true RUL. Row t of a
-    unit of L cycles drifts by drift_rate * max(0, t - int(fraction * L)).
-
-    One stream, `default_rng(cfg.seed)`, draws in this order: the regimes
-    (`_make_regimes`); the lengths of the n_units train units, then of the
-    n_units test units; every test unit's kept cycles; then, for all rows of
-    both fleets at once (train rows first, in unit order, and only the kept
-    rows of the test units), the regime labels (none when n_regimes is 1),
-    the in-subspace states and the noise. A fixed seed gives a fixed fleet.
-    """
-    rng = np.random.default_rng(cfg.seed)
-    regimes = _make_regimes(cfg, rng)
-    lengths = rng.integers(cfg.min_cycles, cfg.max_cycles + 1, size=2 * cfg.n_units)
-    test_lengths = lengths[cfg.n_units:]
-    keep = rng.integers(np.minimum(cfg.min_test_cycles, test_lengths - 1), test_lengths)
-    drawn = np.r_[lengths[: cfg.n_units], keep]  # rows drawn per unit
-
-    n_rows = int(drawn.sum())
-    labels = (rng.integers(cfg.n_regimes, size=n_rows) if cfg.n_regimes > 1
-              else np.zeros(n_rows, dtype=int))
-    z = rng.standard_normal((n_rows, cfg.subspace_dim))
-    features = np.empty((n_rows, N_SETTINGS + N_SENSORS))
-    features[:, N_SETTINGS:] = rng.standard_normal((n_rows, N_SENSORS)) * cfg.noise_std
-    starts = np.repeat(np.cumsum(drawn) - drawn, drawn)
-    onsets = np.repeat((cfg.drift_onset_fraction * lengths).astype(int), drawn)
-    wear = cfg.drift_rate * np.maximum(0, np.arange(1, n_rows + 1) - starts - onsets)
-    for k, reg in enumerate(regimes):
-        rows = labels == k
-        features[rows, :N_SETTINGS] = reg.settings
-        features[rows, N_SETTINGS:] += (
-            reg.center + (z[rows] * np.sqrt(reg.spreads)) @ reg.basis.T
-            + wear[rows, None] * reg.drift_dir
-        )
-
-    units = list(range(1, cfg.n_units + 1))
-    train_bounds = np.r_[0, np.cumsum(lengths[: cfg.n_units])].tolist()
-    test_bounds = np.r_[0, np.cumsum(keep)].tolist()
-    n_train = train_bounds[-1]
-    return (
-        TrajectorySet(features[:n_train], units, train_bounds),
-        TrajectorySet(features[n_train:], units, test_bounds),
-        (test_lengths - keep).tolist(),
-        regimes,
-    )

@@ -1,26 +1,24 @@
-"""Performance metrics and the end-to-end benchmark pipeline.
+"""Performance metrics and the end-to-end benchmark run.
 
 RMSE and the asymmetric exponential score penalize late failure detection
-(overestimated RUL) more than early detection. The pipeline wires dataset
-ingestion, subspace tracking, health-index generation and curve-matching RUL
-estimation into a single reproducible run.
+(overestimated RUL) more than early detection. `run_benchmark` wires dataset
+ingestion, training (`fit`), scoring (`pipeline`) and these metrics into a
+single reproducible run; only `benchmark` imports this module.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import dataset, health, multiscale, rul, subspace
+from . import dataset, fit, pipeline
 from .config import RunConfig
-from .dataset import N_SETTINGS, Normalizer, TrajectorySet
-from .errors import NoMatchError, NumericalError, PrognosticsError, ValidationError
-from .health import CURVE_COLUMNS, RAW_DIST, SCALED_DIST, SIGMA, DistanceScaler
-from .multiscale import MultiModel
+from .dataset import TrajectorySet
+from .errors import NumericalError, ValidationError
+from .pipeline import TrainedPipeline
 from .rul import RulEstimate
 
 GAMMA_EARLY = 1.0 / 13.0  # estimate below truth (early maintenance)
@@ -55,184 +53,6 @@ def score(errors) -> float:
     gamma = np.where(errors < 0, GAMMA_EARLY, GAMMA_LATE)
     with np.errstate(over="ignore"):  # an overflow raises in _finite
         return _finite("score", float(np.sum(np.exp(gamma * np.abs(errors)) - 1.0)), errors)
-
-
-# ---------------------------------------------------------------------------
-# pipeline
-
-@dataclass(frozen=True)
-class TrainedPipeline:
-    """Everything infer and matching need, and what a model directory holds."""
-
-    config: RunConfig
-    normalizer: Normalizer
-    model: MultiModel
-    scaler: DistanceScaler
-    regressor: np.ndarray | None  # sst-lr: the (K, N_SENSORS+1) weights of fit_hi_regression
-    library: rul.Library  # the training curves' sigma, prepared at fit time
-
-
-def _normalized_blocks(norm: Normalizer, tset, labels):
-    """(slice, tracked rows) for each `dataset.ROW_BLOCK` rows of the set's
-    read-only matrix: the block's sensor columns are copied into one
-    block-sized buffer and normalized there with the table of its regime
-    `labels`. Every block reuses that buffer, so a block is spent once the
-    next one is asked for."""
-    sensors, size = tset.matrix[:, N_SETTINGS:], dataset.ROW_BLOCK
-    buf = np.empty((min(size, len(sensors)), sensors.shape[1]))
-    for a in range(0, len(sensors), size):
-        blk = slice(a, a + size)
-        x = buf[: min(size, len(sensors) - a)]
-        x[:] = sensors[blk]
-        norm.transform_inplace(x, labels[blk])
-        yield blk, x
-
-
-def _analyze_fleet(model: MultiModel, blocks, tset, cfg: RunConfig, weights=None) -> tuple:
-    """(the fleet's curve table: each row's raw distance, that distance
-    smoothed within its unit in the scaled column and, given regressor
-    weights, the health index they predict in the sigma column; the rows'
-    model labels). A distance that overflows (a huge delta or row value)
-    raises NumericalError. Each block is normalized as it is drawn."""
-    curves = np.empty((len(CURVE_COLUMNS), len(tset.matrix))).T  # contiguous columns, for matching
-    raw, hi, reg = curves[:, RAW_DIST], curves[:, SIGMA], np.empty(len(curves), dtype=np.uint8)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        for blk, x in blocks:
-            reg[blk], raw[blk] = multiscale.assign_rows(model, x, cfg.delta)
-            if not np.isfinite(raw[blk]).all():
-                raise NumericalError("non-finite subspace distance (overflow)")
-            if weights is not None:
-                hi[blk] = health.predict_hi(weights, x, reg[blk])
-    health.smooth_units(raw, tset.bounds, cfg.smoothing, out=curves[:, SCALED_DIST])
-    return curves, reg
-
-
-def _fleet_curves(tset, cfg: RunConfig, scaler, curves) -> TrajectorySet:
-    """The fleet's curves, the smoothed distance scaled in place, with the
-    health index of train, infer and matching: in sst mode that of the scaled
-    distance; in sst-lr mode the regressed index in the sigma column, smoothed.
-    Each step writes into the table's columns."""
-    scaled, sigma = curves[:, SCALED_DIST], curves[:, SIGMA]
-    health.scale(scaler, scaled, out=scaled)
-    if cfg.mode == "sst-lr":
-        health.smooth_units(sigma, tset.bounds, cfg.smoothing, out=sigma)
-    else:
-        health.to_health_index(scaled, out=sigma)
-    return TrajectorySet(curves, tset.unit_ids, tset.bounds)
-
-
-def _settings(tset: TrajectorySet) -> np.ndarray:
-    """The settings columns of a fleet's matrix, which must hold at least
-    one sensor column after them."""
-    if tset.matrix.shape[1] <= N_SETTINGS:
-        raise ValidationError(
-            f"features must be a 2-d array with {N_SETTINGS} settings "
-            "columns and at least one sensor column"
-        )
-    return tset.matrix[:, :N_SETTINGS]
-
-
-def train_pipeline(
-    train_set: TrajectorySet, cfg: RunConfig
-) -> tuple[TrainedPipeline, TrajectorySet]:
-    """Fit the training stage: regimes (and K) read from the settings, then on
-    the sensors the normalizer, one batch-PCA subspace per regime at the largest d
-    `subspace.pick_dim` reads from their healthy spectra (a regime of at most d
-    healthy rows raises ValidationError), scaler and (in sst-lr mode) the
-    regressor. Returns the pipeline and its library's curves; only reads the set.
-    It is `fit_rows` then `fit_library`: a caller that holds the set only to
-    train may drop it between the two."""
-    return fit_library(*fit_rows(train_set, cfg))
-
-
-def fit_rows(train_set: TrajectorySet, cfg: RunConfig) -> tuple[dict, TrajectorySet]:
-    """Every pass of `train_pipeline` that reads the set's rows (the last is
-    the distance pass in sst mode, the predict pass in sst-lr mode), then
-    the curves they leave, written in place. Returns the TrainedPipeline
-    fields but the library, and the fleet's curves; neither holds the set."""
-    centroids, labels = multiscale.cluster_regimes(_settings(train_set))
-    sensors, bounds = train_set.matrix[:, N_SETTINGS:], train_set.bounds
-    norm = dataset.fit_normalizer(sensors, labels, len(centroids))
-
-    is_healthy = np.zeros(len(sensors), dtype=bool)  # each unit's first healthy_cycles rows
-    for a, b in zip(bounds, bounds[1:]):
-        is_healthy[a : min(b, a + cfg.healthy_cycles)] = True
-    idx = np.flatnonzero(is_healthy)
-    idx = idx[np.argsort(labels[idx], kind="stable")]  # by regime, in order within each
-    healthy, healthy_labels = sensors[idx], labels[idx]  # each healthy row copied once
-    norm.transform_inplace(healthy, healthy_labels)
-    n_rows = np.bincount(healthy_labels, minlength=len(centroids))
-    windows = np.split(healthy, np.cumsum(n_rows)[:-1])  # a view of each regime's rows
-    spectra = [subspace.spectrum(w) for w in windows if len(w) > 1]
-    d = max((subspace.pick_dim(eigvals) for _, eigvals, _ in spectra), default=1)
-    for k, n in enumerate(n_rows):
-        if n <= d:
-            raise ValidationError(
-                f"regime {k}: {n} healthy rows cannot initialize a {d}-dimensional subspace"
-                + (f" (of {len(n_rows)} regimes read from the settings; an outlying settings "
-                   "row reads as a regime of its own)" if len(n_rows) > 1 else "")
-            )
-    members = [subspace.fit_spectrum(*s, d) for s in spectra]
-    del is_healthy, idx, healthy, healthy_labels, windows  # freed before the fleet passes
-    model = MultiModel(models=members, centroids=centroids)
-
-    def blocks():
-        return _normalized_blocks(norm, train_set, labels)
-
-    curves, reg = _analyze_fleet(model, blocks(), train_set, cfg)
-    smoothed = curves[:, SCALED_DIST]
-    scaler = health.fit_scaler(curves[:, RAW_DIST], smoothed, bounds, cfg.healthy_cycles)
-    regressor = None
-    if cfg.mode == "sst-lr":  # each block's target: the sst index of its smoothed distance
-        regressor = health.fit_hi_regression(
-            ((x, health.to_health_index(health.scale(scaler, smoothed[blk])), reg[blk])
-             for blk, x in blocks()),
-            len(centroids),
-        )
-        for blk, x in blocks():
-            curves[blk, SIGMA] = health.predict_hi(regressor, x, reg[blk])
-    fitted = dict(config=cfg, normalizer=norm, model=model, scaler=scaler, regressor=regressor)
-    return fitted, _fleet_curves(train_set, cfg, scaler, curves)
-
-
-def fit_library(fitted: dict, curves: TrajectorySet) -> tuple[TrainedPipeline, TrajectorySet]:
-    """The rest of `train_pipeline`, on what `fit_rows` returns: the pipeline,
-    with the library prepared from the curves, and the curves."""
-    return TrainedPipeline(**fitted, library=rul.prepare_library(curves)), curves
-
-
-def infer_curves(pipe: TrainedPipeline, tset: TrajectorySet) -> TrajectorySet:
-    """Health-index curves for a fleet under the trained pipeline, through
-    the same row analysis and health index as training."""
-    cfg = pipe.config
-    if cfg.mode == "sst-lr" and pipe.regressor is None:
-        raise ValidationError("sst-lr mode requires a fitted regressor")
-    labels = multiscale.nearest_centroid(pipe.model.centroids, _settings(tset))
-    blocks = _normalized_blocks(pipe.normalizer, tset, labels)
-    weights = pipe.regressor if cfg.mode == "sst-lr" else None
-    curves, _ = _analyze_fleet(pipe.model, blocks, tset, cfg, weights)
-    return _fleet_curves(tset, cfg, pipe.scaler, curves)
-
-
-def estimate_fleet(
-    pipe: TrainedPipeline,
-    test_curves: TrajectorySet,
-    skip_unmatched: bool = False,
-) -> list[RulEstimate | None]:
-    """Match each unit's sigma, as given, against the pipeline's library.
-
-    With skip_unmatched, a curve with no valid (unit, lag) candidate yields
-    None instead of raising; benchmark runs keep the hard failure.
-    """
-    estimates = []
-    for unit, curve in zip(test_curves.unit_ids, test_curves):
-        try:
-            estimates.append(rul.estimate_rul(unit, curve[:, SIGMA], pipe.library, pipe.config))
-        except NoMatchError:
-            if not skip_unmatched:
-                raise
-            estimates.append(None)
-    return estimates
 
 
 # ---------------------------------------------------------------------------
@@ -308,29 +128,16 @@ def build_report(
     )
 
 
-@contextmanager
-def stage(name: str):
-    """Tag pipeline errors with the stage they came from. A numpy
-    LinAlgError (a singular or non-converging decomposition) becomes a
-    NumericalError, so it exits 3 instead of ending in a traceback."""
-    try:
-        yield
-    except PrognosticsError as exc:
-        raise type(exc)(f"[{name}] {exc}") from exc
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"[{name}] {exc}") from exc
-
-
 def _score(
     pipe: TrainedPipeline, test_set: TrajectorySet, truths: list[int], start: float
 ) -> tuple[RulReport, TrajectorySet]:
     """Infer, match and evaluate a test fleet under a trained pipeline: the
     report, timed from the perf_counter value start, and the test curves."""
-    with stage("infer"):
-        test_curves = infer_curves(pipe, test_set)
-    with stage("match"):
-        estimates = estimate_fleet(pipe, test_curves)
-    with stage("evaluate"):
+    with fit.stage("infer"):
+        test_curves = pipeline.infer_curves(pipe, test_set)
+    with fit.stage("match"):
+        estimates = pipeline.estimate_fleet(pipe, test_curves)
+    with fit.stage("evaluate"):
         report = build_report(estimates, truths, pipe.config, time.perf_counter() - start)
     return report, test_curves
 
@@ -344,8 +151,8 @@ def run_pipeline(
     """Full in-memory benchmark: train, infer, match, evaluate. Returns the
     report, the pipeline, and the training and test curves."""
     start = time.perf_counter()
-    with stage("train"):
-        pipe, train_curves = train_pipeline(train_set, cfg)
+    with fit.stage("train"):
+        pipe, train_curves = fit.train_pipeline(train_set, cfg)
     report, test_curves = _score(pipe, test_set, truths, start)
     return report, pipe, train_curves, test_curves
 
@@ -357,16 +164,16 @@ def run_benchmark(
     fleet table at a time: the training table is dropped after training,
     before the test and RUL files are parsed. Both are opened first, so an
     unreadable path fails before training; the wall time spans their parse."""
-    with stage("load"):
+    with fit.stage("load"):
         train_set = dataset.load_cmapss(train_path)
     for path in (test_path, rul_path):
         open(path).close()
     start = time.perf_counter()
-    with stage("train"):
-        fitted = fit_rows(train_set, cfg)
+    with fit.stage("train"):
+        fitted = fit.fit_rows(train_set, cfg)
         del train_set  # the library is prepared beside the curve table alone
-        pipe, train_curves = fit_library(*fitted)
-    with stage("load"):
+        pipe, train_curves = fit.fit_library(*fitted)
+    with fit.stage("load"):
         test_set = dataset.load_cmapss(test_path)
         truths = dataset.load_rul_targets(rul_path, len(test_set))
     report, test_curves = _score(pipe, test_set, truths, start)

@@ -35,7 +35,7 @@ import numpy as np
 from .config import RunConfig
 from .dataset import ID_LIMIT, N_SENSORS, N_SETTINGS, Normalizer, TrajectorySet
 from .errors import ValidationError
-from .evaluation import TrainedPipeline
+from .pipeline import TrainedPipeline
 from .health import CURVE_COLUMNS, DistanceScaler
 from .multiscale import MAX_REGIMES, MultiModel
 from .rul import Library

@@ -13,9 +13,9 @@ them.
 
 Library and test curves must carry the same health index; matching uses
 each sigma as given and smooths nothing. The library is built once per
-trained model: prepare_library zero-pads the sigma column of the training
-curve table into one (n_train, max_len) array P, its rows in unit id order,
-with `health.pad_units`, and keeps the prefix sums of P**2. A model
+trained model: `fit.prepare_library` zero-pads the sigma column of the
+training curve table into one (n_train, max_len) array P, its rows in unit
+id order, with `fit.pad_units`, and keeps the prefix sums of P**2. A model
 directory stores P, the unit ids and the lengths, and Library.from_padded
 rebuilds the prefix sums from them. estimate_rul then scores one test
 unit's sigma s against every (unit, lag) pair through the identity
@@ -51,9 +51,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import RunConfig
-from .dataset import TrajectorySet
 from .errors import NoMatchError, NumericalError
-from .health import SIGMA, pad_units
 
 # The bandwidth's floor. The identity clips d2 at 0, so a test curve equal to
 # a library window has a smallest d2 of 0 (or of the identity's rounding,
@@ -74,7 +72,7 @@ class RulEstimate:
 class Library:
     """Training curves prepared for matching, sorted by unit id.
 
-    Built once at fit time (prepare_library) or from a model directory's
+    Built once at fit time (`fit.prepare_library`) or from a model directory's
     stored arrays; both go through Library.from_padded.
     """
 
@@ -103,15 +101,6 @@ class Library:
         np.square(padded, out=energy[:, 1:])
         np.cumsum(energy[:, 1:], axis=1, out=energy[:, 1:])
         return cls(unit_ids=unit_ids, lengths=lengths, padded=padded, energy=energy)
-
-
-def prepare_library(curves: TrajectorySet) -> Library:
-    """The library of a curve table's units in any order, their sigma used
-    as given. Raises NumericalError as Library.from_padded does."""
-    ids, lengths = np.array(curves.unit_ids), np.diff(curves.bounds)
-    padded = pad_units(curves.matrix[:, SIGMA], curves.bounds)
-    order = slice(None) if (ids[1:] > ids[:-1]).all() else np.argsort(ids)  # no copy if sorted
-    return Library.from_padded(ids[order], lengths[order], padded[order])
 
 
 def _candidates(

@@ -14,12 +14,12 @@ from scipy.stats import spearmanr
 
 from subtrack.cli import EXIT_OK, main
 from subtrack.config import RunConfig
-from subtrack.dataset import SynthConfig, generate_synthetic
 from subtrack.evaluation import rmse, run_benchmark, run_pipeline, score
 from subtrack.health import SIGMA
-from subtrack.multiscale import track
+from subtrack.fit import track, train_pipeline
 from subtrack.rul import _candidates, estimate_rul
 from subtrack.subspace import mahalanobis_rows
+from subtrack.synthetic import SynthConfig, generate_synthetic
 
 from test_multiscale import subspace_angle
 from test_rul import curve, library_of, oracle_estimate
@@ -117,8 +117,6 @@ def test_criterion_4_degradation_monotonicity():
     )
     train, _, _, _ = generate_synthetic(synth)
     cfg = RunConfig(mode="sst", healthy_cycles=20)
-    from subtrack.evaluation import train_pipeline
-
     _, curves = train_pipeline(train, cfg)
     bad = 0
     for traj, hi in zip(train, curves):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import subtrack
-from subtrack import evaluation, persist, rul
+from subtrack import fit, persist, pipeline, rul
 from subtrack.cli import (
     EXIT_DATA,
     EXIT_NUMERICAL,
@@ -24,17 +24,11 @@ from subtrack.cli import (
     main,
 )
 from subtrack.config import RETIRED_FIELDS, RunConfig
-from subtrack.dataset import (
-    N_SENSORS,
-    N_SETTINGS,
-    SynthConfig,
-    TrajectorySet,
-    generate_synthetic,
-    load_cmapss,
-    save_cmapss,
-)
+from subtrack.dataset import N_SENSORS, N_SETTINGS, TrajectorySet, load_cmapss
 from subtrack.errors import ValidationError
-from subtrack.multiscale import cluster_regimes, nearest_centroid
+from subtrack.fit import cluster_regimes
+from subtrack.multiscale import nearest_centroid
+from subtrack.synthetic import SynthConfig, generate_synthetic, save_cmapss
 
 
 def run_fresh_interpreter(*args, path=()):
@@ -508,7 +502,7 @@ class TestInfer:
         def refuse(*args):
             raise AssertionError("infer_curves ran before the RUL file was checked")
 
-        monkeypatch.setattr(evaluation, "infer_curves", refuse)
+        monkeypatch.setattr(pipeline, "infer_curves", refuse)
         rul_file = tmp_path / "RUL_short.txt"
         rul_file.write_text("10\n20\n30\n")
         rc = main(["infer", "--model-dir", str(model_dir),
@@ -1116,7 +1110,7 @@ class TestBenchmark:
     ):
         # the test and RUL files are parsed after training, but opened before it
         trained = mock.Mock(side_effect=AssertionError("trained"))
-        monkeypatch.setattr(evaluation, "train_pipeline", trained)
+        monkeypatch.setattr(fit, "fit_rows", trained)
         data = tmp_path / "data"
         shutil.copytree(synth_dir, data)
         gone = data / {"test": "test_synth.txt", "rul": "RUL_synth.txt"}[missing]
@@ -1561,6 +1555,61 @@ def test_cli_import_adds_only_stdlib_and_subtrack():
                if m.split(".")[0] not in sys.stdlib_module_names | {"subtrack"}]
     assert foreign == []
     assert [m for m in loaded if ".".join(m.split(".")[:2]) in UNNEEDED_NUMPY] == []
+    assert [m for m in loaded if m in FIT_ONLY] == []
+
+
+# the modules that only train, benchmark and synth import, inside the command
+FIT_ONLY = ("subtrack.fit", "subtrack.synthetic", "subtrack.evaluation")
+
+# a sitecustomize module that records whether GC is on as each package module
+# is imported and when the __main__ module's main() starts, then the package
+# modules loaded, once the interpreter starts to shut down
+START_PROBE = """\
+import atexit, gc, json, sys
+
+imports, started = [], []
+
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name.startswith("subtrack.") and name != "subtrack.cli":
+            imports.append([name, gc.isenabled()])
+        return None
+
+
+def on_call(frame, event, arg):
+    if (event == "call" and frame.f_code.co_name == "main"
+            and frame.f_globals.get("__name__") == "__main__"):
+        started.append([gc.isenabled(), gc.get_freeze_count()])
+        sys.setprofile(None)
+
+
+sys.meta_path.insert(0, Probe())
+sys.setprofile(on_call)
+atexit.register(lambda: print(json.dumps(
+    [imports, started, [m for m in sys.modules if m.startswith("subtrack.")]]), file=sys.stderr))
+"""
+
+
+def test_single_unit_infer_imports_the_scoring_path_with_gc_off(synth_dir, model_dir, tmp_path):
+    # the per-engine call loads no fitting, benchmark or generator code, and
+    # no collector pass runs over the objects the imports make: they run
+    # with GC off, and main() starts with GC on and those objects frozen
+    tset = load_cmapss(synth_dir / "test_synth.txt")
+    unit = tmp_path / "unit.txt"
+    save_cmapss(TrajectorySet.stack(tset.unit_ids[:1], [next(iter(tset))]), unit)
+    (tmp_path / "probe").mkdir()
+    (tmp_path / "probe" / "sitecustomize.py").write_text(START_PROBE)
+    proc = run_fresh_interpreter(
+        "-m", "subtrack.cli", "infer", "--model-dir", str(model_dir), "--data", str(unit),
+        "--out", str(tmp_path / "out"), path=[tmp_path / "probe"])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    imports, started, loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert {"subtrack.dataset", "subtrack.persist", "subtrack.pipeline"} <= dict(imports).keys()
+    assert [name for name, enabled in imports if enabled] == []
+    [[enabled, frozen]] = started
+    assert enabled and frozen > 0
+    assert [m for m in loaded if m in FIT_ONLY] == []
 
 
 # argv of one run per exit code, from the synth fleet and a scratch directory

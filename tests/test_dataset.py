@@ -6,21 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from subtrack import dataset
 from subtrack.config import RunConfig
-from subtrack.dataset import (
-    N_SENSORS,
-    N_SETTINGS,
-    SynthConfig,
-    TrajectorySet,
-    fit_normalizer,
-    generate_synthetic,
-    load_cmapss,
-    load_rul_targets,
-    save_cmapss,
-)
+from subtrack.dataset import N_SENSORS, N_SETTINGS, TrajectorySet, load_cmapss, load_rul_targets
 from subtrack.errors import DataFormatError, NumericalError, ValidationError
-from subtrack.evaluation import train_pipeline
-from subtrack.multiscale import cluster_regimes
+from subtrack.fit import cluster_regimes, fit_normalizer, train_pipeline
 from subtrack.subspace import SubspaceModel, mahalanobis_rows
+from subtrack.synthetic import SynthConfig, generate_synthetic, save_cmapss
 
 
 def write_rows(path, rows):

@@ -8,30 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from subtrack import dataset, evaluation, health, multiscale, rul
+from subtrack import dataset, evaluation, fit, health, multiscale, synthetic
 from subtrack.cli import main
 from subtrack.config import RunConfig
-from subtrack.dataset import (
-    N_SETTINGS,
-    SynthConfig,
-    TrajectorySet,
-    generate_synthetic,
-)
+from subtrack.dataset import N_SETTINGS, TrajectorySet
 from subtrack.errors import NumericalError, ValidationError
-from subtrack.evaluation import (
-    build_report,
-    estimate_fleet,
-    infer_curves,
-    rmse,
-    run_pipeline,
-    score,
-    train_pipeline,
-)
+from subtrack.evaluation import build_report, rmse, run_pipeline, score
+from subtrack.fit import fit_spectrum, spectrum, train_pipeline
 from subtrack.health import RAW_DIST, SCALED_DIST, SIGMA, predict_hi
 from subtrack.multiscale import MultiModel, assign_rows, nearest_centroid
 from subtrack.persist import load_pipeline, save_pipeline
+from subtrack.pipeline import estimate_fleet, infer_curves
 from subtrack.rul import estimate_rul
-from subtrack.subspace import fit_spectrum, spectrum
+from subtrack.synthetic import SynthConfig, generate_synthetic
 
 from test_health import reference_smooth
 
@@ -254,7 +243,7 @@ class TestBatchTraining:
             pipe, curves = train_pipeline(train, cfg)
         raw = [c[:, RAW_DIST] for c in curves]
         smoothed = [np.array(reference_smooth(r, cfg.smoothing)) for r in raw]
-        scaler = health.fit_scaler(
+        scaler = fit.fit_scaler(
             np.concatenate(raw), np.concatenate(smoothed), curves.bounds, cfg.healthy_cycles
         )
         assert pipe.scaler == scaler
@@ -351,8 +340,8 @@ def test_both_modes_hold_the_age_only_baseline(n_regimes):
 
 
 def picked_dim(train, n_regimes):
-    """The subspace dimension train_pipeline reads from a fleet's healthy
-    spectra: every member's."""
+    """The subspace dimension train_pipeline reads from a fleet's pooled
+    healthy spectrum: every member's."""
     pipe, _ = train_pipeline(train, RunConfig())
     dims = {m.subspace_dim for m in pipe.model.models}
     assert len(dims) == 1
@@ -362,23 +351,27 @@ def picked_dim(train, n_regimes):
 @pytest.mark.parametrize("noise_std", [0.05, 0.2, 0.5])
 @pytest.mark.parametrize("n_regimes", [1, 6])
 def test_the_picked_dimension_is_never_below_the_generators(n_regimes, noise_std):
-    # Measured: exact in all 40 cells at noise 0.05 and in 39 at 0.2, where
-    # one regime's largest eigenvalue ratio, 2.99, misses DOMINANT_GAP (K=6,
-    # d = 2, seed 0) and the fallback reads 4. At 0.5 the largest ratio
-    # alone read 1 for d = 2 and d = 3 (K=1, seed 2); no ratio reaches
-    # DOMINANT_GAP there, and the fallback reads up to 7 above the truth. At
-    # noise 1.0 the gap has closed: the largest ratio alone read below the
-    # truth in 9 of the 16 K=1 cells with d >= 2 (2 for d = 3, seed 0).
-    below = []
+    # Measured: exact in all 40 cells at noise 0.05 and 0.2, so there the
+    # gate asks for exact. d is read once from the regimes' mean spectrum:
+    # read per regime and the largest taken, one regime's eigenvalue ratio
+    # of 2.99 missed DOMINANT_GAP at 0.2 (K=6, d = 2, seed 0) and lifted
+    # every member to 4. At 0.5 no ratio reaches DOMINANT_GAP in some
+    # cells, and the fallback reads up to 7 above the truth (exact in 15 of
+    # 20 cells at K=1, 7 of 20 at K=6); the largest ratio alone read 1 for
+    # d = 2 and d = 3 (K=1, seed 2). At noise 1.0 the gap has closed: the
+    # largest ratio alone read below the truth in 9 of the 16 K=1 cells with
+    # d >= 2 (2 for d = 3, seed 0).
+    exact = noise_std <= 0.2
+    off = []
     for d in range(1, 6):
         for seed in range(4):
             train = generate_synthetic(SynthConfig(
                 n_units=60, n_regimes=n_regimes, seed=seed, subspace_dim=d, noise_std=noise_std
             ))[0]
             picked = picked_dim(train, n_regimes)
-            if picked < d:
-                below.append((d, seed, picked))
-    assert below == []
+            if picked < d or (exact and picked != d):
+                off.append((d, seed, picked))
+    assert off == []
 
 
 def test_masked_constant_sensors_leave_the_picked_dimension():
@@ -544,8 +537,8 @@ class TestFleetPath:
             seed=3, min_cycles=100, max_cycles=200,
         ))
         paths = [tmp_path / name for name in ("train.txt", "test.txt", "rul.txt")]
-        dataset.save_cmapss(train, paths[0])
-        dataset.save_cmapss(test, paths[1])
+        synthetic.save_cmapss(train, paths[0])
+        synthetic.save_cmapss(test, paths[1])
         paths[2].write_text("".join(f"{t}\n" for t in truths))
         cfg = RunConfig(mode=mode, tau2=20)
         with mock.patch.object(dataset, "ROW_BLOCK", 256):
@@ -565,10 +558,10 @@ class TestFleetPath:
         # and the model files are made beside the curve table alone
         train, test, truths, _ = generate_synthetic(SMALL_SYNTH)
         paths = [tmp_path / name for name in ("train.txt", "test.txt", "rul.txt")]
-        dataset.save_cmapss(train, paths[0])
-        dataset.save_cmapss(test, paths[1])
+        synthetic.save_cmapss(train, paths[0])
+        synthetic.save_cmapss(test, paths[1])
         paths[2].write_text("".join(f"{t}\n" for t in truths))
-        load, prepare = dataset.load_cmapss, rul.prepare_library
+        load, prepare = dataset.load_cmapss, fit.prepare_library
         parsed, alive = [], []
 
         def loading(path):
@@ -585,7 +578,7 @@ class TestFleetPath:
             return prepare(curves)
 
         monkeypatch.setattr(dataset, "load_cmapss", loading)
-        monkeypatch.setattr(rul, "prepare_library", preparing)
+        monkeypatch.setattr(fit, "prepare_library", preparing)
         if command == "train":
             assert main(["train", "--train", str(paths[0]), "--out", str(tmp_path / "model"),
                          "--mode", mode, "--tau2", "20"]) == 0
@@ -603,7 +596,7 @@ def test_regime_numbering_changes_no_output(mode):
         seed=6, min_cycles=80, max_cycles=120,
     ))
     cfg = RunConfig(mode=mode, tau2=20)
-    cluster, perm = multiscale.cluster_regimes, np.array([2, 0, 1])
+    cluster, perm = fit.cluster_regimes, np.array([2, 0, 1])
 
     def renumbered(*args):
         centroids, labels = cluster(*args)
@@ -617,7 +610,7 @@ def test_regime_numbering_changes_no_output(mode):
         ] + [infer_curves(pipe, test).matrix[:, SIGMA].tobytes()]
 
     pipe, expected = outputs()
-    with mock.patch.object(multiscale, "cluster_regimes", renumbered):
+    with mock.patch.object(fit, "cluster_regimes", renumbered):
         renumbered_pipe, got = outputs()
     assert got == expected
     np.testing.assert_array_equal(renumbered_pipe.model.centroids, pipe.model.centroids[perm])

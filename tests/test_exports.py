@@ -9,7 +9,7 @@ train, infer and benchmark write it."""
 import numpy as np
 import pytest
 
-from subtrack import evaluation, health, persist
+from subtrack import fit, health, persist, pipeline
 from subtrack.cli import EXIT_OK, main
 from subtrack.dataset import ID_LIMIT, load_cmapss
 from subtrack.health import CURVE_COLUMNS, RAW_DIST, SCALED_DIST, SIGMA
@@ -46,9 +46,9 @@ def run(request, tmp_path_factory):
     assert main(["benchmark", "--train", train, "--test", test, "--rul", rul,
                  "--out", str(root / "bench"), *run_flags, *FLAGS]) == EXIT_OK
     train_set, test_set = load_cmapss(train), load_cmapss(test)
-    pipe, train_curves = evaluation.train_pipeline(train_set, persist.load_pipeline(model).config)
+    pipe, train_curves = fit.train_pipeline(train_set, persist.load_pipeline(model).config)
     fleets = {True: (train_set, train_curves),
-              False: (test_set, evaluation.infer_curves(pipe, test_set))}
+              False: (test_set, pipeline.infer_curves(pipe, test_set))}
     return request.param, root, fleets
 
 

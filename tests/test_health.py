@@ -6,16 +6,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import spearmanr
 
 from subtrack.config import RunConfig
-from subtrack.dataset import SynthConfig, generate_synthetic
 from subtrack.errors import NumericalError, ValidationError
-from subtrack.evaluation import train_pipeline
+from subtrack.fit import _median, fit_hi_regression, fit_scaler, pad_units, train_pipeline
 from subtrack.health import (
     DistanceScaler,
-    _median,
-    fit_hi_regression,
     SIGMA,
-    fit_scaler,
-    pad_units,
     predict_hi,
     scale,
     smooth_units,
@@ -23,6 +18,7 @@ from subtrack.health import (
 )
 from subtrack.multiscale import MultiModel, assign_rows
 from subtrack.subspace import mahalanobis_rows
+from subtrack.synthetic import SynthConfig, generate_synthetic
 
 from test_subspace import DELTA, random_model, solo
 

@@ -6,16 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subtrack import multiscale
-from subtrack.dataset import N_SENSORS, N_SETTINGS, SynthConfig, generate_synthetic
+from subtrack.dataset import N_SENSORS, N_SETTINGS
 from subtrack.errors import NumericalError, ValidationError
-from subtrack.multiscale import (
-    MultiModel,
-    assign_rows,
-    cluster_regimes,
-    nearest_centroid,
-    track,
-)
-from subtrack.subspace import mahalanobis_rows, update
+from subtrack.fit import cluster_regimes, track, update
+from subtrack.multiscale import MultiModel, assign_rows, nearest_centroid
+from subtrack.subspace import mahalanobis_rows
+from subtrack.synthetic import SynthConfig, generate_synthetic
 
 from test_subspace import DELTA, fit, model_document, random_model, read_model, solo
 

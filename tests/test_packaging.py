@@ -65,9 +65,9 @@ def test_console_script_exits_as_python_m_does():
     module, func = pyproject()["project"]["scripts"]["subtrack"].split(":")
     assert module == "subtrack.cli"
     tree = ast.parse((ROOT / "src" / "subtrack" / "cli.py").read_text())
-    [block] = [node for node in tree.body if isinstance(node, ast.If)
-               and ast.unparse(node.test) == "__name__ == '__main__'"]
-    calls = [node.func.id for node in ast.walk(block)
+    blocks = [node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    calls = [node.func.id for block in blocks for node in ast.walk(block)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
     assert calls == [func]
 
@@ -154,9 +154,9 @@ def test_only_persist_touches_a_model_directory():
     assert [u for u in uses if u[0] != "persist.py"] == []
 
 
-# the only code that may use numpy.random: dataset's synthetic-fleet generator
+# the only code that may use numpy.random: the synthetic-fleet generator
 SYNTHETIC_FLEET_CODE = {
-    ("dataset.py", name)
+    ("synthetic.py", name)
     for name in ("_random_orthonormal", "_make_regimes", "generate_synthetic")
 }
 
@@ -193,8 +193,8 @@ def test_numpy_random_only_in_synthetic_fleet_code():
     # importing numpy.random costs ~6 MB of RSS; no command but synth needs it
     uses = list(np_random_uses())
     assert uses, "no numpy.random use found; the check has gone stale"
-    tree = ast.parse((ROOT / "src" / "subtrack" / "dataset.py").read_text())
-    defined = {("dataset.py", getattr(top, "name", None)) for top in tree.body}
+    tree = ast.parse((ROOT / "src" / "subtrack" / "synthetic.py").read_text())
+    defined = {("synthetic.py", getattr(top, "name", None)) for top in tree.body}
     assert SYNTHETIC_FLEET_CODE - defined == set(), "the allowlist names a deleted definition"
     assert [u for u in uses if u[:2] not in SYNTHETIC_FLEET_CODE] == []
 
@@ -209,7 +209,8 @@ def test_numpy_random_scan_sees(line):
 
 
 
-MODULES = ("dataset", "evaluation", "health", "multiscale", "persist", "rul", "subspace", "cli")
+MODULES = ("dataset", "evaluation", "fit", "health", "multiscale", "persist", "pipeline", "rul",
+           "subspace", "synthetic", "cli")
 MODULE_REFERENCE = re.compile(rf"\b({'|'.join(MODULES)})\.([A-Za-z_]\w*)")
 
 

@@ -5,7 +5,7 @@ dataset.load_cmapss parses a file with one np.loadtxt call and falls back to
 its line parser when that parse or a check on its result fails. The line
 parser is the reference: the bulk path may accept only files it accepts,
 with bit-equal arrays, and every error comes from it. CMAPSS text has one
-line parser, dataset._parse_cmapss_lines, and one writer, dataset.save_cmapss.
+line parser, dataset._parse_cmapss_lines, and one writer, synthetic.save_cmapss.
 A curve table is the same form in memory, a TrajectorySet, but it is
 exported as one `.npy` array by persist.write_curves, which np.load reads
 back exactly.
@@ -20,11 +20,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from subtrack import dataset
-from subtrack.dataset import (
-    ID_LIMIT, N_SETTINGS, SynthConfig, TrajectorySet, generate_synthetic, load_cmapss,
-    save_cmapss,
-)
+from subtrack import dataset, synthetic
+from subtrack.dataset import ID_LIMIT, N_SETTINGS, TrajectorySet, load_cmapss
+from subtrack.synthetic import SynthConfig, generate_synthetic, save_cmapss
 from subtrack.errors import PrognosticsError
 from subtrack.health import CURVE_COLUMNS
 from subtrack.persist import write_curves
@@ -271,14 +269,14 @@ def test_both_tables_share_one_parser_and_one_writer(tmp_path, monkeypatch):
             return func(*args, **kwargs)
         return shim
 
-    for name in ("_parse_cmapss_lines", "save_cmapss"):
-        monkeypatch.setattr(dataset, name, recording(name, getattr(dataset, name)))
+    for module, name in ((dataset, "_parse_cmapss_lines"), (synthetic, "save_cmapss")):
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
     train, _, _, _ = generate_synthetic(
         SynthConfig(n_units=3, min_cycles=5, max_cycles=8, seed=3)
     )
     curves = TrajectorySet.stack(train.unit_ids, [t[:, -len(CURVE_COLUMNS):] for t in train])
 
-    dataset.save_cmapss(train, tmp_path / "train.txt")
+    synthetic.save_cmapss(train, tmp_path / "train.txt")
     write_curves(curves, tmp_path / "train_curves.npy")
     assert calls == ["save_cmapss"]
     # rows out of (unit, cycle) order leave the bulk path to the line parser

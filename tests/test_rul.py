@@ -8,7 +8,8 @@ from subtrack.config import RunConfig
 from subtrack.dataset import TrajectorySet
 from subtrack.errors import NoMatchError, NumericalError, ValidationError
 from subtrack.health import CURVE_COLUMNS, SIGMA
-from subtrack.rul import BANDWIDTH_FLOOR, Library, _candidates, estimate_rul, prepare_library
+from subtrack.fit import prepare_library
+from subtrack.rul import BANDWIDTH_FLOOR, Library, _candidates, estimate_rul
 
 U = 2.0**-53  # unit roundoff of float64
 

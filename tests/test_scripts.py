@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import subtrack
-from subtrack.dataset import SynthConfig, generate_synthetic, save_cmapss
+from subtrack.synthetic import SynthConfig, generate_synthetic, save_cmapss
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -10,20 +10,12 @@ from subtrack import persist
 from subtrack.config import RunConfig
 from subtrack.dataset import N_SENSORS, Normalizer
 from subtrack.errors import NumericalError, ValidationError
-from subtrack.evaluation import TrainedPipeline
+from subtrack.fit import DOMINANT_GAP, FORGETTING, fit_spectrum, pick_dim, spectrum, update
 from subtrack.health import DistanceScaler
 from subtrack.multiscale import MultiModel
+from subtrack.pipeline import TrainedPipeline
 from subtrack.rul import Library
-from subtrack.subspace import (
-    DOMINANT_GAP,
-    FORGETTING,
-    SubspaceModel,
-    fit_spectrum,
-    mahalanobis_rows,
-    pick_dim,
-    spectrum,
-    update,
-)
+from subtrack.subspace import SubspaceModel, mahalanobis_rows
 
 DELTA = RunConfig().delta  # the in-subspace weight of every distance below
 
