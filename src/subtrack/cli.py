@@ -93,14 +93,16 @@ def _report_degraded(unit_ids, estimates) -> None:
         )
 
 
-def _read_regimes(args, pipe) -> int:
-    """The K training read from the settings; one stderr line when an
+def _read_values(args, pipe) -> tuple:
+    """What training read from the data: the K of the settings, and the d and
+    delta (to 3 digits) of the healthy spectrum. One stderr line when an
     --n-regimes flag, which no longer sets K, names another."""
-    k = pipe.model.n_regimes
+    model = pipe.model
+    k = model.n_regimes
     if args.n_regimes not in (None, k):
         print(f"warning: --n-regimes {args.n_regimes} ignored: the settings read {k} regimes",
               file=sys.stderr)
-    return k
+    return k, model.models[0].subspace_dim, f"{model.delta:.3g}"
 
 
 def cmd_train(args) -> int:
@@ -113,8 +115,9 @@ def cmd_train(args) -> int:
         del train_set  # the library and the writes are made beside the curve table alone
         pipe, curves = fit.fit_library(*fitted)
         persist.save_pipeline(pipe, curves, args.out)
-    k, d = _read_regimes(args, pipe), pipe.model.models[0].subspace_dim
-    print(f"trained on {len(curves)} units, {k} regimes, subspace dim {d} -> {args.out}")
+    k, d, delta = _read_values(args, pipe)
+    print(f"trained on {len(curves)} units, {k} regimes, subspace dim {d}, delta {delta} "
+          f"-> {args.out}")
     return EXIT_OK
 
 
@@ -153,7 +156,7 @@ def cmd_benchmark(args) -> int:
         report.estimates, report.truths, out / "rul_estimates.csv", test_curves.unit_ids
     )
     print(report.to_text())
-    print(f"regimes: {_read_regimes(args, pipe)}")
+    print("regimes: {}, subspace dim: {}, delta: {}".format(*_read_values(args, pipe)))
     return EXIT_OK
 
 

@@ -12,10 +12,11 @@ MODES = ("sst", "sst-lr")
 # fields older config files still hold, ignored: the epoch trainer's knobs, the
 # matching bandwidth (see rul), the k-means++ seed, the settings switch (the
 # sensors are tracked at every K), the d training reads from the spectrum and
-# the K it reads from the settings (see fit.cluster_regimes)
+# the K it reads from the settings (see fit.cluster_regimes), and the
+# in-subspace weight it reads from the spectrum (see fit.noise_variance)
 RETIRED_FIELDS = frozenset(
     {"alpha", "eta", "max_epochs", "rel_tol", "beta", "seed", "include_settings",
-     "subspace_dim", "n_regimes"}
+     "subspace_dim", "n_regimes", "delta"}
 )
 
 _TYPES = {  # annotation -> (accepts the value, what it takes); a bool is no number
@@ -29,7 +30,6 @@ _TYPES = {  # annotation -> (accepts the value, what it takes); a bool is no num
 @dataclass(frozen=True)
 class RunConfig:
     mode: str = "sst"  # one of MODES
-    delta: float = 0.01
     healthy_cycles: int = 20
     tau1: int = 1
     tau2: int = 40
@@ -43,8 +43,6 @@ class RunConfig:
                 raise ValidationError(f"{f.name} must be {what}, got {value!r}")
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
-        if not self.delta > 0:
-            raise ValidationError("delta must be > 0")
         if self.healthy_cycles < 1:
             raise ValidationError("healthy_cycles must be >= 1")
         if not 0.0 < self.smoothing <= 1.0:

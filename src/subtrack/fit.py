@@ -172,16 +172,31 @@ def spectrum(window: np.ndarray) -> tuple:
     return (center, *np.linalg.eigh(centered.T @ centered / (len(window) - 1)))
 
 
-def pick_dim(eigvals: np.ndarray) -> int:
-    """The d of a healthy spectrum: of the eigenvalues above SPECTRUM_FLOOR times the
-    largest (masked sensors add zeros), the i of the largest lambda_i / lambda_{i+1}
-    if at least DOMINANT_GAP, else the count above the mean eigenvalue and at least 2
-    (Kaiser-Guttman, which overcounts: too large a d costs little); 1 at rank <= 1."""
+def _ranked(eigvals: np.ndarray) -> np.ndarray:
+    """A spectrum's eigenvalues above SPECTRUM_FLOOR times the largest, in
+    descending order: masked sensors add zeros, which are dropped."""
     lam = np.sort(eigvals)[::-1]
-    lam = lam[lam > SPECTRUM_FLOOR * lam[0]]
+    return lam[lam > SPECTRUM_FLOOR * lam[0]]
+
+
+def pick_dim(eigvals: np.ndarray) -> int:
+    """The d of a healthy spectrum: of its `_ranked` eigenvalues, the i of the
+    largest lambda_i / lambda_{i+1} if at least DOMINANT_GAP, else the count above
+    the mean eigenvalue and at least 2 (Kaiser-Guttman, which overcounts: too
+    large a d costs little); 1 at rank <= 1."""
+    lam = _ranked(eigvals)
     if len(lam) < 2:
         return 1
     return largest_gap(lam, DOMINANT_GAP) or max(2, int(np.sum(lam > np.mean(eigvals))))
+
+
+def noise_variance(eigvals: np.ndarray, subspace_dim: int) -> float:
+    """The delta of a healthy spectrum read at subspace_dim: the mean of its
+    `_ranked` eigenvalues past the first subspace_dim, the noise variance of
+    probabilistic PCA (Tipping & Bishop, JRSS-B 1999), floored at
+    SPREAD_FLOOR; SPREAD_FLOOR when none is left."""
+    lam = _ranked(eigvals)[subspace_dim:]
+    return max(float(np.mean(lam)), SPREAD_FLOOR) if len(lam) else SPREAD_FLOOR
 
 
 def largest_gap(values: np.ndarray, gap: float) -> int:
@@ -231,18 +246,19 @@ def update(model: SubspaceModel, x: np.ndarray) -> SubspaceModel:
     return fit_spectrum(center, s**2, u, model.subspace_dim)
 
 
-def track(mm: MultiModel, rows: np.ndarray, delta: float) -> MultiModel:
+def track(mm: MultiModel, rows: np.ndarray) -> MultiModel:
     """One pass over a (n, D) stream: each row updates only its
-    minimum-distance model at delta (ties -> lowest index), routed against the
-    models as they stand when it arrives. The other models stay untouched."""
+    minimum-distance model at mm.delta (ties -> lowest index), routed against
+    the models as they stand when it arrives. The other models and delta stay
+    untouched."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != mm.models[0].dim:
         raise ValidationError(f"expected rows of dimension {mm.models[0].dim}")
     for row in rows:
-        k = assign_rows(mm, row[None], delta)[0][0]
+        k = assign_rows(mm, row[None])[0][0]
         models = list(mm.models)
         models[k] = update(models[k], row)
-        mm = MultiModel(models=models, centroids=mm.centroids)
+        mm = MultiModel(models=models, centroids=mm.centroids, delta=mm.delta)
     return mm
 
 
@@ -344,9 +360,10 @@ def train_pipeline(
 ) -> tuple[TrainedPipeline, TrajectorySet]:
     """Fit the training stage: regimes (and K) read from the settings, then on
     the sensors the normalizer, one batch-PCA subspace per regime at the d
-    `pick_dim` reads from their pooled healthy spectrum (a regime of at most d
-    healthy rows raises ValidationError), scaler and (in sst-lr mode) the
-    regressor. Returns the pipeline and its library's curves; only reads the set.
+    `pick_dim` reads from their mean healthy spectrum (a regime of at most d
+    healthy rows raises ValidationError) and the delta `noise_variance` reads
+    there, scaler and (in sst-lr mode) the regressor. Returns the pipeline
+    and its library's curves; only reads the set.
     It is `fit_rows` then `fit_library`: a caller that holds the set only to
     train may drop it between the two."""
     return fit_library(*fit_rows(train_set, cfg))
@@ -371,10 +388,11 @@ def fit_rows(train_set: TrajectorySet, cfg: RunConfig) -> tuple[dict, Trajectory
     n_rows = np.bincount(healthy_labels, minlength=len(centroids))
     windows = np.split(healthy, np.cumsum(n_rows)[:-1])  # a view of each regime's rows
     spectra = [spectrum(w) for w in windows if len(w) > 1]
-    # one d for every member, read from the regimes' mean spectrum: eigh's
-    # eigenvalues ascend, so the mean is taken rank by rank. The rows are
-    # z-scored per regime, so the spectra share a scale.
-    d = pick_dim(np.mean([eigvals for _, eigvals, _ in spectra], axis=0)) if spectra else 1
+    # one d and one delta for every member, read from the regimes' mean
+    # spectrum: eigh's eigenvalues ascend, so the mean is taken rank by rank.
+    # The rows are z-scored per regime, so the spectra share a scale.
+    mean_spectrum = np.mean([e for _, e, _ in spectra], axis=0) if spectra else np.zeros(1)
+    d = pick_dim(mean_spectrum)
     for k, n in enumerate(n_rows):
         if n <= d:
             raise ValidationError(
@@ -384,7 +402,7 @@ def fit_rows(train_set: TrajectorySet, cfg: RunConfig) -> tuple[dict, Trajectory
             )
     members = [fit_spectrum(*s, d) for s in spectra]
     del is_healthy, idx, healthy, healthy_labels, windows  # freed before the fleet passes
-    model = MultiModel(models=members, centroids=centroids)
+    model = MultiModel(members, centroids, noise_variance(mean_spectrum, d))
 
     def blocks():
         return _normalized_blocks(norm, train_set, labels)

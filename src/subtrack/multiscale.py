@@ -3,7 +3,9 @@
 The operational-setting space is partitioned into K clusters; each cluster
 owns a subspace model. A sample is routed to the minimum-distance model. A
 single-regime fleet is the K=1 case. Training reads K and the centroids
-from the settings (`fit.cluster_regimes`) and fits each model by batch PCA.
+from the settings (`fit.cluster_regimes`), fits each model by batch PCA and
+reads one in-subspace weight delta for all of them (`fit.noise_variance`):
+routing compares distances across models, so they share it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ MAX_REGIMES = 16  # the most seeds, so the most regimes, the settings are read f
 class MultiModel:
     models: list[SubspaceModel]
     centroids: np.ndarray  # (K, n_settings)
+    delta: float  # the in-subspace weight of every model's distance, > 0
 
     @property
     def n_regimes(self) -> int:
@@ -80,10 +83,10 @@ def _sq_dists(points: np.ndarray, centroids) -> np.ndarray:
     return out
 
 
-def assign_rows(mm: MultiModel, rows: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+def assign_rows(mm: MultiModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of the minimum-distance model for each row of a (n, D) matrix and
-    that distance at delta (`subspace.mahalanobis_rows`); ties -> lowest index."""
-    dists = np.array([mahalanobis_rows(m, rows, delta) for m in mm.models])
+    that distance at mm.delta (`subspace.mahalanobis_rows`); ties -> lowest index."""
+    dists = np.array([mahalanobis_rows(m, rows, mm.delta) for m in mm.models])
     labels = np.argmin(dists, axis=0)
     return labels, dists[labels, np.arange(rows.shape[0])]
 

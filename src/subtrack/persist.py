@@ -9,11 +9,12 @@ SIGMA_FILE, and one export.
 The document (model_document, read_model_document) holds the whole fitted
 pipeline but the library's curves: its format version, the run config, the
 regime centroids over the N_SETTINGS settings, one member {c, lambdas, U1}
-per regime, the normalizer, the scaler, the sst-lr regressor (null in sst
-mode) and the library's unit ids and curve lengths. The normalizer, members
-and regressor span the N_SENSORS tracked columns; the member count fixes K
-(1 to `multiscale.MAX_REGIMES`) and the first member's basis every member's d;
-the config's delta weights the distances of every member.
+per regime, delta, the normalizer, the scaler, the sst-lr regressor (null in
+sst mode) and the library's unit ids and curve lengths. The normalizer,
+members and regressor span the N_SENSORS tracked columns; the member count
+fixes K (1 to `multiscale.MAX_REGIMES`) and the first member's basis every
+member's d; delta, which training reads from the healthy spectrum
+(`fit.noise_variance`), weights the distances of every member.
 The library's zero-padded curves are a float64 `.npy` array. Matching reads
 the stored library and never opens `train_curves.npy`, the export of the
 training curve table that save_pipeline is given beside the pipeline,
@@ -21,8 +22,8 @@ written by write_curves like every curve export. A directory of any other
 version than MODEL_FORMAT_VERSION is refused; one of version 1 (library
 only in a `train_curves.csv`), 2 (library smoothed twice), 3 (an sst-lr
 regressor of the d subspace projections), 4 (the pipeline spread over five
-documents and three arrays) or 5 (settings tracked at K=1) with a message
-to retrain.
+documents and three arrays), 5 (settings tracked at K=1) or 6 (delta a
+config field, set by hand) with a message to retrain.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .multiscale import MAX_REGIMES, MultiModel
 from .rul import Library
 from .subspace import SubspaceModel
 
-MODEL_FORMAT_VERSION = 6
+MODEL_FORMAT_VERSION = 7
 MODEL_FILE = "model.json"
 SIGMA_FILE = "library_sigma.npy"  # float64, (n_train, longest curve)
 ESTIMATE_CSV_HEADER = (
@@ -56,7 +57,7 @@ _ENTRIES = {
 
 
 def _check_version(doc: dict) -> None:
-    """Accept exactly the int MODEL_FORMAT_VERSION: not True, 6.0 or "6"."""
+    """Accept exactly the int MODEL_FORMAT_VERSION: not True, 7.0 or "7"."""
     version = doc.get("version")
     if type(version) is int and version == MODEL_FORMAT_VERSION:
         return
@@ -78,6 +79,7 @@ def model_document(pipe: TrainedPipeline) -> dict:
             {"c": m.center.tolist(), "lambdas": m.spreads.tolist(), "U1": m.basis.T.tolist()}
             for m in pipe.model.models
         ],
+        "delta": pipe.model.delta,
         "normalizer": {
             "mean": norm.mean.tolist(), "std": norm.std.tolist(),
             "mask": norm.mask.astype(int).tolist(),
@@ -130,7 +132,8 @@ def read_model_document(doc: dict) -> dict:
         )
         for i, m in enumerate(doc["members"])
     ]
-    model = MultiModel(members, _table(doc["centroids"], "centroids", (k, N_SETTINGS)))
+    centroids = _table(doc["centroids"], "centroids", (k, N_SETTINGS))
+    model = MultiModel(members, centroids, float(_table(doc["delta"], "delta", (), positive=True)))
     model.validate()
     norm, scaler, library = doc["normalizer"], doc["scaler"], doc["library"]
     n_train = len(library["unit_ids"])

@@ -53,13 +53,13 @@ def _analyze_fleet(model: MultiModel, blocks, tset, cfg: RunConfig, weights=None
     """(the fleet's curve table: each row's raw distance, that distance
     smoothed within its unit in the scaled column and, given regressor
     weights, the health index they predict in the sigma column; the rows'
-    model labels). A distance that overflows (a huge delta or row value)
+    model labels). A distance that overflows (a huge stored delta or row value)
     raises NumericalError. Each block is normalized as it is drawn."""
     curves = np.empty((len(CURVE_COLUMNS), len(tset.matrix))).T  # contiguous columns, for matching
     raw, hi, reg = curves[:, RAW_DIST], curves[:, SIGMA], np.empty(len(curves), dtype=np.uint8)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         for blk, x in blocks:
-            reg[blk], raw[blk] = multiscale.assign_rows(model, x, cfg.delta)
+            reg[blk], raw[blk] = multiscale.assign_rows(model, x)
             if not np.isfinite(raw[blk]).all():
                 raise NumericalError("non-finite subspace distance (overflow)")
             if weights is not None:

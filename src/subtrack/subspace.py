@@ -2,15 +2,19 @@
 
 The model is an affine subspace {basis, center, spreads}: orthonormal basis
 columns span the healthy subspace, center is the input-space mean and spreads
-are the per-axis variances along the basis. The run config's delta weights the
-in-subspace quadratic form against the off-subspace residual energy in the
-approximate Mahalanobis distance
+are the per-axis variances along the basis. A weight delta, held by the
+fitted K-model (`multiscale.MultiModel`), weighs the in-subspace quadratic
+form against the off-subspace residual energy in the approximate Mahalanobis
+distance
 
     dist(x) = delta * sum_i (b_i . (x - c))^2 / spread_i + ||r||^2,
 
-where r is the projection residual (x - c) minus its in-subspace part. The
-complement basis is never materialized; the residual form is algebraically
-identical and costs O(D*d) per sample.
+where r is the projection residual (x - c) minus its in-subspace part. With
+delta the noise variance of probabilistic PCA, the mean of the eigenvalues
+the fit discards (`fit.noise_variance`), this is delta times the PPCA
+Mahalanobis distance (Tipping & Bishop, JRSS-B 1999). The complement basis
+is never materialized; the residual form is algebraically identical and
+costs O(D*d) per sample.
 
 Training fits each model by batch PCA (`fit.fit_spectrum`), and `fit.update`
 is the online form of that fit.

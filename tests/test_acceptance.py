@@ -94,7 +94,7 @@ def test_criterion_3_static_manifold_tracking():
         rows = center + z @ basis.T + 0.01 * rng.standard_normal((1000, 24))
 
         model = fit(rows[:100], 3)
-        model = track(solo(model), rows, DELTA).models[0]
+        model = track(solo(model), rows).models[0]
 
         angle = subspace_angle(model.basis, basis)
         angles.append(angle)
@@ -290,7 +290,7 @@ def test_criterion_10_rotating_manifold_tracking():
             + 0.01 * rng.standard_normal((n_rows, 24))
 
         frozen = fit(rows[:100], 3)
-        tracked = track(solo(frozen), rows[100:], DELTA).models[0]
+        tracked = track(solo(frozen), rows[100:]).models[0]
 
         angle = subspace_angle(tracked.basis, bases[-1])
         tail = rows[-200:]

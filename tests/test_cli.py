@@ -163,19 +163,21 @@ class TestTrain:
         assert rc == EXIT_OK
         assert {p.name for p in out.iterdir()} == MODEL_DIR_FILES
         doc = model_doc(out)
-        assert doc["version"] == persist.MODEL_FORMAT_VERSION == 6
+        assert doc["version"] == persist.MODEL_FORMAT_VERSION == 7
         assert doc["regressor"] is None
 
     def test_summary_names_the_subspace_dimension_it_read(self, synth_dir, tmp_path, capsys):
-        # the generator's d = 3, read from the healthy spectrum: no flag sets it
+        # the generator's d = 3 and the delta of the discarded eigenvalues,
+        # read from the healthy spectrum: no flag sets either
         out = tmp_path / "model"
         assert main(["train", "--train", str(synth_dir / "train_synth.txt"),
                      "--out", str(out)] + BENCH_FLAGS) == EXIT_OK
-        assert capsys.readouterr().out == (
-            f"trained on 10 units, 1 regimes, subspace dim 3 -> {out}\n")
         doc = model_doc(out)
-        assert "subspace_dim" not in doc["config"]
+        assert capsys.readouterr().out == (
+            f"trained on 10 units, 1 regimes, subspace dim 3, delta {doc['delta']:.3g} -> {out}\n")
+        assert not {"subspace_dim", "delta"} & set(doc["config"])
         assert [np.shape(m["U1"]) for m in doc["members"]] == [(3, N_SENSORS)]
+        assert 0 < doc["delta"] < 0.01
 
     def test_sst_lr_writes_regressor(self, synth_dir, tmp_path):
         out = tmp_path / "model"
@@ -271,7 +273,7 @@ class TestTrain:
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(
             {"alpha": 0.5, "eta": 0.0, "max_epochs": 5, "rel_tol": 1e-3,
-             "beta": 0.0235, "include_settings": "yes", "seed": 9, "tau2": 25}
+             "beta": 0.0235, "include_settings": "yes", "seed": 9, "delta": 5.0, "tau2": 25}
         ))
         out = tmp_path / "model"
         rc = main(
@@ -282,6 +284,20 @@ class TestTrain:
         saved = model_doc(out)["config"]
         assert saved["tau2"] == 25
         assert not set(saved) & set(RETIRED_FIELDS)
+
+    def test_config_file_delta_is_ignored(self, synth_dir, tmp_path):
+        # delta is read from the healthy spectrum: a config file's value
+        # changes no byte of the model directory
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"delta": 5.0}))
+        dirs = []
+        for name, extra in (("plain", []), ("config", ["--config", str(cfg_file)])):
+            dirs.append(tmp_path / name)
+            assert main(["train", "--train", str(synth_dir / "train_synth.txt"),
+                         "--out", str(dirs[-1])] + BENCH_FLAGS + extra) == EXIT_OK
+        for name in MODEL_DIR_FILES:
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+        assert model_doc(dirs[0])["delta"] != 5.0
 
     def test_config_file_with_unknown_key_exits_2(self, synth_dir, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
@@ -310,34 +326,6 @@ class TestTrain:
         assert "numerical error: [train] Eigenvalues did not converge" in err
         assert "Traceback" not in err
         assert not (tmp_path / "model").exists()
-
-    # at 5e306 each row distance is finite but the healthy means overflow
-    # (3e306-8e306 on this fleet); test_health.py::TestScaler pins that
-    # branch without a draw
-    @pytest.mark.parametrize(
-        "delta, message",
-        [("1e308", "non-finite subspace distance (overflow)"),
-         ("5e306", "healthy-level distance overflows")],
-    )
-    def test_overflowing_distance_exits_3(
-        self, synth_dir, tmp_path, capsys, delta, message
-    ):
-        rc = main(["train", "--train", str(synth_dir / "train_synth.txt"),
-                   "--out", str(tmp_path / "model"), "--delta", delta])
-        assert rc == EXIT_NUMERICAL
-        assert capsys.readouterr().err == f"numerical error: [train] {message}\n"
-        assert not (tmp_path / "model").exists()
-
-    @pytest.mark.parametrize("delta", ["1e306", "1e305"])
-    def test_huge_delta_trains_with_finite_outputs(self, synth_dir, tmp_path, delta):
-        # distances of ~1e306 and their healthy-level mean stay finite
-        model = tmp_path / "model"
-        proc = train_in_fresh_interpreter(
-            synth_dir / "train_synth.txt", model, "--delta", delta
-        )
-        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
-        for name in ("train_curves.npy", "library_sigma.npy"):
-            assert np.isfinite(np.load(model / name, allow_pickle=False)).all()
 
     @pytest.mark.parametrize(
         "text", ['{"tau2": 1', "[1, 2]"], ids=["malformed", "not-an-object"]
@@ -561,7 +549,9 @@ class TestInfer:
             ("5", "unsupported model format version '5'"),
             (6.0, "unsupported model format version 6.0"),
             ("6", "unsupported model format version '6'"),
-            (7, "unsupported model format version 7"),
+            (7.0, "unsupported model format version 7.0"),
+            ("7", "unsupported model format version '7'"),
+            (8, "unsupported model format version 8"),
             (0, "unsupported model format version 0"),
             (1, RETRAIN.format(1)),
             # a version 2 library is smoothed twice, and in sst-lr mode is
@@ -573,9 +563,11 @@ class TestInfer:
             (4, RETRAIN.format(4)),
             # a version 5 model tracks the 3 settings beside the sensors at K=1
             (5, RETRAIN.format(5)),
+            # a version 6 model weighs its distances by the config's hand-set delta
+            (6, RETRAIN.format(6)),
         ],
         ids=["true", "2.0", "str-2", "3.0", "str-3", "4.0", "str-4", "5.0", "str-5",
-             "6.0", "str-6", "7", "0", "1", "2", "3", "4", "5"],
+             "6.0", "str-6", "7.0", "str-7", "8", "0", "1", "2", "3", "4", "5", "6"],
     )
     def test_unsupported_version_exits_2_naming_model_json(
         self, synth_dir, model_dir, tmp_path, capsys, version, message
@@ -603,7 +595,7 @@ class TestInfer:
             "version": 1,
             "D": len(member["c"]),
             "d": len(member["lambdas"]),
-            "delta": doc["config"]["delta"],
+            "delta": doc["delta"],
             "c": member["c"],
             "lambdas": member["lambdas"],
             "U1": member["U1"],
@@ -767,8 +759,7 @@ class TestInfer:
         [
             (lambda doc: doc["scaler"].update(ceiling=math.inf),
              "scaler.ceiling must be finite"),
-            (lambda doc: doc["config"].update(delta=math.inf),
-             "delta must be a finite number, got inf"),
+            (lambda doc: doc.update(delta=math.inf), "delta must be finite and > 0"),
         ],
         ids=["scaler-ceiling", "model-delta"],
     )
@@ -868,14 +859,15 @@ class TestInfer:
         self, synth_dir, model_dir, tmp_path
     ):
         # a config as train wrote it while it ran the epoch trainer, matched
-        # with a fixed bandwidth, seeded k-means++ from a draw and took the
-        # settings switch: the retired fields are ignored, whatever they hold
+        # with a fixed bandwidth, seeded k-means++ from a draw, took the
+        # settings switch and a hand-set delta: the retired fields are
+        # ignored, whatever they hold
         legacy = tmp_path / "legacy"
         shutil.copytree(model_dir, legacy)
         assert not set(model_doc(legacy)["config"]) & set(RETIRED_FIELDS)
         edit_model_doc(legacy, lambda doc: doc["config"].update(
             alpha=0.87, eta=0.01, max_epochs=100, rel_tol=1e-4, beta=0.0235, seed=3,
-            include_settings=True,
+            include_settings=True, delta=0.01,
         ))
         assert persist.load_pipeline(legacy).config == (
             persist.load_pipeline(model_dir).config
@@ -891,9 +883,9 @@ class TestInfer:
     def test_directory_with_an_n_regimes_config_infers_identically(
         self, synth_dir, model_dir, tmp_path
     ):
-        # the model.json of version 6 as train wrote it while K was a config
-        # field, second in its config: the retired field is ignored and K is
-        # read from the member count, so the directory loads without a format bump
+        # a config as train wrote it while K was a config field, second in
+        # it: the retired field is ignored and K is read from the member
+        # count, so such a config loads as it is
         legacy = tmp_path / "legacy"
         shutil.copytree(model_dir, legacy)
         edit_model_doc(legacy, add_n_regimes)
@@ -910,10 +902,9 @@ class TestInfer:
     def test_directory_with_a_subspace_dim_config_infers_identically(
         self, synth_dir, model_dir, tmp_path
     ):
-        # the model.json of version 6 as train wrote it while the subspace
-        # dimension was a config field, third in its config: the retired
-        # field is ignored and d is read from the members' bases, so the
-        # directory loads without a format bump
+        # a config as train wrote it while the subspace dimension was a
+        # config field, third in it: the retired field is ignored and d is
+        # read from the members' bases, so such a config loads as it is
         legacy = tmp_path / "legacy"
         shutil.copytree(model_dir, legacy)
 
@@ -939,12 +930,27 @@ class TestInfer:
     ):
         huge = tmp_path / "huge"
         shutil.copytree(model_dir, huge)
-        edit_model_doc(huge, lambda doc: doc["config"].update(delta=1e308))
+        edit_model_doc(huge, lambda doc: doc.update(delta=1e308))
         assert self.infer_rc(synth_dir, huge, tmp_path / "out") == EXIT_NUMERICAL
         assert capsys.readouterr().err == (
             "numerical error: non-finite subspace distance (overflow)\n"
         )
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("delta", [1e306, 1e305])
+    def test_model_with_huge_delta_infers_finite_outputs(self, synth_dir, model_dir, tmp_path,
+                                                         delta):
+        # distances of ~1e306 stay finite, and so do the curves and estimates
+        huge = tmp_path / "huge"
+        shutil.copytree(model_dir, huge)
+        edit_model_doc(huge, lambda doc: doc.update(delta=delta))
+        out = tmp_path / "out"
+        proc = run_fresh_interpreter(
+            "-m", "subtrack.cli", "infer", "--model-dir", str(huge),
+            "--data", str(synth_dir / "test_synth.txt"), "--out", str(out))
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert np.isfinite(np.load(out / "hi_curves.npy", allow_pickle=False)).all()
+        assert all(row["estimated_rul"] for row in estimate_rows(out))
 
     def test_config_with_unknown_key_exits_2_naming_file(
         self, synth_dir, model_dir, tmp_path, capsys
@@ -1010,7 +1016,12 @@ class TestFittedTables:
             (lambda doc: doc.update(centroids=[c[:2] for c in doc["centroids"]]),
              "centroids has shape (3, 2), expected (3, 3)"),
             (_first("centroids", None, float("nan")), "centroids must be finite"),
-            (lambda doc: doc["config"].update(delta=0), "delta must be > 0"),
+            (lambda doc: doc.pop("delta"), "malformed artifact: KeyError('delta')"),
+            (lambda doc: doc.update(delta=True), "delta must hold only numbers"),
+            (lambda doc: doc.update(delta="0.01"), "delta must hold only numbers"),
+            (lambda doc: doc.update(delta=0), "delta must be finite and > 0"),
+            (lambda doc: doc.update(delta=-1), "delta must be finite and > 0"),
+            (lambda doc: doc.update(delta=math.inf), "delta must be finite and > 0"),
             # K is the member count: none leaves no regime, and no basis to read d from
             (lambda doc: doc.update(members=[]),
              "members is empty: a model holds one member per regime"),
@@ -1035,7 +1046,8 @@ class TestFittedTables:
              "regressor-nan", "normalizer-2-rows",
              "normalizer-23-mask-columns", "normalizer-zero-std", "normalizer-inf-std",
              "normalizer-nan-mean", "model-2-settings-columns", "model-nan-centroid",
-             "config-zero-delta", "members-empty", "members-16", "members-17", "member-2-axes",
+             "delta-missing", "delta-true", "delta-str", "delta-zero", "delta-negative",
+             "delta-inf", "members-empty", "members-16", "members-17", "member-2-axes",
              "model-true-centroid", "scaler-str-floor", "member-null-spread"],
     )
     def test_mismatched_table_exits_2_naming_file_before_data_is_read(
@@ -1086,9 +1098,11 @@ class TestBenchmark:
         report = json.loads((tmp_path / "report.json").read_text())
         assert set(report) >= {"rmse", "score", "rows", "config", "n_units"}
         assert report["n_units"] == 10
-        # stdout is the report and the K read from the settings
+        # stdout is the report, the K read from the settings and the d and
+        # delta read from the healthy spectrum
         text = (tmp_path / "report.txt").read_text()
-        assert capsys.readouterr() == (text + "regimes: 1\n", "")
+        read = "regimes: 1, subspace dim: 3, delta: 0.000923\n"
+        assert capsys.readouterr() == (text + read, "")
 
     @pytest.mark.parametrize("token", ["inf", "-7"])
     def test_invalid_rul_value_exits_2_naming_line(
@@ -1535,7 +1549,9 @@ def test_jittered_settings_read_their_regimes_leaving_numpy_ma_unimported(tmp_pa
     )
     proc = run_fresh_interpreter("-c", code)
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
-    assert proc.stdout == f"trained on 4 units, 3 regimes, subspace dim 3 -> {model}\n"
+    delta = model_doc(model)["delta"]
+    assert proc.stdout == (
+        f"trained on 4 units, 3 regimes, subspace dim 3, delta {delta:.3g} -> {model}\n")
 
 
 # numpy subpackages that `import numpy` leaves unloaded and subtrack never needs
@@ -1621,8 +1637,9 @@ EXIT_RUNS = {
     "missing-file": (EXIT_DATA, lambda synth, tmp: [
         "train", "--train", str(tmp / "nope.txt"), "--out", str(tmp / "model")]),
     "overflow": (EXIT_NUMERICAL, lambda synth, tmp: [
-        "train", "--train", str(synth / "train_synth.txt"),
-        "--out", str(tmp / "model"), "--delta", "1e307"]),
+        "train", "--train", str(huge_copy(synth / "train_synth.txt", tmp / "huge.txt",
+                                          HUGE_VALUES["sensor-1.7e308"])),
+        "--out", str(tmp / "model")]),
 }
 
 # a sitecustomize module that reports the GC freeze count once the
@@ -1704,7 +1721,8 @@ class TestUsage:
             assert main(["train", "--train", str(data / "train_synth.txt"), "--out", str(out),
                          *flags] + BENCH_FLAGS) == EXIT_OK
             assert capsys.readouterr() == (
-                f"trained on 6 units, 6 regimes, subspace dim 3 -> {out}\n", err)
+                f"trained on 6 units, 6 regimes, subspace dim 3, "
+                f"delta {model_doc(out)['delta']:.3g} -> {out}\n", err)
             models[out] = {p.name: p.read_bytes() for p in out.iterdir()}
         first, *others = models.values()
         assert set(first) == MODEL_DIR_FILES
@@ -1731,7 +1749,7 @@ class TestUsage:
     def test_every_config_field_has_a_flag(self, command):
         # a valid config where every field differs from its default
         wanted = RunConfig(
-            mode="sst-lr", delta=0.02,
+            mode="sst-lr",
             healthy_cycles=15, tau1=2, tau2=30, smoothing=0.5,
         )
         argv = [command, "--train", "t", "--out", "o"]

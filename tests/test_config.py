@@ -40,15 +40,14 @@ def test_from_dict_returns_a_config_or_raises_validation_error(field, value):
     [
         ({"tau1": True}, "tau1 must be an int, got True"),
         ({"healthy_cycles": 20.0}, "healthy_cycles must be an int, got 20.0"),
-        ({"delta": True}, "delta must be a finite number, got True"),
+        ({"smoothing": True}, "smoothing must be a finite number, got True"),
         ({"tau2": float("inf")}, "tau2 must be an int, got inf"),
         ({"smoothing": "0.3"}, "smoothing must be a finite number, got '0.3'"),
-        ({"delta": 10**400}, f"delta must be a finite number, got {10**400}"),
+        ({"smoothing": 10**400}, f"smoothing must be a finite number, got {10**400}"),
         ({"healthy_cycles": -3}, "healthy_cycles must be >= 1"),
         ({"mode": None}, "mode must be a string, got None"),
         ({"smoothing": 0}, "smoothing must be in (0, 1]"),
-        ({"delta": 0}, "delta must be > 0"),
-        ({"delta": -0.5}, "delta must be > 0"),
+        ({"smoothing": -0.5}, "smoothing must be in (0, 1]"),
         ({"tau1": -1}, "need 0 <= tau1 <= tau2"),
         ({"tau1": 5, "tau2": 2}, "need 0 <= tau1 <= tau2"),
         ({"healthy_cycles": 0}, "healthy_cycles must be >= 1"),
@@ -73,8 +72,7 @@ def test_set_include_settings_loads_and_is_ignored(value):
 
 
 def test_float_fields_take_ints():
-    cfg = RunConfig(delta=1, smoothing=1)
-    assert (cfg.delta, cfg.smoothing) == (1, 1)
+    assert RunConfig(smoothing=1).smoothing == 1
 
 
 @pytest.mark.parametrize("beta", [0.0235, 0.0, float("nan"), "wide"])
@@ -92,6 +90,15 @@ def test_retired_subspace_dim_loads_and_is_ignored(subspace_dim):
     # members hold it in their bases
     assert RunConfig.from_dict({"subspace_dim": subspace_dim, "tau2": 30}) == RunConfig(tau2=30)
     assert "subspace_dim" not in RunConfig().to_dict()
+
+
+@pytest.mark.parametrize("delta", [0.01, 0, -1, float("inf"), "small"])
+def test_retired_delta_loads_and_is_ignored(delta):
+    # config documents written while the in-subspace weight was a field;
+    # training reads it from the healthy spectrum, and a model document
+    # holds it beside the members
+    assert RunConfig.from_dict({"delta": delta, "tau2": 30}) == RunConfig(tau2=30)
+    assert "delta" not in RunConfig().to_dict()
 
 
 @pytest.mark.parametrize("n_regimes", [6, 1, 0, "six"])

@@ -192,7 +192,7 @@ class TestBatchTraining:
         save_pipeline(pipe, curves, tmp_path)
         table = np.load(tmp_path / "train_curves.npy", allow_pickle=False)
         exported = table[table[:, 1] <= cfg.healthy_cycles, 2 + RAW_DIST]
-        routed = assign_rows(pipe.model, healthy, cfg.delta)[1]
+        routed = assign_rows(pipe.model, healthy)[1]
         assert float(np.mean(exported)) == float(np.mean(routed))
 
     @pytest.mark.parametrize("n_regimes", [1, 2])
@@ -320,9 +320,10 @@ def age_only_rmse(train, test, truths, cfg):
 
 @pytest.mark.parametrize("n_regimes", [1, 6])
 def test_both_modes_hold_the_age_only_baseline(n_regimes):
-    # With each unit's bandwidth its smallest candidate d2, sst-lr measured
-    # 0.652x (K=1) and 0.683x (K=6) of the age-only rmse here, sst 0.664x and
-    # 0.716x; 0.798x at worst over generator seeds 0-3 (sst, K=6, seed 3).
+    # With each unit's bandwidth its smallest candidate d2 and delta read
+    # from the healthy spectrum, sst-lr measured 0.651x (K=1) and 0.683x
+    # (K=6) of the age-only rmse here, sst 0.657x and 0.689x; 0.808x at worst
+    # over generator seeds 0-3 (sst, K=6, seed 3).
     # A library of the distance index, smoothed twice, lost to the age-only
     # predictor by 1.4-7.6% (seeds 0-3, on the generator's earlier per-row
     # draws).
@@ -392,6 +393,58 @@ def test_a_noise_free_fleet_reads_its_rank(n_regimes):
     assert picked_dim(train, n_regimes) == 3
 
 
+def ranked_healthy_spectrum(train, pipe):
+    """The regimes' mean healthy spectrum, apart from fit: eigvalsh of each
+    regime's z-scored healthy rows, the mean taken rank by rank, in
+    descending order."""
+    healthy, labels = TestBatchTraining.healthy_rows(train, pipe)
+    spectra = [np.linalg.eigvalsh(np.cov(healthy[labels == k], rowvar=False))
+               for k in range(pipe.model.n_regimes)]
+    return np.mean(spectra, axis=0)[::-1]
+
+
+def rule_delta(train, pipe):
+    """The delta of the rule: of the mean healthy spectrum's eigenvalues above
+    SPECTRUM_FLOOR times the largest, the mean of those ranked past d,
+    floored at SPREAD_FLOOR; SPREAD_FLOOR when none is left."""
+    lam = ranked_healthy_spectrum(train, pipe)
+    past = lam[lam > fit.SPECTRUM_FLOOR * lam[0]][pipe.model.models[0].subspace_dim:]
+    return max(float(np.mean(past)), fit.SPREAD_FLOOR) if len(past) else fit.SPREAD_FLOOR
+
+
+@pytest.mark.parametrize("n_regimes", [1, 6])
+def test_delta_is_the_mean_discarded_eigenvalue(n_regimes):
+    # the noise variance of probabilistic PCA, read once for every member
+    train = generate_synthetic(SynthConfig(n_units=20, n_regimes=n_regimes, seed=1))[0]
+    pipe, _ = train_pipeline(train, RunConfig())
+    assert pipe.model.n_regimes == n_regimes
+    assert pipe.model.delta == pytest.approx(rule_delta(train, pipe), rel=1e-9)
+    # the generator's noise (0.05 of a unit-variance sensor), not the floor
+    assert 1e-4 < pipe.model.delta < 1e-2
+
+
+def test_a_noise_free_fleet_reads_the_delta_floor():
+    # the eigenvalues past the rank are rounding, below the spectrum's floor
+    train = generate_synthetic(SynthConfig(n_units=20, noise_std=0.0))[0]
+    assert train_pipeline(train, RunConfig())[0].model.delta == fit.SPREAD_FLOOR
+
+
+def test_masked_constant_sensors_add_no_zeros_to_delta():
+    # 7 of the 21 sensors constant normalize to exact zeros: 7 of the 18
+    # eigenvalues past d = 3 would take delta to 11/18 of the noise's
+    train = generate_synthetic(SynthConfig(n_units=20, seed=2))[0]
+    matrix = train.matrix.copy()
+    matrix[:, N_SETTINGS : N_SETTINGS + 7] = 5.0
+    constant = TrajectorySet(matrix, train.unit_ids, train.bounds)
+    pipe, _ = train_pipeline(constant, RunConfig())
+    lam = ranked_healthy_spectrum(constant, pipe)[3:]
+    zero = lam <= fit.SPECTRUM_FLOOR * lam[0]
+    assert zero.sum() == 7
+    assert pipe.model.delta == pytest.approx(rule_delta(constant, pipe), rel=1e-9)
+    assert pipe.model.delta == pytest.approx(np.mean(lam[~zero]), rel=1e-9)
+    assert pipe.model.delta > 1.5 * np.mean(lam)
+
+
 def mismatches(a, b, path="pipe"):
     """Where a and b differ: dataclasses field by field, lists item by item,
     arrays by dtype, shape and bytes, anything else by type and ==."""
@@ -433,8 +486,8 @@ def scored(pipe, tset):
     where evaluation calls it."""
     labels = []
 
-    def recording(model, rows, delta):
-        out = assign_rows(model, rows, delta)
+    def recording(model, rows):
+        out = assign_rows(model, rows)
         labels.append(out[0])
         return out
 

@@ -27,12 +27,12 @@ class TestDistanceSeries:
     def test_center_copies_give_zeros(self):
         model = random_model(np.random.default_rng(0), 8, 2)
         rows = np.tile(model.center, (10, 1))
-        np.testing.assert_array_equal(assign_rows(solo(model), rows, DELTA)[1], np.zeros(10))
+        np.testing.assert_array_equal(assign_rows(solo(model), rows)[1], np.zeros(10))
 
     def test_shape_contract(self):
         rng = np.random.default_rng(1)
         model = random_model(rng, 8, 2)
-        assert assign_rows(solo(model), rng.standard_normal((37, 8)), DELTA)[1].shape == (37,)
+        assert assign_rows(solo(model), rng.standard_normal((37, 8)))[1].shape == (37,)
 
     def test_drifting_unit_is_increasing(self):
         rng = np.random.default_rng(2)
@@ -43,7 +43,7 @@ class TestDistanceSeries:
         t = np.arange(1, 101)
         rows = model.center + np.outer(0.1 * t, drift_dir) \
             + 0.01 * rng.standard_normal((100, 8))
-        dists = assign_rows(solo(model), rows, DELTA)[1]
+        dists = assign_rows(solo(model), rows)[1]
         rho, _ = spearmanr(t, dists)
         assert rho >= 0.9
 
@@ -51,10 +51,10 @@ class TestDistanceSeries:
         rng = np.random.default_rng(3)
         models = [random_model(rng, 8, 2) for _ in range(3)]
         mm = MultiModel(
-            models=models, centroids=np.arange(9, dtype=float).reshape(3, 3)
+            models=models, centroids=np.arange(9, dtype=float).reshape(3, 3), delta=DELTA
         )
         rows = rng.standard_normal((20, 8))
-        dists = assign_rows(mm, rows, DELTA)[1]
+        dists = assign_rows(mm, rows)[1]
         all_dists = np.array([mahalanobis_rows(m, rows, DELTA) for m in models])
         np.testing.assert_allclose(dists, all_dists.min(axis=0))
 

@@ -29,7 +29,7 @@ def make_multimodel(rng, n_models, dim=8, sub_dim=2, spread_centers=10.0):
             )
         )
     centroids = np.arange(n_models, dtype=float)[:, None] * np.ones((1, 3))
-    return MultiModel(models=models, centroids=centroids)
+    return MultiModel(models=models, centroids=centroids, delta=DELTA)
 
 
 # CMAPSS's six published operating points in raw units (altitude in kft,
@@ -284,14 +284,14 @@ class TestAssign:
     def test_single_model_always_zero(self):
         rng = np.random.default_rng(3)
         mm = make_multimodel(rng, 1)
-        labels, _ = assign_rows(mm, rng.standard_normal((10, 8)), DELTA)
+        labels, _ = assign_rows(mm, rng.standard_normal((10, 8)))
         np.testing.assert_array_equal(labels, 0)
 
     def test_center_of_model_j_wins_with_zero_distance(self):
         rng = np.random.default_rng(4)
         mm = make_multimodel(rng, 3)
         centers = np.array([m.center for m in mm.models])
-        labels, dists = assign_rows(mm, centers, DELTA)
+        labels, dists = assign_rows(mm, centers)
         np.testing.assert_array_equal(labels, [0, 1, 2])
         np.testing.assert_array_equal(dists, 0.0)
 
@@ -299,7 +299,7 @@ class TestAssign:
         rng = np.random.default_rng(5)
         mm = make_multimodel(rng, 3, spread_centers=2.0)
         rows = rng.standard_normal((100, 8)) * 5
-        labels, dists = assign_rows(mm, rows, DELTA)
+        labels, dists = assign_rows(mm, rows)
         each = [[mahalanobis_rows(m, x[None], DELTA)[0] for m in mm.models] for x in rows]
         for k, dist, row_dists in zip(labels, dists, each):
             assert k == int(np.argmin(row_dists))
@@ -308,8 +308,8 @@ class TestAssign:
 
     def test_ties_go_to_lowest_index(self):
         model = random_model(np.random.default_rng(14), 8, 2)
-        mm = MultiModel(models=[model] * 3, centroids=np.eye(3))
-        labels, _ = assign_rows(mm, np.random.default_rng(15).standard_normal((20, 8)), DELTA)
+        mm = MultiModel(models=[model] * 3, centroids=np.eye(3), delta=DELTA)
+        labels, _ = assign_rows(mm, np.random.default_rng(15).standard_normal((20, 8)))
         np.testing.assert_array_equal(labels, 0)
 
 
@@ -321,20 +321,20 @@ class TestUpdateWinner:
         model = mm.models[0]
         for row in rows:
             model = update(model, row)
-        assert_models_equal(track(mm, rows, DELTA).models[0], model)
+        assert_models_equal(track(mm, rows).models[0], model)
 
     def test_losers_stay_bitwise_identical(self):
         rng = np.random.default_rng(8)
         mm = make_multimodel(rng, 3)
         rows = mm.models[2].center + 0.01 * rng.standard_normal((5, 8))
-        tracked = track(mm, rows, DELTA)
+        tracked = track(mm, rows)
         for k in (0, 1):
             assert tracked.models[k] is mm.models[k]
         assert not np.array_equal(tracked.models[2].center, mm.models[2].center)
 
     def test_empty_stream_is_a_no_op(self):
         mm = make_multimodel(np.random.default_rng(16), 2)
-        tracked = track(mm, np.zeros((0, 8)), DELTA)
+        tracked = track(mm, np.zeros((0, 8)))
         for a, b in zip(tracked.models, mm.models):
             assert_models_equal(a, b)
         np.testing.assert_array_equal(tracked.centroids, mm.centroids)
@@ -342,7 +342,7 @@ class TestUpdateWinner:
     def test_one_dimensional_input_raises(self):
         mm = make_multimodel(np.random.default_rng(17), 2)
         with pytest.raises(ValidationError):
-            track(mm, np.zeros(8), DELTA)
+            track(mm, np.zeros(8))
 
     def test_two_regime_training_converges(self):
         # interleaved rows of two regimes: each model converges to the
@@ -365,8 +365,9 @@ class TestUpdateWinner:
         mm = MultiModel(
             models=models,
             centroids=np.array([[0.0, 0, 0], [20.0, 20, 20]]),
+            delta=DELTA,
         )
-        tracked = track(mm, interleaved, DELTA)
+        tracked = track(mm, interleaved)
         for model, basis in zip(tracked.models, bases):
             assert subspace_angle(model.basis, basis) < 0.05
 
@@ -382,7 +383,7 @@ class TestKEqualsOneEquivalence:
         ref = init
         for row in data:
             ref = update(ref, row)
-        assert_models_equal(track(solo(init), data, DELTA).models[0], ref)
+        assert_models_equal(track(solo(init), data).models[0], ref)
 
 
 class TestNearestCentroid:

@@ -17,7 +17,7 @@ from subtrack.pipeline import TrainedPipeline
 from subtrack.rul import Library
 from subtrack.subspace import SubspaceModel, mahalanobis_rows
 
-DELTA = RunConfig().delta  # the in-subspace weight of every distance below
+DELTA = 0.01  # the in-subspace weight of every distance below
 
 
 def random_model(rng, dim, sub_dim):
@@ -36,7 +36,7 @@ def fit(window, sub_dim):
 
 def solo(model):
     """The model as the single-regime (K=1) K-model the pipeline uses."""
-    return MultiModel(models=[model], centroids=np.zeros((1, 3)))
+    return MultiModel(models=[model], centroids=np.zeros((1, 3)), delta=DELTA)
 
 
 def model_document(mm):
@@ -81,8 +81,9 @@ def explicit_complement_distance(model, x):
 
 
 def test_a_member_holds_only_its_fit():
-    # delta is a run setting, read from the config where distances are taken
+    # delta is read once for every member, and the K-model holds it
     assert [f.name for f in dataclasses.fields(SubspaceModel)] == ["basis", "center", "spreads"]
+    assert [f.name for f in dataclasses.fields(MultiModel)] == ["models", "centroids", "delta"]
 
 
 class TestFitSpectrum:
