@@ -31,12 +31,14 @@ ID_LIMIT = 2.0**53  # bound on |unit| and |cycle|: float64 holds every integer b
 # settings clustering's labelling, the normalizer fit and the pipeline's
 # normalized blocks and routing. Each temporary of a pass is then block-sized
 # beside the fleet matrix and its per-row outputs. On the bench fleets (seed
-# 1; 2-vCPU Xeon, one BLAS thread), with routing's distances bit-identical
-# at every size:
+# 1; 2-vCPU Xeon, one BLAS thread; commit 0b9de8d), medians of 12 runs with
+# no bytecode cache and of 21 routing passes over one fitted model, whose
+# distances are bit-identical at every size; the normalizer fit's sums are
+# not, so a run at another size changes output bits:
 #
 #   block (rows)                              1,024  2,048  4,096  8,192
-#   fd001-benchmark peak RSS (MB)              40.8   41.1   42.2   44.2
-#   K=6 routing of the fd004 train fleet (ms)    68     66     66    111
+#   fd001-benchmark peak RSS (MB)              37.7   37.9   39.2   41.2
+#   K=6 routing of the fd004 train fleet (ms)    65     63     64    116
 ROW_BLOCK = 1024
 
 

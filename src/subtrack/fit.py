@@ -33,6 +33,7 @@ FORGETTING = 0.87  # weight of the old statistics per update: a memory of ~8 row
 SPECTRUM_FLOOR = 1e-10  # eigenvalues at most this fraction of the largest: a null space
 DOMINANT_GAP = 3.0  # the least ratio of neighbouring eigenvalues that marks the edge
 RIDGE_JITTER = 1e-10
+HEALTHY_CYCLES = 20  # each unit's first cycles: the healthy window of fit_rows and the scaler
 
 
 @contextmanager
@@ -378,9 +379,9 @@ def fit_rows(train_set: TrajectorySet, cfg: RunConfig) -> tuple[dict, Trajectory
     sensors, bounds = train_set.matrix[:, N_SETTINGS:], train_set.bounds
     norm = fit_normalizer(sensors, labels, len(centroids))
 
-    is_healthy = np.zeros(len(sensors), dtype=bool)  # each unit's first healthy_cycles rows
+    is_healthy = np.zeros(len(sensors), dtype=bool)  # each unit's first HEALTHY_CYCLES rows
     for a, b in zip(bounds, bounds[1:]):
-        is_healthy[a : min(b, a + cfg.healthy_cycles)] = True
+        is_healthy[a : min(b, a + HEALTHY_CYCLES)] = True
     idx = np.flatnonzero(is_healthy)
     idx = idx[np.argsort(labels[idx], kind="stable")]  # by regime, in order within each
     healthy, healthy_labels = sensors[idx], labels[idx]  # each healthy row copied once
@@ -407,9 +408,9 @@ def fit_rows(train_set: TrajectorySet, cfg: RunConfig) -> tuple[dict, Trajectory
     def blocks():
         return _normalized_blocks(norm, train_set, labels)
 
-    curves, reg = _analyze_fleet(model, blocks(), train_set, cfg)
+    curves, reg = _analyze_fleet(model, blocks(), train_set)
     smoothed = curves[:, SCALED_DIST]
-    scaler = fit_scaler(curves[:, RAW_DIST], smoothed, bounds, cfg.healthy_cycles)
+    scaler = fit_scaler(curves[:, RAW_DIST], smoothed, bounds, HEALTHY_CYCLES)
     regressor = None
     if cfg.mode == "sst-lr":  # each block's target: the sst index of its smoothed distance
         regressor = fit_hi_regression(

@@ -32,6 +32,7 @@ from .errors import ValidationError
 
 CURVE_COLUMNS = ("raw_dist", "scaled_dist", "sigma")
 RAW_DIST, SCALED_DIST, SIGMA = range(len(CURVE_COLUMNS))
+SMOOTHING = 0.3  # the moving-average factor of a fleet's distances and its sst-lr index
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,9 @@ written by write_curves like every curve export. A directory of any other
 version than MODEL_FORMAT_VERSION is refused; one of version 1 (library
 only in a `train_curves.csv`), 2 (library smoothed twice), 3 (an sst-lr
 regressor of the d subspace projections), 4 (the pipeline spread over five
-documents and three arrays), 5 (settings tracked at K=1) or 6 (delta a
-config field, set by hand) with a message to retrain.
+documents and three arrays), 5 (settings tracked at K=1), 6 (delta a
+config field, set by hand) or 7 (the healthy window and smoothing factor
+config fields) with a message to retrain.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .multiscale import MAX_REGIMES, MultiModel
 from .rul import Library
 from .subspace import SubspaceModel
 
-MODEL_FORMAT_VERSION = 7
+MODEL_FORMAT_VERSION = 8
 MODEL_FILE = "model.json"
 SIGMA_FILE = "library_sigma.npy"  # float64, (n_train, longest curve)
 ESTIMATE_CSV_HEADER = (
@@ -57,7 +58,7 @@ _ENTRIES = {
 
 
 def _check_version(doc: dict) -> None:
-    """Accept exactly the int MODEL_FORMAT_VERSION: not True, 7.0 or "7"."""
+    """Accept exactly the int MODEL_FORMAT_VERSION: not True, 8.0 or "8"."""
     version = doc.get("version")
     if type(version) is int and version == MODEL_FORMAT_VERSION:
         return

@@ -49,7 +49,7 @@ def _normalized_blocks(norm: Normalizer, tset, labels):
         yield blk, x
 
 
-def _analyze_fleet(model: MultiModel, blocks, tset, cfg: RunConfig, weights=None) -> tuple:
+def _analyze_fleet(model: MultiModel, blocks, tset, weights=None) -> tuple:
     """(the fleet's curve table: each row's raw distance, that distance
     smoothed within its unit in the scaled column and, given regressor
     weights, the health index they predict in the sigma column; the rows'
@@ -64,7 +64,7 @@ def _analyze_fleet(model: MultiModel, blocks, tset, cfg: RunConfig, weights=None
                 raise NumericalError("non-finite subspace distance (overflow)")
             if weights is not None:
                 hi[blk] = health.predict_hi(weights, x, reg[blk])
-    health.smooth_units(raw, tset.bounds, cfg.smoothing, out=curves[:, SCALED_DIST])
+    health.smooth_units(raw, tset.bounds, health.SMOOTHING, out=curves[:, SCALED_DIST])
     return curves, reg
 
 
@@ -76,7 +76,7 @@ def _fleet_curves(tset, cfg: RunConfig, scaler, curves) -> TrajectorySet:
     scaled, sigma = curves[:, SCALED_DIST], curves[:, SIGMA]
     health.scale(scaler, scaled, out=scaled)
     if cfg.mode == "sst-lr":
-        health.smooth_units(sigma, tset.bounds, cfg.smoothing, out=sigma)
+        health.smooth_units(sigma, tset.bounds, health.SMOOTHING, out=sigma)
     else:
         health.to_health_index(scaled, out=sigma)
     return TrajectorySet(curves, tset.unit_ids, tset.bounds)
@@ -102,7 +102,7 @@ def infer_curves(pipe: TrainedPipeline, tset: TrajectorySet) -> TrajectorySet:
     labels = multiscale.nearest_centroid(pipe.model.centroids, _settings(tset))
     blocks = _normalized_blocks(pipe.normalizer, tset, labels)
     weights = pipe.regressor if cfg.mode == "sst-lr" else None
-    curves, _ = _analyze_fleet(pipe.model, blocks, tset, cfg, weights)
+    curves, _ = _analyze_fleet(pipe.model, blocks, tset, weights)
     return _fleet_curves(tset, cfg, pipe.scaler, curves)
 
 

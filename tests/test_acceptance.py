@@ -116,7 +116,7 @@ def test_criterion_4_degradation_monotonicity():
         seed=104, min_cycles=120, max_cycles=200,
     )
     train, _, _, _ = generate_synthetic(synth)
-    cfg = RunConfig(mode="sst", healthy_cycles=20)
+    cfg = RunConfig(mode="sst")
     _, curves = train_pipeline(train, cfg)
     bad = 0
     for traj, hi in zip(train, curves):
@@ -143,7 +143,7 @@ def test_criterion_5_synthetic_rul_beats_naive_baseline():
             min_cycles=100, max_cycles=180, min_test_cycles=30,
         )
         train, test, truths, _ = generate_synthetic(synth)
-        cfg = RunConfig(mode="sst", healthy_cycles=20, tau2=40)
+        cfg = RunConfig(mode="sst", tau2=40)
         rep, *_ = run_pipeline(train, test, truths, cfg)
         pipeline_rmses.append(rep.rmse)
         mean_rul = float(np.mean(truths))

@@ -163,7 +163,7 @@ class TestTrain:
         assert rc == EXIT_OK
         assert {p.name for p in out.iterdir()} == MODEL_DIR_FILES
         doc = model_doc(out)
-        assert doc["version"] == persist.MODEL_FORMAT_VERSION == 7
+        assert doc["version"] == persist.MODEL_FORMAT_VERSION == 8
         assert doc["regressor"] is None
 
     def test_summary_names_the_subspace_dimension_it_read(self, synth_dir, tmp_path, capsys):
@@ -273,7 +273,8 @@ class TestTrain:
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(
             {"alpha": 0.5, "eta": 0.0, "max_epochs": 5, "rel_tol": 1e-3,
-             "beta": 0.0235, "include_settings": "yes", "seed": 9, "delta": 5.0, "tau2": 25}
+             "beta": 0.0235, "include_settings": "yes", "seed": 9, "delta": 5.0,
+             "healthy_cycles": 5, "smoothing": 1.0, "tau2": 25}
         ))
         out = tmp_path / "model"
         rc = main(
@@ -285,11 +286,17 @@ class TestTrain:
         assert saved["tau2"] == 25
         assert not set(saved) & set(RETIRED_FIELDS)
 
-    def test_config_file_delta_is_ignored(self, synth_dir, tmp_path):
-        # delta is read from the healthy spectrum: a config file's value
-        # changes no byte of the model directory
+    @pytest.mark.parametrize(
+        "doc",
+        [{"delta": 5.0}, {"healthy_cycles": 5, "smoothing": 1.0}],
+        ids=["delta", "healthy-window-and-smoothing"],
+    )
+    def test_config_file_retired_values_are_ignored(self, synth_dir, tmp_path, doc):
+        # delta is read from the healthy spectrum, and the healthy window and
+        # smoothing factor are constants: a config file's values change no
+        # byte of the model directory
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"delta": 5.0}))
+        cfg_file.write_text(json.dumps(doc))
         dirs = []
         for name, extra in (("plain", []), ("config", ["--config", str(cfg_file)])):
             dirs.append(tmp_path / name)
@@ -347,10 +354,10 @@ class TestTrain:
     @pytest.mark.parametrize(
         "doc, field",
         [
-            ({"smoothing": "0.3"}, "smoothing"),
-            ({"healthy_cycles": 20.5}, "healthy_cycles"),
+            ({"tau2": "40"}, "tau2"),
+            ({"tau1": 1.5}, "tau1"),
         ],
-        ids=["string-smoothing", "float-healthy-cycles"],
+        ids=["string-tau2", "float-tau1"],
     )
     def test_mistyped_config_value_exits_2_naming_field(
         self, synth_dir, tmp_path, capsys, doc, field
@@ -368,10 +375,10 @@ class TestTrain:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--healthy-cycles", "0"], "healthy_cycles must be >= 1"),
+            (["--tau1", "5", "--tau2", "2"], "need 0 <= tau1 <= tau2"),
             (["--tau2", "-5"], "need 0 <= tau1 <= tau2"),
         ],
-        ids=["healthy-cycles-0", "negative-tau2"],
+        ids=["tau1-above-tau2", "negative-tau2"],
     )
     def test_out_of_range_flag_exits_2_naming_field(
         self, tmp_path, capsys, flags, message
@@ -551,7 +558,9 @@ class TestInfer:
             ("6", "unsupported model format version '6'"),
             (7.0, "unsupported model format version 7.0"),
             ("7", "unsupported model format version '7'"),
-            (8, "unsupported model format version 8"),
+            (8.0, "unsupported model format version 8.0"),
+            ("8", "unsupported model format version '8'"),
+            (9, "unsupported model format version 9"),
             (0, "unsupported model format version 0"),
             (1, RETRAIN.format(1)),
             # a version 2 library is smoothed twice, and in sst-lr mode is
@@ -565,9 +574,12 @@ class TestInfer:
             (5, RETRAIN.format(5)),
             # a version 6 model weighs its distances by the config's hand-set delta
             (6, RETRAIN.format(6)),
+            # a version 7 model's config holds the healthy window and smoothing factor
+            (7, RETRAIN.format(7)),
         ],
         ids=["true", "2.0", "str-2", "3.0", "str-3", "4.0", "str-4", "5.0", "str-5",
-             "6.0", "str-6", "7.0", "str-7", "8", "0", "1", "2", "3", "4", "5", "6"],
+             "6.0", "str-6", "7.0", "str-7", "8.0", "str-8", "9", "0", "1", "2", "3", "4",
+             "5", "6", "7"],
     )
     def test_unsupported_version_exits_2_naming_model_json(
         self, synth_dir, model_dir, tmp_path, capsys, version, message
@@ -860,14 +872,14 @@ class TestInfer:
     ):
         # a config as train wrote it while it ran the epoch trainer, matched
         # with a fixed bandwidth, seeded k-means++ from a draw, took the
-        # settings switch and a hand-set delta: the retired fields are
-        # ignored, whatever they hold
+        # settings switch, a hand-set delta, a healthy window and a smoothing
+        # factor: the retired fields are ignored, whatever they hold
         legacy = tmp_path / "legacy"
         shutil.copytree(model_dir, legacy)
         assert not set(model_doc(legacy)["config"]) & set(RETIRED_FIELDS)
         edit_model_doc(legacy, lambda doc: doc["config"].update(
             alpha=0.87, eta=0.01, max_epochs=100, rel_tol=1e-4, beta=0.0235, seed=3,
-            include_settings=True, delta=0.01,
+            include_settings=True, delta=0.01, healthy_cycles=5, smoothing=1.0,
         ))
         assert persist.load_pipeline(legacy).config == (
             persist.load_pipeline(model_dir).config
@@ -1748,10 +1760,7 @@ class TestUsage:
     @pytest.mark.parametrize("command", ["train", "benchmark"])
     def test_every_config_field_has_a_flag(self, command):
         # a valid config where every field differs from its default
-        wanted = RunConfig(
-            mode="sst-lr",
-            healthy_cycles=15, tau1=2, tau2=30, smoothing=0.5,
-        )
+        wanted = RunConfig(mode="sst-lr", tau1=2, tau2=30)
         argv = [command, "--train", "t", "--out", "o"]
         if command == "benchmark":
             argv += ["--test", "t", "--rul", "r"]

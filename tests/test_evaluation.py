@@ -14,8 +14,8 @@ from subtrack.config import RunConfig
 from subtrack.dataset import N_SETTINGS, TrajectorySet
 from subtrack.errors import NumericalError, ValidationError
 from subtrack.evaluation import build_report, rmse, run_pipeline, score
-from subtrack.fit import fit_spectrum, spectrum, train_pipeline
-from subtrack.health import RAW_DIST, SCALED_DIST, SIGMA, predict_hi
+from subtrack.fit import HEALTHY_CYCLES, fit_spectrum, spectrum, train_pipeline
+from subtrack.health import RAW_DIST, SCALED_DIST, SIGMA, SMOOTHING, predict_hi
 from subtrack.multiscale import MultiModel, assign_rows, nearest_centroid
 from subtrack.persist import load_pipeline, save_pipeline
 from subtrack.pipeline import estimate_fleet, infer_curves
@@ -81,9 +81,7 @@ SMALL_SYNTH = SynthConfig(
     min_cycles=80, max_cycles=120, min_test_cycles=25,
 )
 
-SMALL_CFG = RunConfig(
-    mode="sst", healthy_cycles=20, tau2=20
-)
+SMALL_CFG = RunConfig(mode="sst", tau2=20)
 
 
 class TestPipeline:
@@ -96,9 +94,7 @@ class TestPipeline:
 
     def test_sst_lr_mode_produces_regressor(self):
         train, test, truths, _ = generate_synthetic(SMALL_SYNTH)
-        cfg = RunConfig(
-            mode="sst-lr", healthy_cycles=20, tau2=20
-        )
+        cfg = RunConfig(mode="sst-lr", tau2=20)
         report, pipe, _, _ = run_pipeline(train, test, truths, cfg)
         assert pipe.regressor is not None
         assert report.rmse >= 0
@@ -119,7 +115,7 @@ class TestPipeline:
             min_cycles=80, max_cycles=120,
         )
         train, test, truths, _ = generate_synthetic(synth)
-        cfg = RunConfig(healthy_cycles=20, tau2=20)
+        cfg = RunConfig(tau2=20)
         report, pipe, _, _ = run_pipeline(train, test, truths, cfg)
         assert isinstance(pipe.model, MultiModel)
         assert pipe.model.n_regimes == 2
@@ -144,7 +140,7 @@ class TestPipeline:
     def test_training_sigma_near_one_in_healthy_window(self):
         train, _, _, _ = generate_synthetic(SMALL_SYNTH)
         _, curves = train_pipeline(train, SMALL_CFG)
-        healthy_sigma = np.concatenate([c[: SMALL_CFG.healthy_cycles, SIGMA] for c in curves])
+        healthy_sigma = np.concatenate([c[:HEALTHY_CYCLES, SIGMA] for c in curves])
         assert healthy_sigma.mean() >= 0.9
 
     def test_training_sigma_low_at_failure(self):
@@ -159,16 +155,15 @@ class TestBatchTraining:
     def healthy_rows(train, pipe):
         """The normalized healthy rows and their regime labels, derived from
         the fitted centroids and normalizer as train_pipeline derives them."""
-        cfg = pipe.config
         labels = [nearest_centroid(pipe.model.centroids, t[:, :N_SETTINGS]) for t in train]
         rows = []
         for t, lab in zip(train, labels):
             sensors = t[:, N_SETTINGS:].copy()  # the set's rows are read-only
             pipe.normalizer.transform_inplace(sensors, lab)
-            rows.append(sensors[: cfg.healthy_cycles])
+            rows.append(sensors[:HEALTHY_CYCLES])
         return (
             np.vstack(rows),
-            np.concatenate([lab[: cfg.healthy_cycles] for lab in labels]),
+            np.concatenate([lab[:HEALTHY_CYCLES] for lab in labels]),
         )
 
     @pytest.mark.parametrize("n_regimes", [1, 2])
@@ -178,7 +173,7 @@ class TestBatchTraining:
             seed=6, min_cycles=80, max_cycles=120,
         )
         train, _, _, _ = generate_synthetic(synth)
-        cfg = RunConfig(healthy_cycles=20, tau2=20)
+        cfg = RunConfig(tau2=20)
         pipe, curves = train_pipeline(train, cfg)
         healthy, labels = self.healthy_rows(train, pipe)
         assert pipe.model.n_regimes == n_regimes
@@ -191,7 +186,7 @@ class TestBatchTraining:
         # raw distances over the healthy cycles: the same elements, in order
         save_pipeline(pipe, curves, tmp_path)
         table = np.load(tmp_path / "train_curves.npy", allow_pickle=False)
-        exported = table[table[:, 1] <= cfg.healthy_cycles, 2 + RAW_DIST]
+        exported = table[table[:, 1] <= HEALTHY_CYCLES, 2 + RAW_DIST]
         routed = assign_rows(pipe.model, healthy)[1]
         assert float(np.mean(exported)) == float(np.mean(routed))
 
@@ -232,7 +227,7 @@ class TestBatchTraining:
         # smoothed, scaled distance in sst mode, and the regressed index,
         # smoothed within its unit, in sst-lr mode
         train, _, _, _ = generate_synthetic(SMALL_SYNTH)
-        cfg = RunConfig(mode=mode, healthy_cycles=20, tau2=20)
+        cfg = RunConfig(mode=mode, tau2=20)
         regressed = []
 
         def recording(*args):
@@ -242,9 +237,9 @@ class TestBatchTraining:
         with mock.patch.object(health, "predict_hi", recording):
             pipe, curves = train_pipeline(train, cfg)
         raw = [c[:, RAW_DIST] for c in curves]
-        smoothed = [np.array(reference_smooth(r, cfg.smoothing)) for r in raw]
+        smoothed = [np.array(reference_smooth(r, SMOOTHING)) for r in raw]
         scaler = fit.fit_scaler(
-            np.concatenate(raw), np.concatenate(smoothed), curves.bounds, cfg.healthy_cycles
+            np.concatenate(raw), np.concatenate(smoothed), curves.bounds, HEALTHY_CYCLES
         )
         assert pipe.scaler == scaler
         # one predict pass over the fleet's row blocks, in sst-lr mode only
@@ -257,7 +252,7 @@ class TestBatchTraining:
             if mode == "sst":
                 want = health.to_health_index(scaled)
             else:
-                want = np.array(reference_smooth(index, cfg.smoothing))
+                want = np.array(reference_smooth(index, SMOOTHING))
             assert got[:, SIGMA].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("mode", ["sst", "sst-lr"])

@@ -7,7 +7,9 @@ from scipy.stats import spearmanr
 
 from subtrack.config import RunConfig
 from subtrack.errors import NumericalError, ValidationError
-from subtrack.fit import _median, fit_hi_regression, fit_scaler, pad_units, train_pipeline
+from subtrack.fit import (
+    HEALTHY_CYCLES, _median, fit_hi_regression, fit_scaler, pad_units, train_pipeline,
+)
 from subtrack.health import (
     DistanceScaler,
     SIGMA,
@@ -71,9 +73,8 @@ class TestRegressorInput:
             n_units=12, n_regimes=n_regimes, drift_rate=0.03, seed=0,
             min_cycles=80, max_cycles=120,
         ))
-        cfg = RunConfig(mode="sst-lr", healthy_cycles=20, tau2=20)
-        _, curves = train_pipeline(train, cfg)
-        healthy = np.mean([c[: cfg.healthy_cycles, SIGMA].mean() for c in curves])
+        _, curves = train_pipeline(train, RunConfig(mode="sst-lr", tau2=20))
+        healthy = np.mean([c[:HEALTHY_CYCLES, SIGMA].mean() for c in curves])
         final = np.mean([c[-1, SIGMA] for c in curves])
         assert healthy - final >= 0.5
 
@@ -92,6 +93,12 @@ class TestScaler:
         scaler = fit_scaler(series, series, [0, len(series)], healthy_cycles=10)
         assert scaler.floor == pytest.approx(2.0)
         assert scaler.ceiling == pytest.approx(6.0)
+
+    def test_a_healthy_window_of_one_cycle_reads_the_first_cycle(self):
+        series = np.concatenate([np.full(2, 2.0), np.full(100, 6.0)])
+        series[0] = 1.0
+        scaler = fit_scaler(series, series, [0, len(series)], healthy_cycles=1)
+        assert (scaler.floor, scaler.ceiling) == (1.0, 6.0)
 
     def test_degenerate_fleet(self):
         series = np.full(50, 3.0)
@@ -140,9 +147,11 @@ def smooth_one(series, factor, out=None):
 
 
 class TestSmooth:
-    def test_identity_factor(self):
-        x = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
-        np.testing.assert_array_equal(smooth_one(x, 1.0), x)
+    @pytest.mark.parametrize("factor", [1, 1.0])
+    def test_identity_factor(self, factor):
+        x = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.5])
+        assert smooth_one(x, factor).tobytes() == x.tobytes()
+        assert smooth_units(x, [0, 2, 5, 7], factor).tobytes() == x.tobytes()
 
     def test_constant_fixed_point(self):
         x = np.full(20, 2.5)
@@ -152,9 +161,12 @@ class TestSmooth:
         out = smooth_one(np.array([0.0, 0.0, 1.0, 1.0]), 0.5)
         np.testing.assert_allclose(out, [0.0, 0.0, 0.5, 0.75])
 
-    def test_invalid_factor(self):
-        with pytest.raises(ValidationError):
-            smooth_one(np.zeros(3), 0.0)
+    # the only check of the factor: the run config holds none since the
+    # factor became the constant health.SMOOTHING
+    @pytest.mark.parametrize("factor", [0, 0.0, -0.5, 1.5, float("nan")])
+    def test_invalid_factor(self, factor):
+        with pytest.raises(ValidationError, match=r"^smoothing factor must be in \(0, 1\]$"):
+            smooth_one(np.zeros(3), factor)
 
 
 def reference_smooth(series, factor):
