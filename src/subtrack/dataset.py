@@ -11,8 +11,11 @@ Ground-truth files carry one integer RUL per test unit, in unit order.
 from __future__ import annotations
 
 import math
+import os
+import stat
+import tempfile
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
@@ -40,6 +43,10 @@ ID_LIMIT = 2.0**53  # bound on |unit| and |cycle|: float64 holds every integer b
 #   fd001-benchmark peak RSS (MB)              37.7   37.9   39.2   41.2
 #   K=6 routing of the fd004 train fleet (ms)    65     63     64    116
 ROW_BLOCK = 1024
+
+# The directory beside text files that holds their parsed (rows, N_COLUMNS)
+# tables: CACHE_DIR/<file name>/<stat key>.npy, one entry per file name.
+CACHE_DIR = ".subtrack-cache"
 
 
 class TrajectorySet:
@@ -97,6 +104,10 @@ def load_cmapss(path: str | Path) -> TrajectorySet:
     the line parser reads the file again and decides: it raises the error,
     or returns what the file holds (a unit id written as 1_0, say, which
     numpy does not parse, or rows that are not in (unit, cycle) order).
+
+    A table the bulk parse accepts is kept in CACHE_DIR beside the file, and
+    a later read of the file with the same stat key loads it and checks it
+    again (_parse_cmapss_bulk); the set is bit-identical either way.
     """
     path = Path(path)
     tset = _parse_cmapss_bulk(path)
@@ -111,10 +122,110 @@ def _parse_cmapss_bulk(path: Path) -> TrajectorySet | None:
     Only a file whose rows are in (unit, cycle) order is read here, and the
     set's matrix is the read-only view of columns 2-25 of the (rows, 26)
     table numpy returns, so the parse holds one fleet-sized buffer. A file
-    in any other row order goes to the line parser, which sorts it."""
+    in any other row order goes to the line parser, which sorts it.
+
+    A regular file's table is looked up first as its entry in CACHE_DIR
+    (_entry_name). An entry that loads and passes the same checks is the
+    table; any other is a miss, and _parse_and_keep parses the text."""
     with open(path) as fh:
+        st = os.fstat(fh.fileno())
+        # a pipe's stat does not change with what it holds: never cached
+        cache = _cache_dir(path.parent) if stat.S_ISREG(st.st_mode) else None
+        if cache is None:
+            return _fleet(read_table(fh))
+        entry = cache / path.name / _entry_name(st)
+        tset = _cached_fleet(entry)
+        return tset if tset is not None else _parse_and_keep(fh, st, entry)
+
+
+def _cache_dir(parent: Path) -> Path | None:
+    """CACHE_DIR in parent, made with mode 0o700 when missing; None when it
+    cannot be made, or is not a directory of this user that no one else may
+    write: its entries are loaded as tables, and written in it by name."""
+    cache = parent / CACHE_DIR
+    try:
+        with suppress(FileExistsError):
+            os.mkdir(cache, 0o700)
+        st = os.lstat(cache)
+    except OSError:
+        return None
+    mine = stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid() and not st.st_mode & 0o022
+    return cache if mine else None
+
+
+def _entry_name(st: os.stat_result) -> str:
+    """The cache entry of a file of stat st: its device, inode, size, mtime
+    and ctime in ns."""
+    key = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+    return "_".join(map(str, key)) + ".npy"
+
+
+def _cached_fleet(entry: Path) -> TrajectorySet | None:
+    """The fleet of a cache entry; None when it is missing or fails to load
+    or to pass _fleet's checks."""
+    from . import persist  # persist imports this module: a call-time import
+
+    try:
+        return _fleet(persist.read_npy(entry, np.dtype("<f8"), 2))
+    except ValidationError:
+        return None
+
+
+def _parse_and_keep(fh, st: os.stat_result, entry: Path) -> TrajectorySet | None:
+    """_fleet of the parse of fh, a text file of stat st, its table kept as
+    entry when the file was last changed before the parse began and not
+    during it, and the file's older entries removed.
+
+    The parse's start is the ctime of the entry's temporary file, made
+    before the parse. The file system that stamped the text stamps it too,
+    so a same-size rewrite within one timestamp tick, which keeps the stat
+    key, cannot leave a stale entry whatever the tick and however far the
+    local clock is from the file system's (git's racy-clean rule). An
+    OSError (a read-only directory, a full disk) leaves the run as it is,
+    with no message, and a read that keeps nothing removes an empty
+    CACHE_DIR."""
+    from . import persist
+
+    cache = entry.parent.parent
+    try:
+        # a new file of a random name (O_EXCL): never written through a link
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache)
+    except OSError:
+        return _fleet(read_table(fh))
+    out = open(fd, "wb")
+    kept = False
+    try:
         table = read_table(fh)
-    if table is None or table.shape[1] != N_COLUMNS or not _valid_rows(table):
+        tset = _fleet(table)
+        started = os.fstat(fd).st_ctime_ns  # unchanged until the write
+        if tset is not None and max(st.st_ctime_ns, st.st_mtime_ns) < started \
+                and _entry_name(os.fstat(fh.fileno())) == entry.name:
+            with suppress(OSError):
+                with out:
+                    persist.write_npy(out, table)
+                entry.parent.mkdir(0o700, exist_ok=True)
+                os.replace(tmp, entry)
+                kept = True
+                for other in os.listdir(entry.parent):
+                    if other != entry.name:
+                        os.unlink(entry.parent / other)
+    finally:
+        with suppress(OSError):
+            out.close()
+        if not kept:
+            with suppress(OSError):
+                os.unlink(tmp)
+            with suppress(OSError):
+                os.rmdir(cache)
+    return tset
+
+
+def _fleet(table: np.ndarray | None) -> TrajectorySet | None:
+    """The fleet of a (rows, N_COLUMNS) table whose rows are in (unit,
+    cycle) order and pass _valid_rows, as a view of the table; None for any
+    other table."""
+    if table is None or table.shape[1] != N_COLUMNS or len(table) == 0 \
+            or not _valid_rows(table):
         return None
     ids = table[:, :2].astype(np.int64)  # exact: whole numbers below 2**53
     runs = _cycle_runs(ids[:, 0], ids[:, 1])

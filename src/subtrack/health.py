@@ -52,11 +52,13 @@ class DistanceScaler:
 
 def smooth_units(values: np.ndarray, bounds: list[int], factor: float, out=None) -> np.ndarray:
     """A series over a fleet's rows, smoothed within each unit by an
-    exponential moving average, into out when given; factor=1 is the
-    identity. Cycle i of every unit still running is one step over the
-    fleet: it reads only input i and output i-1, so out may be values and
-    no padded stack is built. Each output is the recurrence
-    y[i] = factor * x[i] + (1 - factor) * y[i - 1] in float64."""
+    exponential moving average, into out when given. Cycle i of every unit
+    still running is one step over the fleet: it reads only input i and
+    output i-1, so out may be values and no padded stack is built. Each
+    output is the recurrence y[i] = factor * x[i] + (1 - factor) * y[i - 1]
+    in float64, and a unit's first output its first input. At factor=1 that
+    is x[i] + 0.0 * y[i - 1]: each finite input as it is, but for a -0.0
+    after a +0.0 or positive output, which comes back +0.0."""
     if not 0.0 < factor <= 1.0:
         raise ValidationError("smoothing factor must be in (0, 1]")
     values = np.asarray(values, dtype=float)

@@ -4,7 +4,9 @@ Documents are JSON and estimates CSV, floats written with repr, and arrays
 `.npy` (np.save, read with np.load(allow_pickle=False)), so reading a file
 back reproduces the exact values written. This is the only module that
 reads or writes a model directory: one document, MODEL_FILE, one array,
-SIGMA_FILE, and one export.
+SIGMA_FILE, and one export. It is also the only one that calls np.save and
+np.load: the parse cache of `dataset.load_cmapss` (`dataset.CACHE_DIR`) reads
+its entries with read_npy and writes them with write_npy.
 
 The document (model_document, read_model_document) holds the whole fitted
 pipeline but the library's curves: its format version, the run config, the
@@ -241,6 +243,11 @@ def read_npy(path: Path, dtype: np.dtype, ndim: int) -> np.ndarray:
             f"got a {array.ndim}-d {array.dtype} one"
         )
     return array
+
+
+def write_npy(fh, array: np.ndarray) -> None:
+    """array as np.save writes it, never pickled, to an open binary file."""
+    np.save(fh, array, allow_pickle=False)
 
 
 def load_pipeline(model_dir: str | Path) -> TrainedPipeline:

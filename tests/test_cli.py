@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import subtrack
-from subtrack import fit, persist, pipeline, rul
+from subtrack import dataset, fit, persist, pipeline, rul
 from subtrack.cli import (
     EXIT_DATA,
     EXIT_NUMERICAL,
@@ -1564,6 +1564,67 @@ def test_jittered_settings_read_their_regimes_leaving_numpy_ma_unimported(tmp_pa
     delta = model_doc(model)["delta"]
     assert proc.stdout == (
         f"trained on 4 units, 3 regimes, subspace dim 3, delta {delta:.3g} -> {model}\n")
+
+
+class TestParseCache:
+    """A second run on an unchanged file loads its table from the parse
+    cache beside it and writes the same bytes as the first."""
+
+    def test_train_and_infer_twice_write_equal_outputs(
+        self, synth_dir, tmp_path, settle, monkeypatch
+    ):
+        data = tmp_path / "data"
+        data.mkdir()
+        names = ("train_synth.txt", "test_synth.txt", "RUL_synth.txt")
+        for name in names:
+            shutil.copy(synth_dir / name, data / name)
+        settle(*(data / name for name in names))
+        parses, read_table = [], dataset.read_table
+        monkeypatch.setattr(dataset, "read_table", lambda fh: parses.append(1) or read_table(fh))
+        for out in ("m1", "m2"):
+            assert main(["train", "--train", str(data / "train_synth.txt"),
+                         "--out", str(tmp_path / out)] + BENCH_FLAGS) == EXIT_OK
+        for out in ("i1", "i2"):
+            assert main(["infer", "--model-dir", str(tmp_path / "m1"),
+                         "--data", str(data / "test_synth.txt"),
+                         "--rul", str(data / "RUL_synth.txt"),
+                         "--out", str(tmp_path / out)]) == EXIT_OK
+        assert len(parses) == 2  # the first run on each file
+        for a, b in (("m1", "m2"), ("i1", "i2")):
+            files = sorted(os.listdir(tmp_path / a))
+            assert files == sorted(os.listdir(tmp_path / b))
+            for name in files:
+                assert (tmp_path / a / name).read_bytes() == (tmp_path / b / name).read_bytes()
+        # nothing is written beside the inputs but their two entries
+        assert sorted(os.listdir(data)) == sorted([*names, dataset.CACHE_DIR])
+        assert len(os.listdir(data / dataset.CACHE_DIR)) == 2
+
+
+@pytest.mark.parametrize("command", ["train", "single-unit infer"])
+def test_parse_cache_imports_no_hashlib(synth_dir, model_dir, tmp_path, settle, command):
+    # the cache is keyed by stat, not by a digest: hashlib loads OpenSSL,
+    # about 3.5 MB of peak RSS in every command
+    if command == "train":
+        data = tmp_path / "train.txt"
+        shutil.copy(synth_dir / "train_synth.txt", data)
+        argv = ["train", "--train", str(data), "--out", str(tmp_path / "model")] + BENCH_FLAGS
+    else:
+        tset = load_cmapss(synth_dir / "test_synth.txt")
+        data = tmp_path / "unit.txt"
+        save_cmapss(TrajectorySet.stack(tset.unit_ids[:1], [next(iter(tset))]), data)
+        argv = ["infer", "--model-dir", str(model_dir), "--data", str(data),
+                "--out", str(tmp_path / "out")]
+    # the first run writes the entry and the second loads it
+    settle(data)
+    code = (
+        "import sys; from subtrack.cli import main; "
+        f"assert [main({argv!r}) for _ in range(2)] == [0, 0]; "
+        "assert not {'hashlib', '_hashlib'} & set(sys.modules), 'imported'"
+    )
+    proc = run_fresh_interpreter("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert os.listdir(tmp_path / dataset.CACHE_DIR / data.name) == [
+        dataset._entry_name(os.stat(data))]
 
 
 # numpy subpackages that `import numpy` leaves unloaded and subtrack never needs

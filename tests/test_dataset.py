@@ -150,14 +150,17 @@ class TestOneMatrix:
         tset = load_cmapss(f)
         assert len(handed) == 1 and tset.matrix is handed[0]
 
-    def test_parse_of_an_ordered_file_holds_one_buffer(self, tmp_path, monkeypatch):
+    def test_parse_of_an_ordered_file_holds_one_buffer(self, tmp_path, monkeypatch, settle):
         # the set's matrix is a view of the (rows, 26) table numpy parsed:
-        # past that table, the parse's peak holds only row-length vectors
+        # past that table, the parse's peak holds only row-length vectors.
+        # A second read loads that table from the parse cache, within the
+        # same bound and with no parse
         train, _, _, _ = generate_synthetic(
             SynthConfig(n_units=20, seed=2, min_cycles=150, max_cycles=300)
         )
         f = tmp_path / "train.txt"
         save_cmapss(train, f)
+        settle(f)
         tables, read_table = [], dataset.read_table
 
         def recording(fh):
@@ -178,6 +181,17 @@ class TestOneMatrix:
         assert peak <= 1.2 * tables[0].nbytes
         assert np.shares_memory(tset.matrix, tables[0])
         assert tset.matrix.tobytes() == train.matrix.tobytes()
+
+        del tset
+        tracemalloc.start()
+        try:
+            hit = load_cmapss(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tables) == 1
+        assert peak <= 1.2 * tables[0].nbytes
+        assert hit.matrix.tobytes() == train.matrix.tobytes()
 
     def test_set_of_trajectories_is_stacked_once(self):
         train, test, _, _ = generate_synthetic(

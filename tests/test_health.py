@@ -152,6 +152,13 @@ class TestSmooth:
         x = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.5])
         assert smooth_one(x, factor).tobytes() == x.tobytes()
         assert smooth_units(x, [0, 2, 5, 7], factor).tobytes() == x.tobytes()
+        # y[i] = x[i] + 0.0 * y[i - 1]: a -0.0 after a +0.0 or positive
+        # output comes back +0.0; at a unit's first cycle, or after a
+        # negative output, it stays -0.0
+        z = np.array([-0.0, 1.0, -0.0, -0.0, -2.0, -0.0, -0.0])
+        kept = np.array([-0.0, 1.0, 0.0, 0.0, -2.0, -0.0, -0.0])
+        assert smooth_one(z, factor).tobytes() == kept.tobytes()
+        assert smooth_units(z, [0, 6, 7], factor).tobytes() == kept.tobytes()
 
     def test_constant_fixed_point(self):
         x = np.full(20, 2.5)

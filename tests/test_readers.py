@@ -11,6 +11,7 @@ exported as one `.npy` array by persist.write_curves, which np.load reads
 back exactly.
 """
 
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -230,11 +231,19 @@ CMAPSS_EXPECTED = {
 
 @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["LF", "CRLF"])
 @pytest.mark.parametrize("name,edit", edit_cases())
-def test_cmapss_readers_agree(tmp_path, name, edit, eol):
+def test_cmapss_readers_agree(tmp_path, settle, name, edit, eol):
+    # with the file old enough to be kept, the bulk path's second read loads
+    # the entry its first wrote; a file the line parser decides has none,
+    # and no cache directory is left beside it
     path = tmp_path / "train.txt"
     with open(path, "w", newline="") as fh:
         fh.write("".join(line + eol for line in edit(cmapss_lines())))
-    assert check_agree(CMAPSS, path) == CMAPSS_EXPECTED[name]
+    settle(path)
+    decided = check_agree(CMAPSS, path)
+    assert decided == CMAPSS_EXPECTED[name]
+    cache = tmp_path / dataset.CACHE_DIR
+    assert sorted(os.listdir(cache / path.name) if cache.exists() else []) == (
+        [dataset._entry_name(os.stat(path))] if decided == "fast" else [])
 
 
 # ---------------------------------------------------------------------------
